@@ -78,9 +78,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{softmax_cross_entropy, Dense};
+    use crate::{softmax_cross_entropy, Conv2d, Dense, Param};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::cell::RefCell;
 
     #[test]
     fn validates_a_correct_quadratic_gradient() {
@@ -111,7 +112,7 @@ mod tests {
         let (_, grad_logits) = softmax_cross_entropy(&logits, &labels).unwrap();
         let grad_x = layer.backward(&grad_logits).unwrap();
         // Numeric check: loss as a pure function of the input.
-        let probe_layer = std::cell::RefCell::new(layer.clone());
+        let probe_layer = RefCell::new(layer.clone());
         let report = check_gradient(
             |t| {
                 let logits = probe_layer.borrow_mut().forward(t, false).unwrap();
@@ -123,6 +124,56 @@ mod tests {
             10,
         );
         assert!(report.passes(0.05), "{report:?}");
+    }
+
+    /// `Conv2d` on the GEMM route (batch ≥ 8), in both lowerings: few output
+    /// channels (`W · colsᵀ`) and a full register tile of them
+    /// (`cols · Wᵀ`). Loss = Σ y ⊙ r for a fixed random r, so ∂L/∂y = r.
+    #[test]
+    fn validates_conv2d_on_the_gemm_route() {
+        for (out_ch, seed) in [(3usize, 21u64), (16, 22)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut layer = Conv2d::new(2, out_ch, 3, &mut rng);
+            let x = Tensor::randn(&[8, 2, 6, 6], 1.0, &mut rng);
+            let r = Tensor::randn(&[8, out_ch, 4, 4], 1.0, &mut rng);
+            let loss = |y: &Tensor| y.mul(&r).unwrap().sum();
+
+            layer.forward(&x, true).unwrap();
+            let grad_x = layer.backward(&r).unwrap();
+            let mut kernel: Option<Param> = None;
+            layer.visit_params(&mut |p: &mut Param| {
+                kernel.get_or_insert_with(|| p.clone());
+            });
+            let kernel = kernel.expect("a conv layer has a kernel");
+
+            let probe = RefCell::new(layer.clone());
+            let report = check_gradient(
+                |t| loss(&probe.borrow_mut().forward(t, false).unwrap()),
+                &x,
+                &grad_x,
+                1e-2,
+                24,
+            );
+            assert!(report.passes(0.05), "input gradient, {out_ch} channels: {report:?}");
+
+            let report = check_gradient(
+                |w| {
+                    let mut first = true;
+                    let mut layer = probe.borrow_mut();
+                    layer.visit_params(&mut |p: &mut Param| {
+                        if std::mem::take(&mut first) {
+                            *p.value_mut() = w.clone();
+                        }
+                    });
+                    loss(&layer.forward(&x, false).unwrap())
+                },
+                kernel.value(),
+                kernel.grad(),
+                1e-2,
+                24,
+            );
+            assert!(report.passes(0.05), "kernel gradient, {out_ch} channels: {report:?}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! explicitly by the model implementations in [`crate::models`].
 
 use pipetune_tensor::{
-    conv2d, conv2d_backward, conv2d_gemm_with, max_pool2d, max_pool2d_backward, Tensor,
+    conv2d, conv2d_backward_with, conv2d_gemm_with, max_pool2d, max_pool2d_backward, Tensor,
     TensorError, Workspace,
 };
 use rand::Rng;
@@ -52,8 +52,9 @@ impl Dense {
     /// Backward pass: accumulates weight/bias gradients, returns `∂L/∂x`.
     ///
     /// Both products run the fused transposed kernels
-    /// ([`Tensor::matmul_tn`]/[`Tensor::matmul_nt`] semantics), so no
-    /// transposed weight or input matrix is materialised per step.
+    /// ([`Tensor::matmul_tn`]/[`Tensor::matmul_nt`] semantics): the input
+    /// is read transposed in place, and the transposed weight matrix is
+    /// packed into the layer's workspace, not allocated, per step.
     ///
     /// # Errors
     ///
@@ -107,7 +108,8 @@ impl Conv2d {
     ///
     /// Batches of 8+ take the im2col + GEMM route ([`conv2d_gemm_with`]),
     /// which amortises the unfold cost and recycles its scratch from the
-    /// layer's [`Workspace`]; small batches stay on the direct loops.
+    /// layer's [`Workspace`]; small batches stay on the direct loops,
+    /// whose bias-first summation order the GEMM route does not share.
     ///
     /// # Errors
     ///
@@ -130,8 +132,19 @@ impl Conv2d {
     /// Returns [`TensorError::Empty`] when called before a training-mode
     /// forward pass; propagates shape errors otherwise.
     pub fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, TensorError> {
+        self.backward_with(grad_out, true)?.ok_or(TensorError::Empty)
+    }
+
+    /// [`Conv2d::backward`] computing `∂L/∂x` only when `input_grad` is set:
+    /// a network's first layer has nobody to hand it to.
+    pub(crate) fn backward_with(
+        &mut self,
+        grad_out: &Tensor,
+        input_grad: bool,
+    ) -> Result<Option<Tensor>, TensorError> {
         let x = self.cached_input.as_ref().ok_or(TensorError::Empty)?;
-        let grads = conv2d_backward(x, self.weight.value(), grad_out)?;
+        let grads =
+            conv2d_backward_with(x, self.weight.value(), grad_out, input_grad, &mut self.ws)?;
         self.weight.accumulate(&grads.grad_weight)?;
         self.bias.accumulate(&grads.grad_bias)?;
         Ok(grads.grad_input)

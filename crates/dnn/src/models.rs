@@ -361,7 +361,7 @@ impl LeNet5 {
         let g = self.conv2.backward(&g)?;
         let g = self.pool1.backward(&g)?;
         let g = self.relu1.backward(&g)?;
-        self.conv1.backward(&g)?;
+        self.conv1.backward_with(&g, false)?;
         Ok(())
     }
 }
@@ -882,6 +882,53 @@ mod tests {
         }
         let after = model.evaluate(&data).unwrap();
         assert!(after > before.max(0.8), "accuracy {before} → {after}");
+    }
+
+    /// `LeNet5::backward` does not ask conv1 for the input gradient nobody
+    /// reads; a step that does ask must accumulate the very same bits into
+    /// every parameter.
+    #[test]
+    fn lenet_step_is_bit_equal_with_and_without_the_first_input_gradient() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let data = toy_images(16, 16, &mut rng);
+        let idx: Vec<usize> = (0..16).collect();
+        let x = data.gather_images(&idx).unwrap();
+        let labels = data.gather_labels(&idx);
+        let mut skipping = LeNet5::with_input_size(16, 2, 0.25, &mut rng).unwrap();
+        let mut asking = skipping.clone();
+
+        let mut grads = Vec::new();
+        for (model, ask) in [(&mut skipping, false), (&mut asking, true)] {
+            let logits = model.forward(&x, true, &mut StdRng::seed_from_u64(5)).unwrap();
+            let (_, grad) = softmax_cross_entropy(&logits, &labels).unwrap();
+            if ask {
+                // `LeNet5::backward`, but conv1 computes ∂L/∂x as well.
+                let g = model.fc3.backward(&grad).unwrap();
+                let g = model.relu4.backward(&g).unwrap();
+                let g = model.fc2.backward(&g).unwrap();
+                let g = model.dropout.backward(&g).unwrap();
+                let g = model.relu3.backward(&g).unwrap();
+                let g = model.fc1.backward(&g).unwrap();
+                let g = model.flatten.backward(&g).unwrap();
+                let g = model.pool2.backward(&g).unwrap();
+                let g = model.relu2.backward(&g).unwrap();
+                let g = model.conv2.backward(&g).unwrap();
+                let g = model.pool1.backward(&g).unwrap();
+                let g = model.relu1.backward(&g).unwrap();
+                let gx = model.conv1.backward(&g).unwrap();
+                assert_eq!(gx.shape(), x.shape());
+            } else {
+                model.backward(&grad).unwrap();
+            }
+            let mut bits: Vec<Vec<u32>> = Vec::new();
+            model.visit_params(&mut |p: &mut crate::Param| {
+                bits.push(p.grad().data().iter().map(|v| v.to_bits()).collect());
+            });
+            grads.push(bits);
+        }
+        assert_eq!(grads[0].len(), 10, "five layers, kernel and bias each");
+        assert!(grads[0].iter().flatten().any(|&b| b != 0), "the step produced gradients");
+        assert_eq!(grads[0], grads[1]);
     }
 
     #[test]

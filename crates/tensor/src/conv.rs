@@ -1,16 +1,21 @@
 //! 2-D convolution and pooling primitives (NCHW layout, stride 1, no padding).
 //!
 //! These are the building blocks of the LeNet-5 reproduction in
-//! `pipetune-dnn`. Kernels are small (5×5 at most) and inputs are tiny, so a
-//! direct loop implementation is both simple and fast enough.
+//! `pipetune-dnn`. [`conv2d`] is the direct-loop forward pass — the
+//! reference, and what `Conv2d` runs below a batch of 8; larger batches go
+//! through the GEMM lowering in [`crate::conv2d_gemm_with`]. The backward
+//! pass unfolds the input like that lowering does, so its kernel gradient
+//! is a row update as wide as the kernel instead of `kw` values at a time.
 
-use crate::{Tensor, TensorError};
+use crate::im2col::{samples_per_block, unfold_into};
+use crate::{workspace, Tensor, TensorError, Workspace};
 
 /// Gradients produced by [`conv2d_backward`].
 #[derive(Debug, Clone)]
 pub struct Conv2dGrads {
-    /// Gradient with respect to the input, shaped like the forward input.
-    pub grad_input: Tensor,
+    /// Gradient with respect to the input, shaped like the forward input;
+    /// `None` when the caller of [`conv2d_backward_with`] did not ask for it.
+    pub grad_input: Option<Tensor>,
     /// Gradient with respect to the kernel weights.
     pub grad_weight: Tensor,
     /// Gradient with respect to the per-output-channel bias.
@@ -86,7 +91,8 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor) -> Result<Tensor, 
 }
 
 /// Backward pass of [`conv2d`]: given `grad_output` (shaped like the forward
-/// output), computes gradients for input, weight and bias.
+/// output), computes gradients for input, weight and bias, drawing scratch
+/// from this thread's shared [`Workspace`].
 ///
 /// # Errors
 ///
@@ -97,9 +103,39 @@ pub fn conv2d_backward(
     weight: &Tensor,
     grad_output: &Tensor,
 ) -> Result<Conv2dGrads, TensorError> {
+    workspace::with_thread_local(|ws| conv2d_backward_with(input, weight, grad_output, true, ws))
+}
+
+/// [`conv2d_backward`] drawing the im2col scratch from the caller's
+/// [`Workspace`] — in steady state the only allocations are the returned
+/// tensors — and computing the input gradient only when `input_grad` is
+/// set (a network's first layer has nobody to hand it to).
+///
+/// Zero entries of `grad_output` are skipped. Per element, in one
+/// accumulator each: the bias and kernel gradients sum over
+/// `(batch, oy, ox)` ascending — the kernel gradient as one
+/// `cin·kh·kw`-wide row update per non-zero entry over the im2col matrix —
+/// and the input gradient over `(oc, oy, ox)` ascending.
+///
+/// # Errors
+///
+/// Same conditions as [`conv2d_backward`].
+pub fn conv2d_backward_with(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_output: &Tensor,
+    input_grad: bool,
+    ws: &mut Workspace,
+) -> Result<Conv2dGrads, TensorError> {
     let (n, cin, h, w) = check_rank4(input)?;
-    let (cout, _, kh, kw) = check_rank4(weight)?;
+    let (cout, cin2, kh, kw) = check_rank4(weight)?;
     let (n2, cout2, oh, ow) = check_rank4(grad_output)?;
+    if cin2 != cin || kh == 0 || kw == 0 || kh > h || kw > w {
+        return Err(TensorError::ShapeMismatch {
+            expected: vec![cout, cin, kh.min(h), kw.min(w)],
+            actual: weight.shape().dims().to_vec(),
+        });
+    }
     if n2 != n || cout2 != cout || oh != h - kh + 1 || ow != w - kw + 1 {
         return Err(TensorError::ShapeMismatch {
             expected: vec![n, cout, h - kh + 1, w - kw + 1],
@@ -109,25 +145,37 @@ pub fn conv2d_backward(
     let x = input.data();
     let k = weight.data();
     let g = grad_output.data();
-    let mut gx = vec![0.0f32; x.len()];
+    let (plane, taps) = (oh * ow, cin * kh * kw);
     let mut gk = vec![0.0f32; k.len()];
     let mut gb = vec![0.0f32; cout];
-    for b in 0..n {
-        for oc in 0..cout {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let gv = g[((b * cout + oc) * oh + oy) * ow + ox];
+    let mut gx = vec![0.0f32; if input_grad { x.len() } else { 0 }];
+    let block = samples_per_block(n, plane);
+    let mut cols = ws.take(block * plane * taps);
+    for b0 in (0..n).step_by(block) {
+        let nb = block.min(n - b0);
+        unfold_into(&x[b0 * cin * h * w..(b0 + nb) * cin * h * w], nb, cin, h, w, kh, kw, &mut cols);
+        for b in b0..b0 + nb {
+            for oc in 0..cout {
+                let gk_row = &mut gk[oc * taps..(oc + 1) * taps];
+                for (pos, &gv) in g[(b * cout + oc) * plane..][..plane].iter().enumerate() {
                     if gv == 0.0 {
                         continue;
                     }
                     gb[oc] += gv;
+                    let window = &cols[((b - b0) * plane + pos) * taps..][..taps];
+                    for (acc, &xv) in gk_row.iter_mut().zip(window) {
+                        *acc += gv * xv;
+                    }
+                    if !input_grad {
+                        continue;
+                    }
+                    let (oy, ox) = (pos / ow, pos % ow);
                     for ic in 0..cin {
                         for ky in 0..kh {
                             let xrow = ((b * cin + ic) * h + (oy + ky)) * w + ox;
                             let krow = ((oc * cin + ic) * kh + ky) * kw;
-                            for kx in 0..kw {
-                                gk[krow + kx] += gv * x[xrow + kx];
-                                gx[xrow + kx] += gv * k[krow + kx];
+                            for (acc, &kv) in gx[xrow..xrow + kw].iter_mut().zip(&k[krow..krow + kw]) {
+                                *acc += gv * kv;
                             }
                         }
                     }
@@ -135,11 +183,26 @@ pub fn conv2d_backward(
             }
         }
     }
+    ws.give(cols);
     Ok(Conv2dGrads {
-        grad_input: Tensor::from_vec(gx, input.shape().dims())?,
+        grad_input: input_grad.then(|| Tensor::from_vec(gx, input.shape().dims())).transpose()?,
         grad_weight: Tensor::from_vec(gk, weight.shape().dims())?,
         grad_bias: Tensor::from_vec(gb, &[cout])?,
     })
+}
+
+/// Output height and width of non-overlapping `k×k` pooling over `h×w`.
+/// When `k` does not divide both, the error names the nearest valid
+/// `[h', w']` at or below the offending size.
+fn pooled_dims(h: usize, w: usize, k: usize) -> Result<(usize, usize), TensorError> {
+    if k == 0 || !h.is_multiple_of(k) || !w.is_multiple_of(k) {
+        let k = k.max(1);
+        return Err(TensorError::ShapeMismatch {
+            expected: vec![h / k * k, w / k * k],
+            actual: vec![h, w],
+        });
+    }
+    Ok((h / k, w / k))
 }
 
 /// Non-overlapping `k×k` max pooling on `[batch, ch, h, w]`.
@@ -153,10 +216,7 @@ pub fn conv2d_backward(
 /// divisible by `k`, or a rank error on non-rank-4 input.
 pub fn max_pool2d(input: &Tensor, k: usize) -> Result<(Tensor, Vec<usize>), TensorError> {
     let (n, c, h, w) = check_rank4(input)?;
-    if k == 0 || h % k != 0 || w % k != 0 {
-        return Err(TensorError::ShapeMismatch { expected: vec![h / k.max(1) * k], actual: vec![h, w] });
-    }
-    let (oh, ow) = (h / k, w / k);
+    let (oh, ow) = pooled_dims(h, w, k)?;
     let x = input.data();
     let mut out = vec![0.0f32; n * c * oh * ow];
     let mut idx = vec![0usize; n * c * oh * ow];
@@ -218,10 +278,7 @@ pub fn max_pool2d_backward(
 /// Same conditions as [`max_pool2d`].
 pub fn avg_pool2d(input: &Tensor, k: usize) -> Result<Tensor, TensorError> {
     let (n, c, h, w) = check_rank4(input)?;
-    if k == 0 || h % k != 0 || w % k != 0 {
-        return Err(TensorError::ShapeMismatch { expected: vec![h / k.max(1) * k], actual: vec![h, w] });
-    }
-    let (oh, ow) = (h / k, w / k);
+    let (oh, ow) = pooled_dims(h, w, k)?;
     let x = input.data();
     let inv = 1.0 / (k * k) as f32;
     let mut out = vec![0.0f32; n * c * oh * ow];
@@ -300,7 +357,7 @@ mod tests {
             let fp = conv2d(&xp, &weight, &bias).unwrap().sum();
             let fm = conv2d(&xm, &weight, &bias).unwrap().sum();
             let num = (fp - fm) / (2.0 * eps);
-            let ana = grads.grad_input.data()[probe];
+            let ana = grads.grad_input.as_ref().unwrap().data()[probe];
             assert!((num - ana).abs() < 0.05 * (1.0 + ana.abs()), "probe {probe}: {num} vs {ana}");
         }
     }
@@ -327,8 +384,10 @@ mod tests {
 
     #[test]
     fn pooling_rejects_indivisible_dims() {
-        let input = Tensor::ones(&[1, 1, 3, 3]);
-        assert!(max_pool2d(&input, 2).is_err());
-        assert!(avg_pool2d(&input, 2).is_err());
+        let input = Tensor::ones(&[1, 1, 3, 5]);
+        let nearest = TensorError::ShapeMismatch { expected: vec![2, 4], actual: vec![3, 5] };
+        assert_eq!(max_pool2d(&input, 2).unwrap_err(), nearest);
+        assert_eq!(avg_pool2d(&input, 2).unwrap_err(), nearest);
+        assert!(max_pool2d(&input, 0).is_err());
     }
 }

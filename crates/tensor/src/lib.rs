@@ -29,7 +29,10 @@ mod shape;
 mod tensor;
 pub mod workspace;
 
-pub use conv::{avg_pool2d, conv2d, conv2d_backward, max_pool2d, max_pool2d_backward, Conv2dGrads};
+pub use conv::{
+    avg_pool2d, conv2d, conv2d_backward, conv2d_backward_with, max_pool2d, max_pool2d_backward,
+    Conv2dGrads,
+};
 pub use error::TensorError;
 pub use im2col::{conv2d_gemm, conv2d_gemm_with, im2col, im2col_with};
 pub use shape::Shape;

@@ -1,6 +1,6 @@
 //! Element-wise and linear-algebra operations on [`Tensor`].
 
-use crate::gemm::{gemm, transpose_into};
+use crate::gemm::{all_finite, gemm, transpose_into};
 use crate::{workspace, Tensor, TensorError, Workspace};
 
 impl Tensor {
@@ -115,7 +115,8 @@ impl Tensor {
     /// Runs the cache-blocked kernel (packed B-panels, register-tiled
     /// rows) through this thread's shared [`Workspace`]; results are
     /// bit-identical to the historical streaming i-k-j kernel for every
-    /// shape — see the summation-order contract in `docs/performance.md`.
+    /// shape and every input — see the summation-order contract in
+    /// `docs/performance.md`.
     ///
     /// # Errors
     ///
@@ -162,13 +163,13 @@ impl Tensor {
     fn matmul_into_slice(&self, other: &Tensor, out: &mut [f32], ws: &mut Workspace) {
         let (m, k) = (self.shape().dims()[0], self.shape().dims()[1]);
         let n = other.shape().dims()[1];
-        gemm(self.data(), other.data(), out, m, k, n, ws);
+        gemm(self.data(), false, other.data(), !all_finite(other.data()), out, m, k, n, ws);
     }
 
     /// Transposed matrix product `selfᵀ · other` for `self (k×m)` and
     /// `other (k×n)`, bit-identical to
-    /// `self.transpose()?.matmul(other)` but without allocating the
-    /// transpose: the packed copy lives in this thread's [`Workspace`].
+    /// `self.transpose()?.matmul(other)` but without forming the
+    /// transpose at all: the kernel reads `self` column-wise in place.
     ///
     /// This is the backward-pass weight-gradient kernel (`∂L/∂W = xᵀ·∂L/∂y`).
     ///
@@ -197,11 +198,8 @@ impl Tensor {
         if k != k2 {
             return Err(TensorError::ShapeMismatch { expected: vec![k, n], actual: vec![k2, n] });
         }
-        let mut at = ws.take(k * m);
-        transpose_into(self.data(), &mut at, k, m);
         let mut out = vec![0.0f32; m * n];
-        gemm(&at, other.data(), &mut out, m, k, n, ws);
-        ws.give(at);
+        gemm(self.data(), true, other.data(), !all_finite(other.data()), &mut out, m, k, n, ws);
         Tensor::from_vec(out, &[m, n])
     }
 
@@ -240,7 +238,7 @@ impl Tensor {
         let mut bt = ws.take(k * n);
         transpose_into(other.data(), &mut bt, n, k);
         let mut out = vec![0.0f32; m * n];
-        gemm(self.data(), &bt, &mut out, m, k, n, ws);
+        gemm(self.data(), false, &bt, !all_finite(&bt), &mut out, m, k, n, ws);
         ws.give(bt);
         Tensor::from_vec(out, &[m, n])
     }

@@ -10,7 +10,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use pipetune_tensor::{conv2d_gemm_with, im2col, im2col_with, Tensor, Workspace};
+use pipetune_tensor::{
+    conv2d_backward_with, conv2d_gemm_with, im2col, im2col_with, Tensor, Workspace,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -94,18 +96,47 @@ fn warm_workspace_kernels_do_not_allocate() {
     // `conv2d_gemm_with` documents exactly one allocation per call: the
     // returned output tensor. Scratch (cols, wmat, prod) must all come
     // from the pool, so per-call bytes stay within the output tensor plus
-    // a small constant for its shape bookkeeping.
-    let out_bytes = expected_conv.data().len() as u64 * 4;
+    // a small constant for its shape bookkeeping — in both lowerings:
+    // 8 output channels run `W · colsᵀ`, 16 run `cols · Wᵀ`.
+    let wide_w = Tensor::randn(&[16, 3, 3, 3], 0.5, &mut rng);
+    let wide_bias = Tensor::randn(&[16], 0.1, &mut rng);
     let reps = 10u64;
-    let bytes = allocated_during(|| {
-        for _ in 0..reps {
-            let out = conv2d_gemm_with(&x, &w, &bias, &mut ws).expect("conv2d_gemm_with");
-            assert_eq!(out.data(), expected_conv.data());
-        }
-    });
-    assert!(
-        bytes <= reps * (out_bytes + 256),
-        "conv2d_gemm_with allocated {bytes} bytes over {reps} calls; \
-         budget is the output tensor ({out_bytes} bytes) plus shape bookkeeping per call"
-    );
+    for (w, bias, expected) in [
+        (&w, &bias, expected_conv),
+        (&wide_w, &wide_bias, conv2d_gemm_with(&x, &wide_w, &wide_bias, &mut ws).expect("warm-up")),
+    ] {
+        let out_bytes = expected.data().len() as u64 * 4;
+        let bytes = allocated_during(|| {
+            for _ in 0..reps {
+                let out = conv2d_gemm_with(&x, w, bias, &mut ws).expect("conv2d_gemm_with");
+                assert_eq!(out.data(), expected.data());
+            }
+        });
+        assert!(
+            bytes <= reps * (out_bytes + 256),
+            "conv2d_gemm_with allocated {bytes} bytes over {reps} calls; \
+             budget is the output tensor ({out_bytes} bytes) plus shape bookkeeping per call"
+        );
+    }
+
+    // `conv2d_backward_with` allocates the tensors it returns and nothing
+    // else: the im2col matrix comes from the pool, and a switched-off
+    // input gradient is not allocated either.
+    let grad = Tensor::randn(&[2, 8, 10, 10], 1.0, &mut rng);
+    conv2d_backward_with(&x, &w, &grad, true, &mut ws).expect("warm-up");
+    for input_grad in [true, false] {
+        let returned = w.len() + 8 + if input_grad { x.len() } else { 0 };
+        let budget = reps * (returned as u64 * 4 + 3 * 256);
+        let bytes = allocated_during(|| {
+            for _ in 0..reps {
+                let grads = conv2d_backward_with(&x, &w, &grad, input_grad, &mut ws).expect("backward");
+                assert_eq!(grads.grad_input.is_some(), input_grad);
+            }
+        });
+        assert!(
+            bytes <= budget,
+            "conv2d_backward_with(input_grad = {input_grad}) allocated {bytes} bytes over \
+             {reps} calls; budget is the returned tensors ({returned} floats) plus shape bookkeeping"
+        );
+    }
 }
