@@ -154,7 +154,7 @@ fn main() -> ExitCode {
     };
     for policy in SchedulingPolicy::ALL {
         eprintln!("{label}: running {SERVICE_JOBS}-job service stream ({})...", policy.name());
-        let mut env = ExperimentEnvBuilder::distributed(SEED).build().expect("valid experiment config");
+        let mut env = ExperimentEnvBuilder::distributed(SEED);
         let mut config = ServiceConfig::default().with_policy(policy);
         // Chaos streams run under live telemetry with the online monitor's
         // full detector set; clean streams stay uninstrumented, keeping
@@ -166,9 +166,10 @@ fn main() -> ExitCode {
                 .with_deadline(CHAOS_DEADLINE_SECS);
             let telemetry = TelemetryHandle::enabled();
             let monitor = MonitorHandle::with_config(&MonitorConfig::standard());
-            env = env.with_telemetry(telemetry.clone()).with_monitor(monitor.clone());
+            env = env.telemetry(telemetry.clone()).monitor(monitor.clone());
             watch = Some((telemetry, monitor));
         }
+        let env = env.build().expect("valid experiment config");
         let service = TuningService::new(config);
         let outcome = service.run(&env, &submissions, &options).expect("service runs");
         let prefix = format!("multitenant.{}", policy.name());

@@ -1,13 +1,12 @@
 //! The paper's baselines: Tune V1, Tune V2 (§4, §7.1.5) and the "Arbitrary"
 //! row of Table 2.
 
-
 use crate::hyper::system_from_config;
 use crate::objective::Objective;
-use crate::runner::run_scheduler;
+use crate::runner::{run_job, Job};
 use crate::trial::{SystemTuner, TrialExecution};
-use crate::tuner::{convergence_from, TunerOptions, TuningOutcome};
-use crate::{ExperimentEnv, GroundTruthStats, HyperParams, HyperSpace, PipeTuneError, WorkloadSpec};
+use crate::tuner::{TunerOptions, TuningOutcome};
+use crate::{ExperimentEnv, HyperParams, HyperSpace, PipeTuneError, WorkloadSpec};
 
 /// Baseline I — Tune out of the box: HyperBand over hyperparameters only,
 /// objective = accuracy, every trial at the default system configuration.
@@ -47,42 +46,21 @@ impl TuneV1 {
         spec: &WorkloadSpec,
         contention: f64,
     ) -> Result<TuningOutcome, PipeTuneError> {
-        let spec = spec.with_scale(self.options.scale);
-        let space = HyperSpace::paper(self.options.epochs_range);
-        let mut scheduler = self.options.scheduler.build(
-            space,
-            self.options.r_max,
-            self.options.eta,
-            env.subseed(0x7453 + self.jobs_run),
-        );
-        self.jobs_run += 1;
         let default_sys = env.default_system;
-        let result = run_scheduler(
+        run_job(
             env,
-            &spec,
-            scheduler.as_mut(),
-            Objective::Accuracy,
-            "tune_v1",
-            |_config| SystemTuner::Fixed(default_sys),
-            None,
-            contention,
-        )?;
-        Ok(TuningOutcome {
-            workload: spec.name(),
-            best_accuracy: result.best_accuracy,
-            best_hp: result.best_hp,
-            best_system: default_sys,
-            training_secs: result.best_training_secs,
-            tuning_secs: result.tuning_secs,
-            tuning_energy_j: result.tuning_energy_j,
-            epochs_total: result.epochs_total,
-            convergence: convergence_from(&result.outcomes),
-            model_weights: result.best_weights,
-            best_trial_id: result.best_trial_id,
-            fault_report: result.fault_report,
-            cache_stats: result.cache_stats,
-            gt_stats: GroundTruthStats::default(),
-        })
+            spec,
+            &self.options,
+            &mut self.jobs_run,
+            Job {
+                label: "tune_v1",
+                space: HyperSpace::paper(self.options.epochs_range),
+                objective: Objective::Accuracy,
+                policy: |_config| SystemTuner::Fixed(default_sys),
+                ground_truth: None,
+                contention,
+            },
+        )
     }
 }
 
@@ -125,7 +103,6 @@ impl TuneV2 {
         spec: &WorkloadSpec,
         contention: f64,
     ) -> Result<TuningOutcome, PipeTuneError> {
-        let spec = spec.with_scale(self.options.scale);
         // The system half of the space comes from the environment, so
         // experiments that pin jobs to fewer cores (Fig. 5) restrict what V2
         // can sample.
@@ -139,41 +116,23 @@ impl TuneV2 {
                 &env.system_space.memory_gb.iter().map(|&m| i64::from(m)).collect::<Vec<_>>(),
             ),
         ]);
-        let space = HyperSpace::paper(self.options.epochs_range).union(&sys_space);
-        let mut scheduler = self.options.scheduler.build(
-            space,
-            self.options.r_max,
-            self.options.eta,
-            env.subseed(0x7453 + self.jobs_run),
-        );
-        self.jobs_run += 1;
         let default_sys = env.default_system;
-        let result = run_scheduler(
+        run_job(
             env,
-            &spec,
-            scheduler.as_mut(),
-            Objective::AccuracyPerTime,
-            "tune_v2",
-            |config| SystemTuner::Fixed(system_from_config(config).unwrap_or(default_sys)),
-            None,
-            contention,
-        )?;
-        Ok(TuningOutcome {
-            workload: spec.name(),
-            best_accuracy: result.best_accuracy,
-            best_hp: result.best_hp,
-            best_system: result.best_final_system,
-            training_secs: result.best_training_secs,
-            tuning_secs: result.tuning_secs,
-            tuning_energy_j: result.tuning_energy_j,
-            epochs_total: result.epochs_total,
-            convergence: convergence_from(&result.outcomes),
-            model_weights: result.best_weights,
-            best_trial_id: result.best_trial_id,
-            fault_report: result.fault_report,
-            cache_stats: result.cache_stats,
-            gt_stats: GroundTruthStats::default(),
-        })
+            spec,
+            &self.options,
+            &mut self.jobs_run,
+            Job {
+                label: "tune_v2",
+                space: HyperSpace::paper(self.options.epochs_range).union(&sys_space),
+                objective: Objective::AccuracyPerTime,
+                policy: |config| {
+                    SystemTuner::Fixed(system_from_config(config).unwrap_or(default_sys))
+                },
+                ground_truth: None,
+                contention,
+            },
+        )
     }
 }
 

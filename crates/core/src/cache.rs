@@ -24,26 +24,26 @@
 //! accuracy trajectories with the cache on are byte-identical to
 //! cache-off runs, and only the time/energy accounting changes.
 //!
-//! The cache also follows the same batch-snapshot discipline as
-//! [`crate::SharedGroundTruth`]: during a scheduler batch, worker threads
-//! only *read* the cache (through [`EpochCacheHandle::peek`], which takes
+//! The cache is one of the stores behind the executor's per-work-item
+//! journal (`docs/determinism.md`): during a scheduler batch, worker
+//! threads only *read* it (through `EpochCacheHandle::peek`, which takes
 //! a read lock and never mutates), while hits, misses and inserts are
-//! buffered per work item in a [`CacheSession`] and applied by the
-//! coordinator in scheduler request order at a deterministic simulated
-//! time ([`EpochCacheHandle::flush`]). Results with the cache enabled are
-//! therefore byte-identical for every [`crate::ExperimentEnv::workers`]
-//! count; with the cache disabled (the default) every code path is
-//! bypassed and results are bit-identical to builds without the cache.
+//! journalled per work item and committed by the coordinator in scheduler
+//! request order at the post-batch simulated time. Results with the cache
+//! enabled are therefore byte-identical for every
+//! [`crate::ExperimentEnv::workers`] count; with the cache disabled (the
+//! default) every code path is bypassed and results are bit-identical to
+//! builds without the cache.
 //!
 //! # Eviction
 //!
 //! Bounded capacity with LRU-by-simulated-time: every entry carries the
-//! simulated flush clock of its last hit or (re-)insert plus an insertion
+//! simulated commit clock of its last hit or (re-)insert plus an insertion
 //! sequence number as a tie-break, and the coordinator evicts the
-//! least-recently-used entries whenever a flush leaves the cache over
+//! least-recently-used entries whenever a commit leaves the cache over
 //! [`EpochCacheConfig::capacity`]. The clock is kept monotone across runs
 //! sharing one handle (each run's wall clock restarts at zero) by adding
-//! a running offset whenever the flush clock regresses.
+//! a running offset whenever the commit clock regresses.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -53,8 +53,7 @@ use pipetune_tsdb::TsdbError;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
-use crate::trial::{EpochPhase, EpochRecord, SystemTuner};
-use crate::workload::WorkloadInstance;
+use crate::trial::{EpochPhase, EpochRecord, SystemTuner, TrialSnapshot};
 use crate::{HyperParams, PipeTuneError, WorkloadSpec};
 
 /// Tuning knobs of the epoch-reuse cache.
@@ -258,71 +257,22 @@ impl CacheStats {
     }
 }
 
-/// One cached trial prefix: the live workload clone (model, optimizer,
-/// datasets, training RNG), the system-tuner state, the trial's private
-/// RNG stream and the epoch log — everything a fresh trial needs to
-/// resume as if it had trained the prefix itself.
+/// One cached trial prefix: the donor's [`TrialSnapshot`] — everything a
+/// fresh trial needs to resume as if it had trained the prefix itself,
+/// with *trained-equivalent* totals (what its epochs cost, or would have
+/// cost, to really train: see `TrialExecution::donor_snapshot`) — plus the
+/// cache's LRU stamp.
 #[derive(Debug, Clone)]
 pub(crate) struct CacheEntry {
-    pub(crate) workload: WorkloadInstance,
-    pub(crate) tuner: SystemTuner,
-    pub(crate) rng: StdRng,
-    pub(crate) records: Vec<EpochRecord>,
-    /// Trained-equivalent cost of the prefix (what those epochs cost, or
-    /// would have cost, to really train — the donor's charged time plus
-    /// whatever the donor itself saved through adoption).
-    pub(crate) trained_secs: f64,
-    /// Trained-equivalent energy of the prefix.
-    pub(crate) trained_energy_j: f64,
-    /// LRU timestamp: monotone simulated flush time of last touch.
+    pub(crate) snapshot: TrialSnapshot,
+    /// LRU timestamp: monotone simulated commit time of last touch.
     last_access: f64,
     /// Insertion sequence number (LRU tie-break).
     seq: u64,
 }
 
-impl CacheEntry {
-    /// Builds an entry awaiting insertion (the LRU stamp and sequence
-    /// number are assigned by the coordinator at flush time).
-    pub(crate) fn new(
-        workload: WorkloadInstance,
-        tuner: SystemTuner,
-        rng: StdRng,
-        records: Vec<EpochRecord>,
-        trained_secs: f64,
-        trained_energy_j: f64,
-    ) -> Self {
-        CacheEntry {
-            workload,
-            tuner,
-            rng,
-            records,
-            trained_secs,
-            trained_energy_j,
-            last_access: 0.0,
-            seq: 0,
-        }
-    }
-}
-
-/// Everything a fresh trial adopts on a cache hit, precomputed under the
-/// read lock: the state clones plus the charged (reload-cost) epoch log.
-#[derive(Debug)]
-pub(crate) struct CachedPrefix {
-    pub(crate) key: CacheKey,
-    pub(crate) workload: WorkloadInstance,
-    pub(crate) tuner: SystemTuner,
-    pub(crate) rng: StdRng,
-    /// The prefix's epochs re-labelled [`EpochPhase::Cached`] with reload
-    /// costs charged in place of training costs.
-    pub(crate) records: Vec<EpochRecord>,
-    /// Trained-equivalent cost minus the charged reload cost.
-    pub(crate) saved_secs: f64,
-    /// Energy analogue of [`CachedPrefix::saved_secs`].
-    pub(crate) saved_energy_j: f64,
-}
-
-/// A deferred cache mutation, buffered per work item and applied by the
-/// coordinator in scheduler request order ([`EpochCacheHandle::flush`]).
+/// A journalled cache mutation, applied by the coordinator in scheduler
+/// request order ([`EpochCacheHandle::commit`]).
 #[derive(Debug)]
 pub(crate) enum CacheEvent {
     /// A fresh trial adopted the prefix under `key`.
@@ -330,17 +280,7 @@ pub(crate) enum CacheEvent {
     /// A fresh trial found no usable prefix.
     Miss,
     /// A trial finished a rung at `key.epochs` depth; remember its state.
-    Insert { key: CacheKey, entry: Box<CacheEntry> },
-}
-
-/// One work item's buffered view of the cache mutations it would make.
-///
-/// Mirrors [`crate::GtSession`]: sessions are created per scheduler work
-/// item, filled on worker threads, and flushed by the coordinator in
-/// request order so the cache contents never depend on thread timing.
-#[derive(Debug, Default)]
-pub struct CacheSession {
-    pub(crate) events: Vec<CacheEvent>,
+    Insert { key: CacheKey, snapshot: Box<TrialSnapshot> },
 }
 
 /// The content-addressed epoch-reuse store. Most callers interact through
@@ -355,7 +295,7 @@ pub struct EpochCache {
     stats: CacheStats,
     next_seq: u64,
     /// Monotone-clock bookkeeping: offset accumulated across runs plus
-    /// the last raw flush clock seen.
+    /// the last raw commit clock seen.
     lru_offset: f64,
     last_clock: f64,
 }
@@ -410,43 +350,38 @@ impl EpochCache {
     }
 
     /// The deepest cached prefix for `fingerprint` not exceeding
-    /// `max_epochs`, with reload costs already charged.
-    pub(crate) fn peek(&self, fingerprint: u64, max_epochs: u32) -> Option<CachedPrefix> {
+    /// `max_epochs`: its key, its snapshot with the epochs re-labelled
+    /// [`EpochPhase::Cached`] and reload costs charged in place of training
+    /// costs, and the `(seconds, joules)` adoption saves (trained-equivalent
+    /// minus charged).
+    pub(crate) fn peek(
+        &self,
+        fingerprint: u64,
+        max_epochs: u32,
+    ) -> Option<(CacheKey, TrialSnapshot, (f64, f64))> {
         let lo = CacheKey { fingerprint, epochs: 0 };
         let hi = CacheKey { fingerprint, epochs: max_epochs };
         let (key, entry) = self.entries.range(lo..=hi).next_back()?;
         let factor = self.config.reload_cost_factor;
-        let mut charged_secs = 0.0;
-        let mut charged_energy = 0.0;
-        let records: Vec<EpochRecord> = entry
-            .records
-            .iter()
-            .map(|r| {
-                // A record that was itself adopted from the cache already
-                // carries a reload cost; charge it verbatim rather than
-                // discounting twice.
-                let (d, e) = if r.phase == EpochPhase::Cached {
-                    (r.duration_secs, r.energy_j)
-                } else {
-                    (r.duration_secs * factor, r.energy_j * factor)
-                };
-                charged_secs += d;
-                charged_energy += e;
-                EpochRecord { duration_secs: d, energy_j: e, phase: EpochPhase::Cached, ..*r }
-            })
-            .collect();
-        Some(CachedPrefix {
-            key: *key,
-            workload: entry.workload.clone(),
-            tuner: entry.tuner.clone(),
-            rng: entry.rng.clone(),
-            records,
-            saved_secs: entry.trained_secs - charged_secs,
-            saved_energy_j: entry.trained_energy_j - charged_energy,
-        })
+        let mut charged = TrialSnapshot { secs: 0.0, energy_j: 0.0, ..entry.snapshot.clone() };
+        for r in &mut charged.records {
+            // A record that was itself adopted from the cache already
+            // carries a reload cost; charge it verbatim rather than
+            // discounting twice.
+            if r.phase != EpochPhase::Cached {
+                r.duration_secs *= factor;
+                r.energy_j *= factor;
+                r.phase = EpochPhase::Cached;
+            }
+            charged.secs += r.duration_secs;
+            charged.energy_j += r.energy_j;
+        }
+        let saved =
+            (entry.snapshot.secs - charged.secs, entry.snapshot.energy_j - charged.energy_j);
+        Some((*key, charged, saved))
     }
 
-    /// Maps a raw per-run flush clock onto the cache's monotone LRU clock
+    /// Maps a raw per-run commit clock onto the cache's monotone LRU clock
     /// (runs sharing one handle each restart their wall clock at zero).
     fn monotone_now(&mut self, clock: f64) -> f64 {
         if clock < self.last_clock {
@@ -456,30 +391,27 @@ impl EpochCache {
         self.lru_offset + clock
     }
 
-    /// Applies buffered sessions in the order given (callers pass
-    /// scheduler request order) at simulated flush time `clock`, then
-    /// enforces the capacity bound.
-    pub(crate) fn apply(&mut self, sessions: impl IntoIterator<Item = CacheSession>, clock: f64) {
+    /// Applies a batch's journalled events in the order given (callers
+    /// pass scheduler request order) at simulated time `clock`, then
+    /// enforces the capacity bound once.
+    pub(crate) fn commit(&mut self, events: impl IntoIterator<Item = CacheEvent>, clock: f64) {
         let now = self.monotone_now(clock);
-        for session in sessions {
-            for event in session.events {
-                match event {
-                    CacheEvent::Hit { key, saved_secs } => {
-                        self.stats.hits += 1;
-                        self.stats.saved_secs += saved_secs;
-                        if let Some(entry) = self.entries.get_mut(&key) {
-                            entry.last_access = now;
-                        }
-                    }
-                    CacheEvent::Miss => self.stats.misses += 1,
-                    CacheEvent::Insert { key, entry } => {
-                        self.stats.inserts += 1;
-                        let mut entry = *entry;
+        for event in events {
+            match event {
+                CacheEvent::Hit { key, saved_secs } => {
+                    self.stats.hits += 1;
+                    self.stats.saved_secs += saved_secs;
+                    if let Some(entry) = self.entries.get_mut(&key) {
                         entry.last_access = now;
-                        entry.seq = self.next_seq;
-                        self.next_seq += 1;
-                        self.entries.insert(key, entry);
                     }
+                }
+                CacheEvent::Miss => self.stats.misses += 1,
+                CacheEvent::Insert { key, snapshot } => {
+                    self.stats.inserts += 1;
+                    let entry =
+                        CacheEntry { snapshot: *snapshot, last_access: now, seq: self.next_seq };
+                    self.next_seq += 1;
+                    self.entries.insert(key, entry);
                 }
             }
         }
@@ -522,19 +454,20 @@ impl EpochCache {
             .entries
             .iter()
             .filter_map(|(key, entry)| {
-                let params = entry.workload.clone().export_params()?;
+                let snap = &entry.snapshot;
+                let params = snap.workload.clone().export_params()?;
                 Some(SavedEntry {
                     key: *key,
-                    spec: *entry.workload.spec(),
-                    hp: *entry.workload.hyperparams(),
-                    seed: entry.workload.instantiation_seed(),
-                    workload_rng: entry.workload.rng_state(),
-                    trial_rng: entry.rng.state(),
+                    spec: *snap.workload.spec(),
+                    hp: *snap.workload.hyperparams(),
+                    seed: snap.workload.instantiation_seed(),
+                    workload_rng: snap.workload.rng_state(),
+                    trial_rng: snap.rng.state(),
                     params,
-                    tuner: entry.tuner.clone(),
-                    records: entry.records.clone(),
-                    trained_secs: entry.trained_secs,
-                    trained_energy_j: entry.trained_energy_j,
+                    tuner: snap.tuner.clone(),
+                    records: snap.records.clone(),
+                    trained_secs: snap.secs,
+                    trained_energy_j: snap.energy_j,
                     last_access: entry.last_access,
                     seq: entry.seq,
                 })
@@ -600,12 +533,14 @@ impl EpochCache {
             cache.entries.insert(
                 e.key,
                 CacheEntry {
-                    workload,
-                    tuner: e.tuner,
-                    rng: StdRng::from_state(e.trial_rng),
-                    records: e.records,
-                    trained_secs: e.trained_secs,
-                    trained_energy_j: e.trained_energy_j,
+                    snapshot: TrialSnapshot {
+                        workload,
+                        tuner: e.tuner,
+                        rng: StdRng::from_state(e.trial_rng),
+                        records: e.records,
+                        secs: e.trained_secs,
+                        energy_j: e.trained_energy_j,
+                    },
                     last_access: e.last_access,
                     seq: e.seq,
                 },
@@ -650,14 +585,14 @@ struct SavedCache {
 }
 
 /// Cheap, cloneable entry point to a shared [`EpochCache`], threaded
-/// through [`crate::ExperimentEnv::with_epoch_cache`].
+/// through [`crate::ExperimentEnvBuilder::epoch_cache`].
 ///
 /// Disabled (the default) it is a `None`: every call is a branch and a
 /// return, so instrumented code paths are bypassed entirely and results
 /// stay bit-identical to builds without the cache. Enabled, all clones
 /// share one `RwLock`-guarded store; workers only ever take the read
-/// lock, and the executor's coordinator is the only writer (at batch
-/// boundaries, in request order).
+/// lock, and the executor's coordinator is the only writer (committing
+/// each batch's journals in request order).
 ///
 /// ```
 /// use pipetune::{EpochCacheConfig, EpochCacheHandle};
@@ -697,16 +632,6 @@ impl EpochCacheHandle {
         }
     }
 
-    /// A live handle over a fresh, empty cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `config` fails [`EpochCacheConfig::validate`].
-    #[deprecated(since = "0.1.0", note = "renamed to `EpochCacheHandle::with_config`")]
-    pub fn new(config: EpochCacheConfig) -> Self {
-        EpochCacheHandle::with_config(config)
-    }
-
     /// Wraps an existing store (e.g. one rebuilt by [`EpochCache::load`]).
     pub fn from_cache(cache: EpochCache) -> Self {
         EpochCacheHandle { inner: Some(Arc::new(parking_lot::RwLock::new(cache))) }
@@ -737,19 +662,23 @@ impl EpochCacheHandle {
         self.inner.as_ref().map(|c| f(&c.read()))
     }
 
-    /// Read-only lookup safe to call concurrently from worker threads:
-    /// the deepest cached prefix for `fingerprint` not exceeding
-    /// `max_epochs`. Hit/miss accounting is deferred to the caller's
-    /// [`CacheSession`].
-    pub(crate) fn peek(&self, fingerprint: u64, max_epochs: u32) -> Option<CachedPrefix> {
+    /// Read-only lookup safe to call concurrently from worker threads
+    /// ([`EpochCache::peek`]); hit/miss accounting is the caller's to
+    /// journal.
+    pub(crate) fn peek(
+        &self,
+        fingerprint: u64,
+        max_epochs: u32,
+    ) -> Option<(CacheKey, TrialSnapshot, (f64, f64))> {
         self.inner.as_ref()?.read().peek(fingerprint, max_epochs)
     }
 
-    /// Applies buffered sessions in the order given at simulated time
-    /// `clock` (coordinator only; no-op when disabled).
-    pub(crate) fn flush(&self, sessions: impl IntoIterator<Item = CacheSession>, clock: f64) {
+    /// Applies a batch's journalled events in the order given at simulated
+    /// time `clock` ([`EpochCache::commit`]; coordinator only; no-op when
+    /// disabled).
+    pub(crate) fn commit(&self, events: impl IntoIterator<Item = CacheEvent>, clock: f64) {
         if let Some(cache) = self.inner.as_ref() {
-            cache.write().apply(sessions, clock);
+            cache.write().commit(events, clock);
         }
     }
 
@@ -791,8 +720,8 @@ mod tests {
         WorkloadSpec::lenet_mnist().with_scale(0.2)
     }
 
-    /// Builds a real trained entry at `depth` epochs.
-    fn trained_entry(batch: usize, depth: u32, seed: u64) -> (CacheKey, CacheEntry) {
+    /// Trains a real prefix to `depth` epochs; returns its insert event.
+    fn trained_prefix(batch: usize, depth: u32, seed: u64) -> (CacheKey, CacheEvent) {
         let env = ExperimentEnv::distributed(3);
         let hp = hp(batch, 9);
         let workload = spec().instantiate(&hp, seed).unwrap();
@@ -800,21 +729,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xAB);
         exec.run_epochs(&env, depth, None, 1.0, &mut rng).unwrap();
         let key = CacheKey { fingerprint: fingerprint(&spec(), &hp), epochs: depth };
-        let entry = CacheEntry {
-            workload: exec.workload().clone(),
-            tuner: exec.tuner().clone(),
-            rng,
-            records: exec.records().to_vec(),
-            trained_secs: exec.duration_secs(),
-            trained_energy_j: exec.energy_j(),
-            last_access: 0.0,
-            seq: 0,
-        };
-        (key, entry)
-    }
-
-    fn insert_session(key: CacheKey, entry: CacheEntry) -> CacheSession {
-        CacheSession { events: vec![CacheEvent::Insert { key, entry: Box::new(entry) }] }
+        (key, CacheEvent::Insert { key, snapshot: Box::new(exec.donor_snapshot(&rng)) })
     }
 
     #[test]
@@ -843,11 +758,11 @@ mod tests {
     #[test]
     fn peek_returns_deepest_prefix_within_budget() {
         let mut cache = EpochCache::new(EpochCacheConfig::default());
-        let (k2, e2) = trained_entry(256, 2, 7);
-        let (k4, e4) = trained_entry(256, 4, 7);
-        cache.apply([insert_session(k2, e2), insert_session(k4, e4)], 10.0);
-        assert_eq!(cache.peek(k2.fingerprint, 9).unwrap().key.epochs, 4);
-        assert_eq!(cache.peek(k2.fingerprint, 3).unwrap().key.epochs, 2);
+        let (k2, e2) = trained_prefix(256, 2, 7);
+        let (_, e4) = trained_prefix(256, 4, 7);
+        cache.commit([e2, e4], 10.0);
+        assert_eq!(cache.peek(k2.fingerprint, 9).unwrap().0.epochs, 4);
+        assert_eq!(cache.peek(k2.fingerprint, 3).unwrap().0.epochs, 2);
         assert!(cache.peek(k2.fingerprint, 1).is_none());
         assert!(cache.peek(k2.fingerprint ^ 1, 9).is_none());
     }
@@ -856,44 +771,35 @@ mod tests {
     fn charged_records_cost_a_reload_fraction_and_track_savings() {
         let config = EpochCacheConfig::default();
         let mut cache = EpochCache::new(config);
-        let (k, e) = trained_entry(256, 3, 7);
-        let trained = e.trained_secs;
-        cache.apply([insert_session(k, e)], 1.0);
-        let prefix = cache.peek(k.fingerprint, 9).unwrap();
+        let (k, e) = trained_prefix(256, 3, 7);
+        cache.commit([e], 1.0);
+        let trained = cache.entries[&k].snapshot.secs;
+        let (_, prefix, (saved_secs, _)) = cache.peek(k.fingerprint, 9).unwrap();
         let charged: f64 = prefix.records.iter().map(|r| r.duration_secs).sum();
         assert!(prefix.records.iter().all(|r| r.phase == EpochPhase::Cached));
+        assert_eq!(prefix.secs.to_bits(), charged.to_bits(), "snapshot carries the reload cost");
         assert!((charged - trained * config.reload_cost_factor).abs() < 1e-9);
-        assert!((prefix.saved_secs - (trained - charged)).abs() < 1e-9);
-        assert!(prefix.saved_secs > 0.0);
+        assert!((saved_secs - (trained - charged)).abs() < 1e-9);
+        assert!(saved_secs > 0.0);
     }
 
     #[test]
     fn adopting_an_adopted_prefix_never_discounts_twice() {
         let config = EpochCacheConfig::default();
         let mut cache = EpochCache::new(config);
-        let (k, e) = trained_entry(256, 2, 7);
-        cache.apply([insert_session(k, e)], 1.0);
-        let first = cache.peek(k.fingerprint, 9).unwrap();
-        // Re-insert the adopted (already charged) prefix as a new donor.
-        let donor = CacheEntry {
-            workload: first.workload.clone(),
-            tuner: first.tuner.clone(),
-            rng: first.rng.clone(),
-            records: first.records.clone(),
-            trained_secs: first.records.iter().map(|r| r.duration_secs).sum::<f64>()
-                + first.saved_secs,
-            trained_energy_j: 0.0,
-            last_access: 0.0,
-            seq: 0,
-        };
-        let k3 = CacheKey { epochs: 2, ..k };
-        cache.apply([insert_session(k3, donor)], 2.0);
-        let second = cache.peek(k.fingerprint, 9).unwrap();
+        let (k, e) = trained_prefix(256, 2, 7);
+        cache.commit([e], 1.0);
+        let (_, first, first_saved) = cache.peek(k.fingerprint, 9).unwrap();
+        // Re-insert the adopted (already charged) prefix as a new donor,
+        // with trained-equivalent totals as `donor_snapshot` computes them.
+        let donor = TrialSnapshot { secs: first.secs + first_saved.0, ..first.clone() };
+        cache.commit([CacheEvent::Insert { key: k, snapshot: Box::new(donor) }], 2.0);
+        let (_, second, second_saved) = cache.peek(k.fingerprint, 9).unwrap();
         // Cached-phase records are charged verbatim, not re-discounted.
         for (a, b) in first.records.iter().zip(&second.records) {
             assert_eq!(a.duration_secs.to_bits(), b.duration_secs.to_bits());
         }
-        assert!((second.saved_secs - first.saved_secs).abs() < 1e-9);
+        assert!((second_saved.0 - first_saved.0).abs() < 1e-9);
     }
 
     #[test]
@@ -902,17 +808,14 @@ mod tests {
             capacity: 2,
             ..EpochCacheConfig::default()
         });
-        let (k1, e1) = trained_entry(128, 1, 1);
-        let (k2, e2) = trained_entry(256, 1, 2);
-        cache.apply([insert_session(k1, e1)], 1.0);
-        cache.apply([insert_session(k2, e2)], 2.0);
+        let (k1, e1) = trained_prefix(128, 1, 1);
+        let (k2, e2) = trained_prefix(256, 1, 2);
+        cache.commit([e1], 1.0);
+        cache.commit([e2], 2.0);
         // Touch k1 at t=3 so k2 becomes the LRU entry.
-        cache.apply(
-            [CacheSession { events: vec![CacheEvent::Hit { key: k1, saved_secs: 0.0 }] }],
-            3.0,
-        );
-        let (k3, e3) = trained_entry(512, 1, 3);
-        cache.apply([insert_session(k3, e3)], 4.0);
+        cache.commit([CacheEvent::Hit { key: k1, saved_secs: 0.0 }], 3.0);
+        let (k3, e3) = trained_prefix(512, 1, 3);
+        cache.commit([e3], 4.0);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
         let keys = cache.keys();
@@ -925,11 +828,11 @@ mod tests {
             capacity: 2,
             ..EpochCacheConfig::default()
         });
-        let (k1, e1) = trained_entry(128, 1, 1);
-        let (k2, e2) = trained_entry(256, 1, 2);
-        let (k3, e3) = trained_entry(512, 1, 3);
-        cache.apply([insert_session(k1, e1), insert_session(k2, e2)], 1.0);
-        cache.apply([insert_session(k3, e3)], 2.0);
+        let (k1, e1) = trained_prefix(128, 1, 1);
+        let (_, e2) = trained_prefix(256, 1, 2);
+        let (_, e3) = trained_prefix(512, 1, 3);
+        cache.commit([e1, e2], 1.0);
+        cache.commit([e3], 2.0);
         assert!(!cache.keys().contains(&k1), "first-inserted entry evicted on tie");
     }
 
@@ -939,14 +842,14 @@ mod tests {
             capacity: 2,
             ..EpochCacheConfig::default()
         });
-        let (k1, e1) = trained_entry(128, 1, 1);
-        cache.apply([insert_session(k1, e1)], 100.0);
+        let (k1, e1) = trained_prefix(128, 1, 1);
+        cache.commit([e1], 100.0);
         // A new run restarts its wall clock near zero; without the offset
         // its entries would look *older* than the previous run's.
-        let (k2, e2) = trained_entry(256, 1, 2);
-        cache.apply([insert_session(k2, e2)], 5.0);
-        let (k3, e3) = trained_entry(512, 1, 3);
-        cache.apply([insert_session(k3, e3)], 6.0);
+        let (k2, e2) = trained_prefix(256, 1, 2);
+        cache.commit([e2], 5.0);
+        let (k3, e3) = trained_prefix(512, 1, 3);
+        cache.commit([e3], 6.0);
         // k1 (monotone time 100) is LRU vs k2 (105) and k3 (106).
         assert!(!cache.keys().contains(&k1));
         assert!(cache.keys().contains(&k2) && cache.keys().contains(&k3));
@@ -955,17 +858,8 @@ mod tests {
     #[test]
     fn stats_account_hits_misses_inserts_and_savings() {
         let mut cache = EpochCache::new(EpochCacheConfig::default());
-        let (k, e) = trained_entry(256, 2, 7);
-        cache.apply(
-            [
-                CacheSession { events: vec![CacheEvent::Miss] },
-                insert_session(k, e),
-                CacheSession {
-                    events: vec![CacheEvent::Hit { key: k, saved_secs: 12.5 }],
-                },
-            ],
-            1.0,
-        );
+        let (k, e) = trained_prefix(256, 2, 7);
+        cache.commit([CacheEvent::Miss, e, CacheEvent::Hit { key: k, saved_secs: 12.5 }], 1.0);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.inserts, stats.evictions), (1, 1, 1, 0));
         assert!((stats.saved_secs - 12.5).abs() < 1e-12);
@@ -974,8 +868,8 @@ mod tests {
     #[test]
     fn save_load_round_trip_resumes_deterministically() {
         let mut cache = EpochCache::new(EpochCacheConfig::default());
-        let (k, e) = trained_entry(256, 3, 11);
-        cache.apply([insert_session(k, e)], 1.0);
+        let (k, e) = trained_prefix(256, 3, 11);
+        cache.commit([e], 1.0);
         let dir = std::env::temp_dir().join("pipetune_cache_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.json");
@@ -983,9 +877,9 @@ mod tests {
         let loaded = EpochCache::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(loaded.len(), 1);
-        let a = cache.peek(k.fingerprint, 9).unwrap();
-        let b = loaded.peek(k.fingerprint, 9).unwrap();
-        assert_eq!(a.key, b.key);
+        let (key_a, a, _) = cache.peek(k.fingerprint, 9).unwrap();
+        let (key_b, b, _) = loaded.peek(k.fingerprint, 9).unwrap();
+        assert_eq!(key_a, key_b);
         assert_eq!(a.rng, b.rng, "trial RNG stream restored exactly");
         assert_eq!(a.records.len(), b.records.len());
         // The reconstructed workload continues identically to the live one:
@@ -1011,18 +905,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         exec.run_epochs(&env, 2, None, 1.0, &mut rng).unwrap();
         let key = CacheKey { fingerprint: fingerprint(&kspec, &hp), epochs: 2 };
-        let entry = CacheEntry {
-            workload: exec.workload().clone(),
-            tuner: exec.tuner().clone(),
-            rng,
-            records: exec.records().to_vec(),
-            trained_secs: exec.duration_secs(),
-            trained_energy_j: exec.energy_j(),
-            last_access: 0.0,
-            seq: 0,
-        };
+        let snapshot = Box::new(exec.donor_snapshot(&rng));
         let mut cache = EpochCache::new(EpochCacheConfig::default());
-        cache.apply([insert_session(key, entry)], 1.0);
+        cache.commit([CacheEvent::Insert { key, snapshot }], 1.0);
         let dir = std::env::temp_dir().join("pipetune_cache_kernel_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.json");
@@ -1122,19 +1007,16 @@ mod tests {
         assert!(h.len().is_none());
         assert!(h.is_empty());
         assert!(h.peek(1, 9).is_none());
-        h.flush([CacheSession::default()], 1.0);
+        h.commit([CacheEvent::Miss], 1.0);
         assert!(h.save(Path::new("/nonexistent/never-written.json")).is_ok());
-        // SystemConfig only used via trained_entry; silence unused import
-        // warnings on cfg(test) paths.
-        let _ = SystemConfig::new(4, 4);
     }
 
     #[test]
     fn handle_clones_share_one_store() {
         let h = EpochCacheHandle::with_config(EpochCacheConfig::default());
         let h2 = h.clone();
-        let (k, e) = trained_entry(256, 1, 3);
-        h.flush([insert_session(k, e)], 1.0);
+        let (k, e) = trained_prefix(256, 1, 3);
+        h.commit([e], 1.0);
         assert_eq!(h2.len(), Some(1));
         assert!(h2.peek(k.fingerprint, 9).is_some());
     }
@@ -1190,30 +1072,25 @@ mod tests {
                 budget in 1u32..=14,
             ) {
                 let mut cache = EpochCache::new(EpochCacheConfig::default());
-                let mut session = CacheSession::default();
-                // One fingerprint with several depths...
-                for &d in &depths {
-                    let (k, e) = trained_entry(256, d, 7);
-                    session.events.push(CacheEvent::Insert { key: k, entry: Box::new(e) });
-                }
-                // ...plus unrelated prefixes that must never be adopted.
-                for &(batch, d) in &others {
-                    let (k, e) = trained_entry(batch, d, 7);
-                    session.events.push(CacheEvent::Insert { key: k, entry: Box::new(e) });
-                }
-                cache.apply([session], 1.0);
+                // One fingerprint with several depths, plus unrelated
+                // prefixes that must never be adopted.
+                let inserts = depths
+                    .iter()
+                    .map(|&d| (256, d))
+                    .chain(others.iter().copied())
+                    .map(|(batch, d)| trained_prefix(batch, d, 7).1);
+                cache.commit(inserts, 1.0);
                 let fp = fingerprint(&spec(), &hp(256, 1));
                 let expect = depths.iter().copied().filter(|&d| d <= budget).max();
                 match (cache.peek(fp, budget), expect) {
-                    (Some(prefix), Some(d)) => {
-                        prop_assert_eq!(prefix.key.epochs, d);
-                        prop_assert_eq!(prefix.key.fingerprint, fp);
+                    (Some((key, ..)), Some(d)) => {
+                        prop_assert_eq!(key, CacheKey { fingerprint: fp, epochs: d });
                     }
                     (None, None) => {}
                     (got, want) => {
                         return Err(TestCaseError::fail(format!(
                             "peek budget {budget} over {depths:?}: got {:?}, want depth {want:?}",
-                            got.map(|p| p.key)
+                            got.map(|p| p.0)
                         )));
                     }
                 }

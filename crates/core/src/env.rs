@@ -1,9 +1,11 @@
 //! Experiment environment: the simulated testbed every run executes against.
 //!
-//! Construct environments through [`ExperimentEnvBuilder`] (the validating
-//! front door) or the [`ExperimentEnv::distributed`] /
-//! [`ExperimentEnv::single_node`] presets plus `with_*` conveniences, which
-//! are thin infallible wrappers that clamp instead of rejecting.
+//! Construct environments through [`ExperimentEnvBuilder`], the one place
+//! every environment invariant is checked; [`ExperimentEnv::distributed`]
+//! and [`ExperimentEnv::single_node`] are its (already valid) presets.
+//! Every field is public, so a variant of a valid environment is struct
+//! update syntax, re-validated with [`ExperimentEnvBuilder::from_env`]
+//! where the change could break an invariant.
 
 use pipetune_cluster::{ClusterSpec, CostModel, FaultPlan, RetryPolicy, SystemConfig, SystemSpace};
 use pipetune_energy::PowerModel;
@@ -39,8 +41,8 @@ pub struct ExperimentEnv {
     pub parallel_slots: usize,
     /// Executor threads that really train trials concurrently. Defaults to
     /// the machine's available parallelism; results are identical for every
-    /// value (see the determinism contract in `DESIGN.md`), so this only
-    /// trades wall-clock time for CPU. Values are clamped to at least 1.
+    /// value (see `docs/determinism.md`), so this only trades wall-clock
+    /// time for CPU.
     pub workers: usize,
     /// Relative wall-clock overhead profiling adds to a profiled epoch
     /// (§7.3 reports it as small; the profiling-overhead ablation sweeps it).
@@ -58,13 +60,13 @@ pub struct ExperimentEnv {
     /// Structured observability (spans, events, metrics). Disabled by
     /// default — a disabled handle is a no-op at every instrumentation
     /// site and leaves all run results bit-identical to uninstrumented
-    /// builds. Enable with [`ExperimentEnv::with_telemetry`]; exported
+    /// builds. Enable with [`ExperimentEnvBuilder::telemetry`]; exported
     /// traces are byte-identical for every [`ExperimentEnv::workers`]
     /// count (see `docs/telemetry.md`).
     pub telemetry: TelemetryHandle,
     /// Online monitoring (see `docs/monitoring.md`). Disabled by default —
     /// a disabled handle is a no-op at every scan site. Enable with
-    /// [`ExperimentEnv::with_monitor`]; the runner then feeds the
+    /// [`ExperimentEnvBuilder::monitor`]; the runner then feeds the
     /// telemetry stream through the configured detectors incrementally,
     /// after every scheduler round, and the resulting incident timeline
     /// is byte-identical for every [`ExperimentEnv::workers`] count.
@@ -72,7 +74,7 @@ pub struct ExperimentEnv {
     /// Cross-trial epoch-reuse cache (see `docs/reuse.md`). Disabled by
     /// default — a disabled handle bypasses every lookup/insert site and
     /// leaves run results bit-identical to cache-free builds. Enable with
-    /// [`ExperimentEnv::with_epoch_cache`]; with the cache on, results are
+    /// [`ExperimentEnvBuilder::epoch_cache`]; with the cache on, results are
     /// byte-identical for every [`ExperimentEnv::workers`] count.
     pub epoch_cache: crate::cache::EpochCacheHandle,
     /// Master seed; every stochastic component derives from it.
@@ -108,9 +110,6 @@ impl ExperimentEnv {
     pub fn single_node(seed: u64) -> Self {
         ExperimentEnv {
             cluster: ClusterSpec::paper_single_node(),
-            cost: CostModel::default(),
-            power: PowerModel::default(),
-            profiler: Profiler::default(),
             system_space: SystemSpace {
                 cores: vec![2, 4, 8],
                 memory_gb: vec![4, 8, 16],
@@ -118,15 +117,7 @@ impl ExperimentEnv {
             },
             default_system: SystemConfig::new(4, 8),
             parallel_slots: 2,
-            workers: default_workers(),
-            fault_plan: FaultPlan::none(),
-            retry: RetryPolicy::default(),
-            profile_overhead: 0.02,
-            sampled_profiling: false,
-            telemetry: TelemetryHandle::disabled(),
-            monitor: MonitorHandle::disabled(),
-            epoch_cache: crate::cache::EpochCacheHandle::disabled(),
-            seed,
+            ..ExperimentEnv::distributed(seed)
         }
     }
 
@@ -147,118 +138,6 @@ impl ExperimentEnv {
                 - self.power.idle_watts)
     }
 
-    /// Pins the real executor thread count (e.g. `with_workers(1)` for a
-    /// strictly sequential run; the replay-equivalence tests compare it to
-    /// multi-worker runs byte for byte).
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Installs a fault schedule (see [`FaultPlan`]); the empty plan keeps
-    /// runs bit-identical to fault-free builds.
-    #[must_use]
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = plan;
-        self
-    }
-
-    /// Overrides the crash-recovery retry budget and backoff.
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Replaces the master seed (every stochastic component re-derives
-    /// from it). A multi-job service uses this to give each admitted job
-    /// its own decorrelated environment via [`ExperimentEnv::subseed`].
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Pins the simulated concurrent-trial slot count (clamped to at
-    /// least 1). A multi-job service partitions the cluster's slot pool
-    /// and hands each job a slice through this builder.
-    #[must_use]
-    pub fn with_parallel_slots(mut self, slots: usize) -> Self {
-        self.parallel_slots = slots.max(1);
-        self
-    }
-
-    /// Installs a telemetry handle. Pass
-    /// [`TelemetryHandle::enabled`] to record spans, events and metrics
-    /// for every run executed against this environment; keep the handle
-    /// (or a clone) to snapshot and export them afterwards.
-    ///
-    /// ```
-    /// use pipetune::ExperimentEnv;
-    /// use pipetune_telemetry::TelemetryHandle;
-    ///
-    /// let telemetry = TelemetryHandle::enabled();
-    /// let env = ExperimentEnv::distributed(42).with_telemetry(telemetry.clone());
-    /// assert!(env.telemetry.is_enabled());
-    /// // ... run a tuner against `env`, then:
-    /// let snapshot = telemetry.snapshot().unwrap();
-    /// assert_eq!(snapshot.spans.len(), 0); // nothing ran yet
-    /// ```
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: TelemetryHandle) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Installs a monitor handle. With a live handle (and a live
-    /// [`ExperimentEnv::with_telemetry`] handle to watch), the runner
-    /// incrementally scans the telemetry stream through the configured
-    /// detectors after every scheduler round; call
-    /// [`pipetune_monitor::MonitorHandle::finish`] afterwards for the
-    /// incident timeline.
-    ///
-    /// ```
-    /// use pipetune::ExperimentEnv;
-    /// use pipetune_monitor::{MonitorConfig, MonitorHandle};
-    /// use pipetune_telemetry::TelemetryHandle;
-    ///
-    /// let telemetry = TelemetryHandle::enabled();
-    /// let monitor = MonitorHandle::with_config(&MonitorConfig::standard());
-    /// let env = ExperimentEnv::distributed(42)
-    ///     .with_telemetry(telemetry.clone())
-    ///     .with_monitor(monitor.clone());
-    /// assert!(env.monitor.is_enabled());
-    /// // ... run a tuner against `env`, then:
-    /// let timeline = monitor.finish(&telemetry).unwrap();
-    /// assert!(timeline.is_empty()); // nothing ran yet
-    /// ```
-    #[must_use]
-    pub fn with_monitor(mut self, monitor: MonitorHandle) -> Self {
-        self.monitor = monitor;
-        self
-    }
-
-    /// Installs an epoch-reuse cache handle. Fresh trials then resume from
-    /// the deepest cached hyperparameter-prefix match instead of training
-    /// from epoch 0; share one handle (or clones of it) across runs and
-    /// jobs to reuse prefixes between them (see `docs/reuse.md`).
-    ///
-    /// ```
-    /// use pipetune::{EpochCacheConfig, EpochCacheHandle, ExperimentEnv};
-    ///
-    /// let cache = EpochCacheHandle::with_config(EpochCacheConfig::default());
-    /// let env = ExperimentEnv::distributed(42).with_epoch_cache(cache.clone());
-    /// assert!(env.epoch_cache.is_enabled());
-    /// // ... run a tuner against `env`, then:
-    /// assert_eq!(cache.stats().unwrap().hits, 0); // nothing ran yet
-    /// ```
-    #[must_use]
-    pub fn with_epoch_cache(mut self, cache: crate::cache::EpochCacheHandle) -> Self {
-        self.epoch_cache = cache;
-        self
-    }
-
     /// Derives a sub-seed for a named component, decorrelated from others.
     pub fn subseed(&self, tag: u64) -> u64 {
         self.seed
@@ -276,13 +155,9 @@ fn default_workers() -> usize {
 /// Validating builder for [`ExperimentEnv`]: the single place every
 /// environment invariant is checked.
 ///
-/// The `with_*` conveniences on [`ExperimentEnv`] stay infallible by
-/// clamping out-of-range values; this builder instead records exactly what
-/// the caller asked for and rejects contradictions in
-/// [`ExperimentEnvBuilder::build`] with a typed [`InvalidConfig`]. Prefer it
-/// anywhere a bad configuration should be an error rather than silently
-/// repaired — every example and benchmark binary in this repository
-/// constructs its environment through it.
+/// It records exactly what the caller asked for and rejects contradictions
+/// in [`ExperimentEnvBuilder::build`] with a typed [`InvalidConfig`] — a
+/// bad configuration is an error, never silently repaired.
 ///
 /// ```
 /// use pipetune::prelude::*;
@@ -321,9 +196,10 @@ impl ExperimentEnvBuilder {
         ExperimentEnvBuilder { env }
     }
 
-    /// Requests exactly `workers` real executor threads. Unlike
-    /// [`ExperimentEnv::with_workers`] this does not clamp: `0` is rejected
-    /// by [`ExperimentEnvBuilder::build`].
+    /// Requests exactly `workers` real executor threads (e.g. `workers(1)`
+    /// for a strictly sequential run; the replay-equivalence tests compare
+    /// it to multi-worker runs byte for byte). `0` is rejected by
+    /// [`ExperimentEnvBuilder::build`].
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.env.workers = workers;
@@ -361,7 +237,8 @@ impl ExperimentEnvBuilder {
         self
     }
 
-    /// Replaces the master seed.
+    /// Replaces the master seed (every stochastic component re-derives
+    /// from it).
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.env.seed = seed;
@@ -384,23 +261,32 @@ impl ExperimentEnvBuilder {
         self
     }
 
-    /// Installs a telemetry handle (see [`ExperimentEnv::with_telemetry`]).
+    /// Installs a telemetry handle. Pass [`TelemetryHandle::enabled`] to
+    /// record spans, events and metrics for every run executed against the
+    /// environment; keep the handle (or a clone) to snapshot and export
+    /// them afterwards.
     #[must_use]
     pub fn telemetry(mut self, telemetry: TelemetryHandle) -> Self {
         self.env.telemetry = telemetry;
         self
     }
 
-    /// Installs a monitor handle. A live monitor without a live telemetry
-    /// handle to watch is rejected by [`ExperimentEnvBuilder::build`].
+    /// Installs a monitor handle: the runner then incrementally scans the
+    /// telemetry stream through the configured detectors after every
+    /// scheduler round; call [`pipetune_monitor::MonitorHandle::finish`]
+    /// afterwards for the incident timeline. A live monitor without a live
+    /// telemetry handle to watch is rejected by
+    /// [`ExperimentEnvBuilder::build`].
     #[must_use]
     pub fn monitor(mut self, monitor: MonitorHandle) -> Self {
         self.env.monitor = monitor;
         self
     }
 
-    /// Installs an epoch-reuse cache handle
-    /// (see [`ExperimentEnv::with_epoch_cache`]).
+    /// Installs an epoch-reuse cache handle. Fresh trials then resume from
+    /// the deepest cached hyperparameter-prefix match instead of training
+    /// from epoch 0; share one handle (or clones of it) across runs and
+    /// jobs to reuse prefixes between them (see `docs/reuse.md`).
     #[must_use]
     pub fn epoch_cache(mut self, cache: EpochCacheHandle) -> Self {
         self.env.epoch_cache = cache;
@@ -536,14 +422,6 @@ mod tests {
             .build()
             .unwrap();
         assert!(ok.monitor.is_enabled() && ok.telemetry.is_enabled());
-    }
-
-    #[test]
-    fn with_wrappers_clamp_where_builder_rejects() {
-        // The infallible conveniences repair instead of erroring; the
-        // builder is the strict path.
-        assert_eq!(ExperimentEnv::distributed(1).with_workers(0).workers, 1);
-        assert_eq!(ExperimentEnv::distributed(1).with_parallel_slots(0).parallel_slots, 1);
     }
 
     #[test]

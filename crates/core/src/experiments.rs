@@ -5,9 +5,25 @@ use pipetune_cluster::PoissonArrivals;
 use serde::{Deserialize, Serialize};
 
 use crate::baselines::{TuneV1, TuneV2};
-use crate::tuner::{PipeTune, TunerOptions};
+use crate::tuner::{PipeTune, TunerOptions, TuningOutcome};
 use crate::workload::EpochWorkload;
 use crate::{ExperimentEnv, GroundTruth, PipeTuneError, WorkloadSpec};
+
+/// One approach's "run an HPT job" entry point, state (job counter, ground
+/// truth) captured inside.
+type RunJob = Box<dyn FnMut(&ExperimentEnv, &WorkloadSpec) -> Result<TuningOutcome, PipeTuneError>>;
+
+/// The three approaches every comparison iterates, in reporting order;
+/// `pipetune` is passed in because experiments differ in how its ground
+/// truth starts (warm for single tenancy, cold for the multi-tenancy trace).
+fn approaches(options: &TunerOptions, mut pipetune: PipeTune) -> [(&'static str, RunJob); 3] {
+    let (mut v1, mut v2) = (TuneV1::new(*options), TuneV2::new(*options));
+    [
+        ("TuneV1", Box::new(move |env, spec| v1.run(env, spec))),
+        ("TuneV2", Box::new(move |env, spec| v2.run(env, spec))),
+        ("PipeTune", Box::new(move |env, spec| pipetune.run(env, spec))),
+    ]
+}
 
 /// One row of the single-tenancy comparison (one workload × one approach).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -107,40 +123,22 @@ pub fn single_tenancy(
     specs: &[WorkloadSpec],
     options: &TunerOptions,
 ) -> Result<Vec<SingleTenancyRow>, PipeTuneError> {
-    let mut rows = Vec::new();
     // PipeTune starts from the §7.2 warm-started similarity model.
     let gt = warm_start_ground_truth(env, specs, options)?;
-    let mut pipetune = PipeTune::with_ground_truth(*options, gt);
-    let mut v1 = TuneV1::new(*options);
-    let mut v2 = TuneV2::new(*options);
+    let mut approaches = approaches(options, PipeTune::with_ground_truth(*options, gt));
+    let mut rows = Vec::new();
     for spec in specs {
-        let o1 = v1.run(env, spec)?;
-        rows.push(SingleTenancyRow {
-            workload: spec.name().to_string(),
-            approach: "TuneV1",
-            accuracy: o1.best_accuracy,
-            training_secs: o1.training_secs,
-            tuning_secs: o1.tuning_secs,
-            tuning_energy_j: o1.tuning_energy_j,
-        });
-        let o2 = v2.run(env, spec)?;
-        rows.push(SingleTenancyRow {
-            workload: spec.name().to_string(),
-            approach: "TuneV2",
-            accuracy: o2.best_accuracy,
-            training_secs: o2.training_secs,
-            tuning_secs: o2.tuning_secs,
-            tuning_energy_j: o2.tuning_energy_j,
-        });
-        let op = pipetune.run(env, spec)?;
-        rows.push(SingleTenancyRow {
-            workload: spec.name().to_string(),
-            approach: "PipeTune",
-            accuracy: op.best_accuracy,
-            training_secs: op.training_secs,
-            tuning_secs: op.tuning_secs,
-            tuning_energy_j: op.tuning_energy_j,
-        });
+        for (approach, run) in &mut approaches {
+            let outcome = run(env, spec)?;
+            rows.push(SingleTenancyRow {
+                workload: spec.name().to_string(),
+                approach,
+                accuracy: outcome.best_accuracy,
+                training_secs: outcome.training_secs,
+                tuning_secs: outcome.tuning_secs,
+                tuning_energy_j: outcome.tuning_energy_j,
+            });
+        }
     }
     Ok(rows)
 }
@@ -191,51 +189,17 @@ pub fn multi_tenancy(
     options: &TunerOptions,
     mt: &MultiTenancyOptions,
 ) -> Result<Vec<MultiTenancyOutcome>, PipeTuneError> {
-    if specs.is_empty() || mt.jobs == 0 {
-        return Err(PipeTuneError::InvalidConfig {
-            reason: "multi-tenancy needs at least one spec and one job".into(),
-        });
-    }
-    let mut arrivals = PoissonArrivals::new(mt.arrival_rate_per_sec, mt.seed);
-    let schedule: Vec<(f64, WorkloadSpec)> = (0..mt.jobs)
-        .map(|i| (arrivals.next_arrival().as_secs_f64(), specs[i % specs.len()]))
-        .collect();
-
-    let mut results = Vec::new();
-    for approach in ["TuneV1", "TuneV2", "PipeTune"] {
-        let mut v1 = TuneV1::new(*options);
-        let mut v2 = TuneV2::new(*options);
-        // PipeTune starts cold here: the ground truth is built *by the
-        // trace itself* (§7.4 measures exactly this amortisation).
-        let mut pt = PipeTune::new(*options);
+    tenancy_trace(env, specs, options, mt, |jobs| {
         let mut prev_completion = 0.0f64;
-        let mut per: std::collections::BTreeMap<String, (f64, usize)> = Default::default();
-        let mut total = 0.0f64;
-        for (arrival, spec) in &schedule {
-            let tuning_secs = match approach {
-                "TuneV1" => v1.run(env, spec)?.tuning_secs,
-                "TuneV2" => v2.run(env, spec)?.tuning_secs,
-                _ => pt.run(env, spec)?.tuning_secs,
-            };
-            let start = prev_completion.max(*arrival);
-            let completion = start + tuning_secs;
-            prev_completion = completion;
-            let response = completion - arrival;
-            total += response;
-            let e = per.entry(spec.name().to_string()).or_insert((0.0, 0));
-            e.0 += response;
-            e.1 += 1;
-        }
-        results.push(MultiTenancyOutcome {
-            approach,
-            per_workload_secs: per
-                .into_iter()
-                .map(|(k, (sum, n))| (k, sum / n as f64))
-                .collect(),
-            overall_secs: total / mt.jobs as f64,
-        });
-    }
-    Ok(results)
+        Ok(jobs
+            .iter()
+            .enumerate()
+            .map(|(i, job)| {
+                prev_completion = prev_completion.max(job.arrival_secs) + job.service_secs;
+                (i, prev_completion - job.arrival_secs)
+            })
+            .collect())
+    })
 }
 
 /// Shared-cluster variant of [`multi_tenancy`]: jobs start on arrival and
@@ -252,6 +216,25 @@ pub fn multi_tenancy_shared(
     options: &TunerOptions,
     mt: &MultiTenancyOptions,
 ) -> Result<Vec<MultiTenancyOutcome>, PipeTuneError> {
+    tenancy_trace(env, specs, options, mt, |jobs| {
+        let completions = crate::simulate_processor_sharing(jobs)?;
+        Ok(completions.iter().map(|c| (c.job, c.response_secs)).collect())
+    })
+}
+
+/// The common body of the multi-tenancy experiments: draws the arrival
+/// trace, runs every job of it under each approach (PipeTune starts cold —
+/// the ground truth is built *by the trace itself*, §7.4 measures exactly
+/// this amortisation), lets `respond` turn `(arrival, tuning time)` pairs
+/// into `(job, response time)` pairs in completion order, and averages
+/// them per workload.
+fn tenancy_trace(
+    env: &ExperimentEnv,
+    specs: &[WorkloadSpec],
+    options: &TunerOptions,
+    mt: &MultiTenancyOptions,
+    mut respond: impl FnMut(&[crate::SharedJob]) -> Result<Vec<(usize, f64)>, PipeTuneError>,
+) -> Result<Vec<MultiTenancyOutcome>, PipeTuneError> {
     if specs.is_empty() || mt.jobs == 0 {
         return Err(PipeTuneError::InvalidConfig {
             reason: "multi-tenancy needs at least one spec and one job".into(),
@@ -263,29 +246,20 @@ pub fn multi_tenancy_shared(
         .collect();
 
     let mut results = Vec::new();
-    for approach in ["TuneV1", "TuneV2", "PipeTune"] {
-        let mut v1 = TuneV1::new(*options);
-        let mut v2 = TuneV2::new(*options);
-        let mut pt = PipeTune::new(*options);
+    for (approach, mut run) in approaches(options, PipeTune::new(*options)) {
         let jobs: Vec<crate::SharedJob> = schedule
             .iter()
             .map(|(arrival, spec)| {
-                let tuning_secs = match approach {
-                    "TuneV1" => v1.run(env, spec)?.tuning_secs,
-                    "TuneV2" => v2.run(env, spec)?.tuning_secs,
-                    _ => pt.run(env, spec)?.tuning_secs,
-                };
-                Ok(crate::SharedJob { arrival_secs: *arrival, service_secs: tuning_secs })
+                let service_secs = run(env, spec)?.tuning_secs;
+                Ok(crate::SharedJob { arrival_secs: *arrival, service_secs })
             })
             .collect::<Result<_, PipeTuneError>>()?;
-        let completions = crate::simulate_processor_sharing(&jobs)?;
         let mut per: std::collections::BTreeMap<String, (f64, usize)> = Default::default();
         let mut total = 0.0f64;
-        for c in &completions {
-            total += c.response_secs;
-            let name = schedule[c.job].1.name().to_string();
-            let e = per.entry(name).or_insert((0.0, 0));
-            e.0 += c.response_secs;
+        for (job, response) in respond(&jobs)? {
+            total += response;
+            let e = per.entry(schedule[job].1.name().to_string()).or_insert((0.0, 0));
+            e.0 += response;
             e.1 += 1;
         }
         results.push(MultiTenancyOutcome {

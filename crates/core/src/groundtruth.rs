@@ -68,6 +68,18 @@ pub struct GroundTruthStats {
     pub refits: usize,
 }
 
+impl GroundTruthStats {
+    /// Activity since an earlier snapshot of the same ground truth.
+    pub(crate) fn delta_since(&self, before: &GroundTruthStats) -> GroundTruthStats {
+        GroundTruthStats {
+            recorded: self.recorded - before.recorded,
+            hits: self.hits - before.hits,
+            misses: self.misses - before.misses,
+            refits: self.refits - before.refits,
+        }
+    }
+}
+
 /// Historical profile store + similarity function + per-cluster best configs.
 ///
 /// New HPT jobs ask [`GroundTruth::lookup`] with their first-epoch profile
@@ -224,8 +236,8 @@ impl GroundTruth {
 
     /// [`GroundTruth::lookup`] without the stats side effect: safe to call
     /// concurrently from many executor threads against one shared snapshot.
-    /// Callers that care about hit/miss accounting report the outcome later
-    /// (see [`SharedGroundTruth::flush`]).
+    /// The executor journals the outcome per work item and the coordinator
+    /// accounts for it at commit time (see `docs/determinism.md`).
     pub fn peek(&self, features: &[f64]) -> Option<(SystemConfig, SimilarityVerdict)> {
         let sim = self.similarity.as_ref()?;
         let verdict = sim.judge(features);
@@ -315,11 +327,10 @@ impl GroundTruth {
 
 /// How trial execution consults the ground truth.
 ///
-/// Two implementations exist: [`GroundTruth`] itself (immediate mutation —
-/// the semantics direct sequential callers get) and [`GtSession`] (a
-/// buffering view used by the parallel executor: every concurrently running
-/// trial reads one stable batch-start snapshot and its mutations are
-/// deferred to a deterministic, ordered flush).
+/// [`GroundTruth`] itself implements it with immediate mutation — the
+/// semantics direct sequential callers get. The parallel executor instead
+/// hands each work item a journalling view of the batch-start history
+/// (see `docs/determinism.md`).
 pub trait GroundTruthAccess {
     /// Consults the ground truth with first-epoch profile features; `Some`
     /// means the returned configuration may be reused without probing.
@@ -355,9 +366,9 @@ impl GroundTruthAccess for GroundTruth {
     }
 }
 
-/// A deferred ground-truth mutation, tagged onto the session that made it.
+/// A journalled ground-truth mutation (see [`BatchView`]).
 #[derive(Debug, Clone)]
-enum GtEvent {
+pub(crate) enum GtEvent {
     /// A lookup reused a known configuration.
     Hit,
     /// A lookup fell through to probing.
@@ -371,85 +382,20 @@ enum GtEvent {
     },
 }
 
-/// Thread-safe wrapper sharing one [`GroundTruth`] across executor threads.
-///
-/// Reads go through an [`std::sync::RwLock`] so any number of trials can consult the
-/// history concurrently; writes never happen while trials run. Instead each
-/// trial works against a [`GtSession`] that buffers its would-be mutations
-/// (hit/miss accounting and probe records), and the coordinator applies the
-/// buffers with [`SharedGroundTruth::flush`] in a deterministic order once
-/// the batch is done. Every trial in a batch therefore sees exactly the
-/// batch-start history — regardless of worker count or thread interleaving —
-/// which is what makes parallel runs replay-identical to sequential ones.
-#[derive(Debug)]
-pub struct SharedGroundTruth<'a> {
-    inner: parking_lot::RwLock<&'a mut GroundTruth>,
+/// One work item's view of the ground truth while its batch executes:
+/// lookups read the batch-start `history` through a plain shared borrow —
+/// the borrow checker proves nobody writes it until every worker is done —
+/// and would-be mutations land in the item's `journal`, which the
+/// coordinator applies with [`GroundTruth::commit`] in request order.
+pub(crate) struct BatchView<'a> {
+    pub(crate) history: &'a GroundTruth,
+    pub(crate) journal: &'a mut Vec<GtEvent>,
 }
 
-impl<'a> SharedGroundTruth<'a> {
-    /// Wraps a ground truth for the duration of a parallel run.
-    pub fn new(ground_truth: &'a mut GroundTruth) -> Self {
-        SharedGroundTruth { inner: parking_lot::RwLock::new(ground_truth) }
-    }
-
-    /// Opens a buffering session for one trial (or one worker's trial slice).
-    pub fn session(&self) -> GtSession<'_, 'a> {
-        GtSession { shared: self, events: Vec::new() }
-    }
-
-    /// Behaviour counters of the wrapped ground truth.
-    pub fn stats(&self) -> GroundTruthStats {
-        self.inner.read().stats()
-    }
-
-    /// Runs a closure against the shared (read-locked) ground truth.
-    pub fn with_read<R>(&self, f: impl FnOnce(&GroundTruth) -> R) -> R {
-        f(&self.inner.read())
-    }
-
-    /// Applies the buffered mutations of `sessions`, in the order given
-    /// (callers pass scheduler-request order, making the merged history
-    /// independent of which worker finished first).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipeTuneError`] when applying a record fails.
-    pub fn flush<'s, I>(&self, sessions: I) -> Result<(), PipeTuneError>
-    where
-        I: IntoIterator<Item = GtSession<'s, 'a>>,
-        'a: 's,
-    {
-        let mut guard = self.inner.write();
-        let gt: &mut GroundTruth = &mut guard;
-        for session in sessions {
-            for event in session.events {
-                match event {
-                    GtEvent::Hit => gt.stats.hits += 1,
-                    GtEvent::Miss => gt.stats.misses += 1,
-                    GtEvent::Record { workload, features, best, cost } => {
-                        gt.record(&workload, &features, best, cost)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// One trial's buffering view of a [`SharedGroundTruth`].
-///
-/// Lookups read the shared batch-start snapshot; hit/miss accounting and
-/// probe records are buffered locally until [`SharedGroundTruth::flush`].
-#[derive(Debug)]
-pub struct GtSession<'s, 'a> {
-    shared: &'s SharedGroundTruth<'a>,
-    events: Vec<GtEvent>,
-}
-
-impl GroundTruthAccess for GtSession<'_, '_> {
+impl GroundTruthAccess for BatchView<'_> {
     fn lookup(&mut self, features: &[f64]) -> Option<SystemConfig> {
-        let found = self.shared.inner.read().peek(features).map(|(cfg, _)| cfg);
-        self.events.push(if found.is_some() { GtEvent::Hit } else { GtEvent::Miss });
+        let found = self.history.peek(features).map(|(cfg, _)| cfg);
+        self.journal.push(if found.is_some() { GtEvent::Hit } else { GtEvent::Miss });
         found
     }
 
@@ -460,12 +406,33 @@ impl GroundTruthAccess for GtSession<'_, '_> {
         best: SystemConfig,
         cost: f64,
     ) -> Result<(), PipeTuneError> {
-        self.events.push(GtEvent::Record {
+        self.journal.push(GtEvent::Record {
             workload: workload.to_string(),
             features: features.to_vec(),
             best,
             cost,
         });
+        Ok(())
+    }
+}
+
+impl GroundTruth {
+    /// Applies one work item's journalled events, in the order it made
+    /// them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipeTuneError`] when applying a record fails.
+    pub(crate) fn commit(&mut self, events: Vec<GtEvent>) -> Result<(), PipeTuneError> {
+        for event in events {
+            match event {
+                GtEvent::Hit => self.stats.hits += 1,
+                GtEvent::Miss => self.stats.misses += 1,
+                GtEvent::Record { workload, features, best, cost } => {
+                    self.record(&workload, &features, best, cost)?;
+                }
+            }
+        }
         Ok(())
     }
 }

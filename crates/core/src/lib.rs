@@ -55,8 +55,8 @@ mod workload;
 
 pub use baselines::{run_arbitrary, TuneV1, TuneV2};
 pub use cache::{
-    fingerprint as epoch_cache_fingerprint, CacheKey, CacheSession, CacheStats, EpochCache,
-    EpochCacheConfig, EpochCacheHandle,
+    fingerprint as epoch_cache_fingerprint, CacheKey, CacheStats, EpochCache, EpochCacheConfig,
+    EpochCacheHandle,
 };
 pub use env::{ExperimentEnv, ExperimentEnvBuilder};
 pub use error::{Error, InvalidConfig, PipeTuneError};
@@ -65,17 +65,14 @@ pub use experiments::{
     multi_tenancy, multi_tenancy_shared, single_tenancy, warm_start_ground_truth,
     MultiTenancyOptions, MultiTenancyOutcome, SingleTenancyRow,
 };
-pub use groundtruth::{
-    GroundTruth, GroundTruthAccess, GroundTruthStats, GtSession, SharedGroundTruth,
-    SimilarityKind,
-};
+pub use groundtruth::{GroundTruth, GroundTruthAccess, GroundTruthStats, SimilarityKind};
 pub use hyper::{HyperParams, HyperSpace};
 pub use objective::{Objective, ProbeGoal};
 pub use related::{related_systems, RelatedSystem};
-pub use runner::{SlotSchedule, TrialOutcome};
+pub use runner::SlotSchedule;
 pub use scheduler_choice::SchedulerKind;
 pub use sharing::{simulate_fifo, simulate_processor_sharing, SharedCompletion, SharedJob};
-pub use trial::{EpochPhase, EpochRecord, SystemTuner, TrialCheckpoint, TrialExecution};
+pub use trial::{EpochPhase, EpochRecord, SystemTuner, TrialExecution};
 pub use tuner::{ConvergencePoint, PipeTune, TunerOptions, TuningOutcome};
 pub use workload::{
     AnyModel, EpochOutcome, EpochWorkload, JobType, WorkloadInstance, WorkloadSpec,
@@ -102,7 +99,6 @@ pub mod prelude {
     pub use crate::error::{Error, InvalidConfig, PipeTuneError};
     pub use crate::hyper::{HyperParams, HyperSpace};
     pub use crate::objective::Objective;
-    pub use crate::runner::TrialOutcome;
     pub use crate::scheduler_choice::SchedulerKind;
     pub use crate::tuner::{PipeTune, TunerOptions, TuningOutcome};
     pub use crate::workload::{JobType, WorkloadSpec};

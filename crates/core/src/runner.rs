@@ -1,53 +1,36 @@
-//! Scheduler-driven run loop: a real multi-threaded trial executor mapped
-//! onto simulated parallel slots.
+//! The job driver: a real multi-threaded trial executor mapped onto
+//! simulated parallel slots.
 //!
 //! Each scheduler batch is fanned out to [`ExperimentEnv::workers`] OS
-//! threads pulling work items off a shared cursor. Determinism contract:
-//! the results — accuracies, simulated clocks, ground-truth contents and
-//! stats — are byte-identical for every worker count, because
-//!
-//! 1. every trial draws from its own RNG seeded from
-//!    `(env.seed, trial id)`, never from a shared stream;
-//! 2. all trials of a batch read one ground-truth snapshot taken at batch
-//!    start, and their mutations are buffered and flushed in scheduler
-//!    request order ([`crate::SharedGroundTruth`]);
-//! 3. batch results are merged back in request order, so completion-time
-//!    bookkeeping, best-trial selection and scheduler reports never depend
-//!    on which OS thread finished first.
+//! threads pulling work items off a shared cursor. The results —
+//! accuracies, simulated clocks, ground-truth and cache contents, stats,
+//! traces — are byte-identical for every worker count, because every trial
+//! draws from its own RNG seeded from `(env.seed, trial id)`, workers only
+//! *read* shared state as it stood at batch start, and everything a work
+//! item would write goes into its own `Journal`, which the coordinator
+//! commits in scheduler request order. `docs/determinism.md` is the full
+//! statement of that contract.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 use pipetune_cluster::{observe as cluster_observe, FaultReport};
-use pipetune_search::{Config, TrialId, TrialRequest, TrialReport, TrialScheduler};
-use pipetune_telemetry::{EventKind, SpanId, SpanKind, COUNT_BUCKETS, RATIO_BUCKETS};
+use pipetune_search::{Config, SearchSpace, TrialId, TrialRequest, TrialReport};
+use pipetune_telemetry::{
+    EventKind, SpanId, SpanKind, TelemetryBuffer, COUNT_BUCKETS, RATIO_BUCKETS,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::cache::{self, CacheEntry, CacheEvent, CacheKey, CacheSession, CacheStats};
-use crate::groundtruth::{GroundTruthAccess, GtSession, SharedGroundTruth};
+use crate::cache::{self, CacheEvent, CacheKey};
+use crate::groundtruth::{BatchView, GroundTruthAccess, GtEvent};
 use crate::objective::Objective;
 use crate::observe;
 use crate::trial::{SystemTuner, TrialExecution};
+use crate::tuner::{ConvergencePoint, TunerOptions, TuningOutcome};
 use crate::workload::EpochWorkload;
 use crate::{ExperimentEnv, GroundTruth, HyperParams, PipeTuneError, WorkloadSpec};
-
-/// Completion record for one trial request (one scheduler rung's worth of
-/// epochs for one configuration).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrialOutcome {
-    /// Scheduler trial id.
-    pub id: u64,
-    /// Hyperparameters of the trial.
-    pub hp: HyperParams,
-    /// Held-out accuracy after this request's epochs.
-    pub accuracy: f32,
-    /// Cumulative trial duration so far (simulated seconds).
-    pub trial_secs: f64,
-    /// Simulated wall-clock time at which the request finished.
-    pub completed_at_secs: f64,
-}
 
 /// Greedy FIFO list scheduling onto `slots` parallel executors.
 ///
@@ -105,30 +88,6 @@ impl SlotSchedule {
     }
 }
 
-/// Result of driving one scheduler to completion.
-#[derive(Debug, Clone)]
-pub(crate) struct RunResult {
-    pub best_accuracy: f32,
-    /// Scheduler trial id of the winner (its workload seed is
-    /// `env.subseed(best_trial_id)`).
-    pub best_trial_id: u64,
-    /// Trained weights of the selected model (None for kernel workloads).
-    pub best_weights: Option<Vec<pipetune_tensor::Tensor>>,
-    pub best_hp: HyperParams,
-    pub best_final_system: pipetune_cluster::SystemConfig,
-    pub best_training_secs: f64,
-    pub tuning_secs: f64,
-    pub tuning_energy_j: f64,
-    pub epochs_total: u64,
-    pub outcomes: Vec<TrialOutcome>,
-    /// Faults injected and recovered from over the whole run (clean when
-    /// the environment's fault plan is empty).
-    pub fault_report: FaultReport,
-    /// Epoch-reuse cache activity this run added (all-zero when the
-    /// environment's cache handle is disabled).
-    pub cache_stats: CacheStats,
-}
-
 /// One trial's executor-side state: the live execution plus its private RNG.
 ///
 /// The RNG is derived from `(env.seed, trial id)` and persists across
@@ -184,40 +143,52 @@ struct WorkItem {
     tuner: Option<SystemTuner>,
 }
 
+/// Everything one executed work item wants written to state that outlives
+/// it. Workers fill it; only [`commit_batch`] applies it, in scheduler
+/// request order (see `docs/determinism.md`).
+#[derive(Debug, Default)]
+struct Journal {
+    /// Ground-truth lookups accounted and probe outcomes recorded.
+    ground_truth: Vec<GtEvent>,
+    /// Epoch-reuse cache hit/miss accounting and the prefix to remember.
+    cache: Vec<CacheEvent>,
+    /// Fault counters this rung added to the trial's report.
+    faults: FaultReport,
+    /// Epoch spans, pipeline events and trial metrics this rung recorded.
+    telemetry: TelemetryBuffer,
+}
+
 /// What one executed work item hands back to the coordinator.
-struct ItemResult<'s, 'a> {
+struct ItemResult {
     id: TrialId,
     slot: TrialSlot,
-    session: Option<GtSession<'s, 'a>>,
     accuracy: f32,
     score: f64,
     /// Epochs the scheduler requested for this rung.
     epochs: u32,
     delta_secs: f64,
     delta_energy: f64,
-    /// Fault counters this rung added to the trial's report.
-    faults: FaultReport,
     /// `Some(attempts)` when the trial exhausted its retry budget this
     /// rung and was abandoned (its score is already `NEG_INFINITY`).
     abandoned: Option<u32>,
-    /// Buffered epoch-reuse cache events (`None` when the cache is
-    /// disabled); the coordinator flushes them in request order.
-    cache_session: Option<CacheSession>,
+    journal: Journal,
 }
 
-/// Trains one work item to completion (worker-thread body).
-fn execute_item<'s, 'a>(
+/// Trains one work item to completion (worker-thread body). `ground_truth`
+/// and the environment's cache handle are only read; every write lands in
+/// the returned journal.
+fn execute_item(
     env: &ExperimentEnv,
     spec: &WorkloadSpec,
     objective: Objective,
     contention: f64,
-    shared: Option<&'s SharedGroundTruth<'a>>,
+    ground_truth: Option<&GroundTruth>,
     item: WorkItem,
-) -> Result<ItemResult<'s, 'a>, PipeTuneError> {
+) -> Result<ItemResult, PipeTuneError> {
     let WorkItem { req, slot, tuner } = item;
     let was_resumed = slot.is_some();
-    let mut cache_session =
-        if env.epoch_cache.is_enabled() { Some(CacheSession::default()) } else { None };
+    let caching = env.epoch_cache.is_enabled();
+    let mut journal = Journal::default();
     // Epochs already covered by an adopted cache prefix (fresh trials only).
     let mut adopted_epochs = 0u32;
     let mut slot = match slot {
@@ -227,37 +198,28 @@ fn execute_item<'s, 'a>(
             let mut rng = trial_rng(env, req.id);
             let tuner = tuner.expect("fresh trials carry a tuner");
             // Fresh trial: consult the epoch-reuse cache for the deepest
-            // prefix within this rung's budget. `peek` is read-only — the
-            // hit/miss bookkeeping is buffered in `cache_session` and
-            // applied by the coordinator in request order. The address is
-            // the trial's full identity, so a hit only ever serves state
-            // this exact trial would have trained itself.
-            let fp = cache_session
-                .as_ref()
-                .map(|_| cache_identity(env, spec, &hp, req.id, &tuner, contention));
+            // prefix within this rung's budget. The address is the trial's
+            // full identity, so a hit only ever serves state this exact
+            // trial would have trained itself.
+            let fp = caching.then(|| cache_identity(env, spec, &hp, req.id, &tuner, contention));
             match fp.and_then(|fp| env.epoch_cache.peek(fp, req.epochs)) {
-                Some(prefix) => {
-                    let session = cache_session.as_mut().expect("cache enabled on hit");
-                    session.events.push(CacheEvent::Hit {
-                        key: prefix.key,
-                        saved_secs: prefix.saved_secs,
-                    });
-                    adopted_epochs = prefix.key.epochs;
+                Some((key, snapshot, saved)) => {
+                    journal.cache.push(CacheEvent::Hit { key, saved_secs: saved.0 });
+                    adopted_epochs = key.epochs;
                     // The scheduler-assigned `tuner` is dropped in favour
                     // of the donor's evolved state: the key's policy
                     // discriminant guarantees both started from the same
                     // policy, and the identity components guarantee the
                     // donor evolved exactly as this trial would have.
-                    let exec =
-                        TrialExecution::from_cached_prefix(env, prefix, req.id.0, &mut rng);
+                    let exec = TrialExecution::adopt(env, snapshot, saved, req.id.0, &mut rng);
                     TrialSlot { exec, rng }
                 }
                 None => {
                     let workload = spec.instantiate(&hp, env.subseed(req.id.0))?;
                     let mut exec =
                         TrialExecution::new(workload, tuner).with_trial_id(req.id.0);
-                    if let Some(session) = cache_session.as_mut() {
-                        session.events.push(CacheEvent::Miss);
+                    if caching {
+                        journal.cache.push(CacheEvent::Miss);
                         exec.note_cache_miss(env);
                     }
                     TrialSlot { exec, rng }
@@ -265,7 +227,6 @@ fn execute_item<'s, 'a>(
             }
         }
     };
-    let mut session = shared.map(SharedGroundTruth::session);
     // A fresh trial that adopted a prefix already carries the charged
     // reload time; the whole of it belongs to this rung's slot occupancy.
     let (secs_before, energy_before) = if was_resumed {
@@ -274,10 +235,12 @@ fn execute_item<'s, 'a>(
         (0.0, 0.0)
     };
     let faults_before = slot.exec.fault_report();
+    let mut view =
+        ground_truth.map(|history| BatchView { history, journal: &mut journal.ground_truth });
     let run = slot.exec.run_epochs(
         env,
         req.epochs - adopted_epochs,
-        session.as_mut().map(|s| s as &mut dyn GroundTruthAccess),
+        view.as_mut().map(|v| v as &mut dyn GroundTruthAccess),
         contention,
         &mut slot.rng,
     );
@@ -294,92 +257,187 @@ fn execute_item<'s, 'a>(
         let accuracy = slot.exec.accuracy()?;
         (accuracy, objective.score(f64::from(accuracy), slot.exec.duration_secs()))
     };
-    let delta_secs = slot.exec.duration_secs() - secs_before;
-    let delta_energy = slot.exec.energy_j() - energy_before;
-    let faults = slot.exec.fault_report().delta_since(&faults_before);
-    if abandoned.is_none() {
-        if let Some(cache_session) = cache_session.as_mut() {
-            // Remember this trial's state at its new depth. Totals are
-            // *trained-equivalent*: charged time plus whatever this trial
-            // itself saved by adoption, so chained adoption never compounds
-            // the reload discount. The insert address recomputes the same
-            // identity the lookup used (the tuner-policy discriminant is
-            // invariant over tuner evolution), so resumed trials keep
-            // addressing their own prefix line.
-            let exec = &slot.exec;
-            let key = CacheKey {
-                fingerprint: cache_identity(
-                    env,
-                    exec.workload().spec(),
-                    exec.workload().hyperparams(),
-                    req.id,
-                    exec.tuner(),
-                    contention,
-                ),
-                epochs: exec.workload().epochs_run(),
-            };
-            cache_session.events.push(CacheEvent::Insert {
-                key,
-                entry: Box::new(CacheEntry::new(
-                    exec.workload().clone(),
-                    exec.tuner().clone(),
-                    slot.rng.clone(),
-                    exec.records().to_vec(),
-                    exec.duration_secs() + exec.cache_saved_secs(),
-                    exec.energy_j() + exec.cache_saved_energy_j(),
-                )),
-            });
-        }
+    if abandoned.is_none() && caching {
+        // Remember this trial's state at its new depth. The insert address
+        // recomputes the same identity the lookup used (the tuner-policy
+        // discriminant is invariant over tuner evolution), so resumed
+        // trials keep addressing their own prefix line.
+        let exec = &slot.exec;
+        let key = CacheKey {
+            fingerprint: cache_identity(
+                env,
+                exec.workload().spec(),
+                exec.workload().hyperparams(),
+                req.id,
+                exec.tuner(),
+                contention,
+            ),
+            epochs: exec.workload().epochs_run(),
+        };
+        let snapshot = Box::new(exec.donor_snapshot(&slot.rng));
+        journal.cache.push(CacheEvent::Insert { key, snapshot });
     }
+    journal.faults = slot.exec.fault_report().delta_since(&faults_before);
+    journal.telemetry = slot.exec.take_telemetry();
     Ok(ItemResult {
         id: req.id,
-        slot,
-        session,
         accuracy,
         score,
         epochs: req.epochs,
-        delta_secs,
-        delta_energy,
-        faults,
+        delta_secs: slot.exec.duration_secs() - secs_before,
+        delta_energy: slot.exec.energy_j() - energy_before,
         abandoned,
-        cache_session,
+        journal,
+        slot,
     })
 }
 
-/// Drives `scheduler` to completion for one workload.
-///
-/// `policy` builds each new trial's [`SystemTuner`] from its configuration
-/// (fixed default for V1, fixed per-config system for V2, pipelined for
-/// PipeTune). The ground truth, when supplied, is shared across trials (and,
-/// via the caller, across jobs). Each batch really executes on
-/// `env.workers` threads; see the module docs for the determinism contract.
-///
-/// `run_label` names the root `tuning_run` telemetry span when
-/// [`ExperimentEnv::telemetry`] is enabled; telemetry recording happens
-/// entirely on the coordinator (spans) or in per-trial buffers merged in
-/// request order (everything inside a trial), so traces are byte-identical
-/// for every worker count — `env.workers` is deliberately never recorded.
-#[allow(clippy::too_many_arguments)] // crate-internal driver; the three call sites read best flat
-pub(crate) fn run_scheduler<F>(
+/// Executes a batch on `env.workers` threads pulling items off a shared
+/// cursor; results come back in request order whatever the finish order.
+fn execute_batch(
     env: &ExperimentEnv,
     spec: &WorkloadSpec,
-    scheduler: &mut dyn TrialScheduler,
     objective: Objective,
-    run_label: &str,
-    mut policy: F,
-    ground_truth: Option<&mut GroundTruth>,
     contention: f64,
-) -> Result<RunResult, PipeTuneError>
+    ground_truth: Option<&GroundTruth>,
+    items: Vec<WorkItem>,
+) -> Vec<Result<ItemResult, PipeTuneError>> {
+    let n = items.len();
+    let items: Vec<Mutex<Option<WorkItem>>> =
+        items.into_iter().map(|item| Mutex::new(Some(item))).collect();
+    let results: Vec<Mutex<Option<Result<ItemResult, PipeTuneError>>>> =
+        (0..n).map(|_| Mutex::new(None)).collect();
+    let run = |i: usize| {
+        let item = items[i].lock().take().expect("item claimed once");
+        *results[i].lock() =
+            Some(execute_item(env, spec, objective, contention, ground_truth, item));
+    };
+    let workers = env.workers.max(1).min(n);
+    if workers <= 1 {
+        (0..n).for_each(run);
+    } else {
+        let cursor = AtomicUsize::new(0);
+        crossbeam::thread::scope(|s| {
+            for _ in 0..workers {
+                s.spawn(|_| loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    run(i);
+                });
+            }
+        })
+        .expect("executor scope");
+    }
+    results.into_iter().map(|cell| cell.into_inner().expect("every item executed")).collect()
+}
+
+/// Commits a batch's journals — the one place a batch's effects reach the
+/// ground truth, the epoch-reuse cache, the run's fault report and its
+/// trace. `results` are in scheduler request order and are applied in that
+/// order; cache events land together at `batch_end_secs` so capacity is
+/// enforced once per batch.
+fn commit_batch(
+    env: &ExperimentEnv,
+    batch_span: SpanId,
+    batch_end_secs: f64,
+    results: &mut [ItemResult],
+    mut ground_truth: Option<&mut GroundTruth>,
+    fault_report: &mut FaultReport,
+) -> Result<(), PipeTuneError> {
+    let telemetry = &env.telemetry;
+    let mut cache_events = Vec::new();
+    for item in results {
+        let Journal { ground_truth: gt_events, cache, faults, telemetry: mut buffer } =
+            std::mem::take(&mut item.journal);
+        fault_report.merge(&faults);
+        if telemetry.is_enabled() {
+            // Trial span on the trial-cumulative clock, then the
+            // worker-local buffer merged under it.
+            let end_secs = item.slot.exec.duration_secs();
+            let mut attrs = vec![("trial", item.id.0.into()), ("epochs", item.epochs.into())];
+            match item.abandoned {
+                None => {
+                    attrs.push(("accuracy", item.accuracy.into()));
+                    attrs.push(("score", item.score.into()));
+                }
+                Some(attempts) => attrs.push(("abandoned_after_attempts", attempts.into())),
+            }
+            let trial_span = telemetry.open_span(
+                batch_span,
+                SpanKind::Trial,
+                format!("trial {}", item.id.0),
+                end_secs - item.delta_secs,
+                attrs,
+            );
+            telemetry.with_metrics(|m| cluster_observe::record_fault_report(&faults, m));
+            telemetry.merge_buffer(trial_span, &mut buffer);
+            telemetry.close_span(trial_span, end_secs);
+        }
+        if let Some(gt) = ground_truth.as_deref_mut() {
+            gt.commit(gt_events)?;
+        }
+        cache_events.extend(cache);
+    }
+    env.epoch_cache.commit(cache_events, batch_end_secs);
+    Ok(())
+}
+
+/// What distinguishes one approach's HPT job from another's.
+pub(crate) struct Job<'a, F: FnMut(&Config) -> SystemTuner> {
+    /// Names the root `tuning_run` telemetry span.
+    pub label: &'a str,
+    /// What the scheduler samples configurations from.
+    pub space: SearchSpace,
+    /// How a finished rung is scored.
+    pub objective: Objective,
+    /// Builds each new trial's [`SystemTuner`] from its configuration
+    /// (fixed default for V1, fixed per-config system for V2, pipelined
+    /// for PipeTune).
+    pub policy: F,
+    /// History shared across the job's trials (and, via the caller,
+    /// across jobs); `None` disables reuse.
+    pub ground_truth: Option<&'a mut GroundTruth>,
+    /// Co-location slowdown applied to every epoch.
+    pub contention: f64,
+}
+
+/// Runs one HPT job to completion: builds `options.scheduler` over
+/// `job.space` (seeded from `env` and the caller's `jobs_run` counter,
+/// which it advances) and drives it, really executing each batch on
+/// `env.workers` threads.
+///
+/// Telemetry recording happens entirely on the coordinator (spans) or in
+/// per-trial buffers merged in request order (everything inside a trial),
+/// so traces are byte-identical for every worker count — `env.workers` is
+/// deliberately never recorded.
+pub(crate) fn run_job<F>(
+    env: &ExperimentEnv,
+    spec: &WorkloadSpec,
+    options: &TunerOptions,
+    jobs_run: &mut u64,
+    job: Job<'_, F>,
+) -> Result<TuningOutcome, PipeTuneError>
 where
     F: FnMut(&Config) -> SystemTuner,
 {
-    let shared: Option<SharedGroundTruth<'_>> = ground_truth.map(SharedGroundTruth::new);
+    let Job { label, space, objective, mut policy, mut ground_truth, contention } = job;
+    let spec = &spec.with_scale(options.scale);
+    let mut scheduler = options.scheduler.build(
+        space,
+        options.r_max,
+        options.eta,
+        env.subseed(0x7453 + *jobs_run),
+    );
+    *jobs_run += 1;
+    let gt_stats_before = ground_truth.as_deref().map(GroundTruth::stats);
     let cache_stats_before = env.epoch_cache.stats().unwrap_or_default();
     let telemetry = &env.telemetry;
     let run_span = telemetry.open_span(
         SpanId::NONE,
         SpanKind::TuningRun,
-        run_label,
+        label,
         0.0,
         vec![
             ("workload", spec.name().into()),
@@ -390,7 +448,7 @@ where
     let mut trials: HashMap<TrialId, TrialSlot> = HashMap::new();
     let mut clock = 0.0f64;
     let mut energy = 0.0f64;
-    let mut outcomes = Vec::new();
+    let mut convergence = Vec::new();
     let mut best: Option<(f64, TrialId)> = None;
     let mut fault_report = FaultReport::default();
     let mut round = 0u64;
@@ -409,9 +467,6 @@ where
         }
         round_guard = 0;
 
-        // Claim the batch in request order. Fresh trials get their tuner
-        // from `policy` here on the coordinator (it may be an FnMut);
-        // workload instantiation — the expensive part — happens on workers.
         let n = reqs.len();
         let rung_span = telemetry.open_span(
             run_span,
@@ -427,111 +482,54 @@ where
             clock,
             vec![],
         );
-        let mut items: Vec<Mutex<Option<WorkItem>>> = Vec::with_capacity(n);
-        for req in reqs {
-            let slot = trials.remove(&req.id);
-            let tuner = if slot.is_none() { Some(policy(&req.config)) } else { None };
-            items.push(Mutex::new(Some(WorkItem { req, slot, tuner })));
-        }
-        let results: Vec<Mutex<Option<Result<ItemResult<'_, '_>, PipeTuneError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-
-        let workers = env.workers.max(1).min(n);
-        if workers <= 1 {
-            for (item, result) in items.iter().zip(&results) {
-                let item = item.lock().take().expect("item claimed once");
-                *result.lock() =
-                    Some(execute_item(env, spec, objective, contention, shared.as_ref(), item));
-            }
-        } else {
-            let cursor = AtomicUsize::new(0);
-            crossbeam::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|_| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let item = items[i].lock().take().expect("item claimed once");
-                        *results[i].lock() = Some(execute_item(
-                            env,
-                            spec,
-                            objective,
-                            contention,
-                            shared.as_ref(),
-                            item,
-                        ));
-                    });
-                }
+        // Claim the batch in request order. Fresh trials get their tuner
+        // from `policy` here on the coordinator (it may be an FnMut);
+        // workload instantiation — the expensive part — happens on workers.
+        let items = reqs
+            .into_iter()
+            .map(|req| {
+                let slot = trials.remove(&req.id);
+                let tuner = if slot.is_none() { Some(policy(&req.config)) } else { None };
+                WorkItem { req, slot, tuner }
             })
-            .expect("executor scope");
-        }
-
-        // Merge in request order: first error (if any) in request order,
-        // ground-truth flush in request order, fault deltas and reports in
-        // request order.
-        let mut durations = Vec::with_capacity(n);
-        let mut reports = Vec::with_capacity(n);
-        let mut sessions: Vec<GtSession<'_, '_>> = Vec::new();
-        let mut cache_sessions: Vec<CacheSession> = Vec::new();
-        for cell in results {
-            let mut item = cell.into_inner().expect("every item executed")?;
-            durations.push(item.delta_secs);
-            energy += item.delta_energy;
-            fault_report.merge(&item.faults);
-            if telemetry.is_enabled() {
-                // Trial span on the trial-cumulative clock, then the
-                // worker-local buffer (epoch spans, pipeline events, trial
-                // metrics) merged under it — all in request order.
-                let end_secs = item.slot.exec.duration_secs();
-                let mut attrs = vec![("trial", item.id.0.into()), ("epochs", item.epochs.into())];
-                match item.abandoned {
-                    None => {
-                        attrs.push(("accuracy", item.accuracy.into()));
-                        attrs.push(("score", item.score.into()));
-                    }
-                    Some(attempts) => attrs.push(("abandoned_after_attempts", attempts.into())),
-                }
-                let trial_span = telemetry.open_span(
-                    batch_span,
-                    SpanKind::Trial,
-                    format!("trial {}", item.id.0),
-                    end_secs - item.delta_secs,
-                    attrs,
-                );
-                let faults = item.faults;
-                telemetry
-                    .with_metrics(|m| cluster_observe::record_fault_report(&faults, m));
-                telemetry.merge_buffer(trial_span, item.slot.exec.telemetry_mut());
-                telemetry.close_span(trial_span, end_secs);
-            }
-            reports.push((item.id, item.accuracy, item.score, item.abandoned));
-            sessions.extend(item.session);
-            cache_sessions.extend(item.cache_session);
-            if item.abandoned.is_none() {
-                trials.insert(item.id, item.slot);
-            }
-        }
-        if let Some(shared) = shared.as_ref() {
-            shared.flush(sessions)?;
-        }
+            .collect();
+        // Workers share the ground truth as it stands now; the first error
+        // (if any) in request order aborts the run.
+        let mut results =
+            execute_batch(env, spec, objective, contention, ground_truth.as_deref(), items)
+                .into_iter()
+                .collect::<Result<Vec<_>, _>>()?;
 
         // Slot-level stragglers: this round's simulated executors may run
         // below nominal speed; work is re-assigned to whichever slot would
         // finish it earliest. The unweighted path is kept verbatim so empty
         // plans stay bit-identical to pre-fault builds.
+        let durations: Vec<f64> = results.iter().map(|item| item.delta_secs).collect();
         let slots = env.parallel_slots.max(1);
         let speeds: Vec<f64> = (0..slots).map(|s| env.fault_plan.slot_speed(round, s)).collect();
-        let (completions, makespan) = if speeds.iter().all(|&s| s >= 1.0) {
-            SlotSchedule::assign(&durations, slots)
+        let healthy = speeds.iter().all(|&s| s >= 1.0);
+        let (unweighted_completions, unweighted) = SlotSchedule::assign(&durations, slots);
+        let (completions, makespan) = if healthy {
+            (unweighted_completions, unweighted)
         } else {
-            let (completions, weighted) = SlotSchedule::assign_weighted(&durations, &speeds);
-            let (_, unweighted) = SlotSchedule::assign(&durations, slots);
+            SlotSchedule::assign_weighted(&durations, &speeds)
+        };
+
+        commit_batch(
+            env,
+            batch_span,
+            clock + makespan,
+            &mut results,
+            ground_truth.as_deref_mut(),
+            &mut fault_report,
+        )?;
+
+        if !healthy {
             let slow = speeds.iter().filter(|&&s| s < 1.0).count() as u64;
             fault_report.injected += slow;
             fault_report.stragglers += slow;
             fault_report.recovered += slow;
-            fault_report.wasted_epoch_secs += (weighted - unweighted).max(0.0);
+            fault_report.wasted_epoch_secs += (makespan - unweighted).max(0.0);
             if telemetry.is_enabled() {
                 for (slot, &speed) in speeds.iter().enumerate() {
                     if speed < 1.0 {
@@ -553,8 +551,7 @@ where
                     m.counter_add(cluster_observe::FAULTS_RECOVERED, slow);
                 });
             }
-            (completions, weighted)
-        };
+        }
         telemetry.with_metrics(|m| {
             cluster_observe::record_slot_speeds(&speeds, m);
             m.counter_add(observe::ROUNDS, 1);
@@ -563,29 +560,22 @@ where
         });
         round += 1;
 
-        for ((id, accuracy, score, abandoned), offset) in reports.iter().zip(&completions) {
-            if abandoned.is_none() {
-                let trial = &trials[id].exec;
-                outcomes.push(TrialOutcome {
-                    id: id.0,
-                    hp: *trial.workload().hyperparams(),
-                    accuracy: *accuracy,
-                    trial_secs: trial.duration_secs(),
-                    completed_at_secs: clock + offset,
+        for (item, offset) in results.into_iter().zip(&completions) {
+            energy += item.delta_energy;
+            if item.abandoned.is_none() {
+                convergence.push(ConvergencePoint {
+                    wall_secs: clock + offset,
+                    accuracy: item.accuracy,
+                    trial_secs: item.slot.exec.duration_secs(),
                 });
-                if best.as_ref().is_none_or(|(s, _)| *score > *s) {
-                    best = Some((*score, *id));
+                if best.as_ref().is_none_or(|(s, _)| item.score > *s) {
+                    best = Some((item.score, item.id));
                 }
+                trials.insert(item.id, item.slot);
             }
-            scheduler.report(TrialReport { id: *id, score: *score, epochs_run: 0 });
+            scheduler.report(TrialReport { id: item.id, score: item.score, epochs_run: 0 });
         }
         clock += makespan;
-        // Cache mutations land at the post-batch clock, in request order —
-        // same discipline as the ground-truth flush above, so contents and
-        // LRU stamps never depend on worker timing.
-        if !cache_sessions.is_empty() {
-            env.epoch_cache.flush(cache_sessions, clock);
-        }
         telemetry.close_span(batch_span, clock);
         telemetry.close_span(rung_span, clock);
         // Online monitoring: stream everything this round recorded through
@@ -627,26 +617,42 @@ where
             telemetry.gauge_set(observe::CACHE_SAVED_SECS, cache_stats.saved_secs);
         }
     }
+    let gt_stats =
+        ground_truth.zip(gt_stats_before).map(|(gt, before)| gt.stats().delta_since(&before));
+    if let Some(gt_stats) = gt_stats {
+        telemetry.with_metrics(|m| {
+            let (hits, misses) = (gt_stats.hits as u64, gt_stats.misses as u64);
+            m.counter_add(observe::GT_HITS, hits);
+            m.counter_add(observe::GT_MISSES, misses);
+            m.counter_add(observe::GT_RECORDED, gt_stats.recorded as u64);
+            m.counter_add(observe::GT_REFITS, gt_stats.refits as u64);
+            if hits + misses > 0 {
+                #[allow(clippy::cast_precision_loss)]
+                m.gauge_set(observe::GT_HIT_RATE, hits as f64 / (hits + misses) as f64);
+            }
+        });
+    }
     telemetry.close_span(run_span, clock);
 
     let best_trial = &mut trials.get_mut(&best_id).expect("best trial exists").exec;
-    let best_accuracy = best_trial.accuracy()?;
     let best_hp = *best_trial.workload().hyperparams();
-    let best_final_system = best_trial.final_system(env);
-    let best_training_secs = best_trial.training_time_secs(env, best_hp.epochs);
-    let best_weights = best_trial.workload_mut().export_weights();
-
-    Ok(RunResult {
-        best_accuracy,
-        best_trial_id: best_id.0,
-        best_weights,
+    // Completions in wall-clock order (stable: ties keep request order).
+    convergence.sort_by(|a, b| {
+        a.wall_secs.partial_cmp(&b.wall_secs).unwrap_or(std::cmp::Ordering::Equal)
+    });
+    Ok(TuningOutcome {
+        workload: spec.name(),
+        best_accuracy: best_trial.accuracy()?,
         best_hp,
-        best_final_system,
-        best_training_secs,
+        best_system: best_trial.final_system(env),
+        training_secs: best_trial.training_time_secs(env, best_hp.epochs),
         tuning_secs: clock,
         tuning_energy_j: energy,
         epochs_total: scheduler.epochs_issued(),
-        outcomes,
+        convergence,
+        gt_stats: gt_stats.unwrap_or_default(),
+        model_weights: best_trial.workload_mut().export_weights(),
+        best_trial_id: best_id.0,
         fault_report,
         cache_stats,
     })
@@ -655,6 +661,171 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EpochCacheHandle, ExperimentEnvBuilder, GroundTruthStats, ProbeGoal};
+    use pipetune_cluster::FaultPlan;
+    use pipetune_telemetry::TelemetryHandle;
+    use std::sync::mpsc;
+
+    /// The order a batch's work items finish in; commit order is always
+    /// request order.
+    #[derive(Clone, Copy)]
+    enum Finish {
+        InOrder,
+        Reversed,
+        /// Every item on its own OS thread, all running at once, forced to
+        /// publish results last-request-first.
+        ReversedOnThreads,
+    }
+
+    /// A fresh pipelined trial with enough epochs to finish probing (and
+    /// so to record into the ground truth) within the rung.
+    fn fresh(id: u64) -> WorkItem {
+        let hp = HyperParams {
+            batch_size: [64, 512][(id % 2) as usize],
+            learning_rate: 0.02,
+            ..HyperParams::default()
+        };
+        let req = TrialRequest { id: TrialId(id), config: hp.to_config(), epochs: 8 };
+        WorkItem { req, slot: None, tuner: Some(SystemTuner::pipelined(ProbeGoal::Runtime)) }
+    }
+
+    fn execute_in(
+        finish: Finish,
+        env: &ExperimentEnv,
+        spec: &WorkloadSpec,
+        ground_truth: &GroundTruth,
+        items: Vec<WorkItem>,
+    ) -> Vec<ItemResult> {
+        let n = items.len();
+        let run =
+            |item| execute_item(env, spec, Objective::Accuracy, 1.0, Some(ground_truth), item).unwrap();
+        let mut finished: Vec<(usize, ItemResult)> = match finish {
+            Finish::InOrder => items.into_iter().map(run).enumerate().collect(),
+            Finish::Reversed => {
+                items.into_iter().enumerate().rev().map(|(i, item)| (i, run(item))).collect()
+            }
+            Finish::ReversedOnThreads => {
+                // Gate `i` opens once item `i` has published; item `i`
+                // publishes only after gate `i + 1` opened.
+                let (opens, mut gates): (Vec<_>, Vec<_>) =
+                    (0..=n).map(|_| mpsc::channel::<()>()).map(|(tx, rx)| (tx, Some(rx))).unzip();
+                opens[n].send(()).unwrap();
+                let published = Mutex::new(Vec::new());
+                std::thread::scope(|scope| {
+                    for (i, item) in items.into_iter().enumerate() {
+                        let (after, open) = (gates[i + 1].take().unwrap(), opens[i].clone());
+                        let (run, published) = (&run, &published);
+                        scope.spawn(move || {
+                            let result = run(item);
+                            after.recv().unwrap();
+                            published.lock().push((i, result));
+                            open.send(()).unwrap();
+                        });
+                    }
+                });
+                published.into_inner()
+            }
+        };
+        if !matches!(finish, Finish::InOrder) {
+            assert!(finished.iter().map(|(i, _)| *i).eq((0..n).rev()), "finish order is reversed");
+        }
+        finished.sort_by_key(|(i, _)| *i);
+        finished.into_iter().map(|(_, result)| result).collect()
+    }
+
+    /// What two batches leave behind in every store the journal commits to.
+    #[derive(Debug, PartialEq)]
+    struct Stores {
+        /// Ground-truth counters after batch one and after batch two.
+        gt_stats: [GroundTruthStats; 2],
+        gt_history: Vec<Vec<u64>>,
+        /// The persisted cache: keys, snapshots, LRU stamps, sequence numbers.
+        cache_file: String,
+        faults: FaultReport,
+        trace: String,
+        /// Per batch-two item: did it probe?
+        probed: Vec<bool>,
+    }
+
+    /// Executes two eight-item batches in `finish` order against one cold
+    /// ground truth, one cache and one trace, committing each in request
+    /// order. Batch two re-issues trials 0..4 as fresh (cache hits) beside
+    /// new trials 8..12 (cache misses that consult the ground truth).
+    fn two_batches(finish: Finish) -> Stores {
+        let env = ExperimentEnvBuilder::distributed(5)
+            .fault_plan(FaultPlan::mixed(7))
+            .telemetry(TelemetryHandle::enabled())
+            .epoch_cache(EpochCacheHandle::enabled())
+            .build()
+            .unwrap();
+        let spec = WorkloadSpec::lenet_mnist().with_scale(0.2);
+        let mut gt = GroundTruth::paper_default(1);
+        let mut faults = FaultReport::default();
+        let mut gt_stats = [GroundTruthStats::default(); 2];
+        let mut probed = Vec::new();
+        for (batch, ids) in [(0..8).collect::<Vec<u64>>(), (0..4).chain(8..12).collect()]
+            .into_iter()
+            .enumerate()
+        {
+            let items = ids.into_iter().map(fresh).collect();
+            let mut results = execute_in(finish, &env, &spec, &gt, items);
+            let span = env.telemetry.open_span(SpanId::NONE, SpanKind::Batch, "batch", 0.0, vec![]);
+            commit_batch(&env, span, 100.0, &mut results, Some(&mut gt), &mut faults).unwrap();
+            env.telemetry.close_span(span, 100.0);
+            gt_stats[batch] = gt.stats();
+            probed = results
+                .iter()
+                .map(|r| r.slot.exec.records().iter().any(|e| e.phase == crate::EpochPhase::Probe))
+                .collect();
+        }
+        static FILE: AtomicUsize = AtomicUsize::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "pipetune-journal-{}-{}.json",
+            std::process::id(),
+            FILE.fetch_add(1, Ordering::Relaxed)
+        ));
+        env.epoch_cache.save(&path).unwrap();
+        let cache_file = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        Stores {
+            gt_stats,
+            gt_history: gt
+                .feature_history()
+                .iter()
+                .map(|f| f.iter().map(|v| v.to_bits()).collect())
+                .collect(),
+            cache_file,
+            faults,
+            trace: env.telemetry.snapshot().unwrap().to_json_string(),
+            probed,
+        }
+    }
+
+    #[test]
+    fn journals_commit_in_request_order_whatever_the_execution_order() {
+        let in_order = two_batches(Finish::InOrder);
+        assert!(in_order.faults.injected > 0, "the plan should exercise the fault delta");
+        assert_eq!(two_batches(Finish::Reversed), in_order);
+    }
+
+    #[test]
+    fn eight_concurrent_items_read_batch_start_history_and_commit_deterministically() {
+        let stores = two_batches(Finish::ReversedOnThreads);
+        // Batch one ran against a cold ground truth: all eight lookups
+        // missed, although every trial finished probing and recorded — no
+        // item saw a co-running item's writes.
+        let [first, second] = stores.gt_stats;
+        assert_eq!((first.hits, first.misses, first.recorded), (0, 8, 8));
+        // Batch two: the four cache hits resumed past profiling; the four
+        // new trials each landed exactly one lookup, against batch one's
+        // committed history — and a hit skips probing, a miss probes.
+        let (hits, misses) = (second.hits, second.misses - first.misses);
+        assert_eq!(hits + misses, 4, "no lost updates, no double counting");
+        assert!(hits >= 1, "batch one's records should be visible to batch two: {second:?}");
+        assert_eq!(stores.probed[4..].iter().filter(|&&p| p).count(), misses);
+        // And finish order under real threads changed nothing.
+        assert_eq!(stores, two_batches(Finish::InOrder));
+    }
 
     #[test]
     fn slot_schedule_packs_greedily() {

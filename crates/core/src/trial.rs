@@ -66,6 +66,13 @@ fn phase_counter(phase: EpochPhase) -> &'static str {
     }
 }
 
+/// One epoch per candidate core count at the default memory size, reversed
+/// so `pop` walks the sweep in order.
+fn cores_sweep(env: &ExperimentEnv) -> Vec<SystemConfig> {
+    let mem = env.default_system.memory_gb;
+    env.system_space.cores.iter().rev().map(|&c| SystemConfig::new(c, mem)).collect()
+}
+
 /// One executed epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EpochRecord {
@@ -145,28 +152,26 @@ impl SystemTuner {
     }
 }
 
-/// An epoch-boundary checkpoint of one trial: model/optimizer state (the
-/// workload clone carries both), the tuning-policy state, the accumulated
-/// [`EpochRecord`]s and accounting, and the trial's private RNG stream.
+/// The resumable state of one trial at an epoch boundary: model/optimizer
+/// state (the workload clone carries both), the tuning-policy state, the
+/// trial's private RNG stream, the accumulated [`EpochRecord`]s and their
+/// accounting.
 ///
-/// Restoring a checkpoint and re-running produces byte-identical results to
-/// the first run — the property crash recovery leans on to keep faulty runs
-/// inside the replay contract.
+/// The one struct behind crash rollback, epoch-reuse cache insert and cache
+/// adoption (see `docs/determinism.md`): resuming from a snapshot and
+/// re-running produces byte-identical results to the run it was taken from.
 #[derive(Debug, Clone)]
-pub struct TrialCheckpoint {
-    workload: WorkloadInstance,
-    tuner: SystemTuner,
-    records: Vec<EpochRecord>,
-    total_secs: f64,
-    total_energy_j: f64,
-    rng: StdRng,
-}
-
-impl TrialCheckpoint {
-    /// Epochs the checkpointed workload had completed.
-    pub fn epochs_run(&self) -> u32 {
-        self.workload.epochs_run()
-    }
+pub(crate) struct TrialSnapshot {
+    pub(crate) workload: WorkloadInstance,
+    pub(crate) tuner: SystemTuner,
+    pub(crate) rng: StdRng,
+    pub(crate) records: Vec<EpochRecord>,
+    /// Simulated seconds its holder accounts for this state: what the
+    /// trial has been charged (rollback), the reload cost (adoption) or the
+    /// trained-equivalent cost (a cached prefix).
+    pub(crate) secs: f64,
+    /// Joules, likewise.
+    pub(crate) energy_j: f64,
 }
 
 /// A trial in flight: workload + tuning policy + accounting.
@@ -220,38 +225,51 @@ impl TrialExecution {
         self.faults
     }
 
-    /// The worker-local telemetry buffer. The executor's coordinator drains
-    /// it into the run's [`pipetune_telemetry::TelemetryHandle`] in
-    /// scheduler request order after every rung (see `docs/telemetry.md`).
-    pub fn telemetry_mut(&mut self) -> &mut TelemetryBuffer {
-        &mut self.telemetry
+    /// Hands over the worker-local telemetry buffer (leaving a disabled
+    /// one behind; [`TrialExecution::run_epochs`] re-enables it). The
+    /// executor moves it into the work item's journal after every rung.
+    pub(crate) fn take_telemetry(&mut self) -> TelemetryBuffer {
+        std::mem::take(&mut self.telemetry)
     }
 
     /// Snapshots the full trial state (model, optimizer, tuner, records,
     /// accounting, RNG stream) at the current epoch boundary.
-    pub fn checkpoint(&self, rng: &StdRng) -> TrialCheckpoint {
-        TrialCheckpoint {
+    pub(crate) fn snapshot(&self, rng: &StdRng) -> TrialSnapshot {
+        TrialSnapshot {
             workload: self.workload.clone(),
             tuner: self.tuner.clone(),
-            records: self.records.clone(),
-            total_secs: self.total_secs,
-            total_energy_j: self.total_energy_j,
             rng: rng.clone(),
+            records: self.records.clone(),
+            secs: self.total_secs,
+            energy_j: self.total_energy_j,
         }
     }
 
-    /// Rolls the trial (and its RNG stream) back to `ckpt`. Fault counters
-    /// and the telemetry buffer are deliberately *not* rolled back —
-    /// recovery accounting must survive the state restore it causes (doomed
-    /// epoch attempts are instead recorded under a suppression window, see
-    /// [`TelemetryBuffer::set_suppressed`]).
-    pub fn restore(&mut self, ckpt: TrialCheckpoint, rng: &mut StdRng) {
-        self.workload = ckpt.workload;
-        self.tuner = ckpt.tuner;
-        self.records = ckpt.records;
-        self.total_secs = ckpt.total_secs;
-        self.total_energy_j = ckpt.total_energy_j;
-        *rng = ckpt.rng;
+    /// A trial resuming from `snapshot` (and `rng` resuming its stream),
+    /// with clean fault, telemetry and cache-savings accounting.
+    pub(crate) fn from_snapshot(snapshot: TrialSnapshot, rng: &mut StdRng) -> Self {
+        let TrialSnapshot { workload, tuner, rng: at, records, secs, energy_j } = snapshot;
+        *rng = at;
+        TrialExecution {
+            records,
+            total_secs: secs,
+            total_energy_j: energy_j,
+            ..TrialExecution::new(workload, tuner)
+        }
+    }
+
+    /// Rolls the trial (and its RNG stream) back to `snapshot`. Identity,
+    /// fault counters, cache savings and the telemetry buffer deliberately
+    /// survive — recovery accounting must outlive the state restore it
+    /// causes (doomed epoch attempts are instead recorded under a
+    /// suppression window, see [`TelemetryBuffer::set_suppressed`]).
+    pub(crate) fn restore(&mut self, snapshot: TrialSnapshot, rng: &mut StdRng) {
+        let before = std::mem::replace(self, Self::from_snapshot(snapshot, rng));
+        self.trial_id = before.trial_id;
+        self.faults = before.faults;
+        self.telemetry = before.telemetry;
+        self.cache_saved_secs = before.cache_saved_secs;
+        self.cache_saved_energy_j = before.cache_saved_energy_j;
     }
 
     /// The live workload.
@@ -284,51 +302,39 @@ impl TrialExecution {
         self.total_energy_j
     }
 
-    /// Simulated epoch time the epoch-reuse cache saved this trial (zero
-    /// unless a cached prefix was adopted).
-    pub fn cache_saved_secs(&self) -> f64 {
-        self.cache_saved_secs
+    /// [`TrialExecution::snapshot`] as the epoch-reuse cache stores it:
+    /// totals are *trained-equivalent* — what was charged plus what
+    /// adopting a cached prefix saved this trial — so chained adoption
+    /// never compounds the reload discount.
+    pub(crate) fn donor_snapshot(&self, rng: &StdRng) -> TrialSnapshot {
+        TrialSnapshot {
+            secs: self.total_secs + self.cache_saved_secs,
+            energy_j: self.total_energy_j + self.cache_saved_energy_j,
+            ..self.snapshot(rng)
+        }
     }
 
-    /// Energy analogue of [`TrialExecution::cache_saved_secs`].
-    pub fn cache_saved_energy_j(&self) -> f64 {
-        self.cache_saved_energy_j
-    }
-
-    /// Builds a trial directly from an adopted epoch-reuse-cache prefix:
-    /// the trial's workload, tuner, RNG stream and epoch log are the
-    /// donor's, with the prefix's epochs charged at reload cost. Emits the
-    /// cached epoch spans, the `EPOCHS_CACHED` counter and a hit
-    /// `cache_lookup` event on the trial buffer (cached epochs never touch
-    /// `EPOCHS_TOTAL`, the epoch-duration histogram or the energy meter —
-    /// they did not execute).
-    pub(crate) fn from_cached_prefix(
+    /// Builds a trial from an adopted epoch-reuse-cache prefix: `snapshot`
+    /// is the donor's state with the prefix's epochs already re-labelled
+    /// [`EpochPhase::Cached`] and charged at reload cost, `saved` the
+    /// `(seconds, joules)` that spared. Emits the cached epoch spans, the
+    /// `EPOCHS_CACHED` counter and a hit `cache_lookup` event on the trial
+    /// buffer (cached epochs never touch `EPOCHS_TOTAL`, the
+    /// epoch-duration histogram or the energy meter — they did not
+    /// execute).
+    pub(crate) fn adopt(
         env: &ExperimentEnv,
-        prefix: crate::cache::CachedPrefix,
+        snapshot: TrialSnapshot,
+        saved: (f64, f64),
         trial_id: u64,
         rng: &mut StdRng,
     ) -> Self {
-        let crate::cache::CachedPrefix {
-            key,
-            workload,
-            tuner,
-            rng: prefix_rng,
-            records,
-            saved_secs,
-            saved_energy_j,
-        } = prefix;
-        let mut exec = TrialExecution::new(workload, tuner).with_trial_id(trial_id);
-        *rng = prefix_rng;
-        exec.cache_saved_secs = saved_secs;
-        exec.cache_saved_energy_j = saved_energy_j;
-        for r in &records {
-            exec.total_secs += r.duration_secs;
-            exec.total_energy_j += r.energy_j;
-        }
+        let mut exec = TrialExecution::from_snapshot(snapshot, rng).with_trial_id(trial_id);
+        (exec.cache_saved_secs, exec.cache_saved_energy_j) = saved;
         if env.telemetry.is_enabled() {
             exec.telemetry.enable();
             let mut at = 0.0;
-            for r in &records {
+            for r in &exec.records {
                 at += r.duration_secs;
                 exec.telemetry.push_span(
                     SpanKind::Epoch,
@@ -347,7 +353,7 @@ impl TrialExecution {
                     ],
                 );
             }
-            let adopted = records.len() as u64;
+            let adopted = exec.records.len() as u64;
             exec.telemetry.with_metrics(|m| {
                 m.counter_add(observe::EPOCHS_CACHED, adopted);
             });
@@ -357,12 +363,11 @@ impl TrialExecution {
                 exec.total_secs,
                 vec![
                     ("hit", true.into()),
-                    ("epochs", key.epochs.into()),
-                    ("saved_secs", saved_secs.into()),
+                    ("epochs", exec.workload.epochs_run().into()),
+                    ("saved_secs", saved.0.into()),
                 ],
             );
         }
-        exec.records = records;
         exec
     }
 
@@ -407,17 +412,18 @@ impl TrialExecution {
     /// any faults [`ExperimentEnv::fault_plan`] injects.
     ///
     /// For the pipelined policy, `ground_truth` supplies history sharing
-    /// across trials and jobs — pass a `&mut GroundTruth` directly for
-    /// immediate-mutation sequential semantics, or a
-    /// [`crate::GtSession`] when many trials run concurrently; pass `None`
-    /// to disable reuse (ablation).
+    /// across trials and jobs — pass a `&mut GroundTruth` for
+    /// immediate-mutation sequential semantics (the executor passes each
+    /// work item a journalling view of the batch-start history instead);
+    /// pass `None` to disable reuse (ablation).
     ///
     /// Fault recovery (all decisions pure functions of
     /// `(trial id, fault plan)`, so results replay byte-identically for any
-    /// worker count; under the empty plan this path is bypassed entirely):
+    /// worker count; the empty plan draws no fault, so every epoch takes
+    /// the clean branch and no counter moves):
     ///
     /// * **node crash** — the attempt really runs against an epoch-boundary
-    ///   [`TrialCheckpoint`] and is rolled back (mid-epoch crash semantics:
+    ///   snapshot and is rolled back (mid-epoch crash semantics:
     ///   partial work wasted, model/RNG state restored), then retried after
     ///   exponential backoff in simulated time, up to
     ///   [`pipetune_cluster::RetryPolicy::max_attempts`];
@@ -446,14 +452,6 @@ impl TrialExecution {
         if env.telemetry.is_enabled() {
             self.telemetry.enable();
         }
-        if env.fault_plan.is_empty() {
-            // Fault-free fast path: zero extra arithmetic, zero extra RNG
-            // traffic — bit-identical to builds without fault injection.
-            for _ in 0..epochs {
-                self.run_one_epoch(env, &mut ground_truth, contention, rng, 1.0, false)?;
-            }
-            return Ok(());
-        }
         for _ in 0..epochs {
             let epoch_idx = self.workload.epochs_run() + 1;
             let mut attempt = 0u32;
@@ -467,7 +465,7 @@ impl TrialExecution {
                     // through, its partial work and energy are lost, and
                     // model/optimizer/RNG state rewinds to the epoch
                     // boundary.
-                    let ckpt = self.checkpoint(rng);
+                    let ckpt = self.snapshot(rng);
                     if self.telemetry.is_active() {
                         self.telemetry.push_event(
                             EventKind::Checkpoint,
@@ -483,8 +481,8 @@ impl TrialExecution {
                     let doomed = self.run_one_epoch(env, &mut None, contention, rng, 1.0, false);
                     self.telemetry.set_suppressed(false);
                     doomed?;
-                    let attempt_secs = self.total_secs - ckpt.total_secs;
-                    let attempt_energy = self.total_energy_j - ckpt.total_energy_j;
+                    let attempt_secs = self.total_secs - ckpt.secs;
+                    let attempt_energy = self.total_energy_j - ckpt.energy_j;
                     self.restore(ckpt, rng);
                     let wasted = attempt_secs * wasted_fraction;
                     let backoff = env.retry.backoff_secs(attempt);
@@ -751,17 +749,9 @@ impl TrialExecution {
                                 }
                             }
                             if chosen.is_none() {
-                                // Miss: schedule the cores sweep (reversed so
-                                // `pop` walks it in order).
-                                let mem = env.default_system.memory_gb;
+                                // Miss: schedule the cores sweep.
                                 *probe_phase = ProbePhase::Cores;
-                                *probe_queue = env
-                                    .system_space
-                                    .cores
-                                    .iter()
-                                    .rev()
-                                    .map(|&c| SystemConfig::new(c, mem))
-                                    .collect();
+                                *probe_queue = cores_sweep(env);
                             }
                             *features = Some(feats);
                         }
@@ -800,11 +790,13 @@ impl TrialExecution {
                                     a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal)
                                 })
                                 .map(|&(cfg, cost)| (cfg, cost));
+                            // The finished sweep leads to the next one,
+                            // or leaves the queue empty: probing complete.
                             match (*probe_phase, best) {
                                 (ProbePhase::Cores, Some((best_cfg, _))) => {
-                                    // Cores sweep done: sweep memory at the
-                                    // best core count (skipping the already
-                                    // measured default memory).
+                                    // Sweep memory at the best core count
+                                    // (skipping the already measured default
+                                    // memory; a one-memory space has none).
                                     *probe_phase = ProbePhase::Memory;
                                     *probe_queue = env
                                         .system_space
@@ -812,91 +804,41 @@ impl TrialExecution {
                                         .iter()
                                         .rev()
                                         .filter(|&&m| m != env.default_system.memory_gb)
-                                        .map(|&m| SystemConfig {
-                                            memory_gb: m,
-                                            ..best_cfg
-                                        })
+                                        .map(|&m| SystemConfig { memory_gb: m, ..best_cfg })
                                         .collect();
-                                    if probe_queue.is_empty() {
-                                        // Degenerate one-memory space: the
-                                        // cores sweep was the whole search.
-                                        *chosen = Some(best_cfg);
-                                        if let (Some(gt), Some(feats)) =
-                                            (ground_truth.as_deref_mut(), features.as_ref())
-                                        {
-                                            let cost = best.expect("non-empty results").1;
-                                            gt.record(
-                                                self.workload.spec().name(),
-                                                feats,
-                                                best_cfg,
-                                                cost,
-                                            )?;
-                                        }
-                                    }
                                 }
-                                (ProbePhase::Memory, Some((best_cfg, cost))) => {
+                                (ProbePhase::Memory, Some((best_cfg, _))) => {
                                     // Frequency sweep only when DVFS is on
                                     // (more than the nominal entry).
-                                    let freqs: Vec<u32> = env
+                                    *probe_queue = env
                                         .system_space
                                         .freq_mhz
                                         .iter()
                                         .rev()
-                                        .copied()
-                                        .filter(|&f| f != best_cfg.freq_mhz)
+                                        .filter(|&&f| f != best_cfg.freq_mhz)
+                                        .map(|&f| SystemConfig { freq_mhz: f, ..best_cfg })
                                         .collect();
-                                    if freqs.is_empty() {
-                                        // Probing complete: apply argmin,
-                                        // persist.
-                                        *chosen = Some(best_cfg);
-                                        if let (Some(gt), Some(feats)) =
-                                            (ground_truth.as_deref_mut(), features.as_ref())
-                                        {
-                                            gt.record(
-                                                self.workload.spec().name(),
-                                                feats,
-                                                best_cfg,
-                                                cost,
-                                            )?;
-                                        }
-                                    } else {
+                                    if !probe_queue.is_empty() {
                                         *probe_phase = ProbePhase::Freq;
-                                        *probe_queue = freqs
-                                            .into_iter()
-                                            .map(|f| SystemConfig {
-                                                freq_mhz: f,
-                                                ..best_cfg
-                                            })
-                                            .collect();
                                     }
                                 }
-                                (ProbePhase::Freq, Some((best_cfg, cost))) => {
-                                    *chosen = Some(best_cfg);
-                                    if let (Some(gt), Some(feats)) =
-                                        (ground_truth.as_deref_mut(), features.as_ref())
-                                    {
-                                        gt.record(
-                                            self.workload.spec().name(),
-                                            feats,
-                                            best_cfg,
-                                            cost,
-                                        )?;
-                                    }
-                                }
+                                (ProbePhase::Freq, Some(_)) => {}
                                 (_, None) => {
                                     // Every probed tuple was lost to
                                     // counter faults: re-probe the cores
                                     // sweep from scratch (the paper's
                                     // argmin needs at least one survivor).
-                                    let mem = env.default_system.memory_gb;
                                     *probe_phase = ProbePhase::Cores;
-                                    *probe_queue = env
-                                        .system_space
-                                        .cores
-                                        .iter()
-                                        .rev()
-                                        .map(|&c| SystemConfig::new(c, mem))
-                                        .collect();
+                                    *probe_queue = cores_sweep(env);
+                                }
+                            }
+                            if let (true, Some((best_cfg, cost))) = (probe_queue.is_empty(), best) {
+                                // Probing complete: apply argmin, persist.
+                                *chosen = Some(best_cfg);
+                                if let (Some(gt), Some(feats)) =
+                                    (ground_truth.as_deref_mut(), features.as_ref())
+                                {
+                                    gt.record(self.workload.spec().name(), feats, best_cfg, cost)?;
                                 }
                             }
                         }
@@ -912,6 +854,7 @@ impl TrialExecution {
 mod tests {
     use super::*;
     use crate::{GroundTruth, HyperParams, WorkloadSpec};
+    use pipetune_cluster::FaultPlan;
     use rand::SeedableRng;
 
     fn env() -> ExperimentEnv {
@@ -1037,16 +980,23 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_restore_replays_byte_identically() {
+    fn rollback_and_cache_adoption_resume_one_snapshot_bit_identically() {
+        use crate::cache::{CacheEvent, CacheKey, EpochCache};
         let e = env();
         let mut t = make_trial(256, SystemTuner::pipelined(ProbeGoal::Runtime));
         let mut rng = StdRng::seed_from_u64(7);
         t.run_epochs(&e, 3, None, 1.0, &mut rng).unwrap();
-        let ckpt = t.checkpoint(&rng);
+        // Depth 3, mid-probe: one snapshot kept for rollback, the same
+        // state sent through the cache for adoption.
+        let ckpt = t.snapshot(&rng);
+        let key = CacheKey { fingerprint: 1, epochs: 3 };
+        let mut cache = EpochCache::new(crate::EpochCacheConfig::default());
+        cache.commit([CacheEvent::Insert { key, snapshot: Box::new(t.donor_snapshot(&rng)) }], 0.0);
         t.run_epochs(&e, 4, None, 1.0, &mut rng).unwrap();
         let records_first: Vec<EpochRecord> = t.records().to_vec();
         let secs_first = t.duration_secs();
-        let acc_first = t.accuracy().unwrap();
+        let state_first = (t.accuracy().unwrap().to_bits(), format!("{:?}", t.tuner()), rng.clone());
+
         // Roll back and rerun: the restored RNG stream must reproduce every
         // stochastic draw, so the replay is byte-identical.
         t.restore(ckpt, &mut rng);
@@ -1054,12 +1004,27 @@ mod tests {
         t.run_epochs(&e, 4, None, 1.0, &mut rng).unwrap();
         assert_eq!(t.records(), records_first.as_slice());
         assert_eq!(t.duration_secs().to_bits(), secs_first.to_bits());
-        assert_eq!(t.accuracy().unwrap().to_bits(), acc_first.to_bits());
+
+        // Adopt at the same depth into a trial that never trained: only the
+        // prefix's accounting differs (reload cost, `Cached` phase).
+        let (hit, charged, saved) = cache.peek(key.fingerprint, 9).unwrap();
+        assert_eq!(hit, key);
+        let mut adopted_rng = StdRng::seed_from_u64(0);
+        let mut adopted = TrialExecution::adopt(&e, charged, saved, 0, &mut adopted_rng);
+        assert!(adopted.records().iter().all(|r| r.phase == EpochPhase::Cached));
+        assert!(adopted.duration_secs() < records_first[..3].iter().map(|r| r.duration_secs).sum());
+        adopted.run_epochs(&e, 4, None, 1.0, &mut adopted_rng).unwrap();
+        assert_eq!(adopted.records()[3..], records_first[3..]);
+
+        for (trial, rng) in [(&mut t, rng), (&mut adopted, adopted_rng)] {
+            let state = (trial.accuracy().unwrap().to_bits(), format!("{:?}", trial.tuner()), rng);
+            assert_eq!(state, state_first, "model, tuner and RNG stream resume bit for bit");
+        }
     }
 
     #[test]
     fn crash_every_epoch_exhausts_the_retry_budget() {
-        let e = env().with_fault_plan(pipetune_cluster::FaultPlan::crashes(99, 1.0));
+        let e = ExperimentEnv { fault_plan: FaultPlan::crashes(99, 1.0), ..env() };
         let mut t = make_trial(256, SystemTuner::Fixed(e.default_system)).with_trial_id(4);
         let mut rng = StdRng::seed_from_u64(8);
         let err = t.run_epochs(&e, 5, None, 1.0, &mut rng).unwrap_err();
@@ -1086,9 +1051,8 @@ mod tests {
         // crash: the run completes, and because crashed attempts roll back
         // model + RNG state, the surviving epochs are bit-equal to a
         // fault-free run — only the clock and the fault report differ.
-        let plan = pipetune_cluster::FaultPlan::crashes(17, 0.3);
         let clean_env = env();
-        let faulty_env = env().with_fault_plan(plan);
+        let faulty_env = ExperimentEnv { fault_plan: FaultPlan::crashes(17, 0.3), ..env() };
         let run = |e: &ExperimentEnv| {
             let mut t = make_trial(256, SystemTuner::Fixed(e.default_system)).with_trial_id(2);
             let mut rng = StdRng::seed_from_u64(9);

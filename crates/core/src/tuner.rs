@@ -4,8 +4,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::objective::{Objective, ProbeGoal};
-use crate::observe;
-use crate::runner::{run_scheduler, TrialOutcome};
+use crate::runner::{run_job, Job};
 use crate::trial::SystemTuner;
 use crate::{ExperimentEnv, GroundTruth, GroundTruthStats, HyperParams, HyperSpace, PipeTuneError, WorkloadSpec};
 
@@ -125,8 +124,8 @@ impl TuningOutcome {
     /// strictly inside `(0, tuning_secs)`, sorted ascending and deduped.
     ///
     /// Each [`ConvergencePoint`] marks a trial completing — the instant
-    /// the executor's epoch-boundary `TrialCheckpoint` state for that
-    /// trial is final and the run's progress is durably recoverable. A
+    /// the executor's epoch-boundary snapshot of that trial is final and
+    /// the run's progress is durably recoverable. A
     /// service resubmitting a crashed job resumes from the latest mark
     /// not past the crashed attempt's progress (falling back to a cold
     /// restart when the crash precedes the first mark), which is what
@@ -208,81 +207,22 @@ impl PipeTune {
         env: &ExperimentEnv,
         spec: &WorkloadSpec,
     ) -> Result<TuningOutcome, PipeTuneError> {
-        let spec = spec.with_scale(self.options.scale);
-        let space = HyperSpace::paper(self.options.epochs_range);
-        let mut scheduler = self.options.scheduler.build(
-            space,
-            self.options.r_max,
-            self.options.eta,
-            env.subseed(0x7453 + self.jobs_run),
-        );
-        self.jobs_run += 1;
-        let stats_before = self.ground_truth.stats();
         let goal = self.options.probe_goal;
-        let result = run_scheduler(
+        run_job(
             env,
-            &spec,
-            scheduler.as_mut(),
-            Objective::Accuracy,
-            "pipetune",
-            |_config| SystemTuner::pipelined(goal),
-            Some(&mut self.ground_truth),
-            1.0,
-        )?;
-        let stats_after = self.ground_truth.stats();
-        if env.telemetry.is_enabled() {
-            let hits = (stats_after.hits - stats_before.hits) as u64;
-            let misses = (stats_after.misses - stats_before.misses) as u64;
-            env.telemetry.with_metrics(|m| {
-                m.counter_add(observe::GT_HITS, hits);
-                m.counter_add(observe::GT_MISSES, misses);
-                m.counter_add(
-                    observe::GT_RECORDED,
-                    (stats_after.recorded - stats_before.recorded) as u64,
-                );
-                m.counter_add(observe::GT_REFITS, (stats_after.refits - stats_before.refits) as u64);
-                if hits + misses > 0 {
-                    #[allow(clippy::cast_precision_loss)]
-                    m.gauge_set(observe::GT_HIT_RATE, hits as f64 / (hits + misses) as f64);
-                }
-            });
-        }
-        Ok(TuningOutcome {
-            workload: spec.name(),
-            best_accuracy: result.best_accuracy,
-            best_hp: result.best_hp,
-            best_system: result.best_final_system,
-            training_secs: result.best_training_secs,
-            tuning_secs: result.tuning_secs,
-            tuning_energy_j: result.tuning_energy_j,
-            epochs_total: result.epochs_total,
-            convergence: convergence_from(&result.outcomes),
-            model_weights: result.best_weights,
-            best_trial_id: result.best_trial_id,
-            fault_report: result.fault_report,
-            cache_stats: result.cache_stats,
-            gt_stats: GroundTruthStats {
-                recorded: stats_after.recorded - stats_before.recorded,
-                hits: stats_after.hits - stats_before.hits,
-                misses: stats_after.misses - stats_before.misses,
-                refits: stats_after.refits - stats_before.refits,
+            spec,
+            &self.options,
+            &mut self.jobs_run,
+            Job {
+                label: "pipetune",
+                space: HyperSpace::paper(self.options.epochs_range),
+                objective: Objective::Accuracy,
+                policy: |_config| SystemTuner::pipelined(goal),
+                ground_truth: Some(&mut self.ground_truth),
+                contention: 1.0,
             },
-        })
+        )
     }
-}
-
-/// Sorts trial completions into a convergence trace.
-pub(crate) fn convergence_from(outcomes: &[TrialOutcome]) -> Vec<ConvergencePoint> {
-    let mut points: Vec<ConvergencePoint> = outcomes
-        .iter()
-        .map(|o| ConvergencePoint {
-            wall_secs: o.completed_at_secs,
-            accuracy: o.accuracy,
-            trial_secs: o.trial_secs,
-        })
-        .collect();
-    points.sort_by(|a, b| a.wall_secs.partial_cmp(&b.wall_secs).unwrap_or(std::cmp::Ordering::Equal));
-    points
 }
 
 #[cfg(test)]

@@ -561,14 +561,11 @@ impl WorkloadInstance {
     /// classification output) or on substrate failures.
     pub fn confusion(&mut self) -> Result<pipetune_dnn::ConfusionMatrix, PipeTuneError> {
         match &mut self.inner {
-            InstanceKind::Dnn { model, test, .. } => {
-                let test = test.clone();
-                Ok(match model {
-                    AnyModel::LeNet(m) => m.confusion(&test)?,
-                    AnyModel::TextCnn(m) => m.confusion(&test)?,
-                    AnyModel::Lstm(m) => m.confusion(&test)?,
-                })
-            }
+            InstanceKind::Dnn { model, test, .. } => Ok(match model {
+                AnyModel::LeNet(m) => m.confusion(test)?,
+                AnyModel::TextCnn(m) => m.confusion(test)?,
+                AnyModel::Lstm(m) => m.confusion(test)?,
+            }),
             _ => Err(PipeTuneError::Dnn(pipetune_dnn::DnnError::WrongFeatureKind {
                 expected: "image or token",
                 actual: "kernel",
@@ -615,11 +612,7 @@ impl EpochWorkload for WorkloadInstance {
 
     fn accuracy(&mut self) -> Result<f32, PipeTuneError> {
         match &mut self.inner {
-            InstanceKind::Dnn { model, test, .. } => {
-                // Clone cheaply-sized test set borrow around the borrow rules.
-                let test = test.clone();
-                model.evaluate(&test)
-            }
+            InstanceKind::Dnn { model, test, .. } => model.evaluate(test),
             _ => Ok(self.kernel().expect("non-DNN instance has a kernel").score()),
         }
     }

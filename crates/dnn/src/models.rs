@@ -61,8 +61,42 @@ pub struct ModelSignature {
 
 /// A trainable workload model: the "model" half of the paper's workload tuple.
 pub trait Model {
+    /// One mini-batch of this model's inputs (an image tensor, token rows).
+    type Batch;
+
     /// The model family.
     fn kind(&self) -> ModelKind;
+
+    /// Gathers the examples at `idx` into one input batch.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DnnError`] when `data` holds the wrong feature kind.
+    fn gather(data: &Dataset, idx: &[usize]) -> Result<Self::Batch, DnnError>;
+
+    /// Forward pass over one batch; returns the logits. `train` enables
+    /// dropout (drawing from `rng`) and caches activations for
+    /// [`Model::backward`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError`] on shape mismatches.
+    fn forward<R: Rng>(
+        &mut self,
+        x: &Self::Batch,
+        train: bool,
+        rng: &mut R,
+    ) -> Result<Tensor, TensorError>
+    where
+        Self: Sized;
+
+    /// Backward pass from the logits' gradient, accumulating parameter
+    /// gradients for the optimizer step.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError`] when no training forward pass preceded it.
+    fn backward(&mut self, grad_logits: &Tensor) -> Result<(), TensorError>;
 
     /// Runs one full epoch of mini-batch SGD over `data`.
     ///
@@ -76,14 +110,35 @@ pub trait Model {
         rng: &mut R,
     ) -> Result<EpochMetrics, DnnError>
     where
-        Self: Sized;
+        Self: Sized,
+    {
+        cfg.validate()?;
+        let sgd = Sgd::from_config(cfg);
+        let plan = BatchIndices::plan(data.len(), cfg.batch_size, rng)?;
+        let mut metrics = EpochMetrics::default();
+        for idx in plan.iter() {
+            let x = Self::gather(data, idx)?;
+            let labels = data.gather_labels(idx);
+            let logits = self.forward(&x, true, rng)?;
+            let (loss, grad) = softmax_cross_entropy(&logits, &labels)?;
+            let preds = logits.argmax_rows()?;
+            let correct = preds.iter().zip(&labels).filter(|(p, l)| p == l).count();
+            self.backward(&grad)?;
+            self.visit_params(&mut |p: &mut crate::Param| sgd.step(p));
+            metrics.accumulate(loss, correct, idx.len());
+        }
+        Ok(metrics.finalize())
+    }
 
     /// Computes test accuracy (fraction correct) on `data`.
     ///
     /// # Errors
     ///
     /// Returns [`DnnError`] on feature-kind mismatches.
-    fn evaluate(&mut self, data: &Dataset) -> Result<f32, DnnError> {
+    fn evaluate(&mut self, data: &Dataset) -> Result<f32, DnnError>
+    where
+        Self: Sized,
+    {
         let preds = self.predictions(data)?;
         let correct = preds.iter().zip(data.labels()).filter(|(p, l)| p == l).count();
         Ok(correct as f32 / data.len() as f32)
@@ -94,14 +149,35 @@ pub trait Model {
     /// # Errors
     ///
     /// Returns [`DnnError`] on feature-kind mismatches.
-    fn predictions(&mut self, data: &Dataset) -> Result<Vec<usize>, DnnError>;
+    fn predictions(&mut self, data: &Dataset) -> Result<Vec<usize>, DnnError>
+    where
+        Self: Sized,
+    {
+        let mut rng = rand::rngs::mock::StepRng::new(0, 1);
+        let n = data.len();
+        let chunk = 256usize;
+        let mut out = Vec::with_capacity(n);
+        let mut start = 0;
+        while start < n {
+            let end = (start + chunk).min(n);
+            let idx: Vec<usize> = (start..end).collect();
+            let x = Self::gather(data, &idx)?;
+            let logits = self.forward(&x, false, &mut rng)?;
+            out.extend(logits.argmax_rows()?);
+            start = end;
+        }
+        Ok(out)
+    }
 
     /// Full confusion matrix on `data`.
     ///
     /// # Errors
     ///
     /// Returns [`DnnError`] on feature-kind mismatches.
-    fn confusion(&mut self, data: &Dataset) -> Result<crate::ConfusionMatrix, DnnError> {
+    fn confusion(&mut self, data: &Dataset) -> Result<crate::ConfusionMatrix, DnnError>
+    where
+        Self: Sized,
+    {
         let preds = self.predictions(data)?;
         crate::ConfusionMatrix::from_predictions(&preds, data.labels(), data.num_classes())
     }
@@ -326,6 +402,18 @@ impl LeNet5 {
     pub fn new<R: Rng>(classes: usize, dropout: f32, rng: &mut R) -> Result<Self, DnnError> {
         Self::with_input_size(28, classes, dropout, rng)
     }
+}
+
+impl Model for LeNet5 {
+    type Batch = Tensor;
+
+    fn kind(&self) -> ModelKind {
+        ModelKind::LeNet5
+    }
+
+    fn gather(data: &Dataset, idx: &[usize]) -> Result<Self::Batch, DnnError> {
+        data.gather_images(idx)
+    }
 
     fn forward<R: Rng>(
         &mut self,
@@ -363,53 +451,6 @@ impl LeNet5 {
         let g = self.relu1.backward(&g)?;
         self.conv1.backward_with(&g, false)?;
         Ok(())
-    }
-}
-
-impl Model for LeNet5 {
-    fn kind(&self) -> ModelKind {
-        ModelKind::LeNet5
-    }
-
-    fn train_epoch<R: Rng>(
-        &mut self,
-        data: &Dataset,
-        cfg: &TrainConfig,
-        rng: &mut R,
-    ) -> Result<EpochMetrics, DnnError> {
-        cfg.validate()?;
-        let sgd = Sgd::from_config(cfg);
-        let plan = BatchIndices::plan(data.len(), cfg.batch_size, rng)?;
-        let mut metrics = EpochMetrics::default();
-        for idx in plan.iter() {
-            let x = data.gather_images(idx)?;
-            let labels = data.gather_labels(idx);
-            let logits = self.forward(&x, true, rng)?;
-            let (loss, grad) = softmax_cross_entropy(&logits, &labels)?;
-            let preds = logits.argmax_rows()?;
-            let correct = preds.iter().zip(&labels).filter(|(p, l)| p == l).count();
-            self.backward(&grad)?;
-            self.visit_params(&mut |p: &mut crate::Param| sgd.step(p));
-            metrics.accumulate(loss, correct, idx.len());
-        }
-        Ok(metrics.finalize())
-    }
-
-    fn predictions(&mut self, data: &Dataset) -> Result<Vec<usize>, DnnError> {
-        let mut rng = rand::rngs::mock::StepRng::new(0, 1);
-        let n = data.len();
-        let chunk = 256usize;
-        let mut out = Vec::with_capacity(n);
-        let mut start = 0;
-        while start < n {
-            let end = (start + chunk).min(n);
-            let idx: Vec<usize> = (start..end).collect();
-            let x = data.gather_images(&idx)?;
-            let logits = self.forward(&x, false, &mut rng)?;
-            out.extend(logits.argmax_rows()?);
-            start = end;
-        }
-        Ok(out)
     }
 
     fn num_params(&self) -> usize {
@@ -537,10 +578,22 @@ impl TextCnn {
         }
         Tensor::from_vec(out, &[b * pos, w * d]).expect("sizes agree by construction")
     }
+}
+
+impl Model for TextCnn {
+    type Batch = Vec<Vec<u32>>;
+
+    fn kind(&self) -> ModelKind {
+        ModelKind::TextCnn
+    }
+
+    fn gather(data: &Dataset, idx: &[usize]) -> Result<Self::Batch, DnnError> {
+        data.gather_tokens(idx)
+    }
 
     fn forward<R: Rng>(
         &mut self,
-        batch: &[Vec<u32>],
+        batch: &Self::Batch,
         train: bool,
         rng: &mut R,
     ) -> Result<Tensor, TensorError> {
@@ -604,53 +657,6 @@ impl TextCnn {
             }
         }
         self.embedding.backward(&gemb)
-    }
-}
-
-impl Model for TextCnn {
-    fn kind(&self) -> ModelKind {
-        ModelKind::TextCnn
-    }
-
-    fn train_epoch<R: Rng>(
-        &mut self,
-        data: &Dataset,
-        cfg: &TrainConfig,
-        rng: &mut R,
-    ) -> Result<EpochMetrics, DnnError> {
-        cfg.validate()?;
-        let sgd = Sgd::from_config(cfg);
-        let plan = BatchIndices::plan(data.len(), cfg.batch_size, rng)?;
-        let mut metrics = EpochMetrics::default();
-        for idx in plan.iter() {
-            let x = data.gather_tokens(idx)?;
-            let labels = data.gather_labels(idx);
-            let logits = self.forward(&x, true, rng)?;
-            let (loss, grad) = softmax_cross_entropy(&logits, &labels)?;
-            let preds = logits.argmax_rows()?;
-            let correct = preds.iter().zip(&labels).filter(|(p, l)| p == l).count();
-            self.backward(&grad)?;
-            self.visit_params(&mut |p: &mut crate::Param| sgd.step(p));
-            metrics.accumulate(loss, correct, idx.len());
-        }
-        Ok(metrics.finalize())
-    }
-
-    fn predictions(&mut self, data: &Dataset) -> Result<Vec<usize>, DnnError> {
-        let mut rng = rand::rngs::mock::StepRng::new(0, 1);
-        let n = data.len();
-        let chunk = 256usize;
-        let mut out = Vec::with_capacity(n);
-        let mut start = 0;
-        while start < n {
-            let end = (start + chunk).min(n);
-            let idx: Vec<usize> = (start..end).collect();
-            let x = data.gather_tokens(&idx)?;
-            let logits = self.forward(&x, false, &mut rng)?;
-            out.extend(logits.argmax_rows()?);
-            start = end;
-        }
-        Ok(out)
     }
 
     fn num_params(&self) -> usize {
@@ -727,10 +733,22 @@ impl LstmClassifier {
     pub fn embed_dim(&self) -> usize {
         self.embedding.dim()
     }
+}
+
+impl Model for LstmClassifier {
+    type Batch = Vec<Vec<u32>>;
+
+    fn kind(&self) -> ModelKind {
+        ModelKind::Lstm
+    }
+
+    fn gather(data: &Dataset, idx: &[usize]) -> Result<Self::Batch, DnnError> {
+        data.gather_tokens(idx)
+    }
 
     fn forward<R: Rng>(
         &mut self,
-        batch: &[Vec<u32>],
+        batch: &Self::Batch,
         train: bool,
         rng: &mut R,
     ) -> Result<Tensor, TensorError> {
@@ -745,53 +763,6 @@ impl LstmClassifier {
         let g = self.dropout.backward(&g)?;
         let gemb = self.lstm.backward(&g)?;
         self.embedding.backward(&gemb)
-    }
-}
-
-impl Model for LstmClassifier {
-    fn kind(&self) -> ModelKind {
-        ModelKind::Lstm
-    }
-
-    fn train_epoch<R: Rng>(
-        &mut self,
-        data: &Dataset,
-        cfg: &TrainConfig,
-        rng: &mut R,
-    ) -> Result<EpochMetrics, DnnError> {
-        cfg.validate()?;
-        let sgd = Sgd::from_config(cfg);
-        let plan = BatchIndices::plan(data.len(), cfg.batch_size, rng)?;
-        let mut metrics = EpochMetrics::default();
-        for idx in plan.iter() {
-            let x = data.gather_tokens(idx)?;
-            let labels = data.gather_labels(idx);
-            let logits = self.forward(&x, true, rng)?;
-            let (loss, grad) = softmax_cross_entropy(&logits, &labels)?;
-            let preds = logits.argmax_rows()?;
-            let correct = preds.iter().zip(&labels).filter(|(p, l)| p == l).count();
-            self.backward(&grad)?;
-            self.visit_params(&mut |p: &mut crate::Param| sgd.step(p));
-            metrics.accumulate(loss, correct, idx.len());
-        }
-        Ok(metrics.finalize())
-    }
-
-    fn predictions(&mut self, data: &Dataset) -> Result<Vec<usize>, DnnError> {
-        let mut rng = rand::rngs::mock::StepRng::new(0, 1);
-        let n = data.len();
-        let chunk = 256usize;
-        let mut out = Vec::with_capacity(n);
-        let mut start = 0;
-        while start < n {
-            let end = (start + chunk).min(n);
-            let idx: Vec<usize> = (start..end).collect();
-            let x = data.gather_tokens(&idx)?;
-            let logits = self.forward(&x, false, &mut rng)?;
-            out.extend(logits.argmax_rows()?);
-            start = end;
-        }
-        Ok(out)
     }
 
     fn num_params(&self) -> usize {

@@ -131,12 +131,6 @@ impl MonitorHandle {
         MonitorHandle { engine: Some(Arc::new(Mutex::new(MonitorEngine::new(config)))) }
     }
 
-    /// A live handle running `config`'s detectors.
-    #[deprecated(since = "0.1.0", note = "renamed to `MonitorHandle::with_config`")]
-    pub fn new(config: &MonitorConfig) -> Self {
-        MonitorHandle::with_config(config)
-    }
-
     /// Whether this handle carries a live engine.
     pub fn is_enabled(&self) -> bool {
         self.engine.is_some()

@@ -36,14 +36,14 @@
 //! # Example
 //!
 //! ```
-//! use pipetune::{ExperimentEnv, TunerOptions, WorkloadSpec};
+//! use pipetune::{ExperimentEnvBuilder, TunerOptions, WorkloadSpec};
 //! use pipetune_service::{JobSubmission, SchedulingPolicy, ServiceConfig, TuningService};
 //!
 //! let service = TuningService::new(
 //!     ServiceConfig::default().with_policy(SchedulingPolicy::ProcessorSharing),
 //! );
 //! let outcome = service.run(
-//!     &ExperimentEnv::distributed(41).with_workers(1),
+//!     &ExperimentEnvBuilder::distributed(41).workers(1).build()?,
 //!     &[JobSubmission::new(0.0, WorkloadSpec::lenet_mnist())],
 //!     &TunerOptions::fast(),
 //! )?;

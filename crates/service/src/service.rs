@@ -22,7 +22,7 @@
 //! * **Job crashes** — a crashing job is removed mid-service at a drawn
 //!   point, rolled back to its tuning run's last checkpoint mark
 //!   (`TuningOutcome::checkpoint_marks`, i.e. the executor's
-//!   `TrialCheckpoint` cadence) and resubmitted after bounded exponential
+//!   trial-snapshot cadence) and resubmitted after bounded exponential
 //!   backoff in simulated time; exhaustion yields
 //!   [`JobOutcome::Abandoned`].
 //! * **Deadlines** — a job exceeding [`ServiceConfig::deadline_secs`]
@@ -863,16 +863,18 @@ impl TuningService {
             }
             telemetry.counter_add(observe::JOBS_ADMITTED, 1);
             let slots = d.slice();
-            let mut job_env = env
-                .clone()
-                .with_seed(job_seed(env, job))
-                .with_parallel_slots(slots)
-                .with_telemetry(telemetry.scoped(span));
-            if let Some(handle) = &shared_cache {
-                job_env = job_env.with_epoch_cache(handle.clone());
-            } else if let Some(cfg) = self.config.epoch_cache {
-                job_env = job_env.with_epoch_cache(EpochCacheHandle::with_config(cfg));
-            }
+            let epoch_cache = match (&shared_cache, self.config.epoch_cache) {
+                (Some(handle), _) => handle.clone(),
+                (None, Some(cfg)) => EpochCacheHandle::with_config(cfg),
+                (None, None) => env.epoch_cache.clone(),
+            };
+            let job_env = ExperimentEnv {
+                seed: job_seed(env, job),
+                parallel_slots: slots,
+                telemetry: telemetry.scoped(span),
+                epoch_cache,
+                ..env.clone()
+            };
             let outcome = if self.config.share_ground_truth {
                 shared_tuner.run(&job_env, &sub.spec)?
             } else {

@@ -1,33 +1,14 @@
-//! The [`Collector`] abstraction and the worker-side [`TelemetryBuffer`].
+//! The worker-side [`TelemetryBuffer`].
 //!
 //! Instrumentation sites never write to a shared sink directly: worker
 //! threads record into a private, per-trial [`TelemetryBuffer`], and the
 //! executor's coordinator merges the buffers into the run's sink **in
-//! scheduler request order** — the same pattern the ground-truth session
-//! layer uses. Telemetry output is therefore a pure function of the run,
-//! byte-identical for 1 and N executor workers.
+//! scheduler request order** as one part of the trial's journal (see
+//! `docs/determinism.md`). Telemetry output is therefore a pure function of
+//! the run, byte-identical for 1 and N executor workers.
 
 use crate::metrics::MetricsRegistry;
 use crate::span::{Attrs, Event, EventKind, Span, SpanKind};
-
-/// Anything that accepts spans, events and metric updates.
-///
-/// Implemented by [`TelemetryBuffer`] (worker-local recording) and by the
-/// sink behind [`crate::TelemetryHandle`] (coordinator-side recording).
-/// Span indices returned by [`Collector::span`] are local to the
-/// implementor; buffers remap them when merged into a sink.
-pub trait Collector {
-    /// Records a complete span; returns its index for use as a parent.
-    fn span(&mut self, span: Span) -> u32;
-    /// Records a point event.
-    fn event(&mut self, event: Event);
-    /// Adds `delta` to a counter.
-    fn counter_add(&mut self, name: &str, delta: u64);
-    /// Sets a gauge.
-    fn gauge_set(&mut self, name: &str, value: f64);
-    /// Records a histogram observation (bounds fixed on first use).
-    fn observe(&mut self, name: &str, bounds: &[f64], value: f64);
-}
 
 /// A worker-local telemetry buffer.
 ///
@@ -140,10 +121,10 @@ impl TelemetryBuffer {
             std::mem::take(&mut self.metrics),
         )
     }
-}
 
-impl Collector for TelemetryBuffer {
-    fn span(&mut self, span: Span) -> u32 {
+    /// Records a complete span; returns its local index for use as a
+    /// parent (remapped when the buffer is merged into a sink).
+    pub fn span(&mut self, span: Span) -> u32 {
         if !self.is_active() {
             return 0;
         }
@@ -152,25 +133,29 @@ impl Collector for TelemetryBuffer {
         idx
     }
 
-    fn event(&mut self, event: Event) {
+    /// Records a point event.
+    pub fn event(&mut self, event: Event) {
         if self.is_active() {
             self.events.push(event);
         }
     }
 
-    fn counter_add(&mut self, name: &str, delta: u64) {
+    /// Adds `delta` to a counter.
+    pub fn counter_add(&mut self, name: &str, delta: u64) {
         if self.is_active() {
             self.metrics.counter_add(name, delta);
         }
     }
 
-    fn gauge_set(&mut self, name: &str, value: f64) {
+    /// Sets a gauge.
+    pub fn gauge_set(&mut self, name: &str, value: f64) {
         if self.is_active() {
             self.metrics.gauge_set(name, value);
         }
     }
 
-    fn observe(&mut self, name: &str, bounds: &[f64], value: f64) {
+    /// Records a histogram observation (bounds fixed on first use).
+    pub fn observe(&mut self, name: &str, bounds: &[f64], value: f64) {
         if self.is_active() {
             self.metrics.observe(name, bounds, value);
         }

@@ -267,7 +267,6 @@ impl TelemetryHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collector::Collector;
     use crate::metrics::COUNT_BUCKETS;
 
     #[test]

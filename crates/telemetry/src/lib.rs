@@ -59,7 +59,7 @@ pub mod names;
 mod span;
 mod validate;
 
-pub use collector::{Collector, TelemetryBuffer};
+pub use collector::TelemetryBuffer;
 pub use export::TraceExport;
 pub use handle::{SpanId, TelemetryHandle, TelemetrySnapshot};
 pub use validate::TraceError;

@@ -14,6 +14,9 @@
 # Usage:
 #   scripts/check_api_surface.sh          # regenerate API.lock
 #   scripts/check_api_surface.sh --check  # exit 1 if API.lock is stale
+#   scripts/check_api_surface.sh --ratchet <git-ref>
+#                                         # exit 1 if API.lock lists more
+#                                         # items than it does at <git-ref>
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -55,12 +58,22 @@ case "${1:-}" in
     fi
     echo "API surface matches $LOCK"
     ;;
+  --ratchet)
+    base=$(git show "${2:?usage: $0 --ratchet <git-ref>}:$LOCK" | wc -l)
+    head=$(wc -l < "$LOCK")
+    echo "$LOCK: $base public items at $2, $head now"
+    if [ "$head" -gt "$base" ]; then
+      echo "error: the public API surface may shrink or hold, not grow;" >&2
+      echo "demote or remove $((head - base)) item(s), or land the growth first in a PR of its own" >&2
+      exit 1
+    fi
+    ;;
   "")
     surface > "$LOCK"
     echo "wrote $(wc -l < "$LOCK") public items to $LOCK"
     ;;
   *)
-    echo "usage: $0 [--check]" >&2
+    echo "usage: $0 [--check | --ratchet <git-ref>]" >&2
     exit 2
     ;;
 esac

@@ -13,8 +13,8 @@
 //!   exactly where the live cache left off.
 
 use pipetune::{
-    ConvergencePoint, EpochCacheConfig, EpochCacheHandle, ExperimentEnv, PipeTune, TuneV1,
-    TunerOptions, TuningOutcome, WorkloadSpec,
+    ConvergencePoint, EpochCacheConfig, EpochCacheHandle, ExperimentEnv, ExperimentEnvBuilder,
+    PipeTune, TuneV1, TunerOptions, TuningOutcome, WorkloadSpec,
 };
 use pipetune_telemetry::TelemetryHandle;
 
@@ -50,7 +50,11 @@ fn cold_then_warm(workers: usize, capacity: usize) -> (TuningOutcome, TuningOutc
         capacity,
         ..EpochCacheConfig::default()
     });
-    let env = ExperimentEnv::distributed(SEED).with_workers(workers).with_epoch_cache(cache);
+    let env = ExperimentEnvBuilder::distributed(SEED)
+        .workers(workers)
+        .epoch_cache(cache)
+        .build()
+        .unwrap();
     let spec = WorkloadSpec::lenet_mnist();
     let cold = PipeTune::new(TunerOptions::fast()).run(&env, &spec).unwrap();
     let warm = PipeTune::new(TunerOptions::fast()).run(&env, &spec).unwrap();
@@ -75,10 +79,12 @@ fn cached_traces_are_byte_identical_across_worker_counts() {
     let trace = |workers: usize| {
         let telemetry = TelemetryHandle::enabled();
         let cache = EpochCacheHandle::with_config(EpochCacheConfig::default());
-        let env = ExperimentEnv::distributed(SEED)
-            .with_workers(workers)
-            .with_telemetry(telemetry.clone())
-            .with_epoch_cache(cache);
+        let env = ExperimentEnvBuilder::distributed(SEED)
+            .workers(workers)
+            .telemetry(telemetry.clone())
+            .epoch_cache(cache)
+            .build()
+            .unwrap();
         let spec = WorkloadSpec::lenet_mnist();
         PipeTune::new(TunerOptions::fast()).run(&env, &spec).unwrap();
         PipeTune::new(TunerOptions::fast()).run(&env, &spec).unwrap();
@@ -100,7 +106,10 @@ fn disabled_cache_is_bit_identical_to_default_runs() {
     let base_env = ExperimentEnv::distributed(SEED);
     let base = PipeTune::new(TunerOptions::fast()).run(&base_env, &spec).unwrap();
     let explicit_env =
-        ExperimentEnv::distributed(SEED).with_epoch_cache(EpochCacheHandle::disabled());
+        ExperimentEnvBuilder::distributed(SEED)
+            .epoch_cache(EpochCacheHandle::disabled())
+            .build()
+            .unwrap();
     let explicit = PipeTune::new(TunerOptions::fast()).run(&explicit_env, &spec).unwrap();
     assert_outcomes_identical(&base, &explicit);
     assert_eq!(base.cache_stats, Default::default(), "disabled runs never touch the cache");
@@ -150,11 +159,11 @@ fn foreign_seed_prefixes_are_never_adopted() {
     // this run and break the cache-off equivalence contract.
     let spec = WorkloadSpec::lenet_mnist();
     let cache = EpochCacheHandle::with_config(EpochCacheConfig::default());
-    let env_a = ExperimentEnv::distributed(SEED).with_epoch_cache(cache.clone());
+    let env_a = ExperimentEnvBuilder::distributed(SEED).epoch_cache(cache.clone()).build().unwrap();
     let first = PipeTune::new(TunerOptions::fast()).run(&env_a, &spec).unwrap();
     assert!(first.cache_stats.inserts > 0, "the first job should populate the cache");
 
-    let env_b = ExperimentEnv::distributed(SEED + 1).with_epoch_cache(cache);
+    let env_b = ExperimentEnvBuilder::distributed(SEED + 1).epoch_cache(cache).build().unwrap();
     let shared = PipeTune::new(TunerOptions::fast()).run(&env_b, &spec).unwrap();
     let off_env = ExperimentEnv::distributed(SEED + 1);
     let off = PipeTune::new(TunerOptions::fast()).run(&off_env, &spec).unwrap();
@@ -175,7 +184,7 @@ fn foreign_tuner_policy_prefixes_are_never_adopted() {
     // configs, time and energy accounting would be contaminated.
     let spec = WorkloadSpec::lenet_mnist();
     let cache = EpochCacheHandle::with_config(EpochCacheConfig::default());
-    let env = ExperimentEnv::distributed(SEED).with_epoch_cache(cache);
+    let env = ExperimentEnvBuilder::distributed(SEED).epoch_cache(cache).build().unwrap();
     PipeTune::new(TunerOptions::fast()).run(&env, &spec).unwrap();
 
     let shared = TuneV1::new(TunerOptions::fast()).run(&env, &spec).unwrap();
@@ -222,7 +231,7 @@ fn bounded_capacity_evicts_deterministically() {
 fn persisted_caches_resume_exactly_where_live_ones_left_off() {
     let spec = WorkloadSpec::lenet_mnist();
     let live = EpochCacheHandle::with_config(EpochCacheConfig::default());
-    let env = ExperimentEnv::distributed(SEED).with_epoch_cache(live.clone());
+    let env = ExperimentEnvBuilder::distributed(SEED).epoch_cache(live.clone()).build().unwrap();
     let cold = PipeTune::new(TunerOptions::fast()).run(&env, &spec).unwrap();
     assert!(cold.cache_stats.inserts > 0);
 
@@ -236,7 +245,7 @@ fn persisted_caches_resume_exactly_where_live_ones_left_off() {
         PipeTune::new(TunerOptions::fast()).run(&env, &spec).unwrap()
     };
     let warm_restored = {
-        let env = ExperimentEnv::distributed(SEED).with_epoch_cache(restored);
+        let env = ExperimentEnvBuilder::distributed(SEED).epoch_cache(restored).build().unwrap();
         PipeTune::new(TunerOptions::fast()).run(&env, &spec).unwrap()
     };
     assert_outcomes_identical(&warm_live, &warm_restored);

@@ -3,8 +3,8 @@
 //! scores, pathological environments.
 
 use pipetune::{
-    ExperimentEnv, FaultPlan, GroundTruth, HyperParams, PipeTune, PipeTuneError, ProbeGoal,
-    SystemTuner, TrialExecution, TuneV2, TunerOptions, WorkloadSpec,
+    ExperimentEnv, ExperimentEnvBuilder, FaultPlan, GroundTruth, HyperParams, PipeTune,
+    PipeTuneError, ProbeGoal, SystemTuner, TrialExecution, TuneV2, TunerOptions, WorkloadSpec,
 };
 use pipetune_search::{HyperBand, ParamSpec, SearchSpace, TrialReport, TrialScheduler};
 use rand::rngs::StdRng;
@@ -118,7 +118,10 @@ fn crash_every_epoch_abandons_the_trial_after_the_retry_budget() {
     // Certain crash probability: every attempt of every epoch dies, so the
     // first epoch burns the whole retry budget and the trial is abandoned
     // with a typed error.
-    let env = ExperimentEnv::distributed(2005).with_fault_plan(FaultPlan::crashes(31, 1.0));
+    let env = ExperimentEnvBuilder::distributed(2005)
+        .fault_plan(FaultPlan::crashes(31, 1.0))
+        .build()
+        .unwrap();
     let hp = HyperParams { batch_size: 256, learning_rate: 0.02, epochs: 20, ..HyperParams::default() };
     let workload =
         WorkloadSpec::lenet_mnist().with_scale(0.2).instantiate(&hp, 1).expect("builds");
@@ -141,7 +144,10 @@ fn scheduler_terminates_when_every_trial_is_abandoned() {
     // At the job level, universal abandonment must not wedge the scheduler:
     // abandoned trials score NEG_INFINITY, HyperBand drains normally, and
     // the run surfaces a descriptive error instead of hanging or panicking.
-    let env = ExperimentEnv::distributed(2006).with_fault_plan(FaultPlan::crashes(32, 1.0));
+    let env = ExperimentEnvBuilder::distributed(2006)
+        .fault_plan(FaultPlan::crashes(32, 1.0))
+        .build()
+        .unwrap();
     let err = PipeTune::new(TunerOptions::fast())
         .run(&env, &WorkloadSpec::lenet_mnist())
         .expect_err("no trial can survive a certain crash");
@@ -154,7 +160,10 @@ fn straggler_only_plan_changes_durations_but_not_accuracies() {
     // and every trial accuracy must be bit-equal to the fault-free run;
     // only the clocks (and the fault report) move.
     let clean_env = ExperimentEnv::distributed(2007);
-    let slow_env = ExperimentEnv::distributed(2007).with_fault_plan(FaultPlan::stragglers(33, 0.4));
+    let slow_env = ExperimentEnvBuilder::distributed(2007)
+        .fault_plan(FaultPlan::stragglers(33, 0.4))
+        .build()
+        .unwrap();
     let clean =
         PipeTune::new(TunerOptions::fast()).run(&clean_env, &WorkloadSpec::lenet_mnist()).unwrap();
     let slow =
@@ -185,7 +194,7 @@ fn pipetune_still_beats_tune_v2_on_tuning_time_under_faults() {
     // Table 2's headline must survive a hostile cluster: under one identical
     // mixed fault plan, PipeTune's tuning time stays ahead of Tune V2's.
     let plan = FaultPlan::mixed(34);
-    let env = ExperimentEnv::distributed(2008).with_fault_plan(plan.clone());
+    let env = ExperimentEnvBuilder::distributed(2008).fault_plan(plan.clone()).build().unwrap();
     let pipetune =
         PipeTune::new(TunerOptions::fast()).run(&env, &WorkloadSpec::lenet_mnist()).unwrap();
     let v2 = TuneV2::new(TunerOptions::fast()).run(&env, &WorkloadSpec::lenet_mnist()).unwrap();
@@ -207,7 +216,10 @@ fn crash_recovery_completes_with_accuracy_parity() {
     // the tuned accuracy stays within a tight parity band of the fault-free
     // run.
     let clean_env = ExperimentEnv::distributed(2009);
-    let crash_env = ExperimentEnv::distributed(2009).with_fault_plan(FaultPlan::crashes(35, 0.05));
+    let crash_env = ExperimentEnvBuilder::distributed(2009)
+        .fault_plan(FaultPlan::crashes(35, 0.05))
+        .build()
+        .unwrap();
     let clean =
         PipeTune::new(TunerOptions::fast()).run(&clean_env, &WorkloadSpec::lenet_mnist()).unwrap();
     let crashed =

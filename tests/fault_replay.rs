@@ -6,8 +6,8 @@
 //! comparing accuracies, clocks, trajectories and the fault report as bits.
 
 use pipetune::{
-    ConvergencePoint, ExperimentEnv, FaultPlan, FaultReport, PipeTune, TuneV1, TuneV2,
-    TunerOptions, TuningOutcome, WorkloadSpec,
+    ConvergencePoint, ExperimentEnv, ExperimentEnvBuilder, FaultPlan, FaultReport, PipeTune, TuneV1,
+    TuneV2, TunerOptions, TuningOutcome, WorkloadSpec,
 };
 
 /// The two schedules under test: every fault class at moderate rates, and a
@@ -57,7 +57,11 @@ fn pipetune_fault_runs_replay_across_worker_counts() {
     for plan in plans() {
         let run = |workers: usize| {
             let env =
-                ExperimentEnv::distributed(51).with_fault_plan(plan.clone()).with_workers(workers);
+                ExperimentEnvBuilder::distributed(51)
+                    .fault_plan(plan.clone())
+                    .workers(workers)
+                    .build()
+                    .unwrap();
             let mut tuner = PipeTune::new(TunerOptions::fast());
             // Two jobs so the cross-job ground-truth path is exercised
             // under faults too.
@@ -87,7 +91,11 @@ fn pipetune_fault_runs_replay_across_worker_counts() {
 fn baseline_fault_runs_replay_across_worker_counts() {
     for plan in plans() {
         let env_for = |workers: usize| {
-            ExperimentEnv::distributed(52).with_fault_plan(plan.clone()).with_workers(workers)
+            ExperimentEnvBuilder::distributed(52)
+                .fault_plan(plan.clone())
+                .workers(workers)
+                .build()
+                .unwrap()
         };
         let v1_seq =
             TuneV1::new(TunerOptions::fast()).run(&env_for(1), &WorkloadSpec::lenet_mnist()).unwrap();
@@ -114,7 +122,7 @@ fn empty_plan_report_is_clean_and_mixed_plan_report_is_not() {
     assert!(clean.fault_report.is_clean(), "empty plan must leave a clean report");
     let faulty = PipeTune::new(TunerOptions::fast())
         .run(
-            &ExperimentEnv::distributed(53).with_fault_plan(FaultPlan::mixed(9)),
+            &ExperimentEnvBuilder::distributed(53).fault_plan(FaultPlan::mixed(9)).build().unwrap(),
             &WorkloadSpec::lenet_mnist(),
         )
         .unwrap();

@@ -10,7 +10,7 @@
 //! 4. the regression gate fails exactly when a gated headline metric
 //!    degrades beyond tolerance.
 
-use pipetune::{ExperimentEnv, PipeTune, TunerOptions, WorkloadSpec};
+use pipetune::{ExperimentEnvBuilder, PipeTune, TunerOptions, WorkloadSpec};
 use pipetune_cluster::FaultPlan;
 use pipetune_insight::{
     check, headline_metrics, BenchReport, GateConfig, TraceDiff, TraceReport, Verdict,
@@ -21,10 +21,12 @@ use pipetune_telemetry::{TelemetryHandle, TelemetrySnapshot};
 /// a live telemetry handle and returns the snapshot.
 fn run_traced(workers: usize, plan: FaultPlan) -> TelemetrySnapshot {
     let telemetry = TelemetryHandle::enabled();
-    let env = ExperimentEnv::distributed(41)
-        .with_workers(workers)
-        .with_fault_plan(plan)
-        .with_telemetry(telemetry.clone());
+    let env = ExperimentEnvBuilder::distributed(41)
+        .workers(workers)
+        .fault_plan(plan)
+        .telemetry(telemetry.clone())
+        .build()
+        .unwrap();
     let mut tuner = PipeTune::new(TunerOptions::fast());
     tuner.run(&env, &WorkloadSpec::lenet_mnist()).unwrap();
     tuner.run(&env, &WorkloadSpec::lenet_mnist()).unwrap();

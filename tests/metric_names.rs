@@ -11,7 +11,7 @@
 //! fails here before it can silently split a dashboard series.
 
 use pipetune::{
-    EpochCacheConfig, EpochCacheHandle, ExperimentEnv, PipeTune, TunerOptions, WorkloadSpec,
+    EpochCacheConfig, EpochCacheHandle, ExperimentEnvBuilder, PipeTune, TunerOptions, WorkloadSpec,
 };
 use pipetune_cluster::{FaultPlan, PoissonArrivals, ServiceFaultPlan};
 use pipetune_monitor::{MonitorConfig, MonitorHandle};
@@ -55,11 +55,13 @@ fn registries_are_disjoint_and_well_formed() {
 #[test]
 fn faulty_cached_tuning_run_emits_only_registered_names() {
     let telemetry = TelemetryHandle::enabled();
-    let env = ExperimentEnv::distributed(41)
-        .with_workers(4)
-        .with_fault_plan(FaultPlan::mixed(7))
-        .with_epoch_cache(EpochCacheHandle::with_config(EpochCacheConfig::default()))
-        .with_telemetry(telemetry.clone());
+    let env = ExperimentEnvBuilder::distributed(41)
+        .workers(4)
+        .fault_plan(FaultPlan::mixed(7))
+        .epoch_cache(EpochCacheHandle::with_config(EpochCacheConfig::default()))
+        .telemetry(telemetry.clone())
+        .build()
+        .unwrap();
     let mut tuner = PipeTune::new(TunerOptions::fast());
     // Two identical runs: the second exercises ground-truth reuse and
     // the epoch-cache hit/miss/evict counters.
@@ -73,10 +75,12 @@ fn faulty_cached_tuning_run_emits_only_registered_names() {
 fn chaos_service_stream_with_monitor_emits_only_registered_names() {
     let telemetry = TelemetryHandle::enabled();
     let monitor = MonitorHandle::with_config(&MonitorConfig::standard());
-    let env = ExperimentEnv::distributed(41)
-        .with_workers(4)
-        .with_telemetry(telemetry.clone())
-        .with_monitor(monitor.clone());
+    let env = ExperimentEnvBuilder::distributed(41)
+        .workers(4)
+        .telemetry(telemetry.clone())
+        .monitor(monitor.clone())
+        .build()
+        .unwrap();
     let config = ServiceConfig::default()
         .with_policy(SchedulingPolicy::ALL[0])
         .with_service_faults(ServiceFaultPlan::mixed(41))

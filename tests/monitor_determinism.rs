@@ -12,7 +12,7 @@
 //! 4. a proptest sweep over detector window parameters pins the
 //!    timeline's total order: alerts never reorder, whatever fires.
 
-use pipetune::{ExperimentEnv, PipeTune, TunerOptions, WorkloadSpec};
+use pipetune::{ExperimentEnvBuilder, PipeTune, TunerOptions, WorkloadSpec};
 use pipetune_cluster::{FaultPlan, PoissonArrivals, ServiceFaultPlan};
 use pipetune_monitor::{
     CrashLoopConfig, IncidentTimeline, MonitorConfig, MonitorEngine, MonitorHandle, SloBurnConfig,
@@ -57,10 +57,12 @@ fn run_service(
             .with_service_faults(ServiceFaultPlan::mixed(SEED))
             .with_deadline(DEADLINE_SECS);
     }
-    let env = ExperimentEnv::distributed(SEED)
-        .with_workers(workers)
-        .with_telemetry(telemetry.clone())
-        .with_monitor(monitor.clone());
+    let env = ExperimentEnvBuilder::distributed(SEED)
+        .workers(workers)
+        .telemetry(telemetry.clone())
+        .monitor(monitor.clone())
+        .build()
+        .unwrap();
     let jobs = if chaos { CHAOS_JOBS } else { JOBS };
     TuningService::new(service_config)
         .run(&env, &submissions(jobs), &TunerOptions::fast())
@@ -100,11 +102,13 @@ fn tuner_runs_monitor_identically_across_worker_counts() {
     let run = |workers: usize| {
         let telemetry = TelemetryHandle::enabled();
         let monitor = MonitorHandle::with_config(&MonitorConfig::standard());
-        let env = ExperimentEnv::distributed(SEED)
-            .with_workers(workers)
-            .with_fault_plan(FaultPlan::mixed(7))
-            .with_telemetry(telemetry.clone())
-            .with_monitor(monitor.clone());
+        let env = ExperimentEnvBuilder::distributed(SEED)
+            .workers(workers)
+            .fault_plan(FaultPlan::mixed(7))
+            .telemetry(telemetry.clone())
+            .monitor(monitor.clone())
+            .build()
+            .unwrap();
         PipeTune::new(TunerOptions::fast())
             .run(&env, &WorkloadSpec::lenet_mnist())
             .expect("tuner runs");
@@ -138,9 +142,11 @@ fn empty_detector_set_is_bit_identical_to_a_monitorless_run() {
 
     // The same stream with the monitor disabled entirely.
     let telemetry = TelemetryHandle::enabled();
-    let env = ExperimentEnv::distributed(SEED)
-        .with_workers(4)
-        .with_telemetry(telemetry.clone());
+    let env = ExperimentEnvBuilder::distributed(SEED)
+        .workers(4)
+        .telemetry(telemetry.clone())
+        .build()
+        .unwrap();
     let config = ServiceConfig::default()
         .with_policy(SchedulingPolicy::ALL[0])
         .with_service_faults(ServiceFaultPlan::mixed(SEED))

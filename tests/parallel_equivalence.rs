@@ -8,11 +8,12 @@
 //! convergence trajectories compared point by point.
 
 use pipetune::{
-    ConvergencePoint, ExperimentEnv, PipeTune, TuneV2, TunerOptions, TuningOutcome, WorkloadSpec,
+    ConvergencePoint, ExperimentEnvBuilder, PipeTune, TuneV2, TunerOptions, TuningOutcome,
+    WorkloadSpec,
 };
 
 fn run_with_workers(workers: usize) -> Vec<TuningOutcome> {
-    let env = ExperimentEnv::distributed(41).with_workers(workers);
+    let env = ExperimentEnvBuilder::distributed(41).workers(workers).build().unwrap();
     let mut tuner = PipeTune::new(TunerOptions::fast());
     // Two jobs: the second one exercises the cross-job ground-truth path
     // (hits against history recorded by the first).
@@ -70,7 +71,7 @@ fn worker_count_is_not_part_of_the_seed() {
 #[test]
 fn baselines_replay_across_worker_counts_too() {
     let run = |workers: usize| {
-        let env = ExperimentEnv::distributed(17).with_workers(workers);
+        let env = ExperimentEnvBuilder::distributed(17).workers(workers).build().unwrap();
         TuneV2::new(TunerOptions::fast()).run(&env, &WorkloadSpec::lenet_mnist()).unwrap()
     };
     let s = run(1);

@@ -26,7 +26,7 @@
 
 use std::collections::BTreeMap;
 
-use pipetune::{ExperimentEnv, TunerOptions, WorkloadSpec};
+use pipetune::{ExperimentEnv, ExperimentEnvBuilder, TunerOptions, WorkloadSpec};
 use pipetune_cluster::{ChurnKind, PoissonArrivals, ServiceFaultPlan, ServiceFaultReport};
 use pipetune_service::{
     JobOutcome, JobRecord, JobSubmission, SchedulingPolicy, ServiceConfig, ServiceOutcome,
@@ -58,7 +58,11 @@ fn run_chaos(
 ) -> (ServiceOutcome, TelemetrySnapshot) {
     let telemetry = TelemetryHandle::enabled();
     let env =
-        ExperimentEnv::distributed(SEED).with_workers(workers).with_telemetry(telemetry.clone());
+        ExperimentEnvBuilder::distributed(SEED)
+            .workers(workers)
+            .telemetry(telemetry.clone())
+            .build()
+            .unwrap();
     let service = TuningService::new(config.with_policy(policy));
     let outcome = service.run(&env, &submissions(SEED, JOBS), &TunerOptions::fast()).unwrap();
     (outcome, telemetry.snapshot().expect("enabled handle"))
@@ -337,10 +341,12 @@ fn churn_to_a_single_slot_never_zeroes_a_live_jobs_slice() {
     plan.min_slots = 1;
     let config = ServiceConfig::default().with_servers(2).with_service_faults(plan);
     let telemetry = TelemetryHandle::enabled();
-    let env = ExperimentEnv::distributed(SEED)
-        .with_workers(2)
-        .with_parallel_slots(2)
-        .with_telemetry(telemetry.clone());
+    let env = ExperimentEnvBuilder::distributed(SEED)
+        .workers(2)
+        .parallel_slots(2)
+        .telemetry(telemetry.clone())
+        .build()
+        .unwrap();
     let subs = submissions(SEED, 2);
     let service = TuningService::new(config);
     let outcome = service.run(&env, &subs, &TunerOptions::fast()).unwrap();
@@ -409,9 +415,11 @@ proptest! {
             config = config.with_deadline(deadline_secs);
         }
         let telemetry = TelemetryHandle::enabled();
-        let env = ExperimentEnv::distributed(SEED)
-            .with_workers(2)
-            .with_telemetry(telemetry.clone());
+        let env = ExperimentEnvBuilder::distributed(SEED)
+            .workers(2)
+            .telemetry(telemetry.clone())
+            .build()
+            .unwrap();
         let service = TuningService::new(config.with_policy(policy));
         let outcome =
             service.run(&env, &submissions(plan_seed, 2), &TunerOptions::fast()).unwrap();

@@ -5,7 +5,7 @@
 //! **byte-identical** for every worker count, clean and under
 //! `FaultPlan::mixed`, across multiple arrival seeds.
 
-use pipetune::{ExperimentEnv, TunerOptions, TuningOutcome, WorkloadSpec};
+use pipetune::{ExperimentEnvBuilder, TunerOptions, TuningOutcome, WorkloadSpec};
 use pipetune_cluster::{FaultPlan, FaultReport, PoissonArrivals};
 use pipetune_service::{JobSubmission, SchedulingPolicy, ServiceConfig, ServiceOutcome, TuningService};
 use pipetune_telemetry::{SpanKind, TelemetryHandle, TelemetrySnapshot};
@@ -31,10 +31,12 @@ fn run_service(
         .map(|_| JobSubmission::new(arrivals.next_arrival().as_secs_f64(), WorkloadSpec::lenet_mnist()))
         .collect();
     let telemetry = TelemetryHandle::enabled();
-    let env = ExperimentEnv::distributed(seed)
-        .with_workers(workers)
-        .with_fault_plan(plan)
-        .with_telemetry(telemetry.clone());
+    let env = ExperimentEnvBuilder::distributed(seed)
+        .workers(workers)
+        .fault_plan(plan)
+        .telemetry(telemetry.clone())
+        .build()
+        .unwrap();
     let service = TuningService::new(ServiceConfig::default().with_policy(policy));
     let outcome = service.run(&env, &submissions, &TunerOptions::fast()).unwrap();
     (outcome, telemetry.snapshot().expect("enabled handle"))

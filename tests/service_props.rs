@@ -15,8 +15,8 @@
 //!    runs in the loop, so hundreds of cases stay cheap.
 
 use pipetune::{
-    simulate_fifo, simulate_processor_sharing, ExperimentEnv, PipeTune, SharedJob, TunerOptions,
-    TuningOutcome, WorkloadSpec,
+    simulate_fifo, simulate_processor_sharing, ExperimentEnvBuilder, PipeTune, SharedJob,
+    TunerOptions, TuningOutcome, WorkloadSpec,
 };
 use pipetune_cluster::PoissonArrivals;
 use pipetune_service::{
@@ -40,7 +40,7 @@ fn submissions() -> Vec<JobSubmission> {
 }
 
 fn run_policy(policy: SchedulingPolicy) -> ServiceOutcome {
-    let env = ExperimentEnv::distributed(77).with_workers(2);
+    let env = ExperimentEnvBuilder::distributed(77).workers(2).build().unwrap();
     let service = TuningService::new(ServiceConfig::default().with_policy(policy));
     service.run(&env, &submissions(), &TunerOptions::fast()).expect("service run succeeds")
 }
@@ -149,7 +149,7 @@ fn real_service_reproduces_analytic_models_and_conserves_work() {
 
 #[test]
 fn single_job_stream_degenerates_to_a_dedicated_run() {
-    let env = ExperimentEnv::distributed(31).with_workers(2);
+    let env = ExperimentEnvBuilder::distributed(31).workers(2).build().unwrap();
     let sub = JobSubmission::new(5.0, WorkloadSpec::lenet_mnist());
     let service = TuningService::new(ServiceConfig::default());
     let outcome = service.run(&env, &[sub], &TunerOptions::fast()).unwrap();
@@ -158,10 +158,11 @@ fn single_job_stream_degenerates_to_a_dedicated_run() {
 
     // A dedicated-cluster run with the same derived seed and the full
     // slot pool must agree byte for byte.
-    let dedicated_env = env
-        .clone()
-        .with_seed(job_seed(&env, 0))
-        .with_parallel_slots(outcome.slots_per_job);
+    let dedicated_env = ExperimentEnvBuilder::from_env(env.clone())
+        .seed(job_seed(&env, 0))
+        .parallel_slots(outcome.slots_per_job)
+        .build()
+        .unwrap();
     let dedicated =
         PipeTune::new(TunerOptions::fast()).run(&dedicated_env, &WorkloadSpec::lenet_mnist()).unwrap();
     let job = rec.outcome.as_ref().expect("admitted job has an outcome");
@@ -180,7 +181,7 @@ fn single_job_stream_degenerates_to_a_dedicated_run() {
 
 #[test]
 fn admission_control_rejects_overflow_and_rejected_jobs_never_run() {
-    let env = ExperimentEnv::distributed(13).with_workers(2);
+    let env = ExperimentEnvBuilder::distributed(13).workers(2).build().unwrap();
     // Two arrivals one (simulated) second apart; tuning runs last orders
     // of magnitude longer, so the second arrival always finds the single
     // admission slot occupied.

@@ -147,3 +147,16 @@ fn workload_instances_are_reproducible_across_instantiations() {
         assert_eq!(a.accuracy().expect("a"), b.accuracy().expect("b"));
     }
 }
+
+#[test]
+fn handle_trio_exposes_uniform_states() {
+    use pipetune::prelude::{EpochCacheHandle, MonitorHandle, TelemetryHandle};
+    // The unified vocabulary: every handle has `disabled()`, an
+    // `enabled()`/`with_config` pair, and `is_enabled()`.
+    assert!(!TelemetryHandle::disabled().is_enabled());
+    assert!(TelemetryHandle::enabled().is_enabled());
+    assert!(!MonitorHandle::disabled().is_enabled());
+    assert!(MonitorHandle::enabled().is_enabled());
+    assert!(!EpochCacheHandle::disabled().is_enabled());
+    assert!(EpochCacheHandle::enabled().is_enabled());
+}

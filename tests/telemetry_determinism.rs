@@ -7,7 +7,7 @@
 //! 2. a disabled [`TelemetryHandle`] is not just cheap but *invisible*: the
 //!    tuning outcome is bit-identical whether telemetry is off or on.
 
-use pipetune::{observe, ExperimentEnv, PipeTune, TunerOptions, TuningOutcome, WorkloadSpec};
+use pipetune::{observe, ExperimentEnvBuilder, PipeTune, TunerOptions, TuningOutcome, WorkloadSpec};
 use pipetune_cluster::{observe as cluster_observe, FaultPlan};
 use pipetune_telemetry::{EventKind, SpanKind, TelemetryHandle, TelemetrySnapshot};
 
@@ -18,10 +18,12 @@ fn run_traced(
     plan: FaultPlan,
 ) -> (Vec<TuningOutcome>, TelemetrySnapshot) {
     let telemetry = TelemetryHandle::enabled();
-    let env = ExperimentEnv::distributed(41)
-        .with_workers(workers)
-        .with_fault_plan(plan)
-        .with_telemetry(telemetry.clone());
+    let env = ExperimentEnvBuilder::distributed(41)
+        .workers(workers)
+        .fault_plan(plan)
+        .telemetry(telemetry.clone())
+        .build()
+        .unwrap();
     let mut tuner = PipeTune::new(TunerOptions::fast());
     let outcomes = vec![
         tuner.run(&env, &WorkloadSpec::lenet_mnist()).unwrap(),
@@ -62,7 +64,11 @@ fn trace_bytes_identical_across_worker_counts_under_faults() {
 #[test]
 fn disabled_handle_leaves_tuning_outcome_bit_identical() {
     let run = |telemetry: TelemetryHandle| {
-        let env = ExperimentEnv::distributed(23).with_workers(2).with_telemetry(telemetry);
+        let env = ExperimentEnvBuilder::distributed(23)
+            .workers(2)
+            .telemetry(telemetry)
+            .build()
+            .unwrap();
         PipeTune::new(TunerOptions::fast()).run(&env, &WorkloadSpec::lenet_mnist()).unwrap()
     };
     let off = run(TelemetryHandle::disabled());
