@@ -1,5 +1,5 @@
-//! Exporters: deterministic JSON, tsdb line protocol and the end-of-run
-//! summary table — plus the JSON *importer*
+//! Exporters: deterministic JSON, tsdb line protocol, Prometheus text and
+//! the end-of-run summary table — plus the JSON *importer*
 //! ([`TelemetrySnapshot::from_json_str`]) that turns a trace dump back into
 //! a snapshot for offline analysis.
 //!
@@ -8,11 +8,23 @@
 //! telemetry determinism suite asserts across executor worker counts. The
 //! importer is the exporter's inverse up to bytes: export → parse → export
 //! is byte-identical (pinned by a property test below).
+//!
+//! Every conversion here is one pass over its input: the JSON exporter
+//! writes the document straight into one string and the importer fills
+//! spans, events and metrics straight from the text (`json.rs`), and the
+//! line-protocol exporter writes each record's line without building the
+//! [`Point`] it describes. `docs/telemetry.md` states the format contract;
+//! `tests/trace_codec.rs` holds the tree-building codec this replaced as the
+//! reference the bytes are checked against.
+
+use std::fmt::Write as _;
 
 use pipetune_tsdb::Point;
-use serde_json::Value;
 
 use crate::handle::TelemetrySnapshot;
+use crate::json::{
+    optional, require, required, shape, JsonReader, JsonWriter, Number, Read, ReadError, Slot,
+};
 use crate::metrics::MetricsRegistry;
 use crate::span::{AttrValue, Attrs, Event, EventKind, Span, SpanKind};
 use crate::validate::TraceError;
@@ -21,43 +33,43 @@ use crate::validate::TraceError;
 /// *is* a serialised [`TelemetrySnapshot`].
 pub type TraceExport = TelemetrySnapshot;
 
-fn attrs_json(attrs: &Attrs) -> Value {
-    let mut obj = serde_json::Map::new();
-    for (key, value) in attrs {
-        obj.insert((*key).to_string(), value.to_json());
+/// Pretty-printed bytes one span or event comes to, give or take: sizes the
+/// export buffer so it grows at most once.
+const RECORD_BYTES: usize = 384;
+
+/// Writes an attribute list as a JSON object: keys sorted, and of several
+/// attributes under one key the last. `order` is scratch space.
+fn write_attrs<'a>(
+    w: &mut JsonWriter,
+    attrs: &'a Attrs,
+    order: &mut Vec<&'a (&'static str, AttrValue)>,
+) {
+    order.clear();
+    order.extend(attrs);
+    // Stable, so equal keys stay in insertion order.
+    order.sort_by_key(|(key, _)| *key);
+    w.begin_object();
+    for (i, (key, value)) in order.iter().enumerate() {
+        if order.get(i + 1).is_some_and(|(next, _)| next == key) {
+            continue;
+        }
+        w.key(key);
+        match value {
+            AttrValue::U64(v) => w.u64(*v),
+            AttrValue::I64(v) => w.i64(*v),
+            AttrValue::F64(v) => w.f64(*v),
+            AttrValue::Str(s) => w.string(s),
+            AttrValue::Bool(b) => w.bool(*b),
+        }
     }
-    Value::Object(obj)
+    w.end_object();
 }
 
-fn span_json(id: usize, span: &Span) -> Value {
-    let mut obj = serde_json::Map::new();
-    obj.insert("id".into(), Value::U64(id as u64));
-    obj.insert("kind".into(), Value::String(span.kind.name().into()));
-    obj.insert("label".into(), Value::String(span.label.clone()));
-    obj.insert(
-        "parent".into(),
-        span.parent.map_or(Value::Null, |p| Value::U64(u64::from(p))),
-    );
-    obj.insert("start_secs".into(), Value::F64(span.start_secs));
-    // Open spans carry NaN, which JSON cannot represent; export null.
-    obj.insert(
-        "end_secs".into(),
-        if span.end_secs.is_finite() { Value::F64(span.end_secs) } else { Value::Null },
-    );
-    obj.insert("attrs".into(), attrs_json(&span.attrs));
-    Value::Object(obj)
-}
-
-fn event_json(event: &Event) -> Value {
-    let mut obj = serde_json::Map::new();
-    obj.insert("kind".into(), Value::String(event.kind.name().into()));
-    obj.insert(
-        "span".into(),
-        event.span.map_or(Value::Null, |s| Value::U64(u64::from(s))),
-    );
-    obj.insert("at_secs".into(), Value::F64(event.at_secs));
-    obj.insert("attrs".into(), attrs_json(&event.attrs));
-    Value::Object(obj)
+fn write_index(w: &mut JsonWriter, index: Option<u32>) {
+    match index {
+        Some(i) => w.u64(u64::from(i)),
+        None => w.null(),
+    }
 }
 
 /// Interns an attribute key: [`Attrs`] keys are `&'static str` (recording
@@ -78,100 +90,180 @@ fn intern(key: &str) -> &'static str {
     leaked
 }
 
-fn parse_error(reason: impl Into<String>) -> TraceError {
-    TraceError::Parse { reason: reason.into() }
-}
-
-/// Inverse of [`attrs_json`]. Integer attributes re-import as
-/// [`AttrValue::U64`] when non-negative (JSON does not distinguish
-/// signedness); `null` attributes re-import as [`AttrValue::F64`] NaN (the
-/// only value that exports as `null`). Both normalisations re-export to the
-/// same bytes.
-fn attrs_from_json(value: &Value, what: &str) -> Result<Attrs, TraceError> {
-    let obj = value
-        .as_object()
-        .ok_or_else(|| parse_error(format!("{what}: attrs must be an object")))?;
+/// Inverse of [`write_attrs`]; the list comes back sorted by key. Integer
+/// attributes re-import as [`AttrValue::U64`] when non-negative (JSON does
+/// not distinguish signedness); `null` attributes re-import as
+/// [`AttrValue::F64`] NaN (the only value that exports as `null`). Both
+/// normalisations re-export to the same bytes.
+fn read_attrs(r: &mut JsonReader) -> Read<Attrs> {
     let mut attrs = Attrs::new();
-    for (key, v) in obj {
-        let attr = match v {
-            Value::Bool(b) => AttrValue::Bool(*b),
-            Value::String(s) => AttrValue::Str(s.clone()),
-            Value::U64(u) => AttrValue::U64(*u),
-            Value::I64(i) if *i >= 0 => AttrValue::U64(*i as u64),
-            Value::I64(i) => AttrValue::I64(*i),
-            Value::F64(f) => AttrValue::F64(*f),
-            Value::Null => AttrValue::F64(f64::NAN),
-            Value::Array(_) | Value::Object(_) => {
-                return Err(parse_error(format!("{what}: attr {key} has a non-scalar value")))
+    // Non-scalar values, each with the length of `attrs` when it was met: a
+    // scalar under the same key further on supersedes it.
+    let mut non_scalar: Vec<(usize, String)> = Vec::new();
+    let is_object = r.object(|r, key| {
+        let value = r.member(|r| {
+            if r.null() {
+                Ok(AttrValue::F64(f64::NAN))
+            } else if let Some(b) = r.bool() {
+                Ok(AttrValue::Bool(b))
+            } else if let Some(n) = r.number()? {
+                Ok(match n {
+                    Number::I64(v) if v < 0 => AttrValue::I64(v),
+                    Number::I64(v) => AttrValue::U64(v as u64),
+                    Number::U64(v) => AttrValue::U64(v),
+                    Number::F64(v) => AttrValue::F64(v),
+                })
+            } else if let Some(s) = r.string()? {
+                Ok(AttrValue::Str(s.into_owned()))
+            } else {
+                shape("")
             }
-        };
-        attrs.push((intern(key), attr));
+        })?;
+        match value {
+            Ok(value) => attrs.push((intern(key), value)),
+            Err(_) => non_scalar.push((attrs.len(), key.to_string())),
+        }
+        Ok(())
+    })?;
+    if !is_object {
+        return shape("attrs must be an object");
+    }
+    for (seen, key) in non_scalar {
+        if !attrs[seen..].iter().any(|(k, _)| *k == key) {
+            return shape(format!("attr {key} has a non-scalar value"));
+        }
+    }
+    if !attrs.windows(2).all(|w| w[0].0 < w[1].0) {
+        // Stable sort, then keep the last of each run of equal keys.
+        attrs.sort_by_key(|(key, _)| *key);
+        attrs.reverse();
+        attrs.dedup_by_key(|(key, _)| *key);
+        attrs.reverse();
     }
     Ok(attrs)
 }
 
-fn span_from_json(idx: usize, value: &Value) -> Result<Span, TraceError> {
-    let what = format!("span {idx}");
-    let kind = value
-        .get("kind")
-        .and_then(Value::as_str)
-        .and_then(SpanKind::from_name)
-        .ok_or_else(|| parse_error(format!("{what}: missing or unknown kind")))?;
-    let label = value
-        .get("label")
-        .and_then(Value::as_str)
-        .ok_or_else(|| parse_error(format!("{what}: missing label")))?
-        .to_string();
-    let parent = match value.get("parent") {
-        None | Some(Value::Null) => None,
-        Some(p) => Some(
-            p.as_u64()
-                .and_then(|p| u32::try_from(p).ok())
-                .ok_or_else(|| parse_error(format!("{what}: parent must be a u32")))?,
-        ),
-    };
-    let start_secs = value
-        .get("start_secs")
-        .and_then(Value::as_f64)
-        .ok_or_else(|| parse_error(format!("{what}: missing start_secs")))?;
-    // An open span exports `null`; re-import restores the NaN sentinel.
-    let end_secs = match value.get("end_secs") {
-        None | Some(Value::Null) => f64::NAN,
-        Some(e) => e
-            .as_f64()
-            .ok_or_else(|| parse_error(format!("{what}: end_secs must be a number")))?,
-    };
-    let attrs = attrs_from_json(
-        value.get("attrs").unwrap_or(&Value::Object(serde_json::Map::new())),
-        &what,
-    )?;
-    Ok(Span { kind, label, parent, start_secs, end_secs, attrs })
+/// Reads an optional span index (`parent` / `span`): `null` is none.
+fn read_index(r: &mut JsonReader, mismatch: &str) -> Read<Option<u32>> {
+    if r.null() {
+        return Ok(None);
+    }
+    let index = r.number()?.and_then(Number::as_u64).and_then(|i| u32::try_from(i).ok());
+    require(index, mismatch).map(Some)
 }
 
-fn event_from_json(idx: usize, value: &Value) -> Result<Event, TraceError> {
-    let what = format!("event {idx}");
-    let kind = value
-        .get("kind")
-        .and_then(Value::as_str)
-        .and_then(EventKind::from_name)
-        .ok_or_else(|| parse_error(format!("{what}: missing or unknown kind")))?;
-    let span = match value.get("span") {
-        None | Some(Value::Null) => None,
-        Some(s) => Some(
-            s.as_u64()
-                .and_then(|s| u32::try_from(s).ok())
-                .ok_or_else(|| parse_error(format!("{what}: span must be a u32")))?,
-        ),
-    };
-    let at_secs = value
-        .get("at_secs")
-        .and_then(Value::as_f64)
-        .ok_or_else(|| parse_error(format!("{what}: missing at_secs")))?;
-    let attrs = attrs_from_json(
-        value.get("attrs").unwrap_or(&Value::Object(serde_json::Map::new())),
-        &what,
-    )?;
-    Ok(Event { kind, span, at_secs, attrs })
+fn read_span(r: &mut JsonReader, idx: usize) -> Read<Span> {
+    let (mut kind, mut label, mut start_secs) = (None, None, None);
+    let (mut parent, mut end_secs, mut attrs): (Slot<_>, Slot<_>, Slot<_>) = (None, None, None);
+    r.object(|r, key| {
+        match key {
+            "kind" => {
+                kind = r.lenient(|r| Ok(r.string()?.and_then(|k| SpanKind::from_name(&k))))?;
+            }
+            "label" => label = r.lenient(JsonReader::string)?,
+            "parent" => parent = Some(r.member(|r| read_index(r, "parent must be a u32"))?),
+            "start_secs" => start_secs = r.lenient(JsonReader::number)?,
+            "end_secs" => {
+                // An open span exports `null`; re-import restores the NaN
+                // sentinel.
+                end_secs = Some(r.member(|r| {
+                    if r.null() {
+                        return Ok(f64::NAN);
+                    }
+                    Ok(require(r.number()?, "end_secs must be a number")?.as_f64())
+                })?);
+            }
+            "attrs" => attrs = Some(r.member(read_attrs)?),
+            _ => r.skip_value()?,
+        }
+        Ok(())
+    })?;
+    (|| {
+        Ok(Span {
+            kind: require(kind, "missing or unknown kind")?,
+            label: require(label, "missing label")?.into_owned(),
+            parent: optional(parent)?.flatten(),
+            start_secs: require(start_secs, "missing start_secs")?.as_f64(),
+            end_secs: optional(end_secs)?.unwrap_or(f64::NAN),
+            attrs: optional(attrs)?.unwrap_or_default(),
+        })
+    })()
+    .map_err(|e: ReadError| e.within(format_args!("span {idx}")))
+}
+
+fn read_event(r: &mut JsonReader, idx: usize) -> Read<Event> {
+    let (mut kind, mut at_secs) = (None, None);
+    let (mut span, mut attrs): (Slot<_>, Slot<_>) = (None, None);
+    r.object(|r, key| {
+        match key {
+            "kind" => {
+                kind = r.lenient(|r| Ok(r.string()?.and_then(|k| EventKind::from_name(&k))))?;
+            }
+            "span" => span = Some(r.member(|r| read_index(r, "span must be a u32"))?),
+            "at_secs" => at_secs = r.lenient(JsonReader::number)?,
+            "attrs" => attrs = Some(r.member(read_attrs)?),
+            _ => r.skip_value()?,
+        }
+        Ok(())
+    })?;
+    (|| {
+        Ok(Event {
+            kind: require(kind, "missing or unknown kind")?,
+            span: optional(span)?.flatten(),
+            at_secs: require(at_secs, "missing at_secs")?.as_f64(),
+            attrs: optional(attrs)?.unwrap_or_default(),
+        })
+    })()
+    .map_err(|e: ReadError| e.within(format_args!("event {idx}")))
+}
+
+/// Reads an array of records, each told its index.
+fn read_records<T>(
+    r: &mut JsonReader,
+    read: impl Fn(&mut JsonReader, usize) -> Read<T>,
+    missing: &str,
+) -> Read<Vec<T>> {
+    let mut records = Vec::new();
+    let is_array = r.array(|r| {
+        records.push(read(r, records.len())?);
+        Ok(())
+    })?;
+    require(is_array.then_some(records), missing)
+}
+
+fn read_snapshot(r: &mut JsonReader) -> Read<TelemetrySnapshot> {
+    let mut version = None;
+    let (mut spans, mut events, mut metrics): (Slot<_>, Slot<_>, Slot<_>) = (None, None, None);
+    let is_object = r.object(|r, key| {
+        match key {
+            "version" => version = r.lenient(|r| Ok(r.number()?.and_then(Number::as_u64)))?,
+            "spans" => {
+                spans = Some(r.member(|r| read_records(r, read_span, "missing spans array"))?);
+            }
+            "events" => {
+                events =
+                    Some(r.member(|r| read_records(r, read_event, "missing events array"))?);
+            }
+            "metrics" => metrics = Some(r.member(MetricsRegistry::read_json)?),
+            _ => r.skip_value()?,
+        }
+        Ok(())
+    })?;
+    if !is_object {
+        // Any other document is well-formed JSON or not, but never a trace.
+        r.skip_value()?;
+    }
+    r.end()?;
+    match version {
+        Some(1) => {}
+        Some(v) => return shape(format!("unsupported trace version {v}")),
+        None => return shape("missing trace version"),
+    }
+    Ok(TelemetrySnapshot {
+        spans: required(spans, "missing spans array")?,
+        events: required(events, "missing events array")?,
+        metrics: required(metrics, "missing metrics object")?,
+    })
 }
 
 /// Microsecond timestamp for a simulated-seconds instant (clamped at 0).
@@ -183,31 +275,81 @@ fn timestamp_us(secs: f64) -> u64 {
     }
 }
 
+/// Appends `s` with `\`, `,`, space and `=` backslash-escaped — the line
+/// protocol's token escaping, as `pipetune_tsdb` writes it (a test holds
+/// [`TelemetrySnapshot::to_line_protocol`] to the lines of
+/// [`TelemetrySnapshot::to_points`]).
+fn push_escaped(out: &mut String, s: &str) {
+    let mut run_start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if matches!(b, b'\\' | b',' | b' ' | b'=') {
+            out.push_str(&s[run_start..i]);
+            out.push('\\');
+            run_start = i;
+        }
+    }
+    out.push_str(&s[run_start..]);
+}
+
 impl TelemetrySnapshot {
-    /// The full snapshot (spans, events, metrics) as one JSON value with
-    /// sorted object keys throughout.
-    pub fn to_json(&self) -> Value {
-        let mut obj = serde_json::Map::new();
-        obj.insert("version".into(), Value::U64(1));
-        obj.insert(
-            "spans".into(),
-            Value::Array(
-                self.spans.iter().enumerate().map(|(i, s)| span_json(i, s)).collect(),
-            ),
-        );
-        obj.insert(
-            "events".into(),
-            Value::Array(self.events.iter().map(event_json).collect()),
-        );
-        obj.insert("metrics".into(), self.metrics.to_json());
-        Value::Object(obj)
+    fn write_json(&self, w: &mut JsonWriter) {
+        let mut order = Vec::new();
+        w.begin_object();
+        w.key("events");
+        w.begin_array();
+        for event in &self.events {
+            w.element();
+            w.begin_object();
+            w.key("at_secs");
+            w.f64(event.at_secs);
+            w.key("attrs");
+            write_attrs(w, &event.attrs, &mut order);
+            w.key("kind");
+            w.string(event.kind.name());
+            w.key("span");
+            write_index(w, event.span);
+            w.end_object();
+        }
+        w.end_array();
+        w.key("metrics");
+        self.metrics.write_json(w);
+        w.key("spans");
+        w.begin_array();
+        for (id, span) in self.spans.iter().enumerate() {
+            w.element();
+            w.begin_object();
+            w.key("attrs");
+            write_attrs(w, &span.attrs, &mut order);
+            // Open spans carry NaN, which JSON cannot represent: `f64`
+            // writes null.
+            w.key("end_secs");
+            w.f64(span.end_secs);
+            w.key("id");
+            w.u64(id as u64);
+            w.key("kind");
+            w.string(span.kind.name());
+            w.key("label");
+            w.string(&span.label);
+            w.key("parent");
+            write_index(w, span.parent);
+            w.key("start_secs");
+            w.f64(span.start_secs);
+            w.end_object();
+        }
+        w.end_array();
+        w.key("version");
+        w.u64(1);
+        w.end_object();
     }
 
     /// The snapshot as a pretty-printed JSON string (the trace-dump
-    /// artefact format).
+    /// artefact format): spans, events and metrics in one document with
+    /// sorted object keys throughout.
     pub fn to_json_string(&self) -> String {
-        serde_json::to_string_pretty(&self.to_json())
-            .expect("telemetry snapshot serialises infallibly")
+        let records = self.spans.len() + self.events.len();
+        let mut w = JsonWriter::new(true, 1024 + RECORD_BYTES * records);
+        self.write_json(&mut w);
+        w.finish()
     }
 
     /// Parses a JSON trace dump (the [`TelemetrySnapshot::to_json_string`]
@@ -240,50 +382,89 @@ impl TelemetrySnapshot {
     /// assert_eq!(parsed.to_json_string(), text);
     /// ```
     pub fn from_json_str(text: &str) -> Result<Self, TraceError> {
-        let value: Value =
-            serde_json::from_str(text).map_err(|e| parse_error(e.to_string()))?;
-        Self::from_json(&value)
-    }
-
-    /// Structured-value variant of [`TelemetrySnapshot::from_json_str`].
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::Parse`] on shape mismatches (see
-    /// [`TelemetrySnapshot::from_json_str`]).
-    pub fn from_json(value: &Value) -> Result<Self, TraceError> {
-        match value.get("version").and_then(Value::as_u64) {
-            Some(1) => {}
-            Some(v) => return Err(parse_error(format!("unsupported trace version {v}"))),
-            None => return Err(parse_error("missing trace version")),
-        }
-        let spans = value
-            .get("spans")
-            .and_then(Value::as_array)
-            .ok_or_else(|| parse_error("missing spans array"))?
-            .iter()
-            .enumerate()
-            .map(|(i, s)| span_from_json(i, s))
-            .collect::<Result<Vec<_>, _>>()?;
-        let events = value
-            .get("events")
-            .and_then(Value::as_array)
-            .ok_or_else(|| parse_error("missing events array"))?
-            .iter()
-            .enumerate()
-            .map(|(i, e)| event_from_json(i, e))
-            .collect::<Result<Vec<_>, _>>()?;
-        let metrics = MetricsRegistry::from_json(
-            value.get("metrics").ok_or_else(|| parse_error("missing metrics object"))?,
-        )
-        .map_err(parse_error)?;
-        Ok(TelemetrySnapshot { spans, events, metrics })
+        read_snapshot(&mut JsonReader::new(text))
+            .map_err(|e| TraceError::Parse { reason: e.into_reason() })
     }
 
     /// The metrics registry alone as a compact JSON string.
     pub fn metrics_json_string(&self) -> String {
-        serde_json::to_string(&self.metrics.to_json())
-            .expect("metrics registry serialises infallibly")
+        let mut w = JsonWriter::new(false, 1024);
+        self.metrics.write_json(&mut w);
+        w.finish()
+    }
+
+    /// Hands `sink` every tsdb record of the snapshot as `(measurement,
+    /// tags, fields, timestamp_us)`: one `pipetune_span` record per span
+    /// (tags `kind`/`label`, fields `start_secs`/`end_secs`/
+    /// `duration_secs` plus numeric attributes), one `pipetune_event`
+    /// record per event, one `pipetune_counter`/`pipetune_gauge` record per
+    /// metric and one `pipetune_histogram` record per histogram. Tags and
+    /// fields arrive in recording order with [`Point`]'s map semantics still
+    /// to be applied: a later entry replaces an earlier one of the same
+    /// key, and keys are stored sorted.
+    fn for_each_record(
+        &self,
+        mut sink: impl FnMut(&str, &mut [(&str, &str)], &mut [(&str, f64)], u64),
+    ) {
+        fn split_attrs<'a>(
+            attrs: &'a Attrs,
+            tags: &mut Vec<(&'a str, &'a str)>,
+            fields: &mut Vec<(&'a str, f64)>,
+        ) {
+            for (key, value) in attrs {
+                match (value, value.as_field()) {
+                    (AttrValue::Str(s), _) => tags.push((key, s)),
+                    (_, Some(f)) => fields.push((key, f)),
+                    (_, None) => {}
+                }
+            }
+        }
+        let most_buckets =
+            self.metrics.histograms().map(|(_, h)| h.counts().len()).max().unwrap_or(0);
+        let bucket_keys: Vec<String> = (0..most_buckets).map(|i| format!("bucket_{i}")).collect();
+        let (mut tags, mut fields) = (Vec::new(), Vec::new());
+        for (id, span) in self.spans.iter().enumerate() {
+            let end = if span.end_secs.is_finite() { span.end_secs } else { span.start_secs };
+            tags.clear();
+            tags.extend([("kind", span.kind.name()), ("label", span.label.as_str())]);
+            fields.clear();
+            fields.extend([
+                ("span_id", id as f64),
+                ("start_secs", span.start_secs),
+                ("end_secs", end),
+                ("duration_secs", end - span.start_secs),
+            ]);
+            split_attrs(&span.attrs, &mut tags, &mut fields);
+            sink("pipetune_span", &mut tags, &mut fields, timestamp_us(span.start_secs));
+        }
+        for event in &self.events {
+            tags.clear();
+            tags.push(("kind", event.kind.name()));
+            fields.clear();
+            fields.push(("at_secs", event.at_secs));
+            if let Some(span) = event.span {
+                fields.push(("span_id", f64::from(span)));
+            }
+            split_attrs(&event.attrs, &mut tags, &mut fields);
+            sink("pipetune_event", &mut tags, &mut fields, timestamp_us(event.at_secs));
+        }
+        for (name, value) in self.metrics.counters() {
+            sink("pipetune_counter", &mut [("name", name)], &mut [("value", value as f64)], 0);
+        }
+        for (name, value) in self.metrics.gauges() {
+            sink("pipetune_gauge", &mut [("name", name)], &mut [("value", value)], 0);
+        }
+        for (name, hist) in self.metrics.histograms() {
+            fields.clear();
+            fields.extend([("count", hist.count() as f64), ("sum", hist.sum())]);
+            fields.extend(
+                bucket_keys.iter().zip(hist.counts()).map(|(key, &c)| (key.as_str(), c as f64)),
+            );
+            if hist.count() > 0 {
+                fields.extend([("min", hist.min()), ("max", hist.max())]);
+            }
+            sink("pipetune_histogram", &mut [("name", name)], &mut fields, 0);
+        }
     }
 
     /// The snapshot as tsdb points: one `pipetune_span` point per span
@@ -293,65 +474,16 @@ impl TelemetrySnapshot {
     /// metric and one `pipetune_histogram` point per histogram.
     pub fn to_points(&self) -> Vec<Point> {
         let mut points = Vec::new();
-        for (id, span) in self.spans.iter().enumerate() {
-            let end = if span.end_secs.is_finite() { span.end_secs } else { span.start_secs };
-            let mut p = Point::new("pipetune_span", timestamp_us(span.start_secs))
-                .tag("kind", span.kind.name())
-                .tag("label", span.label.as_str())
-                .field("span_id", id as f64)
-                .field("start_secs", span.start_secs)
-                .field("end_secs", end)
-                .field("duration_secs", end - span.start_secs);
-            for (key, value) in &span.attrs {
-                match value {
-                    AttrValue::Str(s) => p = p.tag(*key, s.as_str()),
-                    other => {
-                        if let Some(f) = other.as_field() {
-                            p = p.field(*key, f);
-                        }
-                    }
-                }
+        self.for_each_record(|measurement, tags, fields, timestamp_us| {
+            let mut point = Point::new(measurement, timestamp_us);
+            for (key, value) in tags {
+                point = point.tag(*key, *value);
             }
-            points.push(p);
-        }
-        for event in &self.events {
-            let mut p = Point::new("pipetune_event", timestamp_us(event.at_secs))
-                .tag("kind", event.kind.name())
-                .field("at_secs", event.at_secs);
-            if let Some(span) = event.span {
-                p = p.field("span_id", f64::from(span));
+            for (key, value) in fields {
+                point = point.field(*key, *value);
             }
-            for (key, value) in &event.attrs {
-                match value {
-                    AttrValue::Str(s) => p = p.tag(*key, s.as_str()),
-                    other => {
-                        if let Some(f) = other.as_field() {
-                            p = p.field(*key, f);
-                        }
-                    }
-                }
-            }
-            points.push(p);
-        }
-        for (name, value) in self.metrics.counters() {
-            points.push(
-                Point::new("pipetune_counter", 0).tag("name", name).field("value", value as f64),
-            );
-        }
-        for (name, value) in self.metrics.gauges() {
-            points.push(Point::new("pipetune_gauge", 0).tag("name", name).field("value", value));
-        }
-        for (name, hist) in self.metrics.histograms() {
-            let mut p = Point::new("pipetune_histogram", 0)
-                .tag("name", name)
-                .field("count", hist.count() as f64)
-                .field("sum", hist.sum())
-                .field_vec("bucket", &hist.counts().iter().map(|&c| c as f64).collect::<Vec<_>>());
-            if hist.count() > 0 {
-                p = p.field("min", hist.min()).field("max", hist.max());
-            }
-            points.push(p);
-        }
+            points.push(point);
+        });
         points
     }
 
@@ -360,10 +492,34 @@ impl TelemetrySnapshot {
     /// real InfluxDB or into the embedded [`pipetune_tsdb::Database`].
     pub fn to_line_protocol(&self) -> String {
         let mut out = String::new();
-        for point in self.to_points() {
-            out.push_str(&point.to_line_protocol());
-            out.push('\n');
-        }
+        self.for_each_record(|measurement, tags, fields, timestamp_us| {
+            // Stable sorts: of several entries under one key the last one
+            // recorded comes last, and only that one is written.
+            tags.sort_by_key(|(key, _)| *key);
+            fields.sort_by_key(|(key, _)| *key);
+            push_escaped(&mut out, measurement);
+            for (i, (key, value)) in tags.iter().enumerate() {
+                if tags.get(i + 1).is_some_and(|(next, _)| next == key) {
+                    continue;
+                }
+                out.push(',');
+                push_escaped(&mut out, key);
+                out.push('=');
+                push_escaped(&mut out, value);
+            }
+            let mut separator = ' ';
+            for (i, (key, value)) in fields.iter().enumerate() {
+                if fields.get(i + 1).is_some_and(|(next, _)| next == key) {
+                    continue;
+                }
+                out.push(separator);
+                separator = ',';
+                push_escaped(&mut out, key);
+                // Writing into a `String` cannot fail.
+                let _ = write!(out, "={value}");
+            }
+            let _ = writeln!(out, " {timestamp_us}");
+        });
         out
     }
 

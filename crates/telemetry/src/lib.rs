@@ -54,6 +54,7 @@
 mod collector;
 mod export;
 mod handle;
+mod json;
 mod metrics;
 pub mod names;
 mod span;

@@ -9,7 +9,9 @@
 
 use std::collections::BTreeMap;
 
-use serde_json::Value;
+use crate::json::{
+    optional, require, required, shape, JsonReader, JsonWriter, Number, Read, Slot,
+};
 
 /// Standard duration buckets (simulated seconds) for epoch/trial timings.
 pub const DURATION_BUCKETS_SECS: &[f64] =
@@ -135,39 +137,88 @@ impl Histogram {
         self.max
     }
 
-    /// Reassembles a histogram from its exported parts (inverse of the JSON
-    /// export). `None` when the counts vector does not match the bounds.
-    pub(crate) fn from_parts(
-        bounds: Vec<f64>,
-        counts: Vec<u64>,
-        sum: f64,
-        count: u64,
-        min: f64,
-        max: f64,
-    ) -> Option<Self> {
-        if counts.len() != bounds.len() + 1 {
-            return None;
+    /// Writes the histogram as a JSON object, keys in sorted order; an
+    /// empty histogram has no `min` / `max`.
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("bounds");
+        w.begin_array();
+        for &bound in &self.bounds {
+            w.element();
+            w.f64(bound);
         }
-        Some(Histogram { bounds, counts, sum, count, min, max })
+        w.end_array();
+        w.key("count");
+        w.u64(self.count);
+        w.key("counts");
+        w.begin_array();
+        for &count in &self.counts {
+            w.element();
+            w.u64(count);
+        }
+        w.end_array();
+        if self.count > 0 {
+            w.key("max");
+            w.f64(self.max);
+            w.key("min");
+            w.f64(self.min);
+        }
+        w.key("sum");
+        w.f64(self.sum);
+        w.end_object();
     }
 
-    fn to_json(&self) -> Value {
-        let mut obj = serde_json::Map::new();
-        obj.insert(
-            "bounds".into(),
-            Value::Array(self.bounds.iter().map(|&b| Value::F64(b)).collect()),
-        );
-        obj.insert(
-            "counts".into(),
-            Value::Array(self.counts.iter().map(|&c| Value::U64(c)).collect()),
-        );
-        obj.insert("sum".into(), Value::F64(self.sum));
-        obj.insert("count".into(), Value::U64(self.count));
-        if self.count > 0 {
-            obj.insert("min".into(), Value::F64(self.min));
-            obj.insert("max".into(), Value::F64(self.max));
+    /// Inverse of [`Histogram::write_json`]. Complaints come without the
+    /// `histogram <name>: ` prefix, which the caller adds.
+    fn read_json(r: &mut JsonReader) -> Read<Self> {
+        fn numbers<T>(
+            r: &mut JsonReader,
+            missing: &str,
+            element: impl Fn(Number) -> Option<T>,
+            mismatch: &str,
+        ) -> Read<Vec<T>> {
+            let mut values = Vec::new();
+            let is_array = r.array(|r| {
+                values.push(require(r.number()?.and_then(&element), mismatch)?);
+                Ok(())
+            })?;
+            require(is_array.then_some(values), missing)
         }
-        Value::Object(obj)
+        let (mut bounds, mut counts): (Slot<Vec<f64>>, Slot<Vec<u64>>) = (None, None);
+        // For these a value of another type reads as an absent member.
+        let (mut sum, mut count, mut min, mut max) = (None, None, None, None);
+        r.object(|r, key| {
+            match key {
+                "bounds" => {
+                    bounds = Some(r.member(|r| {
+                        numbers(r, "missing bounds", |n| Some(n.as_f64()), "non-numeric bound")
+                    })?);
+                }
+                "counts" => {
+                    counts = Some(r.member(|r| {
+                        numbers(r, "missing counts", Number::as_u64, "non-integer count")
+                    })?);
+                }
+                "sum" => sum = r.lenient(JsonReader::number)?,
+                "count" => count = r.lenient(JsonReader::number)?,
+                "min" => min = r.lenient(JsonReader::number)?,
+                "max" => max = r.lenient(JsonReader::number)?,
+                _ => r.skip_value()?,
+            }
+            Ok(())
+        })?;
+        let bounds = required(bounds, "missing bounds")?;
+        let counts = required(counts, "missing counts")?;
+        let sum = require(sum, "missing sum")?.as_f64();
+        let count = require(count.and_then(Number::as_u64), "missing count")?;
+        if counts.len() != bounds.len() + 1 {
+            return shape("counts do not match bounds");
+        }
+        // `min` / `max` are omitted for empty histograms; restore the
+        // empty-state sentinels so re-export is byte-identical.
+        let min = min.map_or(f64::INFINITY, Number::as_f64);
+        let max = max.map_or(f64::NEG_INFINITY, Number::as_f64);
+        Ok(Histogram { bounds, counts, sum, count, min, max })
     }
 }
 
@@ -262,81 +313,85 @@ impl MetricsRegistry {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Parses a registry back out of its [`MetricsRegistry::to_json`] form.
-    /// Errors carry a plain-text reason (wrapped into a typed
-    /// [`crate::TraceError::Parse`] by the snapshot importer).
-    pub(crate) fn from_json(value: &Value) -> Result<Self, String> {
-        let mut registry = MetricsRegistry::new();
-        let obj = value.as_object().ok_or("metrics must be an object")?;
-        if let Some(counters) = obj.get("counters") {
-            for (name, v) in counters.as_object().ok_or("counters must be an object")? {
-                let v = v.as_u64().ok_or_else(|| format!("counter {name} must be a u64"))?;
-                registry.counters.insert(name.clone(), v);
-            }
+    /// Writes the registry as a JSON object, keys in sorted order
+    /// throughout.
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("counters");
+        w.begin_object();
+        for (name, value) in &self.counters {
+            w.key(name);
+            w.u64(*value);
         }
-        if let Some(gauges) = obj.get("gauges") {
-            for (name, v) in gauges.as_object().ok_or("gauges must be an object")? {
-                // A NaN gauge exports as null; re-import it as NaN.
-                let v = if v.is_null() {
-                    f64::NAN
-                } else {
-                    v.as_f64().ok_or_else(|| format!("gauge {name} must be a number"))?
-                };
-                registry.gauges.insert(name.clone(), v);
-            }
+        w.end_object();
+        w.key("gauges");
+        w.begin_object();
+        for (name, value) in &self.gauges {
+            w.key(name);
+            w.f64(*value);
         }
-        if let Some(hists) = obj.get("histograms") {
-            for (name, h) in hists.as_object().ok_or("histograms must be an object")? {
-                let err = |what: &str| format!("histogram {name}: {what}");
-                let bounds = h
-                    .get("bounds")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| err("missing bounds"))?
-                    .iter()
-                    .map(|b| b.as_f64().ok_or_else(|| err("non-numeric bound")))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let counts = h
-                    .get("counts")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| err("missing counts"))?
-                    .iter()
-                    .map(|c| c.as_u64().ok_or_else(|| err("non-integer count")))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let sum =
-                    h.get("sum").and_then(Value::as_f64).ok_or_else(|| err("missing sum"))?;
-                let count =
-                    h.get("count").and_then(Value::as_u64).ok_or_else(|| err("missing count"))?;
-                // min/max are omitted for empty histograms; restore the
-                // empty-state sentinels so re-export is byte-identical.
-                let min = h.get("min").and_then(Value::as_f64).unwrap_or(f64::INFINITY);
-                let max = h.get("max").and_then(Value::as_f64).unwrap_or(f64::NEG_INFINITY);
-                let hist = Histogram::from_parts(bounds, counts, sum, count, min, max)
-                    .ok_or_else(|| err("counts do not match bounds"))?;
-                registry.histograms.insert(name.clone(), hist);
-            }
+        w.end_object();
+        w.key("histograms");
+        w.begin_object();
+        for (name, hist) in &self.histograms {
+            w.key(name);
+            hist.write_json(w);
         }
-        Ok(registry)
+        w.end_object();
+        w.end_object();
     }
 
-    /// The registry as a deterministic JSON value (sorted keys throughout).
-    pub fn to_json(&self) -> Value {
-        let mut counters = serde_json::Map::new();
-        for (name, v) in &self.counters {
-            counters.insert(name.clone(), Value::U64(*v));
+    /// Inverse of [`MetricsRegistry::write_json`]; each family may be
+    /// absent.
+    pub(crate) fn read_json(r: &mut JsonReader) -> Read<Self> {
+        let (mut counters, mut gauges, mut histograms): (Slot<_>, Slot<_>, Slot<_>) =
+            (None, None, None);
+        let is_object = r.object(|r, key| {
+            match key {
+                "counters" => {
+                    counters = Some(r.member(|r| {
+                        r.map("counters must be an object", |r, name| {
+                            match r.number()?.and_then(Number::as_u64) {
+                                Some(v) => Ok(v),
+                                None => shape(format!("counter {name} must be a u64")),
+                            }
+                        })
+                    })?);
+                }
+                "gauges" => {
+                    gauges = Some(r.member(|r| {
+                        r.map("gauges must be an object", |r, name| {
+                            // A NaN gauge exports as null; re-import it as NaN.
+                            if r.null() {
+                                return Ok(f64::NAN);
+                            }
+                            match r.number()? {
+                                Some(v) => Ok(v.as_f64()),
+                                None => shape(format!("gauge {name} must be a number")),
+                            }
+                        })
+                    })?);
+                }
+                "histograms" => {
+                    histograms = Some(r.member(|r| {
+                        r.map("histograms must be an object", |r, name| {
+                            Histogram::read_json(r)
+                                .map_err(|e| e.within(format_args!("histogram {name}")))
+                        })
+                    })?);
+                }
+                _ => r.skip_value()?,
+            }
+            Ok(())
+        })?;
+        if !is_object {
+            return shape("metrics must be an object");
         }
-        let mut gauges = serde_json::Map::new();
-        for (name, v) in &self.gauges {
-            gauges.insert(name.clone(), Value::F64(*v));
-        }
-        let mut hists = serde_json::Map::new();
-        for (name, h) in &self.histograms {
-            hists.insert(name.clone(), h.to_json());
-        }
-        let mut obj = serde_json::Map::new();
-        obj.insert("counters".into(), Value::Object(counters));
-        obj.insert("gauges".into(), Value::Object(gauges));
-        obj.insert("histograms".into(), Value::Object(hists));
-        Value::Object(obj)
+        Ok(MetricsRegistry {
+            counters: optional(counters)?.unwrap_or_default(),
+            gauges: optional(gauges)?.unwrap_or_default(),
+            histograms: optional(histograms)?.unwrap_or_default(),
+        })
     }
 }
 
@@ -421,7 +476,9 @@ mod tests {
         r.counter_add("a", 1);
         r.gauge_set("m", 0.5);
         r.observe("d", &[1.0], 0.5);
-        let json = serde_json::to_string(&r.to_json()).unwrap();
+        let mut w = JsonWriter::new(false, 0);
+        r.write_json(&mut w);
+        let json = w.finish();
         let a = json.find("\"a\"").unwrap();
         let z = json.find("\"z\"").unwrap();
         assert!(a < z, "counters must serialise in sorted order");

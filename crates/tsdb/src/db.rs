@@ -15,6 +15,17 @@ pub struct Database {
     points: RwLock<Vec<Point>>,
 }
 
+/// `point` itself when it can be stored, the typed rejection otherwise.
+fn storable(point: Point) -> Result<Point, TsdbError> {
+    if point.is_storable() {
+        Ok(point)
+    } else {
+        Err(TsdbError::InvalidPoint {
+            reason: "measurement and at least one field are required".into(),
+        })
+    }
+}
+
 impl Database {
     /// Creates an empty database.
     pub fn new() -> Self {
@@ -28,12 +39,7 @@ impl Database {
     /// Returns [`TsdbError::InvalidPoint`] for points without a measurement
     /// name or without fields.
     pub fn write(&self, point: Point) -> Result<(), TsdbError> {
-        if !point.is_storable() {
-            return Err(TsdbError::InvalidPoint {
-                reason: "measurement and at least one field are required".into(),
-            });
-        }
-        self.points.write().push(point);
+        self.points.write().push(storable(point)?);
         Ok(())
     }
 
@@ -119,12 +125,14 @@ impl Database {
 
     /// Exports every stored point as Influx line protocol, one per line.
     pub fn to_line_protocol(&self) -> String {
-        self.points
-            .read()
-            .iter()
-            .map(crate::Point::to_line_protocol)
-            .collect::<Vec<_>>()
-            .join("\n")
+        let mut out = String::new();
+        for (i, point) in self.points.read().iter().enumerate() {
+            if i > 0 {
+                out.push('\n');
+            }
+            point.write_line_protocol(&mut out);
+        }
+        out
     }
 
     /// Imports points from Influx line protocol (one point per non-empty,
@@ -135,13 +143,15 @@ impl Database {
     /// Returns [`TsdbError::Corrupt`] on the first malformed line; earlier
     /// lines remain imported.
     pub fn import_line_protocol(&self, text: &str) -> Result<usize, TsdbError> {
+        // One lock for the whole text; each line lands as soon as it parses.
+        let mut points = self.points.write();
         let mut imported = 0;
         for line in text.lines() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            self.write(crate::Point::from_line_protocol(line)?)?;
+            points.push(storable(Point::from_line_protocol(line)?)?);
             imported += 1;
         }
         Ok(imported)

@@ -7,14 +7,36 @@
 //! ```text
 //! measurement,tag1=a,tag2=b field1=1.5,field2=2 1625000000000
 //! ```
+//!
+//! Both directions are one pass over their input. The encoder appends
+//! escaped tokens and numbers to a caller-supplied buffer; the decoder
+//! scans `&str` slices of the line for unescaped separators and allocates
+//! only the strings the [`Point`] keeps.
+
+use std::fmt::Write as _;
 
 use crate::{Point, TsdbError};
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace(',', "\\,").replace(' ', "\\ ").replace('=', "\\=")
+/// Appends `s` with `\`, `,`, space and `=` backslash-escaped.
+fn push_escaped(out: &mut String, s: &str) {
+    // The escaped bytes are ASCII, so the runs between them are whole
+    // characters.
+    let mut run_start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if matches!(b, b'\\' | b',' | b' ' | b'=') {
+            out.push_str(&s[run_start..i]);
+            out.push('\\');
+            run_start = i;
+        }
+    }
+    out.push_str(&s[run_start..]);
 }
 
+/// Drops the backslash of every `\x` pair (and a trailing lone backslash).
 fn unescape(s: &str) -> String {
+    if !s.contains('\\') {
+        return s.to_string();
+    }
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -29,51 +51,73 @@ fn unescape(s: &str) -> String {
     out
 }
 
-/// Splits on `sep`, honouring backslash escapes.
-fn split_escaped(s: &str, sep: char) -> Vec<String> {
-    let mut parts = Vec::new();
-    let mut cur = String::new();
-    let mut escaped = false;
-    for c in s.chars() {
-        if escaped {
-            cur.push('\\');
-            cur.push(c);
-            escaped = false;
-        } else if c == '\\' {
-            escaped = true;
-        } else if c == sep {
-            parts.push(std::mem::take(&mut cur));
-        } else {
-            cur.push(c);
+/// The slices of `s` between unescaped `sep` bytes: a backslash keeps the
+/// character after it (separator or not) inside the current slice, and the
+/// slices keep their escapes. Always yields at least one slice.
+fn split_unescaped(s: &str, sep: u8) -> impl Iterator<Item = &str> {
+    let bytes = s.as_bytes();
+    let mut start = 0;
+    let mut done = false;
+    std::iter::from_fn(move || {
+        if done {
+            return None;
         }
+        let mut i = start;
+        while i < bytes.len() {
+            match bytes[i] {
+                // Skipping one byte is enough: the continuation bytes of a
+                // multi-byte character are neither `\` nor a separator.
+                b'\\' => i += 2,
+                b if b == sep => {
+                    let part = &s[start..i];
+                    start = i + 1;
+                    return Some(part);
+                }
+                _ => i += 1,
+            }
+        }
+        done = true;
+        Some(&s[start..])
+    })
+}
+
+/// Splits `s` at its single unescaped `=`.
+fn key_value(s: &str) -> Option<(&str, &str)> {
+    let mut parts = split_unescaped(s, b'=');
+    match (parts.next(), parts.next(), parts.next()) {
+        (Some(key), Some(value), None) => Some((key, value)),
+        _ => None,
     }
-    if escaped {
-        cur.push('\\');
-    }
-    parts.push(cur);
-    parts
 }
 
 impl Point {
     /// Serialises to one line of Influx line protocol.
     pub fn to_line_protocol(&self) -> String {
-        let mut line = escape(self.measurement());
-        for (k, v) in self.tags() {
-            line.push(',');
-            line.push_str(&escape(k));
-            line.push('=');
-            line.push_str(&escape(v));
-        }
-        line.push(' ');
-        let fields: Vec<String> = self
-            .fields()
-            .iter()
-            .map(|(k, v)| format!("{}={}", escape(k), v))
-            .collect();
-        line.push_str(&fields.join(","));
-        line.push(' ');
-        line.push_str(&self.timestamp_us().to_string());
+        let mut line = String::new();
+        self.write_line_protocol(&mut line);
         line
+    }
+
+    /// Appends the point's line of Influx line protocol (no line
+    /// terminator) to `out`.
+    pub fn write_line_protocol(&self, out: &mut String) {
+        push_escaped(out, self.measurement());
+        for (k, v) in self.tags() {
+            out.push(',');
+            push_escaped(out, k);
+            out.push('=');
+            push_escaped(out, v);
+        }
+        out.push(' ');
+        for (i, (k, v)) in self.fields().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            push_escaped(out, k);
+            // Writing into a `String` cannot fail.
+            let _ = write!(out, "={v}");
+        }
+        let _ = write!(out, " {}", self.timestamp_us());
     }
 
     /// Parses one line of Influx line protocol.
@@ -84,42 +128,35 @@ impl Point {
     /// bad numbers, bad timestamp).
     pub fn from_line_protocol(line: &str) -> Result<Point, TsdbError> {
         let corrupt = |reason: &str| TsdbError::Corrupt { reason: reason.to_string() };
-        let segments = split_escaped(line.trim(), ' ');
-        let (head, field_seg, ts_seg) = match segments.len() {
-            3 => (&segments[0], &segments[1], Some(&segments[2])),
-            2 => (&segments[0], &segments[1], None),
-            _ => return Err(corrupt("expected 'measurement[,tags] fields [timestamp]'")),
-        };
+        let mut segments = split_unescaped(line.trim(), b' ');
+        let (head, field_seg, ts_seg) =
+            match (segments.next(), segments.next(), segments.next(), segments.next()) {
+                (Some(head), Some(fields), ts, None) => (head, fields, ts),
+                _ => return Err(corrupt("expected 'measurement[,tags] fields [timestamp]'")),
+            };
         let timestamp = match ts_seg {
             Some(t) => t.parse::<u64>().map_err(|_| corrupt("bad timestamp"))?,
             None => 0,
         };
-        let mut head_parts = split_escaped(head, ',').into_iter();
-        let measurement =
-            unescape(&head_parts.next().ok_or_else(|| corrupt("missing measurement"))?);
+        let mut head_parts = split_unescaped(head, b',');
+        let measurement = unescape(head_parts.next().unwrap_or_default());
         if measurement.is_empty() {
             return Err(corrupt("empty measurement"));
         }
         let mut point = Point::new(measurement, timestamp);
         for tag in head_parts {
-            let kv = split_escaped(&tag, '=');
-            if kv.len() != 2 {
-                return Err(corrupt("malformed tag"));
-            }
-            point = point.tag(unescape(&kv[0]), unescape(&kv[1]));
+            let (key, value) = key_value(tag).ok_or_else(|| corrupt("malformed tag"))?;
+            point = point.tag(unescape(key), unescape(value));
         }
         if field_seg.is_empty() {
             return Err(corrupt("no fields"));
         }
-        for field in split_escaped(field_seg, ',') {
-            let kv = split_escaped(&field, '=');
-            if kv.len() != 2 {
-                return Err(corrupt("malformed field"));
-            }
+        for field in split_unescaped(field_seg, b',') {
+            let (key, value) = key_value(field).ok_or_else(|| corrupt("malformed field"))?;
             // Accept Influx's integer suffix `i` as well as plain floats.
-            let raw = kv[1].strip_suffix('i').unwrap_or(&kv[1]);
+            let raw = value.strip_suffix('i').unwrap_or(value);
             let value: f64 = raw.parse().map_err(|_| corrupt("non-numeric field value"))?;
-            point = point.field(unescape(&kv[0]), value);
+            point = point.field(unescape(key), value);
         }
         Ok(point)
     }
