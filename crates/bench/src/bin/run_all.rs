@@ -49,7 +49,9 @@ fn main() {
     } else {
         BINARIES.iter().chain(SLOW.iter()).copied().collect()
     };
-    for bin in &list {
+    // The summary assembles the headline paper-vs-measured table from the
+    // artefacts; a missing or failing one fails the run like any experiment.
+    for bin in list.iter().chain(&["summarize"]) {
         println!("\n########## {bin} ##########");
         let mut cmd = Command::new(exe_dir.join(bin));
         if quick {
@@ -67,9 +69,6 @@ fn main() {
             }
         }
     }
-    // Assemble the headline paper-vs-measured table from the artefacts.
-    println!("\n########## summarize ##########");
-    let _ = Command::new(exe_dir.join("summarize")).status();
 
     println!("\n==================================================");
     if failures.is_empty() {

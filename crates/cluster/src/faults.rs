@@ -49,10 +49,21 @@ pub enum FaultKind {
     },
 }
 
+/// Straggler slowdown range (min, max), duration factors.
+const STRAGGLER_SLOWDOWN: (f64, f64) = (1.5, 4.0);
+/// Preemption suspension range (min, max), simulated seconds.
+const PREEMPT_SECS: (f64, f64) = (20.0, 120.0);
+/// Speed of a straggling slot relative to a healthy one.
+const SLOT_SPEED_FACTOR: f64 = 0.5;
+/// Where within an attempt's remaining service a job crash strikes, as a
+/// fraction range (min, max).
+const CRASH_FRACTION: (f64, f64) = (0.15, 0.85);
+
 /// A seeded, deterministic schedule of faults at epoch granularity.
 ///
-/// All probabilities are per epoch *attempt*; severities are drawn from the
-/// configured ranges. The empty plan ([`FaultPlan::none`]) injects nothing
+/// All probabilities are per epoch *attempt*; severities are drawn from
+/// fixed ranges (slowdown 1.5–4×, suspension 20–120 s, a straggling slot
+/// runs at half speed). The empty plan ([`FaultPlan::none`]) injects nothing
 /// and is the default everywhere, so fault-free runs are bit-identical to
 /// builds that predate fault injection.
 ///
@@ -76,19 +87,13 @@ pub struct FaultPlan {
     pub crash_prob: f64,
     /// Per-attempt probability of a [`FaultKind::Straggler`].
     pub straggler_prob: f64,
-    /// Straggler slowdown range (min, max), factors `>= 1`.
-    pub straggler_slowdown: (f64, f64),
     /// Per-attempt probability of a [`FaultKind::CounterRead`].
     pub counter_read_prob: f64,
     /// Per-attempt probability of a [`FaultKind::Preemption`].
     pub preempt_prob: f64,
-    /// Preemption suspension range (min, max), simulated seconds.
-    pub preempt_secs: (f64, f64),
     /// Per-round probability that a simulated executor slot is a straggler
     /// for that scheduler round (drives slot re-assignment).
     pub slot_straggler_prob: f64,
-    /// Speed of a straggling slot relative to a healthy one, in `(0, 1]`.
-    pub slot_speed_factor: f64,
 }
 
 impl Default for FaultPlan {
@@ -105,12 +110,9 @@ impl FaultPlan {
             seed: 0,
             crash_prob: 0.0,
             straggler_prob: 0.0,
-            straggler_slowdown: (1.5, 4.0),
             counter_read_prob: 0.0,
             preempt_prob: 0.0,
-            preempt_secs: (20.0, 120.0),
             slot_straggler_prob: 0.0,
-            slot_speed_factor: 0.5,
         }
     }
 
@@ -124,7 +126,6 @@ impl FaultPlan {
             counter_read_prob: 0.10,
             preempt_prob: 0.05,
             slot_straggler_prob: 0.15,
-            ..Self::none()
         }
     }
 
@@ -171,28 +172,28 @@ impl FaultPlan {
             });
         }
         if key(0x9EE1) < self.preempt_prob {
-            let (lo, hi) = self.preempt_secs;
-            return Some(FaultKind::Preemption { suspend_secs: lerp(lo.max(0.0), hi.max(0.0), key(0x9EE2)) });
+            let (lo, hi) = PREEMPT_SECS;
+            return Some(FaultKind::Preemption { suspend_secs: lerp(lo, hi, key(0x9EE2)) });
         }
         if key(0xC047) < self.counter_read_prob {
             return Some(FaultKind::CounterRead);
         }
         if key(0x57A6) < self.straggler_prob {
-            let (lo, hi) = self.straggler_slowdown;
-            return Some(FaultKind::Straggler { slowdown: lerp(lo.max(1.0), hi.max(1.0), key(0x57A7)) });
+            let (lo, hi) = STRAGGLER_SLOWDOWN;
+            return Some(FaultKind::Straggler { slowdown: lerp(lo, hi, key(0x57A7)) });
         }
         None
     }
 
     /// Relative speed of simulated slot `slot` during scheduler round
-    /// `round`: `1.0` for a healthy slot, [`FaultPlan::slot_speed_factor`]
-    /// for a straggling one. Pure function of `(self, round, slot)`.
+    /// `round`: `1.0` for a healthy slot, `0.5` for a straggling one. Pure
+    /// function of `(self, round, slot)`.
     pub fn slot_speed(&self, round: u64, slot: usize) -> f64 {
         if self.slot_straggler_prob <= 0.0 {
             return 1.0;
         }
         if self.unit(0x5107, round, slot as u64, 0) < self.slot_straggler_prob {
-            self.slot_speed_factor.clamp(1e-3, 1.0)
+            SLOT_SPEED_FACTOR
         } else {
             1.0
         }
@@ -225,11 +226,7 @@ fn splitmix64(mut x: u64) -> u64 {
 
 /// Linear interpolation of `u ∈ [0, 1)` into `[lo, hi]`.
 fn lerp(lo: f64, hi: f64, u: f64) -> f64 {
-    if hi <= lo {
-        lo
-    } else {
-        lo + (hi - lo) * u
-    }
+    lo + (hi - lo) * u
 }
 
 /// Bounded retry with exponential backoff in *simulated* time.
@@ -325,9 +322,6 @@ pub struct ServiceFaultPlan {
     /// Per-attempt probability that an admitted job's run crashes
     /// mid-service and must be resubmitted.
     pub crash_prob: f64,
-    /// Where within an attempt's remaining service the crash strikes,
-    /// as a fraction range `(min, max) ⊂ [0, 1]`.
-    pub crash_fraction: (f64, f64),
     /// Resubmission budget and backoff (simulated time) for crashed jobs.
     pub resubmit: RetryPolicy,
 }
@@ -351,7 +345,6 @@ impl ServiceFaultPlan {
             node_slots: 1,
             min_slots: 1,
             crash_prob: 0.0,
-            crash_fraction: (0.15, 0.85),
             resubmit: RetryPolicy { max_attempts: 3, base_backoff_secs: 600.0, backoff_factor: 2.0 },
         }
     }
@@ -413,7 +406,8 @@ impl ServiceFaultPlan {
     }
 
     /// Whether service attempt `attempt` (0-based) of job `job` crashes,
-    /// and if so at which fraction of the attempt's remaining service.
+    /// and if so at which fraction (in `[0.15, 0.85]`) of the attempt's
+    /// remaining service.
     /// Pure function of `(self, job, attempt)` — notably *not* of the
     /// scheduling policy or of time — so a job's crash/resume chain is
     /// policy-invariant.
@@ -422,9 +416,8 @@ impl ServiceFaultPlan {
             return None;
         }
         if hash_unit(self.seed, 0x5C8A, job, u64::from(attempt), 0) < self.crash_prob {
-            let (lo, hi) = self.crash_fraction;
-            let u = hash_unit(self.seed, 0x5C8B, job, u64::from(attempt), 0);
-            Some(lerp(lo.clamp(0.0, 1.0), hi.clamp(0.0, 1.0), u))
+            let (lo, hi) = CRASH_FRACTION;
+            Some(lerp(lo, hi, hash_unit(self.seed, 0x5C8B, job, u64::from(attempt), 0)))
         } else {
             None
         }

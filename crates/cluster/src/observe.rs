@@ -67,7 +67,7 @@ pub fn record_slot_speeds(speeds: &[f64], metrics: &mut MetricsRegistry) {
 }
 
 /// Stable lower-snake label for a fault kind (trace `fault` events).
-pub fn fault_kind_label(kind: &FaultKind) -> &'static str {
+fn fault_kind_label(kind: &FaultKind) -> &'static str {
     match kind {
         FaultKind::NodeCrash { .. } => "node_crash",
         FaultKind::Straggler { .. } => "straggler",

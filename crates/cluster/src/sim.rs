@@ -27,11 +27,6 @@ impl SimTime {
         SimTime((secs * 1e6).round() as u64)
     }
 
-    /// Microseconds since time zero.
-    pub fn as_micros(&self) -> u64 {
-        self.0
-    }
-
     /// Seconds since time zero.
     pub fn as_secs_f64(&self) -> f64 {
         self.0 as f64 / 1e6
@@ -114,11 +109,6 @@ impl<T> EventQueue<T> {
         self.heap.pop().map(|Reverse((t, _, EventSlot(p)))| (t, p))
     }
 
-    /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((t, _, _))| *t)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -137,7 +127,7 @@ mod tests {
     #[test]
     fn simtime_round_trips_seconds() {
         let t = SimTime::from_secs_f64(1.5);
-        assert_eq!(t.as_micros(), 1_500_000);
+        assert_eq!(t, SimTime::from_micros(1_500_000));
         assert!((t.as_secs_f64() - 1.5).abs() < 1e-9);
     }
 
@@ -173,6 +163,6 @@ mod tests {
         let a = SimTime::from_micros(10);
         let b = SimTime::from_micros(30);
         assert_eq!(a.minus(b), SimTime::ZERO);
-        assert_eq!(a.plus(b).as_micros(), 40);
+        assert_eq!(a.plus(b), SimTime::from_micros(40));
     }
 }

@@ -102,11 +102,6 @@ impl SlotPool {
         self.capacity - self.in_use
     }
 
-    /// Outstanding lease count.
-    pub fn leases(&self) -> usize {
-        self.leases.len()
-    }
-
     /// Leases `slots` slots, returning the lease id to release later.
     ///
     /// # Errors
@@ -160,22 +155,6 @@ impl SlotPool {
         self.capacity = capacity;
         Ok(())
     }
-
-    /// Splits `capacity` slots into `parts` near-equal partitions (the
-    /// first `capacity % parts` partitions get one extra slot). Every
-    /// partition gets at least one slot even when `parts > capacity`, so
-    /// a job can always run — the pool accounting is what then caps how
-    /// many partitions are simultaneously leased.
-    ///
-    /// Returns an empty vector for zero parts.
-    pub fn partition(capacity: usize, parts: usize) -> Vec<usize> {
-        if parts == 0 {
-            return Vec::new();
-        }
-        let base = capacity / parts;
-        let extra = capacity % parts;
-        (0..parts).map(|i| (base + usize::from(i < extra)).max(1)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -189,7 +168,7 @@ mod tests {
         let b = pool.lease(3).unwrap();
         assert_eq!(pool.in_use(), 4);
         assert_eq!(pool.available(), 0);
-        assert_eq!(pool.leases(), 2);
+        assert_eq!(pool.leases.len(), 2);
         assert_eq!(pool.release(a), Ok(1));
         assert_eq!(pool.release(b), Ok(3));
         assert_eq!(pool.in_use(), 0);
@@ -213,15 +192,6 @@ mod tests {
         pool.release(a).unwrap();
         let b = pool.lease(1).unwrap();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn partition_splits_near_equally_with_a_floor_of_one() {
-        assert_eq!(SlotPool::partition(4, 2), vec![2, 2]);
-        assert_eq!(SlotPool::partition(5, 2), vec![3, 2]);
-        assert_eq!(SlotPool::partition(4, 3), vec![2, 1, 1]);
-        assert_eq!(SlotPool::partition(2, 4), vec![1, 1, 1, 1]);
-        assert_eq!(SlotPool::partition(4, 0), Vec::<usize>::new());
     }
 
     #[test]

@@ -32,11 +32,6 @@ impl SystemConfig {
         SystemConfig { cores, memory_gb, freq_mhz: Self::NOMINAL_FREQ_MHZ }
     }
 
-    /// The paper's default trial configuration before tuning.
-    pub fn default_trial() -> Self {
-        SystemConfig::new(4, 4)
-    }
-
     /// Frequency relative to nominal (1.0 = no scaling).
     pub fn freq_ratio(&self) -> f64 {
         f64::from(self.freq_mhz.max(1)) / f64::from(Self::NOMINAL_FREQ_MHZ)
@@ -44,8 +39,9 @@ impl SystemConfig {
 }
 
 impl Default for SystemConfig {
+    /// The paper's default trial configuration before tuning.
     fn default() -> Self {
-        Self::default_trial()
+        SystemConfig::new(4, 4)
     }
 }
 

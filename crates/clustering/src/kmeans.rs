@@ -212,7 +212,7 @@ impl KMeansModel {
 
     /// Mean squared distance per training point — the reliability yardstick
     /// the paper compares new-point distances against (§5.6).
-    pub fn mean_inertia(&self) -> f64 {
+    fn mean_inertia(&self) -> f64 {
         if self.n_points == 0 {
             0.0
         } else {
@@ -226,7 +226,7 @@ impl KMeansModel {
     /// the spread a *new* member will show (a 2-point cluster's members sit
     /// at half their separation from the centroid), so similarity thresholds
     /// should be anchored on this estimate instead.
-    pub fn variance_estimate(&self) -> f64 {
+    pub(crate) fn variance_estimate(&self) -> f64 {
         let dof = self.n_points.saturating_sub(self.centroids.len());
         if dof == 0 {
             self.mean_inertia()

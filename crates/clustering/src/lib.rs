@@ -36,7 +36,7 @@ mod similarity;
 
 pub use dbscan::{Dbscan, DbscanLabel, DbscanModel};
 pub use kmeans::{ClusteringError, KMeans, KMeansModel};
-pub use silhouette::{select_k, silhouette_score};
+pub use silhouette::select_k;
 pub use similarity::{
     DbscanSimilarity, KMeansSimilarity, NearestNeighborSimilarity, Similarity, SimilarityVerdict,
 };

@@ -22,7 +22,7 @@ fn dist(a: &[f64], b: &[f64]) -> f64 {
 ///
 /// Returns [`ClusteringError`] when inputs are empty/ragged, label counts
 /// disagree, or fewer than two clusters are present.
-pub fn silhouette_score(data: &[Vec<f64>], labels: &[usize]) -> Result<f64, ClusteringError> {
+fn silhouette_score(data: &[Vec<f64>], labels: &[usize]) -> Result<f64, ClusteringError> {
     if data.is_empty() {
         return Err(ClusteringError::TooFewPoints { k: 2, points: 0 });
     }

@@ -10,8 +10,7 @@
 //! [`EpochCache`] stores those prefixes content-addressed by
 //! [`fingerprint`] and epoch depth, and a fresh trial resumes from the
 //! deepest cached prefix not exceeding its epoch budget, charging only a
-//! small reload cost ([`EpochCacheConfig::reload_cost_factor`]) instead
-//! of the full training time.
+//! small reload cost (5 % of it) instead of the full training time.
 //!
 //! # Determinism contract
 //!
@@ -62,15 +61,15 @@ pub struct EpochCacheConfig {
     /// Maximum number of cached prefixes; least-recently-used entries are
     /// evicted beyond it. Must be at least 1.
     pub capacity: usize,
-    /// Fraction of the original epoch duration charged for adopting a
-    /// cached epoch (checkpoint reload instead of training). Must lie in
-    /// `(0, 1)`.
-    pub reload_cost_factor: f64,
 }
+
+/// Fraction of the original epoch duration charged for adopting a cached
+/// epoch (checkpoint reload instead of training).
+const RELOAD_COST_FACTOR: f64 = 0.05;
 
 impl Default for EpochCacheConfig {
     fn default() -> Self {
-        EpochCacheConfig { capacity: 64, reload_cost_factor: 0.05 }
+        EpochCacheConfig { capacity: 64 }
     }
 }
 
@@ -79,20 +78,11 @@ impl EpochCacheConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`PipeTuneError::InvalidConfig`] on a zero capacity or a
-    /// reload cost factor outside `(0, 1)`.
+    /// Returns [`PipeTuneError::InvalidConfig`] on a zero capacity.
     pub fn validate(&self) -> Result<(), PipeTuneError> {
         if self.capacity == 0 {
             return Err(PipeTuneError::InvalidConfig {
                 reason: "epoch cache capacity must be at least 1".into(),
-            });
-        }
-        if !(self.reload_cost_factor > 0.0 && self.reload_cost_factor < 1.0) {
-            return Err(PipeTuneError::InvalidConfig {
-                reason: format!(
-                    "epoch cache reload_cost_factor must lie in (0, 1), got {}",
-                    self.reload_cost_factor
-                ),
             });
         }
         Ok(())
@@ -306,10 +296,9 @@ impl EpochCache {
     /// # Panics
     ///
     /// Panics when `config` fails [`EpochCacheConfig::validate`]: a zero
-    /// capacity or a reload cost factor outside `(0, 1)` would break the
-    /// accounting invariants (negative savings, charged cost exceeding
-    /// trained cost), so the check is enforced at every construction
-    /// site, not just in callers that validate up front.
+    /// capacity would evict every insert at once, so the check is
+    /// enforced at every construction site, not just in callers that
+    /// validate up front.
     pub fn new(config: EpochCacheConfig) -> Self {
         if let Err(e) = config.validate() {
             panic!("invalid EpochCacheConfig: {e}");
@@ -362,15 +351,14 @@ impl EpochCache {
         let lo = CacheKey { fingerprint, epochs: 0 };
         let hi = CacheKey { fingerprint, epochs: max_epochs };
         let (key, entry) = self.entries.range(lo..=hi).next_back()?;
-        let factor = self.config.reload_cost_factor;
         let mut charged = TrialSnapshot { secs: 0.0, energy_j: 0.0, ..entry.snapshot.clone() };
         for r in &mut charged.records {
             // A record that was itself adopted from the cache already
             // carries a reload cost; charge it verbatim rather than
             // discounting twice.
             if r.phase != EpochPhase::Cached {
-                r.duration_secs *= factor;
-                r.energy_j *= factor;
+                r.duration_secs *= RELOAD_COST_FACTOR;
+                r.energy_j *= RELOAD_COST_FACTOR;
                 r.phase = EpochPhase::Cached;
             }
             charged.secs += r.duration_secs;
@@ -433,11 +421,9 @@ impl EpochCache {
         }
     }
 
-    /// Serialises every persistable prefix to a JSON file, crash-safely:
-    /// the JSON goes to a unique temporary file in the destination
-    /// directory and is published with an atomic rename (the same pattern
-    /// as `pipetune_tsdb::Database::save`), so a crash mid-save leaves
-    /// either the previous file or the new one, never a truncated mix.
+    /// Serialises every persistable prefix to a JSON file, crash-safely
+    /// ([`pipetune_tsdb::write_atomic`]): a crash mid-save leaves either
+    /// the previous file or the new one, never a truncated mix.
     ///
     /// Kernel (Type-III) prefixes carry internal solver state that cannot
     /// be exported as parameters; they are skipped with no error. DNN
@@ -482,24 +468,7 @@ impl EpochCache {
         };
         let json = serde_json::to_string(&saved)
             .map_err(|e| PipeTuneError::Tsdb(TsdbError::Corrupt { reason: e.to_string() }))?;
-        let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-        static SAVE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let tmp_name = format!(
-            ".{}.{}.{}.tmp",
-            path.file_name().and_then(|n| n.to_str()).unwrap_or("epoch_cache"),
-            std::process::id(),
-            SAVE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-        );
-        let tmp = match dir {
-            Some(d) => d.join(&tmp_name),
-            None => std::path::PathBuf::from(&tmp_name),
-        };
-        std::fs::write(&tmp, json).map_err(|e| PipeTuneError::Tsdb(TsdbError::Io(e)))?;
-        if let Err(e) = std::fs::rename(&tmp, path) {
-            std::fs::remove_file(&tmp).ok();
-            return Err(PipeTuneError::Tsdb(TsdbError::Io(e)));
-        }
-        Ok(())
+        Ok(pipetune_tsdb::write_atomic(path, &json)?)
     }
 
     /// Rebuilds a cache from a file written by [`EpochCache::save`]: each
@@ -633,7 +602,7 @@ impl EpochCacheHandle {
     }
 
     /// Wraps an existing store (e.g. one rebuilt by [`EpochCache::load`]).
-    pub fn from_cache(cache: EpochCache) -> Self {
+    fn from_cache(cache: EpochCache) -> Self {
         EpochCacheHandle { inner: Some(Arc::new(parking_lot::RwLock::new(cache))) }
     }
 
@@ -655,11 +624,6 @@ impl EpochCacheHandle {
     /// Returns `true` when disabled or empty.
     pub fn is_empty(&self) -> bool {
         self.len().is_none_or(|n| n == 0)
-    }
-
-    /// Runs a closure against the read-locked store (inspection).
-    pub fn with_read<R>(&self, f: impl FnOnce(&EpochCache) -> R) -> Option<R> {
-        self.inner.as_ref().map(|c| f(&c.read()))
     }
 
     /// Read-only lookup safe to call concurrently from worker threads
@@ -778,7 +742,7 @@ mod tests {
         let charged: f64 = prefix.records.iter().map(|r| r.duration_secs).sum();
         assert!(prefix.records.iter().all(|r| r.phase == EpochPhase::Cached));
         assert_eq!(prefix.secs.to_bits(), charged.to_bits(), "snapshot carries the reload cost");
-        assert!((charged - trained * config.reload_cost_factor).abs() < 1e-9);
+        assert!((charged - trained * RELOAD_COST_FACTOR).abs() < 1e-9);
         assert!((saved_secs - (trained - charged)).abs() < 1e-9);
         assert!(saved_secs > 0.0);
     }
@@ -804,10 +768,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_prefers_stale_entries_with_seq_tiebreak() {
-        let mut cache = EpochCache::new(EpochCacheConfig {
-            capacity: 2,
-            ..EpochCacheConfig::default()
-        });
+        let mut cache = EpochCache::new(EpochCacheConfig { capacity: 2 });
         let (k1, e1) = trained_prefix(128, 1, 1);
         let (k2, e2) = trained_prefix(256, 1, 2);
         cache.commit([e1], 1.0);
@@ -824,10 +785,7 @@ mod tests {
         assert!(!keys.contains(&k2), "stale entry evicted");
 
         // Same-timestamp tie: the earlier seq goes first.
-        let mut cache = EpochCache::new(EpochCacheConfig {
-            capacity: 2,
-            ..EpochCacheConfig::default()
-        });
+        let mut cache = EpochCache::new(EpochCacheConfig { capacity: 2 });
         let (k1, e1) = trained_prefix(128, 1, 1);
         let (_, e2) = trained_prefix(256, 1, 2);
         let (_, e3) = trained_prefix(512, 1, 3);
@@ -838,10 +796,7 @@ mod tests {
 
     #[test]
     fn lru_clock_stays_monotone_across_runs() {
-        let mut cache = EpochCache::new(EpochCacheConfig {
-            capacity: 2,
-            ..EpochCacheConfig::default()
-        });
+        let mut cache = EpochCache::new(EpochCacheConfig { capacity: 2 });
         let (k1, e1) = trained_prefix(128, 1, 1);
         cache.commit([e1], 100.0);
         // A new run restarts its wall clock near zero; without the offset
@@ -918,6 +873,27 @@ mod tests {
     }
 
     #[test]
+    fn failed_save_is_a_typed_io_error_and_leaves_no_temp_file() {
+        let cache = EpochCache::new(EpochCacheConfig::default());
+        let dir = std::env::temp_dir()
+            .join(format!("pipetune_cache_failed_save_{}", std::process::id()));
+        // A non-empty directory in the destination's place: the temp file
+        // is written, the rename fails.
+        std::fs::create_dir_all(dir.join("occupied").join("child")).unwrap();
+        for bad in [dir.join("no_such_dir").join("cache.json"), dir.join("occupied")] {
+            let err = cache.save(&bad);
+            assert!(matches!(err, Err(PipeTuneError::Tsdb(TsdbError::Io(_)))), "{err:?}");
+        }
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(Result::ok)
+            .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
+            .collect();
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(leftovers.is_empty(), "temp files left behind: {leftovers:?}");
+    }
+
+    #[test]
     fn trial_identity_separates_every_component() {
         let base = trial_identity(1, 2, 3, 4, 1.0);
         assert_eq!(base, trial_identity(1, 2, 3, 4, 1.0), "pure function of its inputs");
@@ -950,23 +926,14 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "invalid EpochCacheConfig")]
-    fn zero_capacity_cache_panics_at_construction() {
-        let _ = EpochCache::new(EpochCacheConfig { capacity: 0, ..EpochCacheConfig::default() });
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid EpochCacheConfig")]
-    fn degenerate_reload_factor_handle_panics_at_construction() {
-        let _ = EpochCacheHandle::with_config(EpochCacheConfig {
-            reload_cost_factor: 1.5,
-            ..EpochCacheConfig::default()
-        });
+    fn zero_capacity_handle_panics_at_construction() {
+        let _ = EpochCacheHandle::with_config(EpochCacheConfig { capacity: 0 });
     }
 
     #[test]
     fn load_rejects_persisted_degenerate_config() {
         let saved = SavedCache {
-            config: EpochCacheConfig { capacity: 0, ..EpochCacheConfig::default() },
+            config: EpochCacheConfig { capacity: 0 },
             entries: Vec::new(),
             next_seq: 0,
             lru_offset: 0.0,
@@ -986,17 +953,9 @@ mod tests {
     #[test]
     fn config_validation_rejects_degenerate_knobs() {
         assert!(EpochCacheConfig::default().validate().is_ok());
-        assert!(EpochCacheConfig { capacity: 0, ..EpochCacheConfig::default() }
+        assert!(EpochCacheConfig { capacity: 0 }
             .validate()
             .is_err());
-        for bad in [0.0, 1.0, -0.5, f64::NAN] {
-            assert!(
-                EpochCacheConfig { reload_cost_factor: bad, ..EpochCacheConfig::default() }
-                    .validate()
-                    .is_err(),
-                "{bad} should be rejected"
-            );
-        }
     }
 
     #[test]

@@ -131,7 +131,7 @@ impl ExperimentEnv {
 
     /// Frequency-aware variant of [`ExperimentEnv::trial_power_watts`]:
     /// dynamic power follows the DVFS cubic law.
-    pub fn trial_power(&self, sys: &SystemConfig) -> f64 {
+    pub(crate) fn trial_power(&self, sys: &SystemConfig) -> f64 {
         let idle_floor = self.power.idle_watts * self.cluster.nodes.len() as f64;
         idle_floor
             + (self.power.power_watts_at_freq(sys.cores, 1.0, sys.freq_ratio())

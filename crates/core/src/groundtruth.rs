@@ -112,7 +112,7 @@ impl GroundTruth {
     }
 
     /// Creates a ground truth with an arbitrary similarity function.
-    pub fn with_similarity(kind: SimilarityKind, threshold_factor: f64, seed: u64) -> Self {
+    pub(crate) fn with_similarity(kind: SimilarityKind, threshold_factor: f64, seed: u64) -> Self {
         let k = match kind {
             SimilarityKind::KMeans { k } => k.max(1),
             SimilarityKind::Dbscan { min_points, .. } => min_points.max(1),

@@ -1,6 +1,6 @@
 //! The paper's five hyperparameters (§7.1.3) and their search space.
 
-use pipetune_search::{Config, ParamSpec, ParamValue, SearchSpace};
+use pipetune_search::{Config, ParamSpec, SearchSpace};
 use serde::{Deserialize, Serialize};
 
 /// One hyperparameter assignment for a trial.
@@ -54,9 +54,10 @@ impl HyperParams {
         hp
     }
 
-    /// Encodes into a scheduler [`Config`] (used by arbitrary baselines and
-    /// tests).
-    pub fn to_config(&self) -> Config {
+    /// Encodes into a scheduler [`Config`].
+    #[cfg(test)]
+    pub(crate) fn to_config(self) -> Config {
+        use pipetune_search::ParamValue;
         let mut c = Config::new();
         c.insert("batch_size".into(), ParamValue::Int(self.batch_size as i64));
         c.insert("dropout".into(), ParamValue::Float(f64::from(self.dropout)));
@@ -87,15 +88,6 @@ impl HyperSpace {
             ParamSpec::int_choice("embedding_dim", &[8, 16, 32, 64]),
             ParamSpec::float_range("learning_rate", 0.001, 0.1, true),
             ParamSpec::int_range("epochs", epochs_range.0, epochs_range.1),
-        ])
-    }
-
-    /// The system-parameter space as extra *hyper*parameters — what Tune V2
-    /// does (§4): cores ∈ {4, 8, 16}, memory ∈ {4, 8, 16, 32} GiB.
-    pub fn system_as_hyper() -> SearchSpace {
-        SearchSpace::new(vec![
-            ParamSpec::int_choice("cores", &[4, 8, 16]),
-            ParamSpec::int_choice("memory_gb", &[4, 8, 16, 32]),
         ])
     }
 }
@@ -147,12 +139,15 @@ mod tests {
     #[test]
     fn paper_space_has_five_parameters() {
         assert_eq!(HyperSpace::paper((10, 100)).len(), 5);
-        assert_eq!(HyperSpace::system_as_hyper().len(), 2);
     }
 
     #[test]
     fn v2_union_space_decodes_both_halves() {
-        let space = HyperSpace::paper((10, 100)).union(&HyperSpace::system_as_hyper());
+        let system_half = SearchSpace::new(vec![
+            ParamSpec::int_choice("cores", &[4, 8, 16]),
+            ParamSpec::int_choice("memory_gb", &[4, 8, 16, 32]),
+        ]);
+        let space = HyperSpace::paper((10, 100)).union(&system_half);
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0);
         let cfg = space.sample(&mut rng);
         let hp = HyperParams::from_config(&cfg);

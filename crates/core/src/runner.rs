@@ -65,7 +65,7 @@ impl SlotSchedule {
     /// that would finish it earliest, so work is steered away from slow
     /// slots — the re-assignment half of straggler mitigation. With all
     /// speeds at 1.0 this reduces exactly to `assign`.
-    pub fn assign_weighted(durations: &[f64], speeds: &[f64]) -> (Vec<f64>, f64) {
+    fn assign_weighted(durations: &[f64], speeds: &[f64]) -> (Vec<f64>, f64) {
         let slots = speeds.len().max(1);
         let mut load = vec![0.0f64; slots];
         let mut completions = Vec::with_capacity(durations.len());

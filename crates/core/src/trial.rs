@@ -273,7 +273,7 @@ impl TrialExecution {
     }
 
     /// The live workload.
-    pub fn workload_mut(&mut self) -> &mut WorkloadInstance {
+    pub(crate) fn workload_mut(&mut self) -> &mut WorkloadInstance {
         &mut self.workload
     }
 
@@ -396,13 +396,13 @@ impl TrialExecution {
 
     /// The system configuration a *final* training run would use: the tuned
     /// choice when decided, otherwise the environment default.
-    pub fn final_system(&self, env: &ExperimentEnv) -> SystemConfig {
+    pub(crate) fn final_system(&self, env: &ExperimentEnv) -> SystemConfig {
         self.tuner.chosen().unwrap_or(env.default_system)
     }
 
     /// Simulated duration of re-training the final model for `epochs` under
     /// the trial's final configuration (Table 2's "training time").
-    pub fn training_time_secs(&self, env: &ExperimentEnv, epochs: u32) -> f64 {
+    pub(crate) fn training_time_secs(&self, env: &ExperimentEnv, epochs: u32) -> f64 {
         let work = self.workload.work_units();
         let sys = self.final_system(env);
         env.cost.epoch_duration(&work, &sys, 1.0) * f64::from(epochs)

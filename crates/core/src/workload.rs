@@ -187,7 +187,7 @@ impl WorkloadSpec {
 
     /// Training examples at the *paper's* scale (Table 3) — the number the
     /// simulated clock accounts for.
-    pub fn paper_examples(&self) -> u64 {
+    fn paper_examples(&self) -> u64 {
         match self.job_type() {
             JobType::TypeI => 60_000,
             JobType::TypeII => 11_307,
@@ -196,7 +196,7 @@ impl WorkloadSpec {
     }
 
     /// Dataset size at the paper's scale, bytes (Table 3).
-    pub fn paper_dataset_bytes(&self) -> f64 {
+    fn paper_dataset_bytes(&self) -> f64 {
         match self.kind {
             SpecKind::LenetMnist => 12e6,
             SpecKind::LenetFashion => 31e6,
@@ -211,7 +211,7 @@ impl WorkloadSpec {
     /// family so default-configuration epoch durations land in the paper's
     /// range; architecture dependence (e.g. embedding width) is preserved
     /// because the factor multiplies the *measured* per-sample flops.
-    pub fn framework_overhead(&self) -> f64 {
+    fn framework_overhead(&self) -> f64 {
         match self.kind {
             SpecKind::LenetMnist | SpecKind::LenetFashion => 38.0,
             SpecKind::CnnNews20 => 60.0,
@@ -446,7 +446,7 @@ impl WorkloadInstance {
     }
 
     /// The hyperparameters in effect.
-    pub fn hyperparams(&self) -> &HyperParams {
+    pub(crate) fn hyperparams(&self) -> &HyperParams {
         &self.hp
     }
 

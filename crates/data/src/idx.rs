@@ -14,7 +14,7 @@ use pipetune_tensor::Tensor;
 /// A parsed IDX payload: dimensions plus flat `f32` data (u8 payloads are
 /// scaled to `[0, 1]`).
 #[derive(Debug, Clone, PartialEq)]
-pub struct IdxArray {
+struct IdxArray {
     /// Dimension sizes, outermost first.
     pub dims: Vec<usize>,
     /// Flattened values (ubyte payloads are scaled to `[0, 1]`).
@@ -36,7 +36,7 @@ fn corrupt(reason: impl Into<String>) -> DnnError {
 ///
 /// Returns [`DnnError::InvalidDataset`] on truncated input, bad magic,
 /// unsupported element types or size mismatches.
-pub fn parse_idx(bytes: &[u8]) -> Result<IdxArray, DnnError> {
+fn parse_idx(bytes: &[u8]) -> Result<IdxArray, DnnError> {
     if bytes.len() < 4 {
         return Err(corrupt("idx file shorter than its magic"));
     }
@@ -102,7 +102,7 @@ pub fn parse_idx(bytes: &[u8]) -> Result<IdxArray, DnnError> {
 ///
 /// Returns [`DnnError::InvalidDataset`] on I/O failures or malformed
 /// content.
-pub fn load_idx(path: &Path) -> Result<IdxArray, DnnError> {
+fn load_idx(path: &Path) -> Result<IdxArray, DnnError> {
     let bytes = std::fs::read(path)
         .map_err(|e| corrupt(format!("cannot read {}: {e}", path.display())))?;
     parse_idx(&bytes)
@@ -131,7 +131,7 @@ pub fn dataset_from_idx(
 /// # Errors
 ///
 /// Same conditions as [`dataset_from_idx`].
-pub fn dataset_from_arrays(
+fn dataset_from_arrays(
     images: IdxArray,
     labels: IdxArray,
     classes: usize,

@@ -33,7 +33,7 @@
 
 mod idx;
 
-pub use idx::{dataset_from_arrays, dataset_from_idx, load_idx, parse_idx, IdxArray};
+pub use idx::dataset_from_idx;
 
 use pipetune_dnn::{Dataset, DnnError, Features};
 use pipetune_tensor::Tensor;

@@ -22,7 +22,7 @@ impl ConfusionMatrix {
     ///
     /// Returns [`DnnError::InvalidDataset`] when lengths differ, the inputs
     /// are empty, or any index is out of range.
-    pub fn from_predictions(
+    pub(crate) fn from_predictions(
         predictions: &[usize],
         labels: &[usize],
         classes: usize,
@@ -80,7 +80,7 @@ impl ConfusionMatrix {
     }
 
     /// Recall of one class (0 when the class never occurs).
-    pub fn recall(&self, class: usize) -> f64 {
+    fn recall(&self, class: usize) -> f64 {
         let tp = self.count(class, class) as f64;
         let actual: u64 = (0..self.classes).map(|p| self.count(class, p)).sum();
         if actual == 0 {
@@ -91,7 +91,7 @@ impl ConfusionMatrix {
     }
 
     /// F1 score of one class.
-    pub fn f1(&self, class: usize) -> f64 {
+    fn f1(&self, class: usize) -> f64 {
         let p = self.precision(class);
         let r = self.recall(class);
         if p + r == 0.0 {

@@ -150,7 +150,7 @@ impl Dataset {
     /// # Errors
     ///
     /// Returns [`DnnError::WrongFeatureKind`] on image datasets.
-    pub fn gather_tokens(&self, idx: &[usize]) -> Result<Vec<Vec<u32>>, DnnError> {
+    pub(crate) fn gather_tokens(&self, idx: &[usize]) -> Result<Vec<Vec<u32>>, DnnError> {
         match &self.features {
             Features::Tokens(seqs) => Ok(idx.iter().map(|&i| seqs[i].clone()).collect()),
             f => Err(DnnError::WrongFeatureKind { expected: "token", actual: f.kind() }),

@@ -1,27 +1,26 @@
 //! Numerical gradient checking.
 //!
-//! Every backward pass in this crate is hand-derived; this module provides
-//! the standard central-difference harness to validate them — as a public
-//! utility, so downstream users extending the framework with new layers can
-//! check their own gradients the same way.
+//! Every backward pass in this crate is hand-derived; this test-only
+//! module provides the standard central-difference harness that validates
+//! them.
 
 use pipetune_tensor::Tensor;
 
 /// Result of comparing one analytic gradient against central differences.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GradCheckReport {
+struct GradCheckReport {
     /// Largest relative error observed across the probed coordinates.
-    pub max_rel_error: f64,
+    max_rel_error: f64,
     /// Coordinate index of the worst error.
-    pub worst_index: usize,
+    worst_index: usize,
     /// Number of coordinates probed.
-    pub probed: usize,
+    probed: usize,
 }
 
 impl GradCheckReport {
     /// Returns `true` when the analytic gradient is within `tol` relative
     /// error everywhere probed.
-    pub fn passes(&self, tol: f64) -> bool {
+    fn passes(&self, tol: f64) -> bool {
         self.max_rel_error <= tol
     }
 }
@@ -36,7 +35,7 @@ impl GradCheckReport {
 ///
 /// Panics when `analytic_grad` is shaped differently from `x` or `probes`
 /// is zero.
-pub fn check_gradient<F>(
+fn check_gradient<F>(
     f: F,
     x: &Tensor,
     analytic_grad: &Tensor,

@@ -52,9 +52,9 @@ impl Dense {
     /// Backward pass: accumulates weight/bias gradients, returns `∂L/∂x`.
     ///
     /// Both products run the fused transposed kernels
-    /// ([`Tensor::matmul_tn`]/[`Tensor::matmul_nt`] semantics): the input
-    /// is read transposed in place, and the transposed weight matrix is
-    /// packed into the layer's workspace, not allocated, per step.
+    /// ([`Tensor::matmul_tn_with`]/[`Tensor::matmul_nt_with`]): the input is
+    /// read transposed in place, and the transposed weight matrix is packed
+    /// into the layer's workspace, not allocated, per step.
     ///
     /// # Errors
     ///
@@ -76,7 +76,7 @@ impl Dense {
     }
 
     /// Number of scalar parameters.
-    pub fn num_params(&self) -> usize {
+    pub(crate) fn num_params(&self) -> usize {
         self.weight.len() + self.bias.len()
     }
 }
@@ -157,7 +157,7 @@ impl Conv2d {
     }
 
     /// Number of scalar parameters.
-    pub fn num_params(&self) -> usize {
+    pub(crate) fn num_params(&self) -> usize {
         self.weight.len() + self.bias.len()
     }
 }
@@ -439,7 +439,7 @@ impl Embedding {
     }
 
     /// Number of scalar parameters.
-    pub fn num_params(&self) -> usize {
+    pub(crate) fn num_params(&self) -> usize {
         self.table.len()
     }
 }

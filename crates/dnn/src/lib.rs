@@ -35,6 +35,7 @@
 
 mod confusion;
 mod dataset;
+#[cfg(test)]
 mod gradcheck;
 mod error;
 mod layers;
@@ -48,11 +49,10 @@ mod param;
 pub use confusion::ConfusionMatrix;
 pub use dataset::{BatchIndices, Dataset, Features};
 pub use error::DnnError;
-pub use gradcheck::{check_gradient, GradCheckReport};
 pub use layers::{Conv2d, Dense, Dropout, Embedding, Flatten, MaxPool2d, Relu};
 pub use loss::softmax_cross_entropy;
 pub use lstm::LstmCell;
 pub use metrics::EpochMetrics;
 pub use models::{LeNet5, LstmClassifier, Model, ModelKind, ModelSignature, TextCnn};
-pub use optim::{Adam, Sgd, TrainConfig};
+pub use optim::{Sgd, TrainConfig};
 pub use param::Param;

@@ -65,7 +65,7 @@ impl LstmCell {
     }
 
     /// Hidden-state dimensionality.
-    pub fn hidden(&self) -> usize {
+    pub(crate) fn hidden(&self) -> usize {
         self.hidden
     }
 
@@ -213,7 +213,7 @@ impl LstmCell {
     }
 
     /// Number of scalar parameters.
-    pub fn num_params(&self) -> usize {
+    pub(crate) fn num_params(&self) -> usize {
         self.wx.len() + self.wh.len() + self.bias.len()
     }
 }

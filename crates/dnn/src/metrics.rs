@@ -14,7 +14,7 @@ pub struct EpochMetrics {
 
 impl EpochMetrics {
     /// Folds per-batch results into running totals.
-    pub fn accumulate(&mut self, batch_loss: f32, correct: usize, batch_len: usize) {
+    pub(crate) fn accumulate(&mut self, batch_loss: f32, correct: usize, batch_len: usize) {
         // Store sums; `finalize` turns them into means.
         self.loss += batch_loss * batch_len as f32;
         self.accuracy += correct as f32;
@@ -23,7 +23,7 @@ impl EpochMetrics {
     }
 
     /// Converts accumulated sums into means. Idempotent only once.
-    pub fn finalize(mut self) -> Self {
+    pub(crate) fn finalize(mut self) -> Self {
         if self.examples > 0 {
             self.loss /= self.examples as f32;
             self.accuracy /= self.examples as f32;

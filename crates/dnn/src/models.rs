@@ -555,11 +555,6 @@ impl TextCnn {
         })
     }
 
-    /// Embedding dimensionality in use.
-    pub fn embed_dim(&self) -> usize {
-        self.embedding.dim()
-    }
-
     fn positions(&self) -> usize {
         self.seq_len - self.window + 1
     }
@@ -727,11 +722,6 @@ impl LstmClassifier {
             fc: Dense::new(hidden, classes, rng),
             seq_len,
         })
-    }
-
-    /// Embedding dimensionality in use.
-    pub fn embed_dim(&self) -> usize {
-        self.embedding.dim()
     }
 }
 

@@ -50,37 +50,6 @@ impl TrainConfig {
     }
 }
 
-/// Adam optimizer (Kingma & Ba, 2015): adaptive per-coordinate step sizes.
-///
-/// Provided alongside [`Sgd`] for framework completeness; the paper's
-/// evaluation trains with SGD.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    step: u64,
-}
-
-impl Adam {
-    /// Creates Adam with the canonical β₁ = 0.9, β₂ = 0.999, ε = 1e-8.
-    pub fn new(lr: f32) -> Self {
-        Adam { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, step: 0 }
-    }
-
-    /// Advances the shared step counter; call once per mini-batch before
-    /// visiting parameters.
-    pub fn next_step(&mut self) {
-        self.step += 1;
-    }
-
-    /// Applies one update to a parameter and clears its gradient.
-    pub fn step(&self, param: &mut Param) {
-        param.adam_step(self.lr, self.beta1, self.beta2, self.eps, self.step.max(1));
-    }
-}
-
 /// Plain SGD with momentum and optional weight decay.
 ///
 /// The optimizer is stateless — momentum buffers live inside each
@@ -116,19 +85,6 @@ mod tests {
         assert!(TrainConfig { learning_rate: -1.0, ..TrainConfig::default() }.validate().is_err());
         assert!(TrainConfig { momentum: 1.5, ..TrainConfig::default() }.validate().is_err());
         assert!(TrainConfig::default().validate().is_ok());
-    }
-
-    #[test]
-    fn adam_optimizer_descends_quadratic() {
-        let mut p = Param::new(Tensor::ones(&[1]));
-        let mut adam = Adam::new(0.1);
-        for _ in 0..100 {
-            adam.next_step();
-            let g = p.value().scale(2.0);
-            p.accumulate(&g).unwrap();
-            adam.step(&mut p);
-        }
-        assert!(p.value().data()[0].abs() < 0.05, "{}", p.value().data()[0]);
     }
 
     #[test]

@@ -11,9 +11,6 @@ pub struct Param {
     value: Tensor,
     grad: Tensor,
     velocity: Tensor,
-    /// Second-moment accumulator (Adam); allocated lazily on first use.
-    #[serde(default)]
-    second_moment: Option<Tensor>,
 }
 
 impl Param {
@@ -21,7 +18,7 @@ impl Param {
     pub fn new(value: Tensor) -> Self {
         let grad = Tensor::zeros(value.shape().dims());
         let velocity = Tensor::zeros(value.shape().dims());
-        Param { value, grad, velocity, second_moment: None }
+        Param { value, grad, velocity }
     }
 
     /// Current value.
@@ -30,18 +27,13 @@ impl Param {
     }
 
     /// Mutable access to the value (used by the optimizer).
-    pub fn value_mut(&mut self) -> &mut Tensor {
+    pub(crate) fn value_mut(&mut self) -> &mut Tensor {
         &mut self.value
     }
 
-    /// Accumulated gradient since the last [`Param::zero_grad`].
+    /// Accumulated gradient since the last optimizer step.
     pub fn grad(&self) -> &Tensor {
         &self.grad
-    }
-
-    /// Momentum buffer maintained by SGD.
-    pub fn velocity_mut(&mut self) -> &mut Tensor {
-        &mut self.velocity
     }
 
     /// Adds `g` into the accumulated gradient.
@@ -50,13 +42,8 @@ impl Param {
     ///
     /// Returns [`TensorError::ShapeMismatch`] when `g` is shaped differently
     /// from the parameter value.
-    pub fn accumulate(&mut self, g: &Tensor) -> Result<(), TensorError> {
+    pub(crate) fn accumulate(&mut self, g: &Tensor) -> Result<(), TensorError> {
         self.grad.axpy(1.0, g)
-    }
-
-    /// Clears the accumulated gradient.
-    pub fn zero_grad(&mut self) {
-        self.grad.map_inplace(|_| 0.0);
     }
 
     /// Number of scalar elements in the parameter.
@@ -69,38 +56,10 @@ impl Param {
         self.value.is_empty()
     }
 
-    /// Applies one Adam step (Kingma & Ba) and clears the gradient.
-    ///
-    /// `m ← β₁m + (1−β₁)g`, `v ← β₂v + (1−β₂)g²`, bias-corrected by step
-    /// count `t`, then `value −= lr·m̂/(√v̂ + ε)`. The first-moment buffer
-    /// reuses the SGD momentum storage.
-    pub fn adam_step(&mut self, lr: f32, beta1: f32, beta2: f32, eps: f32, t: u64) {
-        if self.second_moment.is_none() {
-            self.second_moment = Some(Tensor::zeros(self.value.shape().dims()));
-        }
-        let n = self.value.len();
-        let t = t.max(1) as i32;
-        let bc1 = 1.0 - beta1.powi(t);
-        let bc2 = 1.0 - beta2.powi(t);
-        let value = self.value.data_mut();
-        let grad = self.grad.data_mut();
-        let m = self.velocity.data_mut();
-        let v = self.second_moment.as_mut().expect("allocated above").data_mut();
-        for i in 0..n {
-            let g = grad[i];
-            m[i] = beta1 * m[i] + (1.0 - beta1) * g;
-            v[i] = beta2 * v[i] + (1.0 - beta2) * g * g;
-            let m_hat = m[i] / bc1;
-            let v_hat = v[i] / bc2;
-            value[i] -= lr * m_hat / (v_hat.sqrt() + eps);
-            grad[i] = 0.0;
-        }
-    }
-
     /// Applies one SGD-with-momentum step and clears the gradient.
     ///
     /// `v ← momentum·v − lr·(grad + weight_decay·value)`, then `value += v`.
-    pub fn sgd_step(&mut self, lr: f32, momentum: f32, weight_decay: f32) {
+    pub(crate) fn sgd_step(&mut self, lr: f32, momentum: f32, weight_decay: f32) {
         let n = self.value.len();
         let value = self.value.data_mut();
         let grad = self.grad.data_mut();
@@ -148,39 +107,6 @@ mod tests {
         }
         // step1: v=-0.1, x=-0.1; step2: v=-0.9*0.1-0.1=-0.19, x=-0.29
         assert!((p.value().data()[0] + 0.29).abs() < 1e-6);
-    }
-
-    #[test]
-    fn adam_converges_on_an_ill_conditioned_quadratic() {
-        // f(x, y) = 100x² + y²: plain SGD with a safe lr crawls along y;
-        // Adam's per-coordinate scaling races down both.
-        let run = |adam: bool| -> f32 {
-            let mut p = Param::new(Tensor::from_vec(vec![1.0, 1.0], &[2]).unwrap());
-            for t in 1..=200u64 {
-                let (x, y) = (p.value().data()[0], p.value().data()[1]);
-                let g = Tensor::from_vec(vec![200.0 * x, 2.0 * y], &[2]).unwrap();
-                p.accumulate(&g).unwrap();
-                if adam {
-                    p.adam_step(0.05, 0.9, 0.999, 1e-8, t);
-                } else {
-                    p.sgd_step(0.004, 0.0, 0.0); // largest stable lr ≈ 1/200
-                }
-            }
-            p.value().norm_sq()
-        };
-        let adam = run(true);
-        let sgd = run(false);
-        assert!(adam < sgd * 0.5, "adam {adam} should beat sgd {sgd}");
-    }
-
-    #[test]
-    fn adam_clears_gradients_like_sgd() {
-        let mut p = Param::new(Tensor::ones(&[2]));
-        p.accumulate(&Tensor::ones(&[2])).unwrap();
-        p.adam_step(0.01, 0.9, 0.999, 1e-8, 1);
-        assert_eq!(p.grad().data(), &[0.0, 0.0]);
-        // First step with bias correction moves by ≈ lr.
-        assert!((p.value().data()[0] - (1.0 - 0.01)).abs() < 1e-3);
     }
 
     #[test]

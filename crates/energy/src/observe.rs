@@ -3,27 +3,17 @@
 
 use pipetune_telemetry::{MetricsRegistry, ENERGY_BUCKETS_J};
 
-use crate::pdu::PduTrace;
-
 pipetune_telemetry::metric_names! {
     /// Histogram: per-epoch energy attributed to a trial, joules.
     pub const EPOCH_ENERGY_J = "energy.epoch_j";
     /// Gauge: most recent whole-cluster power draw, watts.
     pub const POWER_WATTS = "energy.power_w";
-    /// Counter: PDU samples recorded (1 Hz stream).
-    pub const PDU_SAMPLES = "energy.pdu_samples";
 }
 
 /// Records one epoch's energy and the power it was drawn at.
 pub fn record_epoch_energy(watts: f64, energy_j: f64, metrics: &mut MetricsRegistry) {
     metrics.observe(EPOCH_ENERGY_J, ENERGY_BUCKETS_J, energy_j);
     metrics.gauge_set(POWER_WATTS, watts);
-}
-
-/// Records a PDU trace's sample count (the 1 Hz stream the paper's
-/// trapezoidal estimator integrates).
-pub fn record_pdu_trace(trace: &PduTrace, metrics: &mut MetricsRegistry) {
-    metrics.counter_add(PDU_SAMPLES, trace.len() as u64);
 }
 
 #[cfg(test)]
@@ -39,14 +29,5 @@ mod tests {
         record_epoch_energy(watts, watts * 60.0, &mut m);
         assert_eq!(m.histogram(EPOCH_ENERGY_J).unwrap().count(), 1);
         assert_eq!(m.gauge(POWER_WATTS), Some(watts));
-    }
-
-    #[test]
-    fn pdu_trace_sample_count_ticks() {
-        let mut pdu = PduTrace::new();
-        pdu.record_interval(0.0, 10.0, 100.0);
-        let mut m = MetricsRegistry::new();
-        record_pdu_trace(&pdu, &mut m);
-        assert_eq!(m.counter(PDU_SAMPLES), pdu.len() as u64);
     }
 }

@@ -151,18 +151,6 @@ impl TraceDiff {
         })
     }
 
-    /// Parses two JSON traces and compares them.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TraceError`] when either text is not a valid trace.
-    pub fn between_json(a: &str, b: &str) -> Result<Self, TraceError> {
-        TraceDiff::between(
-            &TelemetrySnapshot::from_json_str(a)?,
-            &TelemetrySnapshot::from_json_str(b)?,
-        )
-    }
-
     /// Renders the diff as a deterministic plain-text table.
     pub fn render(&self) -> String {
         let mut out = String::new();

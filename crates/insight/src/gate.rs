@@ -37,7 +37,7 @@ pub struct Tolerance {
 
 impl Tolerance {
     /// A higher-is-better metric with the given relative tolerance.
-    pub fn higher(rel_tol: f64) -> Self {
+    fn higher(rel_tol: f64) -> Self {
         Tolerance { direction: Direction::HigherIsBetter, rel_tol }
     }
 
@@ -125,38 +125,6 @@ impl GateConfig {
         config.tolerances.insert("monitor.crash_loop".into(), Tolerance::higher(0.50));
         config.tolerances.insert("monitor.slo_burn".into(), Tolerance::higher(0.50));
         config
-    }
-
-    /// The tolerances guarding the wall-clock kernel benchmark
-    /// (`bench_kernels`, `BENCH_pipetune.perf.json`).
-    ///
-    /// Absolute wall-clock throughput depends on the runner, so these
-    /// entries gate on metric *presence* (a missing gated metric still
-    /// fails) and on catastrophic collapse only: the tolerance bands are
-    /// deliberately enormous (a 10× slowdown passes; a vanished or
-    /// near-zeroed metric does not). The meaningful speedup floor —
-    /// blocked kernels ≥ 2× the naive baselines — is asserted inside
-    /// `bench_kernels` itself, where both sides run on the same machine
-    /// in the same process.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use pipetune_insight::GateConfig;
-    ///
-    /// let config = GateConfig::perf_defaults();
-    /// assert!(config.tolerance_for("gemm.512x1024x1024.speedup_vs_naive").is_some());
-    /// assert!(config.tolerance_for("conv2d.b32_c8_o16_k3_s28.gflops_blocked").is_some());
-    /// ```
-    pub fn perf_defaults() -> Self {
-        let mut tolerances = BTreeMap::new();
-        // Presence gates: huge relative bands so runner speed differences
-        // never fail CI, but a missing metric (renamed/dropped shape) or a
-        // collapse past 10× does.
-        tolerances.insert("speedup_vs_naive".into(), Tolerance::higher(10.0));
-        tolerances.insert("gflops_blocked".into(), Tolerance::higher(10.0));
-        tolerances.insert("gflops_naive".into(), Tolerance::higher(10.0));
-        GateConfig { tolerances }
     }
 
     /// Resolves the tolerance guarding `metric`: exact name first, then

@@ -79,7 +79,7 @@ impl Bfs {
     }
 
     /// Runs one BFS from `source`, returning `(visited, edges_relaxed)`.
-    pub fn bfs_from(&self, source: usize) -> (usize, usize) {
+    fn bfs_from(&self, source: usize) -> (usize, usize) {
         let n = self.cfg.vertices;
         let mut visited = vec![false; n];
         let mut frontier = vec![source as u32];

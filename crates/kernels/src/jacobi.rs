@@ -72,7 +72,7 @@ impl Jacobi {
     }
 
     /// Root-mean-square residual of the discrete Laplace operator.
-    pub fn residual(&self) -> f32 {
+    fn residual(&self) -> f32 {
         let n = self.n;
         let mut sum = 0.0f64;
         for y in 1..n - 1 {

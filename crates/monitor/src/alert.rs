@@ -124,7 +124,7 @@ impl IncidentTimeline {
     }
 
     /// Alert counts per detector, sorted by detector name.
-    pub fn counts_by_detector(&self) -> BTreeMap<&'static str, u64> {
+    fn counts_by_detector(&self) -> BTreeMap<&'static str, u64> {
         let mut counts = BTreeMap::new();
         for alert in &self.alerts {
             *counts.entry(alert.detector).or_insert(0) += 1;

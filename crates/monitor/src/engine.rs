@@ -44,7 +44,7 @@ impl TraceIndex {
 
     /// The nearest ancestor of `idx` (including `idx` itself) with the
     /// given kind.
-    pub fn ancestor_of_kind(&self, idx: u32, kind: SpanKind) -> Option<u32> {
+    pub(crate) fn ancestor_of_kind(&self, idx: u32, kind: SpanKind) -> Option<u32> {
         let mut cursor = Some(idx);
         while let Some(i) = cursor {
             if self.kinds.get(i as usize)? == &kind {
@@ -200,7 +200,7 @@ impl MonitorEngine {
 
     /// Whether any detector is configured (an empty engine only advances
     /// cursors).
-    pub fn has_detectors(&self) -> bool {
+    pub(crate) fn has_detectors(&self) -> bool {
         !self.detectors.is_empty()
     }
 

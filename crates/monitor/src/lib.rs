@@ -81,7 +81,7 @@ pub use detectors::{
     CacheThrashConfig, CrashLoopConfig, QueueGrowthConfig, SloBurnConfig, StallConfig,
 };
 pub use engine::{Detector, MonitorConfig, MonitorEngine, TraceIndex};
-pub use window::{count_in_window, RingWindow, TimeWindow};
+pub use window::{RingWindow, TimeWindow};
 
 use std::sync::{Arc, Mutex, MutexGuard};
 

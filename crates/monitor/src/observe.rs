@@ -19,7 +19,7 @@ pipetune_telemetry::metric_names! {
 /// The per-detector counter for a canonical detector name (the
 /// `monitor.alerts.<detector>` family is a closed set, so an unknown
 /// detector is a programming error).
-pub fn detector_counter(detector: &str) -> &'static str {
+pub(crate) fn detector_counter(detector: &str) -> &'static str {
     match detector {
         crate::detectors::STALL => ALERTS_STALL,
         crate::detectors::CRASH_LOOP => ALERTS_CRASH_LOOP,

@@ -99,7 +99,7 @@ impl TimeWindow {
 
     /// Drops samples strictly older than `now_secs - horizon` (the window
     /// is the half-open interval `(now - horizon, now]`).
-    pub fn prune(&mut self, now_secs: f64) {
+    fn prune(&mut self, now_secs: f64) {
         let cutoff = now_secs - self.horizon_secs;
         while let Some(&(at, _)) = self.buf.front() {
             if at <= cutoff {
@@ -135,7 +135,7 @@ impl TimeWindow {
 /// — for streams a detector keeps as plain sorted timestamps rather than a
 /// [`TimeWindow`] (e.g. the SLO detector's arrival times, which must be
 /// queried at *past* instants, not just the newest one).
-pub fn count_in_window(samples: &[f64], now_secs: f64, horizon_secs: f64) -> usize {
+pub(crate) fn count_in_window(samples: &[f64], now_secs: f64, horizon_secs: f64) -> usize {
     let cutoff = now_secs - horizon_secs;
     samples.iter().filter(|&&at| at > cutoff && at <= now_secs).count()
 }

@@ -9,7 +9,7 @@
 use crate::EpochProfile;
 
 /// Pearson correlation of two equal-length series; 0 for degenerate input.
-pub fn pearson(a: &[f64], b: &[f64]) -> f64 {
+fn pearson(a: &[f64], b: &[f64]) -> f64 {
     let n = a.len().min(b.len());
     if n < 2 {
         return 0.0;

@@ -44,6 +44,6 @@ mod sampling;
 
 pub use error::PerfmonError;
 pub use events::{event_index, EVENT_NAMES, NUM_EVENTS};
-pub use filter::{decorrelated_events, pearson};
+pub use filter::decorrelated_events;
 pub use profiler::{EpochProfile, Profiler, WorkloadSignature};
 pub use sampling::{SampleTrace, SampleWindow};

@@ -1,26 +1,19 @@
 //! Telemetry adapters for the simulated PMU: canonical metric names for
-//! profiling and sampling, and helpers recording them into a
-//! [`MetricsRegistry`].
+//! profiling, and helpers recording them into a [`MetricsRegistry`].
 //!
 //! The profiler itself stays a pure function of its inputs; the middleware
-//! calls these helpers after a profile or sample trace is collected, from
-//! within the per-trial telemetry buffer, so recording stays deterministic.
+//! calls these helpers after a profile is collected, from within the
+//! per-trial telemetry buffer, so recording stays deterministic.
 
-use pipetune_telemetry::{MetricsRegistry, RATIO_BUCKETS};
+use pipetune_telemetry::MetricsRegistry;
 
 use crate::profiler::EpochProfile;
-use crate::sampling::SampleTrace;
 
 pipetune_telemetry::metric_names! {
     /// Counter: first-epoch profiles collected (closed-form or sampled).
     pub const PROFILES_COLLECTED = "perfmon.profiles";
     /// Counter: profile/probe measurements lost to counter faults.
     pub const PROFILES_LOST = "perfmon.lost_reads";
-    /// Histogram: per-event sampling coverage (`time_running/time_enabled`)
-    /// of a 1 Hz sample trace; 1.0 means the event was never multiplexed out.
-    pub const SAMPLING_COVERAGE = "perfmon.sampling_coverage";
-    /// Counter: sample windows recorded by the 1 Hz pipeline.
-    pub const SAMPLING_WINDOWS = "perfmon.sampling_windows";
 }
 
 /// Records a collected first-epoch profile.
@@ -31,15 +24,6 @@ pub fn record_profile(_profile: &EpochProfile, metrics: &mut MetricsRegistry) {
 /// Records a measurement lost to a transient counter fault.
 pub fn record_lost_read(metrics: &mut MetricsRegistry) {
     metrics.counter_add(PROFILES_LOST, 1);
-}
-
-/// Records a 1 Hz sample trace: window count plus the per-event coverage
-/// distribution (multiplexing blind spots show up as coverage below 1).
-pub fn record_sample_trace(trace: &SampleTrace, metrics: &mut MetricsRegistry) {
-    metrics.counter_add(SAMPLING_WINDOWS, trace.windows().len() as u64);
-    for coverage in trace.coverage() {
-        metrics.observe(SAMPLING_COVERAGE, RATIO_BUCKETS, coverage);
-    }
 }
 
 #[cfg(test)]
@@ -68,18 +52,5 @@ mod tests {
         record_lost_read(&mut m);
         assert_eq!(m.counter(PROFILES_COLLECTED), 1);
         assert_eq!(m.counter(PROFILES_LOST), 1);
-    }
-
-    #[test]
-    fn sample_trace_records_windows_and_coverage() {
-        let profiler = Profiler::default();
-        let mut rng = StdRng::seed_from_u64(1);
-        let trace = profiler.sample_epoch(&signature(), 8, 30.0, &mut rng);
-        let mut m = MetricsRegistry::new();
-        record_sample_trace(&trace, &mut m);
-        assert_eq!(m.counter(SAMPLING_WINDOWS), trace.windows().len() as u64);
-        let h = m.histogram(SAMPLING_COVERAGE).unwrap();
-        assert_eq!(h.count() as usize, trace.coverage().len());
-        assert!(h.max() <= 1.0 + 1e-9);
     }
 }

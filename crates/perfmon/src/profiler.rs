@@ -33,7 +33,7 @@ impl EpochProfile {
     /// # Panics
     ///
     /// Panics unless exactly [`crate::NUM_EVENTS`] counts are supplied.
-    pub fn from_counts(counts: Vec<f64>) -> Self {
+    pub(crate) fn from_counts(counts: Vec<f64>) -> Self {
         assert_eq!(counts.len(), NUM_EVENTS, "one count per event");
         EpochProfile { counts }
     }
@@ -149,11 +149,9 @@ const FIXED_EVENTS: [&str; 6] = [
 ];
 
 impl Profiler {
-    /// True (noise-free) per-epoch counts implied by a signature.
-    ///
-    /// Exposed so tests and ablations can separate model error from
-    /// multiplexing error.
-    pub fn true_counts(
+    /// True (noise-free) per-epoch counts implied by a signature: the
+    /// model, before measurement noise and multiplexing error.
+    pub(crate) fn true_counts(
         &self,
         sig: &WorkloadSignature,
         cores: u32,

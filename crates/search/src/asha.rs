@@ -75,11 +75,6 @@ impl Asha {
         }
     }
 
-    /// Number of rungs (budget levels).
-    pub fn num_rungs(&self) -> usize {
-        self.rungs.len()
-    }
-
     /// Total epochs a trial should have run once it completes rung `k`.
     fn rung_budget(&self, k: usize) -> u32 {
         (u64::from(self.r_base) * u64::from(self.eta).pow(k as u32))
@@ -208,9 +203,9 @@ mod tests {
 
     #[test]
     fn rung_count_follows_eta_geometry() {
-        assert_eq!(Asha::new(space(), 27, 3, 10, 0).num_rungs(), 4); // 1,3,9,27
-        assert_eq!(Asha::new(space(), 9, 3, 10, 0).num_rungs(), 3);
-        assert_eq!(Asha::new(space(), 1, 3, 10, 0).num_rungs(), 1);
+        assert_eq!(Asha::new(space(), 27, 3, 10, 0).rungs.len(), 4); // 1,3,9,27
+        assert_eq!(Asha::new(space(), 9, 3, 10, 0).rungs.len(), 3);
+        assert_eq!(Asha::new(space(), 1, 3, 10, 0).rungs.len(), 1);
     }
 
     #[test]

@@ -97,11 +97,6 @@ impl HyperBand {
         hb
     }
 
-    /// Number of brackets in this run.
-    pub fn num_brackets(&self) -> usize {
-        self.brackets.len()
-    }
-
     fn advance_rung(&mut self) {
         let bracket = &mut self.brackets[self.current_bracket];
         // Rank current rung by reported score, descending.
@@ -219,9 +214,9 @@ mod tests {
     #[test]
     fn bracket_count_matches_formula() {
         let hb = HyperBand::new(space(), 81, 3, 0);
-        assert_eq!(hb.num_brackets(), 5); // s_max = 4
+        assert_eq!(hb.brackets.len(), 5); // s_max = 4
         let hb = HyperBand::new(space(), 9, 3, 0);
-        assert_eq!(hb.num_brackets(), 3);
+        assert_eq!(hb.brackets.len(), 3);
     }
 
     #[test]

@@ -163,7 +163,7 @@ impl ParamSpec {
     /// Representative grid values for grid search: choices enumerate fully;
     /// ranges are discretised into `per_param` points (log-spaced where
     /// configured).
-    pub fn grid_values(&self, per_param: usize) -> Vec<ParamValue> {
+    fn grid_values(&self, per_param: usize) -> Vec<ParamValue> {
         let n = per_param.max(1);
         match &self.domain {
             Domain::IntChoice(v) => v.iter().map(|&x| ParamValue::Int(x)).collect(),

@@ -29,8 +29,8 @@ pub struct Completion {
 }
 
 /// A trip firing: an in-service job reached its attained-service
-/// threshold (see [`PolicyEngine::set_trip`]). The service driver uses
-/// trips to realise deterministic mid-service job crashes.
+/// threshold. Only the service driver arms trips, to realise
+/// deterministic mid-service job crashes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Trip {
     /// Job id.
@@ -139,7 +139,7 @@ impl PolicyEngine {
     /// [`Trip`] (and stops the clock) the instant the job's attained
     /// service since insertion reaches `attained_secs`. A threshold at or
     /// past the job's remaining service never fires — the completion wins.
-    pub fn set_trip(&mut self, job: usize, attained_secs: f64) {
+    pub(crate) fn set_trip(&mut self, job: usize, attained_secs: f64) {
         if let Some(j) = self.jobs.get_mut(&job) {
             j.trip_at = Some(attained_secs.max(0.0));
         }
@@ -149,7 +149,7 @@ impl PolicyEngine {
     /// repartition hook for node churn. Takes effect at the next advance:
     /// FIFO/shortest-remaining serve a differently sized head set,
     /// processor sharing's rate cap shifts.
-    pub fn set_servers(&mut self, servers: usize) {
+    pub(crate) fn set_servers(&mut self, servers: usize) {
         self.servers = servers.max(1);
     }
 

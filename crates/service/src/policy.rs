@@ -55,7 +55,7 @@ pub struct AdmissionControl {
 
 impl AdmissionControl {
     /// Admit every arrival (the default).
-    pub fn unbounded() -> Self {
+    pub(crate) fn unbounded() -> Self {
         AdmissionControl { max_in_system: None }
     }
 

@@ -49,9 +49,7 @@
 
 use std::collections::BTreeMap;
 
-use pipetune::{
-    EpochCacheConfig, EpochCacheHandle, ExperimentEnv, PipeTune, PipeTuneError, TunerOptions,
-};
+use pipetune::{ExperimentEnv, PipeTune, PipeTuneError, TunerOptions};
 use pipetune_cluster::{
     ChurnKind, FaultReport, ServiceFaultPlan, ServiceFaultReport, SlotPool, SlotPoolError,
 };
@@ -86,23 +84,6 @@ pub struct ServiceConfig {
     /// amortisation: later tenants skip probing for families seen
     /// earlier). When false every job tunes cold.
     pub share_ground_truth: bool,
-    /// Per-job opt-in for the epoch-reuse cache: each admitted job runs
-    /// with its own [`EpochCacheConfig`]-sized cache, so repeated
-    /// hyperparameter prefixes inside one tuning run resume instead of
-    /// retraining. `None` (the default) keeps every run byte-identical to
-    /// cache-less builds.
-    pub epoch_cache: Option<EpochCacheConfig>,
-    /// Share one epoch cache across the whole stream (mirroring
-    /// [`ServiceConfig::share_ground_truth`]). The cache key carries
-    /// each trial's full identity (per-job seed, RNG stream, tuner
-    /// policy), so a later job adopts prefixes exactly when it *replays*
-    /// an earlier one — a crash/resubmit rerun under its original
-    /// per-job seed, or a repeated identical submission — and jobs under
-    /// distinct seeds share the store but never each other's state.
-    /// Requires [`ServiceConfig::epoch_cache`] to be set; jobs are
-    /// executed in admission order by a single-threaded driver, so
-    /// sharing stays deterministic.
-    pub share_epoch_cache: bool,
     /// Per-job relative deadline (SLO), seconds after arrival: a job
     /// still unfinished then is shed ([`JobOutcome::Shed`]). `None`
     /// disables deadline enforcement.
@@ -119,8 +100,6 @@ impl Default for ServiceConfig {
             admission: AdmissionControl::unbounded(),
             servers: 1,
             share_ground_truth: true,
-            epoch_cache: None,
-            share_epoch_cache: false,
             deadline_secs: None,
             faults: ServiceFaultPlan::none(),
         }
@@ -146,40 +125,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn with_servers(mut self, servers: usize) -> Self {
         self.servers = servers;
-        self
-    }
-
-    /// Enables the epoch-reuse cache with the given knobs; each job gets
-    /// its own cache unless [`ServiceConfig::with_shared_epoch_cache`]
-    /// also turns on cross-job sharing.
-    #[must_use]
-    pub fn with_epoch_cache(mut self, config: EpochCacheConfig) -> Self {
-        self.epoch_cache = Some(config);
-        self
-    }
-
-    /// Shares one epoch cache across the whole stream (validated at run
-    /// time: requires [`ServiceConfig::with_epoch_cache`]). Identity
-    /// keying means only replayed jobs — crash/resubmit reruns or
-    /// repeated identical submissions — resume each other's prefixes;
-    /// see `docs/reuse.md` §"Cross-job sharing".
-    ///
-    /// ```
-    /// use pipetune::EpochCacheConfig;
-    /// use pipetune_service::ServiceConfig;
-    ///
-    /// let shared = ServiceConfig::default()
-    ///     .with_epoch_cache(EpochCacheConfig::default())
-    ///     .with_shared_epoch_cache(true);
-    /// assert!(shared.validate().is_ok());
-    ///
-    /// // Sharing without a cache to share is a configuration error:
-    /// let orphan = ServiceConfig::default().with_shared_epoch_cache(true);
-    /// assert!(orphan.validate().is_err());
-    /// ```
-    #[must_use]
-    pub fn with_shared_epoch_cache(mut self, share: bool) -> Self {
-        self.share_epoch_cache = share;
         self
     }
 
@@ -217,11 +162,6 @@ impl ServiceConfig {
                 return bad(format!("service deadline must be finite and positive, got {d}"));
             }
         }
-        if let Some(cache) = &self.epoch_cache {
-            cache.validate()?;
-        } else if self.share_epoch_cache {
-            return bad("share_epoch_cache requires an epoch cache (with_epoch_cache)".into());
-        }
         let f = &self.faults;
         for (name, p) in [
             ("node_leave_prob", f.node_leave_prob),
@@ -258,10 +198,6 @@ impl ServiceConfig {
             }
             if !f.resubmit.backoff_factor.is_finite() {
                 return bad("resubmission backoff factor must be finite".into());
-            }
-            let (lo, hi) = f.crash_fraction;
-            if !lo.is_finite() || !hi.is_finite() {
-                return bad("crash fraction bounds must be finite".into());
             }
         }
         Ok(())
@@ -734,14 +670,6 @@ impl TuningService {
         // The shared tuner carries its ground truth from job to job (cold
         // start: the stream itself builds it, as in §7.4).
         let mut shared_tuner = PipeTune::new(*options);
-        // With sharing on, one cache handle serves the whole stream (jobs
-        // run sequentially at admission, so cross-job flush order is the
-        // admission order — deterministic). Without sharing each job gets
-        // a fresh cache below.
-        let shared_cache = match self.config.epoch_cache {
-            Some(cfg) if self.config.share_epoch_cache => Some(EpochCacheHandle::with_config(cfg)),
-            _ => None,
-        };
         let mut arr_pos = 0usize;
         let mut next_tick: u64 = 1;
 
@@ -863,16 +791,10 @@ impl TuningService {
             }
             telemetry.counter_add(observe::JOBS_ADMITTED, 1);
             let slots = d.slice();
-            let epoch_cache = match (&shared_cache, self.config.epoch_cache) {
-                (Some(handle), _) => handle.clone(),
-                (None, Some(cfg)) => EpochCacheHandle::with_config(cfg),
-                (None, None) => env.epoch_cache.clone(),
-            };
             let job_env = ExperimentEnv {
                 seed: job_seed(env, job),
                 parallel_slots: slots,
                 telemetry: telemetry.scoped(span),
-                epoch_cache,
                 ..env.clone()
             };
             let outcome = if self.config.share_ground_truth {

@@ -29,10 +29,6 @@ use crate::metrics::MetricsRegistry;
 use crate::span::{AttrValue, Attrs, Event, EventKind, Span, SpanKind};
 use crate::validate::TraceError;
 
-/// Alias under which the JSON trace artefact is documented: a trace dump
-/// *is* a serialised [`TelemetrySnapshot`].
-pub type TraceExport = TelemetrySnapshot;
-
 /// Pretty-printed bytes one span or event comes to, give or take: sizes the
 /// export buffer so it grows at most once.
 const RECORD_BYTES: usize = 384;

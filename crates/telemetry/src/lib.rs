@@ -61,7 +61,6 @@ mod span;
 mod validate;
 
 pub use collector::TelemetryBuffer;
-pub use export::TraceExport;
 pub use handle::{SpanId, TelemetryHandle, TelemetrySnapshot};
 pub use validate::TraceError;
 pub use metrics::{

@@ -46,7 +46,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// Creates an empty histogram over `bounds` (must be sorted ascending).
-    pub fn with_bounds(bounds: &[f64]) -> Self {
+    fn with_bounds(bounds: &[f64]) -> Self {
         debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must ascend");
         Histogram {
             bounds: bounds.to_vec(),
@@ -122,7 +122,7 @@ impl Histogram {
 
     /// Upper bound of the bucket containing the `q`-quantile (bucket-level
     /// resolution; returns `max` for the overflow bucket, 0 when empty).
-    pub fn quantile_bound(&self, q: f64) -> f64 {
+    pub(crate) fn quantile_bound(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }

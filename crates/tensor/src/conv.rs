@@ -271,35 +271,6 @@ pub fn max_pool2d_backward(
     Ok(gx)
 }
 
-/// Non-overlapping `k×k` average pooling on `[batch, ch, h, w]`.
-///
-/// # Errors
-///
-/// Same conditions as [`max_pool2d`].
-pub fn avg_pool2d(input: &Tensor, k: usize) -> Result<Tensor, TensorError> {
-    let (n, c, h, w) = check_rank4(input)?;
-    let (oh, ow) = pooled_dims(h, w, k)?;
-    let x = input.data();
-    let inv = 1.0 / (k * k) as f32;
-    let mut out = vec![0.0f32; n * c * oh * ow];
-    for b in 0..n {
-        for ch in 0..c {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = 0.0f32;
-                    for ky in 0..k {
-                        for kx in 0..k {
-                            acc += x[((b * c + ch) * h + (oy * k + ky)) * w + (ox * k + kx)];
-                        }
-                    }
-                    out[((b * c + ch) * oh + oy) * ow + ox] = acc * inv;
-                }
-            }
-        }
-    }
-    Tensor::from_vec(out, &[n, c, oh, ow])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,18 +347,10 @@ mod tests {
     }
 
     #[test]
-    fn avg_pool_averages_windows() {
-        let input = Tensor::from_vec((1..=4).map(|x| x as f32).collect(), &[1, 1, 2, 2]).unwrap();
-        let out = avg_pool2d(&input, 2).unwrap();
-        assert_eq!(out.data(), &[2.5]);
-    }
-
-    #[test]
     fn pooling_rejects_indivisible_dims() {
         let input = Tensor::ones(&[1, 1, 3, 5]);
         let nearest = TensorError::ShapeMismatch { expected: vec![2, 4], actual: vec![3, 5] };
         assert_eq!(max_pool2d(&input, 2).unwrap_err(), nearest);
-        assert_eq!(avg_pool2d(&input, 2).unwrap_err(), nearest);
         assert!(max_pool2d(&input, 0).is_err());
     }
 }

@@ -3,8 +3,8 @@
 //! The direct loops in [`crate::conv2d`] are simple and exact; for larger
 //! batches the cache-friendly route is to unfold every receptive field into
 //! a row of a matrix and run one matrix multiplication. Both paths are kept:
-//! [`conv2d_gemm`] is what the `Conv2d` layer uses for batches past a size
-//! threshold, and it is *not* bit-compatible with `conv2d` — it sums the
+//! [`conv2d_gemm_with`] is what the `Conv2d` layer uses for batches past a
+//! size threshold, and it is *not* bit-compatible with `conv2d` — it sums the
 //! taps from 0.0, skips zero inputs and adds the bias last, where `conv2d`
 //! starts from the bias — only equal to it up to rounding. What it is
 //! bit-compatible with is itself across lowerings: per output element the
@@ -13,7 +13,7 @@
 //! `docs/performance.md`).
 
 use crate::gemm::{all_finite, gemm, transpose_into, NC, NR};
-use crate::{workspace, Tensor, TensorError, Workspace};
+use crate::{Tensor, TensorError, Workspace};
 
 /// Validates im2col operands and returns `(n, c, h, w)`.
 fn im2col_dims(
@@ -137,19 +137,9 @@ pub fn im2col_with(input: &Tensor, kh: usize, kw: usize, out: &mut Tensor) -> Re
 
 /// Valid stride-1 convolution through the im2col + GEMM route. Produces the
 /// same result as [`crate::conv2d`] up to rounding (the bias is added last,
-/// not first), drawing all scratch from this thread's shared
-/// [`Workspace`].
-///
-/// # Errors
-///
-/// Same conditions as [`crate::conv2d`].
-pub fn conv2d_gemm(input: &Tensor, weight: &Tensor, bias: &Tensor) -> Result<Tensor, TensorError> {
-    workspace::with_thread_local(|ws| conv2d_gemm_with(input, weight, bias, ws))
-}
-
-/// [`conv2d_gemm`] drawing the im2col matrix, the packed kernel matrix and
-/// the GEMM product from the caller's [`Workspace`]: in steady state the
-/// only allocation is the returned output tensor. Fewer than 16 output
+/// not first). The im2col matrix, the packed kernel matrix and the GEMM
+/// product come from the caller's [`Workspace`]: in steady state the only
+/// allocation is the returned output tensor. Fewer than 16 output
 /// channels are lowered the other way round (`W · colsᵀ`, the long axis
 /// as the vector axis), same bits.
 ///
@@ -298,7 +288,7 @@ mod tests {
         let w = Tensor::randn(&[4, 2, 3, 3], 0.5, &mut rng);
         let b = Tensor::randn(&[4], 0.1, &mut rng);
         let direct = conv2d(&x, &w, &b).unwrap();
-        let gemm = conv2d_gemm(&x, &w, &b).unwrap();
+        let gemm = conv2d_gemm_with(&x, &w, &b, &mut Workspace::new()).unwrap();
         assert_eq!(direct.shape(), gemm.shape());
         for (a, g) in direct.data().iter().zip(gemm.data()) {
             assert!((a - g).abs() < 1e-4, "{a} vs {g}");
@@ -310,10 +300,10 @@ mod tests {
         let x = Tensor::ones(&[1, 2, 4, 4]);
         let w = Tensor::ones(&[3, 1, 2, 2]); // wrong in-channels
         let b = Tensor::zeros(&[3]);
-        assert!(conv2d_gemm(&x, &w, &b).is_err());
+        assert!(conv2d_gemm_with(&x, &w, &b, &mut Workspace::new()).is_err());
         let w = Tensor::ones(&[3, 2, 2, 2]);
         let bad_bias = Tensor::zeros(&[2]);
-        assert!(conv2d_gemm(&x, &w, &bad_bias).is_err());
+        assert!(conv2d_gemm_with(&x, &w, &bad_bias, &mut Workspace::new()).is_err());
         assert!(im2col(&x, 9, 9).is_err());
     }
 
@@ -324,7 +314,7 @@ mod tests {
         let w = Tensor::randn(&[2, 3, 1, 1], 1.0, &mut rng);
         let b = Tensor::zeros(&[2]);
         let direct = conv2d(&x, &w, &b).unwrap();
-        let gemm = conv2d_gemm(&x, &w, &b).unwrap();
+        let gemm = conv2d_gemm_with(&x, &w, &b, &mut Workspace::new()).unwrap();
         for (a, g) in direct.data().iter().zip(gemm.data()) {
             assert!((a - g).abs() < 1e-4);
         }

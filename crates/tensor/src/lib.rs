@@ -14,8 +14,8 @@
 //! use pipetune_tensor::Tensor;
 //!
 //! let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2])?;
-//! let b = Tensor::eye(2);
-//! let c = a.matmul(&b)?;
+//! let identity = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2])?;
+//! let c = a.matmul(&identity)?;
 //! assert_eq!(c.data(), a.data());
 //! # Ok::<(), pipetune_tensor::TensorError>(())
 //! ```
@@ -30,11 +30,11 @@ mod tensor;
 pub mod workspace;
 
 pub use conv::{
-    avg_pool2d, conv2d, conv2d_backward, conv2d_backward_with, max_pool2d, max_pool2d_backward,
+    conv2d, conv2d_backward, conv2d_backward_with, max_pool2d, max_pool2d_backward,
     Conv2dGrads,
 };
 pub use error::TensorError;
-pub use im2col::{conv2d_gemm, conv2d_gemm_with, im2col, im2col_with};
+pub use im2col::{conv2d_gemm_with, im2col, im2col_with};
 pub use shape::Shape;
 pub use tensor::Tensor;
 pub use workspace::Workspace;

@@ -13,15 +13,6 @@ impl Tensor {
         self.zip_with(other, |a, b| a + b)
     }
 
-    /// Element-wise difference of two tensors of identical shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn sub(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.zip_with(other, |a, b| a - b)
-    }
-
     /// Element-wise (Hadamard) product of two tensors of identical shape.
     ///
     /// # Errors
@@ -55,13 +46,6 @@ impl Tensor {
     pub fn map<F: Fn(f32) -> f32>(&self, f: F) -> Tensor {
         let data = self.data().iter().map(|&x| f(x)).collect();
         Tensor::from_vec(data, self.shape().dims()).expect("same shape")
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace<F: Fn(f32) -> f32>(&mut self, f: F) {
-        for x in self.data_mut() {
-            *x = f(*x);
-        }
     }
 
     /// Multiplies every element by `s`.
@@ -177,15 +161,6 @@ impl Tensor {
     ///
     /// Same conditions as [`Tensor::matmul`], applied to the transposed
     /// left operand.
-    pub fn matmul_tn(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        workspace::with_thread_local(|ws| self.matmul_tn_with(other, ws))
-    }
-
-    /// [`Tensor::matmul_tn`] drawing scratch from the caller's [`Workspace`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Tensor::matmul_tn`].
     pub fn matmul_tn_with(
         &self,
         other: &Tensor,
@@ -206,7 +181,7 @@ impl Tensor {
     /// Transposed matrix product `self · otherᵀ` for `self (m×k)` and
     /// `other (n×k)`, bit-identical to
     /// `self.matmul(&other.transpose()?)` but without allocating the
-    /// transpose: the packed copy lives in this thread's [`Workspace`].
+    /// transpose: the packed copy lives in the caller's [`Workspace`].
     ///
     /// This is the backward-pass input-gradient kernel (`∂L/∂x = ∂L/∂y·Wᵀ`).
     ///
@@ -214,15 +189,6 @@ impl Tensor {
     ///
     /// Same conditions as [`Tensor::matmul`], applied to the transposed
     /// right operand.
-    pub fn matmul_nt(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        workspace::with_thread_local(|ws| self.matmul_nt_with(other, ws))
-    }
-
-    /// [`Tensor::matmul_nt`] drawing scratch from the caller's [`Workspace`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Tensor::matmul_nt`].
     pub fn matmul_nt_with(
         &self,
         other: &Tensor,
@@ -262,22 +228,8 @@ impl Tensor {
         Tensor::from_vec(out, &[n, m])
     }
 
-    /// Adds a length-`n` row vector to every row of an `m×n` matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when `bias` is not a rank-1
-    /// tensor of length `n`.
-    pub fn add_row_broadcast(&self, bias: &Tensor) -> Result<Tensor, TensorError> {
-        let mut out = self.clone();
-        out.add_row_broadcast_inplace(bias)?;
-        Ok(out)
-    }
-
-    /// In-place variant of [`Tensor::add_row_broadcast`]: adds the bias row
-    /// to every row of `self` without allocating. This is the `add_bias`
-    /// step of every dense/conv/LSTM forward pass, where the copy made by
-    /// the allocating variant was pure overhead.
+    /// Adds a length-`n` row vector to every row of an `m×n` matrix in
+    /// place: the `add_bias` step of every dense/conv/LSTM forward pass.
     ///
     /// # Errors
     ///
@@ -440,14 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn add_row_broadcast_adds_bias_per_row() {
-        let a = t(&[0.0; 4], &[2, 2]);
-        let bias = t(&[1.0, 2.0], &[2]);
-        let r = a.add_row_broadcast(&bias).unwrap();
-        assert_eq!(r.data(), &[1.0, 2.0, 1.0, 2.0]);
-    }
-
-    #[test]
     fn sum_rows_collapses_first_axis() {
         let a = t(&[1.0, 2.0, 3.0, 4.0], &[2, 2]);
         assert_eq!(a.sum_rows().unwrap().data(), &[4.0, 6.0]);
@@ -465,19 +409,20 @@ mod tests {
     fn transposed_variants_match_explicit_transpose() {
         let x = t(&(0..12).map(|v| v as f32).collect::<Vec<_>>(), &[4, 3]); // k=4, m=3
         let y = t(&(0..8).map(|v| v as f32 * 0.5).collect::<Vec<_>>(), &[4, 2]); // k=4, n=2
-        let fused = x.matmul_tn(&y).unwrap();
+        let mut ws = crate::Workspace::new();
+        let fused = x.matmul_tn_with(&y, &mut ws).unwrap();
         let explicit = x.transpose().unwrap().matmul(&y).unwrap();
         assert_eq!(fused, explicit);
 
         let g = t(&(0..6).map(|v| v as f32 - 2.0).collect::<Vec<_>>(), &[3, 2]); // m=3, k=2
         let w = t(&(0..10).map(|v| v as f32 * 0.1).collect::<Vec<_>>(), &[5, 2]); // n=5, k=2
-        let fused = g.matmul_nt(&w).unwrap();
+        let fused = g.matmul_nt_with(&w, &mut ws).unwrap();
         let explicit = g.matmul(&w.transpose().unwrap()).unwrap();
         assert_eq!(fused, explicit);
 
         // Inner-dimension mismatches surface as typed errors.
-        assert!(x.matmul_tn(&g).is_err());
-        assert!(g.matmul_nt(&x).is_err());
+        assert!(x.matmul_tn_with(&g, &mut ws).is_err());
+        assert!(g.matmul_nt_with(&x, &mut ws).is_err());
     }
 
     #[test]
@@ -494,12 +439,11 @@ mod tests {
     }
 
     #[test]
-    fn add_row_broadcast_inplace_matches_allocating_variant() {
-        let a = t(&[1.0, 2.0, 3.0, 4.0], &[2, 2]);
+    fn add_row_broadcast_inplace_adds_bias_per_row() {
+        let mut inplace = t(&[1.0, 2.0, 3.0, 4.0], &[2, 2]);
         let bias = t(&[10.0, 20.0], &[2]);
-        let mut inplace = a.clone();
         inplace.add_row_broadcast_inplace(&bias).unwrap();
-        assert_eq!(inplace, a.add_row_broadcast(&bias).unwrap());
+        assert_eq!(inplace.data(), &[11.0, 22.0, 13.0, 24.0]);
         let bad = t(&[1.0], &[1]);
         assert!(inplace.add_row_broadcast_inplace(&bad).is_err());
     }

@@ -57,7 +57,7 @@ impl Shape {
     }
 
     /// Row-major strides for this shape.
-    pub fn strides(&self) -> Vec<usize> {
+    fn strides(&self) -> Vec<usize> {
         let mut strides = vec![1usize; self.0.len()];
         for i in (0..self.0.len().saturating_sub(1)).rev() {
             strides[i] = strides[i + 1] * self.0[i + 1];

@@ -45,15 +45,6 @@ impl Tensor {
         Tensor { shape, data: vec![value; len] }
     }
 
-    /// Creates the `n × n` identity matrix.
-    pub fn eye(n: usize) -> Self {
-        let mut t = Tensor::zeros(&[n, n]);
-        for i in 0..n {
-            t.data[i * n + i] = 1.0;
-        }
-        t
-    }
-
     /// Wraps a flat buffer in a shape.
     ///
     /// # Errors
@@ -66,14 +57,6 @@ impl Tensor {
             return Err(TensorError::SizeMismatch { expected: shape.len(), actual: data.len() });
         }
         Ok(Tensor { shape, data })
-    }
-
-    /// Samples every element from `U(lo, hi)` using the caller's RNG.
-    pub fn uniform<R: Rng>(dims: &[usize], lo: f32, hi: f32, rng: &mut R) -> Self {
-        let shape = Shape::new(dims);
-        let len = shape.len();
-        let data = (0..len).map(|_| rng.gen_range(lo..hi)).collect();
-        Tensor { shape, data }
     }
 
     /// Samples every element from `N(0, std²)` using a Box-Muller transform.
@@ -122,11 +105,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at a multi-dimensional index.
     ///
     /// # Errors
@@ -171,27 +149,6 @@ impl Tensor {
         self.data.resize(shape.len(), 0.0);
         self.shape = shape;
     }
-
-    /// Copies rows `[start, end)` of a rank-≥1 tensor (outermost axis).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] when the range exceeds the
-    /// outermost axis, or [`TensorError::RankMismatch`] on a scalar.
-    pub fn slice_rows(&self, start: usize, end: usize) -> Result<Tensor, TensorError> {
-        if self.shape.rank() == 0 {
-            return Err(TensorError::RankMismatch { expected: 1, actual: 0 });
-        }
-        let rows = self.shape.dims()[0];
-        if start > end || end > rows {
-            return Err(TensorError::IndexOutOfBounds { axis: 0, index: end, len: rows });
-        }
-        let row_len: usize = self.shape.dims()[1..].iter().product();
-        let mut dims = self.shape.dims().to_vec();
-        dims[0] = end - start;
-        let data = self.data[start * row_len..end * row_len].to_vec();
-        Tensor::from_vec(data, &dims)
-    }
 }
 
 #[cfg(test)]
@@ -204,14 +161,6 @@ mod tests {
     fn from_vec_validates_size() {
         assert!(Tensor::from_vec(vec![1.0; 5], &[2, 3]).is_err());
         assert!(Tensor::from_vec(vec![1.0; 6], &[2, 3]).is_ok());
-    }
-
-    #[test]
-    fn eye_is_identity() {
-        let i = Tensor::eye(3);
-        assert_eq!(i.at(&[0, 0]).unwrap(), 1.0);
-        assert_eq!(i.at(&[0, 1]).unwrap(), 0.0);
-        assert_eq!(i.at(&[2, 2]).unwrap(), 1.0);
     }
 
     #[test]
@@ -229,14 +178,6 @@ mod tests {
         let var: f32 = t.data().iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / t.len() as f32;
         assert!(mean.abs() < 0.05, "mean {mean}");
         assert!((var - 1.0).abs() < 0.1, "var {var}");
-    }
-
-    #[test]
-    fn slice_rows_copies_contiguous_rows() {
-        let t = Tensor::from_vec((0..12).map(|x| x as f32).collect(), &[4, 3]).unwrap();
-        let s = t.slice_rows(1, 3).unwrap();
-        assert_eq!(s.shape().dims(), &[2, 3]);
-        assert_eq!(s.data(), &[3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
     }
 
     #[test]

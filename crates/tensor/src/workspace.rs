@@ -2,8 +2,8 @@
 //!
 //! Every wall-clock-critical kernel in this crate (the blocked GEMM in
 //! [`crate::Tensor::matmul`], the im2col lowering, the packed transposes
-//! behind the fused `matmul_tn`/`matmul_nt` variants) needs short-lived
-//! `f32` scratch. Allocating that scratch per call dominated steady-state
+//! behind the fused `matmul_tn_with`/`matmul_nt_with` variants) needs
+//! short-lived `f32` scratch. Allocating that scratch per call dominated steady-state
 //! training epochs, so kernels now draw it from a [`Workspace`]: a pool of
 //! reusable buffers that only ever grows. After a warm-up pass the pool has
 //! reached its high-water mark and subsequent epochs allocate nothing (see
@@ -13,8 +13,8 @@
 //! Two ways to use it:
 //!
 //! * **Implicit** — the plain [`Tensor::matmul`](crate::Tensor::matmul)
-//!   family draws from a thread-local workspace via [`with_thread_local`],
-//!   so every existing call site reuses scratch with no signature changes.
+//!   and [`crate::conv2d_backward`] draw from a thread-local workspace,
+//!   so their call sites reuse scratch with no signature changes.
 //! * **Explicit** — the `*_with` kernel variants (e.g.
 //!   [`Tensor::matmul_with`](crate::Tensor::matmul_with),
 //!   [`crate::conv2d_gemm_with`]) take `&mut Workspace`, letting a layer or
@@ -88,7 +88,7 @@ impl Workspace {
     }
 
     /// Checks out a buffer of `len` elements, zero-filled.
-    pub fn take_zeroed(&mut self, len: usize) -> Vec<f32> {
+    pub(crate) fn take_zeroed(&mut self, len: usize) -> Vec<f32> {
         let mut buf = self.take(len);
         buf.fill(0.0);
         buf
@@ -137,7 +137,7 @@ thread_local! {
 /// site on a thread shares one grow-only arena. Re-entrant use from inside
 /// `f` would double-borrow, so kernels never call back into
 /// `with_thread_local` while holding the borrow.
-pub fn with_thread_local<T>(f: impl FnOnce(&mut Workspace) -> T) -> T {
+pub(crate) fn with_thread_local<T>(f: impl FnOnce(&mut Workspace) -> T) -> T {
     THREAD_WORKSPACE.with(|ws| f(&mut ws.borrow_mut()))
 }
 

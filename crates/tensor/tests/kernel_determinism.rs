@@ -324,11 +324,11 @@ proptest! {
     }
 }
 
-/// The two `bench_kernels` convolutions: wide `cout`, several `KC` panels
-/// deep. Forward only — `bench_kernels` times nothing else at these shapes.
+/// Two convolutions larger than any workload issues: wide `cout`, several
+/// `KC` panels deep. Forward only.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "minutes unoptimised; CI runs this suite with --release")]
-fn bench_kernels_conv_shapes_match_the_frozen_kernel() {
+fn wide_cout_multi_panel_conv_shapes_match_the_frozen_kernel() {
     let mut rng = StdRng::seed_from_u64(4242);
     let mut ws = Workspace::new();
     for shape in [[8, 128, 512, 3, 32], [2, 256, 512, 3, 16]] {

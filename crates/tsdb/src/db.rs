@@ -1,6 +1,7 @@
 //! The thread-safe store.
 
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
 
@@ -26,6 +27,28 @@ fn storable(point: Point) -> Result<Point, TsdbError> {
     }
 }
 
+/// Writes `contents` to `path` crash-safely: the bytes go to a unique
+/// temporary file in the destination directory and are published with an
+/// atomic rename. The temporary file is removed when either step fails.
+///
+/// # Errors
+///
+/// Returns [`TsdbError::Io`] on filesystem failures.
+pub fn write_atomic(path: &Path, contents: &str) -> Result<(), TsdbError> {
+    static SAVE_SEQ: AtomicU64 = AtomicU64::new(0);
+    let tmp = path.with_file_name(format!(
+        ".{}.{}.{}.tmp",
+        path.file_name().and_then(|n| n.to_str()).unwrap_or("file"),
+        std::process::id(),
+        SAVE_SEQ.fetch_add(1, Ordering::Relaxed),
+    ));
+    let published = std::fs::write(&tmp, contents).and_then(|()| std::fs::rename(&tmp, path));
+    if published.is_err() {
+        std::fs::remove_file(&tmp).ok();
+    }
+    Ok(published?)
+}
+
 impl Database {
     /// Creates an empty database.
     pub fn new() -> Self {
@@ -40,19 +63,6 @@ impl Database {
     /// name or without fields.
     pub fn write(&self, point: Point) -> Result<(), TsdbError> {
         self.points.write().push(storable(point)?);
-        Ok(())
-    }
-
-    /// Stores many points; stops at the first invalid one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TsdbError::InvalidPoint`] on the first unstorable point;
-    /// earlier points in the batch remain stored.
-    pub fn write_batch(&self, points: impl IntoIterator<Item = Point>) -> Result<(), TsdbError> {
-        for p in points {
-            self.write(p)?;
-        }
         Ok(())
     }
 
@@ -88,39 +98,6 @@ impl Database {
             .filter_map(|p| p.field_value(field))
             .collect();
         Ok(agg.apply(&values))
-    }
-
-    /// Aggregates `field` into fixed time windows of `window_us`
-    /// microseconds (Influx's `GROUP BY time(...)`). Returns
-    /// `(window_start_us, value)` pairs for non-empty windows, in time
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TsdbError::InvalidPoint`] when `window_us` is zero.
-    pub fn aggregate_by_time(
-        &self,
-        query: &Query,
-        field: &str,
-        agg: Aggregate,
-        window_us: u64,
-    ) -> Result<Vec<(u64, f64)>, TsdbError> {
-        if window_us == 0 {
-            return Err(TsdbError::InvalidPoint {
-                reason: "window must be positive".into(),
-            });
-        }
-        let mut buckets: std::collections::BTreeMap<u64, Vec<f64>> = Default::default();
-        for p in self.points.read().iter().filter(|p| query.matches(p)) {
-            if let Some(v) = p.field_value(field) {
-                let start = p.timestamp_us() / window_us * window_us;
-                buckets.entry(start).or_default().push(v);
-            }
-        }
-        Ok(buckets
-            .into_iter()
-            .filter_map(|(start, values)| agg.apply(&values).map(|v| (start, v)))
-            .collect())
     }
 
     /// Exports every stored point as Influx line protocol, one per line.
@@ -167,21 +144,11 @@ impl Database {
         self.points.read().is_empty()
     }
 
-    /// Deletes points with `timestamp < before_us` (retention policy).
-    /// Returns the number deleted.
-    pub fn retain_from(&self, before_us: u64) -> usize {
-        let mut guard = self.points.write();
-        let before = guard.len();
-        guard.retain(|p| p.timestamp_us() >= before_us);
-        before - guard.len()
-    }
-
     /// Serialises the whole store to a JSON file.
     ///
-    /// The write is crash-safe: the JSON goes to a unique temporary file in
-    /// the destination directory and is published with an atomic rename, so
-    /// a crash mid-save leaves either the previous file or the new one —
-    /// never a truncated mix (the warm-start path depends on this).
+    /// The write is crash-safe ([`write_atomic`]): a crash mid-save leaves
+    /// either the previous file or the new one — never a truncated mix
+    /// (the warm-start path depends on this).
     ///
     /// # Errors
     ///
@@ -191,24 +158,7 @@ impl Database {
         let json = serde_json::to_string(&*guard)
             .map_err(|e| TsdbError::Corrupt { reason: e.to_string() })?;
         drop(guard);
-        let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-        static SAVE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let tmp_name = format!(
-            ".{}.{}.{}.tmp",
-            path.file_name().and_then(|n| n.to_str()).unwrap_or("tsdb"),
-            std::process::id(),
-            SAVE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-        );
-        let tmp = match dir {
-            Some(d) => d.join(&tmp_name),
-            None => std::path::PathBuf::from(&tmp_name),
-        };
-        std::fs::write(&tmp, json)?;
-        if let Err(e) = std::fs::rename(&tmp, path) {
-            std::fs::remove_file(&tmp).ok();
-            return Err(e.into());
-        }
-        Ok(())
+        write_atomic(path, &json)
     }
 
     /// Loads a store previously written by [`Database::save`].
@@ -274,17 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_by_time_groups_into_windows() {
-        let db = sample_db(); // timestamps 0, 1000, ..., 9000
-        let q = Query::measurement("epoch");
-        let windows =
-            db.aggregate_by_time(&q, "runtime", Aggregate::Sum, 5000).unwrap();
-        // Window [0,5000): i=0..4 → sum 10; window [5000,10000): i=5..9 → 35.
-        assert_eq!(windows, vec![(0, 10.0), (5000, 35.0)]);
-        assert!(db.aggregate_by_time(&q, "runtime", Aggregate::Sum, 0).is_err());
-    }
-
-    #[test]
     fn line_protocol_round_trips_the_store() {
         let db = sample_db();
         let text = db.to_line_protocol();
@@ -306,14 +245,6 @@ mod tests {
             .unwrap();
         assert_eq!(n, 2);
         assert!(db.import_line_protocol("garbage").is_err());
-    }
-
-    #[test]
-    fn retention_deletes_old_points() {
-        let db = sample_db();
-        let deleted = db.retain_from(5000);
-        assert_eq!(deleted, 5);
-        assert_eq!(db.len(), 5);
     }
 
     #[test]
@@ -339,17 +270,24 @@ mod tests {
         db.save(&path).unwrap();
         let loaded = Database::load(&path).unwrap();
         assert_eq!(loaded.len(), db.len());
-        // No temporary artefacts survive a successful save.
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(Result::ok)
-            .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
-            .collect();
-        assert!(leftovers.is_empty(), "temp files left behind: {leftovers:?}");
+        let leftovers = || -> Vec<_> {
+            std::fs::read_dir(&dir)
+                .unwrap()
+                .filter_map(Result::ok)
+                .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
+                .collect()
+        };
+        assert!(leftovers().is_empty(), "a successful save left temp files: {:?}", leftovers());
         // Saving into a missing directory fails without clobbering `path`.
         let bad = dir.join("no_such_dir").join("db.json");
         assert!(matches!(db.save(&bad), Err(TsdbError::Io(_))));
         assert!(Database::load(&path).is_ok(), "original file untouched");
+        // A failed publish (the destination is a non-empty directory, so
+        // the temp file is written but cannot be renamed) cleans up too.
+        let occupied = dir.join("occupied");
+        std::fs::create_dir_all(occupied.join("child")).unwrap();
+        assert!(matches!(db.save(&occupied), Err(TsdbError::Io(_))));
+        assert!(leftovers().is_empty(), "a failed save left temp files: {:?}", leftovers());
         std::fs::remove_file(&path).ok();
         std::fs::remove_dir_all(&dir).ok();
     }

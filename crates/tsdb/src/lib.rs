@@ -31,7 +31,7 @@ mod line_protocol;
 mod point;
 mod query;
 
-pub use db::Database;
+pub use db::{write_atomic, Database};
 pub use point::Point;
 pub use query::{Aggregate, Query};
 

@@ -25,7 +25,7 @@ pub enum Aggregate {
 
 impl Aggregate {
     /// Applies the aggregate to a value list. Returns `None` on empty input.
-    pub fn apply(&self, values: &[f64]) -> Option<f64> {
+    pub(crate) fn apply(&self, values: &[f64]) -> Option<f64> {
         if values.is_empty() {
             return None;
         }
@@ -52,13 +52,12 @@ fn percentile(values: &[f64], q: f64) -> f64 {
     sorted[rank.max(1) - 1]
 }
 
-/// A query: measurement, optional tag equality filters, optional time range.
+/// A query: measurement, optional tag equality filters, optional start time.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Query {
     measurement: String,
     tag_filters: Vec<(String, String)>,
     time_from_us: Option<u64>,
-    time_to_us: Option<u64>,
 }
 
 impl Query {
@@ -79,12 +78,6 @@ impl Query {
         self
     }
 
-    /// Restricts to points with `timestamp < to_us`.
-    pub fn to_us(mut self, to_us: u64) -> Self {
-        self.time_to_us = Some(to_us);
-        self
-    }
-
     /// Returns `true` when `point` satisfies every predicate.
     pub fn matches(&self, point: &Point) -> bool {
         if point.measurement() != self.measurement {
@@ -92,11 +85,6 @@ impl Query {
         }
         if let Some(from) = self.time_from_us {
             if point.timestamp_us() < from {
-                return false;
-            }
-        }
-        if let Some(to) = self.time_to_us {
-            if point.timestamp_us() >= to {
                 return false;
             }
         }
@@ -114,9 +102,9 @@ mod tests {
 
     #[test]
     fn tag_and_time_filters_compose() {
-        let q = Query::measurement("m").with_tag("w", "a").from_us(10).to_us(20);
+        let q = Query::measurement("m").with_tag("w", "a").from_us(10);
         assert!(q.matches(&point(10, "a")));
-        assert!(!q.matches(&point(20, "a"))); // exclusive upper bound
+        assert!(!q.matches(&point(9, "a"))); // inclusive lower bound
         assert!(!q.matches(&point(15, "b")));
         assert!(!q.matches(&Point::new("other", 15).tag("w", "a").field("x", 1.0)));
     }

@@ -46,10 +46,7 @@ fn assert_outcomes_identical(a: &TuningOutcome, b: &TuningOutcome) {
 /// A cold run filling a fresh cache followed by a warm rerun over it,
 /// under the given worker count and cache capacity.
 fn cold_then_warm(workers: usize, capacity: usize) -> (TuningOutcome, TuningOutcome) {
-    let cache = EpochCacheHandle::with_config(EpochCacheConfig {
-        capacity,
-        ..EpochCacheConfig::default()
-    });
+    let cache = EpochCacheHandle::with_config(EpochCacheConfig { capacity });
     let env = ExperimentEnvBuilder::distributed(SEED)
         .workers(workers)
         .epoch_cache(cache)

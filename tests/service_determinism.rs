@@ -5,7 +5,9 @@
 //! **byte-identical** for every worker count, clean and under
 //! `FaultPlan::mixed`, across multiple arrival seeds.
 
-use pipetune::{ExperimentEnvBuilder, TunerOptions, TuningOutcome, WorkloadSpec};
+use pipetune::{
+    EpochCacheHandle, ExperimentEnvBuilder, TunerOptions, TuningOutcome, WorkloadSpec,
+};
 use pipetune_cluster::{FaultPlan, FaultReport, PoissonArrivals};
 use pipetune_service::{JobSubmission, SchedulingPolicy, ServiceConfig, ServiceOutcome, TuningService};
 use pipetune_telemetry::{SpanKind, TelemetryHandle, TelemetrySnapshot};
@@ -26,8 +28,21 @@ fn run_service(
     workers: usize,
     plan: FaultPlan,
 ) -> (ServiceOutcome, TelemetrySnapshot) {
+    run_stream(seed, policy, workers, plan, JOBS, EpochCacheHandle::disabled())
+}
+
+/// `jobs` lenet/mnist submissions through the service; every job inherits
+/// `cache` from the environment — the only way a stream gets an epoch cache.
+fn run_stream(
+    seed: u64,
+    policy: SchedulingPolicy,
+    workers: usize,
+    plan: FaultPlan,
+    jobs: usize,
+    cache: EpochCacheHandle,
+) -> (ServiceOutcome, TelemetrySnapshot) {
     let mut arrivals = PoissonArrivals::new(1.0 / 1500.0, seed);
-    let submissions: Vec<JobSubmission> = (0..JOBS)
+    let submissions: Vec<JobSubmission> = (0..jobs)
         .map(|_| JobSubmission::new(arrivals.next_arrival().as_secs_f64(), WorkloadSpec::lenet_mnist()))
         .collect();
     let telemetry = TelemetryHandle::enabled();
@@ -35,6 +50,7 @@ fn run_service(
         .workers(workers)
         .fault_plan(plan)
         .telemetry(telemetry.clone())
+        .epoch_cache(cache)
         .build()
         .unwrap();
     let service = TuningService::new(ServiceConfig::default().with_policy(policy));
@@ -211,4 +227,35 @@ fn service_traces_follow_the_service_job_run_taxonomy() {
         assert_eq!(span.end_secs.to_bits(), rec.completion_secs.to_bits());
     }
     assert_eq!(roots[0].end_secs.to_bits(), outcome.makespan_secs.to_bits());
+}
+
+/// A four-job FIFO stream, no faults, over `cache`.
+fn run_cached_stream(workers: usize, cache: EpochCacheHandle) -> (ServiceOutcome, TelemetrySnapshot) {
+    run_stream(41, SchedulingPolicy::Fifo, workers, FaultPlan::none(), 4, cache)
+}
+
+#[test]
+fn env_level_epoch_cache_is_shared_by_the_stream_and_changes_no_verdict() {
+    let cache = EpochCacheHandle::enabled();
+    let (base, base_snap) = run_cached_stream(1, cache.clone());
+    let (outcome, snap) = run_cached_stream(4, EpochCacheHandle::enabled());
+    assert_service_outcomes_identical(&base, &outcome);
+    assert_eq!(snap.to_json_string(), base_snap.to_json_string(), "trace JSON differs across workers");
+
+    // Every job consulted and fed the one store the environment carries,
+    // and — job seeds being distinct — none adopted another job's state.
+    let (off, _) = run_cached_stream(1, EpochCacheHandle::disabled());
+    let mut lookups = 0;
+    for (on, off) in base.jobs.iter().zip(&off.jobs) {
+        let (on, off) = (on.outcome.as_ref().unwrap(), off.outcome.as_ref().unwrap());
+        assert_eq!(on.best_accuracy.to_bits(), off.best_accuracy.to_bits());
+        assert_eq!(on.best_hp, off.best_hp);
+        assert_eq!(on.best_trial_id, off.best_trial_id);
+        assert_eq!(on.cache_stats.hits, 0, "cross-job adoption is forbidden");
+        assert!(on.cache_stats.inserts > 0, "each job populates the shared store");
+        lookups += on.cache_stats.hits + on.cache_stats.misses;
+    }
+    assert!(lookups > 0, "the stream never consulted the cache");
+    let store = cache.stats().expect("enabled handle");
+    assert_eq!(store.hits + store.misses, lookups, "all four jobs went through the one handle");
 }
