@@ -11,15 +11,13 @@
 //! commits in scheduler request order. `docs/determinism.md` is the full
 //! statement of that contract.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 use pipetune_cluster::{observe as cluster_observe, FaultReport};
 use pipetune_search::{Config, SearchSpace, TrialId, TrialRequest, TrialReport};
-use pipetune_telemetry::{
-    EventKind, SpanId, SpanKind, TelemetryBuffer, COUNT_BUCKETS, RATIO_BUCKETS,
-};
+use pipetune_telemetry::{EventKind, Span, SpanId, SpanKind, COUNT_BUCKETS, RATIO_BUCKETS};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -27,7 +25,7 @@ use crate::cache::{self, CacheEvent, CacheKey};
 use crate::groundtruth::{BatchView, GroundTruthAccess, GtEvent};
 use crate::objective::Objective;
 use crate::observe;
-use crate::trial::{SystemTuner, TrialExecution};
+use crate::trial::{numbered_label, SystemTuner, TrialExecution};
 use crate::tuner::{ConvergencePoint, TunerOptions, TuningOutcome};
 use crate::workload::EpochWorkload;
 use crate::{ExperimentEnv, GroundTruth, HyperParams, PipeTuneError, WorkloadSpec};
@@ -93,6 +91,10 @@ impl SlotSchedule {
 /// The RNG is derived from `(env.seed, trial id)` and persists across
 /// scheduler rungs, so a trial's stochastic profile noise is a function of
 /// its identity alone — never of which worker ran it or what ran before it.
+///
+/// Kilobytes wide (a model or solver inline), so it is boxed once when the
+/// trial is created and every later hop — work item, batch cell, result,
+/// the job's trial map — moves the pointer.
 #[derive(Debug)]
 struct TrialSlot {
     exec: TrialExecution,
@@ -139,7 +141,7 @@ fn cache_identity(
 /// it (`slot` for resumed trials, `tuner` for fresh ones).
 struct WorkItem {
     req: TrialRequest,
-    slot: Option<TrialSlot>,
+    slot: Option<Box<TrialSlot>>,
     tuner: Option<SystemTuner>,
 }
 
@@ -154,14 +156,15 @@ struct Journal {
     cache: Vec<CacheEvent>,
     /// Fault counters this rung added to the trial's report.
     faults: FaultReport,
-    /// Epoch spans, pipeline events and trial metrics this rung recorded.
-    telemetry: TelemetryBuffer,
 }
 
 /// What one executed work item hands back to the coordinator.
 struct ItemResult {
     id: TrialId,
-    slot: TrialSlot,
+    /// The trial, its telemetry buffer holding the epoch spans, pipeline
+    /// events and trial metrics this rung recorded — the journal's fourth
+    /// part, left in place so its storage serves the next rung.
+    slot: Box<TrialSlot>,
     accuracy: f32,
     score: f64,
     /// Epochs the scheduler requested for this rung.
@@ -212,7 +215,7 @@ fn execute_item(
                     // policy, and the identity components guarantee the
                     // donor evolved exactly as this trial would have.
                     let exec = TrialExecution::adopt(env, snapshot, saved, req.id.0, &mut rng);
-                    TrialSlot { exec, rng }
+                    Box::new(TrialSlot { exec, rng })
                 }
                 None => {
                     let workload = spec.instantiate(&hp, env.subseed(req.id.0))?;
@@ -222,7 +225,7 @@ fn execute_item(
                         journal.cache.push(CacheEvent::Miss);
                         exec.note_cache_miss(env);
                     }
-                    TrialSlot { exec, rng }
+                    Box::new(TrialSlot { exec, rng })
                 }
             }
         }
@@ -237,12 +240,13 @@ fn execute_item(
     let faults_before = slot.exec.fault_report();
     let mut view =
         ground_truth.map(|history| BatchView { history, journal: &mut journal.ground_truth });
-    let run = slot.exec.run_epochs(
+    let TrialSlot { exec, rng } = &mut *slot;
+    let run = exec.run_epochs(
         env,
         req.epochs - adopted_epochs,
         view.as_mut().map(|v| v as &mut dyn GroundTruthAccess),
         contention,
-        &mut slot.rng,
+        rng,
     );
     let abandoned = match run {
         Ok(()) => None,
@@ -278,7 +282,6 @@ fn execute_item(
         journal.cache.push(CacheEvent::Insert { key, snapshot });
     }
     journal.faults = slot.exec.fault_report().delta_since(&faults_before);
-    journal.telemetry = slot.exec.take_telemetry();
     Ok(ItemResult {
         id: req.id,
         accuracy,
@@ -337,7 +340,9 @@ fn execute_batch(
 /// ground truth, the epoch-reuse cache, the run's fault report and its
 /// trace. `results` are in scheduler request order and are applied in that
 /// order; cache events land together at `batch_end_secs` so capacity is
-/// enforced once per batch.
+/// enforced once per batch. A work item's whole trace — trial span, fault
+/// counters, everything its buffer holds — reaches the sink under one lock
+/// acquisition.
 fn commit_batch(
     env: &ExperimentEnv,
     batch_span: SpanId,
@@ -349,14 +354,15 @@ fn commit_batch(
     let telemetry = &env.telemetry;
     let mut cache_events = Vec::new();
     for item in results {
-        let Journal { ground_truth: gt_events, cache, faults, telemetry: mut buffer } =
-            std::mem::take(&mut item.journal);
+        let Journal { ground_truth: gt_events, cache, faults } = std::mem::take(&mut item.journal);
         fault_report.merge(&faults);
         if telemetry.is_enabled() {
             // Trial span on the trial-cumulative clock, then the
             // worker-local buffer merged under it.
-            let end_secs = item.slot.exec.duration_secs();
-            let mut attrs = vec![("trial", item.id.0.into()), ("epochs", item.epochs.into())];
+            let exec = &mut item.slot.exec;
+            let end_secs = exec.duration_secs();
+            let mut attrs = Vec::with_capacity(4);
+            attrs.extend([("trial", item.id.0.into()), ("epochs", item.epochs.into())]);
             match item.abandoned {
                 None => {
                     attrs.push(("accuracy", item.accuracy.into()));
@@ -364,16 +370,17 @@ fn commit_batch(
                 }
                 Some(attempts) => attrs.push(("abandoned_after_attempts", attempts.into())),
             }
-            let trial_span = telemetry.open_span(
-                batch_span,
-                SpanKind::Trial,
-                format!("trial {}", item.id.0),
-                end_secs - item.delta_secs,
+            let trial_span = Span {
+                kind: SpanKind::Trial,
+                label: numbered_label("trial ", item.id.0, &[]),
+                parent: None,
+                start_secs: end_secs - item.delta_secs,
+                end_secs,
                 attrs,
-            );
-            telemetry.with_metrics(|m| cluster_observe::record_fault_report(&faults, m));
-            telemetry.merge_buffer(trial_span, &mut buffer);
-            telemetry.close_span(trial_span, end_secs);
+            };
+            let buffer = exec.telemetry_mut();
+            buffer.with_metrics(|m| cluster_observe::record_fault_report(&faults, m));
+            telemetry.merge_trial(batch_span, trial_span, buffer);
         }
         if let Some(gt) = ground_truth.as_deref_mut() {
             gt.commit(gt_events)?;
@@ -445,7 +452,10 @@ where
             ("parallel_slots", env.parallel_slots.into()),
         ],
     );
-    let mut trials: HashMap<TrialId, TrialSlot> = HashMap::new();
+    // Ordered rather than hashed: trials leave and re-enter every round, and
+    // a hash table's growth under removals depends on its per-process keys
+    // (`tests/alloc_budget.rs` counts on allocations repeating exactly).
+    let mut trials: BTreeMap<TrialId, Box<TrialSlot>> = BTreeMap::new();
     let mut clock = 0.0f64;
     let mut energy = 0.0f64;
     let mut convergence = Vec::new();
@@ -685,7 +695,7 @@ mod tests {
             learning_rate: 0.02,
             ..HyperParams::default()
         };
-        let req = TrialRequest { id: TrialId(id), config: hp.to_config(), epochs: 8 };
+        let req = TrialRequest { id: TrialId(id), config: hp.to_config().into(), epochs: 8 };
         WorkItem { req, slot: None, tuner: Some(SystemTuner::pipelined(ProbeGoal::Runtime)) }
     }
 

@@ -66,6 +66,34 @@ fn phase_counter(phase: EpochPhase) -> &'static str {
     }
 }
 
+/// A span label `<prefix><n><suffix…>`, written without the `fmt` machinery:
+/// one is built per recorded epoch and trial-round, and a microsecond epoch
+/// notices.
+pub(crate) fn numbered_label(prefix: &str, n: u64, suffix: &[&str]) -> String {
+    let mut digits = [0u8; 20];
+    let mut first = digits.len();
+    let mut rest = n;
+    loop {
+        first -= 1;
+        digits[first] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    let len = prefix.len() + digits.len() - first + suffix.iter().map(|s| s.len()).sum::<usize>();
+    let mut label = String::with_capacity(len);
+    label.push_str(prefix);
+    label.extend(digits[first..].iter().map(|&d| char::from(d)));
+    suffix.iter().for_each(|s| label.push_str(s));
+    label
+}
+
+/// The epoch span label, `epoch <n> (<phase>)`.
+fn epoch_label(epoch: u32, phase: EpochPhase) -> String {
+    numbered_label("epoch ", epoch.into(), &[" (", phase.name(), ")"])
+}
+
 /// One epoch per candidate core count at the default memory size, reversed
 /// so `pop` walks the sweep in order.
 fn cores_sweep(env: &ExperimentEnv) -> Vec<SystemConfig> {
@@ -225,11 +253,11 @@ impl TrialExecution {
         self.faults
     }
 
-    /// Hands over the worker-local telemetry buffer (leaving a disabled
-    /// one behind; [`TrialExecution::run_epochs`] re-enables it). The
-    /// executor moves it into the work item's journal after every rung.
-    pub(crate) fn take_telemetry(&mut self) -> TelemetryBuffer {
-        std::mem::take(&mut self.telemetry)
+    /// The worker-local telemetry buffer: what this trial recorded since
+    /// the executor last merged it into the run's sink (which empties it
+    /// in place, after every rung).
+    pub(crate) fn telemetry_mut(&mut self) -> &mut TelemetryBuffer {
+        &mut self.telemetry
     }
 
     /// Snapshots the full trial state (model, optimizer, tuner, records,
@@ -338,7 +366,7 @@ impl TrialExecution {
                 at += r.duration_secs;
                 exec.telemetry.push_span(
                     SpanKind::Epoch,
-                    format!("epoch {} (cached)", r.epoch),
+                    epoch_label(r.epoch, EpochPhase::Cached),
                     None,
                     at - r.duration_secs,
                     at,
@@ -641,7 +669,8 @@ impl TrialExecution {
                 // Straggler epoch: the node is slow, the work is not lost.
                 duration *= slowdown;
             }
-            let energy = env.trial_power(&sys) * duration;
+            let watts = env.trial_power(&sys);
+            let energy = watts * duration;
             self.total_secs += duration;
             self.total_energy_j += energy;
             self.records.push(EpochRecord {
@@ -658,7 +687,7 @@ impl TrialExecution {
             let epoch_span = if self.telemetry.is_active() {
                 let span = self.telemetry.push_span(
                     SpanKind::Epoch,
-                    format!("epoch {epoch_idx} ({})", phase.name()),
+                    epoch_label(epoch_idx, phase),
                     None,
                     self.total_secs - duration,
                     self.total_secs,
@@ -672,7 +701,6 @@ impl TrialExecution {
                         ("train_score", outcome.train_score.into()),
                     ],
                 );
-                let watts = env.trial_power(&sys);
                 self.telemetry.with_metrics(|m| {
                     m.observe(observe::EPOCH_SECS, DURATION_BUCKETS_SECS, duration);
                     m.counter_add(observe::EPOCHS_TOTAL, 1);
@@ -760,13 +788,14 @@ impl TrialExecution {
                         // the recovery loop).
                     } else if matches!(phase, EpochPhase::Probe) {
                         if self.telemetry.is_active() {
-                            let mut attrs = vec![
+                            let mut attrs = Vec::with_capacity(6);
+                            attrs.extend([
                                 ("epoch", epoch_idx.into()),
                                 ("cores", sys.cores.into()),
                                 ("memory_gb", sys.memory_gb.into()),
                                 ("freq_mhz", sys.freq_mhz.into()),
                                 ("lost", counter_fault.into()),
-                            ];
+                            ]);
                             if !counter_fault {
                                 attrs.push(("cost", goal.cost(duration, energy).into()));
                                 self.telemetry.with_metrics(|m| {
@@ -871,6 +900,18 @@ mod tests {
             .instantiate(&hp(batch), 3)
             .unwrap();
         TrialExecution::new(w, tuner)
+    }
+
+    #[test]
+    fn labels_read_as_format_would_write_them() {
+        for n in [0, 1, 9, 10, 99, 100, 12_345, u64::from(u32::MAX), u64::MAX] {
+            assert_eq!(numbered_label("trial ", n, &[]), format!("trial {n}"));
+        }
+        for phase in [EpochPhase::Profile, EpochPhase::Tuned, EpochPhase::Cached] {
+            for epoch in [1, 27, 81, 1000, u32::MAX] {
+                assert_eq!(epoch_label(epoch, phase), format!("epoch {epoch} ({})", phase.name()));
+            }
+        }
     }
 
     #[test]

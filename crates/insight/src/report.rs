@@ -22,7 +22,7 @@ fn attr<'a>(attrs: &'a Attrs, key: &str) -> Option<&'a AttrValue> {
 
 fn attr_str<'a>(attrs: &'a Attrs, key: &str) -> Option<&'a str> {
     match attr(attrs, key) {
-        Some(AttrValue::Str(s)) => Some(s.as_str()),
+        Some(AttrValue::Str(s)) => Some(s),
         _ => None,
     }
 }

@@ -35,6 +35,9 @@ impl Default for HotspotConfig {
 pub struct Hotspot {
     cfg: HotspotConfig,
     temp: Vec<f32>,
+    /// The step's output buffer, swapped with `temp` after every step
+    /// (which writes every cell of it).
+    next: Vec<f32>,
     power: Vec<f32>,
     epochs: usize,
     initial_delta: f32,
@@ -69,6 +72,7 @@ impl Hotspot {
         let mut hs = Hotspot {
             cfg: *cfg,
             temp: vec![0.0; n * n],
+            next: vec![0.0; n * n],
             power,
             epochs: 0,
             initial_delta: 0.0,
@@ -85,7 +89,6 @@ impl Hotspot {
     fn step_delta(&mut self) -> f32 {
         let n = self.cfg.grid;
         let dt = self.cfg.dt;
-        let mut next = self.temp.clone();
         let mut sum_sq = 0.0f64;
         for y in 0..n {
             for x in 0..n {
@@ -103,11 +106,11 @@ impl Hotspot {
                     - 4.0 * c;
                 // Diffusion + local power − leakage to ambient.
                 let delta = dt * (lap + self.power[y * n + x] - 0.1 * c);
-                next[y * n + x] = c + delta;
+                self.next[y * n + x] = c + delta;
                 sum_sq += f64::from(delta) * f64::from(delta);
             }
         }
-        self.temp = next;
+        std::mem::swap(&mut self.temp, &mut self.next);
         self.epochs += 1;
         ((sum_sq / (n * n) as f64).sqrt()) as f32
     }

@@ -33,6 +33,9 @@ impl Default for JacobiConfig {
 pub struct Jacobi {
     cfg: JacobiConfig,
     u: Vec<f32>,
+    /// The sweep's output buffer, swapped with `u` after every step. Both
+    /// carry the same fixed boundary, which no sweep writes.
+    next: Vec<f32>,
     n: usize, // full grid incl. boundary
     initial_residual: f32,
     last_residual: f32,
@@ -59,6 +62,7 @@ impl Jacobi {
         }
         let mut solver = Jacobi {
             cfg: *cfg,
+            next: u.clone(),
             u,
             n,
             initial_residual: 0.0,
@@ -104,7 +108,6 @@ impl IterativeKernel for Jacobi {
     fn step(&mut self) -> KernelMetrics {
         let n = self.n;
         let w = self.cfg.omega;
-        let mut next = self.u.clone();
         for y in 1..n - 1 {
             for x in 1..n - 1 {
                 let avg = 0.25
@@ -112,10 +115,10 @@ impl IterativeKernel for Jacobi {
                         + self.u[(y + 1) * n + x]
                         + self.u[y * n + x - 1]
                         + self.u[y * n + x + 1]);
-                next[y * n + x] = (1.0 - w) * self.u[y * n + x] + w * avg;
+                self.next[y * n + x] = (1.0 - w) * self.u[y * n + x] + w * avg;
             }
         }
-        self.u = next;
+        std::mem::swap(&mut self.u, &mut self.next);
         self.epochs += 1;
         self.last_residual = self.residual().max(1e-12);
         let cells = (n - 2) * (n - 2);

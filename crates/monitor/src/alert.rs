@@ -173,7 +173,7 @@ impl IncidentTimeline {
             let mut attrs: Attrs = vec![
                 ("detector", alert.detector.into()),
                 ("severity", alert.severity.name().into()),
-                ("message", alert.message.as_str().into()),
+                ("message", alert.message.clone().into()),
             ];
             attrs.extend(alert.evidence.iter().cloned());
             snapshot.events.push(Event {

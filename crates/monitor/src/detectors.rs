@@ -92,7 +92,7 @@ impl Detector for StallDetector {
         STALL
     }
 
-    fn on_span(&mut self, ctx: &TraceIndex, idx: u32, span: &Span, out: &mut Vec<Alert>) {
+    fn on_span(&mut self, ctx: &TraceIndex<'_>, idx: u32, span: &Span, out: &mut Vec<Alert>) {
         if span.kind != SpanKind::Epoch || !span.end_secs.is_finite() {
             return;
         }
@@ -172,7 +172,7 @@ impl Detector for CrashLoopDetector {
         CRASH_LOOP
     }
 
-    fn on_event(&mut self, ctx: &TraceIndex, _idx: usize, event: &Event, out: &mut Vec<Alert>) {
+    fn on_event(&mut self, ctx: &TraceIndex<'_>, _idx: usize, event: &Event, out: &mut Vec<Alert>) {
         if !matches!(event.kind, EventKind::Fault | EventKind::Retry) {
             return;
         }
@@ -295,13 +295,13 @@ impl Detector for SloBurnDetector {
         SLO_BURN
     }
 
-    fn on_span(&mut self, _ctx: &TraceIndex, _idx: u32, span: &Span, _out: &mut Vec<Alert>) {
+    fn on_span(&mut self, _ctx: &TraceIndex<'_>, _idx: u32, span: &Span, _out: &mut Vec<Alert>) {
         if span.kind == SpanKind::Job {
             self.arrivals.push(span.start_secs);
         }
     }
 
-    fn on_event(&mut self, ctx: &TraceIndex, _idx: usize, event: &Event, out: &mut Vec<Alert>) {
+    fn on_event(&mut self, ctx: &TraceIndex<'_>, _idx: usize, event: &Event, out: &mut Vec<Alert>) {
         if event.kind != EventKind::Shed {
             return;
         }
@@ -390,7 +390,7 @@ impl Detector for CacheThrashDetector {
         CACHE_THRASH
     }
 
-    fn on_event(&mut self, ctx: &TraceIndex, _idx: usize, event: &Event, out: &mut Vec<Alert>) {
+    fn on_event(&mut self, ctx: &TraceIndex<'_>, _idx: usize, event: &Event, out: &mut Vec<Alert>) {
         if event.kind != EventKind::CacheLookup {
             return;
         }
@@ -421,7 +421,7 @@ impl Detector for CacheThrashDetector {
         }
     }
 
-    fn finish(&mut self, _ctx: &TraceIndex, metrics: &MetricsRegistry, out: &mut Vec<Alert>) {
+    fn finish(&mut self, metrics: &MetricsRegistry, out: &mut Vec<Alert>) {
         let evictions = metrics.counter("cache.evict");
         let inserts = metrics.counter("cache.insert");
         if inserts > 0 {
@@ -495,7 +495,7 @@ impl Detector for QueueGrowthDetector {
         QUEUE_GROWTH
     }
 
-    fn on_span(&mut self, ctx: &TraceIndex, idx: u32, span: &Span, out: &mut Vec<Alert>) {
+    fn on_span(&mut self, ctx: &TraceIndex<'_>, idx: u32, span: &Span, out: &mut Vec<Alert>) {
         if span.kind != SpanKind::Job {
             return;
         }

@@ -10,36 +10,25 @@ use crate::detectors::{
     QueueGrowthDetector, SloBurnConfig, SloBurnDetector, StallConfig, StallDetector,
 };
 
-/// Incrementally built structural index of the trace: span kinds, labels
-/// and parent links, so detectors can resolve source paths and ancestors
-/// without re-walking the span vector.
-#[derive(Debug, Default)]
-pub struct TraceIndex {
-    kinds: Vec<SpanKind>,
-    labels: Vec<String>,
-    parents: Vec<Option<u32>>,
+/// Structural view of the trace delivered so far — span kinds, labels and
+/// parent links, read in place from the stream the engine is handed — so
+/// detectors can resolve source paths and ancestors without a copy of
+/// their own.
+#[derive(Debug)]
+pub struct TraceIndex<'a> {
+    spans: &'a [Span],
 }
 
-impl TraceIndex {
-    fn record(&mut self, span: &Span) {
-        self.kinds.push(span.kind);
-        self.labels.push(span.label.clone());
-        self.parents.push(span.parent);
-    }
-
-    /// Number of spans indexed so far.
-    pub fn len(&self) -> usize {
-        self.kinds.len()
-    }
-
-    /// Whether no span has been indexed yet.
-    pub fn is_empty(&self) -> bool {
-        self.kinds.is_empty()
+impl<'a> TraceIndex<'a> {
+    /// A view over `spans`, the trace's span vector up to and including
+    /// the observation being delivered.
+    pub(crate) fn over(spans: &'a [Span]) -> Self {
+        TraceIndex { spans }
     }
 
     /// The kind of span `idx` (`None` when out of range).
     pub fn kind(&self, idx: u32) -> Option<SpanKind> {
-        self.kinds.get(idx as usize).copied()
+        self.spans.get(idx as usize).map(|span| span.kind)
     }
 
     /// The nearest ancestor of `idx` (including `idx` itself) with the
@@ -47,10 +36,11 @@ impl TraceIndex {
     pub(crate) fn ancestor_of_kind(&self, idx: u32, kind: SpanKind) -> Option<u32> {
         let mut cursor = Some(idx);
         while let Some(i) = cursor {
-            if self.kinds.get(i as usize)? == &kind {
+            let span = self.spans.get(i as usize)?;
+            if span.kind == kind {
                 return Some(i);
             }
-            cursor = *self.parents.get(i as usize)?;
+            cursor = span.parent;
         }
         None
     }
@@ -60,20 +50,12 @@ impl TraceIndex {
     pub fn path(&self, idx: u32) -> String {
         let mut labels = Vec::new();
         let mut cursor = Some(idx);
-        while let Some(i) = cursor {
-            let Some(label) = self.labels.get(i as usize) else { break };
-            labels.push(label.as_str());
-            cursor = self.parents.get(i as usize).copied().flatten();
+        while let Some(span) = cursor.and_then(|i| self.spans.get(i as usize)) {
+            labels.push(span.label.as_str());
+            cursor = span.parent;
         }
         labels.reverse();
         labels.join(" > ")
-    }
-}
-
-impl std::ops::Index<u32> for TraceIndex {
-    type Output = SpanKind;
-    fn index(&self, idx: u32) -> &SpanKind {
-        &self.kinds[idx as usize]
     }
 }
 
@@ -99,14 +81,21 @@ pub trait Detector: Send {
     fn name(&self) -> &'static str;
 
     /// Called once per span, at record time.
-    fn on_span(&mut self, _ctx: &TraceIndex, _idx: u32, _span: &Span, _out: &mut Vec<Alert>) {}
+    fn on_span(&mut self, _ctx: &TraceIndex<'_>, _idx: u32, _span: &Span, _out: &mut Vec<Alert>) {}
 
     /// Called once per event, in record order.
-    fn on_event(&mut self, _ctx: &TraceIndex, _idx: usize, _event: &Event, _out: &mut Vec<Alert>) {}
+    fn on_event(
+        &mut self,
+        _ctx: &TraceIndex<'_>,
+        _idx: usize,
+        _event: &Event,
+        _out: &mut Vec<Alert>,
+    ) {
+    }
 
     /// Called once when the run is over, with the final metrics registry
     /// — the hook for end-of-run evidence like eviction-churn ratios.
-    fn finish(&mut self, _ctx: &TraceIndex, _metrics: &MetricsRegistry, _out: &mut Vec<Alert>) {}
+    fn finish(&mut self, _metrics: &MetricsRegistry, _out: &mut Vec<Alert>) {}
 }
 
 /// Which detectors run, with their window parameters. The default is the
@@ -177,7 +166,6 @@ impl MonitorConfig {
 /// trace in one shot deliver the *same* observation stream and produce
 /// byte-identical timelines (pinned by `tests/monitor_determinism.rs`).
 pub struct MonitorEngine {
-    index: TraceIndex,
     detectors: Vec<Box<dyn Detector>>,
     span_cursor: usize,
     event_cursor: usize,
@@ -189,7 +177,6 @@ impl MonitorEngine {
     /// An engine running `config`'s detectors.
     pub fn new(config: &MonitorConfig) -> Self {
         MonitorEngine {
-            index: TraceIndex::default(),
             detectors: config.build(),
             span_cursor: 0,
             event_cursor: 0,
@@ -205,21 +192,23 @@ impl MonitorEngine {
     }
 
     /// Processes everything recorded since the previous scan: new spans
-    /// first (indexing each before delivery), then new events. `spans`
-    /// and `events` must be the same growing vectors every time —
-    /// i.e. one engine watches one telemetry sink.
+    /// first (each sees the trace up to and including itself), then new
+    /// events (which see every span). `spans` and `events` must be the
+    /// same growing vectors every time — i.e. one engine watches one
+    /// telemetry sink.
     pub fn observe(&mut self, spans: &[Span], events: &[Event]) {
         debug_assert!(self.finished.is_none(), "observe after finish is ignored evidence");
         for (i, span) in spans.iter().enumerate().skip(self.span_cursor) {
-            self.index.record(span);
+            let index = TraceIndex::over(&spans[..=i]);
             for detector in &mut self.detectors {
-                detector.on_span(&self.index, i as u32, span, &mut self.fired);
+                detector.on_span(&index, i as u32, span, &mut self.fired);
             }
         }
         self.span_cursor = spans.len();
+        let index = TraceIndex::over(spans);
         for (i, event) in events.iter().enumerate().skip(self.event_cursor) {
             for detector in &mut self.detectors {
-                detector.on_event(&self.index, i, event, &mut self.fired);
+                detector.on_event(&index, i, event, &mut self.fired);
             }
         }
         self.event_cursor = events.len();
@@ -240,7 +229,7 @@ impl MonitorEngine {
             return done.clone();
         }
         for detector in &mut self.detectors {
-            detector.finish(&self.index, metrics, &mut self.fired);
+            detector.finish(metrics, &mut self.fired);
         }
         let timeline = IncidentTimeline::from_alerts(std::mem::take(&mut self.fired));
         self.finished = Some(timeline.clone());
@@ -271,17 +260,19 @@ mod tests {
 
     #[test]
     fn trace_index_resolves_paths_and_ancestors() {
-        let mut idx = TraceIndex::default();
-        idx.record(&span(SpanKind::Service, "svc", None, 0.0, 10.0));
-        idx.record(&span(SpanKind::Job, "job 0", Some(0), 0.0, 8.0));
-        idx.record(&span(SpanKind::TuningRun, "run", Some(1), 0.0, 8.0));
+        let spans = [
+            span(SpanKind::Service, "svc", None, 0.0, 10.0),
+            span(SpanKind::Job, "job 0", Some(0), 0.0, 8.0),
+            span(SpanKind::TuningRun, "run", Some(1), 0.0, 8.0),
+        ];
+        let idx = TraceIndex::over(&spans);
         assert_eq!(idx.path(2), "svc > job 0 > run");
         assert_eq!(idx.ancestor_of_kind(2, SpanKind::Job), Some(1));
         assert_eq!(idx.ancestor_of_kind(2, SpanKind::TuningRun), Some(2));
         assert_eq!(idx.ancestor_of_kind(1, SpanKind::Epoch), None);
         assert_eq!(idx.kind(0), Some(SpanKind::Service));
         assert_eq!(idx.kind(9), None);
-        assert_eq!(idx[1], SpanKind::Job);
+        assert_eq!(idx.kind(1), Some(SpanKind::Job));
     }
 
     /// A detector that alerts on every observation — enough to pin the
@@ -291,7 +282,7 @@ mod tests {
         fn name(&self) -> &'static str {
             "stall"
         }
-        fn on_span(&mut self, ctx: &TraceIndex, idx: u32, span: &Span, out: &mut Vec<Alert>) {
+        fn on_span(&mut self, ctx: &TraceIndex<'_>, idx: u32, span: &Span, out: &mut Vec<Alert>) {
             out.push(Alert {
                 detector: "stall",
                 severity: crate::Severity::Info,
@@ -302,7 +293,13 @@ mod tests {
                 evidence: vec![],
             });
         }
-        fn on_event(&mut self, _ctx: &TraceIndex, idx: usize, event: &Event, out: &mut Vec<Alert>) {
+        fn on_event(
+            &mut self,
+            _ctx: &TraceIndex<'_>,
+            idx: usize,
+            event: &Event,
+            out: &mut Vec<Alert>,
+        ) {
             out.push(Alert {
                 detector: "stall",
                 severity: crate::Severity::Info,

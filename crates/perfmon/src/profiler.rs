@@ -3,7 +3,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::events::{EVENT_NAMES, NUM_EVENTS};
+use crate::events::{position, NUM_EVENTS};
 
 /// Numeric characterisation of one epoch of work, from which every event
 /// count is derived. Produced from `pipetune_dnn::ModelSignature` /
@@ -38,7 +38,7 @@ impl EpochProfile {
         EpochProfile { counts }
     }
 
-    /// Raw per-epoch counts, ordered as [`EVENT_NAMES`].
+    /// Raw per-epoch counts, ordered as [`crate::EVENT_NAMES`].
     pub fn counts(&self) -> &[f64] {
         &self.counts
     }
@@ -67,16 +67,16 @@ impl EpochProfile {
         // ratio dimensions.
         const INSTR_WEIGHT: f64 = 2.0;
         const TSC_WEIGHT: f64 = 3.0;
-        let instr_idx = crate::event_index("instructions").expect("known event");
-        let tsc_idx = crate::event_index("msr/tsc/").expect("known event");
-        let instr = self.counts[instr_idx].max(1.0);
+        const INSTR_IDX: usize = position("instructions");
+        const TSC_IDX: usize = position("msr/tsc/");
+        let instr = self.counts[INSTR_IDX].max(1.0);
         self.counts
             .iter()
             .enumerate()
             .map(|(i, &c)| {
-                if i == instr_idx {
+                if i == INSTR_IDX {
                     INSTR_WEIGHT * (1.0 + c.max(0.0)).log10()
-                } else if i == tsc_idx {
+                } else if i == TSC_IDX {
                     TSC_WEIGHT * (1.0 + c.max(0.0)).log10()
                 } else {
                     ((c.max(0.0) + 1.0) / instr).log10()
@@ -133,20 +133,44 @@ impl Default for Profiler {
     }
 }
 
-/// Indices of the fixed-counter events (used by the sampling scheduler).
-pub(crate) fn fixed_event_indices() -> Vec<usize> {
-    FIXED_EVENTS.iter().filter_map(|n| crate::event_index(n)).collect()
-}
-
-/// Events served by fixed counters — measured at full coverage.
-const FIXED_EVENTS: [&str; 6] = [
-    "instructions",
-    "cpu-cycles",
-    "bus-cycles",
-    "cpu/instructions/",
-    "cpu/cpu-cycles/",
-    "cpu/bus-cycles/",
+/// Indices of the events served by fixed counters — measured at full
+/// coverage — in the order the sampling scheduler reads them.
+pub(crate) const FIXED_EVENTS: [usize; 6] = [
+    position("instructions"),
+    position("cpu-cycles"),
+    position("bus-cycles"),
+    position("cpu/instructions/"),
+    position("cpu/cpu-cycles/"),
+    position("cpu/bus-cycles/"),
 ];
+
+/// Whether each event, by index, is one of [`FIXED_EVENTS`].
+const IS_FIXED: [bool; NUM_EVENTS] = {
+    let mut fixed = [false; NUM_EVENTS];
+    let mut i = 0;
+    while i < FIXED_EVENTS.len() {
+        fixed[FIXED_EVENTS[i]] = true;
+        i += 1;
+    }
+    fixed
+};
+
+/// The count array from one `"event" => count` row per event. The rows
+/// must be spelled in [`crate::EVENT_NAMES`] order — checked when the crate
+/// is built — so row *i* is event *i* and no name is looked up at run time.
+macro_rules! counts_by_event {
+    ($($name:literal => $count:expr,)+) => {{
+        const ROWS: [&str; NUM_EVENTS] = [$($name),+];
+        const _: () = {
+            let mut i = 0;
+            while i < NUM_EVENTS {
+                assert!(position(ROWS[i]) == i, "rows must follow EVENT_NAMES");
+                i += 1;
+            }
+        };
+        [$($count),+]
+    }};
+}
 
 impl Profiler {
     /// True (noise-free) per-epoch counts implied by a signature: the
@@ -156,7 +180,7 @@ impl Profiler {
         sig: &WorkloadSignature,
         cores: u32,
         epoch_secs: f64,
-    ) -> Vec<f64> {
+    ) -> [f64; NUM_EVENTS] {
         let flops = sig.flops_per_epoch.max(0.0);
         let mi = sig.memory_intensity.max(0.0);
         let br = sig.branch_ratio.clamp(0.0, 1.0);
@@ -201,70 +225,66 @@ impl Profiler {
         // One reference clock: TSC ticks measure wall duration of the epoch.
         let tsc = self.freq_hz * epoch_secs.max(0.0);
 
-        let mut c = vec![0.0f64; NUM_EVENTS];
-        let mut set = |name: &str, v: f64| {
-            let i = crate::event_index(name).expect("known event");
-            c[i] = v;
-        };
-        set("L1-dcache-load-misses", l1_load_misses);
-        set("L1-dcache-loads", l1_loads);
-        set("L1-dcache-stores", l1_stores);
-        set("L1-icache-load-misses", l1_icache_misses);
-        set("LLC-load-misses", llc_load_misses);
-        set("LLC-loads", llc_loads);
-        set("LLC-store-misses", llc_store_misses);
-        set("LLC-stores", llc_stores);
-        set("branch-load-misses", branch_misses * 0.8);
-        set("branch-loads", branches * 0.9);
-        set("branch-misses", branch_misses);
-        set("branches", branches);
-        set("bus-cycles", bus_cycles);
-        set("cache-misses", cache_misses);
-        set("cache-references", cache_references);
-        set("cpu-cycles", cycles);
-        set("cpu/branch-instructions/", branches);
-        set("cpu/branch-misses/", branch_misses);
-        set("cpu/bus-cycles/", bus_cycles);
-        set("cpu/cache-misses/", cache_misses);
-        set("cpu/cache-references/", cache_references);
-        set("cpu/cpu-cycles/", cycles);
-        set("cpu/cycles-ct/", cycles * 0.001);
-        set("cpu/cycles-t/", cycles * 0.001);
-        set("cpu/el-abort/", 10.0);
-        set("cpu/el-capacity/", 10.0);
-        set("cpu/el-commit/", 10.0);
-        set("cpu/el-conflict/", 10.0);
-        set("cpu/el-start/", 20.0);
-        set("cpu/instructions/", instr);
-        set("cpu/mem-loads/", l1_loads * 0.001);
-        set("cpu/mem-stores/", l1_stores * 0.001);
-        set("cpu/topdown-fetch-bubbles/", fetch_bubbles);
-        set("cpu/topdown-recovery-bubbles/", recovery_bubbles);
-        set("cpu/topdown-slots-issued/", slots_issued);
-        set("cpu/topdown-slots-retired/", slots_retired);
-        set("cpu/topdown-total-slots/", total_slots);
-        set("cpu/tx-abort/", 5.0);
-        set("cpu/tx-capacity/", 5.0);
-        set("cpu/tx-commit/", 5.0);
-        set("cpu/tx-conflict/", 5.0);
-        set("cpu/tx-start/", 10.0);
-        set("dTLB-load-misses", dtlb_load_misses);
-        set("dTLB-loads", dtlb_loads);
-        set("dTLB-store-misses", dtlb_store_misses);
-        set("dTLB-stores", dtlb_stores);
-        set("iTLB-load-misses", itlb_misses);
-        set("iTLB-loads", itlb_loads);
-        set("instructions", instr);
-        set("msr/aperf/", cycles);
-        set("msr/mperf/", cycles * 0.98);
-        set("msr/pperf/", instr * 0.95);
-        set("msr/smi/", 0.0);
-        set("msr/tsc/", tsc);
-        set("node-load-misses", node_load_misses);
-        set("node-loads", node_loads);
-        set("node-store-misses", node_store_misses);
-        set("node-stores", node_stores);
-        c
+        counts_by_event! {
+            "L1-dcache-load-misses" => l1_load_misses,
+            "L1-dcache-loads" => l1_loads,
+            "L1-dcache-stores" => l1_stores,
+            "L1-icache-load-misses" => l1_icache_misses,
+            "LLC-load-misses" => llc_load_misses,
+            "LLC-loads" => llc_loads,
+            "LLC-store-misses" => llc_store_misses,
+            "LLC-stores" => llc_stores,
+            "branch-load-misses" => branch_misses * 0.8,
+            "branch-loads" => branches * 0.9,
+            "branch-misses" => branch_misses,
+            "branches" => branches,
+            "bus-cycles" => bus_cycles,
+            "cache-misses" => cache_misses,
+            "cache-references" => cache_references,
+            "cpu-cycles" => cycles,
+            "cpu/branch-instructions/" => branches,
+            "cpu/branch-misses/" => branch_misses,
+            "cpu/bus-cycles/" => bus_cycles,
+            "cpu/cache-misses/" => cache_misses,
+            "cpu/cache-references/" => cache_references,
+            "cpu/cpu-cycles/" => cycles,
+            "cpu/cycles-ct/" => cycles * 0.001,
+            "cpu/cycles-t/" => cycles * 0.001,
+            "cpu/el-abort/" => 10.0,
+            "cpu/el-capacity/" => 10.0,
+            "cpu/el-commit/" => 10.0,
+            "cpu/el-conflict/" => 10.0,
+            "cpu/el-start/" => 20.0,
+            "cpu/instructions/" => instr,
+            "cpu/mem-loads/" => l1_loads * 0.001,
+            "cpu/mem-stores/" => l1_stores * 0.001,
+            "cpu/topdown-fetch-bubbles/" => fetch_bubbles,
+            "cpu/topdown-recovery-bubbles/" => recovery_bubbles,
+            "cpu/topdown-slots-issued/" => slots_issued,
+            "cpu/topdown-slots-retired/" => slots_retired,
+            "cpu/topdown-total-slots/" => total_slots,
+            "cpu/tx-abort/" => 5.0,
+            "cpu/tx-capacity/" => 5.0,
+            "cpu/tx-commit/" => 5.0,
+            "cpu/tx-conflict/" => 5.0,
+            "cpu/tx-start/" => 10.0,
+            "dTLB-load-misses" => dtlb_load_misses,
+            "dTLB-loads" => dtlb_loads,
+            "dTLB-store-misses" => dtlb_store_misses,
+            "dTLB-stores" => dtlb_stores,
+            "iTLB-load-misses" => itlb_misses,
+            "iTLB-loads" => itlb_loads,
+            "instructions" => instr,
+            "msr/aperf/" => cycles,
+            "msr/mperf/" => cycles * 0.98,
+            "msr/pperf/" => instr * 0.95,
+            "msr/smi/" => 0.0,
+            "msr/tsc/" => tsc,
+            "node-load-misses" => node_load_misses,
+            "node-loads" => node_loads,
+            "node-store-misses" => node_store_misses,
+            "node-stores" => node_stores,
+        }
     }
 
     /// Profiles one epoch: true counts plus multiplexing/scaling noise.
@@ -283,11 +303,10 @@ impl Profiler {
         let n_multiplexed = NUM_EVENTS - FIXED_EVENTS.len();
         let coverage =
             (self.generic_counters as f64 / n_multiplexed as f64).clamp(0.0, 1.0);
-        let counts = EVENT_NAMES
+        let counts = truth
             .iter()
-            .zip(&truth)
-            .map(|(&name, &t)| {
-                let fixed = FIXED_EVENTS.contains(&name);
+            .zip(IS_FIXED)
+            .map(|(&t, fixed)| {
                 let sigma = if fixed {
                     self.base_noise
                 } else {

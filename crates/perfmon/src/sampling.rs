@@ -93,14 +93,14 @@ impl Profiler {
     ) -> SampleTrace {
         let truth = self.true_counts(sig, cores, epoch_secs);
         let n_windows = (epoch_secs.max(1.0).floor() as usize).max(1);
-        let fixed: Vec<usize> = crate::profiler::fixed_event_indices();
+        let fixed = crate::profiler::FIXED_EVENTS;
         let generic: Vec<usize> =
             (0..NUM_EVENTS).filter(|i| !fixed.contains(i)).collect();
         let per_window = self.generic_counters.max(1);
         let mut windows = Vec::with_capacity(n_windows);
         let mut cursor = 0usize;
         for w in 0..n_windows {
-            let mut measured = fixed.clone();
+            let mut measured = fixed.to_vec();
             for _ in 0..per_window {
                 measured.push(generic[cursor % generic.len()]);
                 cursor += 1;

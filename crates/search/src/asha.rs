@@ -9,6 +9,7 @@
 //! an extension.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,7 +30,7 @@ pub struct Asha {
     rungs: Vec<Vec<(TrialId, f64)>>,
     /// Trials already promoted out of a rung.
     promoted: Vec<Vec<TrialId>>,
-    configs: HashMap<TrialId, Config>,
+    configs: HashMap<TrialId, Arc<Config>>,
     epochs_reached: HashMap<TrialId, u32>,
     /// Rung each outstanding trial is running toward.
     outstanding: HashMap<TrialId, usize>,
@@ -129,14 +130,14 @@ impl TrialScheduler for Asha {
                 self.tracker.issue_epochs(additional);
                 reqs.push(TrialRequest {
                     id,
-                    config: self.configs[&id].clone(),
+                    config: Arc::clone(&self.configs[&id]),
                     epochs: additional,
                 });
             } else if self.sampled < self.max_trials {
                 let id = TrialId(self.sampled as u64);
                 self.sampled += 1;
-                let config = self.space.sample(&mut self.rng);
-                self.configs.insert(id, config.clone());
+                let config = Arc::new(self.space.sample(&mut self.rng));
+                self.configs.insert(id, Arc::clone(&config));
                 let budget = self.rung_budget(0);
                 self.epochs_reached.insert(id, budget);
                 self.outstanding.insert(id, 0);

@@ -1,6 +1,7 @@
 //! Generational genetic search (evolutionary hyperparameter optimisation).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -135,7 +136,11 @@ impl TrialScheduler for Genetic {
             self.next_id += 1;
             self.outstanding.insert(id, i);
             self.tracker.issue_epochs(self.epochs_per_trial);
-            reqs.push(TrialRequest { id, config: cfg.clone(), epochs: self.epochs_per_trial });
+            reqs.push(TrialRequest {
+                id,
+                config: Arc::new(cfg.clone()),
+                epochs: self.epochs_per_trial,
+            });
         }
         reqs
     }

@@ -1,6 +1,7 @@
 //! Exhaustive grid search.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::scheduler::BestTracker;
 use crate::{Config, SearchSpace, TrialId, TrialReport, TrialRequest, TrialScheduler};
@@ -12,7 +13,7 @@ use crate::{Config, SearchSpace, TrialId, TrialReport, TrialRequest, TrialSchedu
 #[derive(Debug, Clone)]
 pub struct GridSearch {
     pending: Vec<(TrialId, Config)>,
-    outstanding: HashMap<TrialId, Config>,
+    outstanding: HashMap<TrialId, Arc<Config>>,
     epochs_per_trial: u32,
     tracker: BestTracker,
     issued: bool,
@@ -53,7 +54,8 @@ impl TrialScheduler for GridSearch {
             .pending
             .drain(..)
             .map(|(id, config)| {
-                self.outstanding.insert(id, config.clone());
+                let config = Arc::new(config);
+                self.outstanding.insert(id, Arc::clone(&config));
                 TrialRequest { id, config, epochs: self.epochs_per_trial }
             })
             .collect();

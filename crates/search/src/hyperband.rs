@@ -1,6 +1,7 @@
 //! HyperBand (Li et al., JMLR 2017) — the scheduler the paper evaluates with.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,7 +33,7 @@ pub struct HyperBand {
     space: SearchSpace,
     brackets: Vec<Bracket>,
     current_bracket: usize,
-    configs: HashMap<TrialId, Config>,
+    configs: HashMap<TrialId, Arc<Config>>,
     epochs_reached: HashMap<TrialId, u32>,
     rung_scores: HashMap<TrialId, f64>,
     last_scores: HashMap<TrialId, f64>,
@@ -87,7 +88,7 @@ impl HyperBand {
                     let id = TrialId(hb.next_id);
                     hb.next_id += 1;
                     let cfg = hb.space.sample(&mut hb.rng);
-                    hb.configs.insert(id, cfg);
+                    hb.configs.insert(id, Arc::new(cfg));
                     hb.epochs_reached.insert(id, 0);
                     id
                 })
@@ -142,7 +143,7 @@ impl TrialScheduler for HyperBand {
             self.tracker.issue_epochs(additional);
             reqs.push(TrialRequest {
                 id,
-                config: self.configs[&id].clone(),
+                config: Arc::clone(&self.configs[&id]),
                 epochs: additional,
             });
         }

@@ -1,6 +1,7 @@
 //! Random search (Bergstra & Bengio, 2012).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -12,7 +13,7 @@ use crate::{Config, SearchSpace, TrialId, TrialReport, TrialRequest, TrialSchedu
 #[derive(Debug, Clone)]
 pub struct RandomSearch {
     pending: Vec<(TrialId, Config)>,
-    outstanding: HashMap<TrialId, Config>,
+    outstanding: HashMap<TrialId, Arc<Config>>,
     epochs_per_trial: u32,
     tracker: BestTracker,
     issued: bool,
@@ -44,7 +45,8 @@ impl TrialScheduler for RandomSearch {
             .pending
             .drain(..)
             .map(|(id, config)| {
-                self.outstanding.insert(id, config.clone());
+                let config = Arc::new(config);
+                self.outstanding.insert(id, Arc::clone(&config));
                 TrialRequest { id, config, epochs: self.epochs_per_trial }
             })
             .collect();

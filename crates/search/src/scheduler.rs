@@ -1,5 +1,7 @@
 //! The trial-scheduler interface (Tune's "narrow waist").
 
+use std::sync::Arc;
+
 use crate::Config;
 
 /// Identifier of a trial within one scheduler run.
@@ -18,8 +20,10 @@ pub struct TrialRequest {
     /// Stable trial identity. HyperBand re-issues the same id with more
     /// epochs when a trial survives a rung; the runner resumes its model.
     pub id: TrialId,
-    /// The configuration to train with.
-    pub config: Config,
+    /// The configuration to train with, shared with the scheduler's own
+    /// bookkeeping: a trial re-issued for another rung hands out the same
+    /// allocation, and `&request.config` reads as a `&Config`.
+    pub config: Arc<Config>,
     /// Additional epochs to run now (on top of whatever the trial already
     /// ran under this id).
     pub epochs: u32,

@@ -1,6 +1,7 @@
 //! Tree-structured Parzen Estimator (TPE)-style Bayesian optimisation.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -104,7 +105,7 @@ impl TrialScheduler for Tpe {
         self.issued += 1;
         self.outstanding.insert(id, config.clone());
         self.tracker.issue_epochs(self.epochs_per_trial);
-        vec![TrialRequest { id, config, epochs: self.epochs_per_trial }]
+        vec![TrialRequest { id, config: Arc::new(config), epochs: self.epochs_per_trial }]
     }
 
     fn report(&mut self, report: TrialReport) {

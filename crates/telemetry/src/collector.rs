@@ -15,8 +15,9 @@ use crate::span::{Attrs, Event, EventKind, Span, SpanKind};
 /// Created disabled (every method is a cheap early-return) and enabled by
 /// the executor when the environment's [`crate::TelemetryHandle`] is live.
 /// Records are merged into the sink in request order and the buffer is
-/// reset; suppression (see [`TelemetryBuffer::set_suppressed`]) lets crash
-/// recovery run a doomed epoch attempt without tracing it.
+/// emptied, keeping its capacity for the trial's next rung; suppression
+/// (see [`TelemetryBuffer::set_suppressed`]) lets crash recovery run a
+/// doomed epoch attempt without tracing it.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryBuffer {
     enabled: bool,
@@ -111,15 +112,30 @@ impl TelemetryBuffer {
         self.event(Event { kind, span, at_secs, attrs });
     }
 
-    /// Drains the buffer: returns `(spans, events, metrics)` and resets the
-    /// buffer to empty (still enabled). The executor calls this on the
-    /// coordinator thread, in request order.
-    pub fn drain(&mut self) -> (Vec<Span>, Vec<Event>, MetricsRegistry) {
-        (
-            std::mem::take(&mut self.spans),
-            std::mem::take(&mut self.events),
-            std::mem::take(&mut self.metrics),
-        )
+    /// Moves everything buffered to the end of a sink's `spans`, `events`
+    /// and `metrics`, leaving the buffer empty (still enabled, capacity
+    /// kept). Local span indices are offset by the sink's length; root
+    /// spans and span-less events land under `parent`. The handle calls
+    /// this under the sink lock, on the coordinator thread, in request
+    /// order.
+    pub(crate) fn drain_into(
+        &mut self,
+        parent: Option<u32>,
+        spans: &mut Vec<Span>,
+        events: &mut Vec<Event>,
+        metrics: &mut MetricsRegistry,
+    ) {
+        let offset = spans.len() as u32;
+        spans.extend(self.spans.drain(..).map(|span| Span {
+            parent: span.parent.map(|p| p + offset).or(parent),
+            ..span
+        }));
+        events.extend(self.events.drain(..).map(|event| Event {
+            span: event.span.map(|s| s + offset).or(parent),
+            ..event
+        }));
+        metrics.merge(&self.metrics);
+        self.metrics.clear();
     }
 
     /// Records a complete span; returns its local index for use as a
@@ -141,21 +157,21 @@ impl TelemetryBuffer {
     }
 
     /// Adds `delta` to a counter.
-    pub fn counter_add(&mut self, name: &str, delta: u64) {
+    pub fn counter_add(&mut self, name: &'static str, delta: u64) {
         if self.is_active() {
             self.metrics.counter_add(name, delta);
         }
     }
 
     /// Sets a gauge.
-    pub fn gauge_set(&mut self, name: &str, value: f64) {
+    pub fn gauge_set(&mut self, name: &'static str, value: f64) {
         if self.is_active() {
             self.metrics.gauge_set(name, value);
         }
     }
 
     /// Records a histogram observation (bounds fixed on first use).
-    pub fn observe(&mut self, name: &str, bounds: &[f64], value: f64) {
+    pub fn observe(&mut self, name: &'static str, bounds: &'static [f64], value: f64) {
         if self.is_active() {
             self.metrics.observe(name, bounds, value);
         }
@@ -218,10 +234,13 @@ mod tests {
         let mut buf = TelemetryBuffer::enabled();
         buf.counter_add("c", 2);
         buf.span(span(SpanKind::Epoch, "e", None));
-        let (spans, _events, metrics) = buf.drain();
+        let capacity = buf.spans.capacity();
+        let (mut spans, mut events, mut metrics) = (vec![], vec![], MetricsRegistry::new());
+        buf.drain_into(None, &mut spans, &mut events, &mut metrics);
         assert_eq!(spans.len(), 1);
         assert_eq!(metrics.counter("c"), 2);
         assert!(buf.spans().is_empty() && buf.metrics().is_empty());
         assert!(buf.is_active());
+        assert_eq!(buf.spans.capacity(), capacity, "the next rung records into the same storage");
     }
 }

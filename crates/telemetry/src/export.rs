@@ -110,7 +110,7 @@ fn read_attrs(r: &mut JsonReader) -> Read<Attrs> {
                     Number::F64(v) => AttrValue::F64(v),
                 })
             } else if let Some(s) = r.string()? {
-                Ok(AttrValue::Str(s.into_owned()))
+                Ok(AttrValue::Str(s.into_owned().into()))
             } else {
                 shape("")
             }
@@ -811,7 +811,7 @@ mod tests {
                         1 => AttrValue::I64(-(i64::from(rng.gen::<u32>()))),
                         2 => AttrValue::F64(arbitrary_f64(rng)),
                         3 => AttrValue::Bool(rng.gen()),
-                        _ => AttrValue::Str(format!("v{}", rng.gen_range(0..65536u32))),
+                        _ => AttrValue::Str(format!("v{}", rng.gen_range(0..65536u32)).into()),
                     };
                     (keys[i], value)
                 })
@@ -872,15 +872,15 @@ mod tests {
                 .collect();
             let mut metrics = MetricsRegistry::new();
             for _ in 0..rng.gen_range(0..4u32) {
-                metrics.counter_add(&format!("c{}", rng.gen_range(0..256u32)), rng.gen::<u32>().into());
+                metrics.counter_add(format!("c{}", rng.gen_range(0..256u32)), rng.gen::<u32>().into());
             }
             for _ in 0..rng.gen_range(0..4u32) {
-                metrics.gauge_set(&format!("g{}", rng.gen_range(0..256u32)), arbitrary_f64(&mut rng));
+                metrics.gauge_set(format!("g{}", rng.gen_range(0..256u32)), arbitrary_f64(&mut rng));
             }
             for h in 0..rng.gen_range(0..3u32) {
                 let name = format!("h{h}");
                 for _ in 0..rng.gen_range(0..6u32) {
-                    metrics.observe(&name, COUNT_BUCKETS, arbitrary_f64(&mut rng).abs());
+                    metrics.observe(name.clone(), COUNT_BUCKETS, arbitrary_f64(&mut rng).abs());
                 }
             }
             TelemetrySnapshot { spans, events, metrics }

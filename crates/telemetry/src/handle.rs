@@ -4,8 +4,14 @@
 //! Disabled (the default) it is a `None` — every call is a branch and a
 //! return, no allocation, no locking, so instrumented code is zero-cost
 //! for callers that never opt in. Enabled, it shares one mutex-guarded
-//! sink across all clones; the executor's coordinator is the only writer
-//! during a batch merge, so snapshots are consistent and deterministic.
+//! sink across all clones, and a call costs one uncontended lock plus what
+//! it records: a span is its label and its attribute list, a metric update
+//! under a name already seen is a look-up (names and bucket layouts are
+//! `&'static`, never copied), and a whole trial-round — trial span, epoch
+//! spans, events, metrics — folds in under a single acquisition
+//! ([`TelemetryHandle::merge_trial`]). The executor's coordinator is the
+//! only writer during a batch merge, so snapshots are consistent and
+//! deterministic.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -189,21 +195,21 @@ impl TelemetryHandle {
     }
 
     /// Adds `delta` to a counter.
-    pub fn counter_add(&self, name: &str, delta: u64) {
+    pub fn counter_add(&self, name: &'static str, delta: u64) {
         if let Some(mut sink) = self.lock() {
             sink.metrics.counter_add(name, delta);
         }
     }
 
     /// Sets a gauge.
-    pub fn gauge_set(&self, name: &str, value: f64) {
+    pub fn gauge_set(&self, name: &'static str, value: f64) {
         if let Some(mut sink) = self.lock() {
             sink.metrics.gauge_set(name, value);
         }
     }
 
     /// Records a histogram observation (bounds fixed on first use).
-    pub fn observe(&self, name: &str, bounds: &[f64], value: f64) {
+    pub fn observe(&self, name: &'static str, bounds: &'static [f64], value: f64) {
         if let Some(mut sink) = self.lock() {
             sink.metrics.observe(name, bounds, value);
         }
@@ -232,25 +238,23 @@ impl TelemetryHandle {
     /// scheduler request order — that ordering is what makes the final
     /// trace independent of worker count.
     pub fn merge_buffer(&self, parent: SpanId, buf: &mut TelemetryBuffer) {
-        let parent = self.resolve(parent);
+        let parent = self.resolve(parent).to_parent();
         let Some(mut sink) = self.lock() else { return };
-        let (spans, events, metrics) = buf.drain();
-        let offset = sink.spans.len() as u32;
-        for span in spans {
-            let remapped = Span {
-                parent: span.parent.map(|p| p + offset).or_else(|| parent.to_parent()),
-                ..span
-            };
-            sink.spans.push(remapped);
-        }
-        for event in events {
-            let remapped = Event {
-                span: event.span.map(|s| s + offset).or_else(|| parent.to_parent()),
-                ..event
-            };
-            sink.events.push(remapped);
-        }
-        sink.metrics.merge(&metrics);
+        let Sink { spans, events, metrics } = &mut *sink;
+        buf.drain_into(parent, spans, events, metrics);
+    }
+
+    /// Records one work item's round under a single lock acquisition: the
+    /// completed `trial` span as a child of `parent`, then `buf` merged
+    /// beneath it exactly as [`TelemetryHandle::merge_buffer`] would.
+    /// `trial.parent` is overwritten.
+    pub fn merge_trial(&self, parent: SpanId, trial: Span, buf: &mut TelemetryBuffer) {
+        let parent = self.resolve(parent).to_parent();
+        let Some(mut sink) = self.lock() else { return };
+        let Sink { spans, events, metrics } = &mut *sink;
+        let trial_idx = spans.len() as u32;
+        spans.push(Span { parent, ..trial });
+        buf.drain_into(Some(trial_idx), spans, events, metrics);
     }
 
     /// A consistent snapshot of everything recorded so far; `None` when
@@ -353,6 +357,43 @@ mod tests {
         assert_eq!(snap.metrics.counter("c"), 4);
         // Buffer drained in place.
         assert!(buf.spans().is_empty());
+    }
+
+    #[test]
+    fn merge_trial_records_what_open_merge_close_did() {
+        let filled = || {
+            let mut buf = TelemetryBuffer::enabled();
+            let local = buf.push_span(SpanKind::Epoch, "e1", None, 2.0, 3.0, vec![]);
+            buf.push_event(EventKind::Probe, Some(local), 2.5, vec![]);
+            buf.push_event(EventKind::GtLookup, None, 2.1, vec![]);
+            buf.counter_add("c", 4);
+            buf
+        };
+        let attrs = || vec![("trial", 7u64.into())];
+
+        let stepwise = TelemetryHandle::enabled();
+        let batch = stepwise.open_span(SpanId::NONE, SpanKind::Batch, "batch", 0.0, vec![]);
+        let trial = stepwise.open_span(batch, SpanKind::Trial, "trial 7", 2.0, attrs());
+        stepwise.merge_buffer(trial, &mut filled());
+        stepwise.close_span(trial, 5.0);
+        stepwise.close_span(batch, 6.0);
+
+        let one_lock = TelemetryHandle::enabled();
+        let batch = one_lock.open_span(SpanId::NONE, SpanKind::Batch, "batch", 0.0, vec![]);
+        let trial = Span {
+            kind: SpanKind::Trial,
+            label: "trial 7".into(),
+            parent: Some(99), // overwritten
+            start_secs: 2.0,
+            end_secs: 5.0,
+            attrs: attrs(),
+        };
+        let mut buf = filled();
+        one_lock.merge_trial(batch, trial, &mut buf);
+        one_lock.close_span(batch, 6.0);
+
+        assert_eq!(one_lock.snapshot(), stepwise.snapshot());
+        assert!(buf.spans().is_empty() && buf.events().is_empty() && buf.metrics().is_empty());
     }
 
     #[test]

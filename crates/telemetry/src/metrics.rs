@@ -1,12 +1,17 @@
 //! The metrics registry: counters, gauges and fixed-bucket histograms.
 //!
-//! Everything is keyed by a string name in sorted maps, so snapshots and
-//! exports are deterministic. Histograms use **fixed bucket boundaries**
-//! supplied at first observation (and asserted equal on merge): merging two
-//! registries is then pure element-wise addition, independent of the order
-//! individual observations arrived in — the property the request-order
-//! merge in the executor relies on.
+//! Everything is keyed by name and kept sorted, so snapshots and exports
+//! are deterministic. Names and bucket layouts are the `&'static` constants
+//! `metric_names!` and the `*_BUCKETS` slices declare, held as borrowed
+//! [`Cow`]s: recording under a known name is a look-up and an add, never an
+//! allocation. Only a registry imported from JSON owns its keys and bounds.
+//! Histograms use **fixed bucket boundaries** supplied at first observation
+//! (checked at every later one in debug builds, and asserted equal on
+//! merge): merging two registries is then pure element-wise addition,
+//! independent of the order individual observations arrived in — the
+//! property the request-order merge in the executor relies on.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use crate::json::{
@@ -36,7 +41,7 @@ pub const RATIO_BUCKETS: &[f64] = &[0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 1.5, 2.0];
 /// error.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
-    bounds: Vec<f64>,
+    bounds: Cow<'static, [f64]>,
     counts: Vec<u64>,
     sum: f64,
     count: u64,
@@ -46,10 +51,10 @@ pub struct Histogram {
 
 impl Histogram {
     /// Creates an empty histogram over `bounds` (must be sorted ascending).
-    fn with_bounds(bounds: &[f64]) -> Self {
+    fn with_bounds(bounds: &'static [f64]) -> Self {
         debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must ascend");
         Histogram {
-            bounds: bounds.to_vec(),
+            bounds: Cow::Borrowed(bounds),
             counts: vec![0; bounds.len() + 1],
             sum: 0.0,
             count: 0,
@@ -72,6 +77,11 @@ impl Histogram {
     /// been created over the same bounds.
     pub fn merge(&mut self, other: &Histogram) {
         assert_eq!(self.bounds, other.bounds, "histogram bounds mismatch on merge");
+        self.add(other);
+    }
+
+    /// [`Histogram::merge`] once the caller has checked the bounds.
+    fn add(&mut self, other: &Histogram) {
         for (c, o) in self.counts.iter_mut().zip(&other.counts) {
             *c += o;
         }
@@ -143,7 +153,7 @@ impl Histogram {
         w.begin_object();
         w.key("bounds");
         w.begin_array();
-        for &bound in &self.bounds {
+        for &bound in self.bounds.iter() {
             w.element();
             w.f64(bound);
         }
@@ -218,16 +228,70 @@ impl Histogram {
         // empty-state sentinels so re-export is byte-identical.
         let min = min.map_or(f64::INFINITY, Number::as_f64);
         let max = max.map_or(f64::NEG_INFINITY, Number::as_f64);
-        Ok(Histogram { bounds, counts, sum, count, min, max })
+        Ok(Histogram { bounds: Cow::Owned(bounds), counts, sum, count, min, max })
+    }
+}
+
+/// One metric family: name → `T`, a vector sorted by name. A registry on
+/// the recording path holds a handful of names, is emptied after every
+/// merge and refilled under the same ones, so a look-up is a short
+/// bisection of contiguous memory and [`Named::clear`] keeps the storage.
+#[derive(Debug, Clone, PartialEq)]
+struct Named<T>(Vec<(Cow<'static, str>, T)>);
+
+impl<T> Default for Named<T> {
+    fn default() -> Self {
+        Named(Vec::new())
+    }
+}
+
+impl<T> Named<T> {
+    /// Where `name` is, or where it would go. A small family — a trial's
+    /// buffer — is first scanned for the name's address: a metric is
+    /// recorded through one `&'static` constant, so the same metric is the
+    /// same pointer and no bytes need comparing. (A family the size of a
+    /// run's sink goes straight to bisection, as does any miss.)
+    fn position(&self, name: &str) -> Result<usize, usize> {
+        const SMALL: usize = 8;
+        if self.0.len() <= SMALL {
+            if let Some(at) = self.0.iter().position(|(known, _)| std::ptr::eq(&**known, name)) {
+                return Ok(at);
+            }
+        }
+        self.0.binary_search_by(|(known, _)| (**known).cmp(name))
+    }
+
+    fn get(&self, name: &str) -> Option<&T> {
+        self.position(name).ok().map(|at| &self.0[at].1)
+    }
+
+    /// The entry under `name`, created by `new` on first use. A hit is a
+    /// look-up; `name` is stored only on a miss.
+    fn entry(&mut self, name: Cow<'static, str>, new: impl FnOnce() -> T) -> (&str, &mut T) {
+        let at = self.position(&name).unwrap_or_else(|at| {
+            self.0.insert(at, (name, new()));
+            at
+        });
+        let (name, value) = &mut self.0[at];
+        (name, value)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&str, &T)> {
+        self.0.iter().map(|(name, value)| (&**name, value))
+    }
+
+    /// An imported family: every name owned.
+    fn imported(entries: BTreeMap<String, T>) -> Self {
+        Named(entries.into_iter().map(|(name, value)| (Cow::Owned(name), value)).collect())
     }
 }
 
 /// Counters, gauges and histograms keyed by name.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
+    counters: Named<u64>,
+    gauges: Named<f64>,
+    histograms: Named<Histogram>,
 }
 
 impl MetricsRegistry {
@@ -237,50 +301,78 @@ impl MetricsRegistry {
     }
 
     /// Adds `delta` to the named counter (created at 0).
-    pub fn counter_add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+    pub fn counter_add(&mut self, name: impl Into<Cow<'static, str>>, delta: u64) {
+        *self.counters.entry(name.into(), || 0).1 += delta;
     }
 
     /// Sets the named gauge (last write wins — merges apply the other
     /// registry's writes after this one's, so the executor's request-order
     /// merge makes "last" deterministic).
-    pub fn gauge_set(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
+    pub fn gauge_set(&mut self, name: impl Into<Cow<'static, str>>, value: f64) {
+        *self.gauges.entry(name.into(), || value).1 = value;
     }
 
     /// Records one observation in the named histogram, creating it over
-    /// `bounds` on first use.
-    pub fn observe(&mut self, name: &str, bounds: &[f64], value: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::with_bounds(bounds))
-            .observe(value);
+    /// `bounds` on first use. Every later observation must name the same
+    /// layout: a site that declares another one fails here, where it
+    /// records (debug builds), not on the thread that later merges it.
+    pub fn observe(
+        &mut self,
+        name: impl Into<Cow<'static, str>>,
+        bounds: &'static [f64],
+        value: f64,
+    ) {
+        let (name, hist) = self.histograms.entry(name.into(), || Histogram::with_bounds(bounds));
+        debug_assert!(
+            std::ptr::eq(&*hist.bounds, bounds) || *hist.bounds == *bounds,
+            "histogram {name} observed over {bounds:?} but created over {:?}",
+            hist.bounds,
+        );
+        hist.observe(value);
     }
 
     /// Folds `other` into `self`: counters and histograms add, gauges take
     /// `other`'s value. Callers must merge in a deterministic order (the
     /// executor uses scheduler request order) to keep float sums and gauge
     /// winners reproducible.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a histogram exists on both sides over different bounds.
     pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, delta) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += delta;
+        for (name, delta) in &other.counters.0 {
+            self.counter_add(name.clone(), *delta);
         }
-        for (name, value) in &other.gauges {
-            self.gauges.insert(name.clone(), *value);
+        for (name, value) in &other.gauges.0 {
+            self.gauge_set(name.clone(), *value);
         }
-        for (name, hist) in &other.histograms {
-            match self.histograms.get_mut(name) {
-                Some(h) => h.merge(hist),
-                None => {
-                    self.histograms.insert(name.clone(), hist.clone());
+        for (name, hist) in &other.histograms.0 {
+            match self.histograms.position(name) {
+                Ok(at) => {
+                    let known = &mut self.histograms.0[at].1;
+                    assert!(
+                        known.bounds == hist.bounds,
+                        "histogram {name}: bounds mismatch on merge, {:?} here and {:?} incoming",
+                        known.bounds,
+                        hist.bounds,
+                    );
+                    known.add(hist);
                 }
+                Err(at) => self.histograms.0.insert(at, (name.clone(), hist.clone())),
             }
         }
     }
 
+    /// Forgets everything recorded; the families keep their storage.
+    pub(crate) fn clear(&mut self) {
+        self.counters.0.clear();
+        self.gauges.0.clear();
+        self.histograms.0.clear();
+    }
+
     /// `true` when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.0.is_empty() && self.gauges.0.is_empty() && self.histograms.0.is_empty()
     }
 
     /// The named counter's value (0 when never touched).
@@ -300,17 +392,17 @@ impl MetricsRegistry {
 
     /// All counters, sorted by name.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
+        self.counters.iter().map(|(name, v)| (name, *v))
     }
 
     /// All gauges, sorted by name.
     pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
+        self.gauges.iter().map(|(name, v)| (name, *v))
     }
 
     /// All histograms, sorted by name.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
+        self.histograms.iter()
     }
 
     /// Writes the registry as a JSON object, keys in sorted order
@@ -319,21 +411,21 @@ impl MetricsRegistry {
         w.begin_object();
         w.key("counters");
         w.begin_object();
-        for (name, value) in &self.counters {
+        for (name, value) in self.counters.iter() {
             w.key(name);
             w.u64(*value);
         }
         w.end_object();
         w.key("gauges");
         w.begin_object();
-        for (name, value) in &self.gauges {
+        for (name, value) in self.gauges.iter() {
             w.key(name);
             w.f64(*value);
         }
         w.end_object();
         w.key("histograms");
         w.begin_object();
-        for (name, hist) in &self.histograms {
+        for (name, hist) in self.histograms.iter() {
             w.key(name);
             hist.write_json(w);
         }
@@ -388,9 +480,9 @@ impl MetricsRegistry {
             return shape("metrics must be an object");
         }
         Ok(MetricsRegistry {
-            counters: optional(counters)?.unwrap_or_default(),
-            gauges: optional(gauges)?.unwrap_or_default(),
-            histograms: optional(histograms)?.unwrap_or_default(),
+            counters: Named::imported(optional(counters)?.unwrap_or_default()),
+            gauges: Named::imported(optional(gauges)?.unwrap_or_default()),
+            histograms: Named::imported(optional(histograms)?.unwrap_or_default()),
         })
     }
 }
@@ -439,6 +531,54 @@ mod tests {
         let mut a = Histogram::with_bounds(&[1.0]);
         let b = Histogram::with_bounds(&[2.0]);
         a.merge(&b);
+    }
+
+    /// A site that declares another layout for a known metric fails where
+    /// it records (debug builds; the check is compiled out of release ones).
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "histogram h observed over [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0] \
+                               but created over [0.1, 0.25")]
+    fn observing_under_a_second_layout_fails_at_the_call_site() {
+        let mut r = MetricsRegistry::new();
+        r.observe("h", RATIO_BUCKETS, 0.5);
+        r.observe("h", COUNT_BUCKETS, 3.0);
+    }
+
+    /// Two registries that disagree can only meet in `merge`; its message
+    /// names the metric and both layouts.
+    #[test]
+    #[should_panic(expected = "histogram h: bounds mismatch on merge, [0.1, 0.25, 0.5, 0.75, 0.9, \
+                               1.0, 1.5, 2.0] here and [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0] \
+                               incoming")]
+    fn merging_two_layouts_names_the_metric_and_both() {
+        let (mut a, mut b) = (MetricsRegistry::new(), MetricsRegistry::new());
+        a.observe("h", RATIO_BUCKETS, 0.5);
+        b.observe("h", COUNT_BUCKETS, 3.0);
+        a.merge(&b);
+    }
+
+    /// Equal layouts at different addresses — a literal repeated at two
+    /// sites, an imported histogram — are the same layout.
+    #[test]
+    fn equal_layouts_at_different_addresses_are_one_layout() {
+        static ELSEWHERE: [f64; 7] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
+        let mut r = MetricsRegistry::new();
+        r.observe("h", COUNT_BUCKETS, 3.0);
+        r.observe("h", &ELSEWHERE, 5.0);
+        assert_eq!(r.histogram("h").unwrap().count(), 2);
+    }
+
+    /// A name is found whether it arrives as the constant it was recorded
+    /// through, as an equal string elsewhere in memory, or owned.
+    #[test]
+    fn names_match_by_content_not_by_address() {
+        let mut r = MetricsRegistry::new();
+        r.counter_add("epochs.total", 1);
+        r.counter_add(String::from("epochs.total"), 2);
+        r.counter_add(["epochs", "total"].join("."), 4);
+        assert_eq!(r.counter("epochs.total"), 7);
+        assert_eq!(r.counters().count(), 1);
     }
 
     #[test]

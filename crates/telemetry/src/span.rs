@@ -8,6 +8,8 @@
 //! seconds — never wall clock — so a trace is a pure function of the run's
 //! seed and configuration, byte-identical for every executor worker count.
 
+use std::borrow::Cow;
+
 use serde_json::Value;
 
 /// The levels of the span hierarchy.
@@ -153,8 +155,10 @@ pub enum AttrValue {
     /// Floating point (serialised from the exact bit pattern, so traces of
     /// bit-identical runs are byte-identical).
     F64(f64),
-    /// String.
-    Str(String),
+    /// String: borrowed for the static tags instrumentation sites record
+    /// (phase, policy and fault names), owned for generated text and for
+    /// everything a trace import reads.
+    Str(Cow<'static, str>),
     /// Boolean.
     Bool(bool),
 }
@@ -166,7 +170,7 @@ impl AttrValue {
             AttrValue::U64(v) => Value::U64(*v),
             AttrValue::I64(v) => Value::I64(*v),
             AttrValue::F64(v) => Value::F64(*v),
-            AttrValue::Str(s) => Value::String(s.clone()),
+            AttrValue::Str(s) => Value::String(s.to_string()),
             AttrValue::Bool(b) => Value::Bool(*b),
         }
     }
@@ -218,14 +222,14 @@ impl From<bool> for AttrValue {
         AttrValue::Bool(v)
     }
 }
-impl From<&str> for AttrValue {
-    fn from(v: &str) -> Self {
-        AttrValue::Str(v.to_string())
+impl From<&'static str> for AttrValue {
+    fn from(v: &'static str) -> Self {
+        AttrValue::Str(Cow::Borrowed(v))
     }
 }
 impl From<String> for AttrValue {
     fn from(v: String) -> Self {
-        AttrValue::Str(v)
+        AttrValue::Str(Cow::Owned(v))
     }
 }
 

@@ -134,7 +134,7 @@ mod reference {
         for (key, v) in obj {
             let attr = match v {
                 Value::Bool(b) => AttrValue::Bool(*b),
-                Value::String(s) => AttrValue::Str(s.clone()),
+                Value::String(s) => AttrValue::Str(s.clone().into()),
                 Value::U64(u) => AttrValue::U64(*u),
                 Value::I64(i) if *i >= 0 => AttrValue::U64(*i as u64),
                 Value::I64(i) => AttrValue::I64(*i),
@@ -503,7 +503,7 @@ fn arbitrary_attrs(rng: &mut StdRng) -> Attrs {
                 3 => AttrValue::I64(if rng.gen() { i64::MIN } else { i64::MAX }),
                 4 | 5 => AttrValue::F64(arbitrary_f64(rng)),
                 6 => AttrValue::Bool(rng.gen()),
-                _ => AttrValue::Str(arbitrary_text(rng)),
+                _ => AttrValue::Str(arbitrary_text(rng).into()),
             };
             // Drawn with replacement: duplicates and disorder are the point.
             (KEYS[rng.gen_range(0..KEYS.len())], value)
@@ -545,10 +545,10 @@ fn arbitrary_snapshot(seed: u64) -> TelemetrySnapshot {
     let mut metrics = MetricsRegistry::new();
     for c in 0..rng.gen_range(0..4u32) {
         let value = if rng.gen() { rng.gen::<u64>() } else { rng.gen::<u32>().into() };
-        metrics.counter_add(&format!("c{c} {}", arbitrary_text(&mut rng)), value);
+        metrics.counter_add(format!("c{c} {}", arbitrary_text(&mut rng)), value);
     }
     for _ in 0..rng.gen_range(0..4u32) {
-        metrics.gauge_set(&arbitrary_text(&mut rng), arbitrary_f64(&mut rng));
+        metrics.gauge_set(arbitrary_text(&mut rng), arbitrary_f64(&mut rng));
     }
     for h in 0..rng.gen_range(0..4u32) {
         let bounds = [COUNT_BUCKETS, RATIO_BUCKETS, &[]][rng.gen_range(0..3usize)];
@@ -556,7 +556,7 @@ fn arbitrary_snapshot(seed: u64) -> TelemetrySnapshot {
         // Zero observations leaves an empty histogram only when it is
         // created some other way; one NaN observation poisons sum/min/max.
         for _ in 0..rng.gen_range(1..6u32) {
-            metrics.observe(&name, bounds, arbitrary_f64(&mut rng));
+            metrics.observe(name.clone(), bounds, arbitrary_f64(&mut rng));
         }
     }
     TelemetrySnapshot { spans, events, metrics }

@@ -79,7 +79,7 @@ impl TrialScheduler for MedianStopping {
             self.outstanding = Some(id);
             self.total_epochs += 1;
             *self.epochs.entry(id).or_default() += 1;
-            return vec![TrialRequest { id, config, epochs: 1 }];
+            return vec![TrialRequest { id, config: config.into(), epochs: 1 }];
         }
         Vec::new()
     }

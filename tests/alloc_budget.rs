@@ -1,0 +1,194 @@
+//! An allocation budget for the short-epoch path (the paper's §7.3 regime,
+//! the wall-clock benchmark's `shortepoch_stream` workload): what a stream
+//! of microsecond-epoch kernel jobs may ask of the allocator, with the
+//! observability planes off and — per recorded span and event — with them
+//! on.
+//!
+//! The counts are **pure functions of the seed**: one thread
+//! (`workers(1)`), no wall clock, and no container on the path whose growth
+//! depends on its hasher's per-process keys (the job driver's trial map is
+//! ordered; the schedulers' hash maps only ever insert) — so a second run
+//! of the same stream must repeat them exactly, and a budget that is met
+//! once is met always. They are counts, not times: a host under load reads
+//! the same numbers.
+//!
+//! Measured by this test itself at the commit before the per-epoch path
+//! stopped allocating (the parent of the change that added this file), and
+//! after it, over the same four streams:
+//!
+//! | | parent | budget | with the change |
+//! |---|---|---|---|
+//! | extra allocations per recorded span + event, planes on | 8.70 | ≤ 4.0 | 2.69 |
+//! | planes-off MB allocated per job | 1.91 | ≤ 0.7 | 0.49 |
+//! | planes-off allocations per job | 1 802 | ≤ 1 300 | 1 107 |
+//!
+//! (Per stream at the parent: 394 252 allocations / 148.3 MB with the planes
+//! on, 107 765 / 114.6 MB off, 32 915 trace records; with the change
+//! 154 453 / 50.7 MB on and 66 107 / 29.1 MB off.) The test prints the
+//! current counts.
+//!
+//! Its own test binary, so the counting `#[global_allocator]` touches
+//! nothing else. Run it optimised and alone:
+//! `cargo test -q --release --offline --test alloc_budget -- --test-threads=1`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use pipetune::{ExperimentEnvBuilder, TunerOptions, WorkloadSpec};
+use pipetune_cluster::{PoissonArrivals, ServiceFaultPlan};
+use pipetune_monitor::{MonitorConfig, MonitorHandle};
+use pipetune_service::{JobSubmission, SchedulingPolicy, ServiceConfig, TuningService};
+use pipetune_telemetry::TelemetryHandle;
+
+/// Counts the calls and bytes of the thread that switched [`COUNTING`] on,
+/// and forwards everything to the system allocator.
+struct CountingAllocator;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Const-initialised and without a destructor, so reading it inside the
+    /// allocator neither allocates nor registers a TLS destructor.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count(bytes: usize) {
+    if COUNTING.with(Cell::get) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters are atomics and a
+// `Cell<bool>` thread-local, and touching them never allocates.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// `(allocations, bytes)` the calling thread requested while `f` ran.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let before = (ALLOCATIONS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
+    COUNTING.with(|c| c.set(true));
+    let out = f();
+    COUNTING.with(|c| c.set(false));
+    let after = (ALLOCATIONS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
+    (out, after.0 - before.0, after.1 - before.1)
+}
+
+const SEED: u64 = 2;
+const JOBS: usize = 60;
+/// Mean inter-arrival of 400 simulated seconds: several jobs in the system
+/// at once.
+const ARRIVAL_RATE: f64 = 1.0 / 400.0;
+const DEADLINE_SECS: f64 = 6000.0;
+
+/// The benchmark's stream shape: submissions alternating `jacobi` /
+/// `hotspot`, Poisson arrivals.
+fn submissions() -> Vec<JobSubmission> {
+    let specs = [WorkloadSpec::jacobi(), WorkloadSpec::hotspot()];
+    let mut arrivals = PoissonArrivals::new(ARRIVAL_RATE, SEED);
+    (0..JOBS)
+        .map(|i| JobSubmission::new(arrivals.next_arrival().as_secs_f64(), specs[i % specs.len()]))
+        .collect()
+}
+
+/// What one stream asked of the allocator and what it recorded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StreamCost {
+    allocations: u64,
+    bytes: u64,
+    /// Spans plus events in the trace (0 with the planes off).
+    records: u64,
+}
+
+/// One FIFO stream to completion — the monitor's final scan included —
+/// clean or under `ServiceFaultPlan::mixed` with a deadline, planes on
+/// (telemetry + the standard detectors) or off.
+fn run_stream(subs: &[JobSubmission], chaos: bool, planes: bool) -> StreamCost {
+    let options = TunerOptions { scale: 0.2, ..TunerOptions::paper() };
+    let (records, allocations, bytes) = counted(|| {
+        let (telemetry, monitor) = if planes {
+            (TelemetryHandle::enabled(), MonitorHandle::with_config(&MonitorConfig::standard()))
+        } else {
+            (TelemetryHandle::disabled(), MonitorHandle::disabled())
+        };
+        let env = ExperimentEnvBuilder::distributed(SEED)
+            .workers(1)
+            .telemetry(telemetry.clone())
+            .monitor(monitor.clone())
+            .build()
+            .expect("valid environment");
+        let mut config = ServiceConfig::default().with_policy(SchedulingPolicy::Fifo);
+        if chaos {
+            config = config
+                .with_service_faults(ServiceFaultPlan::mixed(SEED))
+                .with_deadline(DEADLINE_SECS);
+        }
+        let outcome = TuningService::new(config).run(&env, subs, &options).expect("stream runs");
+        assert_eq!(outcome.jobs.len(), subs.len(), "one record per submission");
+        monitor.finish(&telemetry);
+        telemetry.visit(|spans, events| (spans.len() + events.len()) as u64).unwrap_or(0)
+    });
+    StreamCost { allocations, bytes, records }
+}
+
+#[test]
+fn short_epoch_streams_stay_within_their_allocation_budget() {
+    let subs = submissions();
+    let (mut on, mut off) = (Vec::new(), Vec::new());
+    for chaos in [false, true] {
+        let first = (run_stream(&subs, chaos, true), run_stream(&subs, chaos, false));
+        let second = (run_stream(&subs, chaos, true), run_stream(&subs, chaos, false));
+        assert_eq!(first, second, "allocation counts are a pure function of the seed");
+        assert!(first.0.records > 0 && first.1.records == 0);
+        on.push(first.0);
+        off.push(first.1);
+    }
+    let sum = |costs: &[StreamCost], f: fn(&StreamCost) -> u64| costs.iter().map(f).sum::<u64>();
+    let jobs = (JOBS * off.len()) as f64;
+    let records = sum(&on, |c| c.records);
+    let extra = sum(&on, |c| c.allocations) - sum(&off, |c| c.allocations);
+    let extra_per_record = extra as f64 / records as f64;
+    let off_mb_per_job = sum(&off, |c| c.bytes) as f64 / 1e6 / jobs;
+    let off_allocations_per_job = sum(&off, |c| c.allocations) as f64 / jobs;
+    for (name, costs) in [("planes on ", &on), ("planes off", &off)] {
+        for (stream, c) in ["clean", "chaos"].iter().zip(costs) {
+            println!(
+                "{name} {stream}: {} allocations, {} bytes, {} trace records",
+                c.allocations, c.bytes, c.records
+            );
+        }
+    }
+    println!("extra allocations per recorded span + event, planes on: {extra_per_record:.2}");
+    println!("planes-off MB allocated per job: {off_mb_per_job:.2}");
+    println!("planes-off allocations per job: {off_allocations_per_job:.0}");
+    assert!(extra_per_record <= 4.0, "{extra_per_record:.2} extra allocations per record");
+    assert!(off_mb_per_job <= 0.7, "{off_mb_per_job:.2} MB per job with the planes off");
+    assert!(
+        off_allocations_per_job <= 1300.0,
+        "{off_allocations_per_job:.0} allocations per job with the planes off"
+    );
+}
