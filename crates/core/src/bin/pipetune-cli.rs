@@ -71,7 +71,7 @@ OPTIONS:
     --scale <f32>         dataset scale                      [0.5]
     --r-max <u32>         HyperBand per-trial epoch budget   [9]
     --warm                warm-start the ground truth (§7.2)
-    --save-model <path>   write the selected model's weights as JSON
+    --save-model <path>   write the selected model as JSON (weights as f32 bit patterns)
     --list                list workloads and exit
     --help                print this help";
 

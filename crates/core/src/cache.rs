@@ -50,9 +50,10 @@ use std::sync::Arc;
 
 use pipetune_tsdb::TsdbError;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
+use serde::{content_get, Content, DeError, Deserialize, Serialize};
 
 use crate::trial::{EpochPhase, EpochRecord, SystemTuner, TrialSnapshot};
+use crate::workload::SCALE_RANGE;
 use crate::{HyperParams, PipeTuneError, WorkloadSpec};
 
 /// Tuning knobs of the epoch-reuse cache.
@@ -145,7 +146,7 @@ pub fn fingerprint(spec: &WorkloadSpec, hp: &HyperParams) -> u64 {
         }
     };
     eat(spec.name().as_bytes());
-    eat(&spec.scale_bits().to_le_bytes());
+    eat(&spec.scale().to_bits().to_le_bytes());
     eat(&(hp.batch_size as u64).to_le_bytes());
     eat(&hp.dropout.to_bits().to_le_bytes());
     eat(&(hp.embedding_dim as u64).to_le_bytes());
@@ -421,16 +422,21 @@ impl EpochCache {
         }
     }
 
-    /// Serialises every persistable prefix to a JSON file, crash-safely
-    /// ([`pipetune_tsdb::write_atomic`]): a crash mid-save leaves either
-    /// the previous file or the new one, never a truncated mix.
+    /// Serialises every persistable prefix to one JSON document (layout
+    /// in `docs/reuse.md`), crash-safely ([`pipetune_tsdb::write_atomic`]):
+    /// a crash mid-save leaves either the previous file or the new one,
+    /// never a truncated mix.
     ///
     /// Kernel (Type-III) prefixes carry internal solver state that cannot
     /// be exported as parameters; they are skipped with no error. DNN
     /// prefixes are stored as a reconstruction recipe — spec,
     /// hyperparameters, instantiation seed, the full trained parameter
     /// state (weights plus optimizer gradient/momentum buffers) and both
-    /// RNG streams — and resume bit for bit.
+    /// RNG streams — and resume bit for bit: every tensor is written as
+    /// its elements' `f32` bit patterns (eight hex digits each, 8 bytes of
+    /// file per persisted element), so non-finite weights of a diverged
+    /// trial survive too. Saving the same store twice, or a loaded store
+    /// again, writes the same bytes.
     ///
     /// # Errors
     ///
@@ -441,7 +447,7 @@ impl EpochCache {
             .iter()
             .filter_map(|(key, entry)| {
                 let snap = &entry.snapshot;
-                let params = snap.workload.clone().export_params()?;
+                let params = snap.workload.export_params()?;
                 Some(SavedEntry {
                     key: *key,
                     spec: *snap.workload.spec(),
@@ -460,14 +466,14 @@ impl EpochCache {
             })
             .collect();
         let saved = SavedCache {
+            format: FORMAT,
             config: self.config,
             entries,
             next_seq: self.next_seq,
             lru_offset: self.lru_offset,
             last_clock: self.last_clock,
         };
-        let json = serde_json::to_string(&saved)
-            .map_err(|e| PipeTuneError::Tsdb(TsdbError::Corrupt { reason: e.to_string() }))?;
+        let json = serde_json::to_string(&saved).map_err(corrupt)?;
         Ok(pipetune_tsdb::write_atomic(path, &json)?)
     }
 
@@ -476,26 +482,38 @@ impl EpochCache {
     /// and seed (deterministic), its trained parameter state imported and
     /// both RNG streams restored.
     ///
+    /// The file is outside input and is checked as such before anything is
+    /// built from it: the `format` member must name the layout this build
+    /// writes (a file of an earlier build is refused, not migrated — it
+    /// costs one cold run), every tensor's payload must agree with its
+    /// shape, and every recipe must sit in the ranges the program itself
+    /// produces (`check_recipe`). More entries than `capacity` load as they
+    /// are and are evicted by the next commit.
+    ///
     /// # Errors
     ///
-    /// Returns [`PipeTuneError::Tsdb`] on I/O or decode failures — a
-    /// persisted config that fails [`EpochCacheConfig::validate`] counts
-    /// as corrupt — and propagates workload reconstruction failures.
+    /// Returns [`PipeTuneError::Tsdb`] on I/O failures and, as
+    /// [`TsdbError::Corrupt`] with a reason naming the member, on anything
+    /// the checks above refuse — a persisted config that fails
+    /// [`EpochCacheConfig::validate`] included — and propagates workload
+    /// reconstruction failures.
     pub fn load(path: &Path) -> Result<Self, PipeTuneError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| PipeTuneError::Tsdb(TsdbError::Io(e)))?;
-        let saved: SavedCache = serde_json::from_str(&text)
-            .map_err(|e| PipeTuneError::Tsdb(TsdbError::Corrupt { reason: e.to_string() }))?;
+        let CurrentFormat(saved) = {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| PipeTuneError::Tsdb(TsdbError::Io(e)))?;
+            serde_json::from_str(&text).map_err(corrupt)?
+        };
         saved.config.validate().map_err(|e| {
-            PipeTuneError::Tsdb(TsdbError::Corrupt {
-                reason: format!("persisted epoch cache config is degenerate: {e}"),
-            })
+            corrupt(format!("persisted epoch cache config is degenerate: {e}"))
         })?;
         let mut cache = EpochCache::new(saved.config);
         cache.next_seq = saved.next_seq;
         cache.lru_offset = saved.lru_offset;
         cache.last_clock = saved.last_clock;
         for e in saved.entries {
+            check_recipe(&e).map_err(|reason| {
+                corrupt(format!("persisted epoch cache entry {:?}: {reason}", e.key))
+            })?;
             let mut workload = e.spec.instantiate(&e.hp, e.seed)?;
             workload.import_params(&e.params)?;
             workload.restore_training_state(e.workload_rng, e.key.epochs);
@@ -517,6 +535,53 @@ impl EpochCache {
         }
         Ok(cache)
     }
+}
+
+fn corrupt(reason: impl ToString) -> PipeTuneError {
+    PipeTuneError::Tsdb(TsdbError::Corrupt { reason: reason.to_string() })
+}
+
+/// Layout of the cache file this build writes and the only one it reads:
+/// tensor payloads as `f32` bit patterns (`docs/reuse.md`). Files written
+/// before the `format` member existed hold decimal payloads, which turn ±∞
+/// into NaN; there is deliberately no reader for them.
+const FORMAT: u32 = 2;
+
+/// Ceilings on the two sizes a persisted recipe allocates by: far above
+/// anything [`crate::HyperSpace::paper`] or the tests draw (1024 and 300),
+/// far below a request the allocator would abort on.
+const MAX_BATCH_SIZE: usize = 1 << 16;
+const MAX_EMBEDDING_DIM: usize = 1 << 12;
+
+/// Refuses a persisted recipe [`WorkloadSpec::instantiate`] must not be
+/// handed. A deserialised spec bypasses [`WorkloadSpec::with_scale`]'s
+/// clamp and deserialised hyperparameters those of
+/// [`HyperParams::from_config`], and datasets, embeddings and batches are
+/// sized from them as read.
+fn check_recipe(e: &SavedEntry) -> Result<(), String> {
+    let (scale, hp) = (e.spec.scale(), &e.hp);
+    if !SCALE_RANGE.contains(&scale) {
+        return Err(format!("`scale` {scale} is outside {SCALE_RANGE:?}"));
+    }
+    for (name, size, max) in [
+        ("batch_size", hp.batch_size, MAX_BATCH_SIZE),
+        ("embedding_dim", hp.embedding_dim, MAX_EMBEDDING_DIM),
+    ] {
+        if !(1..=max).contains(&size) {
+            return Err(format!("`{name}` {size} is outside 1..={max}"));
+        }
+    }
+    if !(0.0..=0.95).contains(&hp.dropout) {
+        return Err(format!("`dropout` {} is outside 0.0..=0.95", hp.dropout));
+    }
+    if !(hp.learning_rate.is_finite() && hp.learning_rate > 0.0) {
+        return Err(format!("`learning_rate` {} is not a positive number", hp.learning_rate));
+    }
+    // One record per committed epoch is all a trial ever holds.
+    if e.records.len() > e.key.epochs as usize {
+        return Err(format!("{} `records` exceed the `epochs` depth", e.records.len()));
+    }
+    Ok(())
 }
 
 /// On-disk form of one cached prefix: a deterministic reconstruction
@@ -546,11 +611,33 @@ struct SavedEntry {
 /// On-disk form of a whole [`EpochCache`].
 #[derive(Debug, Serialize, Deserialize)]
 struct SavedCache {
+    /// Always [`FORMAT`]; leads the document.
+    format: u32,
     config: EpochCacheConfig,
     entries: Vec<SavedEntry>,
     next_seq: u64,
     lru_offset: f64,
     last_clock: f64,
+}
+
+/// What [`EpochCache::load`] parses: the `format` member is judged before
+/// any entry is decoded, so a file of another layout is refused as that —
+/// not as whichever tensor member happens to differ first.
+struct CurrentFormat(SavedCache);
+
+impl Deserialize for CurrentFormat {
+    fn from_content(content: &Content) -> Result<Self, DeError> {
+        let found = match content.as_map_slice().and_then(|m| content_get(m, "format")) {
+            Some(Content::I64(v)) if *v == i64::from(FORMAT) => {
+                return SavedCache::from_content(content).map(CurrentFormat);
+            }
+            Some(other) => format!("`format` {}", serde_json::to_string(other).unwrap_or_default()),
+            None => "no `format` member (the decimal layout of earlier builds)".to_string(),
+        };
+        Err(DeError::custom(format!(
+            "epoch cache file has {found}; this build reads only `format` {FORMAT}"
+        )))
+    }
 }
 
 /// Cheap, cloneable entry point to a shared [`EpochCache`], threaded
@@ -849,6 +936,206 @@ mod tests {
         assert_eq!(wa.accuracy().unwrap().to_bits(), wb.accuracy().unwrap().to_bits());
     }
 
+    /// A scratch path no other test of this process uses.
+    fn scratch_file(tag: &str) -> std::path::PathBuf {
+        static NEXT: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        std::env::temp_dir().join(format!("pipetune-cache-{tag}-{}-{n}.json", std::process::id()))
+    }
+
+    fn saved_text(cache: &EpochCache) -> String {
+        let path = scratch_file("text");
+        cache.save(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        text
+    }
+
+    fn load_text(text: &str) -> Result<EpochCache, PipeTuneError> {
+        let path = scratch_file("edit");
+        std::fs::write(&path, text).unwrap();
+        let loaded = EpochCache::load(&path);
+        std::fs::remove_file(&path).ok();
+        loaded
+    }
+
+    /// The file of a one-entry cache (one training run for all the tests
+    /// that edit it).
+    fn stock_file() -> &'static str {
+        static STOCK: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+        STOCK.get_or_init(|| {
+            let mut cache = EpochCache::new(EpochCacheConfig::default());
+            cache.commit([trained_prefix(256, 3, 11).1], 1.0);
+            saved_text(&cache)
+        })
+    }
+
+    /// `text` with what stands between the first `after` and the next
+    /// `until` rewritten by `edit`.
+    fn splice(text: &str, after: &str, until: &[char], edit: impl FnOnce(&str) -> String) -> String {
+        let start = text.find(after).unwrap_or_else(|| panic!("no {after} in the file")) + after.len();
+        let end = start + text[start..].find(until).unwrap();
+        format!("{}{}{}", &text[..start], edit(&text[start..end]), &text[end..])
+    }
+
+    /// `text` with the first `"member":` given the scalar `value`.
+    fn set_member(text: &str, member: &str, value: &str) -> String {
+        splice(text, &format!("\"{member}\":"), &[',', '}'], |_| value.to_string())
+    }
+
+    /// Asserts `text` is refused as corrupt with a reason containing
+    /// `names` — before anything could be peeked or trained from it.
+    fn assert_corrupt(text: &str, names: &str, what: &str) {
+        match load_text(text) {
+            Err(PipeTuneError::Tsdb(TsdbError::Corrupt { reason })) => {
+                assert!(reason.contains(names), "{what}: reason should name {names}: {reason}");
+            }
+            other => panic!("{what}: expected a corrupt-file error, got {other:?}"),
+        }
+    }
+
+    /// The stock file as the build before `format` wrote it: no `format`
+    /// member, every tensor a `data` array of shortest round-trip decimals.
+    fn decimal_layout(text: &str) -> String {
+        let mut out = String::new();
+        let mut rest = text;
+        while let Some(at) = rest.find("\"bits\":\"") {
+            let digits = &rest[at + 8..];
+            let digits = &digits[..digits.find('"').unwrap()];
+            let decimals: Vec<String> = digits
+                .as_bytes()
+                .chunks(8)
+                .map(|w| u32::from_str_radix(std::str::from_utf8(w).unwrap(), 16).unwrap())
+                .map(|bits| format!("{:?}", f64::from(f32::from_bits(bits))))
+                .collect();
+            out.push_str(&rest[..at]);
+            out.push_str(&format!("\"data\":[{}]", decimals.join(",")));
+            rest = &rest[at + 8 + digits.len() + 1..];
+        }
+        out.push_str(rest);
+        out
+    }
+
+    #[test]
+    fn a_tensor_that_disagrees_with_itself_never_leaves_the_loader() {
+        let stock = stock_file();
+        assert_eq!(load_text(stock).unwrap().len(), 1, "the unedited file loads");
+        assert!(stock.starts_with("{\"format\":2,"), "`format` leads the document");
+        let bits = |edit: fn(&str) -> String| splice(stock, "\"bits\":\"", &['"'], edit);
+        let reversed = |dims: &str| dims.split(',').rev().collect::<Vec<_>>().join(",");
+        for (what, text, names) in [
+            ("payload cut short", bits(|b| b[..b.len() - 8].to_string()), "`bits`"),
+            ("a digit that is not hex", bits(|b| format!("g{}", &b[1..])), "`bits`"),
+            ("odd digit count", bits(|b| b[1..].to_string()), "`bits`"),
+            (
+                "dims that overflow",
+                splice(stock, "\"shape\":[", &[']'], |_| "18446744073709551615,2".into()),
+                "`shape`",
+            ),
+            (
+                "grad reshaped",
+                splice(stock, "\"grad\":{\"shape\":[", &[']'], reversed),
+                "`grad`",
+            ),
+            ("decimal payloads under format 2", decimal_layout(stock), "`bits`"),
+        ] {
+            assert_ne!(text, stock, "{what}: the edit must change the file");
+            assert_corrupt(&text, names, what);
+        }
+        // Another layout is refused as that, naming what was found and
+        // what this build reads.
+        let no_format = stock.replacen("\"format\":2,", "", 1);
+        for (what, text, found) in [
+            ("format 1", set_member(stock, "format", "1"), "has `format` 1;"),
+            ("format as text", set_member(stock, "format", "\"2\""), "has `format` \"2\";"),
+            ("format removed", no_format.clone(), "has no `format` member"),
+            ("the decimal layout", decimal_layout(&no_format), "has no `format` member"),
+        ] {
+            assert_ne!(text, stock, "{what}: the edit must change the file");
+            assert_corrupt(&text, found, what);
+            assert_corrupt(&text, "this build reads only `format` 2", what);
+        }
+    }
+
+    #[test]
+    fn non_finite_weights_survive_a_save_bit_for_bit() {
+        use pipetune_dnn::Param;
+        use pipetune_tensor::Tensor;
+        /// `p` with one of its three tensors replaced (the wire form is the
+        /// one door into a `Param`'s optimizer buffers from outside its crate).
+        fn with_tensor(p: &Param, member: &str, t: &Tensor) -> Param {
+            let Content::Map(mut members) = p.to_content() else { panic!("a map") };
+            members.iter_mut().find(|(k, _)| k == member).unwrap().1 = t.to_content();
+            Param::from_content(&Content::Map(members)).unwrap()
+        }
+        let (key, event) = trained_prefix(256, 2, 5);
+        let CacheEvent::Insert { mut snapshot, .. } = event else { panic!("an insert") };
+        // A diverged trial: the first weight at +∞, a NaN with a payload and
+        // a negative zero in the momentum buffer.
+        let mut params = snapshot.workload.export_params().unwrap();
+        let mut value = params[0].value().clone();
+        value.data_mut()[0] = f32::INFINITY;
+        let mut velocity = Tensor::zeros(value.shape().dims());
+        velocity.data_mut()[..2].copy_from_slice(&[f32::from_bits(0x7fc0_1234), -0.0]);
+        params[0] = with_tensor(&with_tensor(&params[0], "value", &value), "velocity", &velocity);
+        snapshot.workload.import_params(&params).unwrap();
+        let mut live = EpochCache::new(EpochCacheConfig::default());
+        live.commit([CacheEvent::Insert { key, snapshot }], 1.0);
+
+        let reloaded = load_text(&saved_text(&live)).unwrap();
+        // The wire form is the bit patterns, so equal text is equal bits.
+        let wire_of = |cache: &EpochCache| {
+            let (_, prefix, _) = cache.peek(key.fingerprint, 9).unwrap();
+            serde_json::to_string(&prefix.workload.export_params().unwrap()).unwrap()
+        };
+        let (want, got) = (wire_of(&live), wire_of(&reloaded));
+        assert!(want.contains("\"bits\":\"7f800000"), "the live prefix holds the +∞");
+        assert!(want.contains("\"bits\":\"7fc0123480000000"), "and the NaN and the -0.0");
+        assert!(got == want, "every tensor of the reloaded prefix, by bit pattern");
+    }
+
+    #[test]
+    fn out_of_range_recipes_are_corrupt_before_anything_is_allocated() {
+        let stock = stock_file();
+        for (member, values) in [
+            ("scale", &["1e9", "0.01", "4.5", "-1.0", "null", "1e999"][..]),
+            ("batch_size", &["0", "65537", "18446744073709551615"]),
+            ("embedding_dim", &["0", "4097", "1099511627776"]),
+            ("dropout", &["-0.1", "0.96", "null"]),
+            ("learning_rate", &["0.0", "-0.01", "null", "1e999"]),
+        ] {
+            for value in values {
+                let what = format!("{member} = {value}");
+                assert_corrupt(&set_member(stock, member, value), &format!("`{member}`"), &what);
+            }
+        }
+        // `key` leads each entry: a depth below the three records it holds.
+        assert_corrupt(&set_member(stock, "epochs", "2"), "`records`", "depth below the records");
+        // The edges of every range load.
+        for (member, values) in [
+            ("scale", &["0.05", "4.0"][..]),
+            ("batch_size", &["1", "65536"]),
+            ("dropout", &["0.0", "0.95"]),
+            ("learning_rate", &["1e-30"]),
+            ("capacity", &["1", "18446744073709551615"]),
+        ] {
+            for value in values {
+                let loaded = load_text(&set_member(stock, member, value));
+                assert!(loaded.is_ok(), "{member} = {value}: {:?}", loaded.err());
+            }
+        }
+    }
+
+    #[test]
+    fn a_file_over_its_capacity_loads_whole_and_is_trimmed_by_the_next_commit() {
+        let mut cache = EpochCache::new(EpochCacheConfig::default());
+        cache.commit([trained_prefix(128, 1, 1).1, trained_prefix(256, 1, 2).1], 1.0);
+        let mut loaded = load_text(&set_member(&saved_text(&cache), "capacity", "1")).unwrap();
+        assert_eq!((loaded.len(), loaded.config().capacity), (2, 1));
+        loaded.commit([CacheEvent::Miss], 2.0);
+        assert_eq!((loaded.len(), loaded.stats().evictions), (1, 1));
+    }
+
     #[test]
     fn kernel_prefixes_are_skipped_on_save() {
         let env = ExperimentEnv::distributed(3);
@@ -933,6 +1220,7 @@ mod tests {
     #[test]
     fn load_rejects_persisted_degenerate_config() {
         let saved = SavedCache {
+            format: FORMAT,
             config: EpochCacheConfig { capacity: 0 },
             entries: Vec::new(),
             next_seq: 0,

@@ -239,8 +239,7 @@ impl GroundTruth {
     /// The executor journals the outcome per work item and the coordinator
     /// accounts for it at commit time (see `docs/determinism.md`).
     pub fn peek(&self, features: &[f64]) -> Option<(SystemConfig, SimilarityVerdict)> {
-        let sim = self.similarity.as_ref()?;
-        let verdict = sim.judge(features);
+        let verdict = self.judge(features)?;
         if verdict.confident {
             let nearest = self
                 .history
@@ -263,7 +262,19 @@ impl GroundTruth {
     /// Cluster assignment of a profile (used by the Fig. 8 experiment),
     /// or `None` before the first fit.
     pub fn cluster_of(&self, features: &[f64]) -> Option<usize> {
-        self.similarity.as_ref().map(|s| s.judge(features).cluster)
+        self.judge(features).map(|verdict| verdict.cluster)
+    }
+
+    /// The fitted model's verdict on a profile; `None` before the first
+    /// fit, and for a profile of another dimensionality than the history —
+    /// a store loaded from a file need not come from this profiler, such a
+    /// profile resembles nothing in it, and the models assert on the
+    /// mismatch.
+    fn judge(&self, features: &[f64]) -> Option<SimilarityVerdict> {
+        // Every fit included the first record, so it has the fitted width.
+        let (fitted, ..) = self.history.first()?;
+        let sim = self.similarity.as_ref().filter(|_| fitted.len() == features.len())?;
+        Some(sim.judge(features))
     }
 
     /// Behaviour counters.
@@ -499,6 +510,15 @@ mod tests {
         let (cfg_b, _) = gt.lookup(&feat(5.002)).expect("should hit");
         assert_eq!(cfg_b, small_cfg());
         assert_eq!(gt.stats().hits, 2);
+    }
+
+    #[test]
+    fn profiles_of_another_width_than_the_history_miss_instead_of_panicking() {
+        let mut gt = seeded();
+        assert!(gt.lookup(&feat(0.002)[..5]).is_none());
+        assert!(gt.lookup(&[]).is_none());
+        assert!(gt.cluster_of(&[0.0; 9]).is_none());
+        assert_eq!(gt.stats().misses, 2);
     }
 
     #[test]

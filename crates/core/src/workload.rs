@@ -60,6 +60,9 @@ enum SpecKind {
     Hotspot,
 }
 
+/// The dataset-scale multipliers [`WorkloadSpec::with_scale`] produces.
+pub(crate) const SCALE_RANGE: std::ops::RangeInclusive<f32> = 0.05..=4.0;
+
 /// A named workload from Table 3.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadSpec {
@@ -128,15 +131,15 @@ impl WorkloadSpec {
 
     /// Shrinks the real training datasets by `scale` (for fast tests).
     pub fn with_scale(mut self, scale: f32) -> Self {
-        self.scale = scale.clamp(0.05, 4.0);
+        self.scale = scale.clamp(*SCALE_RANGE.start(), *SCALE_RANGE.end());
         self
     }
 
-    /// The dataset-scale multiplier's exact bit pattern (epoch-reuse cache
-    /// fingerprinting: two specs train the same dataset iff the name and
-    /// these bits agree).
-    pub(crate) fn scale_bits(&self) -> u32 {
-        self.scale.to_bits()
+    /// The dataset-scale multiplier (epoch-reuse cache: two specs train
+    /// the same dataset iff the name and this value's bits agree; a spec
+    /// read from a file must sit inside [`SCALE_RANGE`] like a built one).
+    pub(crate) fn scale(&self) -> f32 {
+        self.scale
     }
 
     /// Workload name as printed in the paper's figures.
@@ -474,12 +477,14 @@ impl WorkloadInstance {
     /// for kernels). Restoring this snapshot resumes training bit for
     /// bit, which the epoch-cache persistence path requires; contrast
     /// [`WorkloadInstance::export_weights`], which captures values only.
-    pub(crate) fn export_params(&mut self) -> Option<Vec<pipetune_dnn::Param>> {
-        match &mut self.inner {
-            InstanceKind::Dnn { model, .. } => Some(match model {
-                AnyModel::LeNet(m) => m.export_params(),
-                AnyModel::TextCnn(m) => m.export_params(),
-                AnyModel::Lstm(m) => m.export_params(),
+    pub(crate) fn export_params(&self) -> Option<Vec<pipetune_dnn::Param>> {
+        match &self.inner {
+            // `Model::export_params` visits through `&mut`: the copy it
+            // needs is of the model, not of the datasets beside it.
+            InstanceKind::Dnn { model, .. } => Some(match model.clone() {
+                AnyModel::LeNet(mut m) => m.export_params(),
+                AnyModel::TextCnn(mut m) => m.export_params(),
+                AnyModel::Lstm(mut m) => m.export_params(),
             }),
             _ => None,
         }

@@ -1,12 +1,15 @@
 use pipetune_tensor::{Tensor, TensorError};
-use serde::{Deserialize, Serialize};
+use serde::{content_get, Content, DeError, Deserialize, Serialize};
 
 /// A trainable parameter: value, accumulated gradient and momentum buffer.
 ///
 /// Layers own their `Param`s; the [`crate::Sgd`] optimizer visits them via
 /// [`crate::Model::visit_params`] so optimizer state lives next to the data it
 /// updates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Deserialising refuses a `grad` or `velocity` shaped unlike `value`: the
+/// optimizer steps all three by one index.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Param {
     value: Tensor,
     grad: Tensor,
@@ -73,6 +76,30 @@ impl Param {
     }
 }
 
+impl Deserialize for Param {
+    fn from_content(content: &Content) -> Result<Self, DeError> {
+        let members =
+            content.as_map_slice().ok_or_else(|| DeError::custom("Param: expected a map"))?;
+        let tensor = |name: &str| match content_get(members, name) {
+            Some(t) => Tensor::from_content(t)
+                .map_err(|e| DeError::custom(format!("Param: `{name}`: {e}"))),
+            None => Err(DeError::custom(format!("Param: missing field `{name}`"))),
+        };
+        let param =
+            Param { value: tensor("value")?, grad: tensor("grad")?, velocity: tensor("velocity")? };
+        for (name, buffer) in [("grad", &param.grad), ("velocity", &param.velocity)] {
+            if buffer.shape() != param.value.shape() {
+                return Err(DeError::custom(format!(
+                    "Param: `{name}` is shaped {:?}, `value` {:?}",
+                    buffer.shape().dims(),
+                    param.value.shape().dims()
+                )));
+            }
+        }
+        Ok(param)
+    }
+}
+
 /// Callback used to iterate over every [`Param`] in a model.
 pub trait ParamVisitor {
     /// Visits one parameter.
@@ -107,6 +134,23 @@ mod tests {
         }
         // step1: v=-0.1, x=-0.1; step2: v=-0.9*0.1-0.1=-0.19, x=-0.29
         assert!((p.value().data()[0] + 0.29).abs() < 1e-6);
+    }
+
+    #[test]
+    fn deserialising_refuses_buffers_shaped_unlike_the_value() {
+        let p = Param::new(Tensor::ones(&[2, 3]));
+        assert_eq!(Param::from_content(&p.to_content()).unwrap(), p);
+        for name in ["grad", "velocity"] {
+            let Content::Map(mut members) = p.to_content() else { panic!("a map") };
+            let slot = members.iter_mut().find(|(k, _)| k == name).unwrap();
+            slot.1 = Tensor::zeros(&[3, 2]).to_content();
+            let err = Param::from_content(&Content::Map(members)).unwrap_err().to_string();
+            assert!(err.contains(&format!("`{name}` is shaped [3, 2]")), "{err}");
+        }
+        let Content::Map(mut members) = p.to_content() else { panic!("a map") };
+        members.retain(|(k, _)| k != "velocity");
+        let err = Param::from_content(&Content::Map(members)).unwrap_err().to_string();
+        assert!(err.contains("missing field `velocity`"), "{err}");
     }
 
     #[test]

@@ -235,6 +235,26 @@ fn persisted_caches_resume_exactly_where_live_ones_left_off() {
     let path = std::env::temp_dir().join(format!("pipetune-cache-{}.json", std::process::id()));
     live.save(&path).unwrap();
     let restored = EpochCacheHandle::load(&path).unwrap();
+    let file = std::fs::read(&path).unwrap();
+
+    // A size budget in counts, not times: eight bytes of file per persisted
+    // tensor element — a LeNet entry holds a value, a gradient and a
+    // momentum buffer per weight, whatever its hyperparameters — plus 8 KiB
+    // of recipe, records and punctuation per entry.
+    let entries = live.len().unwrap();
+    let weights: usize = cold.model_weights.as_ref().unwrap().iter().map(|w| w.len()).sum();
+    let budget = 8 * (3 * weights * entries) + 8 * 1024 * entries;
+    assert!(
+        file.len() <= budget,
+        "{} bytes for {entries} entries of 3 × {weights} elements; the budget is {budget}",
+        file.len()
+    );
+    // The format's own determinism contract: the same store always writes
+    // the same bytes, and so does the store a file loads into.
+    for (what, handle) in [("a second save", &live), ("load → save", &restored)] {
+        handle.save(&path).unwrap();
+        assert!(std::fs::read(&path).unwrap() == file, "{what} must reproduce the file byte for byte");
+    }
     let _ = std::fs::remove_file(&path);
 
     let warm_live = {
