@@ -55,7 +55,11 @@ fn parse_idx(bytes: &[u8]) -> Result<IdxArray, DnnError> {
         let dim = u32::from_be_bytes([bytes[off], bytes[off + 1], bytes[off + 2], bytes[off + 3]]);
         dims.push(dim as usize);
     }
-    let count: usize = dims.iter().product();
+    // The header is input: its dimensions may not even multiply.
+    let count = dims
+        .iter()
+        .try_fold(1usize, |count, &dim| count.checked_mul(dim))
+        .ok_or_else(|| corrupt(format!("idx dimensions {dims:?} overflow the element count")))?;
     let payload = &bytes[header_len..];
     let data = match dtype {
         0x08 => {
@@ -74,7 +78,7 @@ fn parse_idx(bytes: &[u8]) -> Result<IdxArray, DnnError> {
             payload.iter().map(|&b| f32::from(b as i8)).collect()
         }
         0x0C => {
-            if payload.len() != count * 4 {
+            if Some(payload.len()) != count.checked_mul(4) {
                 return Err(corrupt("int payload size mismatch"));
             }
             payload
@@ -83,7 +87,7 @@ fn parse_idx(bytes: &[u8]) -> Result<IdxArray, DnnError> {
                 .collect()
         }
         0x0D => {
-            if payload.len() != count * 4 {
+            if Some(payload.len()) != count.checked_mul(4) {
                 return Err(corrupt("float payload size mismatch"));
             }
             payload
@@ -216,6 +220,103 @@ mod tests {
         assert!(dataset_from_arrays(images.clone(), labels, 2).is_err());
         let bad_labels = parse_idx(&idx_ubyte(&[2], &[0, 9])).unwrap();
         assert!(dataset_from_arrays(images, bad_labels, 2).is_err());
+    }
+
+    /// A header whose dimensions overflow their own product: `2^22 · 2^21 ·
+    /// 2^21 = 2^64` wraps to the 0 elements an empty payload has, and with
+    /// 4 Mi matching labels used to load as a dataset of 4 194 304 examples
+    /// over an empty tensor (a multiplication panic in a debug build).
+    #[test]
+    fn a_header_cannot_overflow_its_own_size() {
+        let images = idx_ubyte(&[1 << 22, 1 << 21, 1 << 21], &[]);
+        let err = parse_idx(&images).unwrap_err();
+        assert!(matches!(err, DnnError::InvalidDataset { .. }), "{err:?}");
+        // Four-byte elements overflow a factor of four sooner.
+        for dtype in [0x0C, 0x0D] {
+            let mut bytes = vec![0, 0, dtype, 2];
+            bytes.extend_from_slice(&(1u32 << 31).to_be_bytes());
+            bytes.extend_from_slice(&(1u32 << 31).to_be_bytes());
+            assert!(parse_idx(&bytes).is_err());
+        }
+        // Past the parser too: the tensor refuses dimensions that do not
+        // multiply, whatever the data's length.
+        let unchecked = IdxArray { dims: vec![1 << 22, 1 << 21, 1 << 21], data: vec![], dtype: 0x08 };
+        let labels = IdxArray { dims: vec![1 << 22], data: vec![0.0; 1 << 22], dtype: 0x08 };
+        assert!(dataset_from_arrays(unchecked, labels, 10).is_err());
+    }
+
+    /// Seeded mutants of a small valid image / label pair — header bytes
+    /// flipped, every rank, truncation and extension at every offset — are
+    /// rejected with the typed error or load as a dataset whose tensor is
+    /// as long as its header says; both happen, nothing panics.
+    #[test]
+    fn mutated_idx_pairs_are_rejected_or_consistent() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let (n, h, w) = (4u32, 3u32, 2u32);
+        let images = idx_ubyte(&[n, h, w], &(0..24).collect::<Vec<u8>>());
+        let labels = idx_ubyte(&[n], &[0, 1, 2, 1]);
+        let mut mutants: Vec<(Vec<u8>, Vec<u8>)> = vec![(images.clone(), labels.clone())];
+        for rank in 0..=255u8 {
+            let mut bytes = images.clone();
+            bytes[3] = rank;
+            mutants.push((bytes, labels.clone()));
+        }
+        for stock in [&images, &labels] {
+            for cut in 0..stock.len() {
+                let pair = |bytes: Vec<u8>| {
+                    if std::ptr::eq(stock, &images) {
+                        (bytes, labels.clone())
+                    } else {
+                        (images.clone(), bytes)
+                    }
+                };
+                mutants.push(pair(stock[..cut].to_vec()));
+                // The same bytes, one more in the middle.
+                let mut longer = stock.clone();
+                longer.insert(cut, stock[cut]);
+                mutants.push(pair(longer));
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(0x1d);
+        for _ in 0..2000 {
+            let (mut a, mut b) = (images.clone(), labels.clone());
+            for _ in 0..rng.gen_range(1..4u32) {
+                let bytes = if rng.gen_bool(0.7) { &mut a } else { &mut b };
+                // Mostly the header: that is where the sizes are.
+                let at: usize =
+                    if rng.gen_bool(0.8) { rng.gen_range(0..16) } else { rng.gen_range(0..64) };
+                let at = at % bytes.len();
+                match rng.gen_range(0..3u32) {
+                    0 => bytes[at] ^= 1 << rng.gen_range(0..8u32),
+                    1 => bytes[at] = [0x00, 0xff, 0x80, 0x7f][rng.gen_range(0..4usize)],
+                    _ => bytes[at] = rng.gen_range(0..=255u32) as u8,
+                }
+            }
+            mutants.push((a, b));
+        }
+
+        let (mut loaded, mut rejected) = (0, 0);
+        for (images, labels) in &mutants {
+            let outcome = std::panic::catch_unwind(|| {
+                let images = parse_idx(images)?;
+                let (dims, labels) = (images.dims.clone(), parse_idx(labels)?);
+                dataset_from_arrays(images, labels, 3).map(|data| (dims, data))
+            });
+            match outcome.unwrap_or_else(|_| panic!("panicked on {images:?} / {labels:?}")) {
+                Ok((dims, data)) => {
+                    let Features::Images(tensor) = data.features() else { panic!("images") };
+                    assert_eq!(tensor.data().len(), dims[0] * dims[1] * dims[2], "{dims:?}");
+                    assert_eq!(data.len(), dims[0]);
+                    loaded += 1;
+                }
+                Err(DnnError::InvalidDataset { .. } | DnnError::Tensor(_)) => rejected += 1,
+                Err(other) => panic!("untyped rejection {other:?}"),
+            }
+        }
+        println!("{} idx mutants: {loaded} loaded, {rejected} rejected", mutants.len());
+        assert!(loaded > 10 && rejected > 1000, "{loaded} loaded, {rejected} rejected");
     }
 
     #[test]

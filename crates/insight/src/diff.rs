@@ -4,19 +4,29 @@
 //! question behind every regression hunt. Both traces are validated and
 //! analysed with [`TraceReport`] first, so a diff of malformed traces
 //! fails loudly instead of comparing garbage.
+//!
+//! Whether the two traces export byte-identically — and where they first do
+//! not — is [`TelemetrySnapshot::export_difference`]'s answer: neither
+//! export is written to find out.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use pipetune_telemetry::{TelemetrySnapshot, TraceError};
 
-use crate::report::TraceReport;
+use crate::report::{entry, TraceReport};
 
 /// The comparison of two traces (`a` is the baseline, `b` the candidate).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceDiff {
     /// Whether the two traces export byte-identically.
     pub identical: bool,
+    /// The first record of the exports that differs and how (`span 17
+    /// label: "trial 1" -> "trial 2"`, `events: 1140 -> 1141`); `None`
+    /// exactly when `identical`. The tables below show what changed in
+    /// counts and sums — this shows a change they cannot, one label or one
+    /// gauge.
+    pub first_difference: Option<String>,
     /// Span counts per kind name: `(a, b)`.
     pub span_counts: BTreeMap<String, (usize, usize)>,
     /// Event counts per kind name: `(a, b)`.
@@ -31,24 +41,44 @@ pub struct TraceDiff {
     pub structure_changes: Vec<String>,
 }
 
-fn count_by<T, K: Ord, F: Fn(&T) -> K>(items: &[T], key: F) -> BTreeMap<K, usize> {
-    let mut out = BTreeMap::new();
-    for item in items {
-        *out.entry(key(item)).or_insert(0) += 1;
+/// Records of `a` and of `b` per kind name, for the kinds either side has.
+/// `kind` gives a record's kind as its discriminant and its name: the
+/// counting is done in an array indexed by the one, no string per record.
+fn count_kinds<T>(
+    a: &[T],
+    b: &[T],
+    kind: impl Fn(&T) -> (usize, &'static str),
+) -> BTreeMap<String, (usize, usize)> {
+    let mut counts: Vec<(&'static str, [usize; 2])> = Vec::new();
+    for (side, records) in [a, b].into_iter().enumerate() {
+        for record in records {
+            let (index, name) = kind(record);
+            if counts.len() <= index {
+                counts.resize(index + 1, ("", [0, 0]));
+            }
+            counts[index].0 = name;
+            counts[index].1[side] += 1;
+        }
     }
-    out
+    counts
+        .into_iter()
+        .filter(|(_, [in_a, in_b])| in_a + in_b > 0)
+        .map(|(name, [in_a, in_b])| (name.to_string(), (in_a, in_b)))
+        .collect()
 }
 
-fn merge_counts<K: Ord + Clone>(
-    a: &BTreeMap<K, usize>,
-    b: &BTreeMap<K, usize>,
-) -> BTreeMap<K, (usize, usize)> {
-    let keys: BTreeSet<&K> = a.keys().chain(b.keys()).collect();
-    keys.into_iter()
-        .map(|k| {
-            (k.clone(), (a.get(k).copied().unwrap_or(0), b.get(k).copied().unwrap_or(0)))
-        })
-        .collect()
+/// Adds each run's phase seconds into one side of `phase_secs`.
+fn sum_phases(
+    phase_secs: &mut BTreeMap<String, (f64, f64)>,
+    report: &TraceReport,
+    side: fn(&mut (f64, f64)) -> &mut f64,
+) {
+    for run in &report.runs {
+        for (phase, secs) in &run.phases.secs {
+            *side(entry(phase_secs, phase)) += secs;
+        }
+        *side(entry(phase_secs, "retry_overhead")) += run.phases.retry_overhead_secs;
+    }
 }
 
 impl TraceDiff {
@@ -74,32 +104,15 @@ impl TraceDiff {
         let report_b = TraceReport::from_snapshot(b)?;
 
         let mut phase_secs: BTreeMap<String, (f64, f64)> = BTreeMap::new();
-        for run in &report_a.runs {
-            for (phase, secs) in &run.phases.secs {
-                phase_secs.entry(phase.clone()).or_insert((0.0, 0.0)).0 += secs;
-            }
-            phase_secs.entry("retry_overhead".into()).or_insert((0.0, 0.0)).0 +=
-                run.phases.retry_overhead_secs;
-        }
-        for run in &report_b.runs {
-            for (phase, secs) in &run.phases.secs {
-                phase_secs.entry(phase.clone()).or_insert((0.0, 0.0)).1 += secs;
-            }
-            phase_secs.entry("retry_overhead".into()).or_insert((0.0, 0.0)).1 +=
-                run.phases.retry_overhead_secs;
-        }
+        sum_phases(&mut phase_secs, &report_a, |sums| &mut sums.0);
+        sum_phases(&mut phase_secs, &report_b, |sums| &mut sums.1);
 
+        // A counter one side lacks counts as 0 there.
         let mut counter_deltas = BTreeMap::new();
-        let counters_a: BTreeMap<String, u64> =
-            a.metrics.counters().map(|(k, v)| (k.to_string(), v)).collect();
-        let counters_b: BTreeMap<String, u64> =
-            b.metrics.counters().map(|(k, v)| (k.to_string(), v)).collect();
-        let names: BTreeSet<&String> = counters_a.keys().chain(counters_b.keys()).collect();
-        for name in names {
-            let va = counters_a.get(name).copied().unwrap_or(0);
-            let vb = counters_b.get(name).copied().unwrap_or(0);
-            if va != vb {
-                counter_deltas.insert(name.clone(), (va, vb));
+        for (name, _) in a.metrics.counters().chain(b.metrics.counters()) {
+            let (va, vb) = (a.metrics.counter(name), b.metrics.counter(name));
+            if va != vb && !counter_deltas.contains_key(name) {
+                counter_deltas.insert(name.to_string(), (va, vb));
             }
         }
 
@@ -131,16 +144,12 @@ impl TraceDiff {
             }
         }
 
+        let first_difference = a.export_difference(b);
         Ok(TraceDiff {
-            identical: a.to_json_string() == b.to_json_string(),
-            span_counts: merge_counts(
-                &count_by(&a.spans, |s| s.kind.name().to_string()),
-                &count_by(&b.spans, |s| s.kind.name().to_string()),
-            ),
-            event_counts: merge_counts(
-                &count_by(&a.events, |e| e.kind.name().to_string()),
-                &count_by(&b.events, |e| e.kind.name().to_string()),
-            ),
+            identical: first_difference.is_none(),
+            first_difference,
+            span_counts: count_kinds(&a.spans, &b.spans, |s| (s.kind as usize, s.kind.name())),
+            event_counts: count_kinds(&a.events, &b.events, |e| (e.kind as usize, e.kind.name())),
             phase_secs,
             wall_secs: (
                 report_a.runs.iter().map(|r| r.wall_secs).sum(),
@@ -157,6 +166,9 @@ impl TraceDiff {
         if self.identical {
             out.push_str("traces are byte-identical\n");
             return out;
+        }
+        if let Some(difference) = &self.first_difference {
+            let _ = writeln!(out, "first difference: {difference}");
         }
         let _ = writeln!(
             out,
@@ -253,6 +265,89 @@ mod tests {
         for needle in ["wall secs", "tuned", "*trial", "epochs.total: 2 -> 3", "trials 2 -> 3"] {
             assert!(text.contains(needle), "diff render missing {needle}:\n{text}");
         }
+    }
+
+    /// A difference the tables cannot show — they tabulate counts, counters
+    /// and phase sums — is still named: the first record that differs.
+    #[test]
+    fn a_diff_that_says_different_says_where() {
+        use pipetune_telemetry::{Event, EventKind, COUNT_BUCKETS};
+
+        let base = || {
+            let mut snapshot = trace(2, 1.0);
+            snapshot.metrics.gauge_set("cache.saved_secs", 12.5);
+            snapshot.metrics.observe("executor.batch_trials", COUNT_BUCKETS, 3.0);
+            snapshot.events.push(Event {
+                kind: EventKind::Checkpoint,
+                span: Some(3),
+                at_secs: 0.5,
+                attrs: vec![("epoch", 1u64.into())],
+            });
+            snapshot
+        };
+        let first_difference = |edit: &dyn Fn(&mut TelemetrySnapshot)| {
+            let mut edited = base();
+            edit(&mut edited);
+            let diff = TraceDiff::between(&base(), &edited).unwrap();
+            assert!(!diff.identical);
+            let difference = diff.first_difference.clone().expect("not identical");
+            assert!(
+                diff.render().starts_with(&format!("first difference: {difference}\n")),
+                "{}",
+                diff.render()
+            );
+            difference
+        };
+
+        assert_eq!(
+            first_difference(&|t| t.spans[5].label = "trial 9".into()),
+            r#"span 5 label: "trial 1" -> "trial 9""#
+        );
+        assert_eq!(
+            first_difference(&|t| t.spans[4].attrs[0].1 = "probe".into()),
+            r#"span 4 attrs phase: "tuned" -> "probe""#
+        );
+        assert_eq!(
+            first_difference(&|t| t.spans[4].attrs.push(("cores", 8u64.into()))),
+            r#"span 4 attrs: key "phase" -> key "cores""#
+        );
+        assert_eq!(
+            first_difference(&|t| t.events[0].attrs[0].1 = 2u64.into()),
+            "event 0 attrs epoch: 1 -> 2"
+        );
+        assert_eq!(
+            first_difference(&|t| t.metrics.gauge_set("cache.saved_secs", 13.0)),
+            "metrics gauges cache.saved_secs: 12.5 -> 13.0"
+        );
+        // One observation in the next bucket: count and bounds agree, the
+        // buckets are the first thing that does not.
+        assert_eq!(
+            first_difference(&|t| {
+                *t = trace(2, 1.0);
+                t.metrics.gauge_set("cache.saved_secs", 12.5);
+                t.metrics.observe("executor.batch_trials", COUNT_BUCKETS, 5.0);
+                t.events = base().events;
+            }),
+            "metrics histograms executor.batch_trials counts: 1 -> 0"
+        );
+        assert_eq!(
+            first_difference(&|t| {
+                let again = t.events[0].clone();
+                t.events.push(again);
+            }),
+            "events: 1 -> 2"
+        );
+        assert_eq!(
+            first_difference(&|t| {
+                let again = t.spans[6].clone();
+                t.spans.push(again);
+            }),
+            "spans: 7 -> 8"
+        );
+
+        let same = TraceDiff::between(&base(), &base()).unwrap();
+        assert_eq!(same.first_difference, None);
+        assert_eq!(same.render(), "traces are byte-identical\n");
     }
 
     #[test]

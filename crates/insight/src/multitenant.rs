@@ -3,16 +3,16 @@
 //! A `pipetune-service` run yields one response time (completion −
 //! arrival) per admitted job. These helpers turn that population into the
 //! per-policy summary the benchmark harness persists in a
-//! [`crate::BenchReport`]: mean, nearest-rank percentiles (computed by the
-//! embedded [`pipetune_tsdb`] selectors, the same path the critical-path
-//! report uses) and the maximum. Rejected jobs carry `NaN` response times
+//! [`crate::BenchReport`]: mean, nearest-rank percentiles (the embedded
+//! [`pipetune_tsdb`] store's selectors, as the critical-path report uses
+//! them) and the maximum. Rejected jobs carry `NaN` response times
 //! and are excluded, so the caller can pass a service outcome's records
 //! straight through.
 
 use std::collections::BTreeMap;
 
 use pipetune_cluster::ServiceFaultReport;
-use pipetune_tsdb::{Aggregate, Database, Point, Query};
+use pipetune_tsdb::Aggregate;
 
 /// Response-time summary over one service run's admitted jobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,12 +51,7 @@ pub fn response_stats(responses_secs: &[f64]) -> Option<ResponseStats> {
     if finite.is_empty() {
         return None;
     }
-    let db = Database::new();
-    for (i, r) in finite.iter().enumerate() {
-        let _ = db.write(Point::new("response_secs", i as u64).field("secs", *r));
-    }
-    let query = Query::measurement("response_secs");
-    let get = |agg| db.aggregate(&query, "secs", agg).ok().flatten();
+    let get = |agg: Aggregate| agg.apply(&finite);
     Some(ResponseStats {
         jobs: finite.len(),
         mean_secs: get(Aggregate::Mean)?,

@@ -4,16 +4,25 @@
 //! A [`TraceReport`] is a pure function of a validated
 //! [`TelemetrySnapshot`]: per-phase time attribution, per-rung slot
 //! utilization, straggler ranking and the critical path through each
-//! tuning run. Duration percentiles are computed by replaying the trace
-//! into the embedded [`pipetune_tsdb`] store and querying its
-//! [`Aggregate::P50`]/[`Aggregate::P95`]/[`Aggregate::P99`] selectors —
-//! the same path a real InfluxDB deployment would serve.
+//! tuning run. Duration percentiles are the embedded [`pipetune_tsdb`]
+//! store's own nearest-rank selectors
+//! ([`Aggregate::P50`]/[`Aggregate::P95`]/[`Aggregate::P99`], the numbers a
+//! real InfluxDB deployment would serve) applied to each run's duration
+//! lists.
+//!
+//! A report is built in one walk over the spans and one over the events,
+//! whatever the number of runs: each span's run is known from its parent's
+//! (parents precede children), and every run keeps its own accumulators.
+//! Additions reach each accumulator in span (or event) order, so every
+//! `f64` of a report is the one a run-by-run scan of the trace would sum.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use pipetune_telemetry::{AttrValue, Attrs, EventKind, Span, SpanKind, TelemetrySnapshot, TraceError};
-use pipetune_tsdb::{Aggregate, Database, Point, Query};
+use pipetune_telemetry::{
+    AttrValue, Attrs, Event, EventKind, Span, SpanKind, TelemetrySnapshot, TraceError,
+};
+use pipetune_tsdb::Aggregate;
 
 /// Looks up an attribute by key (first occurrence wins).
 fn attr<'a>(attrs: &'a Attrs, key: &str) -> Option<&'a AttrValue> {
@@ -36,6 +45,15 @@ fn attr_bool(attrs: &Attrs, key: &str) -> Option<bool> {
         Some(AttrValue::Bool(b)) => Some(*b),
         _ => None,
     }
+}
+
+/// `map[key]`, put there as the default first if absent; the key is copied
+/// only then.
+pub(crate) fn entry<'a, V: Default>(map: &'a mut BTreeMap<String, V>, key: &str) -> &'a mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_string(), V::default());
+    }
+    map.get_mut(key).expect("present or just inserted")
 }
 
 /// A closed span's duration; `None` while the span is still open.
@@ -144,8 +162,8 @@ pub struct RunReport {
     /// hit events (trained cost of the adopted prefixes minus the charged
     /// reload cost).
     pub cache_saved_secs: f64,
-    /// The run's slowest trials, longest first (ties broken by span
-    /// index), capped at [`RunReport::MAX_STRAGGLERS`].
+    /// The run's five slowest trials, longest first (ties broken by span
+    /// index).
     pub stragglers: Vec<Straggler>,
     /// Trial-duration percentiles, when the run had trials.
     pub trial_stats: Option<DurationStats>,
@@ -153,10 +171,8 @@ pub struct RunReport {
     pub epoch_stats: Option<DurationStats>,
 }
 
-impl RunReport {
-    /// Straggler ranking length.
-    pub const MAX_STRAGGLERS: usize = 5;
-}
+/// Straggler ranking length.
+const MAX_STRAGGLERS: usize = 5;
 
 /// Summary of the online monitor's `alert` events in a trace (the
 /// "Incidents" section; see `docs/monitoring.md`).
@@ -168,35 +184,28 @@ pub struct IncidentSummary {
     pub by_detector: BTreeMap<String, u64>,
     /// Alert counts per severity name, sorted.
     pub by_severity: BTreeMap<String, u64>,
-    /// Severity/detector/message of the first alerts in trace order,
-    /// capped at [`IncidentSummary::MAX_SAMPLES`].
+    /// Severity/detector/message of the first five alerts in trace order.
     pub samples: Vec<String>,
 }
 
 impl IncidentSummary {
     /// How many alert lines the summary quotes verbatim.
-    pub const MAX_SAMPLES: usize = 5;
+    const MAX_SAMPLES: usize = 5;
 
-    fn from_snapshot(snapshot: &TelemetrySnapshot) -> Option<Self> {
-        let mut summary = IncidentSummary::default();
-        for event in &snapshot.events {
-            if event.kind != EventKind::Alert {
-                continue;
-            }
-            summary.total += 1;
-            let detector = attr_str(&event.attrs, "detector").unwrap_or("?");
-            let severity = attr_str(&event.attrs, "severity").unwrap_or("?");
-            *summary.by_detector.entry(detector.to_string()).or_insert(0) += 1;
-            *summary.by_severity.entry(severity.to_string()).or_insert(0) += 1;
-            if summary.samples.len() < Self::MAX_SAMPLES {
-                let message = attr_str(&event.attrs, "message").unwrap_or("?");
-                summary.samples.push(format!(
-                    "[{severity}] {detector} @ {:.3}s: {message}",
-                    event.at_secs
-                ));
-            }
+    /// Counts one `alert` event in.
+    fn record(&mut self, event: &Event) {
+        self.total += 1;
+        let detector = attr_str(&event.attrs, "detector").unwrap_or("?");
+        let severity = attr_str(&event.attrs, "severity").unwrap_or("?");
+        *entry(&mut self.by_detector, detector) += 1;
+        *entry(&mut self.by_severity, severity) += 1;
+        if self.samples.len() < Self::MAX_SAMPLES {
+            let message = attr_str(&event.attrs, "message").unwrap_or("?");
+            self.samples.push(format!(
+                "[{severity}] {detector} @ {:.3}s: {message}",
+                event.at_secs
+            ));
         }
-        (summary.total > 0).then_some(summary)
     }
 }
 
@@ -209,6 +218,104 @@ pub struct TraceReport {
     /// no `alert` events, so reports over monitor-less traces render
     /// exactly as they did before the monitor existed.
     pub incidents: Option<IncidentSummary>,
+}
+
+/// What the walk has gathered about one scheduler round.
+struct RungScan {
+    /// Index of the rung span.
+    span: usize,
+    /// Indices into the run's trials, in span order.
+    trials: Vec<usize>,
+}
+
+/// What the walk has gathered about one tuning run.
+#[derive(Default)]
+struct RunScan {
+    /// Index of the root span.
+    root: usize,
+    epochs: usize,
+    phases: PhaseBreakdown,
+    /// The run's trials, in span order.
+    trials: Vec<Straggler>,
+    rungs: Vec<RungScan>,
+    /// The latest finite rung end on the shared clock (0 without one).
+    last_rung_end: f64,
+    cache_hits: u64,
+    cache_misses: u64,
+    cache_saved_secs: f64,
+    /// Durations of the run's closed epochs, in span order.
+    epoch_secs: Vec<f64>,
+}
+
+impl RunScan {
+    fn finish(self, spans: &[Span]) -> RunReport {
+        let root_span = &spans[self.root];
+        let slots = attr_f64(&root_span.attrs, "parallel_slots").unwrap_or(1.0).max(1.0);
+        // Wall time: the root's own extent, falling back to the last
+        // child end on the shared clock if the root was left open.
+        let wall_secs =
+            duration(root_span).unwrap_or(self.last_rung_end - root_span.start_secs);
+
+        let trials = self.trials;
+        let mut rungs = Vec::with_capacity(self.rungs.len());
+        let mut critical_path_secs = 0.0;
+        for rung in &self.rungs {
+            let span = &spans[rung.span];
+            let wall = duration(span).unwrap_or(0.0);
+            let busy: f64 = rung.trials.iter().map(|&t| trials[t].duration_secs).sum();
+            let capacity = slots * wall;
+            let critical = rung
+                .trials
+                .iter()
+                .map(|&t| &trials[t])
+                .max_by(|a, b| {
+                    a.duration_secs
+                        .total_cmp(&b.duration_secs)
+                        // Longest first; on exact ties prefer the
+                        // earlier span so the report is deterministic.
+                        .then(b.span.cmp(&a.span))
+                })
+                .cloned();
+            critical_path_secs += critical.as_ref().map_or(0.0, |c| c.duration_secs);
+            rungs.push(RungReport {
+                round: attr_f64(&span.attrs, "round").unwrap_or(0.0) as u64,
+                wall_secs: wall,
+                trials: rung.trials.len(),
+                busy_secs: busy,
+                capacity_secs: capacity,
+                idle_secs: (capacity - busy).max(0.0),
+                utilization: if capacity > 0.0 { busy / capacity } else { 0.0 },
+                critical_trial: critical,
+            });
+        }
+
+        let trial_secs: Vec<f64> = trials.iter().map(|t| t.duration_secs).collect();
+        let trial_count = trials.len();
+        let mut stragglers = trials;
+        stragglers.sort_by(|a, b| {
+            b.duration_secs.total_cmp(&a.duration_secs).then(a.span.cmp(&b.span))
+        });
+        stragglers.truncate(MAX_STRAGGLERS);
+
+        RunReport {
+            label: root_span.label.clone(),
+            workload: attr_str(&root_span.attrs, "workload").unwrap_or("?").to_string(),
+            seed: attr_f64(&root_span.attrs, "seed").map(|s| s as u64),
+            slots: slots as u64,
+            wall_secs,
+            trials: trial_count,
+            epochs: self.epochs,
+            phases: self.phases,
+            rungs,
+            critical_path_secs,
+            cache_hits: self.cache_hits,
+            cache_misses: self.cache_misses,
+            cache_saved_secs: self.cache_saved_secs,
+            stragglers,
+            trial_stats: duration_stats(&trial_secs),
+            epoch_stats: duration_stats(&self.epoch_secs),
+        }
+    }
 }
 
 impl TraceReport {
@@ -234,185 +341,93 @@ impl TraceReport {
         snapshot.validate()?;
         let spans = &snapshot.spans;
 
-        // Parents always precede children (validated), so single passes
-        // resolve each span's tuning-run root and nearest rung ancestor.
+        // Parents always precede children (validated), so one pass resolves
+        // each span's tuning run and nearest rung ancestor as it goes.
         // A `tuning_run` is always its own root — including when a
         // multi-job service nested it under a `job` span — so per-run
         // attribution is identical whether the run executed standalone or
         // as one tenant of a service.
-        let mut root_of: Vec<Option<usize>> = Vec::with_capacity(spans.len());
-        let mut rung_of: Vec<Option<usize>> = Vec::with_capacity(spans.len());
+        const NONE: u32 = u32::MAX;
+        // Per span: the run it belongs to, and the rung — as an index into
+        // that run's rungs — its children are in.
+        let mut run_of: Vec<u32> = Vec::with_capacity(spans.len());
+        let mut rung_below: Vec<u32> = Vec::with_capacity(spans.len());
+        let mut runs: Vec<RunScan> = Vec::new();
         for (i, span) in spans.iter().enumerate() {
-            let (root, rung) = if span.kind == SpanKind::TuningRun {
-                (Some(i), None)
-            } else {
-                match span.parent {
-                    None => (None, None),
-                    Some(p) => {
-                        let p = p as usize;
-                        let rung =
-                            if spans[p].kind == SpanKind::Rung { Some(p) } else { rung_of[p] };
-                        (root_of[p], rung)
-                    }
+            let (run, rung) = match (span.kind, span.parent) {
+                (SpanKind::TuningRun, _) => {
+                    runs.push(RunScan { root: i, ..RunScan::default() });
+                    (runs.len() as u32 - 1, NONE)
                 }
+                (_, None) => (NONE, NONE),
+                (_, Some(p)) => (run_of[p as usize], rung_below[p as usize]),
             };
-            root_of.push(root);
-            rung_of.push(rung);
-        }
-
-        let mut runs = Vec::new();
-        for (root, root_span) in spans.iter().enumerate() {
-            if root_of[root] != Some(root) {
-                continue;
-            }
-            let member = |i: usize| root_of[i] == Some(root);
-            let slots = attr_f64(&root_span.attrs, "parallel_slots").unwrap_or(1.0).max(1.0);
-
-            // Wall time: the root's own extent, falling back to the last
-            // child end on the shared clock if the root was left open.
-            let wall_secs = duration(root_span).unwrap_or_else(|| {
-                spans
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, s)| member(*i) && s.kind == SpanKind::Rung)
-                    .filter_map(|(_, s)| s.end_secs.is_finite().then_some(s.end_secs))
-                    .fold(0.0, f64::max)
-                    - root_span.start_secs
-            });
-
-            // Phase attribution from epoch spans; retry overhead from the
-            // run's fault events (crash recovery never emits epoch spans).
-            let mut phases = PhaseBreakdown::default();
-            let mut epochs = 0usize;
-            for (i, span) in spans.iter().enumerate() {
-                if !member(i) || span.kind != SpanKind::Epoch {
-                    continue;
-                }
-                epochs += 1;
-                if let Some(d) = duration(span) {
-                    let phase = attr_str(&span.attrs, "phase").unwrap_or("unknown");
-                    *phases.secs.entry(phase.to_string()).or_insert(0.0) += d;
-                }
-            }
-            let mut cache_hits = 0u64;
-            let mut cache_misses = 0u64;
-            let mut cache_saved_secs = 0.0f64;
-            for event in &snapshot.events {
-                let Some(owner) = event.span else { continue };
-                if !member(owner as usize) {
-                    continue;
-                }
-                match event.kind {
-                    EventKind::Fault => {
-                        phases.retry_overhead_secs += attr_f64(&event.attrs, "wasted_secs")
-                            .unwrap_or(0.0)
-                            + attr_f64(&event.attrs, "backoff_secs").unwrap_or(0.0);
-                    }
-                    EventKind::CacheLookup => {
-                        if attr_bool(&event.attrs, "hit") == Some(true) {
-                            cache_hits += 1;
-                            cache_saved_secs +=
-                                attr_f64(&event.attrs, "saved_secs").unwrap_or(0.0);
-                        } else {
-                            cache_misses += 1;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-
-            // Trials, grouped by owning rung.
-            let mut trials: Vec<Straggler> = Vec::new();
-            let mut by_rung: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-            for (i, span) in spans.iter().enumerate() {
-                if !member(i) || span.kind != SpanKind::Trial {
-                    continue;
-                }
-                let d = duration(span).unwrap_or(0.0);
-                trials.push(Straggler { span: i, label: span.label.clone(), duration_secs: d });
-                if let Some(rung) = rung_of[i] {
-                    by_rung.entry(rung).or_default().push(trials.len() - 1);
-                }
-            }
-
-            let mut rungs = Vec::new();
-            let mut critical_path_secs = 0.0;
-            for (i, span) in spans.iter().enumerate() {
-                if !member(i) || span.kind != SpanKind::Rung {
-                    continue;
-                }
-                let wall = duration(span).unwrap_or(0.0);
-                let members = by_rung.get(&i).map_or(&[][..], Vec::as_slice);
-                let busy: f64 = members.iter().map(|&t| trials[t].duration_secs).sum();
-                let capacity = slots * wall;
-                let critical = members
-                    .iter()
-                    .map(|&t| &trials[t])
-                    .max_by(|a, b| {
-                        a.duration_secs
-                            .total_cmp(&b.duration_secs)
-                            // Longest first; on exact ties prefer the
-                            // earlier span so the report is deterministic.
-                            .then(b.span.cmp(&a.span))
-                    })
-                    .cloned();
-                critical_path_secs += critical.as_ref().map_or(0.0, |c| c.duration_secs);
-                rungs.push(RungReport {
-                    round: attr_f64(&span.attrs, "round").unwrap_or(0.0) as u64,
-                    wall_secs: wall,
-                    trials: members.len(),
-                    busy_secs: busy,
-                    capacity_secs: capacity,
-                    idle_secs: (capacity - busy).max(0.0),
-                    utilization: if capacity > 0.0 { busy / capacity } else { 0.0 },
-                    critical_trial: critical,
-                });
-            }
-
-            let mut stragglers = trials.clone();
-            stragglers.sort_by(|a, b| {
-                b.duration_secs.total_cmp(&a.duration_secs).then(a.span.cmp(&b.span))
-            });
-            stragglers.truncate(RunReport::MAX_STRAGGLERS);
-
-            // Percentiles through the tsdb: replay durations as points and
-            // let the store's nearest-rank selectors answer.
-            let db = Database::new();
-            for (idx, trial) in trials.iter().enumerate() {
-                let _ = db.write(
-                    Point::new("trial_secs", idx as u64).field("secs", trial.duration_secs),
-                );
-            }
-            let mut epoch_idx = 0u64;
-            for (i, span) in spans.iter().enumerate() {
-                if member(i) && span.kind == SpanKind::Epoch {
+            run_of.push(run);
+            rung_below.push(rung);
+            let Some(scan) = runs.get_mut(run as usize) else { continue };
+            match span.kind {
+                SpanKind::Epoch => {
+                    scan.epochs += 1;
                     if let Some(d) = duration(span) {
-                        let _ = db.write(Point::new("epoch_secs", epoch_idx).field("secs", d));
-                        epoch_idx += 1;
+                        let phase = attr_str(&span.attrs, "phase").unwrap_or("unknown");
+                        *entry(&mut scan.phases.secs, phase) += d;
+                        scan.epoch_secs.push(d);
                     }
                 }
+                SpanKind::Trial => {
+                    let d = duration(span).unwrap_or(0.0);
+                    if let Some(rung) = scan.rungs.get_mut(rung as usize) {
+                        rung.trials.push(scan.trials.len());
+                    }
+                    scan.trials.push(Straggler {
+                        span: i,
+                        label: span.label.clone(),
+                        duration_secs: d,
+                    });
+                }
+                SpanKind::Rung => {
+                    rung_below[i] = scan.rungs.len() as u32;
+                    scan.rungs.push(RungScan { span: i, trials: Vec::new() });
+                    if span.end_secs.is_finite() {
+                        scan.last_rung_end = f64::max(scan.last_rung_end, span.end_secs);
+                    }
+                }
+                _ => {}
             }
-
-            runs.push(RunReport {
-                label: root_span.label.clone(),
-                workload: attr_str(&root_span.attrs, "workload").unwrap_or("?").to_string(),
-                seed: attr_f64(&root_span.attrs, "seed").map(|s| s as u64),
-                slots: slots as u64,
-                wall_secs,
-                trials: trials.len(),
-                epochs,
-                phases,
-                rungs,
-                critical_path_secs,
-                cache_hits,
-                cache_misses,
-                cache_saved_secs,
-                stragglers,
-                trial_stats: duration_stats(&db, "trial_secs"),
-                epoch_stats: duration_stats(&db, "epoch_secs"),
-            });
         }
-        Ok(TraceReport { runs, incidents: IncidentSummary::from_snapshot(snapshot) })
+
+        // Retry overhead and cache counters from each run's events (crash
+        // recovery never emits epoch spans); the trace's alerts.
+        let mut incidents = IncidentSummary::default();
+        for event in &snapshot.events {
+            if event.kind == EventKind::Alert {
+                incidents.record(event);
+            }
+            let owner = event.span.map_or(NONE, |span| run_of[span as usize]);
+            let Some(scan) = runs.get_mut(owner as usize) else { continue };
+            match event.kind {
+                EventKind::Fault => {
+                    scan.phases.retry_overhead_secs += attr_f64(&event.attrs, "wasted_secs")
+                        .unwrap_or(0.0)
+                        + attr_f64(&event.attrs, "backoff_secs").unwrap_or(0.0);
+                }
+                EventKind::CacheLookup => {
+                    if attr_bool(&event.attrs, "hit") == Some(true) {
+                        scan.cache_hits += 1;
+                        scan.cache_saved_secs +=
+                            attr_f64(&event.attrs, "saved_secs").unwrap_or(0.0);
+                    } else {
+                        scan.cache_misses += 1;
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        Ok(TraceReport {
+            runs: runs.into_iter().map(|scan| scan.finish(spans)).collect(),
+            incidents: (incidents.total > 0).then_some(incidents),
+        })
     }
 
     /// Parses a JSON trace and analyses it in one step.
@@ -559,13 +574,14 @@ fn percent(part: f64, whole: f64) -> f64 {
     }
 }
 
-fn duration_stats(db: &Database, measurement: &str) -> Option<DurationStats> {
-    let query = Query::measurement(measurement);
-    let get = |agg| db.aggregate(&query, "secs", agg).ok().flatten();
+/// Percentiles through the tsdb: its nearest-rank selectors
+/// ([`Aggregate::apply`], the one definition a stored field is aggregated
+/// by) over the durations in span order.
+fn duration_stats(secs: &[f64]) -> Option<DurationStats> {
     Some(DurationStats {
-        p50_secs: get(Aggregate::P50)?,
-        p95_secs: get(Aggregate::P95)?,
-        p99_secs: get(Aggregate::P99)?,
+        p50_secs: Aggregate::P50.apply(secs)?,
+        p95_secs: Aggregate::P95.apply(secs)?,
+        p99_secs: Aggregate::P99.apply(secs)?,
     })
 }
 

@@ -23,7 +23,8 @@ use pipetune_tsdb::Point;
 
 use crate::handle::TelemetrySnapshot;
 use crate::json::{
-    optional, require, required, shape, JsonReader, JsonWriter, Number, Read, ReadError, Slot,
+    optional, require, required, shape, JsonReader, JsonSink, JsonWriter, Number, Read, ReadError,
+    Slot, TokenTape,
 };
 use crate::metrics::MetricsRegistry;
 use crate::span::{AttrValue, Attrs, Event, EventKind, Span, SpanKind};
@@ -33,13 +34,12 @@ use crate::validate::TraceError;
 /// export buffer so it grows at most once.
 const RECORD_BYTES: usize = 384;
 
+/// Scratch space for [`write_attrs`].
+type AttrOrder<'a> = Vec<&'a (&'static str, AttrValue)>;
+
 /// Writes an attribute list as a JSON object: keys sorted, and of several
-/// attributes under one key the last. `order` is scratch space.
-fn write_attrs<'a>(
-    w: &mut JsonWriter,
-    attrs: &'a Attrs,
-    order: &mut Vec<&'a (&'static str, AttrValue)>,
-) {
+/// attributes under one key the last.
+fn write_attrs<'a>(w: &mut impl JsonSink<'a>, attrs: &'a Attrs, order: &mut AttrOrder<'a>) {
     order.clear();
     order.extend(attrs);
     // Stable, so equal keys stay in insertion order.
@@ -61,11 +61,71 @@ fn write_attrs<'a>(
     w.end_object();
 }
 
-fn write_index(w: &mut JsonWriter, index: Option<u32>) {
+fn write_index<'a>(w: &mut impl JsonSink<'a>, index: Option<u32>) {
     match index {
         Some(i) => w.u64(u64::from(i)),
         None => w.null(),
     }
+}
+
+fn write_event<'a>(w: &mut impl JsonSink<'a>, event: &'a Event, order: &mut AttrOrder<'a>) {
+    w.begin_object();
+    w.key("at_secs");
+    w.f64(event.at_secs);
+    w.key("attrs");
+    write_attrs(w, &event.attrs, order);
+    w.key("kind");
+    w.string(event.kind.name());
+    w.key("span");
+    write_index(w, event.span);
+    w.end_object();
+}
+
+fn write_span<'a>(
+    w: &mut impl JsonSink<'a>,
+    id: usize,
+    span: &'a Span,
+    order: &mut AttrOrder<'a>,
+) {
+    w.begin_object();
+    w.key("attrs");
+    write_attrs(w, &span.attrs, order);
+    // Open spans carry NaN, which JSON cannot represent: `f64` writes null.
+    w.key("end_secs");
+    w.f64(span.end_secs);
+    w.key("id");
+    w.u64(id as u64);
+    w.key("kind");
+    w.string(span.kind.name());
+    w.key("label");
+    w.string(&span.label);
+    w.key("parent");
+    write_index(w, span.parent);
+    w.key("start_secs");
+    w.f64(span.start_secs);
+    w.end_object();
+}
+
+/// The first of the paired records of `a` and `b` that `write` exports as
+/// different tokens, as `<what> <index> <where and how>`; failing that, a
+/// difference in how many records there are.
+fn records_difference<'a, T>(
+    tape: &mut TokenTape<'a>,
+    what: &str,
+    a: &'a [T],
+    b: &'a [T],
+    mut write: impl FnMut(&mut TokenTape<'a>, usize, &'a T),
+) -> Option<String> {
+    for (i, (record_a, record_b)) in a.iter().zip(b).enumerate() {
+        tape.record();
+        write(tape, i, record_a);
+        tape.compare();
+        write(tape, i, record_b);
+        if let Some(difference) = tape.difference() {
+            return Some(format!("{what} {i} {difference}"));
+        }
+    }
+    (a.len() != b.len()).then(|| format!("{what}s: {} -> {}", a.len(), b.len()))
 }
 
 /// Interns an attribute key: [`Attrs`] keys are `&'static str` (recording
@@ -288,23 +348,14 @@ fn push_escaped(out: &mut String, s: &str) {
 }
 
 impl TelemetrySnapshot {
-    fn write_json(&self, w: &mut JsonWriter) {
+    fn write_json<'a>(&'a self, w: &mut impl JsonSink<'a>) {
         let mut order = Vec::new();
         w.begin_object();
         w.key("events");
         w.begin_array();
         for event in &self.events {
             w.element();
-            w.begin_object();
-            w.key("at_secs");
-            w.f64(event.at_secs);
-            w.key("attrs");
-            write_attrs(w, &event.attrs, &mut order);
-            w.key("kind");
-            w.string(event.kind.name());
-            w.key("span");
-            write_index(w, event.span);
-            w.end_object();
+            write_event(w, event, &mut order);
         }
         w.end_array();
         w.key("metrics");
@@ -313,29 +364,62 @@ impl TelemetrySnapshot {
         w.begin_array();
         for (id, span) in self.spans.iter().enumerate() {
             w.element();
-            w.begin_object();
-            w.key("attrs");
-            write_attrs(w, &span.attrs, &mut order);
-            // Open spans carry NaN, which JSON cannot represent: `f64`
-            // writes null.
-            w.key("end_secs");
-            w.f64(span.end_secs);
-            w.key("id");
-            w.u64(id as u64);
-            w.key("kind");
-            w.string(span.kind.name());
-            w.key("label");
-            w.string(&span.label);
-            w.key("parent");
-            write_index(w, span.parent);
-            w.key("start_secs");
-            w.f64(span.start_secs);
-            w.end_object();
+            write_span(w, id, span, &mut order);
         }
         w.end_array();
         w.key("version");
         w.u64(1);
         w.end_object();
+    }
+
+    /// Where [`TelemetrySnapshot::to_json_string`] of `self` and of `other`
+    /// first differ — `span 17 label: "trial 1" -> "trial 2"`, `metrics
+    /// gauges gt.hit_rate: 0.5 -> 0.75`, `events: 1140 -> 1141`, in document
+    /// order (events, metrics, spans) — or `None` when they are the same
+    /// bytes. Neither document is written: the export walk runs over both
+    /// snapshots record by record and its tokens are compared
+    /// (`docs/telemetry.md`, "Export equivalence", has the relation).
+    ///
+    /// ```
+    /// use pipetune_telemetry::{SpanId, SpanKind, TelemetryHandle};
+    ///
+    /// let record = |label: &str| {
+    ///     let telemetry = TelemetryHandle::enabled();
+    ///     let run = telemetry.open_span(SpanId::NONE, SpanKind::TuningRun, label, 0.0, vec![]);
+    ///     telemetry.close_span(run, 3.5);
+    ///     telemetry.snapshot().unwrap()
+    /// };
+    /// assert!(record("job").exports_equal(&record("job")));
+    /// assert_eq!(
+    ///     record("job").export_difference(&record("other")).unwrap(),
+    ///     r#"span 0 label: "job" -> "other""#
+    /// );
+    /// ```
+    pub fn export_difference(&self, other: &Self) -> Option<String> {
+        let mut tape = TokenTape::default();
+        let mut order = Vec::new();
+        records_difference(&mut tape, "event", &self.events, &other.events, |tape, _, event| {
+            write_event(tape, event, &mut order);
+        })
+        .or_else(|| {
+            tape.record();
+            self.metrics.write_json(&mut tape);
+            tape.compare();
+            other.metrics.write_json(&mut tape);
+            Some(format!("metrics {}", tape.difference()?))
+        })
+        .or_else(|| {
+            records_difference(&mut tape, "span", &self.spans, &other.spans, |tape, id, span| {
+                write_span(tape, id, span, &mut order);
+            })
+        })
+    }
+
+    /// Whether `self` and `other` export as the same bytes: a snapshot and its
+    /// re-import do, though their attribute order and integer variants
+    /// differ ([`TelemetrySnapshot::export_difference`] finds none).
+    pub fn exports_equal(&self, other: &Self) -> bool {
+        self.export_difference(other).is_none()
     }
 
     /// The snapshot as a pretty-printed JSON string (the trace-dump
@@ -731,7 +815,7 @@ mod tests {
         let points = snap.to_points();
         // 2 spans + 1 event + 1 counter + 1 gauge + 1 histogram.
         assert_eq!(points.len(), 6);
-        assert!(points.iter().all(Point::is_storable));
+        assert!(points.iter().all(|p| !p.measurement().is_empty() && p.fields().next().is_some()));
         let lines = snap.to_line_protocol();
         assert_eq!(lines.lines().count(), 6);
         assert!(lines.contains("pipetune_span,kind=tuning_run"));

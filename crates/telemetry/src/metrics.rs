@@ -15,7 +15,7 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use crate::json::{
-    optional, require, required, shape, JsonReader, JsonWriter, Number, Read, Slot,
+    optional, require, required, shape, JsonReader, JsonSink, Number, Read, Slot,
 };
 
 /// Standard duration buckets (simulated seconds) for epoch/trial timings.
@@ -149,7 +149,7 @@ impl Histogram {
 
     /// Writes the histogram as a JSON object, keys in sorted order; an
     /// empty histogram has no `min` / `max`.
-    fn write_json(&self, w: &mut JsonWriter) {
+    fn write_json<'a>(&'a self, w: &mut impl JsonSink<'a>) {
         w.begin_object();
         w.key("bounds");
         w.begin_array();
@@ -407,7 +407,7 @@ impl MetricsRegistry {
 
     /// Writes the registry as a JSON object, keys in sorted order
     /// throughout.
-    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+    pub(crate) fn write_json<'a>(&'a self, w: &mut impl JsonSink<'a>) {
         w.begin_object();
         w.key("counters");
         w.begin_object();
@@ -616,7 +616,7 @@ mod tests {
         r.counter_add("a", 1);
         r.gauge_set("m", 0.5);
         r.observe("d", &[1.0], 0.5);
-        let mut w = JsonWriter::new(false, 0);
+        let mut w = crate::json::JsonWriter::new(false, 0);
         r.write_json(&mut w);
         let json = w.finish();
         let a = json.find("\"a\"").unwrap();

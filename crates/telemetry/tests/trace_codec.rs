@@ -13,6 +13,10 @@
 //! importer reads, and which texts it accepts — over random snapshots built
 //! to hit the format's corners, over a recorded chaos-stream trace, and over
 //! thousands of byte-level mutations of a valid trace.
+//!
+//! The last section pins [`TelemetrySnapshot::exports_equal`] — which walks
+//! two snapshots and never writes a byte — to the comparison it replaced:
+//! `a.to_json_string() == b.to_json_string()`.
 
 use pipetune_telemetry::{
     AttrValue, Attrs, Event, EventKind, MetricsRegistry, Span, SpanKind, TelemetrySnapshot,
@@ -867,4 +871,230 @@ fn recorded_chaos_stream_trace_matches_the_reference() {
     let parsed = TelemetrySnapshot::from_json_str(&snapshot.to_json_string()).unwrap();
     assert_eq!(parsed.to_line_protocol(), snapshot.to_line_protocol());
     assert_eq!(parsed.to_prometheus(), snapshot.to_prometheus());
+    // …and is its equal by export, whatever the import normalised; one
+    // gauge nudged, and it no longer is.
+    assert_ne!(parsed.spans.iter().map(|s| &s.attrs).collect::<Vec<_>>(), snapshot
+        .spans
+        .iter()
+        .map(|s| &s.attrs)
+        .collect::<Vec<_>>());
+    assert_equivalence_matches_the_exports(&snapshot, &parsed).unwrap();
+    let mut nudged = parsed.clone();
+    nudged.metrics.gauge_set("gt.hit_rate", 0.123);
+    assert!(!assert_equivalence_matches_the_exports(&snapshot, &nudged).unwrap());
+}
+
+// ------------------------------------------------------- export equivalence
+
+/// `exports_equal` / `export_difference` against the string comparison they
+/// replaced, both ways round; returns what they said.
+fn assert_equivalence_matches_the_exports(
+    a: &TelemetrySnapshot,
+    b: &TelemetrySnapshot,
+) -> Result<bool, String> {
+    let expected = a.to_json_string() == b.to_json_string();
+    for (a, b) in [(a, b), (b, a)] {
+        let difference = a.export_difference(b);
+        if a.exports_equal(b) != expected || difference.is_none() != expected {
+            return Err(format!(
+                "exports are {} but the walk says {difference:?}\n{}\n{}",
+                if expected { "the same" } else { "different" },
+                a.to_json_string(),
+                b.to_json_string()
+            ));
+        }
+    }
+    Ok(expected)
+}
+
+/// One edit of `snapshot`, of a kind that may or may not show in the
+/// export: the exports themselves say which.
+fn perturb(snapshot: &mut TelemetrySnapshot, rng: &mut StdRng) {
+    fn attrs_of<'a>(snapshot: &'a mut TelemetrySnapshot, rng: &mut StdRng) -> Option<&'a mut Attrs> {
+        let spans = snapshot.spans.len();
+        let at = rng.gen_range(0..(spans + snapshot.events.len()).max(1));
+        if at < spans {
+            Some(&mut snapshot.spans[at].attrs)
+        } else {
+            snapshot.events.get_mut(at - spans).map(|event| &mut event.attrs)
+        }
+    }
+    match rng.gen_range(0..14u32) {
+        0 => {}
+        // Attribute order: shows only where a key is there twice.
+        1 => {
+            if let Some(attrs) = attrs_of(snapshot, rng) {
+                attrs.reverse();
+            }
+        }
+        2 => {
+            if let Some(attrs) = attrs_of(snapshot, rng) {
+                attrs.sort_by_key(|(key, _)| *key);
+            }
+        }
+        // The other integer variant, the other zero, the other non-number,
+        // the next float, an owned string for a borrowed one.
+        3 => {
+            for attrs in snapshot.spans.iter_mut().map(|s| &mut s.attrs) {
+                for (_, value) in attrs {
+                    *value = match value.clone() {
+                        AttrValue::U64(v) => i64::try_from(v).map_or(AttrValue::U64(v), AttrValue::I64),
+                        AttrValue::I64(v) => u64::try_from(v).map_or(AttrValue::I64(v), AttrValue::U64),
+                        AttrValue::F64(v) if v == 0.0 => AttrValue::F64(-v),
+                        AttrValue::F64(v) if v.is_nan() => AttrValue::F64(f64::NEG_INFINITY),
+                        AttrValue::F64(v) if v.is_infinite() => {
+                            AttrValue::F64(f64::from_bits(0x7ff8_0000_0000_0001))
+                        }
+                        AttrValue::Str(s) => AttrValue::Str(s.into_owned().into()),
+                        other => other,
+                    };
+                }
+            }
+        }
+        4 => {
+            if let Some((_, AttrValue::F64(v))) =
+                attrs_of(snapshot, rng).and_then(|attrs| attrs.first_mut())
+            {
+                *v = f64::from_bits(v.to_bits() ^ 1);
+            }
+        }
+        5 => {
+            if let Some(attrs) = attrs_of(snapshot, rng) {
+                attrs.push((KEYS[rng.gen_range(0..KEYS.len())], AttrValue::U64(3)));
+            }
+        }
+        6 => {
+            if let Some(span) = snapshot.spans.last_mut() {
+                span.label.push('x');
+            }
+        }
+        7 => {
+            if let Some(span) = snapshot.spans.first_mut() {
+                // Open and closed, or closed one ulp later.
+                span.end_secs = if span.end_secs.is_nan() { 1.0 } else { f64::NAN };
+            }
+        }
+        8 => {
+            if let Some(event) = snapshot.events.first_mut() {
+                event.span = event.span.map_or(Some(0), |_| None);
+            }
+        }
+        9 => drop(snapshot.events.pop()),
+        10 => drop(snapshot.spans.pop()),
+        11 => snapshot.metrics.counter_add("c0 plain", 1),
+        12 => snapshot.metrics.gauge_set("plain", arbitrary_f64(rng)),
+        _ => snapshot.metrics.observe("one more", COUNT_BUCKETS, arbitrary_f64(rng).abs()),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn exports_equal_is_the_comparison_of_the_exports(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a = arbitrary_snapshot(rng.gen());
+        // Itself; another snapshot; itself, edited once or twice; its own
+        // re-import, edited or not.
+        let mut candidates = vec![a.clone(), arbitrary_snapshot(rng.gen())];
+        let mut edited = a.clone();
+        for _ in 0..rng.gen_range(1..3u32) {
+            perturb(&mut edited, &mut rng);
+        }
+        candidates.push(edited);
+        if let Ok(mut reimported) = TelemetrySnapshot::from_json_str(&a.to_json_string()) {
+            candidates.push(reimported.clone());
+            perturb(&mut reimported, &mut rng);
+            candidates.push(reimported);
+        }
+        for b in &candidates {
+            if let Err(e) = assert_equivalence_matches_the_exports(&a, b) {
+                return Err(TestCaseError::fail(e));
+            }
+        }
+    }
+}
+
+#[test]
+fn exports_equal_on_the_pairs_the_format_contract_names() {
+    fn span(attrs: Attrs) -> TelemetrySnapshot {
+        TelemetrySnapshot {
+            spans: vec![Span {
+                kind: SpanKind::Trial,
+                label: "trial 1".into(),
+                parent: None,
+                start_secs: 0.0,
+                end_secs: 2.0,
+                attrs,
+            }],
+            events: vec![],
+            metrics: MetricsRegistry::new(),
+        }
+    }
+    let same = |a: &TelemetrySnapshot, b: &TelemetrySnapshot| {
+        assert_equivalence_matches_the_exports(a, b).unwrap()
+    };
+    let nan = |payload: u64| AttrValue::F64(f64::from_bits(0x7ff8_0000_0000_0000 | payload));
+
+    // Attribute order does not show; which duplicate comes last does.
+    assert!(same(
+        &span(vec![("b", 1u64.into()), ("a", "x".into())]),
+        &span(vec![("a", "x".into()), ("b", 1u64.into())])
+    ));
+    assert!(same(
+        &span(vec![("a", 1u64.into()), ("b", true.into()), ("a", 2u64.into())]),
+        &span(vec![("b", true.into()), ("a", 2u64.into())])
+    ));
+    assert!(!same(
+        &span(vec![("a", 1u64.into()), ("a", 2u64.into())]),
+        &span(vec![("a", 2u64.into()), ("a", 1u64.into())])
+    ));
+    // An integer is its digits, whatever holds it; a float is not one.
+    assert!(same(&span(vec![("n", AttrValue::U64(3))]), &span(vec![("n", AttrValue::I64(3))])));
+    assert!(!same(&span(vec![("n", AttrValue::U64(3))]), &span(vec![("n", AttrValue::F64(3.0))])));
+    assert!(!same(&span(vec![("n", AttrValue::I64(-3))]), &span(vec![("n", AttrValue::U64(3))])));
+    assert!(!same(
+        &span(vec![("n", AttrValue::U64(u64::MAX))]),
+        &span(vec![("n", AttrValue::I64(-1))])
+    ));
+    // The two zeros are two spellings; everything not finite is `null`.
+    assert!(!same(&span(vec![("z", 0.0f64.into())]), &span(vec![("z", (-0.0f64).into())])));
+    assert!(same(&span(vec![("z", nan(1))]), &span(vec![("z", nan(2))])));
+    assert!(same(&span(vec![("z", nan(0))]), &span(vec![("z", f64::INFINITY.into())])));
+    assert!(same(
+        &span(vec![("z", f64::INFINITY.into())]),
+        &span(vec![("z", f64::NEG_INFINITY.into())])
+    ));
+    assert!(!same(&span(vec![("z", nan(0))]), &span(vec![("z", f64::MAX.into())])));
+    // A string is its content, borrowed or owned; `true` is not `"true"`.
+    assert!(same(
+        &span(vec![("phase", AttrValue::Str("tuned".into()))]),
+        &span(vec![("phase", AttrValue::Str(String::from("tuned").into()))])
+    ));
+    assert!(!same(&span(vec![("hit", true.into())]), &span(vec![("hit", "true".into())])));
+
+    // Open spans: every non-finite end is the one `null`.
+    let open = |end_secs: f64| {
+        let mut snapshot = span(vec![]);
+        snapshot.spans[0].end_secs = end_secs;
+        snapshot
+    };
+    assert!(same(&open(f64::NAN), &open(f64::from_bits(0x7ff8_0000_0000_0007))));
+    assert!(same(&open(f64::NAN), &open(f64::INFINITY)));
+    assert!(!same(&open(f64::NAN), &open(2.0)));
+
+    // Metric names owned or static; one histogram bucket.
+    let metrics = |name: std::borrow::Cow<'static, str>, observation: f64| {
+        let mut snapshot = span(vec![]);
+        snapshot.metrics.counter_add(name.clone(), 2);
+        snapshot.metrics.gauge_set(name.clone(), 0.5);
+        snapshot.metrics.observe(name, COUNT_BUCKETS, observation);
+        snapshot
+    };
+    assert!(same(&metrics("m".into(), 3.0), &metrics(String::from("m").into(), 3.0)));
+    assert!(!same(&metrics("m".into(), 3.0), &metrics("n".into(), 3.0)));
+    let (a, b) = (metrics("m".into(), 3.0), metrics("m".into(), 5.0));
+    assert!(!same(&a, &b));
+    let difference = a.export_difference(&b).unwrap();
+    assert!(difference.starts_with("metrics histograms m "), "{difference}");
 }

@@ -62,13 +62,19 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`TensorError::SizeMismatch`] when `data.len()` is not the
-    /// product of `dims`.
+    /// product of `dims` — which no length is when the product overflows
+    /// (`expected` then reads `usize::MAX`).
     pub fn from_vec(data: Vec<f32>, dims: &[usize]) -> Result<Self, TensorError> {
-        let shape = Shape::new(dims);
-        if shape.len() != data.len() {
-            return Err(TensorError::SizeMismatch { expected: shape.len(), actual: data.len() });
+        // `dims` may come from a file: multiply checked, or a product that
+        // wraps to `data.len()` passes for it.
+        let expected = dims.iter().try_fold(1usize, |len, &dim| len.checked_mul(dim));
+        if expected != Some(data.len()) {
+            return Err(TensorError::SizeMismatch {
+                expected: expected.unwrap_or(usize::MAX),
+                actual: data.len(),
+            });
         }
-        Ok(Tensor { shape, data })
+        Ok(Tensor { shape: Shape::new(dims), data })
     }
 
     /// Samples every element from `N(0, std²)` using a Box-Muller transform.

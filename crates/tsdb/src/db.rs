@@ -113,24 +113,26 @@ impl Database {
     }
 
     /// Imports points from Influx line protocol (one point per non-empty,
-    /// non-comment line).
+    /// non-comment line). All or nothing: the whole text is parsed before
+    /// the store is touched, so a text with a malformed line anywhere in it
+    /// leaves the store as it was, and writers and readers wait only for
+    /// the parsed points to be appended.
     ///
     /// # Errors
     ///
-    /// Returns [`TsdbError::Corrupt`] on the first malformed line; earlier
-    /// lines remain imported.
+    /// Returns [`TsdbError::Corrupt`] for the first malformed line; nothing
+    /// is imported.
     pub fn import_line_protocol(&self, text: &str) -> Result<usize, TsdbError> {
-        // One lock for the whole text; each line lands as soon as it parses.
-        let mut points = self.points.write();
-        let mut imported = 0;
+        let mut parsed = Vec::new();
         for line in text.lines() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            points.push(storable(Point::from_line_protocol(line)?)?);
-            imported += 1;
+            parsed.push(storable(Point::from_line_protocol(line)?)?);
         }
+        let imported = parsed.len();
+        self.points.write().append(&mut parsed);
         Ok(imported)
     }
 
@@ -245,6 +247,15 @@ mod tests {
             .unwrap();
         assert_eq!(n, 2);
         assert!(db.import_line_protocol("garbage").is_err());
+    }
+
+    #[test]
+    fn a_failed_import_imports_nothing() {
+        let db = sample_db();
+        let before = db.to_line_protocol();
+        let err = db.import_line_protocol("m f=1 5\nm f=2 6\nm f=x 7\nm f=3 8\n").unwrap_err();
+        assert!(matches!(err, TsdbError::Corrupt { .. }), "{err}");
+        assert_eq!(db.to_line_protocol(), before);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!
 //! Both directions are one pass over their input. The encoder appends
 //! escaped tokens and numbers to a caller-supplied buffer; the decoder
-//! scans `&str` slices of the line for unescaped separators and allocates
-//! only the strings the [`Point`] keeps.
+//! scans `&str` slices of the line for unescaped separators and unescapes
+//! each token straight into the one buffer the [`Point`] keeps.
 
 use std::fmt::Write as _;
 
@@ -32,23 +32,19 @@ fn push_escaped(out: &mut String, s: &str) {
     out.push_str(&s[run_start..]);
 }
 
-/// Drops the backslash of every `\x` pair (and a trailing lone backslash).
-fn unescape(s: &str) -> String {
-    if !s.contains('\\') {
-        return s.to_string();
+/// Appends `s` without the backslash of every `\x` pair (and without a
+/// trailing lone backslash).
+fn push_unescaped(out: &mut String, s: &str) {
+    // A backslash is ASCII, so the pieces between backslashes are whole
+    // characters, and so is everything after the character one escapes.
+    let mut rest = s;
+    while let Some(at) = rest.find('\\') {
+        out.push_str(&rest[..at]);
+        let mut after = rest[at + 1..].chars();
+        out.extend(after.next());
+        rest = after.as_str();
     }
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            if let Some(n) = chars.next() {
-                out.push(n);
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
+    out.push_str(rest);
 }
 
 /// The slices of `s` between unescaped `sep` bytes: a backslash keeps the
@@ -109,7 +105,7 @@ impl Point {
             push_escaped(out, v);
         }
         out.push(' ');
-        for (i, (k, v)) in self.fields().iter().enumerate() {
+        for (i, (k, v)) in self.fields().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -128,6 +124,10 @@ impl Point {
     /// bad numbers, bad timestamp).
     pub fn from_line_protocol(line: &str) -> Result<Point, TsdbError> {
         let corrupt = |reason: &str| TsdbError::Corrupt { reason: reason.to_string() };
+        // A point's buffer is indexed by `u32`.
+        if u32::try_from(line.len()).is_err() {
+            return Err(corrupt("line longer than 4 GiB"));
+        }
         let mut segments = split_unescaped(line.trim(), b' ');
         let (head, field_seg, ts_seg) =
             match (segments.next(), segments.next(), segments.next(), segments.next()) {
@@ -139,14 +139,19 @@ impl Point {
             None => 0,
         };
         let mut head_parts = split_unescaped(head, b',');
-        let measurement = unescape(head_parts.next().unwrap_or_default());
-        if measurement.is_empty() {
+        // Unescaping only ever drops bytes, and every tag or field but the
+        // first follows a comma: room for all of them, allocated once.
+        let mut text = String::with_capacity(head.len() + field_seg.len());
+        push_unescaped(&mut text, head_parts.next().unwrap_or_default());
+        if text.is_empty() {
             return Err(corrupt("empty measurement"));
         }
-        let mut point = Point::new(measurement, timestamp);
+        let commas = |s: &str| s.bytes().filter(|&b| b == b',').count();
+        let mut point =
+            Point::with_capacity(text, timestamp, commas(head), 1 + commas(field_seg));
         for tag in head_parts {
             let (key, value) = key_value(tag).ok_or_else(|| corrupt("malformed tag"))?;
-            point = point.tag(unescape(key), unescape(value));
+            point.tag_with(|out| push_unescaped(out, key), |out| push_unescaped(out, value));
         }
         if field_seg.is_empty() {
             return Err(corrupt("no fields"));
@@ -156,7 +161,7 @@ impl Point {
             // Accept Influx's integer suffix `i` as well as plain floats.
             let raw = value.strip_suffix('i').unwrap_or(value);
             let value: f64 = raw.parse().map_err(|_| corrupt("non-numeric field value"))?;
-            point = point.field(unescape(key), value);
+            point.field_with(|out| push_unescaped(out, key), value);
         }
         Ok(point)
     }

@@ -25,7 +25,15 @@ pub enum Aggregate {
 
 impl Aggregate {
     /// Applies the aggregate to a value list. Returns `None` on empty input.
-    pub(crate) fn apply(&self, values: &[f64]) -> Option<f64> {
+    ///
+    /// ```
+    /// use pipetune_tsdb::Aggregate;
+    ///
+    /// assert_eq!(Aggregate::P50.apply(&[30.0, 10.0, 20.0]), Some(20.0));
+    /// assert_eq!(Aggregate::P99.apply(&[30.0, 10.0, 20.0]), Some(30.0));
+    /// assert_eq!(Aggregate::Max.apply(&[]), None);
+    /// ```
+    pub fn apply(&self, values: &[f64]) -> Option<f64> {
         if values.is_empty() {
             return None;
         }

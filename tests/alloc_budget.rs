@@ -27,6 +27,26 @@
 //! 154 453 / 50.7 MB on and 66 107 / 29.1 MB off.) The test prints the
 //! current counts.
 //!
+//! The second test budgets the read side of the observability layers — the
+//! wall-clock benchmark's `trace_pipeline` workload — over one recorded
+//! 10-job chaos trace (4 481 spans, 1 138 events, 5 650 tsdb points), by the
+//! same counter. Measured by that test at the commit before a tsdb `Point`
+//! became one buffer and a `TraceReport` one walk, and after:
+//!
+//! | | parent | budget | with the change |
+//! |---|---|---|---|
+//! | allocations per imported point | 16.30 | ≤ 4.0 | 3.00 |
+//! | allocations per `query` clone | 19.00 | ≤ 3 (+ the result's growth) | 3.00 |
+//! | `TraceReport::from_snapshot`, per run + rung + trial | 23.4 | ≤ 8.0 | 1.6 |
+//! | `TraceDiff::between` over its two `from_snapshot`s | + 11 377 | ≤ + 256 | + 36 |
+//!
+//! (At the parent: 92 100 allocations to import, 67 841 to clone 3 570
+//! points out, 18 735 for a report — more than the trace has epochs, one
+//! `Point` and one phase name each — 48 847 for a diff. With the change:
+//! 16 963, 10 721, 1 278 and 2 592. The first test's planes-off count fell
+//! with them, 1 107 → 1 096 allocations per job: the ground truth builds
+//! `Point`s.)
+//!
 //! Its own test binary, so the counting `#[global_allocator]` touches
 //! nothing else. Run it optimised and alone:
 //! `cargo test -q --release --offline --test alloc_budget -- --test-threads=1`.
@@ -37,9 +57,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use pipetune::{ExperimentEnvBuilder, TunerOptions, WorkloadSpec};
 use pipetune_cluster::{PoissonArrivals, ServiceFaultPlan};
+use pipetune_insight::{TraceDiff, TraceReport};
 use pipetune_monitor::{MonitorConfig, MonitorHandle};
 use pipetune_service::{JobSubmission, SchedulingPolicy, ServiceConfig, TuningService};
-use pipetune_telemetry::TelemetryHandle;
+use pipetune_telemetry::{SpanKind, TelemetryHandle, TelemetrySnapshot};
+use pipetune_tsdb::{Database, Query};
 
 /// Counts the calls and bytes of the thread that switched [`COUNTING`] on,
 /// and forwards everything to the system allocator.
@@ -87,6 +109,15 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// The counters are the process's: the tests of this binary take turns, so
+/// that a plain `cargo test` (one thread per test) counts like
+/// `--test-threads=1`.
+static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn my_turn() -> std::sync::MutexGuard<'static, ()> {
+    ONE_AT_A_TIME.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// `(allocations, bytes)` the calling thread requested while `f` ran.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
@@ -157,6 +188,7 @@ fn run_stream(subs: &[JobSubmission], chaos: bool, planes: bool) -> StreamCost {
 
 #[test]
 fn short_epoch_streams_stay_within_their_allocation_budget() {
+    let _turn = my_turn();
     let subs = submissions();
     let (mut on, mut off) = (Vec::new(), Vec::new());
     for chaos in [false, true] {
@@ -191,4 +223,84 @@ fn short_epoch_streams_stay_within_their_allocation_budget() {
         off_allocations_per_job <= 1300.0,
         "{off_allocations_per_job:.0} allocations per job with the planes off"
     );
+}
+
+/// The trace of the benchmark's small `trace_pipeline` stream: ten jobs,
+/// FIFO, chaos, planes on.
+fn recorded_trace() -> TelemetrySnapshot {
+    let telemetry = TelemetryHandle::enabled();
+    let monitor = MonitorHandle::with_config(&MonitorConfig::standard());
+    let env = ExperimentEnvBuilder::distributed(SEED)
+        .workers(1)
+        .telemetry(telemetry.clone())
+        .monitor(monitor.clone())
+        .build()
+        .expect("valid environment");
+    let config = ServiceConfig::default()
+        .with_policy(SchedulingPolicy::Fifo)
+        .with_service_faults(ServiceFaultPlan::mixed(SEED))
+        .with_deadline(DEADLINE_SECS);
+    let options = TunerOptions { scale: 0.2, ..TunerOptions::paper() };
+    let subs = &submissions()[..10];
+    TuningService::new(config).run(&env, subs, &options).expect("stream runs");
+    monitor.finish(&telemetry);
+    telemetry.snapshot().expect("enabled handle")
+}
+
+#[test]
+fn the_read_side_stays_within_its_allocation_budget() {
+    let _turn = my_turn();
+    let snapshot = recorded_trace();
+    let parsed = TelemetrySnapshot::from_json_str(&snapshot.to_json_string()).expect("own export");
+    let count = |kind| parsed.spans.iter().filter(|s| s.kind == kind).count() as u64;
+    let (runs, rungs, trials, epochs) = (
+        count(SpanKind::TuningRun),
+        count(SpanKind::Rung),
+        count(SpanKind::Trial),
+        count(SpanKind::Epoch),
+    );
+    println!(
+        "trace: {} spans ({runs} runs, {rungs} rungs, {trials} trials, {epochs} epochs), {} events",
+        parsed.spans.len(),
+        parsed.events.len()
+    );
+
+    // tsdb: a point is its buffer, its offsets and its values.
+    let lines = parsed.to_line_protocol();
+    let db = Database::new();
+    let (points, import_allocations, _) = counted(|| db.import_line_protocol(&lines).unwrap());
+    let per_point = import_allocations as f64 / points as f64;
+    println!("allocations per imported point: {per_point:.2} ({import_allocations} for {points})");
+    assert!(per_point <= 4.0, "{per_point:.2} allocations per imported point");
+    let epoch_spans = Query::measurement("pipetune_span").with_tag("kind", SpanKind::Epoch.name());
+    let (found, query_allocations, _) = counted(|| db.query(&epoch_spans).unwrap());
+    assert_eq!(found.len() as u64, epochs);
+    println!(
+        "allocations per query clone: {:.2} ({query_allocations} for {epochs})",
+        query_allocations as f64 / epochs as f64
+    );
+    // Three per clone, and the doublings of the vector they are collected in.
+    assert!(query_allocations <= 3 * epochs + 32, "{query_allocations} for {epochs} clones");
+
+    // insight: a report allocates per run, rung and trial — not per epoch —
+    // and a diff allocates its two reports and nothing per record.
+    let ((), live_report, _) = counted(|| drop(TraceReport::from_snapshot(&snapshot).unwrap()));
+    let ((), parsed_report, _) = counted(|| drop(TraceReport::from_snapshot(&parsed).unwrap()));
+    let per_group = parsed_report as f64 / (runs + rungs + trials) as f64;
+    println!(
+        "from_snapshot: {parsed_report} allocations, {per_group:.1} per run + rung + trial ({} of them)",
+        runs + rungs + trials
+    );
+    assert!(per_group <= 8.0, "{per_group:.1} allocations per run, rung and trial");
+    assert!(parsed_report < epochs, "{parsed_report} allocations for {epochs} epochs");
+    let (diff, diff_allocations, _) = counted(|| TraceDiff::between(&snapshot, &parsed).unwrap());
+    assert!(diff.identical);
+    let own = diff_allocations as i64 - (live_report + parsed_report) as i64;
+    println!("between: {diff_allocations} allocations, {own:+} over its two reports");
+    assert!(own <= 256, "{own} allocations of the diff's own for {} records", parsed.spans.len());
+
+    // Counts, so they repeat.
+    let again = Database::new();
+    assert_eq!(counted(|| again.import_line_protocol(&lines).unwrap()).1, import_allocations);
+    assert_eq!(counted(|| TraceDiff::between(&snapshot, &parsed).unwrap()).1, diff_allocations);
 }

@@ -242,6 +242,7 @@ fn tsdb_rejects_garbage_line_protocol_mid_import() {
     let text = "m f=1 10\nm f=2 20\nBROKEN LINE\nm f=3 30";
     let err = db.import_line_protocol(text).expect_err("must fail");
     assert!(err.to_string().contains("corrupt"));
-    // Lines before the failure are retained (documented behaviour).
-    assert_eq!(db.len(), 2);
+    // All or nothing (documented behaviour): the lines before the failure
+    // are not retained.
+    assert_eq!(db.len(), 0);
 }

@@ -1,6 +1,9 @@
-//! Hostile input for the two persisted artefacts the trace-codec suite does
-//! not reach: the epoch-cache file ([`EpochCacheHandle::load`]) and the
-//! ground-truth store ([`GroundTruth::load`] over `Database::load`).
+//! Hostile input for the persisted artefacts the trace-codec suite does
+//! not reach: the epoch-cache file ([`EpochCacheHandle::load`]), the
+//! ground-truth store ([`GroundTruth::load`] over `Database::load`) and the
+//! line protocol a trace is replayed into a store from
+//! (`Database::import_line_protocol`; its mutations and its contract are
+//! with its test, at the end).
 //!
 //! Each stock file is mutated thousands of times — bytes flipped, deleted,
 //! duplicated; truncation at every 64th; JSON tokens, `1e999`, `-0` and
@@ -26,8 +29,15 @@ use pipetune::{
     TunerOptions, WorkloadSpec,
 };
 use pipetune_cluster::SystemConfig;
+use pipetune_telemetry::TelemetryHandle;
+use pipetune_tsdb::{Database, Point, TsdbError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The `Point` this workspace had before a point became one buffer, and
+/// checks that hold the live decoders to it.
+#[path = "../crates/tsdb/tests/frozen_point/mod.rs"]
+mod frozen_point;
 
 const SEED: u64 = 0x4057;
 /// Mutants per artefact.
@@ -384,4 +394,229 @@ fn mutated_ground_truth_files_are_rejected_or_usable_never_a_panic() {
         Err(other) => Err(format!("untyped rejection {other:?}")),
     });
     assert!(read > 300 && rejected > 1000, "{read} read, {rejected} rejected");
+}
+
+/// Every ground-truth mutant again, as the text `Database::load` hands to
+/// `serde_json`: the hand-written `Deserialize` of the one-buffer `Point`
+/// reads the points the derive read for the two-map one, or both refuse.
+#[test]
+fn mutated_ground_truth_files_read_like_the_frozen_point() {
+    let stock = stock_ground_truth_file();
+    assert!(frozen_point::assert_document_reads_alike(&stock));
+    let (members, skeleton) = survey(&stock);
+    let mut read = 0;
+    for n in 0..MUTANTS {
+        let (_, bytes) = mutate(&stock, &members, &skeleton, n);
+        read += usize::from(frozen_point::assert_document_reads_alike(&String::from_utf8_lossy(&bytes)));
+    }
+    println!("ground truth documents: {MUTANTS} mutants, {read} read alike, the rest refused alike");
+    assert!(read > 300 && read < MUTANTS - 1000, "{read} read");
+}
+
+// ------------------------------------------------------------ line protocol
+
+/// The line protocol of a recorded tuning run's trace, and of a few points
+/// whose names need every escape and hold multi-byte characters.
+fn stock_line_protocol() -> String {
+    let telemetry = TelemetryHandle::enabled();
+    let env = ExperimentEnvBuilder::distributed(SEED).telemetry(telemetry.clone()).build().unwrap();
+    PipeTune::new(TunerOptions::fast()).run(&env, &WorkloadSpec::lenet_mnist()).unwrap();
+    let mut text = telemetry.snapshot().unwrap().to_line_protocol();
+    let db = Database::new();
+    for (i, name) in ["température", "m x,y=z\\", "测量 值", "naïve\\"].iter().enumerate() {
+        let point = Point::new(*name, i as u64)
+            .tag("clé, la", "välue = ü")
+            .tag("k", name)
+            .field(format!("{name} f"), i as f64 / 3.0)
+            .field("g", 1e-7);
+        db.write(point).unwrap();
+    }
+    text.push_str(&db.to_line_protocol());
+    text.push('\n');
+    text
+}
+
+/// Field values the decoder must take a side on, spliced over a value.
+const FIELD_VALUES: [&str; 12] =
+    ["nan", "NaN", "inf", "-inf", "1e999", "-0", "5i", "i", "", "0x10", "1_0", "١٢"];
+
+/// Mutant number `n` of a line-protocol text.
+fn mutate_lines(text: &str, n: usize) -> (String, Vec<u8>) {
+    let mut bytes = text.as_bytes().to_vec();
+    if (1..64).contains(&n) {
+        bytes.truncate(n * bytes.len() / 64);
+        return (format!("truncated at {n}/64"), bytes);
+    }
+    let rng = &mut StdRng::seed_from_u64(SEED ^ ((n as u64) << 8));
+    // Where the separators and the multi-byte characters are.
+    let special = |rng: &mut StdRng, wanted: &dyn Fn(u8) -> bool| {
+        let from = rng.gen_range(0..text.len());
+        (from..text.len()).chain(0..from).find(|&i| wanted(text.as_bytes()[i])).unwrap_or(from)
+    };
+    let mut done = Vec::new();
+    for _ in 0..rng.gen_range(1..3u32) {
+        let at = rng.gen_range(0..text.len()).min(bytes.len() - 1);
+        match rng.gen_range(0..10u32) {
+            0 => {
+                bytes[at] ^= 1 << rng.gen_range(0..8u32);
+                done.push(format!("flip @{at}"));
+            }
+            1 => {
+                let end = (at + rng.gen_range(1..9usize)).min(bytes.len());
+                bytes.drain(at..end);
+                done.push(format!("delete {at}..{end}"));
+            }
+            2 => {
+                let end = (at + rng.gen_range(1..40usize)).min(bytes.len());
+                let run = bytes[at..end].to_vec();
+                bytes.splice(at..at, run);
+                done.push(format!("duplicate {at}..{end}"));
+            }
+            3 => {
+                // A backslash doubled, or one more at the end of a line or
+                // of the text.
+                let at = match rng.gen_range(0..3u32) {
+                    0 => special(rng, &|b| b == b'\\'),
+                    1 => special(rng, &|b| b == b'\n'),
+                    _ => bytes.len(),
+                }
+                .min(bytes.len());
+                bytes.insert(at, b'\\');
+                done.push(format!("backslash @{at}"));
+            }
+            4 => {
+                // A run of one separator where one stood.
+                let at = special(rng, &|b| matches!(b, b'=' | b',' | b' ')).min(bytes.len() - 1);
+                let run = vec![bytes[at]; rng.gen_range(1..4usize)];
+                bytes.splice(at..at, run);
+                done.push(format!("separator run @{at}"));
+            }
+            5 | 6 => {
+                // Another value for a field: from an `=` to the `,` or
+                // space that ends it.
+                let from = special(rng, &|b| b == b'=').min(bytes.len() - 1) + 1;
+                let to = (from..bytes.len())
+                    .find(|&i| matches!(bytes[i], b',' | b' ' | b'\n'))
+                    .unwrap_or(bytes.len());
+                let value = FIELD_VALUES[rng.gen_range(0..FIELD_VALUES.len())];
+                bytes.splice(from..to, value.bytes());
+                done.push(format!("{value:?} over {from}..{to}"));
+            }
+            7 => {
+                // A timestamp of twenty digits (past `u64`), or none.
+                let end = special(rng, &|b| b == b'\n').min(bytes.len());
+                let start = bytes[..end].iter().rposition(|&b| b == b' ').map_or(end, |i| i + 1);
+                let with: &[u8] = if rng.gen_bool(0.7) { b"99999999999999999999" } else { b"" };
+                bytes.splice(start..end, with.iter().copied());
+                done.push(format!("timestamp {start}..{end}"));
+            }
+            8 => {
+                // Half a character: one byte out of a multi-byte one.
+                let at = special(rng, &|b| b >= 0x80).min(bytes.len() - 1);
+                bytes.remove(at);
+                done.push(format!("split the character @{at}"));
+            }
+            _ => {
+                // A line cut in two, or two joined.
+                let at = special(rng, &|b| matches!(b, b'\n' | b',')).min(bytes.len() - 1);
+                bytes[at] = if bytes[at] == b'\n' { b',' } else { b'\n' };
+                done.push(format!("line break @{at}"));
+            }
+        }
+        if bytes.is_empty() {
+            break;
+        }
+    }
+    (done.join("; "), bytes)
+}
+
+/// `Database::import_line_protocol` is all or nothing and safe on hostile
+/// text: every mutant of a real export is refused with a typed error, the
+/// store left as it was, or imported whole — as many points as it has
+/// lines, each the point its line decodes to, each surviving a re-export
+/// and re-import unchanged. Both happen. And the decoder answers every
+/// mutated line as the frozen one did.
+#[test]
+fn mutated_line_protocol_imports_whole_or_not_at_all_never_a_panic() {
+    let stock = stock_line_protocol();
+    let stock_lines: std::collections::HashSet<&str> = stock.lines().collect();
+    assert!(stock_lines.len() > 100, "{} distinct lines", stock_lines.len());
+    let before = Point::new("already", 1).field("here", 1.0);
+
+    let (mut imported, mut rejected, mut failures) = (0, 0, Vec::new());
+    for n in 0..MUTANTS {
+        let (done, bytes) = mutate_lines(&stock, n);
+        let text = String::from_utf8_lossy(&bytes);
+        let judged = catch_unwind(AssertUnwindSafe(|| -> Result<bool, String> {
+            for line in text.lines().filter(|line| !stock_lines.contains(line)) {
+                frozen_point::assert_line_decodes_alike(line);
+            }
+            let db = Database::new();
+            db.write(before.clone()).unwrap();
+            let count = match db.import_line_protocol(&text) {
+                Ok(count) => count,
+                Err(TsdbError::Corrupt { .. }) => {
+                    let mut only = String::new();
+                    before.write_line_protocol(&mut only);
+                    return if db.to_line_protocol() == only {
+                        Ok(false)
+                    } else {
+                        Err(format!("a refused import left {} points behind", db.len() - 1))
+                    };
+                }
+                Err(other) => return Err(format!("untyped rejection {other:?}")),
+            };
+            let lines: Vec<&str> = text
+                .lines()
+                .map(str::trim)
+                .filter(|line| !line.is_empty() && !line.starts_with('#'))
+                .collect();
+            if count != lines.len() || db.len() != count + 1 {
+                return Err(format!("{count} imported, {} stored, {} lines", db.len(), lines.len()));
+            }
+            // Re-export → re-import: the same points (by bit pattern where
+            // a field is NaN, which is equal to nothing).
+            let again = Database::new();
+            let exported = db.to_line_protocol();
+            if again.import_line_protocol(&exported).map_err(|e| e.to_string())? != count + 1
+                || again.to_line_protocol() != exported
+            {
+                return Err("the store does not survive its own export".into());
+            }
+            for (line, exported) in lines.iter().zip(exported.lines().skip(1)) {
+                let point = Point::from_line_protocol(line).map_err(|e| e.to_string())?;
+                let back = Point::from_line_protocol(exported).map_err(|e| e.to_string())?;
+                let same = if point.fields().any(|(_, v)| v.is_nan()) {
+                    frozen_point::contents(&point) == frozen_point::contents(&back)
+                } else {
+                    point == back
+                };
+                if !same {
+                    return Err(format!("{line:?} came back as {back:?}"));
+                }
+            }
+            Ok(true)
+        }));
+        match judged {
+            Ok(Ok(true)) => imported += 1,
+            Ok(Ok(false)) => rejected += 1,
+            Ok(Err(wrong)) => failures.push(format!("mutant {n} ({done}): {wrong}")),
+            Err(panic) => {
+                let said = panic
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| panic.downcast_ref::<&str>().copied())
+                    .unwrap_or("(no message)");
+                failures.push(format!("mutant {n} ({done}): panicked: {said}"));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} of {MUTANTS} line-protocol mutants were neither refused whole nor imported whole:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+    println!("line protocol: {MUTANTS} mutants, {imported} imported whole, {rejected} refused whole, 0 panics");
+    assert!(imported > 300 && rejected > 1000, "{imported} imported, {rejected} rejected");
 }

@@ -229,7 +229,6 @@ mod frozen_line_protocol {
         line.push(' ');
         let fields: Vec<String> = point
             .fields()
-            .iter()
             .map(|(k, v)| format!("{}={}", escape(k), v))
             .collect();
         line.push_str(&fields.join(","));
