@@ -15,9 +15,8 @@ use crate::SimTime;
 /// use pipetune_cluster::PoissonArrivals;
 ///
 /// let mut arrivals = PoissonArrivals::new(0.01, 7); // one job every ~100 s
-/// let times = arrivals.take_arrivals(3);
-/// assert_eq!(times.len(), 3);
-/// assert!(times.windows(2).all(|w| w[0] <= w[1]));
+/// let first = arrivals.next_arrival();
+/// assert!(first <= arrivals.next_arrival());
 /// ```
 #[derive(Debug, Clone)]
 pub struct PoissonArrivals {
@@ -47,11 +46,6 @@ impl PoissonArrivals {
         self.now = self.now.plus(SimTime::from_secs_f64(gap));
         self.now
     }
-
-    /// Samples the next `n` absolute arrival times (non-decreasing).
-    pub fn take_arrivals(&mut self, n: usize) -> Vec<SimTime> {
-        (0..n).map(|_| self.next_arrival()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -61,9 +55,8 @@ mod tests {
     #[test]
     fn mean_gap_matches_rate() {
         let mut p = PoissonArrivals::new(0.1, 3); // mean gap 10 s
-        let times = p.take_arrivals(2000);
-        let total = times.last().unwrap().as_secs_f64();
-        let mean = total / 2000.0;
+        let last = (0..2000).map(|_| p.next_arrival()).last().unwrap();
+        let mean = last.as_secs_f64() / 2000.0;
         assert!((mean - 10.0).abs() < 1.0, "mean gap {mean}");
     }
 
@@ -71,8 +64,8 @@ mod tests {
     fn arrivals_are_monotone_and_deterministic() {
         let mut a = PoissonArrivals::new(1.0, 9);
         let mut b = PoissonArrivals::new(1.0, 9);
-        let ta = a.take_arrivals(50);
-        let tb = b.take_arrivals(50);
+        let ta: Vec<SimTime> = (0..50).map(|_| a.next_arrival()).collect();
+        let tb: Vec<SimTime> = (0..50).map(|_| b.next_arrival()).collect();
         assert_eq!(ta, tb);
         assert!(ta.windows(2).all(|w| w[0] <= w[1]));
     }

@@ -12,8 +12,8 @@
 //!   synchronous mini-batch SGD pays a per-iteration synchronisation cost
 //!   that grows with core count, so *small* batches slow down on more cores
 //!   while large batches speed up (Fig. 3b's crossover).
-//! * [`ClusterSpec`] / [`Allocator`] — node inventory and core/memory
-//!   accounting with oversubscription-driven contention (Fig. 5, §7.4).
+//! * [`ClusterSpec`] — the node inventory. Oversubscription reaches the
+//!   [`CostModel`] as a contention factor (Fig. 5, §7.4).
 //! * [`PoissonArrivals`] — exponential interarrival job traces for the
 //!   multi-tenancy experiments (§7.4).
 //! * [`SlotPool`] — leased-slot accounting a multi-job tuning service
@@ -50,4 +50,4 @@ pub use faults::{
 pub use sim::{EventQueue, SimTime};
 pub use slots::{SlotPool, SlotPoolError};
 pub use system::{SystemConfig, SystemSpace};
-pub use topology::{Allocation, Allocator, ClusterError, ClusterSpec, Node, NodeId};
+pub use topology::{ClusterSpec, Node};

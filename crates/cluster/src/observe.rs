@@ -14,27 +14,27 @@ pipetune_telemetry::metric_names! {
     /// Counter: faults injected, all classes (`FaultReport::injected`).
     pub const FAULTS_INJECTED = "faults.injected";
     /// Counter: node crashes injected.
-    pub const FAULTS_CRASHES = "faults.crashes";
+    pub(crate) const FAULTS_CRASHES = "faults.crashes";
     /// Counter: epoch- and slot-level stragglers injected.
     pub const FAULTS_STRAGGLERS = "faults.stragglers";
     /// Counter: transient counter-read failures injected.
-    pub const FAULTS_COUNTER_READS = "faults.counter_reads";
+    pub(crate) const FAULTS_COUNTER_READS = "faults.counter_reads";
     /// Counter: preemptions injected.
-    pub const FAULTS_PREEMPTIONS = "faults.preemptions";
+    pub(crate) const FAULTS_PREEMPTIONS = "faults.preemptions";
     /// Counter: retry attempts performed (crash retries, re-probes).
-    pub const FAULTS_RETRIED = "faults.retried";
+    pub(crate) const FAULTS_RETRIED = "faults.retried";
     /// Counter: faults fully recovered from.
     pub const FAULTS_RECOVERED = "faults.recovered";
     /// Counter: trials abandoned after exhausting the retry budget.
-    pub const FAULTS_ABANDONED = "faults.abandoned";
+    pub(crate) const FAULTS_ABANDONED = "faults.abandoned";
     /// Gauge: simulated epoch-seconds destroyed by faults.
     pub const FAULTS_WASTED_SECS = "faults.wasted_epoch_secs";
     /// Gauge: simulated seconds spent on recovery mechanics.
     pub const FAULTS_RECOVERY_SECS = "faults.recovery_overhead_secs";
     /// Histogram: per-round simulated executor slot speed (1.0 = healthy).
-    pub const SLOT_SPEED = "slots.speed";
+    pub(crate) const SLOT_SPEED = "slots.speed";
     /// Counter: slot-straggler rounds (at least one slow slot).
-    pub const SLOT_STRAGGLER_ROUNDS = "slots.straggler_rounds";
+    pub(crate) const SLOT_STRAGGLER_ROUNDS = "slots.straggler_rounds";
 }
 
 /// Records a fault report's counters into `metrics` under the canonical
@@ -54,8 +54,8 @@ pub fn record_fault_report(report: &FaultReport, metrics: &mut MetricsRegistry) 
     metrics.counter_add(FAULTS_ABANDONED, report.abandoned);
 }
 
-/// Records a scheduler round's simulated slot speeds: one [`SLOT_SPEED`]
-/// observation per slot, plus a [`SLOT_STRAGGLER_ROUNDS`] tick when any
+/// Records a scheduler round's simulated slot speeds: one `slots.speed`
+/// observation per slot, plus a `slots.straggler_rounds` tick when any
 /// slot ran below nominal speed.
 pub fn record_slot_speeds(speeds: &[f64], metrics: &mut MetricsRegistry) {
     for &speed in speeds {

@@ -12,11 +12,6 @@ impl SimTime {
     /// Time zero.
     pub const ZERO: SimTime = SimTime(0);
 
-    /// Builds a time from whole microseconds.
-    pub fn from_micros(us: u64) -> Self {
-        SimTime(us)
-    }
-
     /// Builds a time from (non-negative, finite) seconds.
     ///
     /// Negative or non-finite inputs clamp to zero.
@@ -33,13 +28,8 @@ impl SimTime {
     }
 
     /// Saturating addition of a duration expressed as another `SimTime`.
-    pub fn plus(&self, d: SimTime) -> SimTime {
+    pub(crate) fn plus(&self, d: SimTime) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
-    }
-
-    /// Saturating difference `self − earlier`.
-    pub fn minus(&self, earlier: SimTime) -> SimTime {
-        SimTime(self.0.saturating_sub(earlier.0))
     }
 }
 
@@ -54,8 +44,8 @@ impl SimTime {
 /// use pipetune_cluster::{EventQueue, SimTime};
 ///
 /// let mut q = EventQueue::new();
-/// q.push(SimTime::from_micros(20), "late");
-/// q.push(SimTime::from_micros(10), "early");
+/// q.push(SimTime::from_secs_f64(20.0), "late");
+/// q.push(SimTime::from_secs_f64(10.0), "early");
 /// assert_eq!(q.pop().unwrap().1, "early");
 /// ```
 #[derive(Debug, Clone)]
@@ -127,7 +117,7 @@ mod tests {
     #[test]
     fn simtime_round_trips_seconds() {
         let t = SimTime::from_secs_f64(1.5);
-        assert_eq!(t, SimTime::from_micros(1_500_000));
+        assert_eq!(t, SimTime(1_500_000));
         assert!((t.as_secs_f64() - 1.5).abs() < 1e-9);
     }
 
@@ -140,9 +130,9 @@ mod tests {
     #[test]
     fn events_fire_in_time_order() {
         let mut q = EventQueue::new();
-        q.push(SimTime::from_micros(30), 3);
-        q.push(SimTime::from_micros(10), 1);
-        q.push(SimTime::from_micros(20), 2);
+        q.push(SimTime(30), 3);
+        q.push(SimTime(10), 1);
+        q.push(SimTime(20), 2);
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
         assert_eq!(order, vec![1, 2, 3]);
     }
@@ -150,7 +140,7 @@ mod tests {
     #[test]
     fn ties_break_fifo() {
         let mut q = EventQueue::new();
-        let t = SimTime::from_micros(5);
+        let t = SimTime(5);
         q.push(t, "a");
         q.push(t, "b");
         q.push(t, "c");
@@ -160,9 +150,7 @@ mod tests {
 
     #[test]
     fn arithmetic_saturates() {
-        let a = SimTime::from_micros(10);
-        let b = SimTime::from_micros(30);
-        assert_eq!(a.minus(b), SimTime::ZERO);
-        assert_eq!(a.plus(b), SimTime::from_micros(40));
+        assert_eq!(SimTime(10).plus(SimTime(30)), SimTime(40));
+        assert_eq!(SimTime(u64::MAX).plus(SimTime(1)), SimTime(u64::MAX));
     }
 }

@@ -68,10 +68,10 @@ impl Error for SlotPoolError {}
 ///
 /// let mut pool = SlotPool::new(4);
 /// let a = pool.lease(3).unwrap();
-/// assert_eq!(pool.available(), 1);
+/// assert_eq!(pool.in_use(), 3);
 /// assert!(pool.lease(2).is_err(), "no oversubscription");
 /// assert_eq!(pool.release(a), Ok(3));
-/// assert_eq!(pool.available(), 4);
+/// assert_eq!(pool.in_use(), 0);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SlotPool {
@@ -98,7 +98,7 @@ impl SlotPool {
     }
 
     /// Slots currently free.
-    pub fn available(&self) -> usize {
+    fn available(&self) -> usize {
         self.capacity - self.in_use
     }
 

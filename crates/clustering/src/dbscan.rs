@@ -135,11 +135,6 @@ impl DbscanModel {
         self.num_clusters
     }
 
-    /// Number of noise points.
-    pub fn noise_count(&self) -> usize {
-        self.labels.iter().filter(|l| **l == DbscanLabel::Noise).count()
-    }
-
     /// Classifies a new point: the cluster of the nearest *core* point if it
     /// lies within `eps`, otherwise noise. Returns the squared distance to
     /// that nearest core point alongside.
@@ -182,11 +177,15 @@ mod tests {
         data
     }
 
+    fn count_noise(model: &DbscanModel) -> usize {
+        model.labels().iter().filter(|l| **l == DbscanLabel::Noise).count()
+    }
+
     #[test]
     fn finds_two_clusters_and_flags_noise() {
         let model = Dbscan::new(1.0, 3).fit(&blobs()).unwrap();
         assert_eq!(model.num_clusters(), 2);
-        assert_eq!(model.noise_count(), 1);
+        assert_eq!(count_noise(&model), 1);
         assert_eq!(model.labels().last().unwrap().cluster(), None);
     }
 
@@ -211,14 +210,14 @@ mod tests {
     fn tiny_eps_makes_everything_noise() {
         let model = Dbscan::new(1e-6, 3).fit(&blobs()).unwrap();
         assert_eq!(model.num_clusters(), 0);
-        assert_eq!(model.noise_count(), blobs().len());
+        assert_eq!(count_noise(&model), blobs().len());
     }
 
     #[test]
     fn huge_eps_makes_one_cluster() {
         let model = Dbscan::new(1e6, 2).fit(&blobs()).unwrap();
         assert_eq!(model.num_clusters(), 1);
-        assert_eq!(model.noise_count(), 0);
+        assert_eq!(count_noise(&model), 0);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * [`KMeansModel`] — fitted centroids, inertia, assignment;
 //! * [`Similarity`] — the pluggable interface the paper calls the
 //!   "similarity function", with [`KMeansSimilarity`] as the default
-//!   implementation and [`NearestNeighborSimilarity`] as an alternative for
-//!   ablations.
+//!   implementation and [`DbscanSimilarity`] as the density-based
+//!   alternative.
 //!
 //! # Example
 //!
@@ -37,6 +37,4 @@ mod similarity;
 pub use dbscan::{Dbscan, DbscanLabel, DbscanModel};
 pub use kmeans::{ClusteringError, KMeans, KMeansModel};
 pub use silhouette::select_k;
-pub use similarity::{
-    DbscanSimilarity, KMeansSimilarity, NearestNeighborSimilarity, Similarity, SimilarityVerdict,
-};
+pub use similarity::{DbscanSimilarity, KMeansSimilarity, Similarity, SimilarityVerdict};

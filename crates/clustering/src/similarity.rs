@@ -24,12 +24,9 @@ pub struct SimilarityVerdict {
 /// The paper makes this component pluggable ("our design allows the
 /// similarity function to be pluggable", §5.4); PipeTune's middleware only
 /// depends on this trait.
-pub trait Similarity {
+pub trait Similarity: std::fmt::Debug {
     /// Judges how similar `features` is to the historical profile clusters.
     fn judge(&self, features: &[f64]) -> SimilarityVerdict;
-
-    /// Number of historical clusters.
-    fn num_clusters(&self) -> usize;
 }
 
 /// The default similarity function: k-means distance vs. model inertia.
@@ -52,16 +49,6 @@ impl KMeansSimilarity {
     pub fn new(model: KMeansModel, threshold_factor: f64) -> Self {
         KMeansSimilarity { model, threshold_factor: threshold_factor.max(0.0) }
     }
-
-    /// The wrapped model.
-    pub fn model(&self) -> &KMeansModel {
-        &self.model
-    }
-
-    /// The configured threshold factor.
-    pub fn threshold_factor(&self) -> f64 {
-        self.threshold_factor
-    }
 }
 
 impl Similarity for KMeansSimilarity {
@@ -70,54 +57,6 @@ impl Similarity for KMeansSimilarity {
         let yardstick = self.threshold_factor * self.model.variance_estimate();
         let score = if yardstick > 0.0 { distance_sq / yardstick } else { f64::INFINITY };
         SimilarityVerdict { cluster, distance_sq, score, confident: score <= 1.0 }
-    }
-
-    fn num_clusters(&self) -> usize {
-        self.model.centroids().len()
-    }
-}
-
-/// Alternative similarity function: nearest historical *point* within an
-/// absolute radius. Used by the pluggable-similarity ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NearestNeighborSimilarity {
-    points: Vec<Vec<f64>>,
-    labels: Vec<usize>,
-    radius_sq: f64,
-}
-
-impl NearestNeighborSimilarity {
-    /// Builds from labelled historical feature vectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `points` and `labels` lengths differ.
-    pub fn new(points: Vec<Vec<f64>>, labels: Vec<usize>, radius: f64) -> Self {
-        assert_eq!(points.len(), labels.len(), "one label per point");
-        NearestNeighborSimilarity { points, labels, radius_sq: radius * radius }
-    }
-}
-
-impl Similarity for NearestNeighborSimilarity {
-    fn judge(&self, features: &[f64]) -> SimilarityVerdict {
-        let mut best = (0usize, f64::INFINITY);
-        for (p, &l) in self.points.iter().zip(&self.labels) {
-            let d: f64 = p.iter().zip(features).map(|(a, b)| (a - b) * (a - b)).sum();
-            if d < best.1 {
-                best = (l, d);
-            }
-        }
-        let score = if self.radius_sq > 0.0 { best.1 / self.radius_sq } else { f64::INFINITY };
-        SimilarityVerdict {
-            cluster: best.0,
-            distance_sq: best.1,
-            score,
-            confident: score <= 1.0,
-        }
-    }
-
-    fn num_clusters(&self) -> usize {
-        self.labels.iter().copied().max().map_or(0, |m| m + 1)
     }
 }
 
@@ -135,11 +74,6 @@ impl DbscanSimilarity {
     /// Wraps a fitted DBSCAN model.
     pub fn new(model: DbscanModel) -> Self {
         DbscanSimilarity { model }
-    }
-
-    /// The wrapped model.
-    pub fn model(&self) -> &DbscanModel {
-        &self.model
     }
 }
 
@@ -161,10 +95,6 @@ impl Similarity for DbscanSimilarity {
             },
         }
     }
-
-    fn num_clusters(&self) -> usize {
-        self.model.num_clusters()
-    }
 }
 
 #[cfg(test)]
@@ -172,7 +102,7 @@ mod tests {
     use super::*;
     use crate::{Dbscan, KMeans};
 
-    fn fitted() -> KMeansSimilarity {
+    fn fitted_with(threshold_factor: f64) -> KMeansSimilarity {
         let mut data = Vec::new();
         for i in 0..10 {
             let j = f64::from(i) * 0.05;
@@ -180,7 +110,11 @@ mod tests {
             data.push(vec![10.0 + j, 10.0]);
         }
         let model = KMeans::new(2).fit(&data, 1).unwrap();
-        KMeansSimilarity::new(model, 2.0)
+        KMeansSimilarity::new(model, threshold_factor)
+    }
+
+    fn fitted() -> KMeansSimilarity {
+        fitted_with(2.0)
     }
 
     #[test]
@@ -204,12 +138,11 @@ mod tests {
         let a = sim.judge(&[0.0, 0.0]).cluster;
         let b = sim.judge(&[10.0, 10.0]).cluster;
         assert_ne!(a, b);
-        assert_eq!(sim.num_clusters(), 2);
     }
 
     #[test]
     fn zero_threshold_never_confident() {
-        let sim = KMeansSimilarity::new(fitted().model().clone(), 0.0);
+        let sim = fitted_with(0.0);
         assert!(!sim.judge(&[0.0, 0.0]).confident);
     }
 
@@ -223,24 +156,10 @@ mod tests {
         }
         let model = Dbscan::new(0.5, 3).fit(&data).unwrap();
         let sim = DbscanSimilarity::new(model);
-        assert_eq!(sim.num_clusters(), 2);
         let near = sim.judge(&[0.1, 0.05]);
         assert!(near.confident);
         let far = sim.judge(&[5.0, 5.0]);
         assert!(!far.confident);
         assert_ne!(sim.judge(&[0.0, 0.0]).cluster, sim.judge(&[10.0, 10.0]).cluster);
-    }
-
-    #[test]
-    fn nearest_neighbor_alternative_behaves() {
-        let sim = NearestNeighborSimilarity::new(
-            vec![vec![0.0, 0.0], vec![10.0, 10.0]],
-            vec![0, 1],
-            1.0,
-        );
-        assert!(sim.judge(&[0.1, 0.1]).confident);
-        assert!(!sim.judge(&[5.0, 5.0]).confident);
-        assert_eq!(sim.judge(&[9.5, 9.9]).cluster, 1);
-        assert_eq!(sim.num_clusters(), 2);
     }
 }

@@ -80,7 +80,7 @@ impl EpochCacheConfig {
     /// # Errors
     ///
     /// Returns [`PipeTuneError::InvalidConfig`] on a zero capacity.
-    pub fn validate(&self) -> Result<(), PipeTuneError> {
+    pub(crate) fn validate(&self) -> Result<(), PipeTuneError> {
         if self.capacity == 0 {
             return Err(PipeTuneError::InvalidConfig {
                 reason: "epoch cache capacity must be at least 1".into(),
@@ -94,14 +94,14 @@ impl EpochCacheConfig {
 /// (`trial_identity` over the hyperparameter-prefix [`fingerprint`])
 /// plus the epoch depth the prefix was trained to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct CacheKey {
+pub(crate) struct CacheKey {
     /// Output of `trial_identity`: the [`fingerprint`] of dataset +
     /// model configuration + hyperparameter prefix (everything but the
     /// `epochs` budget), extended with the trial's instantiation seed,
     /// RNG seed, tuner policy and contention factor.
-    pub fingerprint: u64,
+    pub(crate) fingerprint: u64,
     /// Epochs the cached prefix was trained for.
-    pub epochs: u32,
+    pub(crate) epochs: u32,
 }
 
 /// FNV-1a 64-bit offset basis (stable across runs and platforms;
@@ -125,20 +125,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 /// Configuration-equal trials differing in how many epochs they are
 /// budgeted ([`HyperParams::epochs`] and the scheduler rung) is the
 /// redundancy the cache exploits.
-///
-/// ```
-/// use pipetune::{epoch_cache_fingerprint, HyperParams, WorkloadSpec};
-///
-/// let spec = WorkloadSpec::lenet_mnist();
-/// let a = HyperParams { epochs: 3, ..HyperParams::default() };
-/// let b = HyperParams { epochs: 27, ..HyperParams::default() };
-/// // The epoch budget is the suffix, not part of the address:
-/// assert_eq!(epoch_cache_fingerprint(&spec, &a), epoch_cache_fingerprint(&spec, &b));
-/// // Any prefix hyperparameter changes the address:
-/// let c = HyperParams { batch_size: a.batch_size * 2, ..a };
-/// assert_ne!(epoch_cache_fingerprint(&spec, &a), epoch_cache_fingerprint(&spec, &c));
-/// ```
-pub fn fingerprint(spec: &WorkloadSpec, hp: &HyperParams) -> u64 {
+pub(crate) fn fingerprint(spec: &WorkloadSpec, hp: &HyperParams) -> u64 {
     let mut h = FNV_OFFSET;
     let mut eat = |bytes: &[u8]| {
         for &b in bytes {
@@ -216,7 +203,7 @@ pub(crate) fn tuner_policy(tuner: &SystemTuner) -> u64 {
     h
 }
 
-/// Behaviour counters of an [`EpochCache`].
+/// Behaviour counters of an epoch-reuse cache ([`EpochCacheHandle::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CacheStats {
     /// Lookups that adopted a cached prefix.
@@ -237,7 +224,7 @@ impl CacheStats {
     /// cumulative over a shared cache's lifetime; a run reports the
     /// difference).
     #[must_use]
-    pub fn delta_since(&self, before: &CacheStats) -> CacheStats {
+    pub(crate) fn delta_since(&self, before: &CacheStats) -> CacheStats {
         CacheStats {
             hits: self.hits - before.hits,
             misses: self.misses - before.misses,
@@ -274,11 +261,11 @@ pub(crate) enum CacheEvent {
     Insert { key: CacheKey, snapshot: Box<TrialSnapshot> },
 }
 
-/// The content-addressed epoch-reuse store. Most callers interact through
-/// an [`EpochCacheHandle`]; the store itself is exposed for persistence
-/// and inspection.
+/// The content-addressed epoch-reuse store behind an
+/// [`EpochCacheHandle`], which is the only way to it from outside the
+/// crate.
 #[derive(Debug)]
-pub struct EpochCache {
+pub(crate) struct EpochCache {
     config: EpochCacheConfig,
     /// `BTreeMap` so iteration (eviction scans, persistence) is ordered
     /// by key, never by insertion hash — a determinism requirement.
@@ -296,11 +283,9 @@ impl EpochCache {
     ///
     /// # Panics
     ///
-    /// Panics when `config` fails [`EpochCacheConfig::validate`]: a zero
-    /// capacity would evict every insert at once, so the check is
-    /// enforced at every construction site, not just in callers that
-    /// validate up front.
-    pub fn new(config: EpochCacheConfig) -> Self {
+    /// Panics when `config` fails [`EpochCacheConfig::validate`] (see
+    /// [`EpochCacheHandle::with_config`]).
+    pub(crate) fn new(config: EpochCacheConfig) -> Self {
         if let Err(e) = config.validate() {
             panic!("invalid EpochCacheConfig: {e}");
         }
@@ -314,29 +299,14 @@ impl EpochCache {
         }
     }
 
-    /// The knobs in force.
-    pub fn config(&self) -> EpochCacheConfig {
-        self.config
-    }
-
     /// Number of cached prefixes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// Returns `true` when no prefix is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Behaviour counters.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// The cached keys, in key order (fingerprint, then depth).
-    pub fn keys(&self) -> Vec<CacheKey> {
-        self.entries.keys().copied().collect()
     }
 
     /// The deepest cached prefix for `fingerprint` not exceeding
@@ -422,26 +392,8 @@ impl EpochCache {
         }
     }
 
-    /// Serialises every persistable prefix to one JSON document (layout
-    /// in `docs/reuse.md`), crash-safely ([`pipetune_tsdb::write_atomic`]):
-    /// a crash mid-save leaves either the previous file or the new one,
-    /// never a truncated mix.
-    ///
-    /// Kernel (Type-III) prefixes carry internal solver state that cannot
-    /// be exported as parameters; they are skipped with no error. DNN
-    /// prefixes are stored as a reconstruction recipe — spec,
-    /// hyperparameters, instantiation seed, the full trained parameter
-    /// state (weights plus optimizer gradient/momentum buffers) and both
-    /// RNG streams — and resume bit for bit: every tensor is written as
-    /// its elements' `f32` bit patterns (eight hex digits each, 8 bytes of
-    /// file per persisted element), so non-finite weights of a diverged
-    /// trial survive too. Saving the same store twice, or a loaded store
-    /// again, writes the same bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipeTuneError::Tsdb`] on filesystem failures.
-    pub fn save(&self, path: &Path) -> Result<(), PipeTuneError> {
+    /// Writes the file [`EpochCacheHandle::save`] describes.
+    pub(crate) fn save(&self, path: &Path) -> Result<(), PipeTuneError> {
         let entries: Vec<SavedEntry> = self
             .entries
             .iter()
@@ -477,27 +429,8 @@ impl EpochCache {
         Ok(pipetune_tsdb::write_atomic(path, &json)?)
     }
 
-    /// Rebuilds a cache from a file written by [`EpochCache::save`]: each
-    /// entry's workload is re-instantiated from its spec, hyperparameters
-    /// and seed (deterministic), its trained parameter state imported and
-    /// both RNG streams restored.
-    ///
-    /// The file is outside input and is checked as such before anything is
-    /// built from it: the `format` member must name the layout this build
-    /// writes (a file of an earlier build is refused, not migrated — it
-    /// costs one cold run), every tensor's payload must agree with its
-    /// shape, and every recipe must sit in the ranges the program itself
-    /// produces (`check_recipe`). More entries than `capacity` load as they
-    /// are and are evicted by the next commit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipeTuneError::Tsdb`] on I/O failures and, as
-    /// [`TsdbError::Corrupt`] with a reason naming the member, on anything
-    /// the checks above refuse — a persisted config that fails
-    /// [`EpochCacheConfig::validate`] included — and propagates workload
-    /// reconstruction failures.
-    pub fn load(path: &Path) -> Result<Self, PipeTuneError> {
+    /// Reads and checks a file as [`EpochCacheHandle::load`] describes.
+    pub(crate) fn load(path: &Path) -> Result<Self, PipeTuneError> {
         let CurrentFormat(saved) = {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| PipeTuneError::Tsdb(TsdbError::Io(e)))?;
@@ -640,7 +573,7 @@ impl Deserialize for CurrentFormat {
     }
 }
 
-/// Cheap, cloneable entry point to a shared [`EpochCache`], threaded
+/// Cheap, cloneable entry point to a shared epoch-reuse store, threaded
 /// through [`crate::ExperimentEnvBuilder::epoch_cache`].
 ///
 /// Disabled (the default) it is a `None`: every call is a branch and a
@@ -680,8 +613,8 @@ impl EpochCacheHandle {
     ///
     /// # Panics
     ///
-    /// Panics when `config` fails [`EpochCacheConfig::validate`] (see
-    /// [`EpochCache::new`]).
+    /// Panics on a zero `capacity`: it would evict every insert at once, so
+    /// the check is enforced at every construction site.
     pub fn with_config(config: EpochCacheConfig) -> Self {
         EpochCacheHandle {
             inner: Some(Arc::new(parking_lot::RwLock::new(EpochCache::new(config)))),
@@ -733,7 +666,21 @@ impl EpochCacheHandle {
         }
     }
 
-    /// Persists the store ([`EpochCache::save`]); no-op when disabled.
+    /// Serialises every persistable prefix to one JSON document (layout
+    /// in `docs/reuse.md`), crash-safely ([`pipetune_tsdb::write_atomic`]):
+    /// a crash mid-save leaves either the previous file or the new one,
+    /// never a truncated mix.
+    ///
+    /// Kernel (Type-III) prefixes carry internal solver state that cannot
+    /// be exported as parameters; they are skipped with no error. DNN
+    /// prefixes are stored as a reconstruction recipe — spec,
+    /// hyperparameters, instantiation seed, the full trained parameter
+    /// state (weights plus optimizer gradient/momentum buffers) and both
+    /// RNG streams — and resume bit for bit: every tensor is written as
+    /// its elements' `f32` bit patterns (eight hex digits each, 8 bytes of
+    /// file per persisted element), so non-finite weights of a diverged
+    /// trial survive too. Saving the same store twice, or a loaded store
+    /// again, writes the same bytes. A disabled handle writes nothing.
     ///
     /// # Errors
     ///
@@ -745,11 +692,25 @@ impl EpochCacheHandle {
         }
     }
 
-    /// Loads a persisted store into a live handle.
+    /// Loads a file written by [`EpochCacheHandle::save`] into a live
+    /// handle: each entry's workload is re-instantiated from its spec,
+    /// hyperparameters and seed (deterministic), its trained parameter
+    /// state imported and both RNG streams restored.
+    ///
+    /// The file is outside input and is checked as such before anything is
+    /// built from it: the `format` member must name the layout this build
+    /// writes (a file of an earlier build is refused, not migrated — it
+    /// costs one cold run), every tensor's payload must agree with its
+    /// shape, and every recipe must sit in the ranges the program itself
+    /// produces (`check_recipe`). More entries than `capacity` load as they
+    /// are and are evicted by the next commit.
     ///
     /// # Errors
     ///
-    /// Returns [`PipeTuneError::Tsdb`] on I/O or decode failures.
+    /// Returns [`PipeTuneError::Tsdb`] on I/O failures and, as
+    /// [`TsdbError::Corrupt`] with a reason naming the member, on anything
+    /// the checks above refuse — a persisted zero `capacity` included —
+    /// and propagates workload reconstruction failures.
     pub fn load(path: &Path) -> Result<Self, PipeTuneError> {
         Ok(Self::from_cache(EpochCache::load(path)?))
     }
@@ -866,10 +827,10 @@ mod tests {
         cache.commit([e3], 4.0);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
-        let keys = cache.keys();
-        assert!(keys.contains(&k1), "recently hit entry survives");
-        assert!(keys.contains(&k3), "new entry survives");
-        assert!(!keys.contains(&k2), "stale entry evicted");
+        let keys = &cache.entries;
+        assert!(keys.contains_key(&k1), "recently hit entry survives");
+        assert!(keys.contains_key(&k3), "new entry survives");
+        assert!(!keys.contains_key(&k2), "stale entry evicted");
 
         // Same-timestamp tie: the earlier seq goes first.
         let mut cache = EpochCache::new(EpochCacheConfig { capacity: 2 });
@@ -878,7 +839,7 @@ mod tests {
         let (_, e3) = trained_prefix(512, 1, 3);
         cache.commit([e1, e2], 1.0);
         cache.commit([e3], 2.0);
-        assert!(!cache.keys().contains(&k1), "first-inserted entry evicted on tie");
+        assert!(!cache.entries.contains_key(&k1), "first-inserted entry evicted on tie");
     }
 
     #[test]
@@ -893,8 +854,8 @@ mod tests {
         let (k3, e3) = trained_prefix(512, 1, 3);
         cache.commit([e3], 6.0);
         // k1 (monotone time 100) is LRU vs k2 (105) and k3 (106).
-        assert!(!cache.keys().contains(&k1));
-        assert!(cache.keys().contains(&k2) && cache.keys().contains(&k3));
+        assert!(!cache.entries.contains_key(&k1));
+        assert!(cache.entries.contains_key(&k2) && cache.entries.contains_key(&k3));
     }
 
     #[test]
@@ -1131,7 +1092,7 @@ mod tests {
         let mut cache = EpochCache::new(EpochCacheConfig::default());
         cache.commit([trained_prefix(128, 1, 1).1, trained_prefix(256, 1, 2).1], 1.0);
         let mut loaded = load_text(&set_member(&saved_text(&cache), "capacity", "1")).unwrap();
-        assert_eq!((loaded.len(), loaded.config().capacity), (2, 1));
+        assert_eq!((loaded.len(), loaded.config.capacity), (2, 1));
         loaded.commit([CacheEvent::Miss], 2.0);
         assert_eq!((loaded.len(), loaded.stats().evictions), (1, 1));
     }

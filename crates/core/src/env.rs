@@ -303,6 +303,8 @@ impl ExperimentEnvBuilder {
     /// * `profile_overhead` is negative or non-finite — overhead scales
     ///   epoch durations and must keep them finite and non-negative;
     /// * the default system configuration has zero cores or memory;
+    /// * an axis of `system_space` (`cores`, `memory_gb`, `freq_mhz`) is
+    ///   empty — probing walks the grid, and an empty axis empties it;
     /// * a live monitor is installed without a live telemetry handle — the
     ///   monitor scans the telemetry stream, so it would silently observe
     ///   nothing.
@@ -325,6 +327,16 @@ impl ExperimentEnvBuilder {
                 "default system configuration must have nonzero cores and memory, got {} cores / {} GiB",
                 env.default_system.cores, env.default_system.memory_gb
             )));
+        }
+        let space = &env.system_space;
+        for (axis, values) in
+            [("cores", &space.cores), ("memory_gb", &space.memory_gb), ("freq_mhz", &space.freq_mhz)]
+        {
+            if values.is_empty() {
+                return Err(InvalidConfig::new(format!(
+                    "system_space.{axis} must list at least one value"
+                )));
+            }
         }
         if env.monitor.is_enabled() && !env.telemetry.is_enabled() {
             return Err(InvalidConfig::new(
@@ -388,7 +400,15 @@ mod tests {
 
     #[test]
     fn builder_rejects_each_invalid_setting() {
+        let without = |empty: fn(&mut SystemSpace)| {
+            let mut env = ExperimentEnv::distributed(1);
+            empty(&mut env.system_space);
+            ExperimentEnvBuilder::from_env(env)
+        };
         let cases: Vec<(ExperimentEnvBuilder, &str)> = vec![
+            (without(|space| space.cores.clear()), "system_space.cores"),
+            (without(|space| space.memory_gb.clear()), "system_space.memory_gb"),
+            (without(|space| space.freq_mhz.clear()), "system_space.freq_mhz"),
             (ExperimentEnvBuilder::distributed(1).workers(0), "workers"),
             (ExperimentEnvBuilder::distributed(1).parallel_slots(0), "parallel_slots"),
             (ExperimentEnvBuilder::distributed(1).profile_overhead(-0.5), "profile_overhead"),
@@ -408,12 +428,8 @@ mod tests {
             ),
         ];
         for (builder, expect) in cases {
-            let err = builder.build().expect_err(expect);
-            assert!(
-                err.reason().contains(expect),
-                "reason {:?} should mention {expect}",
-                err.reason()
-            );
+            let reason = builder.build().expect_err(expect).to_string();
+            assert!(reason.contains(expect), "reason {reason:?} should mention {expect}");
         }
         // The monitor invariant is satisfied once telemetry is live.
         let ok = ExperimentEnvBuilder::distributed(1)

@@ -1,7 +1,6 @@
 use std::error::Error as StdError;
 use std::fmt;
 
-use pipetune_cluster::ClusterError;
 use pipetune_clustering::ClusteringError;
 use pipetune_dnn::DnnError;
 use pipetune_perfmon::PerfmonError;
@@ -13,8 +12,6 @@ use pipetune_tsdb::TsdbError;
 pub enum PipeTuneError {
     /// Training substrate failure.
     Dnn(DnnError),
-    /// Cluster allocation failure.
-    Cluster(ClusterError),
     /// Ground-truth clustering failure.
     Clustering(ClusteringError),
     /// Metric-store failure.
@@ -38,7 +35,6 @@ impl fmt::Display for PipeTuneError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PipeTuneError::Dnn(e) => write!(f, "training error: {e}"),
-            PipeTuneError::Cluster(e) => write!(f, "cluster error: {e}"),
             PipeTuneError::Clustering(e) => write!(f, "clustering error: {e}"),
             PipeTuneError::Tsdb(e) => write!(f, "metric store error: {e}"),
             PipeTuneError::InvalidConfig { reason } => {
@@ -58,7 +54,6 @@ impl StdError for PipeTuneError {
     fn source(&self) -> Option<&(dyn StdError + 'static)> {
         match self {
             PipeTuneError::Dnn(e) => Some(e),
-            PipeTuneError::Cluster(e) => Some(e),
             PipeTuneError::Clustering(e) => Some(e),
             PipeTuneError::Tsdb(e) => Some(e),
             PipeTuneError::InvalidConfig { .. } | PipeTuneError::RetriesExhausted { .. } => None,
@@ -69,12 +64,6 @@ impl StdError for PipeTuneError {
 impl From<DnnError> for PipeTuneError {
     fn from(e: DnnError) -> Self {
         PipeTuneError::Dnn(e)
-    }
-}
-
-impl From<ClusterError> for PipeTuneError {
-    fn from(e: ClusterError) -> Self {
-        PipeTuneError::Cluster(e)
     }
 }
 
@@ -105,11 +94,6 @@ impl InvalidConfig {
     /// An invalid-config error with the given reason.
     pub fn new(reason: impl Into<String>) -> Self {
         InvalidConfig { reason: reason.into() }
-    }
-
-    /// The rule that was violated.
-    pub fn reason(&self) -> &str {
-        &self.reason
     }
 }
 
@@ -234,8 +218,7 @@ mod tests {
     #[test]
     fn invalid_config_reports_reason() {
         let e = InvalidConfig::new("workers must be at least 1");
-        assert_eq!(e.reason(), "workers must be at least 1");
-        assert!(e.to_string().starts_with("invalid configuration:"));
+        assert_eq!(e.to_string(), "invalid configuration: workers must be at least 1");
         let p: PipeTuneError = e.into();
         assert!(matches!(p, PipeTuneError::InvalidConfig { .. }));
     }

@@ -92,7 +92,9 @@ pub fn warm_start_ground_truth(
                     (*sys, options.probe_goal.cost(dur, energy))
                 })
                 .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .expect("non-empty grid");
+                .ok_or_else(|| PipeTuneError::InvalidConfig {
+                    reason: "system_space has an empty axis: there is no configuration to probe".into(),
+                })?;
             // Profile under several core allocations, twice each (§7.2
             // repeats every configuration to absorb unseen variation).
             for &cores in &env.system_space.cores {
@@ -285,6 +287,15 @@ mod tests {
         let gt = warm_start_ground_truth(&env, &specs, &TunerOptions::fast()).unwrap();
         assert_eq!(gt.len(), 96); // 2 workloads × 8 hp variants × 3 core counts × 2 reps
         assert!(gt.stats().refits >= 1);
+    }
+
+    #[test]
+    fn warm_start_over_an_empty_grid_is_a_typed_error() {
+        // `system_space` is a public field: it can be emptied after `build`.
+        let mut env = ExperimentEnv::distributed(31);
+        env.system_space.cores.clear();
+        let err = warm_start_ground_truth(&env, &[WorkloadSpec::lenet_mnist()], &TunerOptions::fast());
+        assert!(matches!(err, Err(PipeTuneError::InvalidConfig { .. })), "{err:?}");
     }
 
     #[test]

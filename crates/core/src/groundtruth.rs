@@ -1,14 +1,13 @@
 //! The ground-truth phase (§5.4–§5.6): historical profiles → known-best
 //! system configurations.
 
-use std::collections::HashMap;
 use std::path::Path;
 
 use pipetune_cluster::SystemConfig;
 use pipetune_clustering::{
     Dbscan, DbscanSimilarity, KMeans, KMeansSimilarity, Similarity, SimilarityVerdict,
 };
-use pipetune_tsdb::{Database, Point, Query};
+use pipetune_tsdb::{Database, Point, Query, TsdbError};
 use serde::{Deserialize, Serialize};
 
 use crate::PipeTuneError;
@@ -39,20 +38,14 @@ impl Default for SimilarityKind {
     }
 }
 
-/// A fitted similarity function (enum dispatch keeps `GroundTruth: Debug`).
+/// One probed profile and what probing found for it — the unit of the
+/// history, of the journal ([`GtEvent::Record`]) and of the persisted file.
 #[derive(Debug, Clone)]
-enum FittedSimilarity {
-    KMeans(KMeansSimilarity),
-    Dbscan(DbscanSimilarity),
-}
-
-impl FittedSimilarity {
-    fn judge(&self, features: &[f64]) -> SimilarityVerdict {
-        match self {
-            FittedSimilarity::KMeans(s) => s.judge(features),
-            FittedSimilarity::Dbscan(s) => s.judge(features),
-        }
-    }
+pub(crate) struct Record {
+    pub(crate) workload: String,
+    pub(crate) features: Vec<f64>,
+    pub(crate) best: SystemConfig,
+    pub(crate) cost: f64,
 }
 
 /// Counters describing ground-truth behaviour over a run.
@@ -89,12 +82,10 @@ impl GroundTruthStats {
 /// re-fitted as history grows (§5.6's re-clustering).
 #[derive(Debug)]
 pub struct GroundTruth {
-    db: Database,
-    history: Vec<(Vec<f64>, SystemConfig, f64)>,
+    history: Vec<Record>,
     kind: SimilarityKind,
-    similarity: Option<FittedSimilarity>,
+    similarity: Option<Box<dyn Similarity + Send + Sync>>,
     labels: Vec<usize>,
-    cluster_best: HashMap<usize, (SystemConfig, f64)>,
     threshold_factor: f64,
     k: usize,
     min_history: usize,
@@ -118,12 +109,10 @@ impl GroundTruth {
             SimilarityKind::Dbscan { min_points, .. } => min_points.max(1),
         };
         GroundTruth {
-            db: Database::new(),
             history: Vec::new(),
             kind,
             similarity: None,
             labels: Vec::new(),
-            cluster_best: HashMap::new(),
             threshold_factor,
             k,
             min_history: k * 2,
@@ -143,12 +132,11 @@ impl GroundTruth {
     }
 
     /// Records a probed profile and its discovered best configuration (with
-    /// the probe cost achieved), persisting to the metric store and
-    /// re-clustering periodically.
+    /// the probe cost achieved), re-clustering periodically.
     ///
     /// # Errors
     ///
-    /// Returns [`PipeTuneError`] when persistence or re-clustering fails.
+    /// Returns [`PipeTuneError`] when re-clustering fails.
     pub fn record(
         &mut self,
         workload: &str,
@@ -156,15 +144,16 @@ impl GroundTruth {
         best: SystemConfig,
         cost: f64,
     ) -> Result<(), PipeTuneError> {
-        self.db.write(
-            Point::new("ground_truth", self.history.len() as u64)
-                .tag("workload", workload)
-                .field_vec("feat", features)
-                .field("cores", f64::from(best.cores))
-                .field("memory_gb", f64::from(best.memory_gb))
-                .field("cost", cost),
-        )?;
-        self.history.push((features.to_vec(), best, cost));
+        self.push(Record {
+            workload: workload.to_string(),
+            features: features.to_vec(),
+            best,
+            cost,
+        })
+    }
+
+    fn push(&mut self, record: Record) -> Result<(), PipeTuneError> {
+        self.history.push(record);
         self.stats.recorded += 1;
         self.records_since_fit += 1;
         if self.history.len() >= self.min_history
@@ -175,7 +164,7 @@ impl GroundTruth {
         Ok(())
     }
 
-    /// Re-fits the k-means model and per-cluster best configurations.
+    /// Re-fits the similarity model over the whole history.
     ///
     /// # Errors
     ///
@@ -184,13 +173,13 @@ impl GroundTruth {
         if self.history.len() < self.k {
             return Ok(());
         }
-        let data: Vec<Vec<f64>> = self.history.iter().map(|(f, _, _)| f.clone()).collect();
+        let data = self.feature_history();
         match self.kind {
             SimilarityKind::KMeans { k } => {
                 let model = KMeans::new(k.max(1)).fit(&data, self.seed)?;
                 self.labels = model.labels().to_vec();
                 self.similarity =
-                    Some(FittedSimilarity::KMeans(KMeansSimilarity::new(model, self.threshold_factor)));
+                    Some(Box::new(KMeansSimilarity::new(model, self.threshold_factor)));
             }
             SimilarityKind::Dbscan { min_points, eps_factor } => {
                 let eps = eps_factor.max(0.1) * median_nn_distance(&data);
@@ -202,14 +191,7 @@ impl GroundTruth {
                     .iter()
                     .map(|l| l.cluster().unwrap_or(usize::MAX))
                     .collect();
-                self.similarity = Some(FittedSimilarity::Dbscan(DbscanSimilarity::new(model)));
-            }
-        }
-        self.cluster_best.clear();
-        for ((_, cfg, cost), &label) in self.history.iter().zip(&self.labels) {
-            let entry = self.cluster_best.entry(label).or_insert((*cfg, *cost));
-            if *cost < entry.1 {
-                *entry = (*cfg, *cost);
+                self.similarity = Some(Box::new(DbscanSimilarity::new(model)));
             }
         }
         self.records_since_fit = 0;
@@ -238,7 +220,7 @@ impl GroundTruth {
     /// concurrently from many executor threads against one shared snapshot.
     /// The executor journals the outcome per work item and the coordinator
     /// accounts for it at commit time (see `docs/determinism.md`).
-    pub fn peek(&self, features: &[f64]) -> Option<(SystemConfig, SimilarityVerdict)> {
+    pub(crate) fn peek(&self, features: &[f64]) -> Option<(SystemConfig, SimilarityVerdict)> {
         let verdict = self.judge(features)?;
         if verdict.confident {
             let nearest = self
@@ -246,10 +228,10 @@ impl GroundTruth {
                 .iter()
                 .zip(&self.labels)
                 .filter(|(_, &l)| l == verdict.cluster)
-                .map(|((f, cfg, _), _)| {
+                .map(|(r, _)| {
                     let d: f64 =
-                        f.iter().zip(features).map(|(a, b)| (a - b) * (a - b)).sum();
-                    (d, *cfg)
+                        r.features.iter().zip(features).map(|(a, b)| (a - b) * (a - b)).sum();
+                    (d, r.best)
                 })
                 .min_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
             if let Some((_, cfg)) = nearest {
@@ -272,7 +254,7 @@ impl GroundTruth {
     /// mismatch.
     fn judge(&self, features: &[f64]) -> Option<SimilarityVerdict> {
         // Every fit included the first record, so it has the fitted width.
-        let (fitted, ..) = self.history.first()?;
+        let fitted = &self.history.first()?.features;
         let sim = self.similarity.as_ref().filter(|_| fitted.len() == features.len())?;
         Some(sim.judge(features))
     }
@@ -285,7 +267,7 @@ impl GroundTruth {
     /// The recorded feature vectors, in insertion order (k-selection and
     /// analysis tooling).
     pub fn feature_history(&self) -> Vec<Vec<f64>> {
-        self.history.iter().map(|(f, _, _)| f.clone()).collect()
+        self.history.iter().map(|r| r.features.clone()).collect()
     }
 
     /// Number of recorded profiles.
@@ -298,36 +280,71 @@ impl GroundTruth {
         self.history.is_empty()
     }
 
-    /// Persists the underlying metric store.
+    /// Persists the history as a metric store: one `ground_truth` point per
+    /// record, stamped with its position. `freq_mhz` is written only for a
+    /// configuration off the nominal clock, so a store probed without DVFS
+    /// keeps the bytes it always had.
     ///
     /// # Errors
     ///
     /// Returns [`PipeTuneError::Tsdb`] on I/O failures.
     pub fn save(&self, path: &Path) -> Result<(), PipeTuneError> {
-        Ok(self.db.save(path)?)
+        let db = Database::new();
+        for (at, r) in self.history.iter().enumerate() {
+            let mut point = Point::new("ground_truth", at as u64)
+                .tag("workload", &r.workload)
+                .field_vec("feat", &r.features)
+                .field("cores", f64::from(r.best.cores))
+                .field("memory_gb", f64::from(r.best.memory_gb))
+                .field("cost", r.cost);
+            if r.best.freq_mhz != SystemConfig::NOMINAL_FREQ_MHZ {
+                point = point.field("freq_mhz", f64::from(r.best.freq_mhz));
+            }
+            db.write(point)?;
+        }
+        Ok(db.save(path)?)
     }
 
     /// Rebuilds a ground truth from a persisted metric store (warm start).
     ///
     /// # Errors
     ///
-    /// Returns [`PipeTuneError::Tsdb`] on I/O or decode failures.
+    /// Returns [`PipeTuneError::Tsdb`] on I/O or decode failures, and
+    /// [`TsdbError::Corrupt`] naming the record and the member for a record
+    /// without a `workload`, `cores`, `memory_gb` or `cost`, or whose
+    /// `cores`, `memory_gb` or `freq_mhz` is not a whole number a `u32`
+    /// holds.
     pub fn load(path: &Path, k: usize, threshold_factor: f64, seed: u64) -> Result<Self, PipeTuneError> {
         let db = Database::load(path)?;
         let mut gt = GroundTruth::new(k, threshold_factor, seed);
-        for p in db.query(&Query::measurement("ground_truth"))? {
-            let features = p.field_vec_values("feat");
-            let cfg = SystemConfig {
-                cores: p.field_value("cores").unwrap_or(4.0) as u32,
-                memory_gb: p.field_value("memory_gb").unwrap_or(4.0) as u32,
-                freq_mhz: p
-                    .field_value("freq_mhz")
-                    .map_or(SystemConfig::NOMINAL_FREQ_MHZ, |f| f as u32),
+        for (at, p) in db.query(&Query::measurement("ground_truth"))?.iter().enumerate() {
+            let corrupt = |member: &str, what: &str| TsdbError::Corrupt {
+                reason: format!("ground-truth record {at}: `{member}` {what}"),
             };
-            let cost = p.field_value("cost").unwrap_or(f64::INFINITY);
-            gt.history.push((features, cfg, cost));
+            let required =
+                |member: &str| p.field_value(member).ok_or_else(|| corrupt(member, "is missing"));
+            let whole = |member: &str, value: f64| {
+                if value.fract() == 0.0 && (0.0..=f64::from(u32::MAX)).contains(&value) {
+                    Ok(value as u32)
+                } else {
+                    Err(corrupt(member, &format!("is {value:?}, not a whole number a u32 holds")))
+                }
+            };
+            let workload = p.tag_value("workload").ok_or_else(|| corrupt("workload", "is missing"));
+            gt.history.push(Record {
+                workload: workload?.to_string(),
+                features: p.field_vec_values("feat"),
+                best: SystemConfig {
+                    cores: whole("cores", required("cores")?)?,
+                    memory_gb: whole("memory_gb", required("memory_gb")?)?,
+                    freq_mhz: match p.field_value("freq_mhz") {
+                        Some(mhz) => whole("freq_mhz", mhz)?,
+                        None => SystemConfig::NOMINAL_FREQ_MHZ,
+                    },
+                },
+                cost: required("cost")?,
+            });
         }
-        gt.db = db;
         gt.stats.recorded = gt.history.len();
         if gt.history.len() >= gt.min_history {
             gt.refit()?;
@@ -385,12 +402,7 @@ pub(crate) enum GtEvent {
     /// A lookup fell through to probing.
     Miss,
     /// Probing finished; remember its outcome.
-    Record {
-        workload: String,
-        features: Vec<f64>,
-        best: SystemConfig,
-        cost: f64,
-    },
+    Record(Record),
 }
 
 /// One work item's view of the ground truth while its batch executes:
@@ -417,12 +429,12 @@ impl GroundTruthAccess for BatchView<'_> {
         best: SystemConfig,
         cost: f64,
     ) -> Result<(), PipeTuneError> {
-        self.journal.push(GtEvent::Record {
+        self.journal.push(GtEvent::Record(Record {
             workload: workload.to_string(),
             features: features.to_vec(),
             best,
             cost,
-        });
+        }));
         Ok(())
     }
 }
@@ -439,9 +451,7 @@ impl GroundTruth {
             match event {
                 GtEvent::Hit => self.stats.hits += 1,
                 GtEvent::Miss => self.stats.misses += 1,
-                GtEvent::Record { workload, features, best, cost } => {
-                    self.record(&workload, &features, best, cost)?;
-                }
+                GtEvent::Record(record) => self.push(record)?,
             }
         }
         Ok(())
@@ -566,6 +576,67 @@ mod tests {
         let mut loaded = GroundTruth::load(&path, 2, 2.0, 3).unwrap();
         assert_eq!(loaded.len(), gt.len());
         assert!(loaded.lookup(&feat(0.002)).is_some());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// `gt` after a save and a load, and the text of the file between.
+    fn reloaded(gt: &GroundTruth, tag: &str) -> (GroundTruth, String) {
+        let path = std::env::temp_dir().join(format!("pipetune_gt_{tag}_{}.json", std::process::id()));
+        gt.save(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let loaded = GroundTruth::load(&path, 2, 3.0, 3);
+        std::fs::remove_file(&path).ok();
+        (loaded.unwrap(), text)
+    }
+
+    #[test]
+    fn a_configuration_off_the_nominal_clock_survives_save_and_load() {
+        let slow = SystemConfig { freq_mhz: 1800, ..fast_cfg() };
+        let mut gt = GroundTruth::paper_default(3);
+        for i in 0..4 {
+            gt.record("a", &feat(i as f64 * 0.001), slow, 10.0).unwrap();
+            gt.record("b", &feat(5.0 + i as f64 * 0.001), small_cfg(), 20.0).unwrap();
+        }
+        let (loaded, text) = reloaded(&gt, "dvfs");
+        assert_eq!(loaded.peek(&feat(0.002)).expect("should hit").0, slow);
+        assert_eq!(loaded.peek(&feat(5.002)).expect("should hit").0, small_cfg());
+        assert_eq!(text.matches("freq_mhz").count(), 4, "only the four off-nominal records say it");
+        // A store probed without DVFS never mentions the clock.
+        assert!(!reloaded(&seeded(), "nominal").1.contains("freq_mhz"));
+    }
+
+    #[test]
+    fn load_names_the_record_and_the_member_it_cannot_read() {
+        let complete = |at: u64| {
+            Point::new("ground_truth", at)
+                .tag("workload", "a")
+                .field_vec("feat", &feat(0.0))
+                .field("cores", 8.0)
+                .field("memory_gb", 16.0)
+                .field("cost", 1.0)
+        };
+        let without_cost =
+            Point::new("ground_truth", 1).tag("workload", "a").field("cores", 8.0).field("memory_gb", 16.0);
+        let without_workload = Point::new("ground_truth", 1).field("cores", 8.0).field("cost", 1.0);
+        let cases = [
+            (without_cost, "`cost` is missing"),
+            (without_workload, "`workload` is missing"),
+            (complete(1).field("cores", -1.0), "`cores` is -1.0"),
+            (complete(1).field("memory_gb", 1e300), "`memory_gb` is 1e300"),
+            (complete(1).field("freq_mhz", 1800.5), "`freq_mhz` is 1800.5"),
+        ];
+        let path = std::env::temp_dir().join(format!("pipetune_gt_bad_{}.json", std::process::id()));
+        for (bad, names) in cases {
+            let db = Database::new();
+            db.write(complete(0)).unwrap();
+            db.write(bad).unwrap();
+            db.save(&path).unwrap();
+            let reason = match GroundTruth::load(&path, 2, 3.0, 3) {
+                Err(PipeTuneError::Tsdb(TsdbError::Corrupt { reason })) => reason,
+                other => panic!("expected a corrupt record ({names}), got {other:?}"),
+            };
+            assert!(reason.contains("record 1") && reason.contains(names), "{reason}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

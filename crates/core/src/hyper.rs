@@ -138,7 +138,7 @@ mod tests {
 
     #[test]
     fn paper_space_has_five_parameters() {
-        assert_eq!(HyperSpace::paper((10, 100)).len(), 5);
+        assert_eq!(HyperSpace::paper((10, 100)).grid(1)[0].len(), 5);
     }
 
     #[test]

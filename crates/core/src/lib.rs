@@ -54,10 +54,7 @@ mod tuner;
 mod workload;
 
 pub use baselines::{run_arbitrary, TuneV1, TuneV2};
-pub use cache::{
-    fingerprint as epoch_cache_fingerprint, CacheKey, CacheStats, EpochCache, EpochCacheConfig,
-    EpochCacheHandle,
-};
+pub use cache::{CacheStats, EpochCacheConfig, EpochCacheHandle};
 pub use env::{ExperimentEnv, ExperimentEnvBuilder};
 pub use error::{Error, InvalidConfig, PipeTuneError};
 pub use pipetune_cluster::{FaultKind, FaultPlan, FaultReport, RetryPolicy};
@@ -67,7 +64,7 @@ pub use experiments::{
 };
 pub use groundtruth::{GroundTruth, GroundTruthAccess, GroundTruthStats, SimilarityKind};
 pub use hyper::{HyperParams, HyperSpace};
-pub use objective::{Objective, ProbeGoal};
+pub use objective::ProbeGoal;
 pub use related::{related_systems, RelatedSystem};
 pub use runner::SlotSchedule;
 pub use scheduler_choice::SchedulerKind;
@@ -98,7 +95,6 @@ pub mod prelude {
     pub use crate::env::{ExperimentEnv, ExperimentEnvBuilder};
     pub use crate::error::{Error, InvalidConfig, PipeTuneError};
     pub use crate::hyper::{HyperParams, HyperSpace};
-    pub use crate::objective::Objective;
     pub use crate::scheduler_choice::SchedulerKind;
     pub use crate::tuner::{PipeTune, TunerOptions, TuningOutcome};
     pub use crate::workload::{JobType, WorkloadSpec};

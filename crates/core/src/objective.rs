@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// (Tune V1, PipeTune's hyper half) or maximum accuracy with minimum
 /// training time (Tune V2 folds both into one scalar ratio).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum Objective {
+pub(crate) enum Objective {
     /// Maximise model accuracy; duration is not part of the score.
     #[default]
     Accuracy,
@@ -21,7 +21,7 @@ impl Objective {
     ///
     /// Durations at or below zero are clamped to one second so the ratio
     /// stays finite.
-    pub fn score(&self, accuracy: f64, duration_secs: f64) -> f64 {
+    pub(crate) fn score(&self, accuracy: f64, duration_secs: f64) -> f64 {
         match self {
             Objective::Accuracy => accuracy,
             Objective::AccuracyPerTime => accuracy / duration_secs.max(1.0),

@@ -16,7 +16,7 @@
 pipetune_telemetry::metric_names! {
     /// Histogram of committed epoch durations, simulated seconds
     /// ([`pipetune_telemetry::DURATION_BUCKETS_SECS`]).
-    pub const EPOCH_SECS = "trial.epoch_secs";
+    pub(crate) const EPOCH_SECS = "trial.epoch_secs";
 
     /// Counter: epochs committed (crashed attempts excluded).
     pub const EPOCHS_TOTAL = "epochs.total";
@@ -37,23 +37,23 @@ pipetune_telemetry::metric_names! {
     /// Counter: epochs adopted from the epoch-reuse cache instead of being
     /// trained (never included in [`EPOCHS_TOTAL`], which counts only epochs
     /// that really executed).
-    pub const EPOCHS_CACHED = "epochs.cached";
+    pub(crate) const EPOCHS_CACHED = "epochs.cached";
 
     /// Counter: epoch-reuse cache lookups that adopted a cached prefix.
-    pub const CACHE_HITS = "cache.hit";
+    pub(crate) const CACHE_HITS = "cache.hit";
 
     /// Counter: epoch-reuse cache lookups that fell through to a cold start.
-    pub const CACHE_MISSES = "cache.miss";
+    pub(crate) const CACHE_MISSES = "cache.miss";
 
     /// Counter: epoch prefixes inserted into the epoch-reuse cache.
-    pub const CACHE_INSERTS = "cache.insert";
+    pub(crate) const CACHE_INSERTS = "cache.insert";
 
     /// Counter: cache entries evicted by the LRU-by-simulated-time policy.
-    pub const CACHE_EVICTIONS = "cache.evict";
+    pub(crate) const CACHE_EVICTIONS = "cache.evict";
 
     /// Gauge: simulated epoch-seconds the epoch-reuse cache saved over the
     /// most recent job (unset until the first job with a cache hit finishes).
-    pub const CACHE_SAVED_SECS = "cache.saved_secs";
+    pub(crate) const CACHE_SAVED_SECS = "cache.saved_secs";
 
     /// Counter: probe measurements kept (lost counter reads excluded).
     pub const PROBE_COUNT = "probe.count";
@@ -62,29 +62,29 @@ pipetune_telemetry::metric_names! {
     pub const GT_HITS = "gt.hits";
 
     /// Counter: ground-truth lookups that fell through to probing.
-    pub const GT_MISSES = "gt.misses";
+    pub(crate) const GT_MISSES = "gt.misses";
 
     /// Counter: probed optima persisted into the ground truth.
-    pub const GT_RECORDED = "gt.recorded";
+    pub(crate) const GT_RECORDED = "gt.recorded";
 
     /// Counter: k-means refits the ground truth ran.
-    pub const GT_REFITS = "gt.refits";
+    pub(crate) const GT_REFITS = "gt.refits";
 
     /// Gauge: hits ÷ lookups over the most recent job (NaN-free: unset until
     /// the first job with at least one lookup finishes).
-    pub const GT_HIT_RATE = "gt.hit_rate";
+    pub(crate) const GT_HIT_RATE = "gt.hit_rate";
 
     /// Counter: scheduler rounds (= batches) the executor ran.
-    pub const ROUNDS = "executor.rounds";
+    pub(crate) const ROUNDS = "executor.rounds";
 
     /// Histogram of trials per scheduler batch
     /// ([`pipetune_telemetry::COUNT_BUCKETS`]).
-    pub const BATCH_TRIALS = "executor.batch_trials";
+    pub(crate) const BATCH_TRIALS = "executor.batch_trials";
 
     /// Histogram of batch-size ÷ parallel-slot occupancy
     /// ([`pipetune_telemetry::RATIO_BUCKETS`]); values above 1.0 mean trials
     /// queued behind busy simulated slots.
-    pub const QUEUE_OCCUPANCY = "executor.queue_occupancy";
+    pub(crate) const QUEUE_OCCUPANCY = "executor.queue_occupancy";
 
     /// Gauge: epochs the scheduler issued over its whole run.
     pub const SCHEDULER_EPOCHS = "scheduler.epochs_issued";

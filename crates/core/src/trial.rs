@@ -243,11 +243,6 @@ impl TrialExecution {
         self
     }
 
-    /// The scheduler trial id fault decisions are keyed on.
-    pub fn trial_id(&self) -> u64 {
-        self.trial_id
-    }
-
     /// Fault-tolerance accounting accumulated so far.
     pub fn fault_report(&self) -> FaultReport {
         self.faults
@@ -750,15 +745,12 @@ impl TrialExecution {
                             );
                             if profile.is_err() {
                                 self.telemetry
-                                    .with_metrics(pipetune_perfmon::observe::record_lost_read);
+                                    .counter_add(pipetune_perfmon::observe::PROFILES_LOST, 1);
                             }
                         }
                         if let Ok(profile) = profile {
-                            if self.telemetry.is_active() {
-                                self.telemetry.with_metrics(|m| {
-                                    pipetune_perfmon::observe::record_profile(&profile, m);
-                                });
-                            }
+                            self.telemetry
+                                .counter_add(pipetune_perfmon::observe::PROFILES_COLLECTED, 1);
                             let feats = profile.features();
                             if let Some(gt) = ground_truth.as_deref_mut() {
                                 if let Some(cfg) = gt.lookup(&feats) {

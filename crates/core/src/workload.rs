@@ -520,7 +520,7 @@ impl WorkloadInstance {
     /// Snapshots the current model's trainable weights (DNN workloads only;
     /// kernels have no weights). Together with the hyperparameters this is
     /// the "trained model + optimal parameters" output of Fig. 6.
-    pub fn export_weights(&mut self) -> Option<Vec<pipetune_tensor::Tensor>> {
+    pub(crate) fn export_weights(&mut self) -> Option<Vec<pipetune_tensor::Tensor>> {
         match &mut self.inner {
             InstanceKind::Dnn { model, .. } => Some(match model {
                 AnyModel::LeNet(m) => m.export_weights(),
@@ -531,8 +531,8 @@ impl WorkloadInstance {
         }
     }
 
-    /// Restores model weights exported by [`WorkloadInstance::export_weights`]
-    /// on an identically-configured instance.
+    /// Restores model weights exported from an identically-configured
+    /// instance (a finished job's [`crate::TuningOutcome::model_weights`]).
     ///
     /// # Errors
     ///

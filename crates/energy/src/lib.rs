@@ -2,33 +2,27 @@
 //!
 //! The paper measures whole-cluster power with a LINDY iPower Control PDU,
 //! sampled every second at 1 W resolution, and reports energy as the
-//! trapezoidal integral of those samples (§3.2, §7.1.1). This crate
-//! reproduces that pipeline against simulated time:
+//! trapezoidal integral of those samples (§3.2, §7.1.1). Power is constant
+//! over a simulated epoch, so that integral is `watts × duration` and the
+//! crate keeps the one piece the middleware needs:
 //!
 //! * [`PowerModel`] — active power as a function of allocated cores and
-//!   load (idle floor + per-active-core increment), per node;
-//! * [`PduTrace`] — the 1 Hz sample stream with 1 W quantisation;
-//! * [`PduTrace::energy_joules`] — trapezoidal integration, exactly the
-//!   paper's estimator.
+//!   load (idle floor + per-active-core increment), per node.
 //!
 //! # Example
 //!
 //! ```
-//! use pipetune_energy::{PduTrace, PowerModel};
+//! use pipetune_energy::PowerModel;
 //!
 //! let model = PowerModel::default();
-//! let mut pdu = PduTrace::new();
 //! // A 10-second epoch on 8 busy cores.
-//! pdu.record_interval(0.0, 10.0, model.power_watts(8, 1.0));
-//! let joules = pdu.energy_joules();
-//! assert!(joules > 0.0);
+//! let joules = model.energy_joules(8, 1.0, 10.0);
+//! assert_eq!(joules, model.power_watts(8, 1.0) * 10.0);
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod observe;
-mod pdu;
 mod power;
 
-pub use pdu::PduTrace;
 pub use power::PowerModel;

@@ -5,9 +5,9 @@ use pipetune_telemetry::{MetricsRegistry, ENERGY_BUCKETS_J};
 
 pipetune_telemetry::metric_names! {
     /// Histogram: per-epoch energy attributed to a trial, joules.
-    pub const EPOCH_ENERGY_J = "energy.epoch_j";
+    pub(crate) const EPOCH_ENERGY_J = "energy.epoch_j";
     /// Gauge: most recent whole-cluster power draw, watts.
-    pub const POWER_WATTS = "energy.power_w";
+    pub(crate) const POWER_WATTS = "energy.power_w";
 }
 
 /// Records one epoch's energy and the power it was drawn at.

@@ -32,7 +32,7 @@ impl PowerModel {
         self.idle_watts + self.per_core_watts * f64::from(cores) * load.powf(self.load_exponent)
     }
 
-    /// Energy for a constant-power interval, joules (convenience, no PDU).
+    /// Energy for a constant-power interval, joules.
     pub fn energy_joules(&self, cores: u32, load: f64, secs: f64) -> f64 {
         self.power_watts(cores, load) * secs.max(0.0)
     }

@@ -26,16 +26,6 @@ impl Severity {
             Severity::Critical => "critical",
         }
     }
-
-    /// Inverse of [`Severity::name`].
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "info" => Some(Severity::Info),
-            "warning" => Some(Severity::Warning),
-            "critical" => Some(Severity::Critical),
-            _ => None,
-        }
-    }
 }
 
 /// One detector firing: what fired, where in the span tree, when on the
@@ -138,7 +128,7 @@ impl IncidentTimeline {
     }
 
     /// The timeline as one JSON value with sorted object keys.
-    pub fn to_json(&self) -> Value {
+    fn to_json(&self) -> Value {
         let mut obj = serde_json::Map::new();
         obj.insert(
             "alerts".into(),
@@ -266,13 +256,5 @@ mod tests {
         assert_eq!(snap.metrics.counter(crate::observe::ALERTS_TOTAL), 2);
         assert_eq!(snap.metrics.counter(crate::observe::ALERTS_STALL), 1);
         assert_eq!(snap.metrics.counter(crate::observe::ALERTS_SLO_BURN), 1);
-    }
-
-    #[test]
-    fn severity_names_round_trip() {
-        for s in [Severity::Info, Severity::Warning, Severity::Critical] {
-            assert_eq!(Severity::from_name(s.name()), Some(s));
-        }
-        assert_eq!(Severity::from_name("panic"), None);
     }
 }

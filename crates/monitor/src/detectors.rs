@@ -3,7 +3,7 @@
 //! the window semantics and the burn-rate math).
 //!
 //! Every detector is a pure stream processor over the deterministic
-//! telemetry stream (the [`crate::Detector`] contract), so its firings
+//! telemetry stream (the [`crate::engine::Detector`] contract), so its firings
 //! are byte-identical across executor worker counts and scan
 //! granularities. Window parameters are plain public structs — tuning
 //! them only changes *which* alerts fire, never their canonical order.
@@ -15,15 +15,15 @@ use crate::engine::{Detector, TraceIndex};
 use crate::window::{count_in_window, RingWindow, TimeWindow};
 
 /// Canonical name of the stall/straggler watchdog.
-pub const STALL: &str = "stall";
+pub(crate) const STALL: &str = "stall";
 /// Canonical name of the crash-loop detector.
-pub const CRASH_LOOP: &str = "crash_loop";
+pub(crate) const CRASH_LOOP: &str = "crash_loop";
 /// Canonical name of the SLO burn-rate detector.
-pub const SLO_BURN: &str = "slo_burn";
+pub(crate) const SLO_BURN: &str = "slo_burn";
 /// Canonical name of the cache-thrash detector.
-pub const CACHE_THRASH: &str = "cache_thrash";
+pub(crate) const CACHE_THRASH: &str = "cache_thrash";
 /// Canonical name of the admission/queue-growth detector.
-pub const QUEUE_GROWTH: &str = "queue_growth";
+pub(crate) const QUEUE_GROWTH: &str = "queue_growth";
 
 fn attr<'a>(attrs: &'a [(&'static str, AttrValue)], key: &str) -> Option<&'a AttrValue> {
     attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
@@ -48,7 +48,7 @@ fn attr_bool(attrs: &[(&'static str, AttrValue)], key: &str) -> Option<bool> {
 // Stall / straggler watchdog
 // ---------------------------------------------------------------------------
 
-/// Window parameters of [`StallDetector`].
+/// Window parameters of `stall`, the stall/straggler watchdog.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StallConfig {
     /// Rolling window of committed epoch durations (ring-buffer size).
@@ -74,24 +74,20 @@ impl Default for StallConfig {
 /// `end_secs` is live-safe). The window is global across trials in
 /// record order — scheduler request order, hence deterministic.
 #[derive(Debug)]
-pub struct StallDetector {
+pub(crate) struct StallDetector {
     config: StallConfig,
     durations: RingWindow,
 }
 
 impl StallDetector {
     /// A watchdog with the given window parameters.
-    pub fn new(config: StallConfig) -> Self {
+    pub(crate) fn new(config: StallConfig) -> Self {
         let window = config.window.max(1);
         StallDetector { config, durations: RingWindow::new(window) }
     }
 }
 
 impl Detector for StallDetector {
-    fn name(&self) -> &'static str {
-        STALL
-    }
-
     fn on_span(&mut self, ctx: &TraceIndex<'_>, idx: u32, span: &Span, out: &mut Vec<Alert>) {
         if span.kind != SpanKind::Epoch || !span.end_secs.is_finite() {
             return;
@@ -131,7 +127,7 @@ impl Detector for StallDetector {
 // Crash loop
 // ---------------------------------------------------------------------------
 
-/// Window parameters of [`CrashLoopDetector`].
+/// Window parameters of `crash_loop`, the crash-loop detector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrashLoopConfig {
     /// Sliding horizon, simulated seconds on the source's clock.
@@ -154,7 +150,7 @@ impl Default for CrashLoopConfig {
 /// source's window resets (cool-down), so a steady drizzle refires only
 /// after building a fresh burst.
 #[derive(Debug)]
-pub struct CrashLoopDetector {
+pub(crate) struct CrashLoopDetector {
     config: CrashLoopConfig,
     /// Per-source event-time windows, keyed by source span index.
     windows: std::collections::BTreeMap<u32, TimeWindow>,
@@ -162,16 +158,12 @@ pub struct CrashLoopDetector {
 
 impl CrashLoopDetector {
     /// A detector with the given burst parameters.
-    pub fn new(config: CrashLoopConfig) -> Self {
+    pub(crate) fn new(config: CrashLoopConfig) -> Self {
         CrashLoopDetector { config, windows: std::collections::BTreeMap::new() }
     }
 }
 
 impl Detector for CrashLoopDetector {
-    fn name(&self) -> &'static str {
-        CRASH_LOOP
-    }
-
     fn on_event(&mut self, ctx: &TraceIndex<'_>, _idx: usize, event: &Event, out: &mut Vec<Alert>) {
         if !matches!(event.kind, EventKind::Fault | EventKind::Retry) {
             return;
@@ -189,7 +181,7 @@ impl Detector for CrashLoopDetector {
             .windows
             .entry(source)
             .or_insert_with(|| TimeWindow::new(self.config.window_secs));
-        window.push(event.at_secs, 1.0);
+        window.push(event.at_secs);
         if window.len() >= self.config.burst.max(1) {
             let count = window.len();
             window.clear();
@@ -217,7 +209,7 @@ impl Detector for CrashLoopDetector {
 // SLO burn rate
 // ---------------------------------------------------------------------------
 
-/// Window parameters of [`SloBurnDetector`].
+/// Window parameters of `slo_burn`, the SLO burn-rate detector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloBurnConfig {
     /// The slow window, simulated seconds on the service clock.
@@ -261,7 +253,7 @@ impl Default for SloBurnConfig {
 /// it — observations the live engine is guaranteed to have seen, which
 /// is what keeps live scans and offline replay byte-identical.
 #[derive(Debug)]
-pub struct SloBurnDetector {
+pub(crate) struct SloBurnDetector {
     config: SloBurnConfig,
     /// Arrival times of every job, record order (non-decreasing).
     arrivals: Vec<f64>,
@@ -271,7 +263,7 @@ pub struct SloBurnDetector {
 
 impl SloBurnDetector {
     /// A detector with the given window pair.
-    pub fn new(config: SloBurnConfig) -> Self {
+    pub(crate) fn new(config: SloBurnConfig) -> Self {
         SloBurnDetector { config, arrivals: Vec::new(), sheds: Vec::new() }
     }
 
@@ -291,10 +283,6 @@ impl SloBurnDetector {
 }
 
 impl Detector for SloBurnDetector {
-    fn name(&self) -> &'static str {
-        SLO_BURN
-    }
-
     fn on_span(&mut self, _ctx: &TraceIndex<'_>, _idx: u32, span: &Span, _out: &mut Vec<Alert>) {
         if span.kind == SpanKind::Job {
             self.arrivals.push(span.start_secs);
@@ -344,7 +332,7 @@ impl Detector for SloBurnDetector {
 // Cache thrash
 // ---------------------------------------------------------------------------
 
-/// Window parameters of [`CacheThrashDetector`].
+/// Window parameters of `cache_thrash`, the cache-thrash detector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheThrashConfig {
     /// Rolling window of `cache_lookup` outcomes (ring-buffer size).
@@ -371,7 +359,7 @@ impl Default for CacheThrashConfig {
 /// and `cache.insert` counters for eviction churn the event stream alone
 /// cannot see. After a hit-rate firing the window resets (cool-down).
 #[derive(Debug)]
-pub struct CacheThrashDetector {
+pub(crate) struct CacheThrashDetector {
     config: CacheThrashConfig,
     /// 1.0 per hit, 0.0 per miss.
     lookups: RingWindow,
@@ -379,17 +367,13 @@ pub struct CacheThrashDetector {
 
 impl CacheThrashDetector {
     /// A detector with the given window parameters.
-    pub fn new(config: CacheThrashConfig) -> Self {
+    pub(crate) fn new(config: CacheThrashConfig) -> Self {
         let window = config.window.max(1);
         CacheThrashDetector { config, lookups: RingWindow::new(window) }
     }
 }
 
 impl Detector for CacheThrashDetector {
-    fn name(&self) -> &'static str {
-        CACHE_THRASH
-    }
-
     fn on_event(&mut self, ctx: &TraceIndex<'_>, _idx: usize, event: &Event, out: &mut Vec<Alert>) {
         if event.kind != EventKind::CacheLookup {
             return;
@@ -452,7 +436,7 @@ impl Detector for CacheThrashDetector {
 // Admission / queue growth
 // ---------------------------------------------------------------------------
 
-/// Window parameters of [`QueueGrowthDetector`].
+/// Window parameters of `queue_growth`, the admission/queue-growth detector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueueGrowthConfig {
     /// Fire when a job arrives to a backlog at or beyond this depth
@@ -477,30 +461,26 @@ impl Default for QueueGrowthConfig {
 /// the sliding window. Both signals live entirely on job spans, so the
 /// detector sees them the instant the service records the arrival.
 #[derive(Debug)]
-pub struct QueueGrowthDetector {
+pub(crate) struct QueueGrowthDetector {
     config: QueueGrowthConfig,
     rejections: TimeWindow,
 }
 
 impl QueueGrowthDetector {
     /// A detector with the given thresholds.
-    pub fn new(config: QueueGrowthConfig) -> Self {
+    pub(crate) fn new(config: QueueGrowthConfig) -> Self {
         let window = TimeWindow::new(config.window_secs);
         QueueGrowthDetector { config, rejections: window }
     }
 }
 
 impl Detector for QueueGrowthDetector {
-    fn name(&self) -> &'static str {
-        QUEUE_GROWTH
-    }
-
     fn on_span(&mut self, ctx: &TraceIndex<'_>, idx: u32, span: &Span, out: &mut Vec<Alert>) {
         if span.kind != SpanKind::Job {
             return;
         }
         if attr_bool(&span.attrs, "admitted") == Some(false) {
-            self.rejections.push(span.start_secs, 1.0);
+            self.rejections.push(span.start_secs);
             if self.rejections.len() >= self.config.rejected_burst.max(1) {
                 let count = self.rejections.len();
                 self.rejections.clear();

@@ -1,5 +1,5 @@
 //! The streaming evaluation engine: cursor-based incremental scans over
-//! the telemetry stream, a pluggable [`Detector`] framework, and the
+//! the telemetry stream, the [`Detector`] contract, and the
 //! [`IncidentTimeline`] the firings collect into.
 
 use pipetune_telemetry::{Event, MetricsRegistry, Span, SpanKind, TelemetrySnapshot};
@@ -15,7 +15,7 @@ use crate::detectors::{
 /// detectors can resolve source paths and ancestors without a copy of
 /// their own.
 #[derive(Debug)]
-pub struct TraceIndex<'a> {
+pub(crate) struct TraceIndex<'a> {
     spans: &'a [Span],
 }
 
@@ -24,11 +24,6 @@ impl<'a> TraceIndex<'a> {
     /// the observation being delivered.
     pub(crate) fn over(spans: &'a [Span]) -> Self {
         TraceIndex { spans }
-    }
-
-    /// The kind of span `idx` (`None` when out of range).
-    pub fn kind(&self, idx: u32) -> Option<SpanKind> {
-        self.spans.get(idx as usize).map(|span| span.kind)
     }
 
     /// The nearest ancestor of `idx` (including `idx` itself) with the
@@ -47,7 +42,7 @@ impl<'a> TraceIndex<'a> {
 
     /// Root-first human path of span `idx`, labels joined with `" > "`
     /// (the [`Alert::source`] format).
-    pub fn path(&self, idx: u32) -> String {
+    pub(crate) fn path(&self, idx: u32) -> String {
         let mut labels = Vec::new();
         let mut cursor = Some(idx);
         while let Some(span) = cursor.and_then(|i| self.spans.get(i as usize)) {
@@ -75,11 +70,7 @@ impl<'a> TraceIndex<'a> {
 /// * An alert evaluated while processing an observation may only depend
 ///   on observations with timestamps at or before the trigger's — later
 ///   arrivals exist in an offline replay but not live.
-pub trait Detector: Send {
-    /// Canonical detector name (the `monitor.alerts.<name>` counter
-    /// suffix and the timeline's `detector` field).
-    fn name(&self) -> &'static str;
-
+pub(crate) trait Detector: Send {
     /// Called once per span, at record time.
     fn on_span(&mut self, _ctx: &TraceIndex<'_>, _idx: u32, _span: &Span, _out: &mut Vec<Alert>) {}
 
@@ -270,18 +261,12 @@ mod tests {
         assert_eq!(idx.ancestor_of_kind(2, SpanKind::Job), Some(1));
         assert_eq!(idx.ancestor_of_kind(2, SpanKind::TuningRun), Some(2));
         assert_eq!(idx.ancestor_of_kind(1, SpanKind::Epoch), None);
-        assert_eq!(idx.kind(0), Some(SpanKind::Service));
-        assert_eq!(idx.kind(9), None);
-        assert_eq!(idx.kind(1), Some(SpanKind::Job));
     }
 
     /// A detector that alerts on every observation — enough to pin the
     /// scan-granularity invariance of the engine itself.
     struct EveryObservation;
     impl Detector for EveryObservation {
-        fn name(&self) -> &'static str {
-            "stall"
-        }
         fn on_span(&mut self, ctx: &TraceIndex<'_>, idx: u32, span: &Span, out: &mut Vec<Alert>) {
             out.push(Alert {
                 detector: "stall",

@@ -7,18 +7,18 @@
 //! clocks, point events, metrics — merged in scheduler request order so
 //! the stream is the same for 1 worker or 64. This crate closes the
 //! loop *online*: a [`MonitorEngine`] consumes that stream as it is
-//! recorded and runs a pluggable [`Detector`] framework over sliding
-//! windows ([`RingWindow`], [`TimeWindow`]) backed by ring buffers:
+//! recorded and runs the detectors a [`MonitorConfig`] switches on, each
+//! over sliding windows backed by ring buffers:
 //!
-//! * [`detectors::StallDetector`] — stall/straggler watchdog (epoch
+//! * `stall` ([`StallConfig`]) — stall/straggler watchdog (epoch
 //!   duration vs. a rolling window).
-//! * [`detectors::CrashLoopDetector`] — retry bursts per `(job, trial)`
-//!   source within a sliding window.
-//! * [`detectors::SloBurnDetector`] — multi-window (fast/slow,
+//! * `crash_loop` ([`CrashLoopConfig`]) — retry bursts per
+//!   `(job, trial)` source within a sliding window.
+//! * `slo_burn` ([`SloBurnConfig`]) — multi-window (fast/slow,
 //!   SRE-style) deadline burn-rate alerts for `with_deadline` services.
-//! * [`detectors::CacheThrashDetector`] — epoch-cache hit-rate collapse
-//!   and eviction churn.
-//! * [`detectors::QueueGrowthDetector`] — admission rejections and
+//! * `cache_thrash` ([`CacheThrashConfig`]) — epoch-cache hit-rate
+//!   collapse and eviction churn.
+//! * `queue_growth` ([`QueueGrowthConfig`]) — admission rejections and
 //!   backlog depth in the multi-job service.
 //!
 //! Firings become typed [`Alert`] records collected into a
@@ -32,7 +32,7 @@
 //! The engine is cursor-based: every span and event is delivered to the
 //! detectors exactly once, in record order, regardless of how the
 //! stream is chopped into scans. Detectors are pure stream processors
-//! honouring the [`Detector`] clauses (never read a non-epoch span's
+//! honouring two clauses (never read a non-epoch span's
 //! `end_secs`; never let an alert depend on observations later than its
 //! trigger), and the final timeline is sorted by a total order over
 //! alerts. Consequences, all pinned by tests:
@@ -70,18 +70,17 @@
 
 #![warn(missing_docs)]
 
-pub mod alert;
-pub mod detectors;
-pub mod engine;
+mod alert;
+mod detectors;
+mod engine;
 pub mod observe;
-pub mod window;
+mod window;
 
 pub use alert::{Alert, IncidentTimeline, Severity};
 pub use detectors::{
     CacheThrashConfig, CrashLoopConfig, QueueGrowthConfig, SloBurnConfig, StallConfig,
 };
-pub use engine::{Detector, MonitorConfig, MonitorEngine, TraceIndex};
-pub use window::{RingWindow, TimeWindow};
+pub use engine::{MonitorConfig, MonitorEngine};
 
 use std::sync::{Arc, Mutex, MutexGuard};
 

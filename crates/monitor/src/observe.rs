@@ -3,17 +3,17 @@
 
 pipetune_telemetry::metric_names! {
     /// Total detector firings folded into the trace.
-    pub const ALERTS_TOTAL = "monitor.alerts_total";
+    pub(crate) const ALERTS_TOTAL = "monitor.alerts_total";
     /// Stall/straggler watchdog firings.
-    pub const ALERTS_STALL = "monitor.alerts.stall";
+    pub(crate) const ALERTS_STALL = "monitor.alerts.stall";
     /// Crash-loop detector firings.
-    pub const ALERTS_CRASH_LOOP = "monitor.alerts.crash_loop";
+    pub(crate) const ALERTS_CRASH_LOOP = "monitor.alerts.crash_loop";
     /// SLO burn-rate detector firings.
-    pub const ALERTS_SLO_BURN = "monitor.alerts.slo_burn";
+    pub(crate) const ALERTS_SLO_BURN = "monitor.alerts.slo_burn";
     /// Cache-thrash detector firings.
-    pub const ALERTS_CACHE_THRASH = "monitor.alerts.cache_thrash";
+    pub(crate) const ALERTS_CACHE_THRASH = "monitor.alerts.cache_thrash";
     /// Admission/queue-growth detector firings.
-    pub const ALERTS_QUEUE_GROWTH = "monitor.alerts.queue_growth";
+    pub(crate) const ALERTS_QUEUE_GROWTH = "monitor.alerts.queue_growth";
 }
 
 /// The per-detector counter for a canonical detector name (the

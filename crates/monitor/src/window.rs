@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 
 /// The last `capacity` samples, in a fixed-size ring buffer.
 #[derive(Debug, Clone)]
-pub struct RingWindow {
+pub(crate) struct RingWindow {
     buf: Vec<f64>,
     /// Next write position.
     head: usize,
@@ -28,72 +28,56 @@ pub struct RingWindow {
 
 impl RingWindow {
     /// An empty window holding at most `capacity` samples (at least 1).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         RingWindow { buf: vec![0.0; capacity], head: 0, len: 0, capacity }
     }
 
     /// Pushes a sample, evicting the oldest once full.
-    pub fn push(&mut self, value: f64) {
+    pub(crate) fn push(&mut self, value: f64) {
         self.buf[self.head] = value;
         self.head = (self.head + 1) % self.capacity;
         self.len = (self.len + 1).min(self.capacity);
     }
 
     /// Live sample count.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// Whether the window holds no samples yet.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Drops every sample (detector cool-down after a firing).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.head = 0;
         self.len = 0;
     }
 
     /// Mean of the live samples (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.len == 0 {
             return 0.0;
         }
         self.buf[..self.len].iter().sum::<f64>() / self.len as f64
     }
-
-    /// Median of the live samples (0 when empty): upper median, by sorted
-    /// rank, so the statistic is deterministic for any float inputs.
-    pub fn median(&self) -> f64 {
-        if self.len == 0 {
-            return 0.0;
-        }
-        let mut sorted: Vec<f64> = self.buf[..self.len].to_vec();
-        sorted.sort_by(f64::total_cmp);
-        sorted[self.len / 2]
-    }
 }
 
 /// The samples of the last `horizon_secs` simulated seconds.
 #[derive(Debug, Clone)]
-pub struct TimeWindow {
+pub(crate) struct TimeWindow {
     horizon_secs: f64,
-    /// `(at_secs, value)` pairs, oldest first.
-    buf: VecDeque<(f64, f64)>,
+    /// Sample timestamps, oldest first.
+    buf: VecDeque<f64>,
 }
 
 impl TimeWindow {
     /// An empty window spanning `horizon_secs` of simulated time.
-    pub fn new(horizon_secs: f64) -> Self {
+    pub(crate) fn new(horizon_secs: f64) -> Self {
         TimeWindow { horizon_secs: horizon_secs.max(0.0), buf: VecDeque::new() }
     }
 
     /// Pushes a sample at `at_secs` and prunes everything older than the
     /// horizon behind it. Timestamps must arrive non-decreasing.
-    pub fn push(&mut self, at_secs: f64, value: f64) {
-        self.buf.push_back((at_secs, value));
+    pub(crate) fn push(&mut self, at_secs: f64) {
+        self.buf.push_back(at_secs);
         self.prune(at_secs);
     }
 
@@ -101,7 +85,7 @@ impl TimeWindow {
     /// is the half-open interval `(now - horizon, now]`).
     fn prune(&mut self, now_secs: f64) {
         let cutoff = now_secs - self.horizon_secs;
-        while let Some(&(at, _)) = self.buf.front() {
+        while let Some(&at) = self.buf.front() {
             if at <= cutoff {
                 self.buf.pop_front();
             } else {
@@ -111,23 +95,13 @@ impl TimeWindow {
     }
 
     /// Live sample count.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
     }
 
-    /// Whether the window holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Drops every sample (detector cool-down after a firing).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.buf.clear();
-    }
-
-    /// Sum of the live values.
-    pub fn sum(&self) -> f64 {
-        self.buf.iter().map(|&(_, v)| v).sum()
     }
 }
 
@@ -147,36 +121,32 @@ mod tests {
     #[test]
     fn ring_window_evicts_oldest_and_tracks_stats() {
         let mut w = RingWindow::new(3);
-        assert!(w.is_empty());
+        assert_eq!(w.len(), 0);
         assert_eq!(w.mean(), 0.0);
         for v in [1.0, 2.0, 3.0] {
             w.push(v);
         }
         assert_eq!(w.len(), 3);
         assert_eq!(w.mean(), 2.0);
-        assert_eq!(w.median(), 2.0);
         w.push(10.0); // evicts 1.0
         assert_eq!(w.len(), 3);
         assert_eq!(w.mean(), 5.0);
-        assert_eq!(w.median(), 3.0);
         w.clear();
-        assert!(w.is_empty());
+        assert_eq!(w.len(), 0);
     }
 
     #[test]
     fn time_window_prunes_by_horizon() {
         let mut w = TimeWindow::new(10.0);
-        w.push(0.0, 1.0);
-        w.push(5.0, 1.0);
-        w.push(12.0, 1.0);
+        w.push(0.0);
+        w.push(5.0);
+        w.push(12.0);
         // 0.0 is outside (12 - 10, 12]; 5.0 and 12.0 remain.
         assert_eq!(w.len(), 2);
-        assert_eq!(w.sum(), 2.0);
-        w.push(30.0, 4.0);
+        w.push(30.0);
         assert_eq!(w.len(), 1);
-        assert_eq!(w.sum(), 4.0);
         w.clear();
-        assert!(w.is_empty());
+        assert_eq!(w.len(), 0);
     }
 
     #[test]

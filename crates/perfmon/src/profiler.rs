@@ -84,16 +84,6 @@ impl EpochProfile {
             })
             .collect()
     }
-
-    /// Euclidean distance between two profiles' feature vectors.
-    pub fn distance(&self, other: &EpochProfile) -> f64 {
-        self.features()
-            .iter()
-            .zip(other.features())
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt()
-    }
 }
 
 /// The simulated PMU.
@@ -411,12 +401,12 @@ mod tests {
         let a1 = p.profile_epoch(&cnn_sig(), 16, 120.0, &mut rng);
         let a2 = p.profile_epoch(&cnn_sig(), 16, 120.0, &mut rng);
         let b = p.profile_epoch(&lstm_sig(), 16, 120.0, &mut rng);
-        assert!(
-            a1.distance(&b) > 3.0 * a1.distance(&a2),
-            "inter {} should dwarf intra {}",
-            a1.distance(&b),
-            a1.distance(&a2)
-        );
+        let distance = |x: &EpochProfile, y: &EpochProfile| {
+            let (fx, fy) = (x.features(), y.features());
+            fx.iter().zip(&fy).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt()
+        };
+        let (inter, intra) = (distance(&a1, &b), distance(&a1, &a2));
+        assert!(inter > 3.0 * intra, "inter {inter} should dwarf intra {intra}");
     }
 
     #[test]

@@ -16,8 +16,6 @@ use crate::{EpochProfile, Profiler, WorkloadSignature};
 /// Which events a counter window measured.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SampleWindow {
-    /// Window start, seconds from epoch start.
-    pub at_secs: f64,
     /// Event indices measured during this window (fixed counters plus the
     /// generic counters' current round-robin slice).
     pub measured: Vec<usize>,
@@ -29,18 +27,12 @@ pub struct SampleWindow {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SampleTrace {
     windows: Vec<SampleWindow>,
-    epoch_secs: f64,
 }
 
 impl SampleTrace {
     /// The sampled windows, in time order.
     pub fn windows(&self) -> &[SampleWindow] {
         &self.windows
-    }
-
-    /// Epoch duration the trace covers, seconds.
-    pub fn epoch_secs(&self) -> f64 {
-        self.epoch_secs
     }
 
     /// Fraction of the epoch each event was actually measured
@@ -99,7 +91,7 @@ impl Profiler {
         let per_window = self.generic_counters.max(1);
         let mut windows = Vec::with_capacity(n_windows);
         let mut cursor = 0usize;
-        for w in 0..n_windows {
+        for _ in 0..n_windows {
             let mut measured = fixed.to_vec();
             for _ in 0..per_window {
                 measured.push(generic[cursor % generic.len()]);
@@ -113,9 +105,9 @@ impl Profiler {
                     (truth[e] / n_windows as f64 * (1.0 + 0.1 * g * 1.7)).max(0.0)
                 })
                 .collect();
-            windows.push(SampleWindow { at_secs: w as f64, measured, raw });
+            windows.push(SampleWindow { measured, raw });
         }
-        SampleTrace { windows, epoch_secs }
+        SampleTrace { windows }
     }
 
     /// Fallible variant of [`Profiler::sample_epoch`] mirroring

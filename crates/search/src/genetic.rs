@@ -7,7 +7,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::scheduler::BestTracker;
-use crate::space::Domain;
 use crate::{Config, ParamValue, SearchSpace, TrialId, TrialReport, TrialRequest, TrialScheduler};
 
 /// Generational GA: tournament selection, uniform crossover, per-parameter
@@ -117,12 +116,6 @@ impl Genetic {
         next
     }
 }
-
-// `Domain` is re-used indirectly through `ParamSpec::sample`; keep the import
-// honest for future structured mutations (e.g. Gaussian perturbation on
-// ranges).
-#[allow(dead_code)]
-fn _domain_marker(_: &Domain) {}
 
 impl TrialScheduler for Genetic {
     fn next_trials(&mut self) -> Vec<TrialRequest> {

@@ -43,5 +43,5 @@ pub use grid::GridSearch;
 pub use hyperband::HyperBand;
 pub use random::RandomSearch;
 pub use scheduler::{TrialId, TrialReport, TrialRequest, TrialScheduler};
-pub use space::{Config, ParamSpec, ParamValue, SearchSpace, SpaceError};
+pub use space::{Config, ParamSpec, ParamValue, SearchSpace};
 pub use tpe::Tpe;

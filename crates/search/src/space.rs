@@ -1,7 +1,6 @@
 //! Typed parameter domains and configurations.
 
 use std::collections::BTreeMap;
-use std::error::Error;
 use std::fmt;
 
 use rand::Rng;
@@ -45,7 +44,7 @@ impl fmt::Display for ParamValue {
 
 /// One parameter's domain.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Domain {
+enum Domain {
     /// Continuous range; `log` scales sampling logarithmically (learning
     /// rates).
     FloatRange {
@@ -76,26 +75,6 @@ pub struct ParamSpec {
     domain: Domain,
 }
 
-/// Error type for space operations.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SpaceError {
-    /// A domain is empty or inverted.
-    EmptyDomain {
-        /// The offending parameter.
-        param: String,
-    },
-}
-
-impl fmt::Display for SpaceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SpaceError::EmptyDomain { param } => write!(f, "empty domain for parameter {param}"),
-        }
-    }
-}
-
-impl Error for SpaceError {}
-
 impl ParamSpec {
     /// A continuous range parameter.
     pub fn float_range(name: impl Into<String>, lo: f64, hi: f64, log: bool) -> Self {
@@ -118,28 +97,19 @@ impl ParamSpec {
     }
 
     /// The parameter name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
-    /// The domain.
-    pub fn domain(&self) -> &Domain {
-        &self.domain
-    }
-
-    fn validate(&self) -> Result<(), SpaceError> {
-        let ok = match &self.domain {
+    /// Whether the domain holds at least one value.
+    fn is_valid(&self) -> bool {
+        match &self.domain {
             Domain::FloatRange { lo, hi, log } => {
                 lo.is_finite() && hi.is_finite() && lo <= hi && (!log || *lo > 0.0)
             }
             Domain::IntRange { lo, hi } => lo <= hi,
             Domain::IntChoice(v) => !v.is_empty(),
             Domain::FloatChoice(v) => !v.is_empty(),
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(SpaceError::EmptyDomain { param: self.name.clone() })
         }
     }
 
@@ -221,24 +191,14 @@ impl SearchSpace {
     /// Panics when a parameter domain is empty or inverted.
     pub fn new(params: Vec<ParamSpec>) -> Self {
         for p in &params {
-            p.validate().expect("search-space domains must be non-empty");
+            assert!(p.is_valid(), "search-space domains must be non-empty: {}", p.name);
         }
         SearchSpace { params }
     }
 
     /// The parameter specs.
-    pub fn params(&self) -> &[ParamSpec] {
+    pub(crate) fn params(&self) -> &[ParamSpec] {
         &self.params
-    }
-
-    /// Number of parameters.
-    pub fn len(&self) -> usize {
-        self.params.len()
-    }
-
-    /// Returns `true` when the space has no parameters.
-    pub fn is_empty(&self) -> bool {
-        self.params.is_empty()
     }
 
     /// Samples one full configuration.
@@ -336,7 +296,7 @@ mod tests {
         let a = space();
         let b = SearchSpace::new(vec![ParamSpec::int_choice("cores", &[4, 8, 16])]);
         let u = a.union(&b);
-        assert_eq!(u.len(), 4);
+        assert_eq!(u.params().len(), 4);
         let mut rng = StdRng::seed_from_u64(3);
         assert!(u.sample(&mut rng).contains_key("cores"));
     }

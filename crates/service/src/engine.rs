@@ -55,7 +55,7 @@ pub enum EngineEvent {
 
 /// State handed back by [`PolicyEngine::remove`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Removed {
+pub(crate) struct Removed {
     /// Service the job still needed, seconds.
     pub remaining_secs: f64,
     /// Service attained within this engine residence, seconds.
@@ -106,12 +106,12 @@ impl PolicyEngine {
     }
 
     /// Current engine time, seconds.
-    pub fn now(&self) -> f64 {
+    pub(crate) fn now(&self) -> f64 {
         self.now
     }
 
     /// Unfinished jobs currently in the system (queued or in service).
-    pub fn active(&self) -> usize {
+    pub(crate) fn active(&self) -> usize {
         self.jobs.len()
     }
 
@@ -153,15 +153,10 @@ impl PolicyEngine {
         self.servers = servers.max(1);
     }
 
-    /// Current server count.
-    pub fn servers(&self) -> usize {
-        self.servers
-    }
-
     /// Removes `job` from the system without completing it (crash or
     /// shed), returning its progress state. `None` when the job is not
     /// active.
-    pub fn remove(&mut self, job: usize) -> Option<Removed> {
+    pub(crate) fn remove(&mut self, job: usize) -> Option<Removed> {
         self.jobs.remove(&job).map(|j| Removed {
             remaining_secs: j.remaining,
             attained_secs: j.attained,
@@ -590,7 +585,7 @@ mod tests {
         engine.advance_to(2.0);
         // A node left: down to one server. Only the FIFO head serves.
         engine.set_servers(1);
-        assert_eq!(engine.servers(), 1);
+        assert_eq!(engine.servers, 1);
         assert_eq!(engine.in_service().0, vec![0]);
         let done = engine.drain();
         // Job 0: 8 left at t=2, dedicated → finishes at 10. Job 1: starts
@@ -598,7 +593,7 @@ mod tests {
         assert_eq!(done[0].at_secs, 10.0);
         assert_eq!(done[1].at_secs, 18.0);
         engine.set_servers(0);
-        assert_eq!(engine.servers(), 1, "server counts clamp to at least 1");
+        assert_eq!(engine.servers, 1, "server counts clamp to at least 1");
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub mod observe;
 mod policy;
 mod service;
 
-pub use engine::{Completion, EngineEvent, PolicyEngine, Removed, Trip};
+pub use engine::{Completion, EngineEvent, PolicyEngine, Trip};
 pub use job::{JobOutcome, JobRecord, JobSubmission};
 pub use policy::{AdmissionControl, SchedulingPolicy};
 pub use service::{job_seed, ServiceConfig, ServiceOutcome, SlotSample, TuningService};

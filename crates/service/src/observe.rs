@@ -12,56 +12,56 @@
 
 pipetune_telemetry::metric_names! {
     /// Counter: jobs submitted to the service (admitted or not).
-    pub const JOBS_SUBMITTED = "service.jobs_submitted";
+    pub(crate) const JOBS_SUBMITTED = "service.jobs_submitted";
 
     /// Counter: jobs admission control let into the system.
-    pub const JOBS_ADMITTED = "service.jobs_admitted";
+    pub(crate) const JOBS_ADMITTED = "service.jobs_admitted";
 
     /// Counter: jobs admission control turned away (each one also resolves
     /// to a typed `JobOutcome::Rejected` record).
-    pub const ADMISSION_REJECTED = "service.admission.rejected";
+    pub(crate) const ADMISSION_REJECTED = "service.admission.rejected";
 
     /// Counter: admitted jobs that ran to completion.
-    pub const JOBS_COMPLETED = "service.jobs_completed";
+    pub(crate) const JOBS_COMPLETED = "service.jobs_completed";
 
     /// Counter: jobs shed for exceeding their deadline.
-    pub const JOBS_SHED = "service.jobs_shed";
+    pub(crate) const JOBS_SHED = "service.jobs_shed";
 
     /// Counter: jobs abandoned after exhausting the resubmission budget.
-    pub const JOBS_ABANDONED = "service.jobs_abandoned";
+    pub(crate) const JOBS_ABANDONED = "service.jobs_abandoned";
 
     /// Counter: nodes that left the shared slot pool (service-level churn).
-    pub const NODE_LEAVES = "service.churn.node_leaves";
+    pub(crate) const NODE_LEAVES = "service.churn.node_leaves";
 
     /// Counter: nodes that rejoined the shared slot pool.
-    pub const NODE_JOINS = "service.churn.node_joins";
+    pub(crate) const NODE_JOINS = "service.churn.node_joins";
 
     /// Gauge: current pool capacity in slots, updated at every applied churn
     /// event.
-    pub const CAPACITY_SLOTS = "service.churn.capacity_slots";
+    pub(crate) const CAPACITY_SLOTS = "service.churn.capacity_slots";
 
     /// Counter: job-level crashes injected by the service fault plan.
-    pub const JOB_CRASHES = "service.faults.job_crashes";
+    pub(crate) const JOB_CRASHES = "service.faults.job_crashes";
 
     /// Counter: crashed jobs resubmitted from their last checkpoint.
-    pub const RESUBMISSIONS = "service.faults.resubmissions";
+    pub(crate) const RESUBMISSIONS = "service.faults.resubmissions";
 
     /// Histogram of service-seconds lost per job crash (work past the last
     /// checkpoint; [`pipetune_telemetry::DURATION_BUCKETS_SECS`]).
-    pub const LOST_SERVICE_SECS = "service.faults.lost_service_secs";
+    pub(crate) const LOST_SERVICE_SECS = "service.faults.lost_service_secs";
 
     /// Histogram of per-job queueing delay (start − arrival), seconds
     /// ([`pipetune_telemetry::DURATION_BUCKETS_SECS`]).
-    pub const QUEUE_SECS = "service.queue_secs";
+    pub(crate) const QUEUE_SECS = "service.queue_secs";
 
     /// Histogram of per-job response time (completion − arrival), seconds
     /// ([`pipetune_telemetry::DURATION_BUCKETS_SECS`]).
-    pub const RESPONSE_SECS = "service.response_secs";
+    pub(crate) const RESPONSE_SECS = "service.response_secs";
 
     /// Histogram of slot-pool occupancy sampled at every scheduling event
     /// ([`pipetune_telemetry::COUNT_BUCKETS`]).
-    pub const SLOTS_IN_USE = "service.slots_in_use";
+    pub(crate) const SLOTS_IN_USE = "service.slots_in_use";
 
     /// Gauge: time the last job completed, seconds on the service clock.
-    pub const MAKESPAN_SECS = "service.makespan_secs";
+    pub(crate) const MAKESPAN_SECS = "service.makespan_secs";
 }

@@ -65,7 +65,7 @@ impl AdmissionControl {
     }
 
     /// Whether an arrival is admitted when `in_system` jobs are unfinished.
-    pub fn admits(&self, in_system: usize) -> bool {
+    pub(crate) fn admits(&self, in_system: usize) -> bool {
         self.max_in_system.is_none_or(|cap| in_system < cap)
     }
 }

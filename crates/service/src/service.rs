@@ -144,15 +144,9 @@ impl ServiceConfig {
     }
 
     /// Checks the configuration, returning a typed error instead of
-    /// panicking (or silently clamping) on degenerate values.
-    ///
-    /// # Errors
-    ///
-    /// [`PipeTuneError::InvalidConfig`] for zero servers, a non-finite or
-    /// non-positive deadline, out-of-range fault probabilities, a
-    /// degenerate churn interval or node size, or an unusable
-    /// resubmission policy.
-    pub fn validate(&self) -> Result<(), PipeTuneError> {
+    /// panicking (or silently clamping) on degenerate values — the rules
+    /// are listed under [`TuningService::run`]'s errors.
+    pub(crate) fn validate(&self) -> Result<(), PipeTuneError> {
         let bad = |reason: String| Err(PipeTuneError::InvalidConfig { reason });
         if self.servers == 0 {
             return bad("service servers must be at least 1".into());
@@ -583,11 +577,6 @@ impl TuningService {
         TuningService { config }
     }
 
-    /// Read access to the configuration.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.config
-    }
-
     /// Runs the submission stream to completion. Jobs are processed in
     /// `(arrival, index)` order; the returned records are in submission
     /// order, one per submission.
@@ -595,7 +584,9 @@ impl TuningService {
     /// # Errors
     ///
     /// [`PipeTuneError::InvalidConfig`] for an invalid configuration
-    /// (see [`ServiceConfig::validate`]) or non-finite/negative arrival
+    /// (zero servers, a non-finite or non-positive deadline, out-of-range
+    /// fault probabilities, a degenerate churn interval or node size, an
+    /// unusable resubmission policy) or non-finite/negative arrival
     /// times; substrate errors propagate from the jobs' tuning runs.
     pub fn run(
         &self,

@@ -56,16 +56,6 @@ impl TelemetryBuffer {
         self.suppressed = suppressed;
     }
 
-    /// Buffered spans (local parent indices).
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
-    }
-
-    /// Buffered events (local span indices).
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-
     /// Buffered metric updates.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
@@ -140,7 +130,7 @@ impl TelemetryBuffer {
 
     /// Records a complete span; returns its local index for use as a
     /// parent (remapped when the buffer is merged into a sink).
-    pub fn span(&mut self, span: Span) -> u32 {
+    pub(crate) fn span(&mut self, span: Span) -> u32 {
         if !self.is_active() {
             return 0;
         }
@@ -150,7 +140,7 @@ impl TelemetryBuffer {
     }
 
     /// Records a point event.
-    pub fn event(&mut self, event: Event) {
+    pub(crate) fn event(&mut self, event: Event) {
         if self.is_active() {
             self.events.push(event);
         }
@@ -201,8 +191,8 @@ mod tests {
         buf.event(Event { kind: EventKind::Probe, span: None, at_secs: 0.0, attrs: vec![] });
         buf.counter_add("c", 1);
         buf.observe("h", COUNT_BUCKETS, 1.0);
-        assert!(buf.spans().is_empty());
-        assert!(buf.events().is_empty());
+        assert!(buf.spans.is_empty());
+        assert!(buf.events.is_empty());
         assert!(buf.metrics().is_empty());
     }
 
@@ -215,7 +205,7 @@ mod tests {
         buf.counter_add("c", 7);
         buf.set_suppressed(false);
         buf.span(span(SpanKind::Epoch, "kept2", None));
-        let labels: Vec<&str> = buf.spans().iter().map(|s| s.label.as_str()).collect();
+        let labels: Vec<&str> = buf.spans.iter().map(|s| s.label.as_str()).collect();
         assert_eq!(labels, ["kept", "kept2"]);
         assert_eq!(buf.metrics().counter("c"), 0);
     }
@@ -226,7 +216,7 @@ mod tests {
         let a = buf.span(span(SpanKind::Trial, "t", None));
         let b = buf.span(span(SpanKind::Epoch, "e", Some(a)));
         assert_eq!((a, b), (0, 1));
-        assert_eq!(buf.spans()[1].parent, Some(0));
+        assert_eq!(buf.spans[1].parent, Some(0));
     }
 
     #[test]
@@ -239,7 +229,7 @@ mod tests {
         buf.drain_into(None, &mut spans, &mut events, &mut metrics);
         assert_eq!(spans.len(), 1);
         assert_eq!(metrics.counter("c"), 2);
-        assert!(buf.spans().is_empty() && buf.metrics().is_empty());
+        assert!(buf.spans.is_empty() && buf.metrics().is_empty());
         assert!(buf.is_active());
         assert_eq!(buf.spans.capacity(), capacity, "the next rung records into the same storage");
     }

@@ -232,22 +232,13 @@ impl TelemetryHandle {
         self.lock().map(|sink| f(&sink.spans, &sink.events))
     }
 
-    /// Merges a worker-local buffer into the sink, re-parenting the
-    /// buffer's root spans/events under `parent` and remapping local span
-    /// indices. The executor calls this on the coordinator thread in
-    /// scheduler request order — that ordering is what makes the final
-    /// trace independent of worker count.
-    pub fn merge_buffer(&self, parent: SpanId, buf: &mut TelemetryBuffer) {
-        let parent = self.resolve(parent).to_parent();
-        let Some(mut sink) = self.lock() else { return };
-        let Sink { spans, events, metrics } = &mut *sink;
-        buf.drain_into(parent, spans, events, metrics);
-    }
-
     /// Records one work item's round under a single lock acquisition: the
-    /// completed `trial` span as a child of `parent`, then `buf` merged
-    /// beneath it exactly as [`TelemetryHandle::merge_buffer`] would.
-    /// `trial.parent` is overwritten.
+    /// completed `trial` span as a child of `parent` (`trial.parent` is
+    /// overwritten), then the worker-local `buf` merged beneath it — its
+    /// root spans/events re-parented under the trial, its local span
+    /// indices remapped, the buffer left empty. The executor calls this
+    /// on the coordinator thread in scheduler request order — that
+    /// ordering is what makes the final trace independent of worker count.
     pub fn merge_trial(&self, parent: SpanId, trial: Span, buf: &mut TelemetryBuffer) {
         let parent = self.resolve(parent).to_parent();
         let Some(mut sink) = self.lock() else { return };
@@ -272,6 +263,17 @@ impl TelemetryHandle {
 mod tests {
     use super::*;
     use crate::metrics::COUNT_BUCKETS;
+
+    fn trial(label: &str) -> Span {
+        Span {
+            kind: SpanKind::Trial,
+            label: label.into(),
+            parent: Some(99), // overwritten by the merge
+            start_secs: 0.0,
+            end_secs: 1.0,
+            attrs: vec![],
+        }
+    }
 
     #[test]
     fn disabled_handle_is_inert() {
@@ -318,15 +320,16 @@ mod tests {
         scoped.event(SpanId::NONE, EventKind::Checkpoint, 0.5, vec![]);
         // Explicit parents are untouched.
         let rung = scoped.open_span(run, SpanKind::Rung, "rung 0", 0.0, vec![]);
-        // Buffers merged at top level through the scoped handle re-root too.
+        // Trials merged at top level through the scoped handle re-root too.
         let mut buf = TelemetryBuffer::enabled();
-        buf.push_span(SpanKind::Rung, "buffered", None, 0.0, 1.0, vec![]);
-        scoped.merge_buffer(SpanId::NONE, &mut buf);
+        buf.push_span(SpanKind::Epoch, "buffered", None, 0.0, 1.0, vec![]);
+        scoped.merge_trial(SpanId::NONE, trial("t0"), &mut buf);
         let snap = h.snapshot().unwrap();
         assert_eq!(snap.spans[2].parent, Some(1), "run nests under job");
         assert_eq!(snap.events[0].span, Some(1), "event attaches to job");
         assert_eq!(snap.spans[3].parent, Some(2), "explicit parent wins");
-        assert_eq!(snap.spans[4].parent, Some(1), "buffer re-roots to job");
+        assert_eq!(snap.spans[4].parent, Some(1), "trial re-roots to job");
+        assert_eq!(snap.spans[5].parent, Some(4), "buffer nests under its trial");
         let _ = rung;
         // A scoped clone of a disabled handle stays inert.
         let off = TelemetryHandle::disabled().scoped(job);
@@ -335,10 +338,9 @@ mod tests {
     }
 
     #[test]
-    fn merge_buffer_remaps_parents_and_spans() {
+    fn merge_trial_remaps_parents_and_spans() {
         let h = TelemetryHandle::enabled();
         let run = h.open_span(SpanId::NONE, SpanKind::TuningRun, "r", 0.0, vec![]);
-        let trial = h.open_span(run, SpanKind::Trial, "t0", 0.0, vec![]);
 
         let mut buf = TelemetryBuffer::enabled();
         let local = buf.push_span(SpanKind::Epoch, "e1", None, 0.0, 1.0, vec![]);
@@ -347,66 +349,28 @@ mod tests {
         buf.push_event(EventKind::GtLookup, None, 0.1, vec![]);
         buf.counter_add("c", 4);
 
-        h.merge_buffer(trial, &mut buf);
+        h.merge_trial(run, trial("t0"), &mut buf);
         let snap = h.snapshot().unwrap();
         // Spans: run (0), trial (1), e1 (2), e2 (3).
+        assert_eq!(snap.spans[1].parent, Some(0), "the trial's own parent is the one given");
         assert_eq!(snap.spans[2].parent, Some(1), "rootless buffer span re-parents to trial");
         assert_eq!(snap.spans[3].parent, Some(2), "local index offsets by sink length");
         assert_eq!(snap.events[0].span, Some(2));
         assert_eq!(snap.events[1].span, Some(1));
         assert_eq!(snap.metrics.counter("c"), 4);
-        // Buffer drained in place.
-        assert!(buf.spans().is_empty());
-    }
-
-    #[test]
-    fn merge_trial_records_what_open_merge_close_did() {
-        let filled = || {
-            let mut buf = TelemetryBuffer::enabled();
-            let local = buf.push_span(SpanKind::Epoch, "e1", None, 2.0, 3.0, vec![]);
-            buf.push_event(EventKind::Probe, Some(local), 2.5, vec![]);
-            buf.push_event(EventKind::GtLookup, None, 2.1, vec![]);
-            buf.counter_add("c", 4);
-            buf
-        };
-        let attrs = || vec![("trial", 7u64.into())];
-
-        let stepwise = TelemetryHandle::enabled();
-        let batch = stepwise.open_span(SpanId::NONE, SpanKind::Batch, "batch", 0.0, vec![]);
-        let trial = stepwise.open_span(batch, SpanKind::Trial, "trial 7", 2.0, attrs());
-        stepwise.merge_buffer(trial, &mut filled());
-        stepwise.close_span(trial, 5.0);
-        stepwise.close_span(batch, 6.0);
-
-        let one_lock = TelemetryHandle::enabled();
-        let batch = one_lock.open_span(SpanId::NONE, SpanKind::Batch, "batch", 0.0, vec![]);
-        let trial = Span {
-            kind: SpanKind::Trial,
-            label: "trial 7".into(),
-            parent: Some(99), // overwritten
-            start_secs: 2.0,
-            end_secs: 5.0,
-            attrs: attrs(),
-        };
-        let mut buf = filled();
-        one_lock.merge_trial(batch, trial, &mut buf);
-        one_lock.close_span(batch, 6.0);
-
-        assert_eq!(one_lock.snapshot(), stepwise.snapshot());
-        assert!(buf.spans().is_empty() && buf.events().is_empty() && buf.metrics().is_empty());
+        // Buffer drained in place (`drain_into`'s own test covers the rest).
+        assert!(buf.metrics().is_empty());
     }
 
     #[test]
     fn merge_order_determines_trace_order() {
-        // Two buffers merged in opposite orders give different byte
+        // Two trials merged in opposite orders give different byte
         // streams — which is why the executor always merges in request
         // order.
         let build = |first: &str, second: &str| {
             let h = TelemetryHandle::enabled();
             for label in [first, second] {
-                let mut buf = TelemetryBuffer::enabled();
-                buf.push_span(SpanKind::Trial, label, None, 0.0, 1.0, vec![]);
-                h.merge_buffer(SpanId::NONE, &mut buf);
+                h.merge_trial(SpanId::NONE, trial(label), &mut TelemetryBuffer::enabled());
             }
             h.snapshot().unwrap()
         };

@@ -28,8 +28,7 @@
 //!
 //! Worker threads record into private [`TelemetryBuffer`]s; the executor's
 //! coordinator merges them through [`TelemetryHandle::merge_trial`] (a
-//! trial's span with its buffer beneath it, one lock;
-//! [`TelemetryHandle::merge_buffer`] is the bare merge) in scheduler
+//! trial's span with its buffer beneath it, one lock) in scheduler
 //! **request order**. Combined with simulated-time timestamps,
 //! the exported trace and metrics snapshot are byte-identical for every
 //! executor worker count. A disabled [`TelemetryHandle`] (the default) is

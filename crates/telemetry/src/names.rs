@@ -2,7 +2,7 @@
 //!
 //! Every subsystem declares its metric names through the
 //! [`metric_names!`](crate::metric_names) macro, which emits the usual
-//! documented `pub const` items **plus** an `ALL_METRIC_NAMES` slice
+//! documented `const` items **plus** an `ALL_METRIC_NAMES` slice
 //! listing them. A registry check ([`unregistered`]) then asserts that a
 //! recorded snapshot only contains registered names — the guard that kills
 //! typo drift like `service.admission.rejected` vs
@@ -20,10 +20,11 @@ use crate::handle::TelemetrySnapshot;
 /// Declares canonical metric names and the registry slice that enumerates
 /// them.
 ///
-/// Each entry becomes a documented `pub const NAME: &str = "..."` exactly
-/// as if written by hand; the macro additionally emits
-/// `pub const ALL_METRIC_NAMES: &[&str]` listing every declared name so
-/// registry checks can enumerate the module's vocabulary.
+/// Each entry becomes a documented `const NAME: &str = "..."` exactly as
+/// if written by hand, with the visibility it is declared with (a name
+/// only its own crate records is `pub(crate)`); the macro additionally
+/// emits `pub const ALL_METRIC_NAMES: &[&str]` listing every declared
+/// name so registry checks can enumerate the module's vocabulary.
 ///
 /// ```
 /// mod observe {
@@ -31,7 +32,7 @@ use crate::handle::TelemetrySnapshot;
 ///         /// Total demo events.
 ///         pub const EVENTS = "demo.events";
 ///         /// Demo queue depth gauge.
-///         pub const QUEUE_DEPTH = "demo.queue_depth";
+///         pub(crate) const QUEUE_DEPTH = "demo.queue_depth";
 ///     }
 /// }
 /// assert_eq!(observe::EVENTS, "demo.events");
@@ -39,8 +40,8 @@ use crate::handle::TelemetrySnapshot;
 /// ```
 #[macro_export]
 macro_rules! metric_names {
-    ($($(#[$meta:meta])* pub const $name:ident = $value:literal;)+) => {
-        $($(#[$meta])* pub const $name: &str = $value;)+
+    ($($(#[$meta:meta])* $vis:vis const $name:ident = $value:literal;)+) => {
+        $($(#[$meta])* $vis const $name: &str = $value;)+
         /// Every canonical metric name this module declares, for registry
         /// checks (see `pipetune_telemetry::names`).
         pub const ALL_METRIC_NAMES: &[&str] = &[$($name),+];

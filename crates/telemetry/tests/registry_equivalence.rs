@@ -15,8 +15,8 @@
 //! imported ones merge to.
 
 use pipetune_telemetry::{
-    MetricsRegistry, SpanId, TelemetryBuffer, TelemetryHandle, TelemetrySnapshot, COUNT_BUCKETS,
-    DURATION_BUCKETS_SECS, ENERGY_BUCKETS_J, RATIO_BUCKETS,
+    MetricsRegistry, Span, SpanId, SpanKind, TelemetryBuffer, TelemetryHandle, TelemetrySnapshot,
+    COUNT_BUCKETS, DURATION_BUCKETS_SECS, ENERGY_BUCKETS_J, RATIO_BUCKETS,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -287,7 +287,15 @@ fn run_session(seed: u64) -> Result<(), String> {
                     }
                     apply_frozen(&mut frozen_buffer, r);
                 }
-                sink.merge_buffer(SpanId::NONE, &mut buffer);
+                let trial = Span {
+                    kind: SpanKind::Trial,
+                    label: "trial".into(),
+                    parent: None,
+                    start_secs: 0.0,
+                    end_secs: 1.0,
+                    attrs: vec![],
+                };
+                sink.merge_trial(SpanId::NONE, trial, &mut buffer);
                 reference.merge(&frozen_buffer);
                 if !buffer.metrics().is_empty() {
                     return Err(format!("seed {seed} step {step}: the merged buffer kept metrics"));

@@ -8,7 +8,9 @@
 //! trace — and asserts that **every name they record is registered** in
 //! some subsystem's slice. A typo'd emission site
 //! (`service.admissions.rejected` vs `service.admission.rejected`)
-//! fails here before it can silently split a dashboard series.
+//! fails here before it can silently split a dashboard series. It also
+//! holds the hand-kept tables of `docs/telemetry.md` to the same union, in
+//! both directions.
 
 use pipetune::{
     EpochCacheConfig, EpochCacheHandle, ExperimentEnvBuilder, PipeTune, TunerOptions, WorkloadSpec,
@@ -17,6 +19,7 @@ use pipetune_cluster::{FaultPlan, PoissonArrivals, ServiceFaultPlan};
 use pipetune_monitor::{MonitorConfig, MonitorHandle};
 use pipetune_service::{JobSubmission, SchedulingPolicy, ServiceConfig, TuningService};
 use pipetune_telemetry::{names, TelemetryHandle, TelemetrySnapshot};
+use std::collections::BTreeSet;
 
 /// The union of every subsystem's declared vocabulary.
 const REGISTRIES: &[&[&str]] = &[
@@ -50,6 +53,32 @@ fn registries_are_disjoint_and_well_formed() {
             "metric name {name:?} breaks the lowercase dotted convention"
         );
     }
+}
+
+/// `docs/telemetry.md` § "Metric names" lists the vocabulary by hand: its
+/// back-quoted lowercase dotted names are the registered names, no more
+/// and no fewer.
+#[test]
+fn documented_names_are_the_registered_names() {
+    let doc = include_str!("../docs/telemetry.md");
+    let section = doc.split("\n## Metric names\n").nth(1).expect("the section exists");
+    let section = section.split("\n## ").next().unwrap_or(section);
+    let is_name = |text: &str| {
+        let mut parts = text.split('.');
+        text.contains('.')
+            && parts.all(|p| !p.is_empty() && p.chars().all(|c| c.is_ascii_lowercase() || c == '_'))
+    };
+    // Odd pieces of a split on back quotes are the quoted ones.
+    let documented: BTreeSet<&str> =
+        section.split('`').skip(1).step_by(2).filter(|text| is_name(text)).collect();
+    let registered: BTreeSet<&str> = REGISTRIES.iter().flat_map(|s| s.iter().copied()).collect();
+    let undocumented: Vec<_> = registered.difference(&documented).collect();
+    let unregistered: Vec<_> = documented.difference(&registered).collect();
+    assert!(
+        undocumented.is_empty() && unregistered.is_empty(),
+        "docs/telemetry.md drifted from the observe modules: \
+         registered but not documented {undocumented:?}, documented but not registered {unregistered:?}"
+    );
 }
 
 #[test]

@@ -24,7 +24,7 @@ proptest! {
         }
         let model = Dbscan::new(1.5, 3).fit(&data).unwrap();
         // Every point sits in a dense blob → no noise at all, two clusters.
-        prop_assert_eq!(model.noise_count(), 0);
+        prop_assert!(model.labels().iter().all(|&l| l != DbscanLabel::Noise));
         prop_assert_eq!(model.num_clusters(), 2);
         // Predictions on training points match their labels.
         for (p, &l) in data.iter().zip(model.labels()) {
@@ -107,22 +107,12 @@ proptest! {
     }
 
     #[test]
-    fn simtime_plus_minus_are_inverse(
-        a in 0u64..1_000_000_000,
-        b in 0u64..1_000_000_000,
-    ) {
-        let ta = SimTime::from_micros(a);
-        let tb = SimTime::from_micros(b);
-        prop_assert_eq!(ta.plus(tb).minus(tb), ta);
-    }
-
-    #[test]
     fn poisson_arrivals_are_strictly_ordered_and_positive(
         rate in 0.001..10.0f64,
         seed in 0u64..500,
     ) {
         let mut p = PoissonArrivals::new(rate, seed);
-        let times = p.take_arrivals(50);
+        let times: Vec<SimTime> = (0..50).map(|_| p.next_arrival()).collect();
         prop_assert!(times.windows(2).all(|w| w[0] <= w[1]));
         prop_assert!(times[0] > SimTime::ZERO);
     }

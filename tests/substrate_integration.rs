@@ -6,7 +6,7 @@ use pipetune::{EpochWorkload, ExperimentEnv, HyperParams, WorkloadSpec};
 use pipetune_clustering::KMeans;
 use pipetune_data::{mnist_like, ImageSpec};
 use pipetune_dnn::{LeNet5, Model, TrainConfig};
-use pipetune_energy::{PduTrace, PowerModel};
+use pipetune_energy::PowerModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -74,22 +74,6 @@ fn profiles_of_the_seven_workloads_cluster_by_family() {
 }
 
 #[test]
-fn energy_accounting_matches_pdu_integration() {
-    // cluster cost model → power model → PDU trapezoid: the energy path.
-    let env = ExperimentEnv::distributed(1101);
-    let hp = HyperParams { batch_size: 256, ..HyperParams::default() };
-    let w = WorkloadSpec::lenet_mnist().with_scale(0.2).instantiate(&hp, 3).expect("builds");
-    let dur = env.cost.epoch_duration(&w.work_units(), &env.default_system, 1.0);
-    let watts = env.trial_power_watts(env.default_system.cores);
-    let mut pdu = PduTrace::new();
-    pdu.record_interval(0.0, dur, watts);
-    let integrated = pdu.energy_joules();
-    let direct = watts.round() * dur;
-    let rel = (integrated - direct).abs() / direct;
-    assert!(rel < 0.01, "trapezoid {integrated} vs direct {direct}");
-}
-
-#[test]
 fn power_model_is_consistent_with_cluster_attribution() {
     let env = ExperimentEnv::distributed(1102);
     let pm = PowerModel::default();
@@ -100,39 +84,6 @@ fn power_model_is_consistent_with_cluster_attribution() {
     let idle_floor = pm.idle_watts * env.cluster.nodes.len() as f64;
     assert!(p4 > idle_floor);
     assert!((p16 - p4) - (pm.power_watts(16, 1.0) - pm.power_watts(4, 1.0)).abs() < 1e-9);
-}
-
-#[test]
-fn allocator_contention_feeds_the_cost_model() {
-    // cluster topology → allocator → contention → cost model: the Fig. 5
-    // co-location path. Three 8-core jobs on one 8-core node triple the
-    // contention factor, which triples an epoch's busy time.
-    use pipetune_cluster::{Allocator, ClusterSpec, CostModel, Node, SystemConfig, WorkUnits};
-    let mut alloc =
-        Allocator::new(ClusterSpec { nodes: vec![Node { cores: 8, memory_gb: 64 }] });
-    let request = SystemConfig::new(8, 16);
-    let g1 = alloc.allocate(request).expect("fits");
-    let node = g1.node;
-    let model = CostModel::default();
-    let work = WorkUnits {
-        flops: 6e11,
-        iterations: 200,
-        working_set_bytes: 3e9,
-        memory_intensity: 0.5,
-    };
-    let alone = model.epoch_duration(&work, &request, alloc.contention(node));
-    alloc.allocate(request).expect("oversubscribes");
-    alloc.allocate(request).expect("oversubscribes");
-    let crowded = model.epoch_duration(&work, &request, alloc.contention(node));
-    let busy_alone = alone - model.init_secs;
-    let busy_crowded = crowded - model.init_secs;
-    assert!(
-        (busy_crowded / busy_alone - 3.0).abs() < 1e-9,
-        "3x oversubscription must triple busy time: {busy_alone} vs {busy_crowded}"
-    );
-    // Releasing the co-tenants restores full speed.
-    alloc.release(g1.id).expect("release");
-    assert!(alloc.contention(node) >= 1.0);
 }
 
 #[test]
