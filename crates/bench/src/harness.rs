@@ -11,7 +11,7 @@ use pipetune::prelude::*;
 use pipetune::warm_start_ground_truth;
 use pipetune_tsdb::{write_atomic, TsdbError};
 
-pub(crate) type Result<T> = std::result::Result<T, Error>;
+pub(crate) type Result<T> = std::result::Result<T, PipeTuneError>;
 
 /// Directory experiment artefacts land in, relative to the working directory.
 pub(crate) const ARTEFACTS: &str = "target/experiments";
@@ -132,13 +132,13 @@ impl Outcome {
     }
 }
 
-fn unserialisable(what: &str, e: serde_json::Error) -> Error {
-    InvalidConfig::new(format!("{what} does not serialise: {e}")).into()
+fn unserialisable(what: &str, e: serde_json::Error) -> PipeTuneError {
+    PipeTuneError::InvalidConfig { reason: format!("{what} does not serialise: {e}") }
 }
 
 /// The error for a row, event or model an experiment looked up and did not find.
-pub(crate) fn missing(what: impl Display) -> Error {
-    InvalidConfig::new(format!("experiment found no {what}")).into()
+pub(crate) fn missing(what: impl Display) -> PipeTuneError {
+    PipeTuneError::InvalidConfig { reason: format!("experiment found no {what}") }
 }
 
 /// The row of `rows` whose `key` (approach, variant name, …) is `want`.
@@ -158,7 +158,7 @@ pub(crate) fn warm_pipetune(
     options: &TunerOptions,
 ) -> Result<TuningOutcome> {
     let gt = warm_start_ground_truth(env, &WorkloadSpec::all_type12(), options)?;
-    Ok(PipeTune::with_ground_truth(*options, gt).run(env, spec)?)
+    PipeTune::with_ground_truth(*options, gt).run(env, spec)
 }
 
 /// The three approaches the paper compares, tuning one workload in one

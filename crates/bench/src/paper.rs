@@ -314,14 +314,16 @@ pub(crate) fn fig05_tune_characterization(ctx: &Ctx) -> Result<Outcome> {
             // Each cell is an independent run (own seed), as in the paper's
             // characterization campaign.
             let seed = 5500 + u64::from(cores) * 10 + jobs as u64;
-            let mut env = ExperimentEnvBuilder::distributed(seed).build()?;
+            let mut env = ExperimentEnv::distributed(seed);
             env.system_space.cores = match cores {
                 1 => vec![1],
                 2 => vec![1, 2],
                 4 => vec![2, 4],
                 _ => vec![4, 8],
             };
-            env.default_system = SystemConfig { cores, memory_gb: 8, ..SystemConfig::default() };
+            let env = ExperimentEnvBuilder::from_env(env)
+                .default_system(SystemConfig { cores, memory_gb: 8, ..SystemConfig::default() })
+                .build()?;
             let v2 = TuneV2::new(options).run_with_contention(&env, &spec, jobs as f64)?;
             let err = f64::from(1.0 - v2.best_accuracy);
             let err_impr = pct(base_err, err); // positive = error improved

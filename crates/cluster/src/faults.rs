@@ -8,7 +8,7 @@
 //! strikes a given epoch execution, which kind, and how severe it is.
 //!
 //! Determinism is load-bearing: the executor runs trials on an arbitrary
-//! number of OS threads, and the replay contract (`DESIGN.md` §6.1) demands
+//! number of OS threads, and the replay contract (`docs/determinism.md`) demands
 //! byte-identical results for every worker count. Fault decisions therefore
 //! never consult a stateful RNG; they hash their coordinates with a
 //! [SplitMix64](https://prng.di.unimi.it/splitmix64.c) finaliser, so any

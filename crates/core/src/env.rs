@@ -14,7 +14,7 @@ use pipetune_perfmon::Profiler;
 use pipetune_telemetry::TelemetryHandle;
 
 use crate::cache::EpochCacheHandle;
-use crate::error::InvalidConfig;
+use crate::error::PipeTuneError;
 
 /// Bundles the simulated infrastructure (§7.1.1): cluster inventory, cost
 /// model, power model, PMU, system-parameter grid, default trial
@@ -156,7 +156,7 @@ fn default_workers() -> usize {
 /// environment invariant is checked.
 ///
 /// It records exactly what the caller asked for and rejects contradictions
-/// in [`ExperimentEnvBuilder::build`] with a typed [`InvalidConfig`] — a
+/// in [`ExperimentEnvBuilder::build`] with [`PipeTuneError::InvalidConfig`] — a
 /// bad configuration is an error, never silently repaired.
 ///
 /// ```
@@ -170,7 +170,7 @@ fn default_workers() -> usize {
 ///
 /// let err = ExperimentEnvBuilder::distributed(42).workers(0).build();
 /// assert!(err.is_err());
-/// # Ok::<(), pipetune::InvalidConfig>(())
+/// # Ok::<(), pipetune::PipeTuneError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct ExperimentEnvBuilder {
@@ -227,13 +227,6 @@ impl ExperimentEnvBuilder {
     #[must_use]
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.env.fault_plan = plan;
-        self
-    }
-
-    /// Overrides the crash-recovery retry budget and backoff.
-    #[must_use]
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.env.retry = retry;
         self
     }
 
@@ -297,7 +290,7 @@ impl ExperimentEnvBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`InvalidConfig`] when:
+    /// Returns [`PipeTuneError::InvalidConfig`] when:
     /// * `workers` is 0 — a run needs at least one executor thread;
     /// * `parallel_slots` is 0 — the scheduler needs at least one slot;
     /// * `profile_overhead` is negative or non-finite — overhead scales
@@ -308,22 +301,22 @@ impl ExperimentEnvBuilder {
     /// * a live monitor is installed without a live telemetry handle — the
     ///   monitor scans the telemetry stream, so it would silently observe
     ///   nothing.
-    pub fn build(self) -> Result<ExperimentEnv, InvalidConfig> {
+    pub fn build(self) -> Result<ExperimentEnv, PipeTuneError> {
         let env = self.env;
         if env.workers == 0 {
-            return Err(InvalidConfig::new("workers must be at least 1"));
+            return Err(PipeTuneError::invalid("workers must be at least 1"));
         }
         if env.parallel_slots == 0 {
-            return Err(InvalidConfig::new("parallel_slots must be at least 1"));
+            return Err(PipeTuneError::invalid("parallel_slots must be at least 1"));
         }
         if !env.profile_overhead.is_finite() || env.profile_overhead < 0.0 {
-            return Err(InvalidConfig::new(format!(
+            return Err(PipeTuneError::invalid(format!(
                 "profile_overhead must be finite and non-negative, got {}",
                 env.profile_overhead
             )));
         }
         if env.default_system.cores == 0 || env.default_system.memory_gb == 0 {
-            return Err(InvalidConfig::new(format!(
+            return Err(PipeTuneError::invalid(format!(
                 "default system configuration must have nonzero cores and memory, got {} cores / {} GiB",
                 env.default_system.cores, env.default_system.memory_gb
             )));
@@ -333,13 +326,13 @@ impl ExperimentEnvBuilder {
             [("cores", &space.cores), ("memory_gb", &space.memory_gb), ("freq_mhz", &space.freq_mhz)]
         {
             if values.is_empty() {
-                return Err(InvalidConfig::new(format!(
+                return Err(PipeTuneError::invalid(format!(
                     "system_space.{axis} must list at least one value"
                 )));
             }
         }
         if env.monitor.is_enabled() && !env.telemetry.is_enabled() {
-            return Err(InvalidConfig::new(
+            return Err(PipeTuneError::invalid(
                 "a live monitor requires a live telemetry handle to watch; \
                  install one with .telemetry(TelemetryHandle::enabled())",
             ));

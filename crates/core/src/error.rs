@@ -7,7 +7,8 @@ use pipetune_perfmon::PerfmonError;
 use pipetune_telemetry::TraceError;
 use pipetune_tsdb::TsdbError;
 
-/// Error type for PipeTune middleware operations.
+/// The one error type of the `pipetune` facade: every subsystem failure a
+/// binary driving the middleware can meet converges here with `?`.
 #[derive(Debug)]
 pub enum PipeTuneError {
     /// Training substrate failure.
@@ -16,13 +17,18 @@ pub enum PipeTuneError {
     Clustering(ClusteringError),
     /// Metric-store failure.
     Tsdb(TsdbError),
-    /// An experiment or tuner configuration is invalid.
+    /// Hardware-counter profiling failure.
+    Perfmon(PerfmonError),
+    /// Telemetry trace validation/export failure.
+    Trace(TraceError),
+    /// An experiment or tuner configuration is invalid — what a validating
+    /// constructor such as [`crate::ExperimentEnvBuilder::build`] returns.
     InvalidConfig {
-        /// Human-readable description.
+        /// Human-readable description of the rule that was violated.
         reason: String,
     },
     /// A trial exhausted its fault-recovery retry budget and was abandoned
-    /// (see `RetryPolicy` and the fault model in `DESIGN.md`).
+    /// (see `RetryPolicy` and the fault model in `docs/faults.md`).
     RetriesExhausted {
         /// Scheduler id of the abandoned trial.
         trial_id: u64,
@@ -31,12 +37,21 @@ pub enum PipeTuneError {
     },
 }
 
+impl PipeTuneError {
+    /// An [`PipeTuneError::InvalidConfig`] with the given reason.
+    pub(crate) fn invalid(reason: impl Into<String>) -> Self {
+        PipeTuneError::InvalidConfig { reason: reason.into() }
+    }
+}
+
 impl fmt::Display for PipeTuneError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PipeTuneError::Dnn(e) => write!(f, "training error: {e}"),
             PipeTuneError::Clustering(e) => write!(f, "clustering error: {e}"),
             PipeTuneError::Tsdb(e) => write!(f, "metric store error: {e}"),
+            PipeTuneError::Perfmon(e) => write!(f, "profiling error: {e}"),
+            PipeTuneError::Trace(e) => write!(f, "trace error: {e}"),
             PipeTuneError::InvalidConfig { reason } => {
                 write!(f, "invalid configuration: {reason}")
             }
@@ -56,6 +71,8 @@ impl StdError for PipeTuneError {
             PipeTuneError::Dnn(e) => Some(e),
             PipeTuneError::Clustering(e) => Some(e),
             PipeTuneError::Tsdb(e) => Some(e),
+            PipeTuneError::Perfmon(e) => Some(e),
+            PipeTuneError::Trace(e) => Some(e),
             PipeTuneError::InvalidConfig { .. } | PipeTuneError::RetriesExhausted { .. } => None,
         }
     }
@@ -79,115 +96,15 @@ impl From<TsdbError> for PipeTuneError {
     }
 }
 
-/// A configuration rejected by a validating constructor, carrying the
-/// human-readable rule that was violated.
-///
-/// Produced by [`crate::ExperimentEnvBuilder::build`] (and any future
-/// fallible builder); convertible into [`PipeTuneError::InvalidConfig`] and
-/// the top-level [`Error`] with `?`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InvalidConfig {
-    reason: String,
-}
-
-impl InvalidConfig {
-    /// An invalid-config error with the given reason.
-    pub fn new(reason: impl Into<String>) -> Self {
-        InvalidConfig { reason: reason.into() }
-    }
-}
-
-impl fmt::Display for InvalidConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid configuration: {}", self.reason)
-    }
-}
-
-impl StdError for InvalidConfig {}
-
-impl From<InvalidConfig> for PipeTuneError {
-    fn from(e: InvalidConfig) -> Self {
-        PipeTuneError::InvalidConfig { reason: e.reason }
-    }
-}
-
-/// Umbrella error for applications built on the `pipetune` facade.
-///
-/// Each subsystem keeps its own precise error type ([`PipeTuneError`],
-/// [`TsdbError`], [`PerfmonError`], [`TraceError`]); this enum exists so a
-/// binary that drives several subsystems can use one `Result<_,
-/// pipetune::Error>` and let `?` converge everything.
-///
-/// ```
-/// use pipetune::{Error, InvalidConfig, PipeTuneError};
-///
-/// fn run() -> Result<(), Error> {
-///     Err(InvalidConfig::new("demo"))?
-/// }
-/// let err = run().unwrap_err();
-/// assert!(matches!(err, Error::PipeTune(PipeTuneError::InvalidConfig { .. })));
-/// ```
-#[derive(Debug)]
-pub enum Error {
-    /// Middleware failure (tuning, training, cluster, configuration).
-    PipeTune(PipeTuneError),
-    /// Metric-store failure.
-    Tsdb(TsdbError),
-    /// Hardware-counter profiling failure.
-    Perfmon(PerfmonError),
-    /// Telemetry trace validation/export failure.
-    Trace(TraceError),
-}
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Error::PipeTune(e) => write!(f, "{e}"),
-            Error::Tsdb(e) => write!(f, "metric store error: {e}"),
-            Error::Perfmon(e) => write!(f, "profiling error: {e}"),
-            Error::Trace(e) => write!(f, "trace error: {e}"),
-        }
-    }
-}
-
-impl StdError for Error {
-    fn source(&self) -> Option<&(dyn StdError + 'static)> {
-        match self {
-            Error::PipeTune(e) => Some(e),
-            Error::Tsdb(e) => Some(e),
-            Error::Perfmon(e) => Some(e),
-            Error::Trace(e) => Some(e),
-        }
-    }
-}
-
-impl From<PipeTuneError> for Error {
-    fn from(e: PipeTuneError) -> Self {
-        Error::PipeTune(e)
-    }
-}
-
-impl From<InvalidConfig> for Error {
-    fn from(e: InvalidConfig) -> Self {
-        Error::PipeTune(e.into())
-    }
-}
-
-impl From<TsdbError> for Error {
-    fn from(e: TsdbError) -> Self {
-        Error::Tsdb(e)
-    }
-}
-
-impl From<PerfmonError> for Error {
+impl From<PerfmonError> for PipeTuneError {
     fn from(e: PerfmonError) -> Self {
-        Error::Perfmon(e)
+        PipeTuneError::Perfmon(e)
     }
 }
 
-impl From<TraceError> for Error {
+impl From<TraceError> for PipeTuneError {
     fn from(e: TraceError) -> Self {
-        Error::Trace(e)
+        PipeTuneError::Trace(e)
     }
 }
 
@@ -200,27 +117,11 @@ mod tests {
         let e: PipeTuneError = DnnError::InvalidConfig { reason: "x".into() }.into();
         assert!(e.source().is_some());
         assert!(e.to_string().contains("training error"));
-        let e = PipeTuneError::InvalidConfig { reason: "bad".into() };
+        let e: PipeTuneError = TsdbError::InvalidPoint { reason: "empty".into() }.into();
+        assert!(matches!(e, PipeTuneError::Tsdb(_)) && e.source().is_some());
+        let e = PipeTuneError::invalid("workers must be at least 1");
         assert!(e.source().is_none());
-    }
-
-    #[test]
-    fn umbrella_error_converges_subsystem_errors() {
-        let e: Error = PipeTuneError::InvalidConfig { reason: "x".into() }.into();
-        assert!(e.source().is_some());
-        let e: Error = InvalidConfig::new("bad workers").into();
-        assert!(matches!(&e, Error::PipeTune(PipeTuneError::InvalidConfig { reason }) if reason == "bad workers"));
-        assert!(e.to_string().contains("bad workers"));
-        let e: Error = TsdbError::InvalidPoint { reason: "empty".into() }.into();
-        assert!(matches!(e, Error::Tsdb(_)) && e.source().is_some());
-    }
-
-    #[test]
-    fn invalid_config_reports_reason() {
-        let e = InvalidConfig::new("workers must be at least 1");
         assert_eq!(e.to_string(), "invalid configuration: workers must be at least 1");
-        let p: PipeTuneError = e.into();
-        assert!(matches!(p, PipeTuneError::InvalidConfig { .. }));
     }
 
     #[test]

@@ -56,7 +56,7 @@ mod workload;
 pub use baselines::{run_arbitrary, TuneV1, TuneV2};
 pub use cache::{CacheStats, EpochCacheConfig, EpochCacheHandle};
 pub use env::{ExperimentEnv, ExperimentEnvBuilder};
-pub use error::{Error, InvalidConfig, PipeTuneError};
+pub use error::PipeTuneError;
 pub use pipetune_cluster::{FaultKind, FaultPlan, FaultReport, RetryPolicy};
 pub use experiments::{
     multi_tenancy, multi_tenancy_shared, single_tenancy, warm_start_ground_truth,
@@ -78,7 +78,7 @@ pub use workload::{
 /// One-stop import surface for applications driving PipeTune.
 ///
 /// Pulls in the environment builder, the tuners and baselines, the
-/// workload catalogue, the error types, and the observability handles
+/// workload catalogue, the error type, and the observability handles
 /// (telemetry, monitoring, epoch cache) under one `use`:
 ///
 /// ```
@@ -87,13 +87,13 @@ pub use workload::{
 /// let env = ExperimentEnvBuilder::distributed(42).workers(1).build()?;
 /// let spec = WorkloadSpec::lenet_mnist();
 /// assert!(env.workers >= 1 && spec.name() == "lenet/mnist");
-/// # Ok::<(), pipetune::InvalidConfig>(())
+/// # Ok::<(), pipetune::PipeTuneError>(())
 /// ```
 pub mod prelude {
     pub use crate::baselines::{TuneV1, TuneV2};
     pub use crate::cache::{CacheStats, EpochCacheConfig, EpochCacheHandle};
     pub use crate::env::{ExperimentEnv, ExperimentEnvBuilder};
-    pub use crate::error::{Error, InvalidConfig, PipeTuneError};
+    pub use crate::error::PipeTuneError;
     pub use crate::hyper::{HyperParams, HyperSpace};
     pub use crate::scheduler_choice::SchedulerKind;
     pub use crate::tuner::{PipeTune, TunerOptions, TuningOutcome};

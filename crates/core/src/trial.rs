@@ -7,9 +7,14 @@
 //! grid configuration per epoch before settling on the argmin (Algorithm 1).
 //! Under [`SystemTuner::Fixed`] every epoch runs with one configuration —
 //! the Tune V1/V2 behaviour.
+//!
+//! [`SystemTuner`] *decides* — which configuration and phase the next epoch
+//! runs under, what a profile or a probe measurement changes —
+//! [`TrialExecution`] *steps* — trains, charges time and energy, records —
+//! and neither reaches into the other's state.
 
-use pipetune_cluster::{FaultKind, FaultReport, SystemConfig};
-use pipetune_telemetry::{EventKind, SpanKind, TelemetryBuffer, DURATION_BUCKETS_SECS};
+use pipetune_cluster::{FaultKind, FaultReport, SystemConfig, SystemSpace};
+use pipetune_telemetry::{Attrs, EventKind, SpanKind, TelemetryBuffer, DURATION_BUCKETS_SECS};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
@@ -94,11 +99,27 @@ fn epoch_label(epoch: u32, phase: EpochPhase) -> String {
     numbered_label("epoch ", epoch.into(), &[" (", phase.name(), ")"])
 }
 
-/// One epoch per candidate core count at the default memory size, reversed
-/// so `pop` walks the sweep in order.
-fn cores_sweep(env: &ExperimentEnv) -> Vec<SystemConfig> {
-    let mem = env.default_system.memory_gb;
-    env.system_space.cores.iter().rev().map(|&c| SystemConfig::new(c, mem)).collect()
+/// Records the span of epoch `r`, which ended at `end_secs` on the
+/// trial-cumulative simulated clock; the executor re-bases nothing —
+/// trial/epoch spans are documented to use trial time, rung/batch spans
+/// wall-clock time.
+fn push_epoch_span(telemetry: &mut TelemetryBuffer, r: &EpochRecord, end_secs: f64) -> u32 {
+    telemetry.push_span(
+        SpanKind::Epoch,
+        epoch_label(r.epoch, r.phase),
+        None,
+        end_secs - r.duration_secs,
+        end_secs,
+        vec![
+            ("epoch", r.epoch.into()),
+            ("phase", r.phase.name().into()),
+            ("cores", r.system.cores.into()),
+            ("memory_gb", r.system.memory_gb.into()),
+            ("freq_mhz", r.system.freq_mhz.into()),
+            ("energy_j", r.energy_j.into()),
+            ("train_score", r.train_score.into()),
+        ],
+    )
 }
 
 /// One executed epoch.
@@ -178,6 +199,135 @@ impl SystemTuner {
             SystemTuner::Pipelined { chosen, .. } => *chosen,
         }
     }
+
+    /// What probing minimises; `None` under a fixed policy, which never
+    /// probes.
+    pub(crate) fn goal(&self) -> Option<ProbeGoal> {
+        match self {
+            SystemTuner::Fixed(_) => None,
+            SystemTuner::Pipelined { goal, .. } => Some(*goal),
+        }
+    }
+
+    /// `true` while the pipelined tuner still depends on counter readings
+    /// (profiling or probing); a counter fault in this window loses a
+    /// measurement that must be re-collected.
+    pub(crate) fn measurement_pending(&self) -> bool {
+        self.chosen().is_none()
+    }
+
+    /// The configuration and phase the next epoch runs under: the settled
+    /// choice once there is one; before that the next queued probe; and with
+    /// none queued — nothing is profiled yet — the default configuration
+    /// while the profiler collects counters.
+    pub(crate) fn next_epoch(&mut self, env: &ExperimentEnv) -> (SystemConfig, EpochPhase) {
+        match self {
+            SystemTuner::Fixed(c) => (*c, EpochPhase::Fixed),
+            SystemTuner::Pipelined { chosen: Some(c), .. } => (*c, EpochPhase::Tuned),
+            SystemTuner::Pipelined { probe_queue, .. } => match probe_queue.pop() {
+                Some(c) => (c, EpochPhase::Probe),
+                None => (env.default_system, EpochPhase::Profile),
+            },
+        }
+    }
+
+    /// The profile epoch's counters were read as `features`, and `hit` is
+    /// the ground truth's verdict on them: a known-best configuration
+    /// applies at once, a miss schedules the cores sweep. (A lost read never
+    /// gets here: nothing is profiled, so the next epoch re-profiles.)
+    pub(crate) fn profiled(
+        &mut self,
+        env: &ExperimentEnv,
+        features: Vec<f64>,
+        hit: Option<SystemConfig>,
+    ) {
+        let SystemTuner::Pipelined { features: profiled, chosen, .. } = self else { return };
+        *profiled = Some(features);
+        *chosen = hit;
+        if hit.is_none() {
+            self.sweep_over(env);
+        }
+    }
+
+    /// The probe epoch under `sys` finished; `cost` is what the goal charges
+    /// it, `None` when a counter fault lost the reading. Nothing else moves
+    /// while the sweep has candidates queued; with the last one measured the
+    /// tuner sweeps the next axis or settles, and then returns the choice
+    /// with its cost and the profile features it is to be recorded under.
+    pub(crate) fn probed(
+        &mut self,
+        env: &ExperimentEnv,
+        sys: SystemConfig,
+        cost: Option<f64>,
+    ) -> Option<(&[f64], SystemConfig, f64)> {
+        let SystemTuner::Pipelined { probe_queue, probe_results, .. } = self else { return None };
+        probe_results.extend(cost.map(|cost| (sys, cost)));
+        if !probe_queue.is_empty() {
+            return None;
+        }
+        self.sweep_over(env)
+    }
+
+    /// No candidate is queued: queues the next non-empty sweep around the
+    /// argmin of every surviving tuple, or — no axis left, probing complete
+    /// — applies that argmin and returns it for the caller to persist.
+    fn sweep_over(&mut self, env: &ExperimentEnv) -> Option<(&[f64], SystemConfig, f64)> {
+        let SystemTuner::Pipelined {
+            probe_queue, probe_phase, probe_results, features, chosen, ..
+        } = self
+        else {
+            return None;
+        };
+        let best = probe_results
+            .iter()
+            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .copied();
+        // No survivor — nothing probed yet, or every probed tuple lost to
+        // counter faults (the paper's argmin needs at least one): the cores
+        // sweep from scratch, at the default memory size.
+        let default = SystemConfig::new(env.default_system.cores, env.default_system.memory_gb);
+        let (done, base) = best.map_or((None, default), |(cfg, _)| (Some(*probe_phase), cfg));
+        match next_sweep(&env.system_space, done, base) {
+            Some(sweep) => {
+                (*probe_phase, *probe_queue) = sweep;
+                None
+            }
+            None => {
+                *chosen = best.map(|(cfg, _)| cfg);
+                features.as_deref().zip(best).map(|(features, (cfg, cost))| (features, cfg, cost))
+            }
+        }
+    }
+}
+
+/// The first non-empty coordinate sweep after `done` (`None`: from the
+/// start): one probe epoch per grid value of an axis with the other
+/// coordinates held at `base`, reversed so `pop` walks the sweep in grid
+/// order. After a sweep `base` is the best tuple measured so far, so its own
+/// value on the axis is skipped (already probed), and an axis that leaves
+/// empty — a one-value grid, such as the frequency axis unless DVFS is on
+/// (more than the nominal entry) — is stepped over, not settled on.
+fn next_sweep(
+    space: &SystemSpace,
+    done: Option<ProbePhase>,
+    base: SystemConfig,
+) -> Option<(ProbePhase, Vec<SystemConfig>)> {
+    let axes = [ProbePhase::Cores, ProbePhase::Memory, ProbePhase::Freq];
+    axes[done.map_or(0, |done| done as usize + 1)..].iter().find_map(|&axis| {
+        let (grid, at, with): (_, _, fn(SystemConfig, u32) -> SystemConfig) = match axis {
+            ProbePhase::Cores => (&space.cores, base.cores, |b, cores| SystemConfig { cores, ..b }),
+            ProbePhase::Memory => {
+                (&space.memory_gb, base.memory_gb, |b, memory_gb| SystemConfig { memory_gb, ..b })
+            }
+            ProbePhase::Freq => {
+                (&space.freq_mhz, base.freq_mhz, |b, freq_mhz| SystemConfig { freq_mhz, ..b })
+            }
+        };
+        let skip = done.map(|_| at);
+        let queue: Vec<SystemConfig> =
+            grid.iter().rev().filter(|&&v| Some(v) != skip).map(|&v| with(base, v)).collect();
+        (!queue.is_empty()).then_some((axis, queue))
+    })
 }
 
 /// The resumable state of one trial at an epoch boundary: model/optimizer
@@ -359,37 +509,16 @@ impl TrialExecution {
             let mut at = 0.0;
             for r in &exec.records {
                 at += r.duration_secs;
-                exec.telemetry.push_span(
-                    SpanKind::Epoch,
-                    epoch_label(r.epoch, EpochPhase::Cached),
-                    None,
-                    at - r.duration_secs,
-                    at,
-                    vec![
-                        ("epoch", r.epoch.into()),
-                        ("phase", EpochPhase::Cached.name().into()),
-                        ("cores", r.system.cores.into()),
-                        ("memory_gb", r.system.memory_gb.into()),
-                        ("freq_mhz", r.system.freq_mhz.into()),
-                        ("energy_j", r.energy_j.into()),
-                        ("train_score", r.train_score.into()),
-                    ],
-                );
+                push_epoch_span(&mut exec.telemetry, r, at);
             }
             let adopted = exec.records.len() as u64;
             exec.telemetry.with_metrics(|m| {
                 m.counter_add(observe::EPOCHS_CACHED, adopted);
             });
-            exec.telemetry.push_event(
-                EventKind::CacheLookup,
-                None,
-                exec.total_secs,
-                vec![
-                    ("hit", true.into()),
-                    ("epochs", exec.workload.epochs_run().into()),
-                    ("saved_secs", saved.0.into()),
-                ],
-            );
+            let epochs = exec.workload.epochs_run();
+            exec.event(EventKind::CacheLookup, None, || {
+                vec![("hit", true.into()), ("epochs", epochs.into()), ("saved_secs", saved.0.into())]
+            });
         }
         exec
     }
@@ -399,12 +528,7 @@ impl TrialExecution {
     pub(crate) fn note_cache_miss(&mut self, env: &ExperimentEnv) {
         if env.telemetry.is_enabled() {
             self.telemetry.enable();
-            self.telemetry.push_event(
-                EventKind::CacheLookup,
-                None,
-                self.total_secs,
-                vec![("hit", false.into())],
-            );
+            self.event(EventKind::CacheLookup, None, || vec![("hit", false.into())]);
         }
     }
 
@@ -489,14 +613,9 @@ impl TrialExecution {
                     // model/optimizer/RNG state rewinds to the epoch
                     // boundary.
                     let ckpt = self.snapshot(rng);
-                    if self.telemetry.is_active() {
-                        self.telemetry.push_event(
-                            EventKind::Checkpoint,
-                            None,
-                            self.total_secs,
-                            vec![("epoch", epoch_idx.into()), ("attempt", attempt.into())],
-                        );
-                    }
+                    self.event(EventKind::Checkpoint, None, || {
+                        vec![("epoch", epoch_idx.into()), ("attempt", attempt.into())]
+                    });
                     // The doomed attempt must not appear in the trace: only
                     // committed epochs, plus the explicit fault/retry events
                     // below.
@@ -513,7 +632,7 @@ impl TrialExecution {
                     self.total_energy_j += attempt_energy * wasted_fraction;
                     self.faults.wasted_epoch_secs += wasted;
                     self.faults.recovery_overhead_secs += backoff;
-                    if self.telemetry.is_active() {
+                    self.event(EventKind::Fault, None, || {
                         let mut attrs = pipetune_cluster::observe::fault_attrs(
                             &FaultKind::NodeCrash { wasted_fraction },
                         );
@@ -521,38 +640,23 @@ impl TrialExecution {
                         attrs.push(("attempt", attempt.into()));
                         attrs.push(("wasted_secs", wasted.into()));
                         attrs.push(("backoff_secs", backoff.into()));
-                        self.telemetry.push_event(
-                            EventKind::Fault,
-                            None,
-                            self.total_secs,
-                            attrs,
-                        );
-                    }
+                        attrs
+                    });
                     attempt += 1;
                     if attempt >= env.retry.max_attempts.max(1) {
                         self.faults.abandoned += 1;
-                        if self.telemetry.is_active() {
-                            self.telemetry.push_event(
-                                EventKind::Retry,
-                                None,
-                                self.total_secs,
-                                vec![("epoch", epoch_idx.into()), ("abandoned", true.into())],
-                            );
-                        }
+                        self.event(EventKind::Retry, None, || {
+                            vec![("epoch", epoch_idx.into()), ("abandoned", true.into())]
+                        });
                         return Err(PipeTuneError::RetriesExhausted {
                             trial_id: self.trial_id,
                             attempts: attempt,
                         });
                     }
                     self.faults.retried += 1;
-                    if self.telemetry.is_active() {
-                        self.telemetry.push_event(
-                            EventKind::Retry,
-                            None,
-                            self.total_secs,
-                            vec![("epoch", epoch_idx.into()), ("attempt", attempt.into())],
-                        );
-                    }
+                    self.event(EventKind::Retry, None, || {
+                        vec![("epoch", epoch_idx.into()), ("attempt", attempt.into())]
+                    });
                     continue;
                 }
                 // Non-crash faults complete the epoch in one attempt.
@@ -565,7 +669,7 @@ impl TrialExecution {
                     Some(FaultKind::CounterRead) => {
                         self.faults.injected += 1;
                         self.faults.counter_faults += 1;
-                        if self.measurement_pending() {
+                        if self.tuner.measurement_pending() {
                             // The lost profile/probe is re-collected on a
                             // later epoch.
                             self.faults.retried += 1;
@@ -581,10 +685,12 @@ impl TrialExecution {
                     }
                     _ => (1.0, false),
                 };
-                if let Some(kind) = fault.filter(|_| self.telemetry.is_active()) {
-                    let mut attrs = pipetune_cluster::observe::fault_attrs(&kind);
-                    attrs.push(("epoch", epoch_idx.into()));
-                    self.telemetry.push_event(EventKind::Fault, None, self.total_secs, attrs);
+                if let Some(kind) = fault {
+                    self.event(EventKind::Fault, None, || {
+                        let mut attrs = pipetune_cluster::observe::fault_attrs(&kind);
+                        attrs.push(("epoch", epoch_idx.into()));
+                        attrs
+                    });
                 }
                 let before_secs = self.total_secs;
                 self.run_one_epoch(
@@ -610,13 +716,11 @@ impl TrialExecution {
         Ok(())
     }
 
-    /// `true` while the pipelined tuner still depends on counter readings
-    /// (profiling or probing); a counter fault in this window loses a
-    /// measurement that must be re-collected.
-    fn measurement_pending(&self) -> bool {
-        match &self.tuner {
-            SystemTuner::Fixed(_) => false,
-            SystemTuner::Pipelined { chosen, .. } => chosen.is_none(),
+    /// Records an event at the trial's simulated clock; `attrs` are built
+    /// only when the buffer is recording.
+    fn event(&mut self, kind: EventKind, span: Option<u32>, attrs: impl FnOnce() -> Attrs) {
+        if self.telemetry.is_active() {
+            self.telemetry.push_event(kind, span, self.total_secs, attrs());
         }
     }
 
@@ -632,239 +736,119 @@ impl TrialExecution {
         slowdown: f64,
         counter_fault: bool,
     ) -> Result<(), PipeTuneError> {
-        {
-            let epoch_idx = self.workload.epochs_run() + 1;
-            let work = self.workload.work_units();
-            // Decide this epoch's system configuration and phase.
-            let (sys, phase) = match &mut self.tuner {
-                SystemTuner::Fixed(c) => (*c, EpochPhase::Fixed),
-                SystemTuner::Pipelined { probe_queue, chosen, features, .. } => {
-                    if let Some(c) = chosen {
-                        (*c, EpochPhase::Tuned)
-                    } else if features.is_none() {
-                        (env.default_system, EpochPhase::Profile)
-                    } else if let Some(c) = probe_queue.pop() {
-                        (c, EpochPhase::Probe)
-                    } else {
-                        // Probing exhausted but nothing chosen yet (should
-                        // not happen; defensive default).
-                        (env.default_system, EpochPhase::Profile)
-                    }
-                }
-            };
+        let epoch_idx = self.workload.epochs_run() + 1;
+        let work = self.workload.work_units();
+        // The tuner decides this epoch's system configuration and phase.
+        let (sys, phase) = self.tuner.next_epoch(env);
 
-            // Real training work.
-            let outcome = self.workload.run_epoch()?;
-            // Simulated time & energy at paper scale.
-            let mut duration = env.cost.epoch_duration(&work, &sys, contention);
-            if matches!(phase, EpochPhase::Profile) {
-                duration *= 1.0 + env.profile_overhead.max(0.0);
-            }
-            if slowdown > 1.0 {
-                // Straggler epoch: the node is slow, the work is not lost.
-                duration *= slowdown;
-            }
-            let watts = env.trial_power(&sys);
-            let energy = watts * duration;
-            self.total_secs += duration;
-            self.total_energy_j += energy;
-            self.records.push(EpochRecord {
-                epoch: epoch_idx,
-                system: sys,
-                duration_secs: duration,
-                energy_j: energy,
-                train_score: outcome.train_score,
-                phase,
+        // Real training work.
+        let outcome = self.workload.run_epoch()?;
+        // Simulated time & energy at paper scale.
+        let mut duration = env.cost.epoch_duration(&work, &sys, contention);
+        if matches!(phase, EpochPhase::Profile) {
+            duration *= 1.0 + env.profile_overhead.max(0.0);
+        }
+        if slowdown > 1.0 {
+            // Straggler epoch: the node is slow, the work is not lost.
+            duration *= slowdown;
+        }
+        let watts = env.trial_power(&sys);
+        let energy = watts * duration;
+        self.total_secs += duration;
+        self.total_energy_j += energy;
+        let record = EpochRecord {
+            epoch: epoch_idx,
+            system: sys,
+            duration_secs: duration,
+            energy_j: energy,
+            train_score: outcome.train_score,
+            phase,
+        };
+        self.records.push(record);
+        let epoch_span = if self.telemetry.is_active() {
+            let span = push_epoch_span(&mut self.telemetry, &record, self.total_secs);
+            self.telemetry.with_metrics(|m| {
+                m.observe(observe::EPOCH_SECS, DURATION_BUCKETS_SECS, duration);
+                m.counter_add(observe::EPOCHS_TOTAL, 1);
+                m.counter_add(phase_counter(phase), 1);
+                pipetune_energy::observe::record_epoch_energy(watts, energy, m);
             });
-            // Epoch span on the trial-cumulative simulated clock; the
-            // executor re-bases nothing — trial/epoch spans are documented
-            // to use trial time, rung/batch spans wall-clock time.
-            let epoch_span = if self.telemetry.is_active() {
-                let span = self.telemetry.push_span(
-                    SpanKind::Epoch,
-                    epoch_label(epoch_idx, phase),
-                    None,
-                    self.total_secs - duration,
-                    self.total_secs,
-                    vec![
-                        ("epoch", epoch_idx.into()),
-                        ("phase", phase.name().into()),
-                        ("cores", sys.cores.into()),
-                        ("memory_gb", sys.memory_gb.into()),
-                        ("freq_mhz", sys.freq_mhz.into()),
-                        ("energy_j", energy.into()),
-                        ("train_score", outcome.train_score.into()),
-                    ],
-                );
-                self.telemetry.with_metrics(|m| {
-                    m.observe(observe::EPOCH_SECS, DURATION_BUCKETS_SECS, duration);
-                    m.counter_add(observe::EPOCHS_TOTAL, 1);
-                    m.counter_add(phase_counter(phase), 1);
-                    pipetune_energy::observe::record_epoch_energy(watts, energy, m);
-                });
-                Some(span)
-            } else {
-                None
-            };
+            Some(span)
+        } else {
+            None
+        };
+        // What the epoch measured goes to the tuner, the tuner's verdict to
+        // the ground truth and the trace.
+        self.measured(env, ground_truth, rng, &record, counter_fault, epoch_span)
+    }
 
-            // Pipelined post-epoch bookkeeping.
-            if let SystemTuner::Pipelined {
-                goal,
-                probe_queue,
-                probe_phase,
-                probe_results,
-                features,
-                chosen,
-            } = &mut self.tuner
-            {
-                if chosen.is_none() {
-                    if features.is_none() {
-                        // Profile epoch just finished: read the counters —
-                        // fallibly, because a transient counter fault loses
-                        // the measurement — and consult the ground truth.
-                        let sig = self.workload.signature();
-                        let profile = if env.sampled_profiling {
-                            // Full 1 Hz pipeline: short epochs leave blind
-                            // spots (events never scheduled read as zero).
-                            env.profiler
-                                .try_sample_epoch(&sig, sys.cores, duration, rng, epoch_idx, counter_fault)
-                                .map(|trace| trace.scale_to_epoch())
-                        } else {
-                            env.profiler
-                                .try_profile_epoch(&sig, sys.cores, duration, rng, epoch_idx, counter_fault)
-                        };
-                        if self.telemetry.is_active() {
-                            self.telemetry.push_event(
-                                EventKind::Profile,
-                                epoch_span,
-                                self.total_secs,
-                                vec![
-                                    ("epoch", epoch_idx.into()),
-                                    ("lost", profile.is_err().into()),
-                                ],
-                            );
-                            if profile.is_err() {
-                                self.telemetry
-                                    .counter_add(pipetune_perfmon::observe::PROFILES_LOST, 1);
-                            }
-                        }
-                        if let Ok(profile) = profile {
-                            self.telemetry
-                                .counter_add(pipetune_perfmon::observe::PROFILES_COLLECTED, 1);
-                            let feats = profile.features();
-                            if let Some(gt) = ground_truth.as_deref_mut() {
-                                if let Some(cfg) = gt.lookup(&feats) {
-                                    *chosen = Some(cfg);
-                                }
-                                if self.telemetry.is_active() {
-                                    self.telemetry.push_event(
-                                        EventKind::GtLookup,
-                                        epoch_span,
-                                        self.total_secs,
-                                        vec![
-                                            ("epoch", epoch_idx.into()),
-                                            ("hit", chosen.is_some().into()),
-                                        ],
-                                    );
-                                }
-                            }
-                            if chosen.is_none() {
-                                // Miss: schedule the cores sweep.
-                                *probe_phase = ProbePhase::Cores;
-                                *probe_queue = cores_sweep(env);
-                            }
-                            *features = Some(feats);
-                        }
-                        // On a lost read: features stay unset, so the next
-                        // epoch re-profiles (the fault accounting happens in
-                        // the recovery loop).
-                    } else if matches!(phase, EpochPhase::Probe) {
-                        if self.telemetry.is_active() {
-                            let mut attrs = Vec::with_capacity(6);
-                            attrs.extend([
-                                ("epoch", epoch_idx.into()),
-                                ("cores", sys.cores.into()),
-                                ("memory_gb", sys.memory_gb.into()),
-                                ("freq_mhz", sys.freq_mhz.into()),
-                                ("lost", counter_fault.into()),
-                            ]);
-                            if !counter_fault {
-                                attrs.push(("cost", goal.cost(duration, energy).into()));
-                                self.telemetry.with_metrics(|m| {
-                                    m.counter_add(observe::PROBE_COUNT, 1);
-                                });
-                            }
-                            self.telemetry.push_event(
-                                EventKind::Probe,
-                                epoch_span,
-                                self.total_secs,
-                                attrs,
-                            );
-                        }
-                        if !counter_fault {
-                            probe_results.push((sys, goal.cost(duration, energy)));
-                        }
-                        if probe_queue.is_empty() {
-                            let best = probe_results
-                                .iter()
-                                .min_by(|a, b| {
-                                    a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal)
-                                })
-                                .map(|&(cfg, cost)| (cfg, cost));
-                            // The finished sweep leads to the next one,
-                            // or leaves the queue empty: probing complete.
-                            match (*probe_phase, best) {
-                                (ProbePhase::Cores, Some((best_cfg, _))) => {
-                                    // Sweep memory at the best core count
-                                    // (skipping the already measured default
-                                    // memory; a one-memory space has none).
-                                    *probe_phase = ProbePhase::Memory;
-                                    *probe_queue = env
-                                        .system_space
-                                        .memory_gb
-                                        .iter()
-                                        .rev()
-                                        .filter(|&&m| m != env.default_system.memory_gb)
-                                        .map(|&m| SystemConfig { memory_gb: m, ..best_cfg })
-                                        .collect();
-                                }
-                                (ProbePhase::Memory, Some((best_cfg, _))) => {
-                                    // Frequency sweep only when DVFS is on
-                                    // (more than the nominal entry).
-                                    *probe_queue = env
-                                        .system_space
-                                        .freq_mhz
-                                        .iter()
-                                        .rev()
-                                        .filter(|&&f| f != best_cfg.freq_mhz)
-                                        .map(|&f| SystemConfig { freq_mhz: f, ..best_cfg })
-                                        .collect();
-                                    if !probe_queue.is_empty() {
-                                        *probe_phase = ProbePhase::Freq;
-                                    }
-                                }
-                                (ProbePhase::Freq, Some(_)) => {}
-                                (_, None) => {
-                                    // Every probed tuple was lost to
-                                    // counter faults: re-probe the cores
-                                    // sweep from scratch (the paper's
-                                    // argmin needs at least one survivor).
-                                    *probe_phase = ProbePhase::Cores;
-                                    *probe_queue = cores_sweep(env);
-                                }
-                            }
-                            if let (true, Some((best_cfg, cost))) = (probe_queue.is_empty(), best) {
-                                // Probing complete: apply argmin, persist.
-                                *chosen = Some(best_cfg);
-                                if let (Some(gt), Some(feats)) =
-                                    (ground_truth.as_deref_mut(), features.as_ref())
-                                {
-                                    gt.record(self.workload.spec().name(), feats, best_cfg, cost)?;
-                                }
-                            }
-                        }
-                    }
-                }
+    /// Algorithm 1's two measuring epochs. A profile epoch reads the
+    /// counters — fallibly, because a transient counter fault (`lost`) loses
+    /// the measurement — consults the ground truth and tells the tuner; a
+    /// probe epoch hands the tuner its cost and persists the argmin once the
+    /// tuner settles on it. Any other epoch measures nothing.
+    fn measured(
+        &mut self,
+        env: &ExperimentEnv,
+        ground_truth: &mut Option<&mut dyn GroundTruthAccess>,
+        rng: &mut StdRng,
+        epoch: &EpochRecord,
+        lost: bool,
+        span: Option<u32>,
+    ) -> Result<(), PipeTuneError> {
+        let (n, sys, secs) = (epoch.epoch, epoch.system, epoch.duration_secs);
+        if epoch.phase == EpochPhase::Profile {
+            let sig = self.workload.signature();
+            let profile = if env.sampled_profiling {
+                // Full 1 Hz pipeline: short epochs leave blind spots (events
+                // never scheduled read as zero).
+                env.profiler
+                    .try_sample_epoch(&sig, sys.cores, secs, rng, n, lost)
+                    .map(|trace| trace.scale_to_epoch())
+            } else {
+                env.profiler.try_profile_epoch(&sig, sys.cores, secs, rng, n, lost)
+            };
+            self.event(EventKind::Profile, span, || {
+                vec![("epoch", n.into()), ("lost", profile.is_err().into())]
+            });
+            let Ok(profile) = profile else {
+                // On a lost read the tuner hears nothing, so the next epoch
+                // re-profiles (the fault accounting happens in the recovery
+                // loop).
+                self.telemetry.counter_add(pipetune_perfmon::observe::PROFILES_LOST, 1);
+                return Ok(());
+            };
+            self.telemetry.counter_add(pipetune_perfmon::observe::PROFILES_COLLECTED, 1);
+            let feats = profile.features();
+            let mut hit = None;
+            if let Some(gt) = ground_truth.as_deref_mut() {
+                hit = gt.lookup(&feats);
+                self.event(EventKind::GtLookup, span, || {
+                    vec![("epoch", n.into()), ("hit", hit.is_some().into())]
+                });
+            }
+            self.tuner.profiled(env, feats, hit);
+        } else if epoch.phase == EpochPhase::Probe {
+            let goal = self.tuner.goal().filter(|_| !lost);
+            let cost = goal.map(|goal| goal.cost(secs, epoch.energy_j));
+            self.event(EventKind::Probe, span, || {
+                let mut attrs = Vec::with_capacity(6);
+                attrs.extend([
+                    ("epoch", n.into()),
+                    ("cores", sys.cores.into()),
+                    ("memory_gb", sys.memory_gb.into()),
+                    ("freq_mhz", sys.freq_mhz.into()),
+                    ("lost", lost.into()),
+                ]);
+                attrs.extend(cost.map(|cost| ("cost", cost.into())));
+                attrs
+            });
+            if cost.is_some() {
+                self.telemetry.counter_add(observe::PROBE_COUNT, 1);
+            }
+            let settled = self.tuner.probed(env, sys, cost);
+            if let (Some((feats, best, cost)), Some(gt)) = (settled, ground_truth.as_deref_mut()) {
+                gt.record(self.workload.spec().name(), feats, best, cost)?;
             }
         }
         Ok(())
@@ -949,6 +933,130 @@ mod tests {
         assert_eq!(chosen, best);
         // And the probe result was recorded for future jobs.
         assert_eq!(gt.stats().recorded, 1);
+    }
+
+    /// Drives a pipelined tuner through one sweep: asserts the probes the
+    /// next epochs run under, reports each with the cost `costs` gives it
+    /// (`None`: reading lost) and returns the verdict of the last one.
+    fn sweep(
+        tuner: &mut SystemTuner,
+        e: &ExperimentEnv,
+        expect: &[SystemConfig],
+        costs: impl Fn(SystemConfig) -> Option<f64>,
+    ) -> Option<(SystemConfig, f64)> {
+        let mut verdict = None;
+        for &want in expect {
+            assert!(verdict.is_none(), "settled with {want} still to probe");
+            assert_eq!(tuner.next_epoch(e), (want, EpochPhase::Probe));
+            assert!(tuner.measurement_pending());
+            verdict = tuner.probed(e, want, costs(want)).map(|(feats, cfg, cost)| {
+                assert_eq!(feats, [1.0, 2.0], "recorded under the profiled features");
+                (cfg, cost)
+            });
+        }
+        verdict
+    }
+
+    #[test]
+    fn algorithm_1_as_a_table() {
+        let dvfs = |memory_gb: Vec<u32>| ExperimentEnv {
+            system_space: SystemSpace { cores: vec![4, 8, 16], memory_gb, freq_mhz: vec![1800, 3500] },
+            ..env()
+        };
+        let (e, default) = (env(), env().default_system);
+        let cfg = |cores, memory_gb, freq_mhz| SystemConfig { cores, memory_gb, freq_mhz };
+        let cores_sweep = [cfg(4, 32, 3500), cfg(8, 32, 3500), cfg(16, 32, 3500)];
+        // Cheapest at 8 cores, then at 16 GiB, then at the lower clock.
+        let cost = |c: SystemConfig| {
+            Some(f64::from(c.cores.abs_diff(8) + c.memory_gb.abs_diff(16) + c.freq_mhz / 1000))
+        };
+        let profiled = |e: &ExperimentEnv, hit| {
+            let mut tuner = SystemTuner::pipelined(ProbeGoal::Runtime);
+            // Until a profile arrives (a lost read reports nothing) every
+            // epoch profiles under the default.
+            for _ in 0..2 {
+                assert_eq!(tuner.next_epoch(e), (default, EpochPhase::Profile));
+                assert!(tuner.measurement_pending());
+            }
+            tuner.profiled(e, vec![1.0, 2.0], hit);
+            tuner
+        };
+
+        // Hit: the known-best configuration applies without a probe.
+        let mut hit = profiled(&e, Some(cfg(16, 8, 3500)));
+        assert!(!hit.measurement_pending());
+        assert_eq!(hit.next_epoch(&e), (cfg(16, 8, 3500), EpochPhase::Tuned));
+
+        // Miss, DVFS off: cores in grid order at the default memory, memory
+        // at the best core count minus the default, no frequency sweep.
+        let mut miss = profiled(&e, None);
+        assert_eq!(sweep(&mut miss, &e, &cores_sweep, cost), None);
+        let memory_sweep = [cfg(8, 4, 3500), cfg(8, 8, 3500), cfg(8, 16, 3500)];
+        assert_eq!(sweep(&mut miss, &e, &memory_sweep, cost), Some((cfg(8, 16, 3500), 3.0)));
+        assert_eq!(miss.chosen(), Some(cfg(8, 16, 3500)));
+        assert_eq!(miss.next_epoch(&e), (cfg(8, 16, 3500), EpochPhase::Tuned));
+
+        // DVFS on: the frequencies other than the best tuple's follow, and
+        // the argmin runs over every tuple of the three sweeps.
+        let e2 = dvfs(vec![4, 8, 16, 32]);
+        let mut miss = profiled(&e2, None);
+        assert_eq!(sweep(&mut miss, &e2, &cores_sweep, cost), None);
+        assert_eq!(sweep(&mut miss, &e2, &memory_sweep, cost), None);
+        assert_eq!(sweep(&mut miss, &e2, &[cfg(8, 16, 1800)], cost), Some((cfg(8, 16, 1800), 1.0)));
+        // … also when an earlier tuple stays the cheapest.
+        let nominal_wins = |c: SystemConfig| cost(c).map(|x| x + f64::from(3500 - c.freq_mhz));
+        let mut miss = profiled(&e2, None);
+        assert_eq!(sweep(&mut miss, &e2, &cores_sweep, nominal_wins), None);
+        assert_eq!(sweep(&mut miss, &e2, &memory_sweep, nominal_wins), None);
+        let verdict = sweep(&mut miss, &e2, &[cfg(8, 16, 1800)], nominal_wins);
+        assert_eq!(verdict, Some((cfg(8, 16, 3500), 3.0)));
+
+        // A one-memory space has no memory sweep, and that must not cost it
+        // the frequency sweep.
+        let e1 = dvfs(vec![32]);
+        let mut miss = profiled(&e1, None);
+        assert_eq!(sweep(&mut miss, &e1, &cores_sweep, cost), None);
+        assert_eq!(sweep(&mut miss, &e1, &[cfg(8, 32, 1800)], cost), Some((cfg(8, 32, 1800), 17.0)));
+
+        // One lost probe leaves the argmin to the survivors.
+        let lose_8 = |c: SystemConfig| cost(c).filter(|_| c.cores != 8);
+        let mut miss = profiled(&e, None);
+        assert_eq!(sweep(&mut miss, &e, &cores_sweep, lose_8), None);
+        let memory_sweep = [cfg(4, 4, 3500), cfg(4, 8, 3500), cfg(4, 16, 3500)];
+        assert_eq!(sweep(&mut miss, &e, &memory_sweep, lose_8), Some((cfg(4, 16, 3500), 7.0)));
+
+        // Every probe lost: the cores sweep restarts from scratch.
+        let mut miss = profiled(&e, None);
+        assert_eq!(sweep(&mut miss, &e, &cores_sweep, |_| None), None);
+        assert_eq!(sweep(&mut miss, &e, &cores_sweep, cost), None);
+        assert_eq!(miss.next_epoch(&e), (cfg(8, 4, 3500), EpochPhase::Probe));
+
+        // A fixed policy never moves, whatever it is told.
+        let mut fixed = SystemTuner::Fixed(cfg(2, 2, 3500));
+        fixed.profiled(&e, vec![1.0, 2.0], Some(default));
+        assert_eq!(fixed.probed(&e, default, Some(0.0)), None);
+        assert!(!fixed.measurement_pending() && fixed.goal().is_none());
+        assert_eq!(fixed.next_epoch(&e), (cfg(2, 2, 3500), EpochPhase::Fixed));
+    }
+
+    #[test]
+    fn a_one_memory_space_still_probes_the_frequencies() {
+        let mut e = env();
+        e.system_space.memory_gb = vec![e.default_system.memory_gb];
+        e.system_space.freq_mhz = vec![1800, SystemConfig::NOMINAL_FREQ_MHZ];
+        let mut t = make_trial(256, SystemTuner::pipelined(ProbeGoal::Energy));
+        let mut rng = StdRng::seed_from_u64(6);
+        let probes = e.system_space.cores.len() + 1;
+        t.run_epochs(&e, 1 + probes as u32 + 1, None, 1.0, &mut rng).unwrap();
+        let probed: Vec<u32> = t
+            .records()
+            .iter()
+            .filter(|r| r.phase == EpochPhase::Probe)
+            .map(|r| r.system.freq_mhz)
+            .collect();
+        assert_eq!(probed.len(), probes, "{:?}", t.records());
+        assert_eq!(probed.last(), Some(&1800), "the down-clocked candidate is probed last");
+        assert_eq!(t.records().last().unwrap().phase, EpochPhase::Tuned);
     }
 
     #[test]

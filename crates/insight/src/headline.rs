@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use pipetune_telemetry::{AttrValue, SpanKind, TelemetrySnapshot};
+use pipetune_telemetry::{attr_f64, SpanKind, TelemetrySnapshot};
 
 /// Total simulated tuning time: the summed extent of every `tuning_run`
 /// span in the trace. Runs count whether they are top-level or nested
@@ -31,12 +31,7 @@ pub fn total_energy_j(snapshot: &TelemetrySnapshot) -> f64 {
         .spans
         .iter()
         .filter(|s| s.kind == SpanKind::Epoch)
-        .filter_map(|s| {
-            s.attrs
-                .iter()
-                .find(|(k, _)| *k == "energy_j")
-                .and_then(|(_, v)| v.as_field())
-        })
+        .filter_map(|s| attr_f64(&s.attrs, "energy_j"))
         .sum()
 }
 
@@ -47,15 +42,7 @@ pub fn best_accuracy(snapshot: &TelemetrySnapshot) -> Option<f64> {
         .spans
         .iter()
         .filter(|s| s.kind == SpanKind::Trial)
-        .filter_map(|s| {
-            let field = |key: &str| {
-                s.attrs.iter().find(|(k, _)| *k == key).and_then(|(_, v)| match v {
-                    AttrValue::F64(f) => Some(*f),
-                    other => other.as_field(),
-                })
-            };
-            Some((field("score")?, field("accuracy")?))
-        })
+        .filter_map(|s| Some((attr_f64(&s.attrs, "score")?, attr_f64(&s.attrs, "accuracy")?)))
         .max_by(|(a, _), (b, _)| a.total_cmp(b))
         .map(|(_, accuracy)| accuracy)
 }

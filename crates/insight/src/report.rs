@@ -20,32 +20,9 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use pipetune_telemetry::{
-    AttrValue, Attrs, Event, EventKind, Span, SpanKind, TelemetrySnapshot, TraceError,
+    attr_bool, attr_f64, attr_str, Event, EventKind, Span, SpanKind, TelemetrySnapshot, TraceError,
 };
 use pipetune_tsdb::Aggregate;
-
-/// Looks up an attribute by key (first occurrence wins).
-fn attr<'a>(attrs: &'a Attrs, key: &str) -> Option<&'a AttrValue> {
-    attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
-}
-
-fn attr_str<'a>(attrs: &'a Attrs, key: &str) -> Option<&'a str> {
-    match attr(attrs, key) {
-        Some(AttrValue::Str(s)) => Some(s),
-        _ => None,
-    }
-}
-
-fn attr_f64(attrs: &Attrs, key: &str) -> Option<f64> {
-    attr(attrs, key).and_then(AttrValue::as_field)
-}
-
-fn attr_bool(attrs: &Attrs, key: &str) -> Option<bool> {
-    match attr(attrs, key) {
-        Some(AttrValue::Bool(b)) => Some(*b),
-        _ => None,
-    }
-}
 
 /// `map[key]`, put there as the default first if absent; the key is copied
 /// only then.

@@ -8,7 +8,9 @@
 //! granularities. Window parameters are plain public structs — tuning
 //! them only changes *which* alerts fire, never their canonical order.
 
-use pipetune_telemetry::{AttrValue, Event, EventKind, MetricsRegistry, Span, SpanKind};
+use pipetune_telemetry::{
+    attr_bool, attr_f64, attr_u64, Event, EventKind, MetricsRegistry, Span, SpanKind,
+};
 
 use crate::alert::{Alert, Severity};
 use crate::engine::{Detector, TraceIndex};
@@ -24,25 +26,6 @@ pub(crate) const SLO_BURN: &str = "slo_burn";
 pub(crate) const CACHE_THRASH: &str = "cache_thrash";
 /// Canonical name of the admission/queue-growth detector.
 pub(crate) const QUEUE_GROWTH: &str = "queue_growth";
-
-fn attr<'a>(attrs: &'a [(&'static str, AttrValue)], key: &str) -> Option<&'a AttrValue> {
-    attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
-}
-
-fn attr_u64(attrs: &[(&'static str, AttrValue)], key: &str) -> Option<u64> {
-    match attr(attrs, key)? {
-        AttrValue::U64(v) => Some(*v),
-        AttrValue::I64(v) if *v >= 0 => Some(*v as u64),
-        _ => None,
-    }
-}
-
-fn attr_bool(attrs: &[(&'static str, AttrValue)], key: &str) -> Option<bool> {
-    match attr(attrs, key)? {
-        AttrValue::Bool(b) => Some(*b),
-        _ => None,
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Stall / straggler watchdog
@@ -294,9 +277,7 @@ impl Detector for SloBurnDetector {
             return;
         }
         self.sheds.push(event.at_secs);
-        let deadline = attr(&event.attrs, "deadline_secs")
-            .and_then(AttrValue::as_field)
-            .unwrap_or(0.0);
+        let deadline = attr_f64(&event.attrs, "deadline_secs").unwrap_or(0.0);
         let (fast_burn, fast_jobs, fast_sheds) =
             self.burn(event.at_secs, self.config.fast_window_secs, deadline);
         let (slow_burn, slow_jobs, slow_sheds) =
@@ -701,7 +682,7 @@ mod tests {
             }),
             ..MonitorConfig::none()
         };
-        let job = |label: &str, start: f64, attrs: Vec<(&'static str, AttrValue)>| Span {
+        let job = |label: &str, start: f64, attrs: pipetune_telemetry::Attrs| Span {
             kind: SpanKind::Job,
             label: label.into(),
             parent: Some(0),

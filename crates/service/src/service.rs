@@ -80,10 +80,6 @@ pub struct ServiceConfig {
     /// node churn re-capped as the capacity moves. Each partition gets
     /// `capacity / servers` trial slots, floored at one.
     pub servers: usize,
-    /// Reuse one PipeTune ground truth across the whole stream (the §7.4
-    /// amortisation: later tenants skip probing for families seen
-    /// earlier). When false every job tunes cold.
-    pub share_ground_truth: bool,
     /// Per-job relative deadline (SLO), seconds after arrival: a job
     /// still unfinished then is shed ([`JobOutcome::Shed`]). `None`
     /// disables deadline enforcement.
@@ -99,7 +95,6 @@ impl Default for ServiceConfig {
             policy: SchedulingPolicy::Fifo,
             admission: AdmissionControl::unbounded(),
             servers: 1,
-            share_ground_truth: true,
             deadline_secs: None,
             faults: ServiceFaultPlan::none(),
         }
@@ -788,11 +783,7 @@ impl TuningService {
                 telemetry: telemetry.scoped(span),
                 ..env.clone()
             };
-            let outcome = if self.config.share_ground_truth {
-                shared_tuner.run(&job_env, &sub.spec)?
-            } else {
-                PipeTune::new(*options).run(&job_env, &sub.spec)?
-            };
+            let outcome = shared_tuner.run(&job_env, &sub.spec)?;
             fault_report.merge(&outcome.fault_report);
             let service_secs = outcome.tuning_secs;
             d.service_total[job] = service_secs;

@@ -68,4 +68,6 @@ pub use metrics::{
     Histogram, MetricsRegistry, COUNT_BUCKETS, DURATION_BUCKETS_SECS, ENERGY_BUCKETS_J,
     RATIO_BUCKETS,
 };
-pub use span::{AttrValue, Attrs, Event, EventKind, Span, SpanKind};
+pub use span::{
+    attr_bool, attr_f64, attr_str, attr_u64, AttrValue, Attrs, Event, EventKind, Span, SpanKind,
+};

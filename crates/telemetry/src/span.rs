@@ -238,6 +238,42 @@ impl From<String> for AttrValue {
 /// insertion order).
 pub type Attrs = Vec<(&'static str, AttrValue)>;
 
+/// The value of `key` in an attribute list (first occurrence wins).
+fn attr<'a>(attrs: &'a [(&'static str, AttrValue)], key: &str) -> Option<&'a AttrValue> {
+    attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+}
+
+/// The attribute `key`, if it is there and a string.
+pub fn attr_str<'a>(attrs: &'a [(&'static str, AttrValue)], key: &str) -> Option<&'a str> {
+    match attr(attrs, key)? {
+        AttrValue::Str(s) => Some(s),
+        _ => None,
+    }
+}
+
+/// The attribute `key` as a field ([`AttrValue::as_field`]), if it is there
+/// and numeric.
+pub fn attr_f64(attrs: &[(&'static str, AttrValue)], key: &str) -> Option<f64> {
+    attr(attrs, key)?.as_field()
+}
+
+/// The attribute `key`, if it is there and a boolean.
+pub fn attr_bool(attrs: &[(&'static str, AttrValue)], key: &str) -> Option<bool> {
+    match attr(attrs, key)? {
+        AttrValue::Bool(b) => Some(*b),
+        _ => None,
+    }
+}
+
+/// The attribute `key`, if it is there and a non-negative integer.
+pub fn attr_u64(attrs: &[(&'static str, AttrValue)], key: &str) -> Option<u64> {
+    match attr(attrs, key)? {
+        AttrValue::U64(v) => Some(*v),
+        AttrValue::I64(v) => u64::try_from(*v).ok(),
+        _ => None,
+    }
+}
+
 /// A completed (or still open) span in a trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Span {
@@ -308,5 +344,17 @@ mod tests {
         assert_eq!(AttrValue::from(2u64).as_field(), Some(2.0));
         assert_eq!(AttrValue::from(false).as_field(), Some(0.0));
         assert_eq!(AttrValue::from("tag").as_field(), None);
+    }
+
+    #[test]
+    fn typed_reads_find_the_first_occurrence_of_the_right_type() {
+        let attrs: Attrs =
+            vec![("n", 7u64.into()), ("n", 9u64.into()), ("i", (-1i64).into()), ("ok", true.into())];
+        assert_eq!((attr_u64(&attrs, "n"), attr_f64(&attrs, "n")), (Some(7), Some(7.0)));
+        assert_eq!((attr_u64(&attrs, "i"), attr_f64(&attrs, "i")), (None, Some(-1.0)));
+        assert_eq!((attr_bool(&attrs, "ok"), attr_f64(&attrs, "ok")), (Some(true), Some(1.0)));
+        assert_eq!((attr_str(&attrs, "ok"), attr_bool(&attrs, "n")), (None, None));
+        assert_eq!(attr_str(&[("tag", "x".into())], "tag"), Some("x"));
+        assert_eq!(attr_f64(&attrs, "absent"), None);
     }
 }
