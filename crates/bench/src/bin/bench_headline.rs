@@ -41,7 +41,7 @@
 use std::process::ExitCode;
 
 use pipetune::prelude::*;
-use pipetune::{warm_start_ground_truth};
+use pipetune::warm_start_ground_truth;
 use pipetune_cluster::{PoissonArrivals, ServiceFaultPlan};
 use pipetune_insight::{
     cache_speedup_metrics, check, headline_metrics, multitenant_metrics, service_fault_metrics,
@@ -68,7 +68,10 @@ where
     F: FnOnce(&ExperimentEnv, &WorkloadSpec),
 {
     let telemetry = TelemetryHandle::enabled();
-    let env = ExperimentEnvBuilder::distributed(SEED).telemetry(telemetry.clone()).build().expect("valid experiment config");
+    let env = ExperimentEnvBuilder::distributed(SEED)
+        .telemetry(telemetry.clone())
+        .build()
+        .expect("valid experiment config");
     run(&env, spec);
     telemetry.snapshot().expect("enabled handle")
 }
@@ -93,7 +96,11 @@ fn main() -> ExitCode {
         }
     }
     let out_path = out_path.unwrap_or_else(|| {
-        if chaos { "BENCH_pipetune.chaos.json".into() } else { "BENCH_pipetune.json".into() }
+        if chaos {
+            "BENCH_pipetune.chaos.json".into()
+        } else {
+            "BENCH_pipetune.json".into()
+        }
     });
     let label = if chaos { "bench_chaos" } else { "bench_headline" };
 
@@ -125,7 +132,10 @@ fn main() -> ExitCode {
             let key = spec.name().replace('/', "_");
             eprintln!("{label}: running {} (cold/warm epoch cache)...", spec.name());
             let cache = EpochCacheHandle::with_config(EpochCacheConfig::default());
-            let env = ExperimentEnvBuilder::distributed(SEED).epoch_cache(cache).build().expect("valid experiment config");
+            let env = ExperimentEnvBuilder::distributed(SEED)
+                .epoch_cache(cache)
+                .build()
+                .expect("valid experiment config");
             let cold = PipeTune::new(options).run(&env, &spec).expect("cold cache run");
             let warm = PipeTune::new(options).run(&env, &spec).expect("warm cache run");
             assert_eq!(
@@ -149,7 +159,9 @@ fn main() -> ExitCode {
     let submissions: Vec<JobSubmission> = {
         let mut arrivals = PoissonArrivals::new(SERVICE_RATE, SEED);
         (0..SERVICE_JOBS)
-            .map(|i| JobSubmission::new(arrivals.next_arrival().as_secs_f64(), specs[i % specs.len()]))
+            .map(|i| {
+                JobSubmission::new(arrivals.next_arrival().as_secs_f64(), specs[i % specs.len()])
+            })
             .collect()
     };
     for policy in SchedulingPolicy::ALL {
@@ -177,11 +189,8 @@ fn main() -> ExitCode {
         report.metrics.extend(multitenant_metrics(&prefix, &responses));
         report.metrics.insert(format!("{prefix}.makespan_secs"), outcome.makespan_secs);
         if chaos {
-            let completed = outcome
-                .jobs
-                .iter()
-                .filter(|r| r.status == JobOutcome::Completed)
-                .count();
+            let completed =
+                outcome.jobs.iter().filter(|r| r.status == JobOutcome::Completed).count();
             report.metrics.extend(service_fault_metrics(
                 &prefix,
                 &outcome.service_fault_report,
@@ -191,9 +200,7 @@ fn main() -> ExitCode {
         }
         if let Some((telemetry, monitor)) = watch {
             let timeline = monitor.finish(&telemetry).expect("live monitor");
-            report
-                .metrics
-                .insert(format!("{prefix}.monitor.alerts_total"), timeline.len() as f64);
+            report.metrics.insert(format!("{prefix}.monitor.alerts_total"), timeline.len() as f64);
             for detector in ["stall", "crash_loop", "slo_burn", "cache_thrash", "queue_growth"] {
                 report.metrics.insert(
                     format!("{prefix}.monitor.{detector}"),

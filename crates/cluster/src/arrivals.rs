@@ -32,10 +32,7 @@ impl PoissonArrivals {
     ///
     /// Panics if the rate is not positive and finite.
     pub fn new(rate_per_sec: f64, seed: u64) -> Self {
-        assert!(
-            rate_per_sec.is_finite() && rate_per_sec > 0.0,
-            "arrival rate must be positive"
-        );
+        assert!(rate_per_sec.is_finite() && rate_per_sec > 0.0, "arrival rate must be positive");
         PoissonArrivals { rate_per_sec, rng: StdRng::seed_from_u64(seed), now: SimTime::ZERO }
     }
 

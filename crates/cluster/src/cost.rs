@@ -109,13 +109,11 @@ impl CostModel {
         }
         let eff_cores = (sys.cores as f64).powf(self.parallel_alpha);
         // Compute throughput scales linearly with the DVFS frequency ratio.
-        let rate =
-            self.core_flops_per_sec * sys.freq_ratio() / (1.0 + 0.3 * work.memory_intensity);
+        let rate = self.core_flops_per_sec * sys.freq_ratio() / (1.0 + 0.3 * work.memory_intensity);
         let compute = work.flops / (rate * eff_cores);
         let sync = work.iterations as f64
             * (self.sync_base_secs + self.sync_per_core_secs * sys.cores as f64);
-        let overflow =
-            (work.working_set_bytes / (sys.memory_gb as f64 * 1e9) - 1.0).max(0.0);
+        let overflow = (work.working_set_bytes / (sys.memory_gb as f64 * 1e9) - 1.0).max(0.0);
         let mem_penalty = 1.0 + self.overflow_penalty * overflow;
         self.init_secs + (compute + sync) * mem_penalty * contention.max(1.0)
     }
@@ -135,11 +133,7 @@ mod tests {
     }
 
     fn dur(batch: u64, cores: u32) -> f64 {
-        CostModel::default().epoch_duration(
-            &lenet_work(batch),
-            &SystemConfig::new(cores, 8),
-            1.0,
-        )
+        CostModel::default().epoch_duration(&lenet_work(batch), &SystemConfig::new(cores, 8), 1.0)
     }
 
     #[test]
@@ -189,9 +183,7 @@ mod tests {
     fn invalid_inputs_are_unplaceable_not_panics() {
         let model = CostModel::default();
         let work = lenet_work(64);
-        assert!(model
-            .epoch_duration(&work, &SystemConfig::new(0, 8), 1.0)
-            .is_infinite());
+        assert!(model.epoch_duration(&work, &SystemConfig::new(0, 8), 1.0).is_infinite());
         let bad = WorkUnits { flops: f64::NAN, ..work };
         assert!(model.epoch_duration(&bad, &SystemConfig::default(), 1.0).is_infinite());
     }

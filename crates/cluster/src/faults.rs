@@ -167,9 +167,7 @@ impl FaultPlan {
         }
         let key = |tag: u64| self.unit(tag, trial, u64::from(epoch), u64::from(attempt));
         if key(0xC8A5) < self.crash_prob {
-            return Some(FaultKind::NodeCrash {
-                wasted_fraction: lerp(0.1, 0.9, key(0xC8A6)),
-            });
+            return Some(FaultKind::NodeCrash { wasted_fraction: lerp(0.1, 0.9, key(0xC8A6)) });
         }
         if key(0x9EE1) < self.preempt_prob {
             let (lo, hi) = PREEMPT_SECS;
@@ -345,7 +343,11 @@ impl ServiceFaultPlan {
             node_slots: 1,
             min_slots: 1,
             crash_prob: 0.0,
-            resubmit: RetryPolicy { max_attempts: 3, base_backoff_secs: 600.0, backoff_factor: 2.0 },
+            resubmit: RetryPolicy {
+                max_attempts: 3,
+                base_backoff_secs: 600.0,
+                backoff_factor: 2.0,
+            },
         }
     }
 
@@ -542,8 +544,7 @@ impl FaultReport {
             recovered: self.recovered - earlier.recovered,
             abandoned: self.abandoned - earlier.abandoned,
             wasted_epoch_secs: self.wasted_epoch_secs - earlier.wasted_epoch_secs,
-            recovery_overhead_secs: self.recovery_overhead_secs
-                - earlier.recovery_overhead_secs,
+            recovery_overhead_secs: self.recovery_overhead_secs - earlier.recovery_overhead_secs,
         }
     }
 }
@@ -637,7 +638,8 @@ mod tests {
         assert_eq!(r.backoff_secs(0), 5.0);
         assert_eq!(r.backoff_secs(1), 10.0);
         assert_eq!(r.backoff_secs(2), 20.0);
-        let degenerate = RetryPolicy { max_attempts: 0, base_backoff_secs: -1.0, backoff_factor: 0.5 };
+        let degenerate =
+            RetryPolicy { max_attempts: 0, base_backoff_secs: -1.0, backoff_factor: 0.5 };
         assert_eq!(degenerate.backoff_secs(3), 0.0);
     }
 
@@ -730,8 +732,18 @@ mod tests {
 
     #[test]
     fn report_merge_and_delta_round_trip() {
-        let mut a = FaultReport { injected: 2, crashes: 1, wasted_epoch_secs: 3.5, ..FaultReport::default() };
-        let b = FaultReport { injected: 1, retried: 4, recovery_overhead_secs: 2.0, ..FaultReport::default() };
+        let mut a = FaultReport {
+            injected: 2,
+            crashes: 1,
+            wasted_epoch_secs: 3.5,
+            ..FaultReport::default()
+        };
+        let b = FaultReport {
+            injected: 1,
+            retried: 4,
+            recovery_overhead_secs: 2.0,
+            ..FaultReport::default()
+        };
         let before = a;
         a.merge(&b);
         assert_eq!(a.injected, 3);

@@ -44,8 +44,7 @@ mod topology;
 pub use arrivals::PoissonArrivals;
 pub use cost::{CostModel, WorkUnits};
 pub use faults::{
-    ChurnKind, FaultKind, FaultPlan, FaultReport, RetryPolicy, ServiceFaultPlan,
-    ServiceFaultReport,
+    ChurnKind, FaultKind, FaultPlan, FaultReport, RetryPolicy, ServiceFaultPlan, ServiceFaultReport,
 };
 pub use sim::{EventQueue, SimTime};
 pub use slots::{SlotPool, SlotPoolError};

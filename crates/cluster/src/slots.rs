@@ -150,7 +150,10 @@ impl SlotPool {
     /// must release (or shrink) leases *before* taking capacity away.
     pub fn resize(&mut self, capacity: usize) -> Result<(), SlotPoolError> {
         if capacity < self.in_use {
-            return Err(SlotPoolError::ShrinkBelowInUse { requested: capacity, in_use: self.in_use });
+            return Err(SlotPoolError::ShrinkBelowInUse {
+                requested: capacity,
+                in_use: self.in_use,
+            });
         }
         self.capacity = capacity;
         Ok(())

@@ -133,10 +133,7 @@ mod tests {
     #[test]
     fn configurations_enumerates_full_grid() {
         let space = SystemSpace { cores: vec![1, 2], memory_gb: vec![4], ..SystemSpace::default() };
-        assert_eq!(
-            space.configurations(),
-            vec![SystemConfig::new(1, 4), SystemConfig::new(2, 4)]
-        );
+        assert_eq!(space.configurations(), vec![SystemConfig::new(1, 4), SystemConfig::new(2, 4)]);
     }
 
     #[test]

@@ -67,9 +67,7 @@ impl Dbscan {
         let n = data.len();
         // Neighbour lists (O(n²); profile datasets are hundreds of points).
         let neighbours: Vec<Vec<usize>> = (0..n)
-            .map(|i| {
-                (0..n).filter(|&j| sq_dist(&data[i], &data[j]) <= eps_sq).collect()
-            })
+            .map(|i| (0..n).filter(|&j| sq_dist(&data[i], &data[j]) <= eps_sq).collect())
             .collect();
         let core: Vec<bool> = neighbours.iter().map(|nb| nb.len() >= self.min_points).collect();
 

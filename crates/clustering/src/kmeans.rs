@@ -103,9 +103,7 @@ impl KMeans {
         while centroids.len() < self.k {
             let d2: Vec<f64> = data
                 .iter()
-                .map(|p| {
-                    centroids.iter().map(|c| sq_dist(p, c)).fold(f64::INFINITY, f64::min)
-                })
+                .map(|p| centroids.iter().map(|c| sq_dist(p, c)).fold(f64::INFINITY, f64::min))
                 .collect();
             let total: f64 = d2.iter().sum();
             let next = if total <= 0.0 {
@@ -169,8 +167,7 @@ impl KMeans {
                     centroids[c] = data[far].clone();
                     continue;
                 }
-                let new: Vec<f64> =
-                    sums[c].iter().map(|&s| s / counts[c] as f64).collect();
+                let new: Vec<f64> = sums[c].iter().map(|&s| s / counts[c] as f64).collect();
                 movement += sq_dist(&centroids[c], &new);
                 centroids[c] = new;
             }
@@ -179,8 +176,7 @@ impl KMeans {
             }
         }
 
-        let inertia: f64 =
-            data.iter().zip(&labels).map(|(p, &l)| sq_dist(p, &centroids[l])).sum();
+        let inertia: f64 = data.iter().zip(&labels).map(|(p, &l)| sq_dist(p, &centroids[l])).sum();
         Ok(KMeansModel { centroids, labels, inertia, n_points: data.len() })
     }
 }

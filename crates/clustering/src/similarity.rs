@@ -81,12 +81,9 @@ impl Similarity for DbscanSimilarity {
     fn judge(&self, features: &[f64]) -> SimilarityVerdict {
         let (label, distance_sq) = self.model.predict(features);
         match label {
-            DbscanLabel::Cluster(cluster) => SimilarityVerdict {
-                cluster,
-                distance_sq,
-                score: 0.0,
-                confident: true,
-            },
+            DbscanLabel::Cluster(cluster) => {
+                SimilarityVerdict { cluster, distance_sq, score: 0.0, confident: true }
+            }
             DbscanLabel::Noise => SimilarityVerdict {
                 cluster: 0,
                 distance_sq,

@@ -165,7 +165,8 @@ mod tests {
     #[test]
     fn v1_keeps_the_default_system_configuration() {
         let env = ExperimentEnv::distributed(21);
-        let out = TuneV1::new(TunerOptions::fast()).run(&env, &WorkloadSpec::lenet_mnist()).unwrap();
+        let out =
+            TuneV1::new(TunerOptions::fast()).run(&env, &WorkloadSpec::lenet_mnist()).unwrap();
         assert_eq!(out.best_system, env.default_system);
         assert!(out.best_accuracy > 0.1);
         assert!(out.tuning_secs > 0.0);
@@ -174,7 +175,8 @@ mod tests {
     #[test]
     fn v2_explores_system_configurations() {
         let env = ExperimentEnv::distributed(22);
-        let out = TuneV2::new(TunerOptions::fast()).run(&env, &WorkloadSpec::lenet_mnist()).unwrap();
+        let out =
+            TuneV2::new(TunerOptions::fast()).run(&env, &WorkloadSpec::lenet_mnist()).unwrap();
         // The chosen config is a member of the V2 grid.
         assert!([4, 8, 16].contains(&out.best_system.cores));
         assert!([4, 8, 16, 32].contains(&out.best_system.memory_gb));

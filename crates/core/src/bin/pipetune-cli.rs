@@ -80,9 +80,7 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<CliArgs, String
     let mut out = CliArgs::default();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next().ok_or_else(|| format!("{flag} requires a value"))
-        };
+        let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} requires a value"));
         match arg.as_str() {
             "--workload" => out.workload = value("--workload")?,
             "--approach" => {
@@ -146,11 +144,7 @@ fn run(args: CliArgs) -> Result<(), String> {
         Testbed::Distributed => ExperimentEnv::distributed(args.seed),
         Testbed::Single => ExperimentEnv::single_node(args.seed),
     };
-    let options = TunerOptions {
-        r_max: args.r_max,
-        scale: args.scale,
-        ..TunerOptions::fast()
-    };
+    let options = TunerOptions { r_max: args.r_max, scale: args.scale, ..TunerOptions::fast() };
 
     let mut pipetune = if args.warm && args.approach == Approach::PipeTune {
         let gt = warm_start_ground_truth(&env, &WorkloadSpec::all_type12(), &options)
@@ -236,9 +230,23 @@ mod tests {
     #[test]
     fn full_argument_set_parses() {
         let a = parse(&[
-            "--workload", "bfs", "--approach", "v2", "--testbed", "single", "--seed", "7",
-            "--jobs", "3", "--scale", "0.25", "--r-max", "27", "--warm",
-            "--save-model", "/tmp/model.json",
+            "--workload",
+            "bfs",
+            "--approach",
+            "v2",
+            "--testbed",
+            "single",
+            "--seed",
+            "7",
+            "--jobs",
+            "3",
+            "--scale",
+            "0.25",
+            "--r-max",
+            "27",
+            "--warm",
+            "--save-model",
+            "/tmp/model.json",
         ])
         .unwrap();
         assert_eq!(a.workload, "bfs");

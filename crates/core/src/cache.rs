@@ -432,13 +432,14 @@ impl EpochCache {
     /// Reads and checks a file as [`EpochCacheHandle::load`] describes.
     pub(crate) fn load(path: &Path) -> Result<Self, PipeTuneError> {
         let CurrentFormat(saved) = {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| PipeTuneError::Tsdb(TsdbError::Io(e)))?;
+            let text =
+                std::fs::read_to_string(path).map_err(|e| PipeTuneError::Tsdb(TsdbError::Io(e)))?;
             serde_json::from_str(&text).map_err(corrupt)?
         };
-        saved.config.validate().map_err(|e| {
-            corrupt(format!("persisted epoch cache config is degenerate: {e}"))
-        })?;
+        saved
+            .config
+            .validate()
+            .map_err(|e| corrupt(format!("persisted epoch cache config is degenerate: {e}")))?;
         let mut cache = EpochCache::new(saved.config);
         cache.next_seq = saved.next_seq;
         cache.lru_offset = saved.lru_offset;
@@ -750,18 +751,9 @@ mod tests {
         let a = fingerprint(&s, &hp(256, 3));
         assert_eq!(a, fingerprint(&s, &hp(256, 27)));
         assert_ne!(a, fingerprint(&s, &hp(512, 3)));
-        assert_ne!(
-            a,
-            fingerprint(&s, &HyperParams { dropout: 0.11, ..hp(256, 3) }),
-        );
-        assert_ne!(
-            a,
-            fingerprint(&s, &HyperParams { learning_rate: 0.011, ..hp(256, 3) }),
-        );
-        assert_ne!(
-            a,
-            fingerprint(&s, &HyperParams { embedding_dim: 48, ..hp(256, 3) }),
-        );
+        assert_ne!(a, fingerprint(&s, &HyperParams { dropout: 0.11, ..hp(256, 3) }),);
+        assert_ne!(a, fingerprint(&s, &HyperParams { learning_rate: 0.011, ..hp(256, 3) }),);
+        assert_ne!(a, fingerprint(&s, &HyperParams { embedding_dim: 48, ..hp(256, 3) }),);
         // Different workload / different scale → different dataset.
         assert_ne!(a, fingerprint(&WorkloadSpec::lenet_fashion().with_scale(0.2), &hp(256, 3)));
         assert_ne!(a, fingerprint(&WorkloadSpec::lenet_mnist(), &hp(256, 3)));
@@ -933,8 +925,14 @@ mod tests {
 
     /// `text` with what stands between the first `after` and the next
     /// `until` rewritten by `edit`.
-    fn splice(text: &str, after: &str, until: &[char], edit: impl FnOnce(&str) -> String) -> String {
-        let start = text.find(after).unwrap_or_else(|| panic!("no {after} in the file")) + after.len();
+    fn splice(
+        text: &str,
+        after: &str,
+        until: &[char],
+        edit: impl FnOnce(&str) -> String,
+    ) -> String {
+        let start =
+            text.find(after).unwrap_or_else(|| panic!("no {after} in the file")) + after.len();
         let end = start + text[start..].find(until).unwrap();
         format!("{}{}{}", &text[..start], edit(&text[start..end]), &text[end..])
     }
@@ -993,11 +991,7 @@ mod tests {
                 splice(stock, "\"shape\":[", &[']'], |_| "18446744073709551615,2".into()),
                 "`shape`",
             ),
-            (
-                "grad reshaped",
-                splice(stock, "\"grad\":{\"shape\":[", &[']'], reversed),
-                "`grad`",
-            ),
+            ("grad reshaped", splice(stock, "\"grad\":{\"shape\":[", &[']'], reversed), "`grad`"),
             ("decimal payloads under format 2", decimal_layout(stock), "`bits`"),
         ] {
             assert_ne!(text, stock, "{what}: the edit must change the file");
@@ -1103,8 +1097,7 @@ mod tests {
         let hp = hp(256, 9);
         let kspec = WorkloadSpec::jacobi().with_scale(0.2);
         let workload = kspec.instantiate(&hp, 5).unwrap();
-        let mut exec =
-            TrialExecution::new(workload, SystemTuner::pipelined(ProbeGoal::Runtime));
+        let mut exec = TrialExecution::new(workload, SystemTuner::pipelined(ProbeGoal::Runtime));
         let mut rng = StdRng::seed_from_u64(5);
         exec.run_epochs(&env, 2, None, 1.0, &mut rng).unwrap();
         let key = CacheKey { fingerprint: fingerprint(&kspec, &hp), epochs: 2 };
@@ -1123,8 +1116,8 @@ mod tests {
     #[test]
     fn failed_save_is_a_typed_io_error_and_leaves_no_temp_file() {
         let cache = EpochCache::new(EpochCacheConfig::default());
-        let dir = std::env::temp_dir()
-            .join(format!("pipetune_cache_failed_save_{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("pipetune_cache_failed_save_{}", std::process::id()));
         // A non-empty directory in the destination's place: the temp file
         // is written, the rename fails.
         std::fs::create_dir_all(dir.join("occupied").join("child")).unwrap();
@@ -1202,9 +1195,7 @@ mod tests {
     #[test]
     fn config_validation_rejects_degenerate_knobs() {
         assert!(EpochCacheConfig::default().validate().is_ok());
-        assert!(EpochCacheConfig { capacity: 0 }
-            .validate()
-            .is_err());
+        assert!(EpochCacheConfig { capacity: 0 }.validate().is_err());
     }
 
     #[test]
@@ -1244,9 +1235,15 @@ mod tests {
                 prop::sample::select(vec![0.001f32, 0.01, 0.1]),
                 1u32..=30,
             )
-                .prop_map(|(batch_size, dropout, embedding_dim, learning_rate, epochs)| {
-                    HyperParams { batch_size, dropout, embedding_dim, learning_rate, epochs }
-                })
+                .prop_map(
+                    |(batch_size, dropout, embedding_dim, learning_rate, epochs)| HyperParams {
+                        batch_size,
+                        dropout,
+                        embedding_dim,
+                        learning_rate,
+                        epochs,
+                    },
+                )
         }
 
         proptest! {

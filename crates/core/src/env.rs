@@ -140,10 +140,7 @@ impl ExperimentEnv {
 
     /// Derives a sub-seed for a named component, decorrelated from others.
     pub fn subseed(&self, tag: u64) -> u64 {
-        self.seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(tag)
-            .rotate_left(17)
+        self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(tag).rotate_left(17)
     }
 }
 
@@ -322,9 +319,11 @@ impl ExperimentEnvBuilder {
             )));
         }
         let space = &env.system_space;
-        for (axis, values) in
-            [("cores", &space.cores), ("memory_gb", &space.memory_gb), ("freq_mhz", &space.freq_mhz)]
-        {
+        for (axis, values) in [
+            ("cores", &space.cores),
+            ("memory_gb", &space.memory_gb),
+            ("freq_mhz", &space.freq_mhz),
+        ] {
             if values.is_empty() {
                 return Err(PipeTuneError::invalid(format!(
                     "system_space.{axis} must list at least one value"
@@ -407,18 +406,14 @@ mod tests {
             (ExperimentEnvBuilder::distributed(1).profile_overhead(-0.5), "profile_overhead"),
             (ExperimentEnvBuilder::distributed(1).profile_overhead(f64::NAN), "profile_overhead"),
             (
-                ExperimentEnvBuilder::distributed(1)
-                    .profile_overhead(f64::INFINITY),
+                ExperimentEnvBuilder::distributed(1).profile_overhead(f64::INFINITY),
                 "profile_overhead",
             ),
             (
                 ExperimentEnvBuilder::distributed(1).default_system(SystemConfig::new(0, 8)),
                 "default system",
             ),
-            (
-                ExperimentEnvBuilder::distributed(1).monitor(MonitorHandle::enabled()),
-                "monitor",
-            ),
+            (ExperimentEnvBuilder::distributed(1).monitor(MonitorHandle::enabled()), "monitor"),
         ];
         for (builder, expect) in cases {
             let reason = builder.build().expect_err(expect).to_string();

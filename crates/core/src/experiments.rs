@@ -56,7 +56,11 @@ pub fn warm_start_ground_truth(
 ) -> Result<GroundTruth, PipeTuneError> {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    let mut gt = GroundTruth::with_similarity(options.similarity, options.threshold_factor, env.subseed(0x57A7));
+    let mut gt = GroundTruth::with_similarity(
+        options.similarity,
+        options.threshold_factor,
+        env.subseed(0x57A7),
+    );
     let mut rng = StdRng::seed_from_u64(env.subseed(0x57A8));
     let grid = env.system_space.configurations();
     // §7.2's profiling campaign varies batch size (32/64/512/1024) and the
@@ -68,18 +72,15 @@ pub fn warm_start_ground_truth(
     let embeddings = [8usize, 64];
     for (wi, spec) in specs.iter().enumerate() {
         let spec = spec.with_scale(options.scale);
-        for (vi, (&batch, &embedding)) in batches
-            .iter()
-            .flat_map(|b| embeddings.iter().map(move |e| (b, e)))
-            .enumerate()
+        for (vi, (&batch, &embedding)) in
+            batches.iter().flat_map(|b| embeddings.iter().map(move |e| (b, e))).enumerate()
         {
             let hp = crate::HyperParams {
                 batch_size: batch,
                 embedding_dim: embedding,
                 ..crate::HyperParams::default()
             };
-            let workload =
-                spec.instantiate(&hp, env.subseed(1000 + wi as u64 * 16 + vi as u64))?;
+            let workload = spec.instantiate(&hp, env.subseed(1000 + wi as u64 * 16 + vi as u64))?;
             let work = workload.work_units();
             let sig = workload.signature();
             // Best configuration over the grid by probe cost (what actual
@@ -93,15 +94,13 @@ pub fn warm_start_ground_truth(
                 })
                 .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
                 .ok_or_else(|| PipeTuneError::InvalidConfig {
-                    reason: "system_space has an empty axis: there is no configuration to probe".into(),
+                    reason: "system_space has an empty axis: there is no configuration to probe"
+                        .into(),
                 })?;
             // Profile under several core allocations, twice each (§7.2
             // repeats every configuration to absorb unseen variation).
             for &cores in &env.system_space.cores {
-                let sys = pipetune_cluster::SystemConfig {
-                    cores,
-                    ..env.default_system
-                };
+                let sys = pipetune_cluster::SystemConfig { cores, ..env.default_system };
                 let dur = env.cost.epoch_duration(&work, &sys, 1.0);
                 for _rep in 0..2 {
                     let profile = env.profiler.profile_epoch(&sig, cores, dur, &mut rng);
@@ -266,10 +265,7 @@ fn tenancy_trace(
         }
         results.push(MultiTenancyOutcome {
             approach,
-            per_workload_secs: per
-                .into_iter()
-                .map(|(k, (sum, n))| (k, sum / n as f64))
-                .collect(),
+            per_workload_secs: per.into_iter().map(|(k, (sum, n))| (k, sum / n as f64)).collect(),
             overall_secs: total / mt.jobs as f64,
         });
     }
@@ -294,7 +290,8 @@ mod tests {
         // `system_space` is a public field: it can be emptied after `build`.
         let mut env = ExperimentEnv::distributed(31);
         env.system_space.cores.clear();
-        let err = warm_start_ground_truth(&env, &[WorkloadSpec::lenet_mnist()], &TunerOptions::fast());
+        let err =
+            warm_start_ground_truth(&env, &[WorkloadSpec::lenet_mnist()], &TunerOptions::fast());
         assert!(matches!(err, Err(PipeTuneError::InvalidConfig { .. })), "{err:?}");
     }
 

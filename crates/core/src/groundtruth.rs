@@ -186,11 +186,8 @@ impl GroundTruth {
                 let model = Dbscan::new(eps, min_points.max(1)).fit(&data)?;
                 // Noise records keep a sentinel label outside every cluster
                 // so the nearest-record filter skips them.
-                self.labels = model
-                    .labels()
-                    .iter()
-                    .map(|l| l.cluster().unwrap_or(usize::MAX))
-                    .collect();
+                self.labels =
+                    model.labels().iter().map(|l| l.cluster().unwrap_or(usize::MAX)).collect();
                 self.similarity = Some(Box::new(DbscanSimilarity::new(model)));
             }
         }
@@ -314,7 +311,12 @@ impl GroundTruth {
     /// without a `workload`, `cores`, `memory_gb` or `cost`, or whose
     /// `cores`, `memory_gb` or `freq_mhz` is not a whole number a `u32`
     /// holds.
-    pub fn load(path: &Path, k: usize, threshold_factor: f64, seed: u64) -> Result<Self, PipeTuneError> {
+    pub fn load(
+        path: &Path,
+        k: usize,
+        threshold_factor: f64,
+        seed: u64,
+    ) -> Result<Self, PipeTuneError> {
         let db = Database::load(path)?;
         let mut gt = GroundTruth::new(k, threshold_factor, seed);
         for (at, p) in db.query(&Query::measurement("ground_truth"))?.iter().enumerate() {
@@ -471,9 +473,7 @@ fn median_nn_distance(data: &[Vec<f64>]) -> f64 {
             data.iter()
                 .enumerate()
                 .filter(|(j, _)| *j != i)
-                .map(|(_, q)| {
-                    p.iter().zip(q).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt()
-                })
+                .map(|(_, q)| p.iter().zip(q).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt())
                 .fold(f64::INFINITY, f64::min)
         })
         .collect();
@@ -551,8 +551,7 @@ mod tests {
         // Same cluster, two sub-populations with different best configs
         // (e.g. small-batch vs large-batch probes).
         for i in 0..3 {
-            gt.record("a", &feat(0.0), SystemConfig::new(8, 8), 30.0 - i as f64)
-                .unwrap();
+            gt.record("a", &feat(0.0), SystemConfig::new(8, 8), 30.0 - i as f64).unwrap();
         }
         gt.record("a", &feat(0.4), fast_cfg(), 1.0).unwrap();
         gt.record("b", &feat(5.0), small_cfg(), 9.0).unwrap();
@@ -581,7 +580,8 @@ mod tests {
 
     /// `gt` after a save and a load, and the text of the file between.
     fn reloaded(gt: &GroundTruth, tag: &str) -> (GroundTruth, String) {
-        let path = std::env::temp_dir().join(format!("pipetune_gt_{tag}_{}.json", std::process::id()));
+        let path =
+            std::env::temp_dir().join(format!("pipetune_gt_{tag}_{}.json", std::process::id()));
         gt.save(&path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let loaded = GroundTruth::load(&path, 2, 3.0, 3);
@@ -615,8 +615,10 @@ mod tests {
                 .field("memory_gb", 16.0)
                 .field("cost", 1.0)
         };
-        let without_cost =
-            Point::new("ground_truth", 1).tag("workload", "a").field("cores", 8.0).field("memory_gb", 16.0);
+        let without_cost = Point::new("ground_truth", 1)
+            .tag("workload", "a")
+            .field("cores", 8.0)
+            .field("memory_gb", 16.0);
         let without_workload = Point::new("ground_truth", 1).field("cores", 8.0).field("cost", 1.0);
         let cases = [
             (without_cost, "`cost` is missing"),
@@ -625,7 +627,8 @@ mod tests {
             (complete(1).field("memory_gb", 1e300), "`memory_gb` is 1e300"),
             (complete(1).field("freq_mhz", 1800.5), "`freq_mhz` is 1800.5"),
         ];
-        let path = std::env::temp_dir().join(format!("pipetune_gt_bad_{}.json", std::process::id()));
+        let path =
+            std::env::temp_dir().join(format!("pipetune_gt_bad_{}.json", std::process::id()));
         for (bad, names) in cases {
             let db = Database::new();
             db.write(complete(0)).unwrap();

@@ -93,9 +93,7 @@ impl HyperSpace {
 }
 
 /// Decodes the system half of a Tune V2 config, if present.
-pub(crate) fn system_from_config(
-    config: &Config,
-) -> Option<pipetune_cluster::SystemConfig> {
+pub(crate) fn system_from_config(config: &Config) -> Option<pipetune_cluster::SystemConfig> {
     match (config.get("cores"), config.get("memory_gb")) {
         (Some(c), Some(m)) => Some(pipetune_cluster::SystemConfig {
             cores: c.as_i64().clamp(1, 1024) as u32,

@@ -57,7 +57,6 @@ pub use baselines::{run_arbitrary, TuneV1, TuneV2};
 pub use cache::{CacheStats, EpochCacheConfig, EpochCacheHandle};
 pub use env::{ExperimentEnv, ExperimentEnvBuilder};
 pub use error::PipeTuneError;
-pub use pipetune_cluster::{FaultKind, FaultPlan, FaultReport, RetryPolicy};
 pub use experiments::{
     multi_tenancy, multi_tenancy_shared, single_tenancy, warm_start_ground_truth,
     MultiTenancyOptions, MultiTenancyOutcome, SingleTenancyRow,
@@ -65,6 +64,7 @@ pub use experiments::{
 pub use groundtruth::{GroundTruth, GroundTruthAccess, GroundTruthStats, SimilarityKind};
 pub use hyper::{HyperParams, HyperSpace};
 pub use objective::ProbeGoal;
+pub use pipetune_cluster::{FaultKind, FaultPlan, FaultReport, RetryPolicy};
 pub use related::{related_systems, RelatedSystem};
 pub use runner::SlotSchedule;
 pub use scheduler_choice::SchedulerKind;

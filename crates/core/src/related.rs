@@ -29,22 +29,166 @@ pub fn related_systems() -> &'static [RelatedSystem] {
     const T: bool = true;
     const F: bool = false;
     &[
-        RelatedSystem { name: "Astra", cpu: F, gpu: T, distributed_training: F, tunes_hyper: T, tunes_system: T, frameworks: &["TensorFlow", "Keras"], open_source: F },
-        RelatedSystem { name: "AutoKeras", cpu: T, gpu: T, distributed_training: F, tunes_hyper: T, tunes_system: T, frameworks: &["TensorFlow", "Keras"], open_source: T },
-        RelatedSystem { name: "ByteScheduler", cpu: T, gpu: T, distributed_training: T, tunes_hyper: T, tunes_system: F, frameworks: &["TensorFlow", "Keras", "PyTorch", "MXNet"], open_source: T },
-        RelatedSystem { name: "GRNN", cpu: T, gpu: T, distributed_training: F, tunes_hyper: T, tunes_system: F, frameworks: &["TensorFlow", "PyTorch"], open_source: F },
-        RelatedSystem { name: "HyperDrive", cpu: T, gpu: T, distributed_training: T, tunes_hyper: T, tunes_system: T, frameworks: &["TensorFlow", "Keras"], open_source: F },
-        RelatedSystem { name: "Hop", cpu: T, gpu: F, distributed_training: T, tunes_hyper: T, tunes_system: F, frameworks: &["TensorFlow"], open_source: F },
-        RelatedSystem { name: "Optimus", cpu: T, gpu: T, distributed_training: T, tunes_hyper: T, tunes_system: F, frameworks: &["MXNet"], open_source: F },
-        RelatedSystem { name: "Orion", cpu: T, gpu: F, distributed_training: T, tunes_hyper: T, tunes_system: F, frameworks: &["TensorFlow"], open_source: T },
-        RelatedSystem { name: "Parallax", cpu: T, gpu: T, distributed_training: T, tunes_hyper: T, tunes_system: F, frameworks: &["TensorFlow"], open_source: T },
-        RelatedSystem { name: "PipeDream", cpu: F, gpu: T, distributed_training: T, tunes_hyper: T, tunes_system: F, frameworks: &["TensorFlow", "MXNet"], open_source: T },
-        RelatedSystem { name: "SageMaker", cpu: T, gpu: T, distributed_training: T, tunes_hyper: T, tunes_system: T, frameworks: &[], open_source: F },
-        RelatedSystem { name: "STRADS", cpu: T, gpu: F, distributed_training: T, tunes_hyper: T, tunes_system: F, frameworks: &[], open_source: T },
-        RelatedSystem { name: "STRADS-AP", cpu: T, gpu: F, distributed_training: T, tunes_hyper: T, tunes_system: T, frameworks: &["TensorFlow"], open_source: F },
-        RelatedSystem { name: "Tune", cpu: T, gpu: T, distributed_training: T, tunes_hyper: T, tunes_system: T, frameworks: &["TensorFlow", "Keras"], open_source: T },
-        RelatedSystem { name: "Vizier", cpu: T, gpu: T, distributed_training: T, tunes_hyper: T, tunes_system: T, frameworks: &[], open_source: F },
-        RelatedSystem { name: "PipeTune", cpu: T, gpu: F, distributed_training: T, tunes_hyper: T, tunes_system: T, frameworks: &["BigDL", "TensorFlow", "Keras"], open_source: T },
+        RelatedSystem {
+            name: "Astra",
+            cpu: F,
+            gpu: T,
+            distributed_training: F,
+            tunes_hyper: T,
+            tunes_system: T,
+            frameworks: &["TensorFlow", "Keras"],
+            open_source: F,
+        },
+        RelatedSystem {
+            name: "AutoKeras",
+            cpu: T,
+            gpu: T,
+            distributed_training: F,
+            tunes_hyper: T,
+            tunes_system: T,
+            frameworks: &["TensorFlow", "Keras"],
+            open_source: T,
+        },
+        RelatedSystem {
+            name: "ByteScheduler",
+            cpu: T,
+            gpu: T,
+            distributed_training: T,
+            tunes_hyper: T,
+            tunes_system: F,
+            frameworks: &["TensorFlow", "Keras", "PyTorch", "MXNet"],
+            open_source: T,
+        },
+        RelatedSystem {
+            name: "GRNN",
+            cpu: T,
+            gpu: T,
+            distributed_training: F,
+            tunes_hyper: T,
+            tunes_system: F,
+            frameworks: &["TensorFlow", "PyTorch"],
+            open_source: F,
+        },
+        RelatedSystem {
+            name: "HyperDrive",
+            cpu: T,
+            gpu: T,
+            distributed_training: T,
+            tunes_hyper: T,
+            tunes_system: T,
+            frameworks: &["TensorFlow", "Keras"],
+            open_source: F,
+        },
+        RelatedSystem {
+            name: "Hop",
+            cpu: T,
+            gpu: F,
+            distributed_training: T,
+            tunes_hyper: T,
+            tunes_system: F,
+            frameworks: &["TensorFlow"],
+            open_source: F,
+        },
+        RelatedSystem {
+            name: "Optimus",
+            cpu: T,
+            gpu: T,
+            distributed_training: T,
+            tunes_hyper: T,
+            tunes_system: F,
+            frameworks: &["MXNet"],
+            open_source: F,
+        },
+        RelatedSystem {
+            name: "Orion",
+            cpu: T,
+            gpu: F,
+            distributed_training: T,
+            tunes_hyper: T,
+            tunes_system: F,
+            frameworks: &["TensorFlow"],
+            open_source: T,
+        },
+        RelatedSystem {
+            name: "Parallax",
+            cpu: T,
+            gpu: T,
+            distributed_training: T,
+            tunes_hyper: T,
+            tunes_system: F,
+            frameworks: &["TensorFlow"],
+            open_source: T,
+        },
+        RelatedSystem {
+            name: "PipeDream",
+            cpu: F,
+            gpu: T,
+            distributed_training: T,
+            tunes_hyper: T,
+            tunes_system: F,
+            frameworks: &["TensorFlow", "MXNet"],
+            open_source: T,
+        },
+        RelatedSystem {
+            name: "SageMaker",
+            cpu: T,
+            gpu: T,
+            distributed_training: T,
+            tunes_hyper: T,
+            tunes_system: T,
+            frameworks: &[],
+            open_source: F,
+        },
+        RelatedSystem {
+            name: "STRADS",
+            cpu: T,
+            gpu: F,
+            distributed_training: T,
+            tunes_hyper: T,
+            tunes_system: F,
+            frameworks: &[],
+            open_source: T,
+        },
+        RelatedSystem {
+            name: "STRADS-AP",
+            cpu: T,
+            gpu: F,
+            distributed_training: T,
+            tunes_hyper: T,
+            tunes_system: T,
+            frameworks: &["TensorFlow"],
+            open_source: F,
+        },
+        RelatedSystem {
+            name: "Tune",
+            cpu: T,
+            gpu: T,
+            distributed_training: T,
+            tunes_hyper: T,
+            tunes_system: T,
+            frameworks: &["TensorFlow", "Keras"],
+            open_source: T,
+        },
+        RelatedSystem {
+            name: "Vizier",
+            cpu: T,
+            gpu: T,
+            distributed_training: T,
+            tunes_hyper: T,
+            tunes_system: T,
+            frameworks: &[],
+            open_source: F,
+        },
+        RelatedSystem {
+            name: "PipeTune",
+            cpu: T,
+            gpu: F,
+            distributed_training: T,
+            tunes_hyper: T,
+            tunes_system: T,
+            frameworks: &["BigDL", "TensorFlow", "Keras"],
+            open_source: T,
+        },
     ]
 }
 

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 use pipetune_cluster::{observe as cluster_observe, FaultReport};
-use pipetune_search::{Config, SearchSpace, TrialId, TrialRequest, TrialReport};
+use pipetune_search::{Config, SearchSpace, TrialId, TrialReport, TrialRequest};
 use pipetune_telemetry::{EventKind, Span, SpanId, SpanKind, COUNT_BUCKETS, RATIO_BUCKETS};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -219,8 +219,7 @@ fn execute_item(
                 }
                 None => {
                     let workload = spec.instantiate(&hp, env.subseed(req.id.0))?;
-                    let mut exec =
-                        TrialExecution::new(workload, tuner).with_trial_id(req.id.0);
+                    let mut exec = TrialExecution::new(workload, tuner).with_trial_id(req.id.0);
                     if caching {
                         journal.cache.push(CacheEvent::Miss);
                         exec.note_cache_miss(env);
@@ -232,11 +231,8 @@ fn execute_item(
     };
     // A fresh trial that adopted a prefix already carries the charged
     // reload time; the whole of it belongs to this rung's slot occupancy.
-    let (secs_before, energy_before) = if was_resumed {
-        (slot.exec.duration_secs(), slot.exec.energy_j())
-    } else {
-        (0.0, 0.0)
-    };
+    let (secs_before, energy_before) =
+        if was_resumed { (slot.exec.duration_secs(), slot.exec.energy_j()) } else { (0.0, 0.0) };
     let faults_before = slot.exec.fault_report();
     let mut view =
         ground_truth.map(|history| BatchView { history, journal: &mut journal.ground_truth });
@@ -431,12 +427,8 @@ where
 {
     let Job { label, space, objective, mut policy, mut ground_truth, contention } = job;
     let spec = &spec.with_scale(options.scale);
-    let mut scheduler = options.scheduler.build(
-        space,
-        options.r_max,
-        options.eta,
-        env.subseed(0x7453 + *jobs_run),
-    );
+    let mut scheduler =
+        options.scheduler.build(space, options.r_max, options.eta, env.subseed(0x7453 + *jobs_run));
     *jobs_run += 1;
     let gt_stats_before = ground_truth.as_deref().map(GroundTruth::stats);
     let cache_stats_before = env.epoch_cache.stats().unwrap_or_default();
@@ -485,13 +477,8 @@ where
             clock,
             vec![("round", round.into()), ("trials", n.into())],
         );
-        let batch_span = telemetry.open_span(
-            rung_span,
-            SpanKind::Batch,
-            format!("batch of {n}"),
-            clock,
-            vec![],
-        );
+        let batch_span =
+            telemetry.open_span(rung_span, SpanKind::Batch, format!("batch of {n}"), clock, vec![]);
         // Claim the batch in request order. Fresh trials get their tuner
         // from `policy` here on the coordinator (it may be an FnMut);
         // workload instantiation — the expensive part — happens on workers.
@@ -605,17 +592,13 @@ where
                 ),
             }
         } else {
-            PipeTuneError::InvalidConfig {
-                reason: "scheduler finished without any trial".into(),
-            }
+            PipeTuneError::InvalidConfig { reason: "scheduler finished without any trial".into() }
         }
     })?;
     telemetry.gauge_set(observe::SCHEDULER_EPOCHS, scheduler.epochs_issued() as f64);
     telemetry.gauge_set(cluster_observe::FAULTS_WASTED_SECS, fault_report.wasted_epoch_secs);
-    telemetry
-        .gauge_set(cluster_observe::FAULTS_RECOVERY_SECS, fault_report.recovery_overhead_secs);
-    let cache_stats =
-        env.epoch_cache.stats().unwrap_or_default().delta_since(&cache_stats_before);
+    telemetry.gauge_set(cluster_observe::FAULTS_RECOVERY_SECS, fault_report.recovery_overhead_secs);
+    let cache_stats = env.epoch_cache.stats().unwrap_or_default().delta_since(&cache_stats_before);
     if env.epoch_cache.is_enabled() {
         telemetry.with_metrics(|m| {
             m.counter_add(observe::CACHE_HITS, cache_stats.hits);
@@ -647,9 +630,8 @@ where
     let best_trial = &mut trials.get_mut(&best_id).expect("best trial exists").exec;
     let best_hp = *best_trial.workload().hyperparams();
     // Completions in wall-clock order (stable: ties keep request order).
-    convergence.sort_by(|a, b| {
-        a.wall_secs.partial_cmp(&b.wall_secs).unwrap_or(std::cmp::Ordering::Equal)
-    });
+    convergence
+        .sort_by(|a, b| a.wall_secs.partial_cmp(&b.wall_secs).unwrap_or(std::cmp::Ordering::Equal));
     Ok(TuningOutcome {
         workload: spec.name(),
         best_accuracy: best_trial.accuracy()?,
@@ -707,8 +689,9 @@ mod tests {
         items: Vec<WorkItem>,
     ) -> Vec<ItemResult> {
         let n = items.len();
-        let run =
-            |item| execute_item(env, spec, Objective::Accuracy, 1.0, Some(ground_truth), item).unwrap();
+        let run = |item| {
+            execute_item(env, spec, Objective::Accuracy, 1.0, Some(ground_truth), item).unwrap()
+        };
         let mut finished: Vec<(usize, ItemResult)> = match finish {
             Finish::InOrder => items.into_iter().map(run).enumerate().collect(),
             Finish::Reversed => {
@@ -773,9 +756,8 @@ mod tests {
         let mut faults = FaultReport::default();
         let mut gt_stats = [GroundTruthStats::default(); 2];
         let mut probed = Vec::new();
-        for (batch, ids) in [(0..8).collect::<Vec<u64>>(), (0..4).chain(8..12).collect()]
-            .into_iter()
-            .enumerate()
+        for (batch, ids) in
+            [(0..8).collect::<Vec<u64>>(), (0..4).chain(8..12).collect()].into_iter().enumerate()
         {
             let items = ids.into_iter().map(fresh).collect();
             let mut results = execute_in(finish, &env, &spec, &gt, items);

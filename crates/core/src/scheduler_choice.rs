@@ -6,7 +6,9 @@
 //! the evaluation's choice (§6). This module makes that a configuration
 //! knob: every tuner (PipeTune and the baselines) can run on any of them.
 
-use pipetune_search::{Asha, Genetic, GridSearch, HyperBand, RandomSearch, SearchSpace, Tpe, TrialScheduler};
+use pipetune_search::{
+    Asha, Genetic, GridSearch, HyperBand, RandomSearch, SearchSpace, Tpe, TrialScheduler,
+};
 use serde::{Deserialize, Serialize};
 
 /// Which search algorithm drives the trials.
@@ -76,13 +78,9 @@ impl SchedulerKind {
                 Box::new(GridSearch::new(space, per_param.max(1), r_max))
             }
             SchedulerKind::Tpe { trials } => Box::new(Tpe::new(space, trials.max(1), r_max, seed)),
-            SchedulerKind::Genetic { population, generations } => Box::new(Genetic::new(
-                space,
-                population.max(2),
-                generations.max(1),
-                r_max,
-                seed,
-            )),
+            SchedulerKind::Genetic { population, generations } => {
+                Box::new(Genetic::new(space, population.max(2), generations.max(1), r_max, seed))
+            }
             SchedulerKind::Asha { trials } => {
                 Box::new(Asha::new(space, r_max, eta.max(2), trials.max(1), seed))
             }

@@ -110,9 +110,7 @@ pub fn simulate_fifo(
         });
     }
     completions.sort_by(|a, b| {
-        a.completion_secs
-            .partial_cmp(&b.completion_secs)
-            .unwrap_or(std::cmp::Ordering::Equal)
+        a.completion_secs.partial_cmp(&b.completion_secs).unwrap_or(std::cmp::Ordering::Equal)
     });
     Ok(completions)
 }
@@ -200,11 +198,9 @@ mod tests {
 
     #[test]
     fn lone_job_finishes_at_arrival_plus_service() {
-        let done = simulate_processor_sharing(&[SharedJob {
-            arrival_secs: 5.0,
-            service_secs: 10.0,
-        }])
-        .unwrap();
+        let done =
+            simulate_processor_sharing(&[SharedJob { arrival_secs: 5.0, service_secs: 10.0 }])
+                .unwrap();
         assert_eq!(done.len(), 1);
         assert!((done[0].completion_secs - 15.0).abs() < 1e-9);
         assert!((done[0].response_secs - 10.0).abs() < 1e-9);
@@ -295,21 +291,13 @@ mod tests {
 
     #[test]
     fn invalid_jobs_are_rejected() {
-        assert!(simulate_processor_sharing(&[SharedJob {
-            arrival_secs: -1.0,
-            service_secs: 1.0
-        }])
-        .is_err());
-        assert!(simulate_processor_sharing(&[SharedJob {
-            arrival_secs: 0.0,
-            service_secs: -0.5
-        }])
-        .is_err());
-        assert!(simulate_fifo(
-            &[SharedJob { arrival_secs: 0.0, service_secs: f64::NAN }],
-            1
-        )
-        .is_err());
+        assert!(simulate_processor_sharing(&[SharedJob { arrival_secs: -1.0, service_secs: 1.0 }])
+            .is_err());
+        assert!(simulate_processor_sharing(&[SharedJob { arrival_secs: 0.0, service_secs: -0.5 }])
+            .is_err());
+        assert!(
+            simulate_fifo(&[SharedJob { arrival_secs: 0.0, service_secs: f64::NAN }], 1).is_err()
+        );
     }
 
     // ---- edge-case regressions (simultaneous arrivals, zero-service
@@ -359,9 +347,8 @@ mod tests {
             SharedJob { arrival_secs: 4.0, service_secs: 0.0 },
         ];
         let fifo = simulate_fifo(&jobs, 2).unwrap();
-        let by_job = |d: &[SharedCompletion], i: usize| {
-            d.iter().find(|c| c.job == i).copied().unwrap()
-        };
+        let by_job =
+            |d: &[SharedCompletion], i: usize| d.iter().find(|c| c.job == i).copied().unwrap();
         assert_eq!(by_job(&fifo, 1).completion_secs, 4.0);
         assert_eq!(by_job(&fifo, 1).response_secs, 0.0);
         let ps = simulate_processor_sharing(&jobs).unwrap();
@@ -386,9 +373,8 @@ mod tests {
         // integer-micros free-time heap rounded every hop, drifting the
         // chain; exact f64 arithmetic reproduces the analytic sum.
         let service = 3e-7;
-        let jobs: Vec<SharedJob> = (0..100)
-            .map(|_| SharedJob { arrival_secs: 0.0, service_secs: service })
-            .collect();
+        let jobs: Vec<SharedJob> =
+            (0..100).map(|_| SharedJob { arrival_secs: 0.0, service_secs: service }).collect();
         let done = simulate_fifo(&jobs, 1).unwrap();
         let mut expected = 0.0f64;
         for (i, c) in done.iter().enumerate() {

@@ -273,7 +273,12 @@ impl SystemTuner {
     /// — applies that argmin and returns it for the caller to persist.
     fn sweep_over(&mut self, env: &ExperimentEnv) -> Option<(&[f64], SystemConfig, f64)> {
         let SystemTuner::Pipelined {
-            probe_queue, probe_phase, probe_results, features, chosen, ..
+            probe_queue,
+            probe_phase,
+            probe_results,
+            features,
+            chosen,
+            ..
         } = self
         else {
             return None;
@@ -517,7 +522,11 @@ impl TrialExecution {
             });
             let epochs = exec.workload.epochs_run();
             exec.event(EventKind::CacheLookup, None, || {
-                vec![("hit", true.into()), ("epochs", epochs.into()), ("saved_secs", saved.0.into())]
+                vec![
+                    ("hit", true.into()),
+                    ("epochs", epochs.into()),
+                    ("saved_secs", saved.0.into()),
+                ]
             });
         }
         exec
@@ -633,9 +642,10 @@ impl TrialExecution {
                     self.faults.wasted_epoch_secs += wasted;
                     self.faults.recovery_overhead_secs += backoff;
                     self.event(EventKind::Fault, None, || {
-                        let mut attrs = pipetune_cluster::observe::fault_attrs(
-                            &FaultKind::NodeCrash { wasted_fraction },
-                        );
+                        let mut attrs =
+                            pipetune_cluster::observe::fault_attrs(&FaultKind::NodeCrash {
+                                wasted_fraction,
+                            });
                         attrs.push(("epoch", epoch_idx.into()));
                         attrs.push(("attempt", attempt.into()));
                         attrs.push(("wasted_secs", wasted.into()));
@@ -871,10 +881,7 @@ mod tests {
     }
 
     fn make_trial(batch: usize, tuner: SystemTuner) -> TrialExecution {
-        let w = WorkloadSpec::lenet_mnist()
-            .with_scale(0.2)
-            .instantiate(&hp(batch), 3)
-            .unwrap();
+        let w = WorkloadSpec::lenet_mnist().with_scale(0.2).instantiate(&hp(batch), 3).unwrap();
         TrialExecution::new(w, tuner)
     }
 
@@ -925,11 +932,7 @@ mod tests {
             .filter(|r| r.phase == EpochPhase::Probe)
             .map(|r| (r.system, r.duration_secs))
             .collect();
-        let best = probed
-            .iter()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-            .unwrap()
-            .0;
+        let best = probed.iter().min_by(|a, b| a.1.partial_cmp(&b.1).unwrap()).unwrap().0;
         assert_eq!(chosen, best);
         // And the probe result was recorded for future jobs.
         assert_eq!(gt.stats().recorded, 1);
@@ -960,7 +963,11 @@ mod tests {
     #[test]
     fn algorithm_1_as_a_table() {
         let dvfs = |memory_gb: Vec<u32>| ExperimentEnv {
-            system_space: SystemSpace { cores: vec![4, 8, 16], memory_gb, freq_mhz: vec![1800, 3500] },
+            system_space: SystemSpace {
+                cores: vec![4, 8, 16],
+                memory_gb,
+                freq_mhz: vec![1800, 3500],
+            },
             ..env()
         };
         let (e, default) = (env(), env().default_system);
@@ -1016,7 +1023,10 @@ mod tests {
         let e1 = dvfs(vec![32]);
         let mut miss = profiled(&e1, None);
         assert_eq!(sweep(&mut miss, &e1, &cores_sweep, cost), None);
-        assert_eq!(sweep(&mut miss, &e1, &[cfg(8, 32, 1800)], cost), Some((cfg(8, 32, 1800), 17.0)));
+        assert_eq!(
+            sweep(&mut miss, &e1, &[cfg(8, 32, 1800)], cost),
+            Some((cfg(8, 32, 1800), 17.0))
+        );
 
         // One lost probe leaves the argmin to the survivors.
         let lose_8 = |c: SystemConfig| cost(c).filter(|_| c.cores != 8);
@@ -1076,8 +1086,7 @@ mod tests {
             let w = spec.with_scale(0.2).instantiate(&hp(256), seed).unwrap();
             let mut t = TrialExecution::new(w, SystemTuner::pipelined(ProbeGoal::Runtime));
             let probes = (e.system_space.cores.len() + e.system_space.memory_gb.len() - 1) as u32;
-            t.run_epochs(&e, 1 + probes, Some(&mut gt), 1.0, &mut rng)
-                .unwrap();
+            t.run_epochs(&e, 1 + probes, Some(&mut gt), 1.0, &mut rng).unwrap();
         }
         // Job 5: same family → should reuse without probing.
         let mut t = make_trial(256, SystemTuner::pipelined(ProbeGoal::Runtime));
@@ -1100,8 +1109,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut t = make_trial(1024, SystemTuner::pipelined(ProbeGoal::Runtime));
         let probes = (e.system_space.cores.len() + e.system_space.memory_gb.len() - 1) as u32;
-        t.run_epochs(&e, 1 + probes + 2, Some(&mut gt), 1.0, &mut rng)
-            .unwrap();
+        t.run_epochs(&e, 1 + probes + 2, Some(&mut gt), 1.0, &mut rng).unwrap();
         let profile_dur = t.records()[0].duration_secs;
         let tuned_dur = t.records().last().unwrap().duration_secs;
         assert!(
@@ -1136,7 +1144,8 @@ mod tests {
         t.run_epochs(&e, 4, None, 1.0, &mut rng).unwrap();
         let records_first: Vec<EpochRecord> = t.records().to_vec();
         let secs_first = t.duration_secs();
-        let state_first = (t.accuracy().unwrap().to_bits(), format!("{:?}", t.tuner()), rng.clone());
+        let state_first =
+            (t.accuracy().unwrap().to_bits(), format!("{:?}", t.tuner()), rng.clone());
 
         // Roll back and rerun: the restored RNG stream must reproduce every
         // stochastic draw, so the replay is byte-identical.

@@ -6,7 +6,10 @@ use serde::{Deserialize, Serialize};
 use crate::objective::{Objective, ProbeGoal};
 use crate::runner::{run_job, Job};
 use crate::trial::SystemTuner;
-use crate::{ExperimentEnv, GroundTruth, GroundTruthStats, HyperParams, HyperSpace, PipeTuneError, WorkloadSpec};
+use crate::{
+    ExperimentEnv, GroundTruth, GroundTruthStats, HyperParams, HyperSpace, PipeTuneError,
+    WorkloadSpec,
+};
 
 /// One point on the convergence trajectory (Figs. 9 & 10): a trial finished
 /// at `wall_secs` with the given accuracy and cumulative trial time.
@@ -240,10 +243,7 @@ mod tests {
         assert!(!out.convergence.is_empty());
         assert!(out.epochs_total > 0);
         // Convergence points are time-ordered.
-        assert!(out
-            .convergence
-            .windows(2)
-            .all(|w| w[0].wall_secs <= w[1].wall_secs));
+        assert!(out.convergence.windows(2).all(|w| w[0].wall_secs <= w[1].wall_secs));
     }
 
     #[test]
@@ -253,11 +253,7 @@ mod tests {
         let first = tuner.run(&env, &WorkloadSpec::lenet_mnist()).unwrap();
         assert!(first.gt_stats.recorded > 0, "first job should probe");
         let second = tuner.run(&env, &WorkloadSpec::lenet_mnist()).unwrap();
-        assert!(
-            second.gt_stats.hits > 0,
-            "second job should reuse: {:?}",
-            second.gt_stats
-        );
+        assert!(second.gt_stats.hits > 0, "second job should reuse: {:?}", second.gt_stats);
         // Reuse accelerates the job (no probe epochs at slow configs).
         assert!(second.tuning_secs <= first.tuning_secs * 1.1);
     }
@@ -265,7 +261,8 @@ mod tests {
     #[test]
     fn checkpoint_marks_are_sorted_interior_and_deduped() {
         let env = ExperimentEnv::distributed(11);
-        let out = PipeTune::new(TunerOptions::fast()).run(&env, &WorkloadSpec::lenet_mnist()).unwrap();
+        let out =
+            PipeTune::new(TunerOptions::fast()).run(&env, &WorkloadSpec::lenet_mnist()).unwrap();
         let marks = out.checkpoint_marks();
         assert!(!marks.is_empty(), "a real run checkpoints at least once");
         assert!(marks.windows(2).all(|w| w[0] < w[1]), "{marks:?}");
@@ -280,9 +277,7 @@ mod tests {
     fn deterministic_per_environment_seed() {
         let run = || {
             let env = ExperimentEnv::distributed(33);
-            PipeTune::new(TunerOptions::fast())
-                .run(&env, &WorkloadSpec::lenet_mnist())
-                .unwrap()
+            PipeTune::new(TunerOptions::fast()).run(&env, &WorkloadSpec::lenet_mnist()).unwrap()
         };
         let a = run();
         let b = run();

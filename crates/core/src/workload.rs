@@ -116,12 +116,7 @@ impl WorkloadSpec {
 
     /// The four DNN workloads of Figs. 8–11.
     pub fn all_type12() -> Vec<WorkloadSpec> {
-        vec![
-            Self::lenet_mnist(),
-            Self::lenet_fashion(),
-            Self::cnn_news20(),
-            Self::lstm_news20(),
-        ]
+        vec![Self::lenet_mnist(), Self::lenet_fashion(), Self::cnn_news20(), Self::lstm_news20()]
     }
 
     /// The three Type-III kernels of Figs. 12/14.
@@ -239,7 +234,11 @@ impl WorkloadSpec {
     ///
     /// Returns [`PipeTuneError`] when the hyperparameters cannot build the
     /// model (e.g. an invalid dropout rate).
-    pub fn instantiate(&self, hp: &HyperParams, seed: u64) -> Result<WorkloadInstance, PipeTuneError> {
+    pub fn instantiate(
+        &self,
+        hp: &HyperParams,
+        seed: u64,
+    ) -> Result<WorkloadInstance, PipeTuneError> {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5049_5045);
         let s = self.scale;
         let scaled = |n: usize| ((n as f32 * s) as usize).max(16);
@@ -252,13 +251,11 @@ impl WorkloadSpec {
                 } else {
                     fashion_like(&spec, seed)?
                 };
-                let model =
-                    AnyModel::LeNet(LeNet5::with_input_size(16, 10, hp.dropout, &mut rng)?);
+                let model = AnyModel::LeNet(LeNet5::with_input_size(16, 10, hp.dropout, &mut rng)?);
                 InstanceKind::Dnn { model, train, test }
             }
             SpecKind::CnnNews20 => {
-                let spec =
-                    TextSpec { train: scaled(240), test: scaled(80), ..TextSpec::default() };
+                let spec = TextSpec { train: scaled(240), test: scaled(80), ..TextSpec::default() };
                 let (train, test) = news20_like(&spec, seed)?;
                 let model = AnyModel::TextCnn(TextCnn::new(
                     spec.vocab,
@@ -323,10 +320,7 @@ impl WorkloadSpec {
                 // Learning rate plays the diffusion time-step (stability-
                 // bounded, like the Jacobi relaxation factor).
                 let dt = (hp.learning_rate * 2.0).clamp(0.01, 0.5);
-                InstanceKind::Hotspot(Hotspot::new(
-                    &HotspotConfig { grid: scaled(40), dt },
-                    seed,
-                ))
+                InstanceKind::Hotspot(Hotspot::new(&HotspotConfig { grid: scaled(40), dt }, seed))
             }
         };
         let train_cfg = TrainConfig {
@@ -694,7 +688,12 @@ mod tests {
     use super::*;
 
     fn fast_hp() -> HyperParams {
-        HyperParams { batch_size: 32, learning_rate: 0.02, embedding_dim: 16, ..HyperParams::default() }
+        HyperParams {
+            batch_size: 32,
+            learning_rate: 0.02,
+            embedding_dim: 16,
+            ..HyperParams::default()
+        }
     }
 
     #[test]
@@ -768,12 +767,8 @@ mod tests {
         // learning_rate → jacobi ω and hotspot dt; embedding_dim → k-means k;
         // batch_size → bfs chunk / spkmeans batch fraction. Extreme inputs
         // must clamp instead of panicking.
-        let extreme = HyperParams {
-            batch_size: 1,
-            learning_rate: 10.0,
-            embedding_dim: 10_000,
-            ..fast_hp()
-        };
+        let extreme =
+            HyperParams { batch_size: 1, learning_rate: 10.0, embedding_dim: 10_000, ..fast_hp() };
         for spec in [
             WorkloadSpec::jacobi(),
             WorkloadSpec::spkmeans(),

@@ -90,10 +90,7 @@ fn parse_idx(bytes: &[u8]) -> Result<IdxArray, DnnError> {
             if Some(payload.len()) != count.checked_mul(4) {
                 return Err(corrupt("float payload size mismatch"));
             }
-            payload
-                .chunks_exact(4)
-                .map(|c| f32::from_be_bytes([c[0], c[1], c[2], c[3]]))
-                .collect()
+            payload.chunks_exact(4).map(|c| f32::from_be_bytes([c[0], c[1], c[2], c[3]])).collect()
         }
         other => return Err(corrupt(format!("unsupported idx element type 0x{other:02x}"))),
     };
@@ -107,8 +104,8 @@ fn parse_idx(bytes: &[u8]) -> Result<IdxArray, DnnError> {
 /// Returns [`DnnError::InvalidDataset`] on I/O failures or malformed
 /// content.
 fn load_idx(path: &Path) -> Result<IdxArray, DnnError> {
-    let bytes = std::fs::read(path)
-        .map_err(|e| corrupt(format!("cannot read {}: {e}", path.display())))?;
+    let bytes =
+        std::fs::read(path).map_err(|e| corrupt(format!("cannot read {}: {e}", path.display())))?;
     parse_idx(&bytes)
 }
 
@@ -153,8 +150,7 @@ fn dataset_from_arrays(
     let tensor = Tensor::from_vec(images.data, &[n, 1, h, w])?;
     // Label files store class ids; undo the unit scaling ubyte images get.
     let scale = if labels.dtype == 0x08 { 255.0 } else { 1.0 };
-    let labels: Vec<usize> =
-        labels.data.iter().map(|&v| (v * scale).round() as usize).collect();
+    let labels: Vec<usize> = labels.data.iter().map(|&v| (v * scale).round() as usize).collect();
     Dataset::new(Features::Images(tensor), labels, classes)
 }
 
@@ -240,7 +236,8 @@ mod tests {
         }
         // Past the parser too: the tensor refuses dimensions that do not
         // multiply, whatever the data's length.
-        let unchecked = IdxArray { dims: vec![1 << 22, 1 << 21, 1 << 21], data: vec![], dtype: 0x08 };
+        let unchecked =
+            IdxArray { dims: vec![1 << 22, 1 << 21, 1 << 21], data: vec![], dtype: 0x08 };
         let labels = IdxArray { dims: vec![1 << 22], data: vec![0.0; 1 << 22], dtype: 0x08 };
         assert!(dataset_from_arrays(unchecked, labels, 10).is_err());
     }

@@ -167,8 +167,7 @@ mod tests {
 
     #[test]
     fn top_confusion_identifies_the_dominant_error() {
-        let m =
-            ConfusionMatrix::from_predictions(&[1, 1, 2, 1], &[0, 0, 0, 1], 3).unwrap();
+        let m = ConfusionMatrix::from_predictions(&[1, 1, 2, 1], &[0, 0, 0, 1], 3).unwrap();
         assert_eq!(m.top_confusion(0), Some((1, 2)));
     }
 

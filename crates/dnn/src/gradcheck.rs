@@ -45,11 +45,7 @@ fn check_gradient<F>(
 where
     F: Fn(&Tensor) -> f32,
 {
-    assert_eq!(
-        x.shape(),
-        analytic_grad.shape(),
-        "gradient must be shaped like the input"
-    );
+    assert_eq!(x.shape(), analytic_grad.shape(), "gradient must be shaped like the input");
     assert!(probes > 0, "at least one probe required");
     let n = x.len();
     let step = (n / probes.min(n)).max(1);

@@ -229,12 +229,8 @@ impl Relu {
         if mask.len() != grad_out.len() {
             return Err(TensorError::SizeMismatch { expected: mask.len(), actual: grad_out.len() });
         }
-        let data = grad_out
-            .data()
-            .iter()
-            .zip(mask)
-            .map(|(&g, &m)| if m { g } else { 0.0 })
-            .collect();
+        let data =
+            grad_out.data().iter().zip(mask).map(|(&g, &m)| if m { g } else { 0.0 }).collect();
         Tensor::from_vec(data, grad_out.shape().dims())
     }
 }

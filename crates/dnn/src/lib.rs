@@ -35,9 +35,9 @@
 
 mod confusion;
 mod dataset;
+mod error;
 #[cfg(test)]
 mod gradcheck;
-mod error;
 mod layers;
 mod loss;
 mod lstm;

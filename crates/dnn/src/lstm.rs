@@ -30,8 +30,8 @@ struct StepCache {
 /// Single-layer LSTM over batches of equal-length embedded sequences.
 #[derive(Debug, Clone)]
 pub struct LstmCell {
-    wx: Param, // [d, 4h]
-    wh: Param, // [h, 4h]
+    wx: Param,   // [d, 4h]
+    wh: Param,   // [h, 4h]
     bias: Param, // [4h]
     input_dim: usize,
     hidden: usize,

@@ -468,11 +468,10 @@ impl Model for LeNet5 {
         let c2_out = p1 - 4.0;
         let p2 = c2_out / 2.0;
         // 2 flops per MAC; backward ≈ 2× forward.
-        let conv_flops = 3.0
-            * (2.0 * 6.0 * c1_out * c1_out * 25.0 + 2.0 * 16.0 * 6.0 * c2_out * c2_out * 25.0);
+        let conv_flops =
+            3.0 * (2.0 * 6.0 * c1_out * c1_out * 25.0 + 2.0 * 16.0 * 6.0 * c2_out * c2_out * 25.0);
         let flat = 16.0 * p2 * p2;
-        let dense_flops =
-            3.0 * 2.0 * (flat * 120.0 + 120.0 * 84.0 + 84.0 * self.classes as f64);
+        let dense_flops = 3.0 * 2.0 * (flat * 120.0 + 120.0 * 84.0 + 84.0 * self.classes as f64);
         let params = self.num_params();
         ModelSignature {
             flops_per_sample: conv_flops + dense_flops,
@@ -637,7 +636,7 @@ impl Model for TextCnn {
         }
         let g = self.relu.backward(&gact)?;
         let gwin = self.conv.backward(&g)?; // [b*pos, w*d]
-        // col2im: scatter window gradients back onto the embedded sequence.
+                                            // col2im: scatter window gradients back onto the embedded sequence.
         let d = self.embedding.dim();
         let t = self.seq_len;
         let w = self.window;
@@ -713,7 +712,9 @@ impl LstmClassifier {
         rng: &mut R,
     ) -> Result<Self, DnnError> {
         if seq_len == 0 {
-            return Err(DnnError::InvalidConfig { reason: "sequence length must be positive".into() });
+            return Err(DnnError::InvalidConfig {
+                reason: "sequence length must be positive".into(),
+            });
         }
         Ok(LstmClassifier {
             embedding: Embedding::new(vocab, embed_dim, rng),
@@ -797,7 +798,11 @@ mod tests {
             let class = i % 2;
             for y in 0..size {
                 for x in 0..size {
-                    let hot = if class == 0 { y < size / 2 && x < size / 2 } else { y >= size / 2 && x >= size / 2 };
+                    let hot = if class == 0 {
+                        y < size / 2 && x < size / 2
+                    } else {
+                        y >= size / 2 && x >= size / 2
+                    };
                     let base: f32 = if hot { 1.0 } else { 0.0 };
                     data.push(base + 0.1 * rng.gen::<f32>());
                 }

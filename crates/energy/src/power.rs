@@ -45,10 +45,7 @@ impl PowerModel {
         let load = if load.is_nan() { 0.0 } else { load.clamp(0.0, 1.0) };
         let ratio = if freq_ratio.is_finite() { freq_ratio.clamp(0.1, 2.0) } else { 1.0 };
         self.idle_watts
-            + self.per_core_watts
-                * f64::from(cores)
-                * load.powf(self.load_exponent)
-                * ratio.powi(3)
+            + self.per_core_watts * f64::from(cores) * load.powf(self.load_exponent) * ratio.powi(3)
     }
 }
 

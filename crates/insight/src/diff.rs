@@ -133,8 +133,11 @@ impl TraceDiff {
                     .push(format!("run {i}: workload {} -> {}", ra.workload, rb.workload));
             }
             if ra.rungs.len() != rb.rungs.len() {
-                structure_changes
-                    .push(format!("run {i}: rungs {} -> {}", ra.rungs.len(), rb.rungs.len()));
+                structure_changes.push(format!(
+                    "run {i}: rungs {} -> {}",
+                    ra.rungs.len(),
+                    rb.rungs.len()
+                ));
             }
             if ra.trials != rb.trials {
                 structure_changes.push(format!("run {i}: trials {} -> {}", ra.trials, rb.trials));
@@ -225,8 +228,7 @@ mod tests {
         let rung = t.open_span(run, SpanKind::Rung, "round 0", 0.0, vec![("round", 0u64.into())]);
         let batch = t.open_span(rung, SpanKind::Batch, "batch", 0.0, vec![]);
         for i in 0..trials {
-            let trial =
-                t.open_span(batch, SpanKind::Trial, format!("trial {i}"), 0.0, vec![]);
+            let trial = t.open_span(batch, SpanKind::Trial, format!("trial {i}"), 0.0, vec![]);
             let epoch = t.open_span(
                 trial,
                 SpanKind::Epoch,

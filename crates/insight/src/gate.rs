@@ -184,8 +184,7 @@ impl BenchReport {
     /// Returns a description of the first problem (bad JSON, wrong schema
     /// version, non-numeric metric).
     pub fn from_json_str(text: &str) -> Result<Self, String> {
-        let value: Value =
-            serde_json::from_str(text).map_err(|e| format!("bench report: {e}"))?;
+        let value: Value = serde_json::from_str(text).map_err(|e| format!("bench report: {e}"))?;
         let schema = value
             .get("schema")
             .and_then(Value::as_u64)
@@ -256,9 +255,7 @@ pub struct GateOutcome {
 impl GateOutcome {
     /// `true` when no gated metric regressed or went missing.
     pub fn passed(&self) -> bool {
-        self.checks
-            .iter()
-            .all(|c| !matches!(c.verdict, Verdict::Regressed | Verdict::Missing))
+        self.checks.iter().all(|c| !matches!(c.verdict, Verdict::Regressed | Verdict::Missing))
     }
 
     /// Renders the outcome as a deterministic plain-text table.
@@ -377,8 +374,9 @@ mod tests {
     #[test]
     fn from_json_rejects_bad_schema_and_values() {
         assert!(BenchReport::from_json_str("nope").is_err());
-        assert!(BenchReport::from_json_str(r#"{"schema": 9, "label": "x", "metrics": {}}"#)
-            .is_err());
+        assert!(
+            BenchReport::from_json_str(r#"{"schema": 9, "label": "x", "metrics": {}}"#).is_err()
+        );
         assert!(BenchReport::from_json_str(
             r#"{"schema": 1, "label": "x", "metrics": {"m": "high"}}"#
         )

@@ -127,7 +127,11 @@ pub fn service_fault_metrics(
         metrics.insert(format!("{prefix}.{name}"), value);
     };
     let rate = |count: u64| {
-        if submitted_jobs == 0 { 0.0 } else { count as f64 / submitted_jobs as f64 }
+        if submitted_jobs == 0 {
+            0.0
+        } else {
+            count as f64 / submitted_jobs as f64
+        }
     };
     put("completed_jobs", completed_jobs as f64);
     put("shed_rate", rate(report.jobs_shed));
@@ -199,9 +203,9 @@ mod tests {
         let config = crate::GateConfig::chaos_defaults();
         for key in m.keys() {
             let gated = config.tolerance_for(key).is_some();
-            let informational =
-                key.ends_with(".job_crashes") || key.ends_with(".node_churn_events")
-                    || key.ends_with(".lost_service_secs");
+            let informational = key.ends_with(".job_crashes")
+                || key.ends_with(".node_churn_events")
+                || key.ends_with(".lost_service_secs");
             assert_eq!(gated, !informational, "{key}");
         }
     }

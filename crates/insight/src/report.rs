@@ -178,10 +178,8 @@ impl IncidentSummary {
         *entry(&mut self.by_severity, severity) += 1;
         if self.samples.len() < Self::MAX_SAMPLES {
             let message = attr_str(&event.attrs, "message").unwrap_or("?");
-            self.samples.push(format!(
-                "[{severity}] {detector} @ {:.3}s: {message}",
-                event.at_secs
-            ));
+            self.samples
+                .push(format!("[{severity}] {detector} @ {:.3}s: {message}", event.at_secs));
         }
     }
 }
@@ -230,8 +228,7 @@ impl RunScan {
         let slots = attr_f64(&root_span.attrs, "parallel_slots").unwrap_or(1.0).max(1.0);
         // Wall time: the root's own extent, falling back to the last
         // child end on the shared clock if the root was left open.
-        let wall_secs =
-            duration(root_span).unwrap_or(self.last_rung_end - root_span.start_secs);
+        let wall_secs = duration(root_span).unwrap_or(self.last_rung_end - root_span.start_secs);
 
         let trials = self.trials;
         let mut rungs = Vec::with_capacity(self.rungs.len());
@@ -269,9 +266,8 @@ impl RunScan {
         let trial_secs: Vec<f64> = trials.iter().map(|t| t.duration_secs).collect();
         let trial_count = trials.len();
         let mut stragglers = trials;
-        stragglers.sort_by(|a, b| {
-            b.duration_secs.total_cmp(&a.duration_secs).then(a.span.cmp(&b.span))
-        });
+        stragglers
+            .sort_by(|a, b| b.duration_secs.total_cmp(&a.duration_secs).then(a.span.cmp(&b.span)));
         stragglers.truncate(MAX_STRAGGLERS);
 
         RunReport {
@@ -446,11 +442,8 @@ impl TraceReport {
             let _ = writeln!(out, "  phase attribution (trial clock):");
             let total = run.phases.total_secs().max(f64::MIN_POSITIVE);
             for (phase, secs) in &run.phases.secs {
-                let _ = writeln!(
-                    out,
-                    "    {phase:<16} {secs:>12.3}s  ({:.1}%)",
-                    100.0 * secs / total
-                );
+                let _ =
+                    writeln!(out, "    {phase:<16} {secs:>12.3}s  ({:.1}%)", 100.0 * secs / total);
             }
             let _ = writeln!(
                 out,
@@ -518,17 +511,11 @@ impl TraceReport {
     fn render_incidents(&self, out: &mut String) {
         let Some(incidents) = &self.incidents else { return };
         let _ = writeln!(out, "incidents: {} alert(s)", incidents.total);
-        let by_detector: Vec<String> = incidents
-            .by_detector
-            .iter()
-            .map(|(detector, n)| format!("{detector} {n}"))
-            .collect();
+        let by_detector: Vec<String> =
+            incidents.by_detector.iter().map(|(detector, n)| format!("{detector} {n}")).collect();
         let _ = writeln!(out, "  by detector: {}", by_detector.join(", "));
-        let by_severity: Vec<String> = incidents
-            .by_severity
-            .iter()
-            .map(|(severity, n)| format!("{severity} {n}"))
-            .collect();
+        let by_severity: Vec<String> =
+            incidents.by_severity.iter().map(|(severity, n)| format!("{severity} {n}")).collect();
         let _ = writeln!(out, "  by severity: {}", by_severity.join(", "));
         for sample in &incidents.samples {
             let _ = writeln!(out, "    {sample}");
@@ -681,7 +668,8 @@ mod tests {
                 0.0,
                 vec![("workload", "lenet/mnist".into()), ("parallel_slots", 2u64.into())],
             );
-            let rung = t.open_span(run, SpanKind::Rung, "round 0", 0.0, vec![("round", 0u64.into())]);
+            let rung =
+                t.open_span(run, SpanKind::Rung, "round 0", 0.0, vec![("round", 0u64.into())]);
             let batch = t.open_span(rung, SpanKind::Batch, "batch of 1", 0.0, vec![]);
             let trial = t.open_span(batch, SpanKind::Trial, "trial 0", 0.0, vec![]);
             t.close_span(trial, 3.0);
@@ -749,7 +737,9 @@ mod tests {
         let a = TraceReport::from_snapshot(&sample()).unwrap().render();
         let b = TraceReport::from_snapshot(&sample()).unwrap().render();
         assert_eq!(a, b);
-        for needle in ["run `pipetune`", "critical path", "retry_overhead", "round   0", "stragglers", "p95"] {
+        for needle in
+            ["run `pipetune`", "critical path", "retry_overhead", "round   0", "stragglers", "p95"]
+        {
             assert!(a.contains(needle), "render missing {needle}:\n{a}");
         }
     }

@@ -66,10 +66,9 @@ fn incidents_from_snapshot(snapshot: &TelemetrySnapshot) -> Option<IncidentSumma
         *summary.by_severity.entry(severity.to_string()).or_insert(0) += 1;
         if summary.samples.len() < MAX_SAMPLES {
             let message = attr_str(&event.attrs, "message").unwrap_or("?");
-            summary.samples.push(format!(
-                "[{severity}] {detector} @ {:.3}s: {message}",
-                event.at_secs
-            ));
+            summary
+                .samples
+                .push(format!("[{severity}] {detector} @ {:.3}s: {message}", event.at_secs));
         }
     }
     (summary.total > 0).then_some(summary)
@@ -95,8 +94,7 @@ pub fn from_snapshot(snapshot: &TelemetrySnapshot) -> Result<TraceReport, TraceE
                 None => (None, None),
                 Some(p) => {
                     let p = p as usize;
-                    let rung =
-                        if spans[p].kind == SpanKind::Rung { Some(p) } else { rung_of[p] };
+                    let rung = if spans[p].kind == SpanKind::Rung { Some(p) } else { rung_of[p] };
                     (root_of[p], rung)
                 }
             }
@@ -156,8 +154,7 @@ pub fn from_snapshot(snapshot: &TelemetrySnapshot) -> Result<TraceReport, TraceE
                 EventKind::CacheLookup => {
                     if attr_bool(&event.attrs, "hit") == Some(true) {
                         cache_hits += 1;
-                        cache_saved_secs +=
-                            attr_f64(&event.attrs, "saved_secs").unwrap_or(0.0);
+                        cache_saved_secs += attr_f64(&event.attrs, "saved_secs").unwrap_or(0.0);
                     } else {
                         cache_misses += 1;
                     }
@@ -215,18 +212,16 @@ pub fn from_snapshot(snapshot: &TelemetrySnapshot) -> Result<TraceReport, TraceE
         }
 
         let mut stragglers = trials.clone();
-        stragglers.sort_by(|a, b| {
-            b.duration_secs.total_cmp(&a.duration_secs).then(a.span.cmp(&b.span))
-        });
+        stragglers
+            .sort_by(|a, b| b.duration_secs.total_cmp(&a.duration_secs).then(a.span.cmp(&b.span)));
         stragglers.truncate(MAX_STRAGGLERS);
 
         // Percentiles through the tsdb: replay durations as points and
         // let the store's nearest-rank selectors answer.
         let db = Database::new();
         for (idx, trial) in trials.iter().enumerate() {
-            let _ = db.write(
-                Point::new("trial_secs", idx as u64).field("secs", trial.duration_secs),
-            );
+            let _ =
+                db.write(Point::new("trial_secs", idx as u64).field("secs", trial.duration_secs));
         }
         let mut epoch_idx = 0u64;
         for (i, span) in spans.iter().enumerate() {
@@ -284,9 +279,7 @@ fn merge_counts<K: Ord + Clone>(
 ) -> BTreeMap<K, (usize, usize)> {
     let keys: BTreeSet<&K> = a.keys().chain(b.keys()).collect();
     keys.into_iter()
-        .map(|k| {
-            (k.clone(), (a.get(k).copied().unwrap_or(0), b.get(k).copied().unwrap_or(0)))
-        })
+        .map(|k| (k.clone(), (a.get(k).copied().unwrap_or(0), b.get(k).copied().unwrap_or(0))))
         .collect()
 }
 
@@ -337,12 +330,14 @@ pub fn between(a: &TelemetrySnapshot, b: &TelemetrySnapshot) -> Result<TraceDiff
             structure_changes.push(format!("run {i}: label `{}` -> `{}`", ra.label, rb.label));
         }
         if ra.workload != rb.workload {
-            structure_changes
-                .push(format!("run {i}: workload {} -> {}", ra.workload, rb.workload));
+            structure_changes.push(format!("run {i}: workload {} -> {}", ra.workload, rb.workload));
         }
         if ra.rungs.len() != rb.rungs.len() {
-            structure_changes
-                .push(format!("run {i}: rungs {} -> {}", ra.rungs.len(), rb.rungs.len()));
+            structure_changes.push(format!(
+                "run {i}: rungs {} -> {}",
+                ra.rungs.len(),
+                rb.rungs.len()
+            ));
         }
         if ra.trials != rb.trials {
             structure_changes.push(format!("run {i}: trials {} -> {}", ra.trials, rb.trials));

@@ -176,9 +176,8 @@ fn edited_traces_report_like_the_frozen_scan() {
     assert_diff_matches("no runs", &recorded, &no_runs);
 
     for (what, base) in [("tuning", &recorded), ("stream", &stream)] {
-        let roots: Vec<usize> = (0..base.spans.len())
-            .filter(|&i| base.spans[i].kind == SpanKind::TuningRun)
-            .collect();
+        let roots: Vec<usize> =
+            (0..base.spans.len()).filter(|&i| base.spans[i].kind == SpanKind::TuningRun).collect();
         // An open root span: wall time falls back to the last rung's end.
         let mut open_root = base.clone();
         open_root.spans[roots[0]].end_secs = f64::NAN;
@@ -205,7 +204,9 @@ fn edited_traces_report_like_the_frozen_scan() {
             }
         }
         for event in &mut bare.events {
-            event.attrs.retain(|(key, _)| !matches!(*key, "saved_secs" | "severity" | "backoff_secs"));
+            event
+                .attrs
+                .retain(|(key, _)| !matches!(*key, "saved_secs" | "severity" | "backoff_secs"));
         }
         assert_report_matches(&format!("{what}: bare"), &bare).unwrap();
         assert_diff_matches(&format!("{what}: bare"), base, &bare);

@@ -129,11 +129,7 @@ impl IterativeKernel for Hotspot {
     fn step(&mut self) -> KernelMetrics {
         self.last_delta = self.step_delta().max(1e-12);
         let cells = self.cfg.grid * self.cfg.grid;
-        KernelMetrics {
-            work_flops: cells as f64 * 10.0,
-            items: cells,
-            score: self.score(),
-        }
+        KernelMetrics { work_flops: cells as f64 * 10.0, items: cells, score: self.score() }
     }
 
     fn score(&self) -> f32 {

@@ -122,11 +122,7 @@ impl IterativeKernel for Jacobi {
         self.epochs += 1;
         self.last_residual = self.residual().max(1e-12);
         let cells = (n - 2) * (n - 2);
-        KernelMetrics {
-            work_flops: cells as f64 * 8.0,
-            items: cells,
-            score: self.score(),
-        }
+        KernelMetrics { work_flops: cells as f64 * 8.0, items: cells, score: self.score() }
     }
 
     fn score(&self) -> f32 {

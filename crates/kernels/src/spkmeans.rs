@@ -56,8 +56,7 @@ impl SpKMeans {
         let mut rng = StdRng::seed_from_u64(seed);
         let tc = cfg.true_clusters.max(1);
         // True cluster centres on a scaled lattice plus jitter.
-        let centres: Vec<f32> =
-            (0..tc * cfg.dims).map(|_| rng.gen_range(-4.0f32..4.0)).collect();
+        let centres: Vec<f32> = (0..tc * cfg.dims).map(|_| rng.gen_range(-4.0f32..4.0)).collect();
         let mut data = Vec::with_capacity(cfg.points * cfg.dims);
         for i in 0..cfg.points {
             let c = i % tc;
@@ -150,8 +149,7 @@ impl IterativeKernel for SpKMeans {
                     let mean = (sums[c * d + j] / counts[c] as f64) as f32;
                     // Mini-batch update: move toward the batch mean.
                     let w = if batch >= self.cfg.points { 1.0 } else { 0.5 };
-                    self.centroids[c * d + j] =
-                        (1.0 - w) * self.centroids[c * d + j] + w * mean;
+                    self.centroids[c * d + j] = (1.0 - w) * self.centroids[c * d + j] + w * mean;
                 }
             }
         }
@@ -215,10 +213,8 @@ mod tests {
     #[test]
     fn minibatch_processes_fewer_items() {
         let mut full = SpKMeans::new(&SpKMeansConfig::default(), 1);
-        let mut mini = SpKMeans::new(
-            &SpKMeansConfig { batch_fraction: 0.1, ..SpKMeansConfig::default() },
-            1,
-        );
+        let mut mini =
+            SpKMeans::new(&SpKMeansConfig { batch_fraction: 0.1, ..SpKMeansConfig::default() }, 1);
         let mf = full.step();
         let mm = mini.step();
         assert!(mm.items < mf.items / 5);

@@ -52,14 +52,8 @@ mod frozen {
                 u[i * n] = rng.gen_range(-1.0..1.0); // left
                 u[i * n + n - 1] = rng.gen_range(-1.0..1.0); // right
             }
-            let mut solver = Jacobi {
-                cfg: *cfg,
-                u,
-                n,
-                initial_residual: 0.0,
-                last_residual: 0.0,
-                epochs: 0,
-            };
+            let mut solver =
+                Jacobi { cfg: *cfg, u, n, initial_residual: 0.0, last_residual: 0.0, epochs: 0 };
             let r0 = solver.residual();
             solver.initial_residual = r0.max(1e-9);
             solver.last_residual = solver.initial_residual;
@@ -114,11 +108,7 @@ mod frozen {
             self.epochs += 1;
             self.last_residual = self.residual().max(1e-12);
             let cells = (n - 2) * (n - 2);
-            KernelMetrics {
-                work_flops: cells as f64 * 8.0,
-                items: cells,
-                score: self.score(),
-            }
+            KernelMetrics { work_flops: cells as f64 * 8.0, items: cells, score: self.score() }
         }
 
         fn score(&self) -> f32 {
@@ -239,11 +229,7 @@ mod frozen {
         fn step(&mut self) -> KernelMetrics {
             self.last_delta = self.step_delta().max(1e-12);
             let cells = self.cfg.grid * self.cfg.grid;
-            KernelMetrics {
-                work_flops: cells as f64 * 10.0,
-                items: cells,
-                score: self.score(),
-            }
+            KernelMetrics { work_flops: cells as f64 * 10.0, items: cells, score: self.score() }
         }
 
         fn score(&self) -> f32 {
@@ -289,11 +275,7 @@ fn assert_in_step(
 ) {
     for step in 0..steps {
         let (got, want) = (solver.step(), oracle.step());
-        assert_eq!(
-            bits(got, solver.score()),
-            bits(want, oracle.score()),
-            "{what}, step {step}"
-        );
+        assert_eq!(bits(got, solver.score()), bits(want, oracle.score()), "{what}, step {step}");
         assert_eq!(solver.epochs_run(), oracle.epochs_run(), "{what}, step {step}");
     }
 }

@@ -130,10 +130,7 @@ impl IncidentTimeline {
     /// The timeline as one JSON value with sorted object keys.
     fn to_json(&self) -> Value {
         let mut obj = serde_json::Map::new();
-        obj.insert(
-            "alerts".into(),
-            Value::Array(self.alerts.iter().map(Alert::to_json).collect()),
-        );
+        obj.insert("alerts".into(), Value::Array(self.alerts.iter().map(Alert::to_json).collect()));
         let mut counts = serde_json::Map::new();
         for (detector, n) in self.counts_by_detector() {
             counts.insert(detector.to_string(), Value::U64(n));

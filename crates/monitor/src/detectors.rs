@@ -160,10 +160,8 @@ impl Detector for CrashLoopDetector {
             .ancestor_of_kind(span, SpanKind::Job)
             .or_else(|| ctx.ancestor_of_kind(span, SpanKind::Trial))
             .unwrap_or(span);
-        let window = self
-            .windows
-            .entry(source)
-            .or_insert_with(|| TimeWindow::new(self.config.window_secs));
+        let window =
+            self.windows.entry(source).or_insert_with(|| TimeWindow::new(self.config.window_secs));
         window.push(event.at_secs);
         if window.len() >= self.config.burst.max(1) {
             let count = window.len();
@@ -329,7 +327,12 @@ pub struct CacheThrashConfig {
 
 impl Default for CacheThrashConfig {
     fn default() -> Self {
-        CacheThrashConfig { window: 16, min_hit_rate: 0.2, min_samples: 8, max_evict_per_insert: 0.5 }
+        CacheThrashConfig {
+            window: 16,
+            min_hit_rate: 0.2,
+            min_samples: 8,
+            max_evict_per_insert: 0.5,
+        }
     }
 }
 
@@ -570,8 +573,10 @@ mod tests {
             span(SpanKind::Service, "svc", None, 0.0, 1000.0),
             span(SpanKind::Job, "job 0", Some(0), 0.0, 900.0),
         ];
-        let fault = |at: f64| Event { kind: EventKind::Fault, span: Some(1), at_secs: at, attrs: vec![] };
-        let retry = |at: f64| Event { kind: EventKind::Retry, span: Some(1), at_secs: at, attrs: vec![] };
+        let fault =
+            |at: f64| Event { kind: EventKind::Fault, span: Some(1), at_secs: at, attrs: vec![] };
+        let retry =
+            |at: f64| Event { kind: EventKind::Retry, span: Some(1), at_secs: at, attrs: vec![] };
         // Burst of three inside the window → one alert; the cool-down
         // resets the window so the fourth event alone stays quiet.
         let timeline = run_detectors(
@@ -607,7 +612,12 @@ mod tests {
         for i in 0..10 {
             spans.push(span(SpanKind::Job, &format!("job {i}"), Some(0), i as f64 * 50.0, 1500.0));
         }
-        let shed = |at: f64, job: u32| Event { kind: EventKind::Shed, span: Some(job), at_secs: at, attrs: vec![] };
+        let shed = |at: f64, job: u32| Event {
+            kind: EventKind::Shed,
+            span: Some(job),
+            at_secs: at,
+            attrs: vec![],
+        };
         // A shed right after arrivals: fast window (one arrival, one
         // shed) and slow window (10 arrivals, 1 shed = budget exactly)
         // both burn ≥ 1×.

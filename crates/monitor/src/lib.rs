@@ -188,13 +188,17 @@ mod tests {
         let build = |scans: usize| {
             let telemetry = TelemetryHandle::enabled();
             let monitor = MonitorHandle::with_config(&MonitorConfig::standard());
-            let trial =
-                telemetry.open_span(SpanId::NONE, SpanKind::Trial, "trial 0", 0.0, vec![]);
+            let trial = telemetry.open_span(SpanId::NONE, SpanKind::Trial, "trial 0", 0.0, vec![]);
             for e in 0..12u32 {
                 let start = f64::from(e) * 10.0;
                 let dur = if e == 11 { 500.0 } else { 10.0 };
-                let span = telemetry
-                    .open_span(trial, SpanKind::Epoch, format!("epoch {e}"), start, vec![]);
+                let span = telemetry.open_span(
+                    trial,
+                    SpanKind::Epoch,
+                    format!("epoch {e}"),
+                    start,
+                    vec![],
+                );
                 telemetry.close_span(span, start + dur);
                 if scans > 0 && (e as usize).is_multiple_of(scans) {
                     monitor.scan(&telemetry);

@@ -44,14 +44,11 @@ pub fn decorrelated_events(profiles: &[EpochProfile], threshold: f64) -> Vec<usi
     }
     let n_events = crate::NUM_EVENTS;
     // Column-major series per event.
-    let series: Vec<Vec<f64>> = (0..n_events)
-        .map(|e| profiles.iter().map(|p| p.counts()[e]).collect())
-        .collect();
+    let series: Vec<Vec<f64>> =
+        (0..n_events).map(|e| profiles.iter().map(|p| p.counts()[e]).collect()).collect();
     let mut kept: Vec<usize> = Vec::new();
     for e in 0..n_events {
-        let ok = kept
-            .iter()
-            .all(|&k| pearson(&series[e], &series[k]).abs() <= threshold);
+        let ok = kept.iter().all(|&k| pearson(&series[e], &series[k]).abs() <= threshold);
         if ok {
             kept.push(e);
         }
@@ -81,7 +78,12 @@ mod tests {
     fn filter_drops_the_duplicated_perf_aliases() {
         // Profiles across varied signatures: `cpu/instructions/` duplicates
         // `instructions` exactly (same counter), so one of the pair must go.
-        let profiler = Profiler { base_noise: 0.0, multiplex_noise: 0.0, blind_spot_prob: 0.0, ..Profiler::default() };
+        let profiler = Profiler {
+            base_noise: 0.0,
+            multiplex_noise: 0.0,
+            blind_spot_prob: 0.0,
+            ..Profiler::default()
+        };
         let mut rng = StdRng::seed_from_u64(1);
         let profiles: Vec<EpochProfile> = (1..12)
             .map(|i| {

@@ -291,8 +291,7 @@ impl Profiler {
     ) -> EpochProfile {
         let truth = self.true_counts(sig, cores, epoch_secs);
         let n_multiplexed = NUM_EVENTS - FIXED_EVENTS.len();
-        let coverage =
-            (self.generic_counters as f64 / n_multiplexed as f64).clamp(0.0, 1.0);
+        let coverage = (self.generic_counters as f64 / n_multiplexed as f64).clamp(0.0, 1.0);
         let counts = truth
             .iter()
             .zip(IS_FIXED)

@@ -86,8 +86,7 @@ impl Profiler {
         let truth = self.true_counts(sig, cores, epoch_secs);
         let n_windows = (epoch_secs.max(1.0).floor() as usize).max(1);
         let fixed = crate::profiler::FIXED_EVENTS;
-        let generic: Vec<usize> =
-            (0..NUM_EVENTS).filter(|i| !fixed.contains(i)).collect();
+        let generic: Vec<usize> = (0..NUM_EVENTS).filter(|i| !fixed.contains(i)).collect();
         let per_window = self.generic_counters.max(1);
         let mut windows = Vec::with_capacity(n_windows);
         let mut cursor = 0usize;

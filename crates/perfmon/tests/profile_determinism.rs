@@ -169,8 +169,7 @@ mod frozen {
     ) -> Vec<f64> {
         let truth = true_counts(p, sig, cores, epoch_secs);
         let n_multiplexed = NUM_EVENTS - FIXED_EVENTS.len();
-        let coverage =
-            (p.generic_counters as f64 / n_multiplexed as f64).clamp(0.0, 1.0);
+        let coverage = (p.generic_counters as f64 / n_multiplexed as f64).clamp(0.0, 1.0);
         EVENT_NAMES
             .iter()
             .zip(&truth)
@@ -205,8 +204,7 @@ mod frozen {
         let truth = true_counts(p, sig, cores, epoch_secs);
         let n_windows = (epoch_secs.max(1.0).floor() as usize).max(1);
         let fixed: Vec<usize> = fixed_event_indices();
-        let generic: Vec<usize> =
-            (0..NUM_EVENTS).filter(|i| !fixed.contains(i)).collect();
+        let generic: Vec<usize> = (0..NUM_EVENTS).filter(|i| !fixed.contains(i)).collect();
         let per_window = p.generic_counters.max(1);
         let mut windows: Vec<(Vec<usize>, Vec<f64>)> = Vec::with_capacity(n_windows);
         let mut cursor = 0usize;

@@ -78,8 +78,8 @@ impl Asha {
 
     /// Total epochs a trial should have run once it completes rung `k`.
     fn rung_budget(&self, k: usize) -> u32 {
-        (u64::from(self.r_base) * u64::from(self.eta).pow(k as u32))
-            .min(u64::from(self.r_max)) as u32
+        (u64::from(self.r_base) * u64::from(self.eta).pow(k as u32)).min(u64::from(self.r_max))
+            as u32
     }
 
     /// Finds one promotable trial: completed in rung `k`, in the top

@@ -73,8 +73,8 @@ impl HyperBand {
             rng: StdRng::seed_from_u64(seed),
         };
         for s in (0..=s_max).rev() {
-            let n = ((budget / f64::from(r_max)) * eta_f.powi(s) / f64::from(s + 1)).ceil()
-                as usize;
+            let n =
+                ((budget / f64::from(r_max)) * eta_f.powi(s) / f64::from(s + 1)).ceil() as usize;
             let r = f64::from(r_max) * eta_f.powi(-s);
             let mut rungs = Vec::new();
             for i in 0..=s {
@@ -158,11 +158,7 @@ impl TrialScheduler for HyperBand {
     }
 
     fn report(&mut self, report: TrialReport) {
-        assert!(
-            self.configs.contains_key(&report.id),
-            "report for unknown {}",
-            report.id
-        );
+        assert!(self.configs.contains_key(&report.id), "report for unknown {}", report.id);
         assert!(self.outstanding > 0, "report with no outstanding trials");
         self.rung_scores.insert(report.id, report.score);
         self.last_scores.insert(report.id, report.score);

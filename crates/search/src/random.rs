@@ -23,8 +23,7 @@ impl RandomSearch {
     /// Samples `n` configurations from `space` with `seed`.
     pub fn new(space: SearchSpace, n: usize, epochs_per_trial: u32, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let pending =
-            (0..n).map(|i| (TrialId(i as u64), space.sample(&mut rng))).collect();
+        let pending = (0..n).map(|i| (TrialId(i as u64), space.sample(&mut rng))).collect();
         RandomSearch {
             pending,
             outstanding: HashMap::new(),

@@ -268,9 +268,7 @@ mod tests {
     fn log_sampling_covers_low_decades() {
         let s = SearchSpace::new(vec![ParamSpec::float_range("lr", 0.001, 0.1, true)]);
         let mut rng = StdRng::seed_from_u64(2);
-        let low = (0..500)
-            .filter(|_| s.sample(&mut rng)["lr"].as_f64() < 0.01)
-            .count();
+        let low = (0..500).filter(|_| s.sample(&mut rng)["lr"].as_f64() < 0.01).count();
         // Log-uniform → half the samples below the geometric midpoint 0.01.
         assert!((150..350).contains(&low), "low-decade count {low}");
     }

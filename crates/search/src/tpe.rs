@@ -167,14 +167,9 @@ mod tests {
     #[test]
     fn later_samples_concentrate_near_peak() {
         let tpe = run(5);
-        let late: Vec<f64> =
-            tpe.history.iter().skip(20).map(|(c, _)| c["x"].as_f64()).collect();
+        let late: Vec<f64> = tpe.history.iter().skip(20).map(|(c, _)| c["x"].as_f64()).collect();
         let near = late.iter().filter(|&&x| (x - 0.7).abs() < 0.25).count();
-        assert!(
-            near * 2 > late.len(),
-            "only {near}/{} late samples near the peak",
-            late.len()
-        );
+        assert!(near * 2 > late.len(), "only {near}/{} late samples near the peak", late.len());
     }
 
     #[test]

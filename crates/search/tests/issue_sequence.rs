@@ -56,8 +56,11 @@ fn drive(mut scheduler: impl TrialScheduler, seed: u64, digest: &mut u64) {
         for request in requests {
             issued += 1;
             fnv1a(digest, &line(&request));
-            let report =
-                TrialReport { id: request.id, score: score(&request, seed), epochs_run: request.epochs };
+            let report = TrialReport {
+                id: request.id,
+                score: score(&request, seed),
+                epochs_run: request.epochs,
+            };
             scheduler.report(report);
         }
     }

@@ -401,8 +401,7 @@ impl Driver {
         let removed = self.engine.remove(job).expect("tripped job is active");
         self.note_start(job, removed.started);
         let progress = self.done_before[job] + t.attained_secs;
-        let resume =
-            self.marks[job].iter().copied().filter(|&m| m <= progress).fold(0.0, f64::max);
+        let resume = self.marks[job].iter().copied().filter(|&m| m <= progress).fold(0.0, f64::max);
         let lost = progress - resume;
         self.service_report.job_crashes += 1;
         self.service_report.lost_service_secs += lost;
@@ -665,11 +664,8 @@ impl TuningService {
             // telemetry and monitor handles are live, and scan granularity
             // never changes the timeline (the engine is cursor-based).
             env.monitor.scan(&telemetry);
-            let t_arr = order
-                .get(arr_pos)
-                .map_or(f64::INFINITY, |&j| submissions[j].arrival_secs);
-            let t_resub =
-                d.pending.iter().map(|p| p.at_secs).fold(f64::INFINITY, f64::min);
+            let t_arr = order.get(arr_pos).map_or(f64::INFINITY, |&j| submissions[j].arrival_secs);
+            let t_resub = d.pending.iter().map(|p| p.at_secs).fold(f64::INFINITY, f64::min);
             let t_dead = d.deadline_at.iter().flatten().copied().fold(f64::INFINITY, f64::min);
             // Churn ticks run while there is work anywhere in the system.
             // Crucially, ticks up to the last arrival fire under *every*
@@ -771,8 +767,7 @@ impl TuningService {
             if !admitted {
                 telemetry.counter_add(observe::ADMISSION_REJECTED, 1);
                 telemetry.close_span(span, sub.arrival_secs);
-                d.records[job] =
-                    Some(JobRecord::rejected(job, sub.spec.name(), sub.arrival_secs));
+                d.records[job] = Some(JobRecord::rejected(job, sub.spec.name(), sub.arrival_secs));
                 continue;
             }
             telemetry.counter_add(observe::JOBS_ADMITTED, 1);
@@ -828,7 +823,8 @@ impl TuningService {
         // the event loop dropped a job.
         for rec in &jobs {
             assert!(
-                rec.status != JobOutcome::Completed || !rec.admitted
+                rec.status != JobOutcome::Completed
+                    || !rec.admitted
                     || rec.completion_secs.is_finite(),
                 "job {} lost by the service event loop",
                 rec.job

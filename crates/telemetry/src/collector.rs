@@ -89,13 +89,7 @@ impl TelemetryBuffer {
     }
 
     /// Convenience: records an event with the given fields.
-    pub fn push_event(
-        &mut self,
-        kind: EventKind,
-        span: Option<u32>,
-        at_secs: f64,
-        attrs: Attrs,
-    ) {
+    pub fn push_event(&mut self, kind: EventKind, span: Option<u32>, at_secs: f64, attrs: Attrs) {
         if !self.is_active() {
             return;
         }
@@ -116,14 +110,16 @@ impl TelemetryBuffer {
         metrics: &mut MetricsRegistry,
     ) {
         let offset = spans.len() as u32;
-        spans.extend(self.spans.drain(..).map(|span| Span {
-            parent: span.parent.map(|p| p + offset).or(parent),
-            ..span
-        }));
-        events.extend(self.events.drain(..).map(|event| Event {
-            span: event.span.map(|s| s + offset).or(parent),
-            ..event
-        }));
+        spans.extend(
+            self.spans
+                .drain(..)
+                .map(|span| Span { parent: span.parent.map(|p| p + offset).or(parent), ..span }),
+        );
+        events.extend(
+            self.events
+                .drain(..)
+                .map(|event| Event { span: event.span.map(|s| s + offset).or(parent), ..event }),
+        );
         metrics.merge(&self.metrics);
         self.metrics.clear();
     }

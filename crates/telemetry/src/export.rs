@@ -81,12 +81,7 @@ fn write_event<'a>(w: &mut impl JsonSink<'a>, event: &'a Event, order: &mut Attr
     w.end_object();
 }
 
-fn write_span<'a>(
-    w: &mut impl JsonSink<'a>,
-    id: usize,
-    span: &'a Span,
-    order: &mut AttrOrder<'a>,
-) {
+fn write_span<'a>(w: &mut impl JsonSink<'a>, id: usize, span: &'a Span, order: &mut AttrOrder<'a>) {
     w.begin_object();
     w.key("attrs");
     write_attrs(w, &span.attrs, order);
@@ -297,8 +292,7 @@ fn read_snapshot(r: &mut JsonReader) -> Read<TelemetrySnapshot> {
                 spans = Some(r.member(|r| read_records(r, read_span, "missing spans array"))?);
             }
             "events" => {
-                events =
-                    Some(r.member(|r| read_records(r, read_event, "missing events array"))?);
+                events = Some(r.member(|r| read_records(r, read_event, "missing events array"))?);
             }
             "metrics" => metrics = Some(r.member(MetricsRegistry::read_json)?),
             _ => r.skip_value()?,
@@ -643,7 +637,8 @@ impl TelemetrySnapshot {
         let mut families: Vec<(String, String)> = Vec::new();
         for (name, value) in self.metrics.counters() {
             let p = exposed(name);
-            let block = format!("# HELP {p} canonical name {name}\n# TYPE {p} counter\n{p} {value}\n");
+            let block =
+                format!("# HELP {p} canonical name {name}\n# TYPE {p} counter\n{p} {value}\n");
             families.push((p, block));
         }
         for (name, value) in self.metrics.gauges() {
@@ -656,15 +651,11 @@ impl TelemetrySnapshot {
         }
         for (name, hist) in self.metrics.histograms() {
             let p = exposed(name);
-            let mut block =
-                format!("# HELP {p} canonical name {name}\n# TYPE {p} histogram\n");
+            let mut block = format!("# HELP {p} canonical name {name}\n# TYPE {p} histogram\n");
             let mut cumulative = 0u64;
             for (bound, count) in hist.bounds().iter().zip(hist.counts()) {
                 cumulative += count;
-                block.push_str(&format!(
-                    "{p}_bucket{{le=\"{}\"}} {cumulative}\n",
-                    sample(*bound)
-                ));
+                block.push_str(&format!("{p}_bucket{{le=\"{}\"}} {cumulative}\n", sample(*bound)));
             }
             block.push_str(&format!("{p}_bucket{{le=\"+Inf\"}} {}\n", hist.count()));
             block.push_str(&format!("{p}_sum {}\n", sample(hist.sum())));
@@ -683,10 +674,7 @@ impl TelemetrySnapshot {
     pub fn summary_table(&self) -> String {
         let mut out = String::new();
         out.push_str("── telemetry summary ─────────────────────────────────────────\n");
-        out.push_str(&format!(
-            "{:<38} {:>10} {:>10}\n",
-            "spans", "count", ""
-        ));
+        out.push_str(&format!("{:<38} {:>10} {:>10}\n", "spans", "count", ""));
         for kind in [
             crate::SpanKind::Service,
             crate::SpanKind::Job,
@@ -932,8 +920,7 @@ mod tests {
                     Span {
                         kind: kinds[rng.gen_range(0..kinds.len())],
                         label: format!("span {}", rng.gen_range(0..65536u32)),
-                        parent: (i > 0 && rng.gen::<bool>())
-                            .then(|| rng.gen_range(0..i as u32)),
+                        parent: (i > 0 && rng.gen::<bool>()).then(|| rng.gen_range(0..i as u32)),
                         start_secs: start,
                         // A fifth of spans stay open.
                         end_secs: if rng.gen_range(0..5u32) == 0 {
@@ -956,10 +943,12 @@ mod tests {
                 .collect();
             let mut metrics = MetricsRegistry::new();
             for _ in 0..rng.gen_range(0..4u32) {
-                metrics.counter_add(format!("c{}", rng.gen_range(0..256u32)), rng.gen::<u32>().into());
+                metrics
+                    .counter_add(format!("c{}", rng.gen_range(0..256u32)), rng.gen::<u32>().into());
             }
             for _ in 0..rng.gen_range(0..4u32) {
-                metrics.gauge_set(format!("g{}", rng.gen_range(0..256u32)), arbitrary_f64(&mut rng));
+                metrics
+                    .gauge_set(format!("g{}", rng.gen_range(0..256u32)), arbitrary_f64(&mut rng));
             }
             for h in 0..rng.gen_range(0..3u32) {
                 let name = format!("h{h}");
@@ -1023,9 +1012,15 @@ mod tests {
     #[test]
     fn summary_table_lists_every_section() {
         let table = snapshot().summary_table();
-        for needle in
-            ["spans", "tuning_run", "events", "gt_lookup", "epochs.total", "gt.hit_rate", "executor.batch_trials"]
-        {
+        for needle in [
+            "spans",
+            "tuning_run",
+            "events",
+            "gt_lookup",
+            "epochs.total",
+            "gt.hit_rate",
+            "executor.batch_trials",
+        ] {
             assert!(table.contains(needle), "summary missing {needle}:\n{table}");
         }
     }

@@ -334,7 +334,10 @@ mod tests {
         // A scoped clone of a disabled handle stays inert.
         let off = TelemetryHandle::disabled().scoped(job);
         assert!(!off.is_enabled());
-        assert_eq!(off.open_span(SpanId::NONE, SpanKind::TuningRun, "r", 0.0, vec![]), SpanId::NONE);
+        assert_eq!(
+            off.open_span(SpanId::NONE, SpanKind::TuningRun, "r", 0.0, vec![]),
+            SpanId::NONE
+        );
     }
 
     #[test]

@@ -563,10 +563,7 @@ impl<'a> JsonReader<'a> {
                 }
             }
             other => {
-                return Err(ReadError::Syntax(format!(
-                    "invalid escape `\\{}`",
-                    char::from(other)
-                )))
+                return Err(ReadError::Syntax(format!("invalid escape `\\{}`", char::from(other))))
             }
         })
     }

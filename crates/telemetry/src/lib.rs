@@ -63,7 +63,6 @@ mod validate;
 
 pub use collector::TelemetryBuffer;
 pub use handle::{SpanId, TelemetryHandle, TelemetrySnapshot};
-pub use validate::TraceError;
 pub use metrics::{
     Histogram, MetricsRegistry, COUNT_BUCKETS, DURATION_BUCKETS_SECS, ENERGY_BUCKETS_J,
     RATIO_BUCKETS,
@@ -71,3 +70,4 @@ pub use metrics::{
 pub use span::{
     attr_bool, attr_f64, attr_str, attr_u64, AttrValue, Attrs, Event, EventKind, Span, SpanKind,
 };
+pub use validate::TraceError;

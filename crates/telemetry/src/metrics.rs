@@ -14,17 +14,14 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use crate::json::{
-    optional, require, required, shape, JsonReader, JsonSink, Number, Read, Slot,
-};
+use crate::json::{optional, require, required, shape, JsonReader, JsonSink, Number, Read, Slot};
 
 /// Standard duration buckets (simulated seconds) for epoch/trial timings.
 pub const DURATION_BUCKETS_SECS: &[f64] =
     &[1.0, 5.0, 15.0, 30.0, 60.0, 120.0, 300.0, 600.0, 1800.0, 3600.0];
 
 /// Standard energy buckets (joules) for per-epoch energy.
-pub const ENERGY_BUCKETS_J: &[f64] =
-    &[1e3, 5e3, 1e4, 5e4, 1e5, 5e5, 1e6, 5e6, 1e7];
+pub const ENERGY_BUCKETS_J: &[f64] = &[1e3, 5e3, 1e4, 5e4, 1e5, 5e5, 1e6, 5e6, 1e7];
 
 /// Standard small-count buckets (batch sizes, queue depths, retries).
 pub const COUNT_BUCKETS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
@@ -548,9 +545,11 @@ mod tests {
     /// Two registries that disagree can only meet in `merge`; its message
     /// names the metric and both layouts.
     #[test]
-    #[should_panic(expected = "histogram h: bounds mismatch on merge, [0.1, 0.25, 0.5, 0.75, 0.9, \
+    #[should_panic(
+        expected = "histogram h: bounds mismatch on merge, [0.1, 0.25, 0.5, 0.75, 0.9, \
                                1.0, 1.5, 2.0] here and [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0] \
-                               incoming")]
+                               incoming"
+    )]
     fn merging_two_layouts_names_the_metric_and_both() {
         let (mut a, mut b) = (MetricsRegistry::new(), MetricsRegistry::new());
         a.observe("h", RATIO_BUCKETS, 0.5);

@@ -348,8 +348,12 @@ mod tests {
 
     #[test]
     fn typed_reads_find_the_first_occurrence_of_the_right_type() {
-        let attrs: Attrs =
-            vec![("n", 7u64.into()), ("n", 9u64.into()), ("i", (-1i64).into()), ("ok", true.into())];
+        let attrs: Attrs = vec![
+            ("n", 7u64.into()),
+            ("n", 9u64.into()),
+            ("i", (-1i64).into()),
+            ("ok", true.into()),
+        ];
         assert_eq!((attr_u64(&attrs, "n"), attr_f64(&attrs, "n")), (Some(7), Some(7.0)));
         assert_eq!((attr_u64(&attrs, "i"), attr_f64(&attrs, "i")), (None, Some(-1.0)));
         assert_eq!((attr_bool(&attrs, "ok"), attr_f64(&attrs, "ok")), (Some(true), Some(1.0)));

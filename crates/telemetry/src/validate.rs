@@ -232,7 +232,14 @@ mod tests {
     use crate::MetricsRegistry;
 
     fn span(kind: SpanKind, parent: Option<u32>, start: f64, end: f64) -> Span {
-        Span { kind, label: kind.name().into(), parent, start_secs: start, end_secs: end, attrs: vec![] }
+        Span {
+            kind,
+            label: kind.name().into(),
+            parent,
+            start_secs: start,
+            end_secs: end,
+            attrs: vec![],
+        }
     }
 
     fn snapshot(spans: Vec<Span>, events: Vec<Event>) -> TelemetrySnapshot {
@@ -276,12 +283,18 @@ mod tests {
     #[test]
     fn forward_and_out_of_range_parents_are_orphans() {
         let snap = snapshot(
-            vec![span(SpanKind::TuningRun, None, 0.0, 1.0), span(SpanKind::Rung, Some(7), 0.0, 1.0)],
+            vec![
+                span(SpanKind::TuningRun, None, 0.0, 1.0),
+                span(SpanKind::Rung, Some(7), 0.0, 1.0),
+            ],
             vec![],
         );
         assert_eq!(snap.validate(), Err(TraceError::OrphanParent { span: 1, parent: 7 }));
         let snap = snapshot(
-            vec![span(SpanKind::TuningRun, None, 0.0, 1.0), span(SpanKind::Rung, Some(1), 0.0, 1.0)],
+            vec![
+                span(SpanKind::TuningRun, None, 0.0, 1.0),
+                span(SpanKind::Rung, Some(1), 0.0, 1.0),
+            ],
             vec![],
         );
         assert_eq!(snap.validate(), Err(TraceError::OrphanParent { span: 1, parent: 1 }));
@@ -376,7 +389,12 @@ mod tests {
         for at in [900.0, 930.0, 960.0, 960.0 + 1e-7] {
             let snap = snapshot(
                 spans.clone(),
-                vec![Event { kind: EventKind::CacheLookup, span: Some(0), at_secs: at, attrs: vec![] }],
+                vec![Event {
+                    kind: EventKind::CacheLookup,
+                    span: Some(0),
+                    at_secs: at,
+                    attrs: vec![],
+                }],
             );
             assert_eq!(snap.validate(), Ok(()), "at_secs {at} should be contained");
         }

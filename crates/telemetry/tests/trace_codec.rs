@@ -48,10 +48,7 @@ mod reference {
         obj.insert("id".into(), Value::U64(id as u64));
         obj.insert("kind".into(), Value::String(span.kind.name().into()));
         obj.insert("label".into(), Value::String(span.label.clone()));
-        obj.insert(
-            "parent".into(),
-            span.parent.map_or(Value::Null, |p| Value::U64(u64::from(p))),
-        );
+        obj.insert("parent".into(), span.parent.map_or(Value::Null, |p| Value::U64(u64::from(p))));
         obj.insert("start_secs".into(), Value::F64(span.start_secs));
         // Open spans carry NaN, which JSON cannot represent; export null.
         obj.insert(
@@ -65,10 +62,7 @@ mod reference {
     fn event_json(event: &Event) -> Value {
         let mut obj = serde_json::Map::new();
         obj.insert("kind".into(), Value::String(event.kind.name().into()));
-        obj.insert(
-            "span".into(),
-            event.span.map_or(Value::Null, |s| Value::U64(u64::from(s))),
-        );
+        obj.insert("span".into(), event.span.map_or(Value::Null, |s| Value::U64(u64::from(s))));
         obj.insert("at_secs".into(), Value::F64(event.at_secs));
         obj.insert("attrs".into(), attrs_json(&event.attrs));
         Value::Object(obj)
@@ -238,8 +232,14 @@ mod reference {
                 histograms: registry
                     .histograms()
                     .map(|(k, h)| {
-                        let parts =
-                            (h.bounds().to_vec(), h.counts().to_vec(), h.sum(), h.count(), h.min(), h.max());
+                        let parts = (
+                            h.bounds().to_vec(),
+                            h.counts().to_vec(),
+                            h.sum(),
+                            h.count(),
+                            h.min(),
+                            h.max(),
+                        );
                         (k.to_string(), parts)
                     })
                     .collect(),
@@ -284,8 +284,7 @@ mod reference {
                     .iter()
                     .map(|c| c.as_u64().ok_or_else(|| err("non-integer count")))
                     .collect::<Result<Vec<_>, _>>()?;
-                let sum =
-                    h.get("sum").and_then(Value::as_f64).ok_or_else(|| err("missing sum"))?;
+                let sum = h.get("sum").and_then(Value::as_f64).ok_or_else(|| err("missing sum"))?;
                 let count =
                     h.get("count").and_then(Value::as_u64).ok_or_else(|| err("missing count"))?;
                 // min/max are omitted for empty histograms; restore the
@@ -306,14 +305,9 @@ mod reference {
         obj.insert("version".into(), Value::U64(1));
         obj.insert(
             "spans".into(),
-            Value::Array(
-                snapshot.spans.iter().enumerate().map(|(i, s)| span_json(i, s)).collect(),
-            ),
+            Value::Array(snapshot.spans.iter().enumerate().map(|(i, s)| span_json(i, s)).collect()),
         );
-        obj.insert(
-            "events".into(),
-            Value::Array(snapshot.events.iter().map(event_json).collect()),
-        );
+        obj.insert("events".into(), Value::Array(snapshot.events.iter().map(event_json).collect()));
         obj.insert("metrics".into(), metrics_json(&snapshot.metrics));
         Value::Object(obj)
     }
@@ -332,8 +326,7 @@ mod reference {
     pub type Parsed = (Vec<Span>, Vec<Event>, Metrics);
 
     pub fn from_json_str(text: &str) -> Result<Parsed, TraceError> {
-        let value: Value =
-            serde_json::from_str(text).map_err(|e| parse_error(e.to_string()))?;
+        let value: Value = serde_json::from_str(text).map_err(|e| parse_error(e.to_string()))?;
         from_json(&value)
     }
 
@@ -422,7 +415,10 @@ fn assert_lines_match_points(snapshot: &TelemetrySnapshot) -> Result<(), String>
     if snapshot.to_line_protocol() == rendered {
         Ok(())
     } else {
-        Err(format!("line protocol differs from the points:\n{}\n{rendered}", snapshot.to_line_protocol()))
+        Err(format!(
+            "line protocol differs from the points:\n{}\n{rendered}",
+            snapshot.to_line_protocol()
+        ))
     }
 }
 
@@ -454,8 +450,18 @@ const EVENT_KINDS: [EventKind; 10] = [
 /// Attribute keys: unsorted, some needing JSON or line-protocol escapes,
 /// some colliding with the exporters' own tag and field names.
 const KEYS: [&str; 12] = [
-    "phase", "epoch", "cost", "hit", "kind", "label", "span_id", "at_secs", "a b,c=d\\e", "\"q\"",
-    "ключ", "",
+    "phase",
+    "epoch",
+    "cost",
+    "hit",
+    "kind",
+    "label",
+    "span_id",
+    "at_secs",
+    "a b,c=d\\e",
+    "\"q\"",
+    "ключ",
+    "",
 ];
 
 /// Text exercising every escape class of both formats.
@@ -484,7 +490,9 @@ fn arbitrary_f64(rng: &mut StdRng) -> f64 {
         7 => f64::MAX,
         8 => rng.gen_range(-1.0e3..1.0e3),
         9 => rng.gen_range(0.0..1.0) / 3.0,
-        10 => f64::from_bits(rng.gen::<u64>() & !(0x7ff << 52) | (rng.gen_range(1..0x7feu64) << 52)),
+        10 => {
+            f64::from_bits(rng.gen::<u64>() & !(0x7ff << 52) | (rng.gen_range(1..0x7feu64) << 52))
+        }
         _ => rng.gen_range(1.0e15..1.0e22),
     }
 }
@@ -605,9 +613,8 @@ fn stock_trace() -> String {
 /// Flips, deletes, duplicates or splices bytes of `text`; the result is
 /// made valid UTF-8 again the lossy way.
 fn mutate(text: &str, rng: &mut StdRng) -> String {
-    const SPLICES: [&[u8]; 12] = [
-        b"{", b"}", b"[", b"]", b"\"", b",", b":", b"\\", b"null", b"-", b"1e999", b"\\ud800",
-    ];
+    const SPLICES: [&[u8]; 12] =
+        [b"{", b"}", b"[", b"]", b"\"", b",", b":", b"\\", b"null", b"-", b"1e999", b"\\ud800"];
     let mut bytes = text.as_bytes().to_vec();
     for _ in 0..rng.gen_range(1..4u32) {
         let at = rng.gen_range(0..bytes.len());
@@ -659,11 +666,8 @@ proptest! {
 
 #[test]
 fn empty_snapshot_exports_and_imports_like_the_reference() {
-    let empty = TelemetrySnapshot {
-        spans: vec![],
-        events: vec![],
-        metrics: MetricsRegistry::new(),
-    };
+    let empty =
+        TelemetrySnapshot { spans: vec![], events: vec![], metrics: MetricsRegistry::new() };
     assert_codec_matches(&empty).unwrap();
     assert!(empty.to_json_string().contains("\"spans\": [],"));
     assert!(empty.to_json_string().contains("\"counters\": {},"));
@@ -873,11 +877,10 @@ fn recorded_chaos_stream_trace_matches_the_reference() {
     assert_eq!(parsed.to_prometheus(), snapshot.to_prometheus());
     // …and is its equal by export, whatever the import normalised; one
     // gauge nudged, and it no longer is.
-    assert_ne!(parsed.spans.iter().map(|s| &s.attrs).collect::<Vec<_>>(), snapshot
-        .spans
-        .iter()
-        .map(|s| &s.attrs)
-        .collect::<Vec<_>>());
+    assert_ne!(
+        parsed.spans.iter().map(|s| &s.attrs).collect::<Vec<_>>(),
+        snapshot.spans.iter().map(|s| &s.attrs).collect::<Vec<_>>()
+    );
     assert_equivalence_matches_the_exports(&snapshot, &parsed).unwrap();
     let mut nudged = parsed.clone();
     nudged.metrics.gauge_set("gt.hit_rate", 0.123);
@@ -910,7 +913,10 @@ fn assert_equivalence_matches_the_exports(
 /// One edit of `snapshot`, of a kind that may or may not show in the
 /// export: the exports themselves say which.
 fn perturb(snapshot: &mut TelemetrySnapshot, rng: &mut StdRng) {
-    fn attrs_of<'a>(snapshot: &'a mut TelemetrySnapshot, rng: &mut StdRng) -> Option<&'a mut Attrs> {
+    fn attrs_of<'a>(
+        snapshot: &'a mut TelemetrySnapshot,
+        rng: &mut StdRng,
+    ) -> Option<&'a mut Attrs> {
         let spans = snapshot.spans.len();
         let at = rng.gen_range(0..(spans + snapshot.events.len()).max(1));
         if at < spans {
@@ -938,8 +944,12 @@ fn perturb(snapshot: &mut TelemetrySnapshot, rng: &mut StdRng) {
             for attrs in snapshot.spans.iter_mut().map(|s| &mut s.attrs) {
                 for (_, value) in attrs {
                     *value = match value.clone() {
-                        AttrValue::U64(v) => i64::try_from(v).map_or(AttrValue::U64(v), AttrValue::I64),
-                        AttrValue::I64(v) => u64::try_from(v).map_or(AttrValue::I64(v), AttrValue::U64),
+                        AttrValue::U64(v) => {
+                            i64::try_from(v).map_or(AttrValue::U64(v), AttrValue::I64)
+                        }
+                        AttrValue::I64(v) => {
+                            u64::try_from(v).map_or(AttrValue::I64(v), AttrValue::U64)
+                        }
                         AttrValue::F64(v) if v == 0.0 => AttrValue::F64(-v),
                         AttrValue::F64(v) if v.is_nan() => AttrValue::F64(f64::NEG_INFINITY),
                         AttrValue::F64(v) if v.is_infinite() => {

@@ -58,10 +58,7 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor) -> Result<Tensor, 
         });
     }
     if kh > h || kw > w {
-        return Err(TensorError::ShapeMismatch {
-            expected: vec![h, w],
-            actual: vec![kh, kw],
-        });
+        return Err(TensorError::ShapeMismatch { expected: vec![h, w], actual: vec![kh, kw] });
     }
     let (oh, ow) = (h - kh + 1, w - kw + 1);
     let mut out = vec![0.0f32; n * cout * oh * ow];
@@ -153,7 +150,16 @@ pub fn conv2d_backward_with(
     let mut cols = ws.take(block * plane * taps);
     for b0 in (0..n).step_by(block) {
         let nb = block.min(n - b0);
-        unfold_into(&x[b0 * cin * h * w..(b0 + nb) * cin * h * w], nb, cin, h, w, kh, kw, &mut cols);
+        unfold_into(
+            &x[b0 * cin * h * w..(b0 + nb) * cin * h * w],
+            nb,
+            cin,
+            h,
+            w,
+            kh,
+            kw,
+            &mut cols,
+        );
         for b in b0..b0 + nb {
             for oc in 0..cout {
                 let gk_row = &mut gk[oc * taps..(oc + 1) * taps];
@@ -174,7 +180,9 @@ pub fn conv2d_backward_with(
                         for ky in 0..kh {
                             let xrow = ((b * cin + ic) * h + (oy + ky)) * w + ox;
                             let krow = ((oc * cin + ic) * kh + ky) * kw;
-                            for (acc, &kv) in gx[xrow..xrow + kw].iter_mut().zip(&k[krow..krow + kw]) {
+                            for (acc, &kv) in
+                                gx[xrow..xrow + kw].iter_mut().zip(&k[krow..krow + kw])
+                            {
                                 *acc += gv * kv;
                             }
                         }
@@ -335,9 +343,14 @@ mod tests {
 
     #[test]
     fn max_pool_picks_maxima_and_routes_gradient_back() {
-        let input =
-            Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0], &[1, 1, 4, 4])
-                .unwrap();
+        let input = Tensor::from_vec(
+            vec![
+                1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0,
+                16.0,
+            ],
+            &[1, 1, 4, 4],
+        )
+        .unwrap();
         let (out, idx) = max_pool2d(&input, 2).unwrap();
         assert_eq!(out.data(), &[6.0, 8.0, 14.0, 16.0]);
         let go = Tensor::ones(&[1, 1, 2, 2]);

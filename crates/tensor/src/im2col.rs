@@ -52,7 +52,16 @@ fn copy_run<const RUN: usize>(dst: &mut [f32], d: usize, src: &[f32], s: usize, 
 /// [`crate::conv2d_backward_with`]: writes every element of `out` (callers
 /// may pass recycled scratch).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn unfold_into(x: &[f32], n: usize, c: usize, h: usize, w: usize, kh: usize, kw: usize, out: &mut [f32]) {
+pub(crate) fn unfold_into(
+    x: &[f32],
+    n: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    out: &mut [f32],
+) {
     let (oh, ow) = (h - kh + 1, w - kw + 1);
     let cols = c * kh * kw;
     for b in 0..n {
@@ -75,7 +84,16 @@ pub(crate) fn unfold_into(x: &[f32], n: usize, c: usize, h: usize, w: usize, kh:
 /// holds kernel tap `p` of every receptive field, so one copy moves a run
 /// of `ow` values instead of `kw`, and the long axis is the contiguous one.
 #[allow(clippy::too_many_arguments)]
-fn unfold_transposed_into(x: &[f32], n: usize, c: usize, h: usize, w: usize, kh: usize, kw: usize, out: &mut [f32]) {
+fn unfold_transposed_into(
+    x: &[f32],
+    n: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    out: &mut [f32],
+) {
     let (oh, ow) = (h - kh + 1, w - kw + 1);
     let rows = n * oh * ow;
     for ic in 0..c {
@@ -126,7 +144,12 @@ pub fn im2col(input: &Tensor, kh: usize, kw: usize) -> Result<Tensor, TensorErro
 /// # Errors
 ///
 /// Same conditions as [`im2col`].
-pub fn im2col_with(input: &Tensor, kh: usize, kw: usize, out: &mut Tensor) -> Result<(), TensorError> {
+pub fn im2col_with(
+    input: &Tensor,
+    kh: usize,
+    kw: usize,
+    out: &mut Tensor,
+) -> Result<(), TensorError> {
     let (n, c, h, w) = im2col_dims(input, kh, kw)?;
     let (oh, ow) = (h - kh + 1, w - kw + 1);
     let cols = c * kh * kw;
@@ -179,7 +202,15 @@ pub fn conv2d_gemm_with(
     // NaN or infinite: see `conv_long_axis`.
     let finite_weight = all_finite(weight.data());
     if cout < NR && finite_weight && all_finite(input.data()) {
-        conv_long_axis(input.data(), weight.data(), bias.data(), &mut out, [n, cin, h, w], [cout, kh, kw], ws);
+        conv_long_axis(
+            input.data(),
+            weight.data(),
+            bias.data(),
+            &mut out,
+            [n, cin, h, w],
+            [cout, kh, kw],
+            ws,
+        );
         return Tensor::from_vec(out, &[n, cout, oh, ow]);
     }
     let rows = n * plane;

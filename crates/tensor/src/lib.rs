@@ -30,8 +30,7 @@ mod tensor;
 pub mod workspace;
 
 pub use conv::{
-    conv2d, conv2d_backward, conv2d_backward_with, max_pool2d, max_pool2d_backward,
-    Conv2dGrads,
+    conv2d, conv2d_backward, conv2d_backward_with, max_pool2d, max_pool2d_backward, Conv2dGrads,
 };
 pub use error::TensorError;
 pub use im2col::{conv2d_gemm_with, im2col, im2col_with};

@@ -151,7 +151,10 @@ impl Tensor {
     pub fn reshape(&self, dims: &[usize]) -> Result<Tensor, TensorError> {
         let shape = Shape::new(dims);
         if shape.len() != self.data.len() {
-            return Err(TensorError::SizeMismatch { expected: shape.len(), actual: self.data.len() });
+            return Err(TensorError::SizeMismatch {
+                expected: shape.len(),
+                actual: self.data.len(),
+            });
         }
         Ok(Tensor { shape, data: self.data.clone() })
     }
@@ -272,7 +275,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let t = Tensor::randn(&[10_000], 1.0, &mut rng);
         let mean: f32 = t.data().iter().sum::<f32>() / t.len() as f32;
-        let var: f32 = t.data().iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / t.len() as f32;
+        let var: f32 =
+            t.data().iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / t.len() as f32;
         assert!(mean.abs() < 0.05, "mean {mean}");
         assert!((var - 1.0).abs() < 0.1, "var {var}");
     }
@@ -350,16 +354,16 @@ mod tests {
         assert!(wire("", "3f800000").is_ok(), "a scalar shape holds one element");
         assert!(wire("0,3", "").is_ok(), "an empty tensor has no digits");
         for (shape, bits, names) in [
-            ("2,2", "0".repeat(24), "`shape`"),          // payload cut short
-            ("2,2", "0".repeat(40), "`shape`"),          // payload too long
-            ("2,2", "0".repeat(31), "`shape`"),          // odd digit count
-            ("", String::new(), "`shape`"),              // a scalar needs its element
+            ("2,2", "0".repeat(24), "`shape`"), // payload cut short
+            ("2,2", "0".repeat(40), "`shape`"), // payload too long
+            ("2,2", "0".repeat(31), "`shape`"), // odd digit count
+            ("", String::new(), "`shape`"),     // a scalar needs its element
             ("18446744073709551615,2", "0".repeat(16), "`shape`"), // count overflows
             ("4294967296,4294967296,4294967296", String::new(), "`shape`"), // wraps to 0
             ("1", "3f80000g".to_string(), "digit 7"),
-            ("1", "3F800000".to_string(), "digit 1"),    // lower case only
+            ("1", "3F800000".to_string(), "digit 1"), // lower case only
             ("2", "3f800000 0000000".to_string(), "digit 8"),
-            ("1", "3f80000é".to_string(), "`shape`"),    // nine bytes
+            ("1", "3f80000é".to_string(), "`shape`"), // nine bytes
         ] {
             let err = wire(shape, &bits).expect_err(shape).to_string();
             assert!(err.contains(names), "[{shape}] {bits:?}: {err}");

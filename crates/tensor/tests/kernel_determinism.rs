@@ -171,7 +171,11 @@ fn same_bits(want: &[f32], got: &[f32]) -> Result<(), String> {
     }
     for (i, (w, g)) in want.iter().zip(got).enumerate() {
         if w.to_bits() != g.to_bits() && !(w.is_nan() && g.is_nan()) {
-            return Err(format!("element {i}: want {w:e} ({:#010x}), got {g:e} ({:#010x})", w.to_bits(), g.to_bits()));
+            return Err(format!(
+                "element {i}: want {w:e} ({:#010x}), got {g:e} ({:#010x})",
+                w.to_bits(),
+                g.to_bits()
+            ));
         }
     }
     Ok(())
@@ -179,7 +183,13 @@ fn same_bits(want: &[f32], got: &[f32]) -> Result<(), String> {
 
 /// `A (m×k) · B (k×n)` through all three public entry points against
 /// [`frozen_gemm`], clean and with each operand poisoned in turn.
-fn check_gemm(m: usize, k: usize, n: usize, rng: &mut StdRng, ws: &mut Workspace) -> Result<(), String> {
+fn check_gemm(
+    m: usize,
+    k: usize,
+    n: usize,
+    rng: &mut StdRng,
+    ws: &mut Workspace,
+) -> Result<(), String> {
     for poisoned in [None, Some(0), Some(1)] {
         let a = operand(&[m, k], poisoned == Some(0), rng);
         let b = operand(&[k, n], poisoned == Some(1), rng);
@@ -220,7 +230,8 @@ fn check_conv(
         let g = operand(&[batch, cout, o, o], poisoned == Some(2), rng);
         let (gx, gk, gb) = frozen_conv2d_backward(&x, &w, &g);
         let full = conv2d_backward_with(&x, &w, &g, true, ws).unwrap();
-        same_bits(&gx, full.grad_input.as_ref().expect("asked for").data()).map_err(|e| ctx("∂x", e))?;
+        same_bits(&gx, full.grad_input.as_ref().expect("asked for").data())
+            .map_err(|e| ctx("∂x", e))?;
         same_bits(&gk, full.grad_weight.data()).map_err(|e| ctx("∂W", e))?;
         same_bits(&gb, full.grad_bias.data()).map_err(|e| ctx("∂b", e))?;
         let params = conv2d_backward_with(&x, &w, &g, false, ws).unwrap();

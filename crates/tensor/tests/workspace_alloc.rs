@@ -129,7 +129,8 @@ fn warm_workspace_kernels_do_not_allocate() {
         let budget = reps * (returned as u64 * 4 + 3 * 256);
         let bytes = allocated_during(|| {
             for _ in 0..reps {
-                let grads = conv2d_backward_with(&x, &w, &grad, input_grad, &mut ws).expect("backward");
+                let grads =
+                    conv2d_backward_with(&x, &w, &grad, input_grad, &mut ws).expect("backward");
                 assert_eq!(grads.grad_input.is_some(), input_grad);
             }
         });

@@ -171,8 +171,8 @@ impl Database {
     /// [`TsdbError::Corrupt`] when the JSON cannot be decoded.
     pub fn load(path: &Path) -> Result<Self, TsdbError> {
         let text = std::fs::read_to_string(path)?;
-        let points: Vec<Point> =
-            serde_json::from_str(&text).map_err(|e| TsdbError::Corrupt { reason: e.to_string() })?;
+        let points: Vec<Point> = serde_json::from_str(&text)
+            .map_err(|e| TsdbError::Corrupt { reason: e.to_string() })?;
         Ok(Database { points: RwLock::new(points) })
     }
 }
@@ -186,9 +186,7 @@ mod tests {
         for i in 0..10u64 {
             let workload = if i % 2 == 0 { "lenet" } else { "cnn" };
             db.write(
-                Point::new("epoch", i * 1000)
-                    .tag("workload", workload)
-                    .field("runtime", i as f64),
+                Point::new("epoch", i * 1000).tag("workload", workload).field("runtime", i as f64),
             )
             .unwrap();
         }
@@ -242,9 +240,7 @@ mod tests {
     #[test]
     fn import_skips_comments_and_blank_lines() {
         let db = Database::new();
-        let n = db
-            .import_line_protocol("# comment\n\nm f=1 5\nm f=2 6\n")
-            .unwrap();
+        let n = db.import_line_protocol("# comment\n\nm f=1 5\nm f=2 6\n").unwrap();
         assert_eq!(n, 2);
         assert!(db.import_line_protocol("garbage").is_err());
     }

@@ -147,8 +147,7 @@ impl Point {
             return Err(corrupt("empty measurement"));
         }
         let commas = |s: &str| s.bytes().filter(|&b| b == b',').count();
-        let mut point =
-            Point::with_capacity(text, timestamp, commas(head), 1 + commas(field_seg));
+        let mut point = Point::with_capacity(text, timestamp, commas(head), 1 + commas(field_seg));
         for tag in head_parts {
             let (key, value) = key_value(tag).ok_or_else(|| corrupt("malformed tag"))?;
             point.tag_with(|out| push_unescaped(out, key), |out| push_unescaped(out, value));
@@ -194,7 +193,8 @@ mod tests {
 
     #[test]
     fn parses_canonical_influx_examples() {
-        let p = Point::from_line_protocol("cpu,host=a usage=0.5,idle=99i 1556813561098000").unwrap();
+        let p =
+            Point::from_line_protocol("cpu,host=a usage=0.5,idle=99i 1556813561098000").unwrap();
         assert_eq!(p.measurement(), "cpu");
         assert_eq!(p.tag_value("host"), Some("a"));
         assert_eq!(p.field_value("usage"), Some(0.5));
@@ -211,10 +211,7 @@ mod tests {
     #[test]
     fn rejects_malformed_lines() {
         for bad in ["", "m", "m ", "m f", "m f=x", "m f=1 notanumber", "m,k f=1"] {
-            assert!(
-                Point::from_line_protocol(bad).is_err(),
-                "should reject {bad:?}"
-            );
+            assert!(Point::from_line_protocol(bad).is_err(), "should reject {bad:?}");
         }
     }
 }

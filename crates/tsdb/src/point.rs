@@ -52,7 +52,12 @@ impl Point {
 
     /// A point over `text`, which holds the measurement and nothing else
     /// yet, with room for `tags` tags and `fields` fields.
-    pub(crate) fn with_capacity(text: String, timestamp_us: u64, tags: usize, fields: usize) -> Self {
+    pub(crate) fn with_capacity(
+        text: String,
+        timestamp_us: u64,
+        tags: usize,
+        fields: usize,
+    ) -> Self {
         let mut ends = Vec::with_capacity(1 + 2 * tags + fields);
         ends.push(offset(text.len()));
         Point { text, ends, tags: 0, values: Vec::with_capacity(fields), timestamp_us }
@@ -378,7 +383,10 @@ mod tests {
         let keys: Vec<&str> = p.fields().map(|(k, _)| k).collect();
         assert_eq!(
             keys,
-            ["ev_0", "ev_1", "ev_10", "ev_11", "ev_2", "ev_3", "ev_4", "ev_5", "ev_6", "ev_7", "ev_8", "ev_9", "z"]
+            [
+                "ev_0", "ev_1", "ev_10", "ev_11", "ev_2", "ev_3", "ev_4", "ev_5", "ev_6", "ev_7",
+                "ev_8", "ev_9", "z"
+            ]
         );
         assert_eq!(p.field_value("z"), Some(9.0));
     }

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use pipetune::prelude::*;
-use pipetune::{EpochWorkload};
+use pipetune::EpochWorkload;
 use pipetune_search::{
     Config, ParamSpec, SearchSpace, TrialId, TrialReport, TrialRequest, TrialScheduler,
 };
@@ -71,11 +71,8 @@ impl TrialScheduler for MedianStopping {
         // Continue the last trial if it survives, else start a fresh one.
         let id = TrialId(self.issued as u64);
         if self.issued < self.max_trials {
-            let config = self
-                .configs
-                .entry(id)
-                .or_insert_with(|| self.space.sample(&mut self.rng))
-                .clone();
+            let config =
+                self.configs.entry(id).or_insert_with(|| self.space.sample(&mut self.rng)).clone();
             self.outstanding = Some(id);
             self.total_epochs += 1;
             *self.epochs.entry(id).or_default() += 1;
@@ -89,11 +86,7 @@ impl TrialScheduler for MedianStopping {
         let epochs = self.epochs[&report.id];
         let survives = report.score >= self.median() && epochs < self.max_epochs;
         self.history.push(report.score);
-        if self
-            .best
-            .as_ref()
-            .is_none_or(|(_, s)| report.score > *s)
-        {
+        if self.best.as_ref().is_none_or(|(_, s)| report.score > *s) {
             self.best = Some((self.configs[&report.id].clone(), report.score));
         }
         if !survives {

@@ -39,7 +39,12 @@ fn load() -> Result<(Dataset, Dataset, usize, &'static str), Box<dyn std::error:
         _ => {
             let spec = ImageSpec { train: 400, test: 100, ..ImageSpec::default() };
             let (train, test) = mnist_like(&spec, 7)?;
-            Ok((train, test, 16, "synthetic MNIST stand-in (set MNIST_IMAGES/MNIST_LABELS for the real thing)"))
+            Ok((
+                train,
+                test,
+                16,
+                "synthetic MNIST stand-in (set MNIST_IMAGES/MNIST_LABELS for the real thing)",
+            ))
         }
     }
 }
@@ -53,11 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = TrainConfig { batch_size: 32, learning_rate: 0.02, ..TrainConfig::default() };
     for epoch in 1..=6 {
         let m = model.train_epoch(&train, &cfg, &mut rng)?;
-        println!(
-            "epoch {epoch}: loss {:.3}, train accuracy {:.1}%",
-            m.loss,
-            m.accuracy * 100.0
-        );
+        println!("epoch {epoch}: loss {:.3}, train accuracy {:.1}%", m.loss, m.accuracy * 100.0);
     }
     let acc = model.evaluate(&test)?;
     let cm = model.confusion(&test)?;

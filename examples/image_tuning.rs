@@ -6,7 +6,7 @@
 //! ```
 
 use pipetune::prelude::*;
-use pipetune::{single_tenancy};
+use pipetune::single_tenancy;
 
 fn main() -> Result<(), pipetune::PipeTuneError> {
     let env = ExperimentEnvBuilder::distributed(7).build()?;

@@ -7,7 +7,7 @@
 //! ```
 
 use pipetune::prelude::*;
-use pipetune::{MultiTenancyOptions, multi_tenancy};
+use pipetune::{multi_tenancy, MultiTenancyOptions};
 
 fn main() -> Result<(), pipetune::PipeTuneError> {
     let env = ExperimentEnvBuilder::distributed(31).build()?;

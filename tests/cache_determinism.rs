@@ -102,11 +102,10 @@ fn disabled_cache_is_bit_identical_to_default_runs() {
     let spec = WorkloadSpec::lenet_mnist();
     let base_env = ExperimentEnv::distributed(SEED);
     let base = PipeTune::new(TunerOptions::fast()).run(&base_env, &spec).unwrap();
-    let explicit_env =
-        ExperimentEnvBuilder::distributed(SEED)
-            .epoch_cache(EpochCacheHandle::disabled())
-            .build()
-            .unwrap();
+    let explicit_env = ExperimentEnvBuilder::distributed(SEED)
+        .epoch_cache(EpochCacheHandle::disabled())
+        .build()
+        .unwrap();
     let explicit = PipeTune::new(TunerOptions::fast()).run(&explicit_env, &spec).unwrap();
     assert_outcomes_identical(&base, &explicit);
     assert_eq!(base.cache_stats, Default::default(), "disabled runs never touch the cache");
@@ -253,7 +252,10 @@ fn persisted_caches_resume_exactly_where_live_ones_left_off() {
     // the same bytes, and so does the store a file loads into.
     for (what, handle) in [("a second save", &live), ("load → save", &restored)] {
         handle.save(&path).unwrap();
-        assert!(std::fs::read(&path).unwrap() == file, "{what} must reproduce the file byte for byte");
+        assert!(
+            std::fs::read(&path).unwrap() == file,
+            "{what} must reproduce the file byte for byte"
+        );
     }
     let _ = std::fs::remove_file(&path);
 

@@ -15,8 +15,8 @@ fn pipetune_beats_v1_tuning_time_with_warm_ground_truth() {
     let env = ExperimentEnv::distributed(1001);
     let spec = WorkloadSpec::lenet_mnist();
     let v1 = TuneV1::new(options()).run(&env, &spec).expect("v1 runs");
-    let gt = warm_start_ground_truth(&env, &WorkloadSpec::all_type12(), &options())
-        .expect("warm start");
+    let gt =
+        warm_start_ground_truth(&env, &WorkloadSpec::all_type12(), &options()).expect("warm start");
     let pt = PipeTune::with_ground_truth(options(), gt).run(&env, &spec).expect("pipetune runs");
     assert!(
         pt.tuning_secs < v1.tuning_secs,
@@ -112,9 +112,7 @@ fn multi_tenancy_responses_exceed_service_times_and_pipetune_wins() {
 fn tuning_outputs_a_usable_trained_model() {
     // Fig. 6: the HPT job's output is a trained model + optimal parameters.
     let env = ExperimentEnv::distributed(1008);
-    let out = PipeTune::new(options())
-        .run(&env, &WorkloadSpec::lenet_mnist())
-        .expect("job runs");
+    let out = PipeTune::new(options()).run(&env, &WorkloadSpec::lenet_mnist()).expect("job runs");
     let weights = out.model_weights.expect("DNN workloads carry weights");
     assert!(!weights.is_empty());
     // Rebuild the winning workload and confirm the weights reproduce the

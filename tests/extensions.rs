@@ -65,9 +65,8 @@ fn every_alternative_scheduler_completes_a_pipetune_job() {
 #[test]
 fn hotspot_extension_tunes_on_the_single_node() {
     let env = ExperimentEnv::single_node(3004);
-    let out = PipeTune::new(options())
-        .run(&env, &WorkloadSpec::hotspot())
-        .expect("hotspot job runs");
+    let out =
+        PipeTune::new(options()).run(&env, &WorkloadSpec::hotspot()).expect("hotspot job runs");
     assert!(out.best_accuracy > 0.0, "steady-state progress expected");
     assert!(out.model_weights.is_none(), "kernels carry no weights");
     // The winning time-step must come from the clamped stable range: the

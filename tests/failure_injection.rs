@@ -76,9 +76,9 @@ fn zero_core_probe_candidates_never_get_chosen() {
     // cost model prices it at infinity, so probing must route around it.
     let mut env = ExperimentEnv::distributed(2002);
     env.system_space.cores = vec![0, 4, 8];
-    let hp = HyperParams { batch_size: 256, learning_rate: 0.02, epochs: 20, ..HyperParams::default() };
-    let workload =
-        WorkloadSpec::lenet_mnist().with_scale(0.2).instantiate(&hp, 1).expect("builds");
+    let hp =
+        HyperParams { batch_size: 256, learning_rate: 0.02, epochs: 20, ..HyperParams::default() };
+    let workload = WorkloadSpec::lenet_mnist().with_scale(0.2).instantiate(&hp, 1).expect("builds");
     let mut gt = GroundTruth::paper_default(1);
     let mut trial = TrialExecution::new(workload, SystemTuner::pipelined(ProbeGoal::Runtime));
     let mut rng = StdRng::seed_from_u64(5);
@@ -91,8 +91,7 @@ fn zero_core_probe_candidates_never_get_chosen() {
 fn empty_epoch_requests_are_noops() {
     let env = ExperimentEnv::distributed(2003);
     let hp = HyperParams::default();
-    let workload =
-        WorkloadSpec::bfs().with_scale(0.2).instantiate(&hp, 1).expect("builds");
+    let workload = WorkloadSpec::bfs().with_scale(0.2).instantiate(&hp, 1).expect("builds");
     let mut trial = TrialExecution::new(workload, SystemTuner::Fixed(env.default_system));
     let mut rng = StdRng::seed_from_u64(5);
     trial.run_epochs(&env, 0, None, 1.0, &mut rng).expect("noop");
@@ -104,8 +103,7 @@ fn empty_epoch_requests_are_noops() {
 fn extreme_contention_still_yields_finite_times() {
     let env = ExperimentEnv::distributed(2004);
     let hp = HyperParams::default();
-    let workload =
-        WorkloadSpec::lenet_mnist().with_scale(0.2).instantiate(&hp, 1).expect("builds");
+    let workload = WorkloadSpec::lenet_mnist().with_scale(0.2).instantiate(&hp, 1).expect("builds");
     let mut trial = TrialExecution::new(workload, SystemTuner::Fixed(env.default_system));
     let mut rng = StdRng::seed_from_u64(6);
     trial.run_epochs(&env, 2, None, 1e6, &mut rng).expect("runs");
@@ -122,9 +120,9 @@ fn crash_every_epoch_abandons_the_trial_after_the_retry_budget() {
         .fault_plan(FaultPlan::crashes(31, 1.0))
         .build()
         .unwrap();
-    let hp = HyperParams { batch_size: 256, learning_rate: 0.02, epochs: 20, ..HyperParams::default() };
-    let workload =
-        WorkloadSpec::lenet_mnist().with_scale(0.2).instantiate(&hp, 1).expect("builds");
+    let hp =
+        HyperParams { batch_size: 256, learning_rate: 0.02, epochs: 20, ..HyperParams::default() };
+    let workload = WorkloadSpec::lenet_mnist().with_scale(0.2).instantiate(&hp, 1).expect("builds");
     let mut trial =
         TrialExecution::new(workload, SystemTuner::Fixed(env.default_system)).with_trial_id(7);
     let mut rng = StdRng::seed_from_u64(9);

@@ -6,8 +6,8 @@
 //! comparing accuracies, clocks, trajectories and the fault report as bits.
 
 use pipetune::{
-    ConvergencePoint, ExperimentEnv, ExperimentEnvBuilder, FaultPlan, FaultReport, PipeTune, TuneV1,
-    TuneV2, TunerOptions, TuningOutcome, WorkloadSpec,
+    ConvergencePoint, ExperimentEnv, ExperimentEnvBuilder, FaultPlan, FaultReport, PipeTune,
+    TuneV1, TuneV2, TunerOptions, TuningOutcome, WorkloadSpec,
 };
 
 /// The two schedules under test: every fault class at moderate rates, and a
@@ -56,12 +56,11 @@ fn assert_outcomes_identical(a: &TuningOutcome, b: &TuningOutcome) {
 fn pipetune_fault_runs_replay_across_worker_counts() {
     for plan in plans() {
         let run = |workers: usize| {
-            let env =
-                ExperimentEnvBuilder::distributed(51)
-                    .fault_plan(plan.clone())
-                    .workers(workers)
-                    .build()
-                    .unwrap();
+            let env = ExperimentEnvBuilder::distributed(51)
+                .fault_plan(plan.clone())
+                .workers(workers)
+                .build()
+                .unwrap();
             let mut tuner = PipeTune::new(TunerOptions::fast());
             // Two jobs so the cross-job ground-truth path is exercised
             // under faults too.
@@ -97,15 +96,19 @@ fn baseline_fault_runs_replay_across_worker_counts() {
                 .build()
                 .unwrap()
         };
-        let v1_seq =
-            TuneV1::new(TunerOptions::fast()).run(&env_for(1), &WorkloadSpec::lenet_mnist()).unwrap();
-        let v1_par =
-            TuneV1::new(TunerOptions::fast()).run(&env_for(64), &WorkloadSpec::lenet_mnist()).unwrap();
+        let v1_seq = TuneV1::new(TunerOptions::fast())
+            .run(&env_for(1), &WorkloadSpec::lenet_mnist())
+            .unwrap();
+        let v1_par = TuneV1::new(TunerOptions::fast())
+            .run(&env_for(64), &WorkloadSpec::lenet_mnist())
+            .unwrap();
         assert_outcomes_identical(&v1_seq, &v1_par);
-        let v2_seq =
-            TuneV2::new(TunerOptions::fast()).run(&env_for(1), &WorkloadSpec::lenet_mnist()).unwrap();
-        let v2_par =
-            TuneV2::new(TunerOptions::fast()).run(&env_for(64), &WorkloadSpec::lenet_mnist()).unwrap();
+        let v2_seq = TuneV2::new(TunerOptions::fast())
+            .run(&env_for(1), &WorkloadSpec::lenet_mnist())
+            .unwrap();
+        let v2_par = TuneV2::new(TunerOptions::fast())
+            .run(&env_for(64), &WorkloadSpec::lenet_mnist())
+            .unwrap();
         assert_outcomes_identical(&v2_seq, &v2_par);
         assert!(
             v1_seq.fault_report.injected > 0 && v2_seq.fault_report.injected > 0,

@@ -80,8 +80,9 @@ fn real_traces_survive_the_json_round_trip_and_report_identically() {
 fn faulty_runs_attribute_retry_overhead() {
     let clean = TraceReport::from_snapshot(&run_traced(4, FaultPlan::none())).unwrap();
     let faulty = TraceReport::from_snapshot(&run_traced(4, FaultPlan::mixed(7))).unwrap();
-    let overhead =
-        |report: &TraceReport| -> f64 { report.runs.iter().map(|r| r.phases.retry_overhead_secs).sum() };
+    let overhead = |report: &TraceReport| -> f64 {
+        report.runs.iter().map(|r| r.phases.retry_overhead_secs).sum()
+    };
     assert_eq!(overhead(&clean), 0.0, "clean runs have no retry overhead");
     assert!(overhead(&faulty) > 0.0, "crash recovery must surface as retry overhead");
 }
@@ -111,10 +112,7 @@ fn gate_detects_an_injected_tuning_time_regression() {
     let snap = run_traced(1, FaultPlan::none());
     let metrics = headline_metrics("lenet_mnist", &snap, &snap, &snap);
     let baseline = BenchReport { label: "bench_headline".into(), metrics };
-    assert!(
-        check(&baseline, &baseline, &config).passed(),
-        "a report always passes against itself"
-    );
+    assert!(check(&baseline, &baseline, &config).passed(), "a report always passes against itself");
 
     // Degrade PipeTune tuning time by 20% — beyond the 5% tolerance.
     let mut regressed = baseline.clone();
@@ -122,10 +120,7 @@ fn gate_detects_an_injected_tuning_time_regression() {
     *regressed.metrics.get_mut(key).unwrap() *= 1.2;
     let outcome = check(&baseline, &regressed, &config);
     assert!(!outcome.passed(), "a 20% tuning-time degradation must fail the gate");
-    assert!(outcome
-        .checks
-        .iter()
-        .any(|c| c.metric == key && c.verdict == Verdict::Regressed));
+    assert!(outcome.checks.iter().any(|c| c.metric == key && c.verdict == Verdict::Regressed));
 
     // The committed baseline schema round-trips byte-identically.
     let text = baseline.to_json_string();

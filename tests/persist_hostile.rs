@@ -160,7 +160,19 @@ fn survey(text: &str) -> (Vec<Member>, Vec<usize>) {
 /// Members whose digits size an allocation, or say how many there are.
 const SIZING: [&str; 6] = ["scale", "embedding_dim", "batch_size", "shape", "capacity", "epochs"];
 const SPLICES: [&[u8]; 14] = [
-    b"{", b"}", b"[", b"]", b"\"", b",", b":", b"\\", b"null", b"-", b"1e999", b"-0", b"\\ud800",
+    b"{",
+    b"}",
+    b"[",
+    b"]",
+    b"\"",
+    b",",
+    b":",
+    b"\\",
+    b"null",
+    b"-",
+    b"1e999",
+    b"-0",
+    b"\\ud800",
     b"18446744073709551616",
 ];
 
@@ -228,7 +240,8 @@ fn mutate(text: &str, members: &[Member], skeleton: &[usize], n: usize) -> (Stri
             }
             6 | 7 => {
                 // A number, somewhere in a sizing member or anywhere at all.
-                let Some(within) = (if rng.gen_bool(0.5) { named(&SIZING, rng) } else { Some(member) })
+                let Some(within) =
+                    (if rng.gen_bool(0.5) { named(&SIZING, rng) } else { Some(member) })
                 else {
                     continue;
                 };
@@ -242,17 +255,21 @@ fn mutate(text: &str, members: &[Member], skeleton: &[usize], n: usize) -> (Stri
                 while start > value.start && bytes[start - 1].is_ascii_digit() {
                     start -= 1;
                 }
-                let end = (start..value.end).find(|&i| !bytes[i].is_ascii_digit()).unwrap_or(value.end);
+                let end =
+                    (start..value.end).find(|&i| !bytes[i].is_ascii_digit()).unwrap_or(value.end);
                 let run = bytes[start..end].to_vec();
                 let name = &text[within.name.clone()];
                 if rng.gen_bool(0.5) {
                     bytes.splice(end..end, run);
                     done.push(format!("double the digits {start}..{end} of {name}"));
                 } else {
-                    let with: &[u8] =
-                        [&b"1e999"[..], b"-0", b"null", b"0", b"4294967296"][rng.gen_range(0..5usize)];
+                    let with: &[u8] = [&b"1e999"[..], b"-0", b"null", b"0", b"4294967296"]
+                        [rng.gen_range(0..5usize)];
                     bytes.splice(start..end, with.iter().copied());
-                    done.push(format!("{} over {start}..{end} of {name}", String::from_utf8_lossy(with)));
+                    done.push(format!(
+                        "{} over {start}..{end} of {name}",
+                        String::from_utf8_lossy(with)
+                    ));
                 }
             }
             8 => {
@@ -352,15 +369,16 @@ fn mutated_cache_files_are_rejected_or_usable_never_a_panic() {
     assert!(hits >= 3, "the stock cache should serve the rerun, served {hits}");
 
     let mut adopted = 0;
-    let (read, rejected) = run_mutants("cache", &stock, |file| match EpochCacheHandle::load(file) {
-        Ok(cache) => {
-            // A run over a strange-but-valid cache may fail; typed is fine.
-            adopted += usize::from(next_use(cache).is_ok_and(|hits| hits > 0));
-            Ok(true)
-        }
-        Err(PipeTuneError::Tsdb(_) | PipeTuneError::Dnn(_)) => Ok(false),
-        Err(other) => Err(format!("untyped rejection {other:?}")),
-    });
+    let (read, rejected) =
+        run_mutants("cache", &stock, |file| match EpochCacheHandle::load(file) {
+            Ok(cache) => {
+                // A run over a strange-but-valid cache may fail; typed is fine.
+                adopted += usize::from(next_use(cache).is_ok_and(|hits| hits > 0));
+                Ok(true)
+            }
+            Err(PipeTuneError::Tsdb(_) | PipeTuneError::Dnn(_)) => Ok(false),
+            Err(other) => Err(format!("untyped rejection {other:?}")),
+        });
     std::fs::remove_file(&resave).ok();
     // The mutations must land on both sides to mean anything, and the
     // mutants that load must still be adopted from.
@@ -407,9 +425,13 @@ fn mutated_ground_truth_files_read_like_the_frozen_point() {
     let mut read = 0;
     for n in 0..MUTANTS {
         let (_, bytes) = mutate(&stock, &members, &skeleton, n);
-        read += usize::from(frozen_point::assert_document_reads_alike(&String::from_utf8_lossy(&bytes)));
+        read += usize::from(frozen_point::assert_document_reads_alike(&String::from_utf8_lossy(
+            &bytes,
+        )));
     }
-    println!("ground truth documents: {MUTANTS} mutants, {read} read alike, the rest refused alike");
+    println!(
+        "ground truth documents: {MUTANTS} mutants, {read} read alike, the rest refused alike"
+    );
     assert!(read > 300 && read < MUTANTS - 1000, "{read} read");
 }
 
@@ -572,7 +594,11 @@ fn mutated_line_protocol_imports_whole_or_not_at_all_never_a_panic() {
                 .filter(|line| !line.is_empty() && !line.starts_with('#'))
                 .collect();
             if count != lines.len() || db.len() != count + 1 {
-                return Err(format!("{count} imported, {} stored, {} lines", db.len(), lines.len()));
+                return Err(format!(
+                    "{count} imported, {} stored, {} lines",
+                    db.len(),
+                    lines.len()
+                ));
             }
             // Re-export → re-import: the same points (by bit pattern where
             // a field is NaN, which is equal to nothing).

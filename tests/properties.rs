@@ -11,14 +11,9 @@ use pipetune_tsdb::{Aggregate, Database, Point, Query};
 use proptest::prelude::*;
 
 fn work_strategy() -> impl Strategy<Value = WorkUnits> {
-    (1e9..1e13f64, 1u64..5000, 1e8..5e10f64, 0.0..4.0f64).prop_map(
-        |(flops, iterations, ws, mi)| WorkUnits {
-            flops,
-            iterations,
-            working_set_bytes: ws,
-            memory_intensity: mi,
-        },
-    )
+    (1e9..1e13f64, 1u64..5000, 1e8..5e10f64, 0.0..4.0f64).prop_map(|(flops, iterations, ws, mi)| {
+        WorkUnits { flops, iterations, working_set_bytes: ws, memory_intensity: mi }
+    })
 }
 
 proptest! {

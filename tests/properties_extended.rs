@@ -217,10 +217,8 @@ mod frozen_line_protocol {
             line.push_str(&escape(v));
         }
         line.push(' ');
-        let fields: Vec<String> = point
-            .fields()
-            .map(|(k, v)| format!("{}={}", escape(k), v))
-            .collect();
+        let fields: Vec<String> =
+            point.fields().map(|(k, v)| format!("{}={}", escape(k), v)).collect();
         line.push_str(&fields.join(","));
         line.push(' ');
         line.push_str(&point.timestamp_us().to_string());

@@ -57,12 +57,11 @@ fn run_chaos(
     config: ServiceConfig,
 ) -> (ServiceOutcome, TelemetrySnapshot) {
     let telemetry = TelemetryHandle::enabled();
-    let env =
-        ExperimentEnvBuilder::distributed(SEED)
-            .workers(workers)
-            .telemetry(telemetry.clone())
-            .build()
-            .unwrap();
+    let env = ExperimentEnvBuilder::distributed(SEED)
+        .workers(workers)
+        .telemetry(telemetry.clone())
+        .build()
+        .unwrap();
     let service = TuningService::new(config.with_policy(policy));
     let outcome = service.run(&env, &submissions(SEED, JOBS), &TunerOptions::fast()).unwrap();
     (outcome, telemetry.snapshot().expect("enabled handle"))
@@ -153,9 +152,8 @@ fn assert_chaos_invariants(outcome: &ServiceOutcome) {
     assert!(seen.iter().all(|&s| s), "a submission produced no record");
     // Report counters match the per-record tallies.
     let report = &outcome.service_fault_report;
-    let count = |status: JobOutcome| {
-        outcome.jobs.iter().filter(|r| r.status == status).count() as u64
-    };
+    let count =
+        |status: JobOutcome| outcome.jobs.iter().filter(|r| r.status == status).count() as u64;
     assert_eq!(report.jobs_shed, count(JobOutcome::Shed));
     assert_eq!(report.jobs_abandoned, count(JobOutcome::Abandoned));
     let lost: f64 = outcome.jobs.iter().map(|r| r.lost_service_secs).sum();

@@ -5,11 +5,11 @@
 //! **byte-identical** for every worker count, clean and under
 //! `FaultPlan::mixed`, across multiple arrival seeds.
 
-use pipetune::{
-    EpochCacheHandle, ExperimentEnvBuilder, TunerOptions, TuningOutcome, WorkloadSpec,
-};
+use pipetune::{EpochCacheHandle, ExperimentEnvBuilder, TunerOptions, TuningOutcome, WorkloadSpec};
 use pipetune_cluster::{FaultPlan, FaultReport, PoissonArrivals};
-use pipetune_service::{JobSubmission, SchedulingPolicy, ServiceConfig, ServiceOutcome, TuningService};
+use pipetune_service::{
+    JobSubmission, SchedulingPolicy, ServiceConfig, ServiceOutcome, TuningService,
+};
 use pipetune_telemetry::{SpanKind, TelemetryHandle, TelemetrySnapshot};
 
 const JOBS: usize = 3;
@@ -17,10 +17,8 @@ const WORKER_COUNTS: [usize; 3] = [1, 4, 64];
 
 /// Two (arrival seed, policy) scenarios, so the byte-identity claim is
 /// pinned for more than one arrival stream and more than one scheduler.
-const SCENARIOS: [(u64, SchedulingPolicy); 2] = [
-    (41, SchedulingPolicy::Fifo),
-    (43, SchedulingPolicy::ProcessorSharing),
-];
+const SCENARIOS: [(u64, SchedulingPolicy); 2] =
+    [(41, SchedulingPolicy::Fifo), (43, SchedulingPolicy::ProcessorSharing)];
 
 fn run_service(
     seed: u64,
@@ -43,7 +41,9 @@ fn run_stream(
 ) -> (ServiceOutcome, TelemetrySnapshot) {
     let mut arrivals = PoissonArrivals::new(1.0 / 1500.0, seed);
     let submissions: Vec<JobSubmission> = (0..jobs)
-        .map(|_| JobSubmission::new(arrivals.next_arrival().as_secs_f64(), WorkloadSpec::lenet_mnist()))
+        .map(|_| {
+            JobSubmission::new(arrivals.next_arrival().as_secs_f64(), WorkloadSpec::lenet_mnist())
+        })
         .collect();
     let telemetry = TelemetryHandle::enabled();
     let env = ExperimentEnvBuilder::distributed(seed)
@@ -230,7 +230,10 @@ fn service_traces_follow_the_service_job_run_taxonomy() {
 }
 
 /// A four-job FIFO stream, no faults, over `cache`.
-fn run_cached_stream(workers: usize, cache: EpochCacheHandle) -> (ServiceOutcome, TelemetrySnapshot) {
+fn run_cached_stream(
+    workers: usize,
+    cache: EpochCacheHandle,
+) -> (ServiceOutcome, TelemetrySnapshot) {
     run_stream(41, SchedulingPolicy::Fifo, workers, FaultPlan::none(), 4, cache)
 }
 
@@ -240,7 +243,11 @@ fn env_level_epoch_cache_is_shared_by_the_stream_and_changes_no_verdict() {
     let (base, base_snap) = run_cached_stream(1, cache.clone());
     let (outcome, snap) = run_cached_stream(4, EpochCacheHandle::enabled());
     assert_service_outcomes_identical(&base, &outcome);
-    assert_eq!(snap.to_json_string(), base_snap.to_json_string(), "trace JSON differs across workers");
+    assert_eq!(
+        snap.to_json_string(),
+        base_snap.to_json_string(),
+        "trace JSON differs across workers"
+    );
 
     // Every job consulted and fed the one store the environment carries,
     // and — job seeds being distinct — none adopted another job's state.

@@ -35,7 +35,9 @@ const ARRIVAL_SEED: u64 = 9;
 fn submissions() -> Vec<JobSubmission> {
     let mut arrivals = PoissonArrivals::new(ARRIVAL_RATE, ARRIVAL_SEED);
     (0..JOBS)
-        .map(|_| JobSubmission::new(arrivals.next_arrival().as_secs_f64(), WorkloadSpec::lenet_mnist()))
+        .map(|_| {
+            JobSubmission::new(arrivals.next_arrival().as_secs_f64(), WorkloadSpec::lenet_mnist())
+        })
         .collect()
 }
 
@@ -65,10 +67,7 @@ fn real_service_reproduces_analytic_models_and_conserves_work() {
     // scheduled around it: same sub-seed, same slot slice, same result.
     for (a, b) in fifo.jobs.iter().zip(&ps.jobs).chain(fifo.jobs.iter().zip(&srs.jobs)) {
         assert_eq!(a.service_secs.to_bits(), b.service_secs.to_bits());
-        assert_job_outcomes_identical(
-            a.outcome.as_ref().unwrap(),
-            b.outcome.as_ref().unwrap(),
-        );
+        assert_job_outcomes_identical(a.outcome.as_ref().unwrap(), b.outcome.as_ref().unwrap());
     }
 
     // Analytic cross-check: the service's FIFO and PS completions must
@@ -163,8 +162,9 @@ fn single_job_stream_degenerates_to_a_dedicated_run() {
         .parallel_slots(outcome.slots_per_job)
         .build()
         .unwrap();
-    let dedicated =
-        PipeTune::new(TunerOptions::fast()).run(&dedicated_env, &WorkloadSpec::lenet_mnist()).unwrap();
+    let dedicated = PipeTune::new(TunerOptions::fast())
+        .run(&dedicated_env, &WorkloadSpec::lenet_mnist())
+        .unwrap();
     let job = rec.outcome.as_ref().expect("admitted job has an outcome");
     assert_job_outcomes_identical(job, &dedicated);
     assert_eq!(outcome.slots_per_job, env.parallel_slots, "lone job gets the whole pool");
@@ -189,9 +189,8 @@ fn admission_control_rejects_overflow_and_rejected_jobs_never_run() {
         JobSubmission::new(0.0, WorkloadSpec::lenet_mnist()),
         JobSubmission::new(1.0, WorkloadSpec::lenet_mnist()),
     ];
-    let service = TuningService::new(
-        ServiceConfig::default().with_admission(AdmissionControl::bounded(1)),
-    );
+    let service =
+        TuningService::new(ServiceConfig::default().with_admission(AdmissionControl::bounded(1)));
     let outcome = service.run(&env, &subs, &TunerOptions::fast()).unwrap();
     assert!(outcome.jobs[0].admitted);
     let rejected = &outcome.jobs[1];
@@ -208,10 +207,7 @@ fn admission_control_rejects_overflow_and_rejected_jobs_never_run() {
         assert!(t.is_nan(), "rejected job times must be NaN: {rejected:?}");
     }
     // The admitted job is unaffected by the rejected visitor.
-    assert_eq!(
-        outcome.makespan_secs.to_bits(),
-        outcome.jobs[0].completion_secs.to_bits()
-    );
+    assert_eq!(outcome.makespan_secs.to_bits(), outcome.jobs[0].completion_secs.to_bits());
     assert_eq!(outcome.mean_response_secs.to_bits(), outcome.jobs[0].response_secs.to_bits());
 }
 
@@ -228,18 +224,24 @@ fn job_streams() -> impl Strategy<Value = Vec<SharedJob>> {
                 arrival_secs: arrival_micros as f64 / 1e6,
                 // Every fifth draw collapses to a zero-service job, the
                 // edge case that used to wedge the analytic models.
-                service_secs: if service_micros % 5 == 0 { 0.0 } else { service_micros as f64 / 1e6 },
+                service_secs: if service_micros % 5 == 0 {
+                    0.0
+                } else {
+                    service_micros as f64 / 1e6
+                },
             })
             .collect()
     })
 }
 
 /// Drives a stream through the engine the way the service driver does.
-fn run_engine(policy: SchedulingPolicy, servers: usize, jobs: &[SharedJob]) -> Vec<(usize, f64, f64)> {
+fn run_engine(
+    policy: SchedulingPolicy,
+    servers: usize,
+    jobs: &[SharedJob],
+) -> Vec<(usize, f64, f64)> {
     let mut order: Vec<usize> = (0..jobs.len()).collect();
-    order.sort_by(|&a, &b| {
-        jobs[a].arrival_secs.total_cmp(&jobs[b].arrival_secs).then(a.cmp(&b))
-    });
+    order.sort_by(|&a, &b| jobs[a].arrival_secs.total_cmp(&jobs[b].arrival_secs).then(a.cmp(&b)));
     let mut engine = PolicyEngine::new(policy, servers);
     let mut done = Vec::new();
     for id in order {

@@ -39,12 +39,8 @@ fn profiles_of_the_seven_workloads_cluster_by_family() {
         let w = spec.with_scale(0.2).instantiate(&hp, 9).expect("instantiates");
         let dur = env.cost.epoch_duration(&w.work_units(), &env.default_system, 1.0);
         for _ in 0..3 {
-            let p = env.profiler.profile_epoch(
-                &w.signature(),
-                env.default_system.cores,
-                dur,
-                &mut rng,
-            );
+            let p =
+                env.profiler.profile_epoch(&w.signature(), env.default_system.cores, dur, &mut rng);
             features.push(p.features());
             types.push(spec.job_type());
         }
@@ -56,21 +52,12 @@ fn profiles_of_the_seven_workloads_cluster_by_family() {
         assert!(chunk.windows(2).all(|w| w[0] == w[1]), "repetitions split: {chunk:?}");
     }
     let label_of = |t: pipetune::JobType| -> Vec<usize> {
-        model
-            .labels()
-            .iter()
-            .zip(&types)
-            .filter(|(_, ty)| **ty == t)
-            .map(|(&l, _)| l)
-            .collect()
+        model.labels().iter().zip(&types).filter(|(_, ty)| **ty == t).map(|(&l, _)| l).collect()
     };
     let t1 = label_of(pipetune::JobType::TypeI);
     let t2 = label_of(pipetune::JobType::TypeII);
     assert!(!t1.is_empty() && !t2.is_empty());
-    assert!(
-        t1.iter().all(|l| !t2.contains(l)),
-        "Type-I {t1:?} and Type-II {t2:?} must separate"
-    );
+    assert!(t1.iter().all(|l| !t2.contains(l)), "Type-I {t1:?} and Type-II {t2:?} must separate");
 }
 
 #[test]

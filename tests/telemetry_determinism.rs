@@ -7,16 +7,15 @@
 //! 2. a disabled [`TelemetryHandle`] is not just cheap but *invisible*: the
 //!    tuning outcome is bit-identical whether telemetry is off or on.
 
-use pipetune::{observe, ExperimentEnvBuilder, PipeTune, TunerOptions, TuningOutcome, WorkloadSpec};
+use pipetune::{
+    observe, ExperimentEnvBuilder, PipeTune, TunerOptions, TuningOutcome, WorkloadSpec,
+};
 use pipetune_cluster::{observe as cluster_observe, FaultPlan};
 use pipetune_telemetry::{EventKind, SpanKind, TelemetryHandle, TelemetrySnapshot};
 
 /// Runs two PipeTune jobs (the second exercises ground-truth reuse) under a
 /// live telemetry handle and returns the outcomes plus the snapshot.
-fn run_traced(
-    workers: usize,
-    plan: FaultPlan,
-) -> (Vec<TuningOutcome>, TelemetrySnapshot) {
+fn run_traced(workers: usize, plan: FaultPlan) -> (Vec<TuningOutcome>, TelemetrySnapshot) {
     let telemetry = TelemetryHandle::enabled();
     let env = ExperimentEnvBuilder::distributed(41)
         .workers(workers)
@@ -64,11 +63,8 @@ fn trace_bytes_identical_across_worker_counts_under_faults() {
 #[test]
 fn disabled_handle_leaves_tuning_outcome_bit_identical() {
     let run = |telemetry: TelemetryHandle| {
-        let env = ExperimentEnvBuilder::distributed(23)
-            .workers(2)
-            .telemetry(telemetry)
-            .build()
-            .unwrap();
+        let env =
+            ExperimentEnvBuilder::distributed(23).workers(2).telemetry(telemetry).build().unwrap();
         PipeTune::new(TunerOptions::fast()).run(&env, &WorkloadSpec::lenet_mnist()).unwrap()
     };
     let off = run(TelemetryHandle::disabled());
@@ -133,7 +129,10 @@ fn trace_structure_matches_the_span_taxonomy() {
     assert!(snap.events.iter().any(|e| e.kind == EventKind::Probe));
     assert!(snap.metrics.counter(observe::PROBE_COUNT) > 0);
     let total_outcome_epochs: u64 = outcomes.iter().map(|o| o.epochs_total).sum();
-    assert_eq!(snap.metrics.gauge(observe::SCHEDULER_EPOCHS), Some(outcomes[1].epochs_total as f64));
+    assert_eq!(
+        snap.metrics.gauge(observe::SCHEDULER_EPOCHS),
+        Some(outcomes[1].epochs_total as f64)
+    );
     assert!(total_outcome_epochs > 0);
     assert!(snap.metrics.counter(observe::GT_HITS) > 0, "second job should hit the ground truth");
 
