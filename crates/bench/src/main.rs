@@ -1,6 +1,9 @@
 //! Regenerates the paper's evaluation: every table, figure, ablation and
 //! extension is one row of [`REGISTRY`], run as
 //! `pipetune-bench <name>… [--quick]` or `pipetune-bench all [--quick]`.
+//! Beside them sit the [`COMMANDS`]: `run` tunes one workload, `headline`
+//! regenerates and gates the committed `BENCH_pipetune*.json` reports,
+//! `trace` reads an exported trace.
 //!
 //! Each experiment prints a human-readable table to stdout and writes the
 //! same data under `target/experiments/`; `all` ends with `summary`, the
@@ -9,6 +12,7 @@
 //! out one of the paper's claims is reported on stderr and fails the run
 //! without stopping it.
 
+mod commands;
 mod extras;
 mod harness;
 mod paper;
@@ -63,6 +67,14 @@ const REGISTRY: [Experiment; 24] = [
     experiment!(extension_sampling, true, "extension: 1 Hz sampled profiling"),
     experiment!(extension_k_selection, true, "extension: silhouette k selection, event filter"),
 ];
+
+/// A command: its arguments after its name, to the process's exit code.
+type Command = fn(&[String]) -> ExitCode;
+
+/// The commands that are not experiments, as `pipetune-bench <command> <args>…`.
+/// They are not rows of [`REGISTRY`]: `all` does not run them.
+const COMMANDS: [(&str, Command); 3] =
+    [("run", commands::run), ("headline", commands::headline), ("trace", commands::trace)];
 
 /// The experiments whose headline rows make up `summary`, in table order.
 const HEADLINE_SOURCES: [&str; 4] =
@@ -130,10 +142,16 @@ fn run(experiment: &Experiment, ctx: &Ctx) -> Result<Outcome, String> {
 }
 
 fn main() -> ExitCode {
-    // Arguments are matched, not scanned: `--quick`, then either `all` or
-    // registry names; anything else runs nothing.
-    let (quick, args): (Vec<String>, Vec<String>) =
-        std::env::args().skip(1).partition(|a| a == "--quick");
+    // Arguments are matched, not scanned: a command's name, then its
+    // arguments; or `--quick`, then either `all` or registry names; anything
+    // else runs nothing.
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some((_, command)) =
+        COMMANDS.iter().find(|(name, _)| args.first().is_some_and(|a| a == name))
+    {
+        return command(&args[1..]);
+    }
+    let (quick, args): (Vec<String>, Vec<String>) = args.into_iter().partition(|a| a == "--quick");
     let ctx = Ctx { quick: !quick.is_empty(), convergence: Default::default() };
     let all = args == ["all"];
     let selected: Option<Vec<&Experiment>> = if all {
@@ -142,7 +160,7 @@ fn main() -> ExitCode {
         args.iter().map(|name| REGISTRY.iter().find(|e| e.name == name)).collect()
     };
     let Some(experiments) = selected.filter(|list| !list.is_empty()) else {
-        eprintln!("usage: pipetune-bench <experiment>… [--quick] | pipetune-bench all [--quick]");
+        eprintln!("usage: pipetune-bench <experiment>…|all [--quick] | run|headline|trace …");
         REGISTRY.iter().for_each(|e| eprintln!("  {:<30}{}", e.name, e.about));
         return ExitCode::from(2);
     };

@@ -4,6 +4,10 @@
 //! `all --quick` is the pin on red: the one claim known not to hold at
 //! quick scale is listed here, so ROADMAP item 3c shrinks the list and any
 //! *new* red claim breaks the suite.
+//!
+//! The commands beside the experiments — `run`, `headline`, `trace` — are
+//! driven the same way, at the end: their output, their exit codes, and
+//! what `headline` writes next to a baseline it checks.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -125,4 +129,186 @@ fn an_unwritable_artefact_directory_fails_every_experiment() {
     }
     let blocker = std::fs::read_to_string(dir.join("target/experiments")).unwrap();
     assert_eq!(blocker, "in the way");
+}
+
+// ---------------------------------------------------------------- commands
+
+/// Tunes `bfs` on one node under live telemetry and writes the trace as
+/// `name` in `dir`.
+fn record_trace(dir: &Path, name: &str, seed: u64) {
+    use pipetune::prelude::*;
+    let telemetry = TelemetryHandle::enabled();
+    let env = ExperimentEnvBuilder::single_node(seed).telemetry(telemetry.clone()).build().unwrap();
+    PipeTune::new(TunerOptions::fast()).run(&env, &WorkloadSpec::bfs()).unwrap();
+    std::fs::write(dir.join(name), telemetry.snapshot().unwrap().to_json_string()).unwrap();
+}
+
+#[test]
+fn run_lists_workloads_and_replays_a_seed() {
+    let dir = workdir("run");
+    let list = bench(&dir, &["run", "--list"]);
+    assert_eq!(list.status.code(), Some(0));
+    let listed = text(&list.stdout);
+    assert_eq!(listed.lines().next(), Some("workloads:"));
+    assert_eq!(listed.lines().filter(|l| l.starts_with("  ")).count(), 7, "{listed}");
+
+    let args = ["run", "--jobs", "2", "--scale", "0.2", "--seed", "42"];
+    let (first, again) = (bench(&dir, &args), bench(&dir, &args));
+    assert_eq!(first.status.code(), Some(0), "{}", text(&first.stderr));
+    assert_eq!(first.stdout, again.stdout, "one seed, one output");
+    let jobs = text(&first.stdout);
+    let lines: Vec<&str> = jobs.lines().collect();
+    assert_eq!(lines.len(), 2, "{jobs}");
+    assert!(lines[0].starts_with("job 1: lenet/mnist") && lines[1].starts_with("job 2:"), "{jobs}");
+    // The second job reuses what the first recorded instead of probing.
+    assert!(lines[1].ends_with("probes 0)") && !lines[1].contains("(hits 0,"), "{jobs}");
+}
+
+#[test]
+fn run_refuses_what_it_cannot_tune() {
+    let dir = workdir("run_refusals");
+    let unknown = bench(&dir, &["run", "--workload", "nope"]);
+    assert_eq!(unknown.status.code(), Some(1));
+    assert_eq!(text(&unknown.stderr), "error: unknown workload 'nope' (try --list)\n");
+    for (args, why) in [
+        (&["run", "--jobs", "0"][..], "--jobs must be at least 1"),
+        (&["run", "--save-model", "x"], "unknown argument '--save-model' (try --help)"),
+        (&["run", "--scale", "nan"], "--scale must be within 0.05..=4.0"),
+        (&["run", "--scale", "inf"], "--scale must be within 0.05..=4.0"),
+        (&["run", "--scale", "4.5"], "--scale must be within 0.05..=4.0"),
+        (&["run", "--seed"], "--seed requires a value"),
+        (&["run", "--approach", "magic"], "unknown approach 'magic'"),
+    ] {
+        let run = bench(&dir, args);
+        assert_eq!(run.status.code(), Some(2), "{args:?}");
+        assert!(run.stdout.is_empty(), "{args:?}");
+        let stderr = text(&run.stderr);
+        assert!(stderr.starts_with(&format!("error: {why}\n\n")), "{args:?}: {stderr}");
+        assert!(stderr.contains("USAGE:"), "{args:?}: {stderr}");
+    }
+    assert!(!dir.join("x").exists(), "--save-model wrote a file");
+}
+
+#[test]
+fn trace_reads_a_recorded_trace() {
+    let dir = workdir("trace");
+    record_trace(&dir, "a.json", 1);
+    record_trace(&dir, "b.json", 2);
+
+    let report = bench(&dir, &["trace", "report", "a.json"]);
+    assert_eq!(report.status.code(), Some(0), "{}", text(&report.stderr));
+    assert!(!report.stdout.is_empty());
+
+    let valid = bench(&dir, &["trace", "validate", "a.json"]);
+    assert_eq!(valid.status.code(), Some(0));
+    assert!(text(&valid.stdout).starts_with("a.json: valid trace ("), "{}", text(&valid.stdout));
+
+    let watch = bench(&dir, &["trace", "watch", "a.json"]);
+    assert_eq!(watch.status.code(), Some(0));
+    assert!(text(&watch.stdout).contains("\"alerts\""), "{}", text(&watch.stdout));
+    assert!(text(&watch.stderr).starts_with("pipetune-trace: "), "{}", text(&watch.stderr));
+
+    let same = bench(&dir, &["trace", "diff", "a.json", "a.json"]);
+    assert_eq!(same.status.code(), Some(0));
+    assert_eq!(text(&same.stdout), "traces are byte-identical\n");
+    let differ = bench(&dir, &["trace", "diff", "a.json", "b.json"]);
+    assert_eq!(differ.status.code(), Some(0));
+    assert!(text(&differ.stdout).starts_with("first difference: "), "{}", text(&differ.stdout));
+}
+
+#[test]
+fn trace_refuses_a_missing_file_bad_json_and_no_arguments() {
+    let dir = workdir("trace_refusals");
+    std::fs::write(dir.join("bad.json"), "{\"spans\": [").unwrap();
+    let missing = bench(&dir, &["trace", "report", "missing.json"]);
+    assert_eq!(missing.status.code(), Some(1));
+    assert!(text(&missing.stderr).starts_with("pipetune-trace: cannot read missing.json: "));
+    let bad = bench(&dir, &["trace", "validate", "bad.json"]);
+    assert_eq!(bad.status.code(), Some(2));
+    assert!(text(&bad.stderr).starts_with("pipetune-trace: bad.json: "), "{}", text(&bad.stderr));
+    for args in [&["trace"][..], &["trace", "explain", "bad.json"]] {
+        let usage = bench(&dir, args);
+        assert_eq!(usage.status.code(), Some(1), "{args:?}");
+        assert!(text(&usage.stderr).starts_with("usage: pipetune-bench trace "), "{args:?}");
+    }
+}
+
+/// `headline` and `headline --chaos` regenerate the committed reports byte
+/// for byte.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "trains the headline runs; CI runs this suite with --release"
+)]
+fn headline_regenerates_the_committed_reports() {
+    let dir = workdir("headline");
+    for (args, committed) in [
+        (&["headline", "--out", "h.json"][..], "BENCH_pipetune.json"),
+        (&["headline", "--chaos", "--out", "c.json"], "BENCH_pipetune.chaos.json"),
+    ] {
+        let run = bench(&dir, args);
+        assert_eq!(run.status.code(), Some(0), "{args:?}: {}", text(&run.stderr));
+        let fresh = std::fs::read(dir.join(args[args.len() - 1])).unwrap();
+        let committed =
+            std::fs::read(Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(committed));
+        assert!(fresh == committed.unwrap(), "{args:?} does not reproduce the committed file");
+    }
+    for policy in ["fifo", "processor_sharing", "shortest_remaining"] {
+        assert!(dir.join(format!("target/incidents.{policy}.json")).exists(), "{policy}");
+    }
+}
+
+/// `headline --check` reads its baseline first and never writes over it:
+/// a regressed copy of `BENCH_pipetune.json` under the default report name
+/// fails the gate, stays as it was, and the fresh report lands beside it.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "trains the headline runs; CI runs this suite with --release"
+)]
+fn headline_check_never_compares_a_report_with_itself() {
+    let dir = workdir("headline_check");
+    let committed = include_str!("../../../BENCH_pipetune.json");
+    let mut baseline = pipetune_insight::BenchReport::from_json_str(committed).unwrap();
+    baseline.metrics.insert("lenet_mnist.speedup_vs_v1".into(), 9.0);
+    let perturbed = format!("{}\n", baseline.to_json_string());
+    std::fs::write(dir.join("BENCH_pipetune.json"), &perturbed).unwrap();
+
+    let run = bench(&dir, &["headline", "--check", "BENCH_pipetune.json"]);
+    assert_eq!(run.status.code(), Some(2), "{}", text(&run.stderr));
+    assert!(text(&run.stdout).contains("REGRESSED"), "{}", text(&run.stdout));
+    assert_eq!(std::fs::read_to_string(dir.join("BENCH_pipetune.json")).unwrap(), perturbed);
+    let current = std::fs::read_to_string(dir.join("BENCH_pipetune.current.json")).unwrap();
+    assert!(current == committed, "the fresh report is not the committed one");
+}
+
+/// What `headline --check` refuses before it runs anything: a baseline it
+/// could not have written, and an `--out` that would write over it.
+#[test]
+fn headline_check_refuses_before_running() {
+    let dir = workdir("headline_refusals");
+    let committed = include_str!("../../../BENCH_pipetune.json");
+    std::fs::write(dir.join("BENCH_pipetune.json"), committed).unwrap();
+    let key = "\"lenet_mnist.speedup_vs_v1\": ";
+    let at = committed.find(key).unwrap() + key.len();
+    let end = at + committed[at..].find(',').unwrap();
+    let infinite = format!("{}1e999{}", &committed[..at], &committed[end..]);
+    std::fs::write(dir.join("infinite.json"), infinite).unwrap();
+    let refused = bench(&dir, &["headline", "--check", "infinite.json"]);
+    assert_eq!(refused.status.code(), Some(1));
+    assert_eq!(
+        text(&refused.stderr),
+        "bench_headline: cannot load baseline infinite.json: \
+         bench report: metric lenet_mnist.speedup_vs_v1 is not finite\n"
+    );
+
+    let args = ["headline", "--out", "BENCH_pipetune.json", "--check", "BENCH_pipetune.json"];
+    let refused = bench(&dir, &args);
+    assert_eq!(refused.status.code(), Some(1));
+    assert_eq!(
+        text(&refused.stderr),
+        "bench_headline: --out BENCH_pipetune.json would write over the baseline\n"
+    );
+    assert_eq!(std::fs::read_to_string(dir.join("BENCH_pipetune.json")).unwrap(), committed);
+    assert!(!dir.join("target").exists(), "a refused check ran");
 }

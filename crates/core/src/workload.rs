@@ -124,9 +124,11 @@ impl WorkloadSpec {
         vec![Self::jacobi(), Self::spkmeans(), Self::bfs()]
     }
 
-    /// Shrinks the real training datasets by `scale` (for fast tests).
+    /// Shrinks the real training datasets by `scale` (for fast tests),
+    /// clamped into `0.05..=4.0`; NaN becomes `0.05`.
     pub fn with_scale(mut self, scale: f32) -> Self {
-        self.scale = scale.clamp(*SCALE_RANGE.start(), *SCALE_RANGE.end());
+        // `f32::max` drops a NaN operand, where `clamp` would keep it.
+        self.scale = scale.max(*SCALE_RANGE.start()).min(*SCALE_RANGE.end());
         self
     }
 
@@ -717,6 +719,18 @@ mod tests {
             assert_eq!(WorkloadSpec::by_name(spec.name()).unwrap().name(), spec.name());
         }
         assert!(WorkloadSpec::by_name("nope").is_none());
+    }
+
+    #[test]
+    fn with_scale_keeps_its_range_for_nan_and_clamps_the_rest_as_clamp_does() {
+        let scaled = |s: f32| WorkloadSpec::lenet_mnist().with_scale(s).scale();
+        assert_eq!(scaled(f32::NAN).to_bits(), SCALE_RANGE.start().to_bits());
+        assert_eq!(scaled(-f32::NAN).to_bits(), SCALE_RANGE.start().to_bits());
+        let (lo, hi) = (*SCALE_RANGE.start(), *SCALE_RANGE.end());
+        let finite = [0.0, -0.0, 0.05, 0.0499, 0.2, 1.0, 4.0, 4.0001, -3.0, 1e-40, f32::MAX];
+        for s in finite.into_iter().chain([f32::INFINITY, f32::NEG_INFINITY]) {
+            assert_eq!(scaled(s).to_bits(), s.clamp(lo, hi).to_bits(), "{s}");
+        }
     }
 
     #[test]

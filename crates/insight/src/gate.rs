@@ -182,7 +182,9 @@ impl BenchReport {
     /// # Errors
     ///
     /// Returns a description of the first problem (bad JSON, wrong schema
-    /// version, non-numeric metric).
+    /// version, non-numeric metric, or a metric such as `1e999` that is
+    /// not finite: `to_json_string` could not have written it, and [`check`]
+    /// would judge any comparison with it `Ok`).
     pub fn from_json_str(text: &str) -> Result<Self, String> {
         let value: Value = serde_json::from_str(text).map_err(|e| format!("bench report: {e}"))?;
         let schema = value
@@ -208,6 +210,9 @@ impl BenchReport {
             let v = metric
                 .as_f64()
                 .ok_or_else(|| format!("bench report: metric {name} is not a number"))?;
+            if !v.is_finite() {
+                return Err(format!("bench report: metric {name} is not finite"));
+            }
             metrics.insert(name.clone(), v);
         }
         Ok(BenchReport { label, metrics })
@@ -381,6 +386,19 @@ mod tests {
             r#"{"schema": 1, "label": "x", "metrics": {"m": "high"}}"#
         )
         .is_err());
+    }
+
+    #[test]
+    fn from_json_refuses_a_metric_that_is_not_finite() {
+        for value in ["1e999", "-1e999"] {
+            let text = format!(
+                r#"{{"schema": 1, "label": "x", "metrics": {{"a.speedup_vs_v1": {value}}}}}"#
+            );
+            assert_eq!(
+                BenchReport::from_json_str(&text),
+                Err("bench report: metric a.speedup_vs_v1 is not finite".to_string())
+            );
+        }
     }
 
     #[test]

@@ -115,7 +115,7 @@ impl MonitorConfig {
     }
 
     /// Every detector at its default window parameters — what
-    /// `bench_headline --chaos` and `pipetune-trace watch` run.
+    /// `pipetune-bench headline --chaos` and `pipetune-bench trace watch` run.
     pub fn standard() -> Self {
         MonitorConfig {
             stall: Some(StallConfig::default()),
@@ -206,7 +206,7 @@ impl MonitorEngine {
     }
 
     /// Convenience: one-shot scan of a finished snapshot (the offline
-    /// `pipetune-trace watch` path).
+    /// `pipetune-bench trace watch` path).
     pub fn observe_snapshot(&mut self, snapshot: &TelemetrySnapshot) {
         self.observe(&snapshot.spans, &snapshot.events);
     }

@@ -25,7 +25,7 @@
 //! deterministic, sorted [`IncidentTimeline`] — exportable as
 //! sorted-key JSON, injectable back into the trace as `alert` point
 //! events plus `monitor.*` counters, and replayable offline
-//! (`pipetune-trace watch`) with byte-identical results.
+//! (`pipetune-bench trace watch`) with byte-identical results.
 //!
 //! # Determinism contract
 //!

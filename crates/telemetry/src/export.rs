@@ -427,7 +427,7 @@ impl TelemetrySnapshot {
     }
 
     /// Parses a JSON trace dump (the [`TelemetrySnapshot::to_json_string`]
-    /// format) back into a snapshot — the importer `pipetune-trace` and the
+    /// format) back into a snapshot — the importer `pipetune-bench trace` and the
     /// insight analyses are built on.
     ///
     /// Exact inverse up to bytes: `export → parse → export` is

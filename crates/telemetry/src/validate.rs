@@ -2,7 +2,7 @@
 //! that rejects malformed span trees with typed [`TraceError`]s.
 //!
 //! The executor only ever produces well-formed traces, but traces also
-//! arrive from *outside* — `pipetune-trace` re-imports JSON dumps that may
+//! arrive from *outside* — `pipetune-bench trace` re-imports JSON dumps that may
 //! have been truncated, hand-edited or produced by a buggy exporter. Every
 //! analysis in `pipetune-insight` assumes the invariants below, so the CLI
 //! validates before analysing.

@@ -5,7 +5,7 @@
 //!    engine consumes the telemetry stream in record order and that
 //!    stream is itself worker-count-invariant;
 //! 2. **live scans ≡ offline replay** — re-running the detector set over
-//!    the exported trace (`pipetune-trace watch`) reproduces the live
+//!    the exported trace (`pipetune-bench trace watch`) reproduces the live
 //!    run's timeline byte for byte;
 //! 3. an engine with **no detectors** (and an injected empty timeline)
 //!    leaves every artefact bit-identical to a monitor-less build;
@@ -125,7 +125,7 @@ fn offline_replay_equals_live_scans() {
     let (live, snap) = run_service(4, true, &MonitorConfig::standard());
 
     // Round-trip the trace through its JSON export — exactly what
-    // `pipetune-trace watch` consumes — then replay the detectors.
+    // `pipetune-bench trace watch` consumes — then replay the detectors.
     let parsed = TelemetrySnapshot::from_json_str(&snap.to_json_string()).expect("own export");
     let mut engine = MonitorEngine::new(&MonitorConfig::standard());
     engine.observe_snapshot(&parsed);

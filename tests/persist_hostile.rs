@@ -1,9 +1,10 @@
 //! Hostile input for the persisted artefacts the trace-codec suite does
 //! not reach: the epoch-cache file ([`EpochCacheHandle::load`]), the
-//! ground-truth store ([`GroundTruth::load`] over `Database::load`) and the
-//! line protocol a trace is replayed into a store from
-//! (`Database::import_line_protocol`; its mutations and its contract are
-//! with its test, at the end).
+//! ground-truth store ([`GroundTruth::load`] over `Database::load`), the
+//! committed benchmark reports the regression gate reads as its baseline
+//! ([`BenchReport::from_json_str`]) and the line protocol a trace is
+//! replayed into a store from (`Database::import_line_protocol`; its
+//! mutations and its contract are with its test, at the end).
 //!
 //! Each stock file is mutated thousands of times — bytes flipped, deleted,
 //! duplicated; truncation at every 64th; JSON tokens, `1e999`, `-0` and
@@ -18,7 +19,8 @@
 //! cache, a tuning run over it (every fresh trial peeks it, adopts the
 //! prefixes it finds, trains on and evaluates the adopted state, and the
 //! commit evicts from it) and a re-save of every entry; for a ground truth,
-//! `lookup`, `record` and `refit`.
+//! `lookup`, `record` and `refit`; for a benchmark report, writing it and
+//! reading it back unchanged (the gate compares only what a report can hold).
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -29,6 +31,7 @@ use pipetune::{
     TunerOptions, WorkloadSpec,
 };
 use pipetune_cluster::SystemConfig;
+use pipetune_insight::BenchReport;
 use pipetune_telemetry::TelemetryHandle;
 use pipetune_tsdb::{Database, Point, TsdbError};
 use rand::rngs::StdRng;
@@ -433,6 +436,29 @@ fn mutated_ground_truth_files_read_like_the_frozen_point() {
         "ground truth documents: {MUTANTS} mutants, {read} read alike, the rest refused alike"
     );
     assert!(read > 300 && read < MUTANTS - 1000, "{read} read");
+}
+
+/// The gate's baseline, the committed chaos report: a mutant is refused or
+/// read into a report that survives its own `to_json_string` unchanged —
+/// nothing the gate would compare is a value the report could not have
+/// written.
+#[test]
+fn mutated_bench_reports_are_refused_or_round_trip_never_a_panic() {
+    let stock = include_str!("../BENCH_pipetune.chaos.json");
+    let report = BenchReport::from_json_str(stock).unwrap();
+    assert_eq!(format!("{}\n", report.to_json_string()), stock);
+
+    let (read, rejected) = run_mutants("bench report", stock, |file| {
+        let Ok(text) = std::fs::read_to_string(file) else { return Ok(false) };
+        let Ok(report) = BenchReport::from_json_str(&text) else { return Ok(false) };
+        let written = report.to_json_string();
+        match BenchReport::from_json_str(&written) {
+            Ok(back) if back == report && back.to_json_string() == written => Ok(true),
+            other => Err(format!("read, but does not round-trip: {other:?}")),
+        }
+    });
+    // Most of a report is digits, so most mutants still read.
+    assert!(read > 300 && rejected > 300, "{read} read, {rejected} rejected");
 }
 
 // ------------------------------------------------------------ line protocol
