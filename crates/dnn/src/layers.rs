@@ -69,6 +69,59 @@ impl Dense {
         grad_out.matmul_nt_with(self.weight.value(), &mut self.ws)
     }
 
+    /// [`Dense::backward`] for a gradient that is nearly all zeros, such as
+    /// one that came back through a global max-pool: works from its
+    /// non-zero entries, row by row and column by column, instead of
+    /// multiplying every row. Same bits as `backward`. Each product the
+    /// skip drops is `x · 0.0 = ±0.0` (`∂W`) or `0.0 · w` (`∂x`, which the
+    /// product skips itself when the weight is not finite), and adding
+    /// ±0.0 changes no sum that started at +0.0. A NaN or an infinity in
+    /// the cached input (`∞ · 0.0`), or in the gradient (the product then
+    /// skips zero inputs instead), could tell, so then this runs `backward`.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Dense::backward`].
+    pub(crate) fn backward_sparse(&mut self, grad_out: &Tensor) -> Result<Tensor, TensorError> {
+        let x = self.cached_input.as_ref().ok_or(TensorError::Empty)?;
+        let (m, k) = (x.shape().dims()[0], self.weight.value().shape().dims()[0]);
+        let n = self.bias.len();
+        if grad_out.shape().dims() != [m, n] {
+            return Err(TensorError::ShapeMismatch {
+                expected: vec![m, n],
+                actual: grad_out.shape().dims().to_vec(),
+            });
+        }
+        let finite = |t: &Tensor| t.data().iter().fold(true, |all, v| all & v.is_finite());
+        if !(finite(x) && finite(grad_out)) {
+            return self.backward(grad_out);
+        }
+        // `∂Wᵀ` and `Wᵀ` row by row, so each entry is two contiguous
+        // `k`-wide updates.
+        let wt = self.weight.value().transpose()?;
+        let mut gwt = vec![0.0f32; n * k];
+        let mut gb = vec![0.0f32; n];
+        let mut gx = vec![0.0f32; m * k];
+        // `max(1)`: a layer without outputs has an empty gradient.
+        for (p, g_row) in grad_out.data().chunks_exact(n.max(1)).enumerate() {
+            for (j, &gv) in g_row.iter().enumerate() {
+                if gv == 0.0 {
+                    continue;
+                }
+                gb[j] += gv;
+                for (acc, &xv) in gwt[j * k..][..k].iter_mut().zip(&x.data()[p * k..][..k]) {
+                    *acc += gv * xv;
+                }
+                for (acc, &wv) in gx[p * k..][..k].iter_mut().zip(&wt.data()[j * k..][..k]) {
+                    *acc += gv * wv;
+                }
+            }
+        }
+        self.weight.accumulate(&Tensor::from_vec(gwt, &[n, k])?.transpose()?)?;
+        self.bias.accumulate(&Tensor::from_vec(gb, &[n])?)?;
+        Tensor::from_vec(gx, &[m, k])
+    }
+
     /// Visits the layer's parameters (weight then bias).
     pub fn visit_params(&mut self, v: &mut dyn ParamVisitor) {
         v.visit(&mut self.weight);
@@ -462,6 +515,62 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut layer = Dense::new(3, 2, &mut rng);
         assert!(layer.backward(&Tensor::ones(&[4, 2])).is_err());
+        assert!(layer.backward_sparse(&Tensor::ones(&[4, 2])).is_err());
+    }
+
+    /// `backward_sparse` against `backward` on gradients shaped like a
+    /// global max-pool's (one row in 22 per column), twice in a row so the
+    /// second call accumulates, clean and with a NaN, an infinity or a
+    /// denormal in the input, the gradient or the weight in turn.
+    #[test]
+    fn sparse_dense_backward_has_the_bits_of_the_dense_one() {
+        use rand::Rng;
+        let same = |what: &str, want: &Tensor, got: &Tensor| {
+            assert_eq!(want.shape(), got.shape(), "{what}");
+            for (w, g) in want.data().iter().zip(got.data()) {
+                assert!(w.to_bits() == g.to_bits() || (w.is_nan() && g.is_nan()), "{what}");
+            }
+        };
+        let mut rng = StdRng::seed_from_u64(23);
+        let (m, k, n) = (66, 9, 5);
+        for poisoned in [None, Some(0), Some(1), Some(2)] {
+            for special in [f32::NAN, f32::INFINITY, 1.0e-40] {
+                let mut dense = Dense::new(k, n, &mut rng);
+                let poison = |t: &mut Tensor, rng: &mut StdRng| {
+                    let at = rng.gen_range(0..t.len());
+                    t.data_mut()[at] = special;
+                };
+                if poisoned == Some(2) {
+                    poison(dense.weight.value_mut(), &mut rng);
+                }
+                let mut sparse = dense.clone();
+                for _ in 0..2 {
+                    let mut x = Tensor::randn(&[m, k], 1.0, &mut rng);
+                    let mut g = Tensor::zeros(&[m, n]);
+                    for p in 0..m / 22 {
+                        for j in 0..n {
+                            let row = p * 22 + rng.gen_range(0..22usize);
+                            g.data_mut()[row * n + j] = rng.gen_range(-1.0f32..1.0);
+                        }
+                    }
+                    if poisoned == Some(0) {
+                        poison(&mut x, &mut rng);
+                    }
+                    if poisoned == Some(1) {
+                        poison(&mut g, &mut rng);
+                    }
+                    dense.forward(&x, true).unwrap();
+                    sparse.forward(&x, true).unwrap();
+                    same("∂x", &dense.backward(&g).unwrap(), &sparse.backward_sparse(&g).unwrap());
+                    same("∂W", dense.weight.grad(), sparse.weight.grad());
+                    same("∂b", dense.bias.grad(), sparse.bias.grad());
+                }
+            }
+        }
+        let mut no_outputs = Dense::new(3, 0, &mut rng);
+        no_outputs.forward(&Tensor::ones(&[2, 3]), true).unwrap();
+        let gx = no_outputs.backward_sparse(&Tensor::zeros(&[2, 0])).unwrap();
+        same("∂x without outputs", &Tensor::zeros(&[2, 3]), &gx);
     }
 
     #[test]

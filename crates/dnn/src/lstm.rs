@@ -4,6 +4,16 @@
 //! classification). Only the final hidden state feeds the classifier head, so
 //! the backward pass starts from `∂L/∂h_T` and unrolls backwards through every
 //! timestep, producing gradients for both weights and the embedded inputs.
+//!
+//! A step costs its transcendentals more than its four small GEMMs: three
+//! sigmoids and two `tanh`s per hidden unit forward, and a `tanh` is ~4× a
+//! sigmoid. So the training forward keeps the `tanh(c)` it computes for
+//! `h = o ⊙ tanh(c)`, and the backward reads it instead of taking it again,
+//! then runs its element-wise chain (`∂c`, the four clipped gate gradients,
+//! `∂c_{t−1}`) as one pass per element. Both keep every element's IEEE
+//! operations in the order the tensor-at-a-time chain took them:
+//! `crates/dnn/tests/lstm_determinism.rs` holds that chain, frozen, and
+//! compares bit for bit.
 
 use pipetune_tensor::{Tensor, TensorError, Workspace};
 use rand::Rng;
@@ -24,7 +34,7 @@ struct StepCache {
     f: Tensor,      // forget gate
     g: Tensor,      // candidate (post-tanh)
     o: Tensor,      // output gate
-    c: Tensor,      // new cell state
+    tanh_c: Tensor, // tanh of the new cell state: h = o ⊙ tanh_c
 }
 
 /// Single-layer LSTM over batches of equal-length embedded sequences.
@@ -119,7 +129,8 @@ impl LstmCell {
                 }
             }
             let c_new = f_g.mul(&c_t)?.add(&i_g.mul(&g_g)?)?;
-            let h_new = o_g.mul(&c_new.map(f32::tanh))?;
+            let tanh_c = c_new.map(f32::tanh);
+            let h_new = o_g.mul(&tanh_c)?;
             if let Some(cache) = cache.as_mut() {
                 cache.push(StepCache {
                     x: x_step,
@@ -129,7 +140,7 @@ impl LstmCell {
                     f: f_g,
                     g: g_g,
                     o: o_g,
-                    c: c_new.clone(),
+                    tanh_c,
                 });
             }
             h_t = h_new;
@@ -147,11 +158,19 @@ impl LstmCell {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::Empty`] before a training-mode forward pass.
+    /// Returns [`TensorError::RankMismatch`] when `grad_h_last` is not a
+    /// matrix, [`TensorError::Empty`] before a training-mode forward pass,
+    /// and a shape error when `grad_h_last` is not `[batch, hidden]`.
     pub fn backward(&mut self, grad_h_last: &Tensor) -> Result<Tensor, TensorError> {
+        let &[b, _] = grad_h_last.shape().dims() else {
+            return Err(TensorError::RankMismatch {
+                expected: 2,
+                actual: grad_h_last.shape().rank(),
+            });
+        };
         let cache = self.cache.take().ok_or(TensorError::Empty)?;
         let t = cache.len();
-        let (b, h) = (grad_h_last.shape().dims()[0], self.hidden);
+        let h = self.hidden;
         let d = self.input_dim;
         let mut dh = grad_h_last.clone();
         let mut dc = Tensor::zeros(&[b, h]);
@@ -159,30 +178,34 @@ impl LstmCell {
         let mut gwx = Tensor::zeros(&[d, 4 * h]);
         let mut gwh = Tensor::zeros(&[h, 4 * h]);
         let mut gb = Tensor::zeros(&[4 * h]);
+        let clip = |v: f32| v.clamp(-5.0, 5.0);
         for (step, sc) in cache.iter().enumerate().rev() {
-            let tanh_c = sc.c.map(f32::tanh);
-            // dc += dh ⊙ o ⊙ (1 − tanh²c)
-            let one_minus_t2 = tanh_c.map(|v| 1.0 - v * v);
-            dc.axpy(1.0, &dh.mul(&sc.o)?.mul(&one_minus_t2)?)?;
-            let do_ = dh.mul(&tanh_c)?;
-            let di = dc.mul(&sc.g)?;
-            let df = dc.mul(&sc.c_prev)?;
-            let dg = dc.mul(&sc.i)?;
-            let dc_prev = dc.mul(&sc.f)?;
-            // Pre-activation gradients, clipped for stability.
-            let clip = |v: f32| v.clamp(-5.0, 5.0);
-            let dzi = di.zip_with(&sc.i, |dv, iv| clip(dv * iv * (1.0 - iv)))?;
-            let dzf = df.zip_with(&sc.f, |dv, fv| clip(dv * fv * (1.0 - fv)))?;
-            let dzg = dg.zip_with(&sc.g, |dv, gv| clip(dv * (1.0 - gv * gv)))?;
-            let dzo = do_.zip_with(&sc.o, |dv, ov| clip(dv * ov * (1.0 - ov)))?;
-            // Pack [b, 4h] gate-gradient matrix in [i, f, g, o] order.
+            if dh.shape() != sc.o.shape() {
+                return Err(TensorError::ShapeMismatch {
+                    expected: sc.o.shape().dims().to_vec(),
+                    actual: dh.shape().dims().to_vec(),
+                });
+            }
+            // One pass per element, each product in the order the
+            // tensor-at-a-time chain took it: dc += dh ⊙ o ⊙ (1 − tanh²c)
+            // (the chain's `axpy(1.0, ·)`: multiplying by one is exact),
+            // then the four pre-activation gradients, clipped for stability
+            // and packed [b, 4h] in [i, f, g, o] order, and dc ← dc ⊙ f.
             let mut dz = Tensor::zeros(&[b, 4 * h]);
+            let (dz_all, dcs, dhs) = (dz.data_mut(), dc.data_mut(), dh.data());
+            let (is, fs, gs, os) = (sc.i.data(), sc.f.data(), sc.g.data(), sc.o.data());
+            let (cs, ts) = (sc.c_prev.data(), sc.tanh_c.data());
             for bi in 0..b {
+                let dz_row = &mut dz_all[bi * 4 * h..][..4 * h];
                 for j in 0..h {
-                    dz.data_mut()[bi * 4 * h + j] = dzi.data()[bi * h + j];
-                    dz.data_mut()[bi * 4 * h + h + j] = dzf.data()[bi * h + j];
-                    dz.data_mut()[bi * 4 * h + 2 * h + j] = dzg.data()[bi * h + j];
-                    dz.data_mut()[bi * 4 * h + 3 * h + j] = dzo.data()[bi * h + j];
+                    let e = bi * h + j;
+                    let (i, f, g, o, tc) = (is[e], fs[e], gs[e], os[e], ts[e]);
+                    let dce = dcs[e] + dhs[e] * o * (1.0 - tc * tc);
+                    dz_row[j] = clip(dce * g * i * (1.0 - i));
+                    dz_row[h + j] = clip(dce * cs[e] * f * (1.0 - f));
+                    dz_row[2 * h + j] = clip(dce * i * (1.0 - g * g));
+                    dz_row[3 * h + j] = clip(dhs[e] * tc * o * (1.0 - o));
+                    dcs[e] = dce * f;
                 }
             }
             gwx.axpy(1.0, &sc.x.matmul_tn_with(&dz, &mut self.ws)?)?;
@@ -197,7 +220,6 @@ impl LstmCell {
                 }
             }
             dh = dz.matmul_nt_with(self.wh.value(), &mut self.ws)?;
-            dc = dc_prev;
         }
         self.wx.accumulate(&gwx)?;
         self.wh.accumulate(&gwh)?;
@@ -242,6 +264,23 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut cell = LstmCell::new(2, 3, &mut rng);
         assert!(cell.backward(&Tensor::ones(&[1, 3])).is_err());
+    }
+
+    #[test]
+    fn backward_refuses_a_gradient_that_is_not_a_matrix() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut cell = LstmCell::new(2, 3, &mut rng);
+        cell.forward(&Tensor::ones(&[1, 4, 2]), true).unwrap();
+        let scalar = Tensor::from_vec(vec![1.0], &[]).unwrap();
+        assert_eq!(
+            cell.backward(&scalar).unwrap_err(),
+            TensorError::RankMismatch { expected: 2, actual: 0 }
+        );
+        cell.forward(&Tensor::ones(&[1, 4, 2]), true).unwrap();
+        assert!(matches!(
+            cell.backward(&Tensor::ones(&[2, 3])),
+            Err(TensorError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]

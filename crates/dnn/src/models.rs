@@ -558,7 +558,7 @@ impl TextCnn {
         self.seq_len - self.window + 1
     }
 
-    fn im2col(&self, emb: &Tensor, b: usize) -> Tensor {
+    fn im2col(&self, emb: &Tensor, b: usize) -> Result<Tensor, TensorError> {
         let d = self.embedding.dim();
         let t = self.seq_len;
         let w = self.window;
@@ -570,7 +570,7 @@ impl TextCnn {
                 out.extend_from_slice(&emb.data()[start..start + w * d]);
             }
         }
-        Tensor::from_vec(out, &[b * pos, w * d]).expect("sizes agree by construction")
+        Tensor::from_vec(out, &[b * pos, w * d])
     }
 }
 
@@ -593,7 +593,7 @@ impl Model for TextCnn {
     ) -> Result<Tensor, TensorError> {
         let b = batch.len();
         let emb = self.embedding.forward(batch, train)?; // [b, t, d]
-        let windows = self.im2col(&emb, b); // [b*pos, w*d]
+        let windows = self.im2col(&emb, b)?; // [b*pos, w*d]
         let conv_out = self.conv.forward(&windows, train)?; // [b*pos, f]
         let act = self.relu.forward(&conv_out, train);
         // Global max pool over positions: [b*pos, f] → [b, f].
@@ -635,8 +635,9 @@ impl Model for TextCnn {
             }
         }
         let g = self.relu.backward(&gact)?;
-        let gwin = self.conv.backward(&g)?; // [b*pos, w*d]
-                                            // col2im: scatter window gradients back onto the embedded sequence.
+        // At most one position in `pos` per (sample, filter) is non-zero.
+        let gwin = self.conv.backward_sparse(&g)?; // [b*pos, w*d]
+                                                   // col2im: scatter window gradients back onto the embedded sequence.
         let d = self.embedding.dim();
         let t = self.seq_len;
         let w = self.window;

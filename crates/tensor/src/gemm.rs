@@ -181,7 +181,7 @@ unsafe fn tile_avx<const R: usize, const SKIP: bool>(
 }
 
 /// Whether the running CPU supports AVX (always false off x86-64).
-fn avx_available() -> bool {
+pub(crate) fn avx_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx")

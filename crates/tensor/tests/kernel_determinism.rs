@@ -1,13 +1,16 @@
 //! Pins the kernels' summation-order contract (`docs/performance.md`): the
 //! blocked GEMM behind `Tensor::matmul{,_tn,_nt}`, the two convolution
-//! lowerings behind `conv2d_gemm_with` and the im2col backward pass behind
-//! `conv2d_backward_with` must reproduce, bit for bit, the kernels this
-//! repository shipped before them — frozen below, never to be "improved".
+//! lowerings behind `conv2d_gemm_with` and the backward pass behind
+//! `conv2d_backward_with` (direct on large planes, over the im2col unfold on
+//! small ones) must reproduce, bit for bit, the kernels this repository
+//! shipped before them — frozen below, never to be "improved".
 //!
 //! Equality is on `f32::to_bits`, over the shapes the workloads issue and
 //! the edges of every blocking parameter, with ±0.0, NaN, ±∞ and denormals
 //! injected into each operand in turn: the zero-skip rule is observable
-//! exactly there. One exception to "bit for bit": two NaNs count as equal
+//! exactly there. The backward also meets output gradients shaped like the
+//! ones training hands it, at least three in four zero after max-pooling
+//! and a ReLU. One exception to "bit for bit": two NaNs count as equal
 //! whatever their payload, which IEEE 754 leaves to the implementation (it
 //! depends on the operand order the compiler picks for a commutative add).
 
@@ -244,6 +247,62 @@ fn check_conv(
     Ok(())
 }
 
+/// An output gradient shaped like one that came back through 2×2 max
+/// pooling and a ReLU: in every 2×2 window of a plane one position, drawn
+/// at random, holds a normal draw, kept with probability ½ — at least three
+/// in four are zero, in no pattern. When `poisoned`, one element in sixteen
+/// is then replaced by a special value.
+fn pooled_grad(dims: &[usize], poisoned: bool, rng: &mut StdRng) -> Tensor {
+    let (oh, ow) = (dims[2], dims[3]);
+    let draws = Tensor::randn(dims, 1.0, rng);
+    let mut g = Tensor::zeros(dims);
+    for (plane, draw) in g.data_mut().chunks_exact_mut(oh * ow).zip(draws.data().chunks(oh * ow)) {
+        for y0 in (0..oh).step_by(2) {
+            for x0 in (0..ow).step_by(2) {
+                let (y, x) = (y0 + rng.gen_range(0..2usize), x0 + rng.gen_range(0..2usize));
+                if y < oh && x < ow && rng.gen_bool(0.5) {
+                    plane[y * ow + x] = draw[y * ow + x];
+                }
+            }
+        }
+    }
+    for v in g.data_mut() {
+        if poisoned && rng.gen_range(0..16) == 0 {
+            *v = SPECIALS[rng.gen_range(0..SPECIALS.len())];
+        }
+    }
+    g
+}
+
+/// One convolution backward `(batch, cin, cout, ksize, hw)` against the
+/// frozen kernel under a [`pooled_grad`], clean and with each operand
+/// poisoned in turn, with and without the input gradient.
+fn check_pooled_backward(
+    [batch, cin, cout, ksize, hw]: [usize; 5],
+    rng: &mut StdRng,
+    ws: &mut Workspace,
+) -> Result<(), String> {
+    let o = hw - ksize + 1;
+    for poisoned in [None, Some(0), Some(1), Some(2)] {
+        let x = operand(&[batch, cin, hw, hw], poisoned == Some(0), rng);
+        let w = operand(&[cout, cin, ksize, ksize], poisoned == Some(1), rng);
+        let g = pooled_grad(&[batch, cout, o, o], poisoned == Some(2), rng);
+        let ctx = |name: &str, e: String| {
+            format!("{name} b{batch} c{cin} o{cout} k{ksize} s{hw} poisoned {poisoned:?}: {e}")
+        };
+        let (gx, gk, gb) = frozen_conv2d_backward(&x, &w, &g);
+        let full = conv2d_backward_with(&x, &w, &g, true, ws).unwrap();
+        same_bits(&gx, full.grad_input.as_ref().expect("asked for").data())
+            .map_err(|e| ctx("∂x", e))?;
+        same_bits(&gk, full.grad_weight.data()).map_err(|e| ctx("∂W", e))?;
+        same_bits(&gb, full.grad_bias.data()).map_err(|e| ctx("∂b", e))?;
+        let params = conv2d_backward_with(&x, &w, &g, false, ws).unwrap();
+        same_bits(&gk, params.grad_weight.data()).map_err(|e| ctx("∂W without ∂x", e))?;
+        same_bits(&gb, params.grad_bias.data()).map_err(|e| ctx("∂b without ∂x", e))?;
+    }
+    Ok(())
+}
+
 /// Every dense product one training step of LeNet5(16), TextCnn and
 /// LstmClassifier issues (the benchmark's `gemm_inventory`).
 fn gemm_inventory(batch: usize) -> [(usize, usize, usize); 8] {
@@ -290,6 +349,40 @@ proptest! {
         for [cin, cout, ksize, hw] in LENET_CONVS {
             for batch in BATCHES {
                 if let Err(e) = check_conv([batch, cin, cout, ksize, hw], true, &mut rng, &mut ws) {
+                    prop_assert!(false, "{}", e);
+                }
+            }
+        }
+    }
+
+    /// The LeNet convolutions and output planes of 5×5, 6×6 and 7×7 — either
+    /// side of the backward's direct / unfold threshold (36 positions) — at
+    /// one and six input channels, under gradients shaped like training's.
+    #[test]
+    fn pooled_gradients_match_the_frozen_backward(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ws = Workspace::new();
+        let planes = [[1, 6, 5, 9], [1, 6, 5, 10], [1, 6, 5, 11], [6, 16, 5, 10], [6, 16, 5, 11]];
+        for [cin, cout, ksize, hw] in LENET_CONVS.into_iter().chain(planes) {
+            for batch in BATCHES {
+                if let Err(e) = check_pooled_backward([batch, cin, cout, ksize, hw], &mut rng, &mut ws) {
+                    prop_assert!(false, "{}", e);
+                }
+            }
+        }
+    }
+
+    /// Every kernel width from 1 to 9 — the direct backward's 8-lane rows
+    /// and the unfold past them — on an 8×8 output plane, above the
+    /// threshold.
+    #[test]
+    fn every_kernel_width_matches_the_frozen_backward(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ws = Workspace::new();
+        for ksize in 1..=9 {
+            for batch in BATCHES {
+                let shape = [batch, 2, 3, ksize, ksize + 7];
+                if let Err(e) = check_pooled_backward(shape, &mut rng, &mut ws) {
                     prop_assert!(false, "{}", e);
                 }
             }

@@ -140,4 +140,26 @@ fn warm_workspace_kernels_do_not_allocate() {
              {reps} calls; budget is the returned tensors ({returned} floats) plus shape bookkeeping"
         );
     }
+
+    // LeNet's first convolution at the sessions' largest batch, as
+    // `LeNet5::backward` calls it: a 12×12 plane takes the direct kernel
+    // gradient, whose compaction list and padded last sample come from the
+    // pool as well.
+    let x1 = Tensor::randn(&[256, 1, 16, 16], 1.0, &mut rng);
+    let w1 = Tensor::randn(&[6, 1, 5, 5], 0.5, &mut rng);
+    let grad1 = Tensor::randn(&[256, 6, 12, 12], 1.0, &mut rng);
+    let warm = conv2d_backward_with(&x1, &w1, &grad1, false, &mut ws).expect("warm-up");
+    let returned = (w1.len() + 6) as u64 * 4;
+    let bytes = allocated_during(|| {
+        for _ in 0..reps {
+            let grads = conv2d_backward_with(&x1, &w1, &grad1, false, &mut ws).expect("backward");
+            assert!(grads.grad_input.is_none());
+            assert_eq!(grads.grad_weight.data(), warm.grad_weight.data());
+        }
+    });
+    assert!(
+        bytes <= reps * (returned + 2 * 256),
+        "conv1's backward at batch 256 allocated {bytes} bytes over {reps} calls; budget is \
+         the returned tensors ({returned} bytes) plus shape bookkeeping"
+    );
 }
