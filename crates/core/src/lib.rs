@@ -71,9 +71,7 @@ pub use scheduler_choice::SchedulerKind;
 pub use sharing::{simulate_fifo, simulate_processor_sharing, SharedCompletion, SharedJob};
 pub use trial::{EpochPhase, EpochRecord, SystemTuner, TrialExecution};
 pub use tuner::{ConvergencePoint, PipeTune, TunerOptions, TuningOutcome};
-pub use workload::{
-    AnyModel, EpochOutcome, EpochWorkload, JobType, WorkloadInstance, WorkloadSpec,
-};
+pub use workload::{EpochOutcome, EpochWorkload, JobType, WorkloadInstance, WorkloadSpec};
 
 /// One-stop import surface for applications driving PipeTune.
 ///

@@ -12,14 +12,13 @@
 
 use pipetune_cluster::WorkUnits;
 use pipetune_data::{fashion_like, mnist_like, news20_like, ImageSpec, TextSpec};
-use pipetune_dnn::{
-    Dataset, EpochMetrics, LeNet5, LstmClassifier, Model, ModelSignature, TextCnn, TrainConfig,
-};
+use pipetune_dnn::{Dataset, DnnError, LeNet5, LstmClassifier, Model, Param, TextCnn, TrainConfig};
 use pipetune_kernels::{
     Bfs, BfsConfig, Hotspot, HotspotConfig, IterativeKernel, Jacobi, JacobiConfig, SpKMeans,
     SpKMeansConfig,
 };
 use pipetune_perfmon::WorkloadSignature;
+use pipetune_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -244,7 +243,7 @@ impl WorkloadSpec {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5049_5045);
         let s = self.scale;
         let scaled = |n: usize| ((n as f32 * s) as usize).max(16);
-        let inner = match self.kind {
+        let mut payload = match self.kind {
             SpecKind::LenetMnist | SpecKind::LenetFashion => {
                 let spec =
                     ImageSpec { train: scaled(256), test: scaled(96), ..ImageSpec::default() };
@@ -253,13 +252,13 @@ impl WorkloadSpec {
                 } else {
                     fashion_like(&spec, seed)?
                 };
-                let model = AnyModel::LeNet(LeNet5::with_input_size(16, 10, hp.dropout, &mut rng)?);
-                InstanceKind::Dnn { model, train, test }
+                let net = Network::LeNet(LeNet5::with_input_size(16, 10, hp.dropout, &mut rng)?);
+                Payload::Dnn { net, train, test }
             }
             SpecKind::CnnNews20 => {
                 let spec = TextSpec { train: scaled(240), test: scaled(80), ..TextSpec::default() };
                 let (train, test) = news20_like(&spec, seed)?;
-                let model = AnyModel::TextCnn(TextCnn::new(
+                let net = Network::TextCnn(TextCnn::new(
                     spec.vocab,
                     spec.seq_len,
                     hp.embedding_dim,
@@ -268,7 +267,7 @@ impl WorkloadSpec {
                     hp.dropout,
                     &mut rng,
                 )?);
-                InstanceKind::Dnn { model, train, test }
+                Payload::Dnn { net, train, test }
             }
             SpecKind::LstmNews20 => {
                 let spec = TextSpec {
@@ -278,7 +277,7 @@ impl WorkloadSpec {
                     ..TextSpec::default()
                 };
                 let (train, test) = news20_like(&spec, seed)?;
-                let model = AnyModel::Lstm(LstmClassifier::new(
+                let net = Network::Lstm(LstmClassifier::new(
                     spec.vocab,
                     spec.seq_len,
                     hp.embedding_dim,
@@ -287,21 +286,21 @@ impl WorkloadSpec {
                     hp.dropout,
                     &mut rng,
                 )?);
-                InstanceKind::Dnn { model, train, test }
+                Payload::Dnn { net, train, test }
             }
             SpecKind::Jacobi => {
                 // Map the generic hyperparameters onto the solver: the
                 // learning rate plays the relaxation factor's role.
                 let omega = (hp.learning_rate * 10.0).clamp(0.05, 1.0);
                 let grid = scaled(40);
-                InstanceKind::Jacobi(Jacobi::new(&JacobiConfig { grid, omega }, seed))
+                Payload::Kernel(Kernel::Jacobi(Jacobi::new(&JacobiConfig { grid, omega }, seed)))
             }
             SpecKind::SpKMeans => {
                 // Embedding dimension plays k; batch size the mini-batch
                 // fraction.
                 let k = (hp.embedding_dim / 8).clamp(2, 16);
                 let frac = (hp.batch_size as f32 / 1024.0).clamp(0.05, 1.0);
-                InstanceKind::SpKMeans(SpKMeans::new(
+                Payload::Kernel(Kernel::SpKMeans(SpKMeans::new(
                     &SpKMeansConfig {
                         points: scaled(1600),
                         k,
@@ -309,20 +308,52 @@ impl WorkloadSpec {
                         ..SpKMeansConfig::default()
                     },
                     seed,
-                ))
+                )))
             }
             SpecKind::Bfs => {
                 let chunk = hp.batch_size.max(1);
-                InstanceKind::Bfs(Bfs::new(
+                Payload::Kernel(Kernel::Bfs(Bfs::new(
                     &BfsConfig { vertices: scaled(3000), chunk, ..BfsConfig::default() },
                     seed,
-                ))
+                )))
             }
             SpecKind::Hotspot => {
                 // Learning rate plays the diffusion time-step (stability-
                 // bounded, like the Jacobi relaxation factor).
                 let dt = (hp.learning_rate * 2.0).clamp(0.01, 0.5);
-                InstanceKind::Hotspot(Hotspot::new(&HotspotConfig { grid: scaled(40), dt }, seed))
+                let cfg = HotspotConfig { grid: scaled(40), dt };
+                Payload::Kernel(Kernel::Hotspot(Hotspot::new(&cfg, seed)))
+            }
+        };
+        let signature = match &mut payload {
+            Payload::Dnn { net, .. } => {
+                let sig = net.model().signature();
+                WorkloadSignature {
+                    flops_per_epoch: sig.flops_per_sample
+                        * self.framework_overhead()
+                        * self.paper_examples() as f64,
+                    // Working set under BigDL/Spark: JVM+framework floor,
+                    // cached dataset replicas, and per-batch activation/
+                    // shuffle footprint (the term that makes the memory knob
+                    // matter for large batches). Calibration documented in
+                    // DESIGN.md.
+                    working_set_bytes: 2.5e9
+                        + self.paper_dataset_bytes() * 40.0
+                        + hp.batch_size as f64 * 2.0e7,
+                    memory_intensity: sig.memory_intensity,
+                    branch_ratio: sig.branch_ratio,
+                }
+            }
+            Payload::Kernel(kernel) => {
+                let sig = kernel.get().signature();
+                // Kernels run at their real scale; lift flops to the paper's
+                // input sizes proportionally.
+                WorkloadSignature {
+                    flops_per_epoch: sig.flops_per_epoch * self.framework_overhead(),
+                    working_set_bytes: sig.working_set_bytes * 50.0,
+                    memory_intensity: sig.memory_intensity,
+                    branch_ratio: sig.branch_ratio,
+                }
             }
         };
         let train_cfg = TrainConfig {
@@ -331,62 +362,67 @@ impl WorkloadSpec {
             momentum: 0.9,
             weight_decay: 0.0,
         };
-        Ok(WorkloadInstance { spec: *self, hp: *hp, train_cfg, inner, rng, epochs_run: 0, seed })
+        Ok(WorkloadInstance {
+            spec: *self,
+            hp: *hp,
+            train_cfg,
+            payload,
+            signature,
+            rng,
+            epochs_run: 0,
+            seed,
+        })
     }
 }
 
-/// Enum dispatch over the three DNN model families (the `Model` trait is not
-/// object-safe because `train_epoch` is generic over the RNG).
+/// The model of a DNN workload, stored by family so an instance stays
+/// `Clone` and `Debug`. Every operation reaches it as a [`Model`] through
+/// [`Network::model`], so a new family is a variant, an arm there and one in
+/// [`WorkloadSpec::instantiate`].
 #[derive(Debug, Clone)]
 #[allow(clippy::large_enum_variant)] // one live model per trial; clarity wins
-pub enum AnyModel {
-    /// LeNet-5.
+enum Network {
     LeNet(LeNet5),
-    /// Text CNN.
     TextCnn(TextCnn),
-    /// LSTM classifier.
     Lstm(LstmClassifier),
 }
 
-impl AnyModel {
-    fn train_epoch(
-        &mut self,
-        data: &Dataset,
-        cfg: &TrainConfig,
-        rng: &mut StdRng,
-    ) -> Result<EpochMetrics, PipeTuneError> {
-        Ok(match self {
-            AnyModel::LeNet(m) => m.train_epoch(data, cfg, rng)?,
-            AnyModel::TextCnn(m) => m.train_epoch(data, cfg, rng)?,
-            AnyModel::Lstm(m) => m.train_epoch(data, cfg, rng)?,
-        })
-    }
-
-    fn evaluate(&mut self, data: &Dataset) -> Result<f32, PipeTuneError> {
-        Ok(match self {
-            AnyModel::LeNet(m) => m.evaluate(data)?,
-            AnyModel::TextCnn(m) => m.evaluate(data)?,
-            AnyModel::Lstm(m) => m.evaluate(data)?,
-        })
-    }
-
-    fn signature(&self) -> ModelSignature {
+impl Network {
+    fn model(&mut self) -> &mut dyn Model {
         match self {
-            AnyModel::LeNet(m) => m.signature(),
-            AnyModel::TextCnn(m) => m.signature(),
-            AnyModel::Lstm(m) => m.signature(),
+            Network::LeNet(m) => m,
+            Network::TextCnn(m) => m,
+            Network::Lstm(m) => m,
+        }
+    }
+}
+
+/// A Type-III kernel, stored by kind like [`Network`] and reached as an
+/// [`IterativeKernel`] through [`Kernel::get`].
+#[derive(Debug, Clone)]
+enum Kernel {
+    Jacobi(Jacobi),
+    SpKMeans(SpKMeans),
+    Bfs(Bfs),
+    Hotspot(Hotspot),
+}
+
+impl Kernel {
+    fn get(&mut self) -> &mut dyn IterativeKernel {
+        match self {
+            Kernel::Jacobi(k) => k,
+            Kernel::SpKMeans(k) => k,
+            Kernel::Bfs(k) => k,
+            Kernel::Hotspot(k) => k,
         }
     }
 }
 
 #[derive(Debug, Clone)]
 #[allow(clippy::large_enum_variant)] // one live instance per trial; clarity wins
-enum InstanceKind {
-    Dnn { model: AnyModel, train: Dataset, test: Dataset },
-    Jacobi(Jacobi),
-    SpKMeans(SpKMeans),
-    Bfs(Bfs),
-    Hotspot(Hotspot),
+enum Payload {
+    Dnn { net: Network, train: Dataset, test: Dataset },
+    Kernel(Kernel),
 }
 
 /// Result of one real epoch of work.
@@ -430,7 +466,10 @@ pub struct WorkloadInstance {
     spec: WorkloadSpec,
     hp: HyperParams,
     train_cfg: TrainConfig,
-    inner: InstanceKind,
+    payload: Payload,
+    /// Profiler signature at the paper's scale: the architecture and the
+    /// hyperparameters fix it at instantiation.
+    signature: WorkloadSignature,
     rng: StdRng,
     epochs_run: u32,
     /// The seed [`WorkloadSpec::instantiate`] was called with — kept so the
@@ -468,22 +507,31 @@ impl WorkloadInstance {
         self.epochs_run = epochs_run;
     }
 
+    /// The model of a DNN workload.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipeTuneError::Dnn`] for kernels, which have none.
+    fn model(&mut self) -> Result<&mut dyn Model, PipeTuneError> {
+        match &mut self.payload {
+            Payload::Dnn { net, .. } => Ok(net.model()),
+            Payload::Kernel(_) => Err(PipeTuneError::Dnn(DnnError::WrongFeatureKind {
+                expected: "image or token",
+                actual: "kernel",
+            })),
+        }
+    }
+
     /// Snapshots the full trainable parameter state — weights plus the
     /// optimizer's gradient/momentum buffers — of a DNN workload (`None`
     /// for kernels). Restoring this snapshot resumes training bit for
     /// bit, which the epoch-cache persistence path requires; contrast
     /// [`WorkloadInstance::export_weights`], which captures values only.
-    pub(crate) fn export_params(&self) -> Option<Vec<pipetune_dnn::Param>> {
-        match &self.inner {
-            // `Model::export_params` visits through `&mut`: the copy it
-            // needs is of the model, not of the datasets beside it.
-            InstanceKind::Dnn { model, .. } => Some(match model.clone() {
-                AnyModel::LeNet(mut m) => m.export_params(),
-                AnyModel::TextCnn(mut m) => m.export_params(),
-                AnyModel::Lstm(mut m) => m.export_params(),
-            }),
-            _ => None,
-        }
+    pub(crate) fn export_params(&self) -> Option<Vec<Param>> {
+        // `Model::export_params` visits through `&mut`: the copy it
+        // needs is of the model, not of the datasets beside it.
+        let Payload::Dnn { net, .. } = &self.payload else { return None };
+        Some(net.clone().model().export_params())
     }
 
     /// Restores parameter state exported by
@@ -493,38 +541,15 @@ impl WorkloadInstance {
     /// # Errors
     ///
     /// Returns [`PipeTuneError::Dnn`] on kernels or shape mismatches.
-    pub(crate) fn import_params(
-        &mut self,
-        params: &[pipetune_dnn::Param],
-    ) -> Result<(), PipeTuneError> {
-        match &mut self.inner {
-            InstanceKind::Dnn { model, .. } => {
-                match model {
-                    AnyModel::LeNet(m) => m.import_params(params)?,
-                    AnyModel::TextCnn(m) => m.import_params(params)?,
-                    AnyModel::Lstm(m) => m.import_params(params)?,
-                }
-                Ok(())
-            }
-            _ => Err(PipeTuneError::Dnn(pipetune_dnn::DnnError::WrongFeatureKind {
-                expected: "image or token",
-                actual: "kernel",
-            })),
-        }
+    pub(crate) fn import_params(&mut self, params: &[Param]) -> Result<(), PipeTuneError> {
+        Ok(self.model()?.import_params(params)?)
     }
 
     /// Snapshots the current model's trainable weights (DNN workloads only;
     /// kernels have no weights). Together with the hyperparameters this is
     /// the "trained model + optimal parameters" output of Fig. 6.
-    pub(crate) fn export_weights(&mut self) -> Option<Vec<pipetune_tensor::Tensor>> {
-        match &mut self.inner {
-            InstanceKind::Dnn { model, .. } => Some(match model {
-                AnyModel::LeNet(m) => m.export_weights(),
-                AnyModel::TextCnn(m) => m.export_weights(),
-                AnyModel::Lstm(m) => m.export_weights(),
-            }),
-            _ => None,
-        }
+    pub(crate) fn export_weights(&mut self) -> Option<Vec<Tensor>> {
+        self.model().ok().map(|m| m.export_weights())
     }
 
     /// Restores model weights exported from an identically-configured
@@ -533,89 +558,31 @@ impl WorkloadInstance {
     /// # Errors
     ///
     /// Returns [`PipeTuneError::Dnn`] on kernels or shape mismatches.
-    pub fn import_weights(
-        &mut self,
-        weights: &[pipetune_tensor::Tensor],
-    ) -> Result<(), PipeTuneError> {
-        match &mut self.inner {
-            InstanceKind::Dnn { model, .. } => {
-                match model {
-                    AnyModel::LeNet(m) => m.import_weights(weights)?,
-                    AnyModel::TextCnn(m) => m.import_weights(weights)?,
-                    AnyModel::Lstm(m) => m.import_weights(weights)?,
-                }
-                Ok(())
-            }
-            _ => Err(PipeTuneError::Dnn(pipetune_dnn::DnnError::WrongFeatureKind {
-                expected: "image or token",
-                actual: "kernel",
-            })),
-        }
-    }
-
-    /// Confusion matrix of the current model on the held-out split (DNN
-    /// workloads only).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipeTuneError::Dnn`] for kernel workloads (which have no
-    /// classification output) or on substrate failures.
-    pub fn confusion(&mut self) -> Result<pipetune_dnn::ConfusionMatrix, PipeTuneError> {
-        match &mut self.inner {
-            InstanceKind::Dnn { model, test, .. } => Ok(match model {
-                AnyModel::LeNet(m) => m.confusion(test)?,
-                AnyModel::TextCnn(m) => m.confusion(test)?,
-                AnyModel::Lstm(m) => m.confusion(test)?,
-            }),
-            _ => Err(PipeTuneError::Dnn(pipetune_dnn::DnnError::WrongFeatureKind {
-                expected: "image or token",
-                actual: "kernel",
-            })),
-        }
-    }
-
-    fn kernel(&self) -> Option<&dyn IterativeKernel> {
-        match &self.inner {
-            InstanceKind::Jacobi(k) => Some(k),
-            InstanceKind::SpKMeans(k) => Some(k),
-            InstanceKind::Bfs(k) => Some(k),
-            InstanceKind::Hotspot(k) => Some(k),
-            InstanceKind::Dnn { .. } => None,
-        }
-    }
-
-    fn kernel_mut(&mut self) -> Option<&mut dyn IterativeKernel> {
-        match &mut self.inner {
-            InstanceKind::Jacobi(k) => Some(k),
-            InstanceKind::SpKMeans(k) => Some(k),
-            InstanceKind::Bfs(k) => Some(k),
-            InstanceKind::Hotspot(k) => Some(k),
-            InstanceKind::Dnn { .. } => None,
-        }
+    pub fn import_weights(&mut self, weights: &[Tensor]) -> Result<(), PipeTuneError> {
+        Ok(self.model()?.import_weights(weights)?)
     }
 }
 
 impl EpochWorkload for WorkloadInstance {
     fn run_epoch(&mut self) -> Result<EpochOutcome, PipeTuneError> {
         self.epochs_run += 1;
-        match &mut self.inner {
-            InstanceKind::Dnn { model, train, .. } => {
-                let m = model.train_epoch(train, &self.train_cfg, &mut self.rng)?;
-                Ok(EpochOutcome { train_score: m.accuracy, loss: m.loss })
+        Ok(match &mut self.payload {
+            Payload::Dnn { net, train, .. } => {
+                let m = net.model().train_epoch(train, &self.train_cfg, &mut self.rng)?;
+                EpochOutcome { train_score: m.accuracy, loss: m.loss }
             }
-            _ => {
-                let k = self.kernel_mut().expect("non-DNN instance has a kernel");
-                let m = k.step();
-                Ok(EpochOutcome { train_score: m.score, loss: 1.0 - m.score })
+            Payload::Kernel(kernel) => {
+                let m = kernel.get().step();
+                EpochOutcome { train_score: m.score, loss: 1.0 - m.score }
             }
-        }
+        })
     }
 
     fn accuracy(&mut self) -> Result<f32, PipeTuneError> {
-        match &mut self.inner {
-            InstanceKind::Dnn { model, test, .. } => model.evaluate(test),
-            _ => Ok(self.kernel().expect("non-DNN instance has a kernel").score()),
-        }
+        Ok(match &mut self.payload {
+            Payload::Dnn { net, test, .. } => net.model().evaluate(test)?,
+            Payload::Kernel(kernel) => kernel.get().score(),
+        })
     }
 
     fn epochs_run(&self) -> u32 {
@@ -623,64 +590,28 @@ impl EpochWorkload for WorkloadInstance {
     }
 
     fn signature(&self) -> WorkloadSignature {
-        match &self.inner {
-            InstanceKind::Dnn { model, .. } => {
-                let sig = model.signature();
-                WorkloadSignature {
-                    flops_per_epoch: sig.flops_per_sample
-                        * self.spec.framework_overhead()
-                        * self.spec.paper_examples() as f64,
-                    working_set_bytes: self.work_units().working_set_bytes,
-                    memory_intensity: sig.memory_intensity,
-                    branch_ratio: sig.branch_ratio,
-                }
-            }
-            _ => {
-                let sig = self.kernel().expect("non-DNN instance has a kernel").signature();
-                // Kernels run at their real scale; lift flops to the paper's
-                // input sizes proportionally.
-                WorkloadSignature {
-                    flops_per_epoch: sig.flops_per_epoch * self.spec.framework_overhead(),
-                    working_set_bytes: sig.working_set_bytes * 50.0,
-                    memory_intensity: sig.memory_intensity,
-                    branch_ratio: sig.branch_ratio,
-                }
-            }
-        }
+        self.signature
     }
 
     fn work_units(&self) -> WorkUnits {
-        let examples = self.spec.paper_examples();
-        let iterations = (examples / self.hp.batch_size as u64).max(1);
-        match &self.inner {
-            InstanceKind::Dnn { model, .. } => {
-                let sig = model.signature();
-                // Working set under BigDL/Spark: JVM+framework floor, cached
-                // dataset replicas, and per-batch activation/shuffle
-                // footprint (the term that makes the memory knob matter for
-                // large batches). Calibration documented in DESIGN.md.
-                let ws = 2.5e9
-                    + self.spec.paper_dataset_bytes() * 40.0
-                    + self.hp.batch_size as f64 * 2.0e7;
-                WorkUnits {
-                    flops: sig.flops_per_sample * self.spec.framework_overhead() * examples as f64,
-                    iterations,
-                    working_set_bytes: ws,
-                    memory_intensity: sig.memory_intensity,
-                }
-            }
-            _ => {
-                let sig = self.kernel().expect("non-DNN instance has a kernel").signature();
-                WorkUnits {
-                    // Type-III epochs are short (seconds): real kernel scale
-                    // lifted to the paper's inputs, but orders of magnitude
-                    // less work per epoch than a DNN epoch.
-                    flops: sig.flops_per_epoch * self.spec.framework_overhead(),
-                    iterations: iterations.min(64),
-                    working_set_bytes: 1.5e9 + sig.working_set_bytes * 50.0,
-                    memory_intensity: sig.memory_intensity,
-                }
-            }
+        let iterations = (self.spec.paper_examples() / self.hp.batch_size as u64).max(1);
+        let sig = self.signature;
+        match self.payload {
+            Payload::Dnn { .. } => WorkUnits {
+                flops: sig.flops_per_epoch,
+                iterations,
+                working_set_bytes: sig.working_set_bytes,
+                memory_intensity: sig.memory_intensity,
+            },
+            Payload::Kernel(_) => WorkUnits {
+                // Type-III epochs are short (seconds): real kernel scale
+                // lifted to the paper's inputs, but orders of magnitude
+                // less work per epoch than a DNN epoch.
+                flops: sig.flops_per_epoch,
+                iterations: iterations.min(64),
+                working_set_bytes: 1.5e9 + sig.working_set_bytes,
+                memory_intensity: sig.memory_intensity,
+            },
         }
     }
 }
@@ -813,16 +744,43 @@ mod tests {
         assert_eq!(WorkloadSpec::hotspot().job_type(), JobType::TypeIII);
     }
 
+    /// The held-out predictions of a DNN instance's model.
+    fn predictions(w: &mut WorkloadInstance) -> Vec<usize> {
+        let Payload::Dnn { net, test, .. } = &mut w.payload else { panic!("a DNN workload") };
+        net.model().predictions(test).unwrap()
+    }
+
     #[test]
     fn weights_round_trip_through_the_instance_api() {
         let hp = fast_hp();
-        let mut a = WorkloadSpec::cnn_news20().with_scale(0.2).instantiate(&hp, 9).unwrap();
-        a.run_epoch().unwrap();
-        let weights = a.export_weights().expect("dnn has weights");
-        let mut b = WorkloadSpec::cnn_news20().with_scale(0.2).instantiate(&hp, 9).unwrap();
-        b.import_weights(&weights).unwrap();
-        assert_eq!(a.accuracy().unwrap(), b.accuracy().unwrap());
+        let fresh = |spec: WorkloadSpec| spec.with_scale(0.2).instantiate(&hp, 9).unwrap();
+        let families =
+            [WorkloadSpec::lenet_mnist(), WorkloadSpec::cnn_news20(), WorkloadSpec::lstm_news20()];
+        for (i, &spec) in families.iter().enumerate() {
+            let mut a = fresh(spec);
+            a.run_epoch().unwrap();
+            let weights = a.export_weights().unwrap();
+            let params = a.export_params().unwrap();
+            // Weights alone: the same predictions.
+            let mut b = fresh(spec);
+            b.import_weights(&weights).unwrap();
+            assert_eq!(predictions(&mut a), predictions(&mut b), "{}", spec.name());
+            assert_eq!(a.accuracy().unwrap(), b.accuracy().unwrap());
+            // Params and the training stream: a bit-equal next epoch.
+            let mut c = fresh(spec);
+            c.import_params(&params).unwrap();
+            c.restore_training_state(a.rng_state(), a.epochs_run());
+            let (next_a, next_c) = (a.run_epoch().unwrap(), c.run_epoch().unwrap());
+            assert_eq!(next_a.loss.to_bits(), next_c.loss.to_bits(), "{}", spec.name());
+            assert_eq!(next_a.train_score.to_bits(), next_c.train_score.to_bits());
+            assert_eq!(a.export_params(), c.export_params());
+            // Another family's snapshot fits neither import path.
+            let mut other = fresh(families[(i + 1) % families.len()]);
+            assert!(other.import_weights(&weights).is_err(), "{}", spec.name());
+            assert!(other.import_params(&params).is_err(), "{}", spec.name());
+        }
         // Kernels have no weights in either direction.
+        let weights = fresh(WorkloadSpec::cnn_news20()).export_weights().unwrap();
         let mut k = WorkloadSpec::bfs().with_scale(0.2).instantiate(&hp, 9).unwrap();
         assert!(k.export_weights().is_none());
         assert!(k.import_weights(&weights).is_err());

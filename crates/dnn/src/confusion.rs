@@ -47,29 +47,13 @@ impl ConfusionMatrix {
         Ok(ConfusionMatrix { classes, counts })
     }
 
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
     /// Count of examples with true label `actual` predicted as `predicted`.
-    pub fn count(&self, actual: usize, predicted: usize) -> u64 {
+    fn count(&self, actual: usize, predicted: usize) -> u64 {
         self.counts[actual * self.classes + predicted]
     }
 
-    /// Total examples.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Overall accuracy.
-    pub fn accuracy(&self) -> f64 {
-        let correct: u64 = (0..self.classes).map(|c| self.count(c, c)).sum();
-        correct as f64 / self.total().max(1) as f64
-    }
-
     /// Precision of one class (0 when the class is never predicted).
-    pub fn precision(&self, class: usize) -> f64 {
+    fn precision(&self, class: usize) -> f64 {
         let tp = self.count(class, class) as f64;
         let predicted: u64 = (0..self.classes).map(|a| self.count(a, class)).sum();
         if predicted == 0 {
@@ -118,8 +102,19 @@ impl ConfusionMatrix {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Total examples.
+    pub(crate) fn total(m: &ConfusionMatrix) -> u64 {
+        m.counts.iter().sum()
+    }
+
+    /// Overall accuracy: the diagonal's share of the examples.
+    pub(crate) fn accuracy(m: &ConfusionMatrix) -> f64 {
+        let correct: u64 = (0..m.classes).map(|c| m.count(c, c)).sum();
+        correct as f64 / total(m).max(1) as f64
+    }
 
     fn perfect() -> ConfusionMatrix {
         ConfusionMatrix::from_predictions(&[0, 1, 2, 0, 1, 2], &[0, 1, 2, 0, 1, 2], 3).unwrap()
@@ -128,7 +123,7 @@ mod tests {
     #[test]
     fn perfect_predictions_score_one_everywhere() {
         let m = perfect();
-        assert_eq!(m.accuracy(), 1.0);
+        assert_eq!(accuracy(&m), 1.0);
         assert_eq!(m.macro_f1(), 1.0);
         assert_eq!(m.top_confusion(0), None);
     }
@@ -139,8 +134,8 @@ mod tests {
         assert_eq!(m.count(0, 1), 1); // true 0 predicted 1
         assert_eq!(m.count(0, 0), 1);
         assert_eq!(m.count(1, 1), 1);
-        assert_eq!(m.total(), 3);
-        assert!((m.accuracy() - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(total(&m), 3);
+        assert!((accuracy(&m) - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

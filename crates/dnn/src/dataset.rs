@@ -15,7 +15,7 @@ pub enum Features {
 
 impl Features {
     /// Number of examples stored.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Features::Images(t) => t.shape().dims().first().copied().unwrap_or(0),
             Features::Tokens(seqs) => seqs.len(),
@@ -23,12 +23,12 @@ impl Features {
     }
 
     /// Returns `true` when there are no examples.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Short static name used in error messages.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Features::Images(_) => "image",
             Features::Tokens(_) => "token",

@@ -78,12 +78,17 @@ mod tests {
     use rand::SeedableRng;
     use std::cell::RefCell;
 
+    /// Squared Euclidean norm of the flattened tensor.
+    fn norm_sq(t: &Tensor) -> f32 {
+        t.data().iter().map(|x| x * x).sum()
+    }
+
     #[test]
     fn validates_a_correct_quadratic_gradient() {
         // f(x) = Σ x², ∇f = 2x.
         let x = Tensor::from_vec(vec![1.0, -2.0, 0.5, 3.0], &[4]).unwrap();
         let grad = x.scale(2.0);
-        let report = check_gradient(|t| t.norm_sq(), &x, &grad, 1e-3, 4);
+        let report = check_gradient(norm_sq, &x, &grad, 1e-3, 4);
         assert!(report.passes(1e-3), "{report:?}");
         assert_eq!(report.probed, 4);
     }
@@ -92,7 +97,7 @@ mod tests {
     fn flags_a_wrong_gradient() {
         let x = Tensor::from_vec(vec![1.0, -2.0, 0.5, 3.0], &[4]).unwrap();
         let wrong = x.scale(3.0); // should be 2x
-        let report = check_gradient(|t| t.norm_sq(), &x, &wrong, 1e-3, 4);
+        let report = check_gradient(norm_sq, &x, &wrong, 1e-3, 4);
         assert!(!report.passes(1e-2), "{report:?}");
     }
 

@@ -11,7 +11,7 @@ use pipetune_tensor::{
 };
 use rand::Rng;
 
-use crate::param::{Param, ParamVisitor};
+use crate::param::Param;
 use crate::DnnError;
 
 /// Fully connected layer: `y = x·W + b` on `[batch, in] → [batch, out]`.
@@ -123,9 +123,9 @@ impl Dense {
     }
 
     /// Visits the layer's parameters (weight then bias).
-    pub fn visit_params(&mut self, v: &mut dyn ParamVisitor) {
-        v.visit(&mut self.weight);
-        v.visit(&mut self.bias);
+    pub fn visit_params(&mut self, v: &mut dyn FnMut(&mut Param)) {
+        v(&mut self.weight);
+        v(&mut self.bias);
     }
 
     /// Number of scalar parameters.
@@ -204,9 +204,9 @@ impl Conv2d {
     }
 
     /// Visits the layer's parameters (kernel then bias).
-    pub fn visit_params(&mut self, v: &mut dyn ParamVisitor) {
-        v.visit(&mut self.weight);
-        v.visit(&mut self.bias);
+    pub fn visit_params(&mut self, v: &mut dyn FnMut(&mut Param)) {
+        v(&mut self.weight);
+        v(&mut self.bias);
     }
 
     /// Number of scalar parameters.
@@ -313,11 +313,6 @@ impl Dropout {
         Ok(Dropout { rate, mask: None })
     }
 
-    /// The configured drop rate.
-    pub fn rate(&self) -> f32 {
-        self.rate
-    }
-
     /// Forward pass. In training mode draws a fresh mask from `rng`.
     pub fn forward<R: Rng>(&mut self, x: &Tensor, train: bool, rng: &mut R) -> Tensor {
         if !train || self.rate == 0.0 {
@@ -419,7 +414,7 @@ impl Embedding {
     }
 
     /// Embedding dimensionality.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.dim
     }
 
@@ -483,8 +478,8 @@ impl Embedding {
     }
 
     /// Visits the embedding table parameter.
-    pub fn visit_params(&mut self, v: &mut dyn ParamVisitor) {
-        v.visit(&mut self.table);
+    pub(crate) fn visit_params(&mut self, v: &mut dyn FnMut(&mut Param)) {
+        v(&mut self.table);
     }
 
     /// Number of scalar parameters.

@@ -8,6 +8,12 @@
 //! the hyperparameters PipeTune tunes (batch size, dropout, embedding
 //! dimensions, learning rate, epochs).
 //!
+//! The three models share one interface, [`Model`]: train an epoch,
+//! evaluate, snapshot and restore. Each model gathers the feature kind it
+//! reads from `(dataset, indices)`, and the trait is object-safe, so a
+//! trial drives whichever model its workload names through `&mut dyn
+//! Model` without knowing its type.
+//!
 //! Every stochastic choice (weight init, shuffling, dropout masks) flows from
 //! an explicit seed, so tuning experiments are reproducible.
 //!
@@ -53,6 +59,6 @@ pub use layers::{Conv2d, Dense, Dropout, Embedding, Flatten, MaxPool2d, Relu};
 pub use loss::softmax_cross_entropy;
 pub use lstm::LstmCell;
 pub use metrics::EpochMetrics;
-pub use models::{LeNet5, LstmClassifier, Model, ModelKind, ModelSignature, TextCnn};
+pub use models::{LeNet5, LstmClassifier, Model, ModelSignature, TextCnn};
 pub use optim::{Sgd, TrainConfig};
 pub use param::Param;

@@ -18,7 +18,7 @@
 use pipetune_tensor::{Tensor, TensorError, Workspace};
 use rand::Rng;
 
-use crate::param::{Param, ParamVisitor};
+use crate::param::Param;
 
 fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
@@ -228,10 +228,10 @@ impl LstmCell {
     }
 
     /// Visits the LSTM's parameters (input weights, recurrent weights, bias).
-    pub fn visit_params(&mut self, v: &mut dyn ParamVisitor) {
-        v.visit(&mut self.wx);
-        v.visit(&mut self.wh);
-        v.visit(&mut self.bias);
+    pub fn visit_params(&mut self, v: &mut dyn FnMut(&mut Param)) {
+        v(&mut self.wx);
+        v(&mut self.wh);
+        v(&mut self.bias);
     }
 
     /// Number of scalar parameters.

@@ -6,7 +6,8 @@
 //! performance counters.
 
 use pipetune_tensor::{Tensor, TensorError};
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use crate::dataset::{BatchIndices, Dataset};
 use crate::layers::{Conv2d, Dense, Dropout, Embedding, Flatten, MaxPool2d, Relu};
@@ -14,30 +15,7 @@ use crate::loss::softmax_cross_entropy;
 use crate::lstm::LstmCell;
 use crate::metrics::EpochMetrics;
 use crate::optim::{Sgd, TrainConfig};
-use crate::param::ParamVisitor;
-use crate::DnnError;
-
-/// Which of the paper's model families a [`Model`] belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ModelKind {
-    /// LeNet-5 convolutional network (Type-I image workloads).
-    LeNet5,
-    /// Convolutional text classifier (Type-II `cnn` workload).
-    TextCnn,
-    /// LSTM text classifier (Type-II `lstm` workload).
-    Lstm,
-}
-
-impl ModelKind {
-    /// Lower-case name used in experiment output, matching the paper's labels.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ModelKind::LeNet5 => "lenet",
-            ModelKind::TextCnn => "cnn",
-            ModelKind::Lstm => "lstm",
-        }
-    }
-}
+use crate::{DnnError, Param};
 
 /// Numeric characterisation of a model's computational behaviour.
 ///
@@ -60,35 +38,26 @@ pub struct ModelSignature {
 }
 
 /// A trainable workload model: the "model" half of the paper's workload tuple.
+///
+/// The trait is object-safe, so a trial drives whichever model its
+/// workload names through one `&mut dyn Model`.
 pub trait Model {
-    /// One mini-batch of this model's inputs (an image tensor, token rows).
-    type Batch;
-
-    /// The model family.
-    fn kind(&self) -> ModelKind;
-
-    /// Gathers the examples at `idx` into one input batch.
+    /// Forward pass over the examples of `data` at `idx`; returns the
+    /// logits. The model gathers the feature kind it reads (images or
+    /// token rows). `train` enables dropout (drawing from `rng`) and caches
+    /// activations for [`Model::backward`]; evaluation draws nothing.
     ///
     /// # Errors
     ///
-    /// Returns [`DnnError`] when `data` holds the wrong feature kind.
-    fn gather(data: &Dataset, idx: &[usize]) -> Result<Self::Batch, DnnError>;
-
-    /// Forward pass over one batch; returns the logits. `train` enables
-    /// dropout (drawing from `rng`) and caches activations for
-    /// [`Model::backward`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError`] on shape mismatches.
-    fn forward<R: Rng>(
+    /// Returns [`DnnError`] when `data` holds the wrong feature kind or
+    /// does not fit the model's shapes.
+    fn forward(
         &mut self,
-        x: &Self::Batch,
+        data: &Dataset,
+        idx: &[usize],
         train: bool,
-        rng: &mut R,
-    ) -> Result<Tensor, TensorError>
-    where
-        Self: Sized;
+        rng: &mut StdRng,
+    ) -> Result<Tensor, DnnError>;
 
     /// Backward pass from the logits' gradient, accumulating parameter
     /// gradients for the optimizer step.
@@ -103,28 +72,24 @@ pub trait Model {
     /// # Errors
     ///
     /// Returns [`DnnError`] on configuration or feature-kind mismatches.
-    fn train_epoch<R: Rng>(
+    fn train_epoch(
         &mut self,
         data: &Dataset,
         cfg: &TrainConfig,
-        rng: &mut R,
-    ) -> Result<EpochMetrics, DnnError>
-    where
-        Self: Sized,
-    {
+        rng: &mut StdRng,
+    ) -> Result<EpochMetrics, DnnError> {
         cfg.validate()?;
         let sgd = Sgd::from_config(cfg);
         let plan = BatchIndices::plan(data.len(), cfg.batch_size, rng)?;
         let mut metrics = EpochMetrics::default();
         for idx in plan.iter() {
-            let x = Self::gather(data, idx)?;
             let labels = data.gather_labels(idx);
-            let logits = self.forward(&x, true, rng)?;
+            let logits = self.forward(data, idx, true, rng)?;
             let (loss, grad) = softmax_cross_entropy(&logits, &labels)?;
             let preds = logits.argmax_rows()?;
             let correct = preds.iter().zip(&labels).filter(|(p, l)| p == l).count();
             self.backward(&grad)?;
-            self.visit_params(&mut |p: &mut crate::Param| sgd.step(p));
+            self.visit_params(&mut |p: &mut Param| sgd.step(p));
             metrics.accumulate(loss, correct, idx.len());
         }
         Ok(metrics.finalize())
@@ -135,10 +100,7 @@ pub trait Model {
     /// # Errors
     ///
     /// Returns [`DnnError`] on feature-kind mismatches.
-    fn evaluate(&mut self, data: &Dataset) -> Result<f32, DnnError>
-    where
-        Self: Sized,
-    {
+    fn evaluate(&mut self, data: &Dataset) -> Result<f32, DnnError> {
         let preds = self.predictions(data)?;
         let correct = preds.iter().zip(data.labels()).filter(|(p, l)| p == l).count();
         Ok(correct as f32 / data.len() as f32)
@@ -149,11 +111,9 @@ pub trait Model {
     /// # Errors
     ///
     /// Returns [`DnnError`] on feature-kind mismatches.
-    fn predictions(&mut self, data: &Dataset) -> Result<Vec<usize>, DnnError>
-    where
-        Self: Sized,
-    {
-        let mut rng = rand::rngs::mock::StepRng::new(0, 1);
+    fn predictions(&mut self, data: &Dataset) -> Result<Vec<usize>, DnnError> {
+        // Evaluation mode never draws; the generator only fills the slot.
+        let mut rng = StdRng::seed_from_u64(0);
         let n = data.len();
         let chunk = 256usize;
         let mut out = Vec::with_capacity(n);
@@ -161,8 +121,7 @@ pub trait Model {
         while start < n {
             let end = (start + chunk).min(n);
             let idx: Vec<usize> = (start..end).collect();
-            let x = Self::gather(data, &idx)?;
-            let logits = self.forward(&x, false, &mut rng)?;
+            let logits = self.forward(data, &idx, false, &mut rng)?;
             out.extend(logits.argmax_rows()?);
             start = end;
         }
@@ -174,10 +133,7 @@ pub trait Model {
     /// # Errors
     ///
     /// Returns [`DnnError`] on feature-kind mismatches.
-    fn confusion(&mut self, data: &Dataset) -> Result<crate::ConfusionMatrix, DnnError>
-    where
-        Self: Sized,
-    {
+    fn confusion(&mut self, data: &Dataset) -> Result<crate::ConfusionMatrix, DnnError> {
         let preds = self.predictions(data)?;
         crate::ConfusionMatrix::from_predictions(&preds, data.labels(), data.num_classes())
     }
@@ -189,16 +145,13 @@ pub trait Model {
     fn signature(&self) -> ModelSignature;
 
     /// Visits every trainable parameter.
-    fn visit_params(&mut self, v: &mut dyn ParamVisitor);
+    fn visit_params(&mut self, v: &mut dyn FnMut(&mut Param));
 
     /// Snapshots every trainable parameter value, in visitation order —
     /// the "trained model" half of an HPT job's output (Fig. 6).
-    fn export_weights(&mut self) -> Vec<Tensor>
-    where
-        Self: Sized,
-    {
+    fn export_weights(&mut self) -> Vec<Tensor> {
         let mut out = Vec::new();
-        self.visit_params(&mut |p: &mut crate::Param| out.push(p.value().clone()));
+        self.visit_params(&mut |p: &mut Param| out.push(p.value().clone()));
         out
     }
 
@@ -208,48 +161,10 @@ pub trait Model {
     /// # Errors
     ///
     /// Returns [`DnnError::InvalidConfig`] when the snapshot has the wrong
-    /// parameter count or any tensor has the wrong shape; on error the model
-    /// is left partially updated and should be discarded.
-    fn import_weights(&mut self, weights: &[Tensor]) -> Result<(), DnnError>
-    where
-        Self: Sized,
-    {
-        let mut idx = 0usize;
-        let mut error: Option<DnnError> = None;
-        self.visit_params(&mut |p: &mut crate::Param| {
-            if error.is_some() {
-                return;
-            }
-            match weights.get(idx) {
-                Some(w) if w.shape() == p.value().shape() => {
-                    *p.value_mut() = w.clone();
-                }
-                Some(w) => {
-                    error = Some(DnnError::InvalidConfig {
-                        reason: format!(
-                            "weight {idx} shape {:?} does not match {:?}",
-                            w.shape().dims(),
-                            p.value().shape().dims()
-                        ),
-                    });
-                }
-                None => {
-                    error = Some(DnnError::InvalidConfig {
-                        reason: format!("snapshot ends at {idx} parameters"),
-                    });
-                }
-            }
-            idx += 1;
-        });
-        if let Some(e) = error {
-            return Err(e);
-        }
-        if idx != weights.len() {
-            return Err(DnnError::InvalidConfig {
-                reason: format!("snapshot has {} parameters, model has {idx}", weights.len()),
-            });
-        }
-        Ok(())
+    /// parameter count or any tensor has the wrong shape; a refused
+    /// snapshot leaves the model as it was.
+    fn import_weights(&mut self, weights: &[Tensor]) -> Result<(), DnnError> {
+        import(self, weights, "weight", |w| w, |p, w| *p.value_mut() = w.clone())
     }
 
     /// Snapshots every trainable parameter *with* its optimizer state
@@ -257,12 +172,9 @@ pub trait Model {
     /// buffer), in visitation order. Unlike [`Model::export_weights`],
     /// which captures values only, restoring this snapshot resumes
     /// training bit for bit.
-    fn export_params(&mut self) -> Vec<crate::Param>
-    where
-        Self: Sized,
-    {
+    fn export_params(&mut self) -> Vec<Param> {
         let mut out = Vec::new();
-        self.visit_params(&mut |p: &mut crate::Param| out.push(p.clone()));
+        self.visit_params(&mut |p: &mut Param| out.push(p.clone()));
         out
     }
 
@@ -272,49 +184,56 @@ pub trait Model {
     /// # Errors
     ///
     /// Returns [`DnnError::InvalidConfig`] when the snapshot has the wrong
-    /// parameter count or any tensor has the wrong shape; on error the
-    /// model is left partially updated and should be discarded.
-    fn import_params(&mut self, params: &[crate::Param]) -> Result<(), DnnError>
-    where
-        Self: Sized,
-    {
-        let mut idx = 0usize;
-        let mut error: Option<DnnError> = None;
-        self.visit_params(&mut |p: &mut crate::Param| {
-            if error.is_some() {
-                return;
-            }
-            match params.get(idx) {
-                Some(saved) if saved.value().shape() == p.value().shape() => {
-                    *p = saved.clone();
-                }
-                Some(saved) => {
-                    error = Some(DnnError::InvalidConfig {
-                        reason: format!(
-                            "param {idx} shape {:?} does not match {:?}",
-                            saved.value().shape().dims(),
-                            p.value().shape().dims()
-                        ),
-                    });
-                }
-                None => {
-                    error = Some(DnnError::InvalidConfig {
-                        reason: format!("snapshot ends at {idx} parameters"),
-                    });
-                }
-            }
-            idx += 1;
-        });
-        if let Some(e) = error {
-            return Err(e);
-        }
-        if idx != params.len() {
-            return Err(DnnError::InvalidConfig {
-                reason: format!("snapshot has {} parameters, model has {idx}", params.len()),
-            });
-        }
-        Ok(())
+    /// parameter count or any tensor has the wrong shape; a refused
+    /// snapshot leaves the model as it was.
+    fn import_params(&mut self, params: &[Param]) -> Result<(), DnnError> {
+        import(self, params, "param", Param::value, |p, saved| *p = saved.clone())
     }
+}
+
+/// The checked walk behind [`Model::import_weights`] and
+/// [`Model::import_params`]: the first visit compares the snapshot's count
+/// and every shape with the model's, the second writes each entry over its
+/// parameter, so a refused snapshot writes nothing. `noun` names an entry
+/// in the error, `value` reads an entry's tensor.
+fn import<M: Model + ?Sized, T>(
+    model: &mut M,
+    snapshot: &[T],
+    noun: &str,
+    value: fn(&T) -> &Tensor,
+    write: fn(&mut Param, &T),
+) -> Result<(), DnnError> {
+    let mut idx = 0usize;
+    let mut error = None;
+    model.visit_params(&mut |p: &mut Param| {
+        if error.is_none() {
+            error = match snapshot.get(idx).map(value) {
+                Some(w) if w.shape() == p.value().shape() => None,
+                Some(w) => Some(format!(
+                    "{noun} {idx} shape {:?} does not match {:?}",
+                    w.shape().dims(),
+                    p.value().shape().dims()
+                )),
+                None => Some(format!("snapshot ends at {idx} parameters")),
+            };
+        }
+        idx += 1;
+    });
+    if let Some(reason) = error {
+        return Err(DnnError::InvalidConfig { reason });
+    }
+    if idx != snapshot.len() {
+        return Err(DnnError::InvalidConfig {
+            reason: format!("snapshot has {} parameters, model has {idx}", snapshot.len()),
+        });
+    }
+    let mut entries = snapshot.iter();
+    model.visit_params(&mut |p: &mut Param| {
+        if let Some(entry) = entries.next() {
+            write(p, entry);
+        }
+    });
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -393,35 +312,18 @@ impl LeNet5 {
             classes,
         })
     }
-
-    /// Standard 28×28 MNIST-shaped constructor.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the constraints of [`LeNet5::with_input_size`].
-    pub fn new<R: Rng>(classes: usize, dropout: f32, rng: &mut R) -> Result<Self, DnnError> {
-        Self::with_input_size(28, classes, dropout, rng)
-    }
 }
 
 impl Model for LeNet5 {
-    type Batch = Tensor;
-
-    fn kind(&self) -> ModelKind {
-        ModelKind::LeNet5
-    }
-
-    fn gather(data: &Dataset, idx: &[usize]) -> Result<Self::Batch, DnnError> {
-        data.gather_images(idx)
-    }
-
-    fn forward<R: Rng>(
+    fn forward(
         &mut self,
-        x: &Tensor,
+        data: &Dataset,
+        idx: &[usize],
         train: bool,
-        rng: &mut R,
-    ) -> Result<Tensor, TensorError> {
-        let y = self.conv1.forward(x, train)?;
+        rng: &mut StdRng,
+    ) -> Result<Tensor, DnnError> {
+        let x = data.gather_images(idx)?;
+        let y = self.conv1.forward(&x, train)?;
         let y = self.relu1.forward(&y, train);
         let y = self.pool1.forward(&y, train)?;
         let y = self.conv2.forward(&y, train)?;
@@ -433,7 +335,7 @@ impl Model for LeNet5 {
         let y = self.dropout.forward(&y, train, rng);
         let y = self.fc2.forward(&y, train)?;
         let y = self.relu4.forward(&y, train);
-        self.fc3.forward(&y, train)
+        Ok(self.fc3.forward(&y, train)?)
     }
 
     fn backward(&mut self, grad_logits: &Tensor) -> Result<(), TensorError> {
@@ -482,7 +384,7 @@ impl Model for LeNet5 {
         }
     }
 
-    fn visit_params(&mut self, v: &mut dyn ParamVisitor) {
+    fn visit_params(&mut self, v: &mut dyn FnMut(&mut Param)) {
         self.conv1.visit_params(v);
         self.conv2.visit_params(v);
         self.fc1.visit_params(v);
@@ -575,24 +477,25 @@ impl TextCnn {
 }
 
 impl Model for TextCnn {
-    type Batch = Vec<Vec<u32>>;
-
-    fn kind(&self) -> ModelKind {
-        ModelKind::TextCnn
-    }
-
-    fn gather(data: &Dataset, idx: &[usize]) -> Result<Self::Batch, DnnError> {
-        data.gather_tokens(idx)
-    }
-
-    fn forward<R: Rng>(
+    fn forward(
         &mut self,
-        batch: &Self::Batch,
+        data: &Dataset,
+        idx: &[usize],
         train: bool,
-        rng: &mut R,
-    ) -> Result<Tensor, TensorError> {
+        rng: &mut StdRng,
+    ) -> Result<Tensor, DnnError> {
+        let batch = data.gather_tokens(idx)?;
         let b = batch.len();
-        let emb = self.embedding.forward(batch, train)?; // [b, t, d]
+        // The windows and their gradients are laid out for rows of
+        // `seq_len` tokens; rows of another length are refused. A dataset's
+        // rows share one length (`Dataset::new`), so the first row speaks
+        // for the batch.
+        let t = batch.first().map_or(self.seq_len, Vec::len);
+        if t != self.seq_len {
+            let (expected, actual) = (vec![b, self.seq_len], vec![b, t]);
+            return Err(TensorError::ShapeMismatch { expected, actual }.into());
+        }
+        let emb = self.embedding.forward(&batch, train)?; // [b, t, d]
         let windows = self.im2col(&emb, b)?; // [b*pos, w*d]
         let conv_out = self.conv.forward(&windows, train)?; // [b*pos, f]
         let act = self.relu.forward(&conv_out, train);
@@ -617,7 +520,7 @@ impl Model for TextCnn {
         self.cached_batch = b;
         let pooled = Tensor::from_vec(pooled, &[b, f])?;
         let dropped = self.dropout.forward(&pooled, train, rng);
-        self.fc.forward(&dropped, train)
+        Ok(self.fc.forward(&dropped, train)?)
     }
 
     fn backward(&mut self, grad_logits: &Tensor) -> Result<(), TensorError> {
@@ -674,7 +577,7 @@ impl Model for TextCnn {
         }
     }
 
-    fn visit_params(&mut self, v: &mut dyn ParamVisitor) {
+    fn visit_params(&mut self, v: &mut dyn FnMut(&mut Param)) {
         self.embedding.visit_params(v);
         self.conv.visit_params(v);
         self.fc.visit_params(v);
@@ -728,26 +631,17 @@ impl LstmClassifier {
 }
 
 impl Model for LstmClassifier {
-    type Batch = Vec<Vec<u32>>;
-
-    fn kind(&self) -> ModelKind {
-        ModelKind::Lstm
-    }
-
-    fn gather(data: &Dataset, idx: &[usize]) -> Result<Self::Batch, DnnError> {
-        data.gather_tokens(idx)
-    }
-
-    fn forward<R: Rng>(
+    fn forward(
         &mut self,
-        batch: &Self::Batch,
+        data: &Dataset,
+        idx: &[usize],
         train: bool,
-        rng: &mut R,
-    ) -> Result<Tensor, TensorError> {
-        let emb = self.embedding.forward(batch, train)?;
+        rng: &mut StdRng,
+    ) -> Result<Tensor, DnnError> {
+        let emb = self.embedding.forward(&data.gather_tokens(idx)?, train)?;
         let h = self.lstm.forward(&emb, train)?;
         let dropped = self.dropout.forward(&h, train, rng);
-        self.fc.forward(&dropped, train)
+        Ok(self.fc.forward(&dropped, train)?)
     }
 
     fn backward(&mut self, grad_logits: &Tensor) -> Result<(), TensorError> {
@@ -776,7 +670,7 @@ impl Model for LstmClassifier {
         }
     }
 
-    fn visit_params(&mut self, v: &mut dyn ParamVisitor) {
+    fn visit_params(&mut self, v: &mut dyn FnMut(&mut Param)) {
         self.embedding.visit_params(v);
         self.lstm.visit_params(v);
         self.fc.visit_params(v);
@@ -786,6 +680,7 @@ impl Model for LstmClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::confusion::tests::{accuracy, total};
     use crate::dataset::Features;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -866,7 +761,7 @@ mod tests {
 
         let mut grads = Vec::new();
         for (model, ask) in [(&mut skipping, false), (&mut asking, true)] {
-            let logits = model.forward(&x, true, &mut StdRng::seed_from_u64(5)).unwrap();
+            let logits = model.forward(&data, &idx, true, &mut StdRng::seed_from_u64(5)).unwrap();
             let (_, grad) = softmax_cross_entropy(&logits, &labels).unwrap();
             if ask {
                 // `LeNet5::backward`, but conv1 computes ∂L/∂x as well.
@@ -961,6 +856,95 @@ mod tests {
         assert!(a.import_weights(&[]).is_err());
     }
 
+    /// A snapshot whose second tensor is misshapen is refused before its
+    /// first is written: the model keeps every bit it had.
+    #[test]
+    fn a_refused_snapshot_leaves_the_model_as_it_was() {
+        let mut rng = StdRng::seed_from_u64(79);
+        let data = toy_images(32, 16, &mut rng);
+        let cfg = TrainConfig { batch_size: 16, learning_rate: 0.05, ..TrainConfig::default() };
+        let mut model = LeNet5::with_input_size(16, 2, 0.0, &mut rng).unwrap();
+        let mut donor = LeNet5::with_input_size(16, 2, 0.0, &mut rng).unwrap();
+        model.train_epoch(&data, &cfg, &mut rng).unwrap();
+        donor.train_epoch(&data, &cfg, &mut rng).unwrap();
+        let bits = |params: &[Param]| -> Vec<u32> {
+            let tensors = params.iter().flat_map(|p| [p.value(), p.grad()]);
+            tensors.flat_map(Tensor::data).map(|v| v.to_bits()).collect()
+        };
+        let before = model.export_params();
+        assert_ne!(donor.export_weights()[0], before[0].value().clone());
+
+        let mut weights = donor.export_weights();
+        weights[1] = Tensor::zeros(&[3]);
+        assert_eq!(
+            model.import_weights(&weights).unwrap_err().to_string(),
+            "invalid training config: weight 1 shape [3] does not match [6]"
+        );
+        assert_eq!(bits(&model.export_params()), bits(&before));
+        assert_eq!(model.export_params(), before);
+
+        let mut params = donor.export_params();
+        params[1] = Param::new(Tensor::zeros(&[3]));
+        assert_eq!(
+            model.import_params(&params).unwrap_err().to_string(),
+            "invalid training config: param 1 shape [3] does not match [6]"
+        );
+        assert_eq!(bits(&model.export_params()), bits(&before));
+        assert_eq!(model.export_params(), before);
+    }
+
+    /// Token rows of another length than the model's `seq_len` are refused
+    /// with both lengths: shorter rows used to index past the embedded
+    /// batch, longer ones to read windows across sample boundaries.
+    #[test]
+    fn textcnn_refuses_token_rows_of_another_length() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut model = TextCnn::new(40, 12, 8, 4, 2, 0.0, &mut rng).unwrap();
+        let cfg = TrainConfig { batch_size: 4, ..TrainConfig::default() };
+        let refused = |b: usize, len: usize| {
+            let (expected, actual) = (vec![b, 12], vec![b, len]);
+            DnnError::Tensor(TensorError::ShapeMismatch { expected, actual })
+        };
+        for len in [4, 20] {
+            let data = toy_tokens(8, len, 40, 2, &mut rng);
+            assert_eq!(model.evaluate(&data), Err(refused(8, len)));
+            assert_eq!(model.train_epoch(&data, &cfg, &mut rng).unwrap_err(), refused(4, len));
+        }
+        let data = toy_tokens(8, 12, 40, 2, &mut rng);
+        assert!(model.train_epoch(&data, &cfg, &mut rng).is_ok());
+    }
+
+    /// The three models behind one `&mut dyn Model`: what a trial does to
+    /// each (train, evaluate, snapshot and restore) names no model type.
+    #[test]
+    fn all_three_models_train_and_restore_through_dyn_model() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let images = toy_images(32, 16, &mut rng);
+        let tokens = toy_tokens(32, 8, 20, 2, &mut rng);
+        let mut lenet = LeNet5::with_input_size(16, 2, 0.25, &mut rng).unwrap();
+        let mut cnn = TextCnn::new(20, 8, 8, 4, 2, 0.25, &mut rng).unwrap();
+        let mut lstm = LstmClassifier::new(20, 8, 8, 6, 2, 0.25, &mut rng).unwrap();
+        let models: [(&mut dyn Model, &Dataset); 3] =
+            [(&mut lenet, &images), (&mut cnn, &tokens), (&mut lstm, &tokens)];
+        let cfg = TrainConfig { batch_size: 8, learning_rate: 0.05, ..TrainConfig::default() };
+        for (model, data) in models {
+            let metrics = model.train_epoch(data, &cfg, &mut rng).unwrap();
+            assert_eq!(metrics.iterations, 4);
+            assert!(metrics.loss.is_finite());
+            let (weights, params) = (model.export_weights(), model.export_params());
+            let (predictions, accuracy) = (model.predictions(data).unwrap(), model.evaluate(data));
+            model.train_epoch(data, &cfg, &mut rng).unwrap();
+            model.import_params(&params).unwrap();
+            assert_eq!(model.export_params(), params);
+            model.train_epoch(data, &cfg, &mut rng).unwrap();
+            model.import_weights(&weights).unwrap();
+            assert_eq!(model.predictions(data).unwrap(), predictions);
+            assert_eq!(model.evaluate(data), accuracy);
+            assert_eq!(model.signature().params, model.num_params());
+            assert_eq!(weights.len(), params.len());
+        }
+    }
+
     #[test]
     fn confusion_matrix_is_consistent_with_accuracy() {
         let mut rng = StdRng::seed_from_u64(42);
@@ -972,8 +956,8 @@ mod tests {
         }
         let acc = model.evaluate(&data).unwrap();
         let cm = model.confusion(&data).unwrap();
-        assert!((cm.accuracy() - f64::from(acc)).abs() < 1e-6);
-        assert_eq!(cm.total(), 64);
+        assert!((accuracy(&cm) - f64::from(acc)).abs() < 1e-6);
+        assert_eq!(total(&cm), 64);
         assert!(cm.macro_f1() > 0.5);
     }
 

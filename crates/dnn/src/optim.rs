@@ -32,7 +32,7 @@ impl TrainConfig {
     ///
     /// Returns [`DnnError::InvalidConfig`] for a zero batch size, a
     /// non-positive/non-finite learning rate, or out-of-range momentum.
-    pub fn validate(&self) -> Result<(), DnnError> {
+    pub(crate) fn validate(&self) -> Result<(), DnnError> {
         if self.batch_size == 0 {
             return Err(DnnError::InvalidConfig { reason: "batch size must be positive".into() });
         }

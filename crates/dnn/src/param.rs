@@ -18,7 +18,7 @@ pub struct Param {
 
 impl Param {
     /// Wraps an initial value; gradient and velocity start at zero.
-    pub fn new(value: Tensor) -> Self {
+    pub(crate) fn new(value: Tensor) -> Self {
         let grad = Tensor::zeros(value.shape().dims());
         let velocity = Tensor::zeros(value.shape().dims());
         Param { value, grad, velocity }
@@ -50,13 +50,8 @@ impl Param {
     }
 
     /// Number of scalar elements in the parameter.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.value.len()
-    }
-
-    /// Returns `true` when the parameter holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.value.is_empty()
     }
 
     /// Applies one SGD-with-momentum step and clears the gradient.
@@ -97,18 +92,6 @@ impl Deserialize for Param {
             }
         }
         Ok(param)
-    }
-}
-
-/// Callback used to iterate over every [`Param`] in a model.
-pub trait ParamVisitor {
-    /// Visits one parameter.
-    fn visit(&mut self, param: &mut Param);
-}
-
-impl<F: FnMut(&mut Param)> ParamVisitor for F {
-    fn visit(&mut self, param: &mut Param) {
-        self(param)
     }
 }
 

@@ -27,7 +27,7 @@ mod im2col;
 mod ops;
 mod shape;
 mod tensor;
-pub mod workspace;
+mod workspace;
 
 pub use conv::{
     conv2d, conv2d_backward, conv2d_backward_with, max_pool2d, max_pool2d_backward, Conv2dGrads,

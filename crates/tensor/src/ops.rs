@@ -89,11 +89,6 @@ impl Tensor {
         }
     }
 
-    /// Squared Euclidean norm of the flattened tensor.
-    pub fn norm_sq(&self) -> f32 {
-        self.data().iter().map(|x| x * x).sum()
-    }
-
     /// Matrix product of two rank-2 tensors: `(m×k) · (k×n) = (m×n)`.
     ///
     /// Runs the cache-blocked kernel (packed B-panels, register-tiled

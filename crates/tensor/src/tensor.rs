@@ -50,13 +50,6 @@ impl Tensor {
         Tensor { shape, data: vec![1.0; len] }
     }
 
-    /// Creates a tensor filled with `value`.
-    pub fn full(dims: &[usize], value: f32) -> Self {
-        let shape = Shape::new(dims);
-        let len = shape.len();
-        Tensor { shape, data: vec![value; len] }
-    }
-
     /// Wraps a flat buffer in a shape.
     ///
     /// # Errors
@@ -121,26 +114,6 @@ impl Tensor {
     /// Mutable view of the underlying row-major buffer.
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Element at a multi-dimensional index.
-    ///
-    /// # Errors
-    ///
-    /// Propagates indexing errors from [`Shape::offset`].
-    pub fn at(&self, idx: &[usize]) -> Result<f32, TensorError> {
-        Ok(self.data[self.shape.offset(idx)?])
-    }
-
-    /// Sets the element at a multi-dimensional index.
-    ///
-    /// # Errors
-    ///
-    /// Propagates indexing errors from [`Shape::offset`].
-    pub fn set(&mut self, idx: &[usize], value: f32) -> Result<(), TensorError> {
-        let off = self.shape.offset(idx)?;
-        self.data[off] = value;
-        Ok(())
     }
 
     /// Reinterprets the buffer under a new shape with the same element count.

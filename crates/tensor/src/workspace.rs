@@ -28,24 +28,22 @@ use std::cell::RefCell;
 
 /// A grow-only pool of reusable `f32` scratch buffers.
 ///
-/// [`Workspace::take`] checks a buffer out (recycling the best-fitting
-/// retired buffer, growing it if needed) and [`Workspace::give`] returns it.
+/// A kernel checks a buffer out with `take` (recycling the best-fitting
+/// retired buffer, growing it if needed) and returns it with `give`.
 /// Buffers keep their capacity across the round-trip, so a steady-state
 /// caller whose buffer sizes have stabilised performs no allocations.
 ///
 /// # Example
 ///
 /// ```
-/// use pipetune_tensor::Workspace;
+/// use pipetune_tensor::{Tensor, Workspace};
 ///
 /// let mut ws = Workspace::new();
-/// let buf = ws.take(1024);
-/// assert_eq!(buf.len(), 1024);
-/// ws.give(buf);
-/// // The next take of any size ≤ 1024 reuses the same heap block.
-/// let again = ws.take(512);
-/// assert!(again.capacity() >= 1024);
-/// # ws.give(again);
+/// let (a, b) = (Tensor::ones(&[4, 8]), Tensor::ones(&[8, 4]));
+/// // Both products draw their scratch from `ws`; the second reuses it.
+/// let c = a.matmul_with(&b, &mut ws)?;
+/// assert_eq!(c, a.matmul_with(&b, &mut ws)?);
+/// # Ok::<(), pipetune_tensor::TensorError>(())
 /// ```
 #[derive(Debug, Default)]
 pub struct Workspace {
@@ -68,7 +66,7 @@ impl Workspace {
     /// retired buffer that already holds `len` elements, else the largest
     /// one (grown in place), so repeated identical call sequences converge
     /// on a stable buffer-to-role assignment and stop allocating.
-    pub fn take(&mut self, len: usize) -> Vec<f32> {
+    pub(crate) fn take(&mut self, len: usize) -> Vec<f32> {
         let fitting = self
             .pool
             .iter()
@@ -95,26 +93,10 @@ impl Workspace {
     }
 
     /// Returns a buffer to the pool for reuse.
-    pub fn give(&mut self, buf: Vec<f32>) {
+    pub(crate) fn give(&mut self, buf: Vec<f32>) {
         if buf.capacity() > 0 {
             self.pool.push(buf);
         }
-    }
-
-    /// Number of retired buffers currently pooled.
-    pub fn pooled(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Total `f32` capacity currently held by the pool (the arena's
-    /// high-water footprint while idle).
-    pub fn capacity(&self) -> usize {
-        self.pool.iter().map(Vec::capacity).sum()
-    }
-
-    /// Drops every pooled buffer, releasing the arena's memory.
-    pub fn clear(&mut self) {
-        self.pool.clear();
     }
 }
 
@@ -145,6 +127,12 @@ pub(crate) fn with_thread_local<T>(f: impl FnOnce(&mut Workspace) -> T) -> T {
 mod tests {
     use super::*;
 
+    /// Total `f32` capacity the pool holds (the arena's high-water
+    /// footprint while idle).
+    fn capacity(ws: &Workspace) -> usize {
+        ws.pool.iter().map(Vec::capacity).sum()
+    }
+
     #[test]
     fn take_give_recycles_capacity() {
         let mut ws = Workspace::new();
@@ -155,8 +143,8 @@ mod tests {
         assert_eq!(b.as_ptr(), ptr, "must reuse the retired heap block");
         assert_eq!(b.len(), 50);
         ws.give(b);
-        assert_eq!(ws.pooled(), 1);
-        assert!(ws.capacity() >= 100);
+        assert_eq!(ws.pool.len(), 1);
+        assert!(capacity(&ws) >= 100);
     }
 
     #[test]
@@ -170,12 +158,10 @@ mod tests {
     }
 
     #[test]
-    fn clone_is_empty_and_clear_releases() {
+    fn clone_is_empty() {
         let mut ws = Workspace::new();
         ws.give(vec![0.0; 64]);
-        assert_eq!(ws.clone().pooled(), 0);
-        ws.clear();
-        assert_eq!(ws.capacity(), 0);
+        assert!(ws.clone().pool.is_empty());
     }
 
     #[test]
@@ -183,9 +169,9 @@ mod tests {
         let cap0 = with_thread_local(|ws| {
             let b = ws.take(4096);
             ws.give(b);
-            ws.capacity()
+            capacity(ws)
         });
-        let cap1 = with_thread_local(|ws| ws.capacity());
+        let cap1 = with_thread_local(|ws| capacity(ws));
         assert_eq!(cap0, cap1);
         assert!(cap1 >= 4096);
     }
