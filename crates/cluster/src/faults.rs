@@ -16,9 +16,8 @@
 //! answer, in any order, any number of times.
 //!
 //! The recovery side (checkpoints, retries, re-probing) lives in the
-//! middleware crate; [`RetryPolicy`] and [`FaultReport`] are defined here so
-//! the simulator, the runner and the benchmark harness agree on the
-//! vocabulary.
+//! middleware crate; [`FaultReport`] is defined here so the simulator, the
+//! runner and the benchmark harness agree on the vocabulary.
 
 use serde::{Deserialize, Serialize};
 
@@ -227,36 +226,6 @@ fn lerp(lo: f64, hi: f64, u: f64) -> f64 {
     lo + (hi - lo) * u
 }
 
-/// Bounded retry with exponential backoff in *simulated* time.
-///
-/// A crashed epoch attempt is retried after
-/// `base_backoff_secs × factor^attempt` simulated seconds, up to
-/// `max_attempts` attempts total; exhaustion abandons the trial
-/// (`PipeTuneError::RetriesExhausted` upstream).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RetryPolicy {
-    /// Attempts allowed per epoch (first try included). Clamped to ≥ 1.
-    pub max_attempts: u32,
-    /// Backoff before the first retry, simulated seconds.
-    pub base_backoff_secs: f64,
-    /// Multiplier applied per further retry.
-    pub backoff_factor: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_attempts: 3, base_backoff_secs: 5.0, backoff_factor: 2.0 }
-    }
-}
-
-impl RetryPolicy {
-    /// Simulated seconds to wait after failed attempt number `attempt`
-    /// (0-based).
-    pub fn backoff_secs(&self, attempt: u32) -> f64 {
-        self.base_backoff_secs.max(0.0) * self.backoff_factor.max(1.0).powi(attempt as i32)
-    }
-}
-
 /// Node churn decided at one churn tick of a [`ServiceFaultPlan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ChurnKind {
@@ -288,6 +257,11 @@ impl ChurnKind {
 /// key on the tick index, crash draws on `(job, attempt)` — so schedules
 /// replay identically for any worker count and any scheduling policy.
 ///
+/// The plan holds what varies between schedules: the seed and three
+/// probabilities. Where churn ticks fall, how many slots a node carries,
+/// the pool floor and the resubmission budget are the service's
+/// constants.
+///
 /// ```
 /// use pipetune_cluster::ServiceFaultPlan;
 ///
@@ -304,24 +278,14 @@ impl ChurnKind {
 pub struct ServiceFaultPlan {
     /// Seed decorrelating this plan from every other stochastic component.
     pub seed: u64,
-    /// Spacing of churn *ticks* on the service clock, simulated seconds:
-    /// tick `k` happens at `k × churn_interval_secs` (`k ≥ 1`) and draws
-    /// at most one churn event.
-    pub churn_interval_secs: f64,
     /// Per-tick probability that a node leaves the pool.
     pub node_leave_prob: f64,
     /// Per-tick probability that a departed node rejoins (checked only
     /// when no leave fired at the same tick).
     pub node_join_prob: f64,
-    /// Parallel trial slots one churned node carries.
-    pub node_slots: usize,
-    /// Pool floor: leaves never shrink capacity below this many slots.
-    pub min_slots: usize,
     /// Per-attempt probability that an admitted job's run crashes
     /// mid-service and must be resubmitted.
     pub crash_prob: f64,
-    /// Resubmission budget and backoff (simulated time) for crashed jobs.
-    pub resubmit: RetryPolicy,
 }
 
 impl Default for ServiceFaultPlan {
@@ -335,34 +299,13 @@ impl ServiceFaultPlan {
     /// it are bit-identical to runs without service-level fault injection
     /// at all.
     pub fn none() -> Self {
-        ServiceFaultPlan {
-            seed: 0,
-            churn_interval_secs: 4000.0,
-            node_leave_prob: 0.0,
-            node_join_prob: 0.0,
-            node_slots: 1,
-            min_slots: 1,
-            crash_prob: 0.0,
-            resubmit: RetryPolicy {
-                max_attempts: 3,
-                base_backoff_secs: 600.0,
-                backoff_factor: 2.0,
-            },
-        }
+        ServiceFaultPlan { seed: 0, node_leave_prob: 0.0, node_join_prob: 0.0, crash_prob: 0.0 }
     }
 
     /// A mixed plan with churn and job crashes at moderate rates — the
-    /// default schedule for service-level chaos experiments. Timescales
-    /// suit tuning-job service times in the thousands of simulated
-    /// seconds.
+    /// default schedule for service-level chaos experiments.
     pub fn mixed(seed: u64) -> Self {
-        ServiceFaultPlan {
-            seed,
-            node_leave_prob: 0.30,
-            node_join_prob: 0.45,
-            crash_prob: 0.20,
-            ..Self::none()
-        }
+        ServiceFaultPlan { seed, node_leave_prob: 0.30, node_join_prob: 0.45, crash_prob: 0.20 }
     }
 
     /// Node churn only: jobs never crash, but the pool breathes.
@@ -395,8 +338,8 @@ impl ServiceFaultPlan {
     /// The churn event (if any) drawn at tick `tick`. Pure function of
     /// `(self, tick)`; leave is checked before join, so at most one node
     /// moves per tick. The caller applies state constraints (a leave
-    /// that would breach [`ServiceFaultPlan::min_slots`], or a join with
-    /// no node away, is simply skipped).
+    /// that would breach the pool floor, or a join with no node away, is
+    /// simply skipped).
     pub fn churn_at(&self, tick: u64) -> Option<ChurnKind> {
         if hash_unit(self.seed, 0x1EA7, 0, tick, 0) < self.node_leave_prob {
             return Some(ChurnKind::Leave);
@@ -630,17 +573,6 @@ mod tests {
         let speeds: Vec<f64> = (0..100).map(|r| p.slot_speed(r, 0)).collect();
         assert!(speeds.iter().any(|&s| s < 1.0));
         assert!(speeds.contains(&1.0));
-    }
-
-    #[test]
-    fn backoff_grows_exponentially_and_clamps() {
-        let r = RetryPolicy::default();
-        assert_eq!(r.backoff_secs(0), 5.0);
-        assert_eq!(r.backoff_secs(1), 10.0);
-        assert_eq!(r.backoff_secs(2), 20.0);
-        let degenerate =
-            RetryPolicy { max_attempts: 0, base_backoff_secs: -1.0, backoff_factor: 0.5 };
-        assert_eq!(degenerate.backoff_secs(3), 0.0);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! * [`SlotPool`] — leased-slot accounting a multi-job tuning service
 //!   partitions the cluster's parallel trial slots with (never
 //!   oversubscribing; see `docs/multitenancy.md`).
-//! * [`FaultPlan`] / [`FaultReport`] / [`RetryPolicy`] — seeded,
+//! * [`FaultPlan`] / [`FaultReport`] — seeded,
 //!   deterministic fault schedules (node crashes, stragglers, counter-read
 //!   failures, preemptions) and the recovery accounting vocabulary.
 //! * [`ServiceFaultPlan`] / [`ServiceFaultReport`] — the service-level
@@ -44,7 +44,7 @@ mod topology;
 pub use arrivals::PoissonArrivals;
 pub use cost::{CostModel, WorkUnits};
 pub use faults::{
-    ChurnKind, FaultKind, FaultPlan, FaultReport, RetryPolicy, ServiceFaultPlan, ServiceFaultReport,
+    ChurnKind, FaultKind, FaultPlan, FaultReport, ServiceFaultPlan, ServiceFaultReport,
 };
 pub use sim::{EventQueue, SimTime};
 pub use slots::{SlotPool, SlotPoolError};

@@ -7,7 +7,7 @@
 //! update syntax, re-validated with [`ExperimentEnvBuilder::from_env`]
 //! where the change could break an invariant.
 
-use pipetune_cluster::{ClusterSpec, CostModel, FaultPlan, RetryPolicy, SystemConfig, SystemSpace};
+use pipetune_cluster::{ClusterSpec, CostModel, FaultPlan, SystemConfig, SystemSpace};
 use pipetune_energy::PowerModel;
 use pipetune_monitor::MonitorHandle;
 use pipetune_perfmon::Profiler;
@@ -51,8 +51,6 @@ pub struct ExperimentEnv {
     /// failures, preemptions). Empty by default; runs under the empty plan
     /// are bit-identical to runs without fault injection.
     pub fault_plan: FaultPlan,
-    /// Retry budget and simulated-time backoff for crash recovery.
-    pub retry: RetryPolicy,
     /// Profile through the 1 Hz sampling pipeline (counter multiplexing,
     /// blind spots on short epochs) instead of the closed-form epoch
     /// average. Off by default; the sampling extension turns it on.
@@ -95,7 +93,6 @@ impl ExperimentEnv {
             parallel_slots: 4,
             workers: default_workers(),
             fault_plan: FaultPlan::none(),
-            retry: RetryPolicy::default(),
             profile_overhead: 0.02,
             sampled_profiling: false,
             telemetry: TelemetryHandle::disabled(),
@@ -293,6 +290,8 @@ impl ExperimentEnvBuilder {
     /// * `profile_overhead` is negative or non-finite — overhead scales
     ///   epoch durations and must keep them finite and non-negative;
     /// * the default system configuration has zero cores or memory;
+    /// * a `fault_plan` probability lies outside `[0, 1]` or is NaN — its
+    ///   fields are public, and a draw compares against them;
     /// * an axis of `system_space` (`cores`, `memory_gb`, `freq_mhz`) is
     ///   empty — probing walks the grid, and an empty axis empties it;
     /// * a live monitor is installed without a live telemetry handle — the
@@ -317,6 +316,20 @@ impl ExperimentEnvBuilder {
                 "default system configuration must have nonzero cores and memory, got {} cores / {} GiB",
                 env.default_system.cores, env.default_system.memory_gb
             )));
+        }
+        let plan = &env.fault_plan;
+        for (name, p) in [
+            ("crash_prob", plan.crash_prob),
+            ("straggler_prob", plan.straggler_prob),
+            ("counter_read_prob", plan.counter_read_prob),
+            ("preempt_prob", plan.preempt_prob),
+            ("slot_straggler_prob", plan.slot_straggler_prob),
+        ] {
+            if !(0.0..=1.0).contains(&p) {
+                return Err(PipeTuneError::invalid(format!(
+                    "fault_plan.{name} must lie in [0, 1], got {p}"
+                )));
+            }
         }
         let space = &env.system_space;
         for (axis, values) in [
@@ -397,6 +410,11 @@ mod tests {
             empty(&mut env.system_space);
             ExperimentEnvBuilder::from_env(env)
         };
+        let with_plan = |set: fn(&mut FaultPlan)| {
+            let mut plan = FaultPlan::none();
+            set(&mut plan);
+            ExperimentEnvBuilder::distributed(1).fault_plan(plan)
+        };
         let cases: Vec<(ExperimentEnvBuilder, &str)> = vec![
             (without(|space| space.cores.clear()), "system_space.cores"),
             (without(|space| space.memory_gb.clear()), "system_space.memory_gb"),
@@ -412,6 +430,14 @@ mod tests {
             (
                 ExperimentEnvBuilder::distributed(1).default_system(SystemConfig::new(0, 8)),
                 "default system",
+            ),
+            (with_plan(|p| p.crash_prob = 2.0), "fault_plan.crash_prob must lie in [0, 1], got 2"),
+            (with_plan(|p| p.straggler_prob = -0.1), "fault_plan.straggler_prob"),
+            (with_plan(|p| p.counter_read_prob = f64::NAN), "fault_plan.counter_read_prob"),
+            (with_plan(|p| p.preempt_prob = 1.5), "fault_plan.preempt_prob"),
+            (
+                with_plan(|p| p.slot_straggler_prob = f64::INFINITY),
+                "fault_plan.slot_straggler_prob",
             ),
             (ExperimentEnvBuilder::distributed(1).monitor(MonitorHandle::enabled()), "monitor"),
         ];

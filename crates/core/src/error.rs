@@ -28,7 +28,7 @@ pub enum PipeTuneError {
         reason: String,
     },
     /// A trial exhausted its fault-recovery retry budget and was abandoned
-    /// (see `RetryPolicy` and the fault model in `docs/faults.md`).
+    /// (see [`crate::EPOCH_ATTEMPTS`] and the fault model in `docs/faults.md`).
     RetriesExhausted {
         /// Scheduler id of the abandoned trial.
         trial_id: u64,

@@ -64,12 +64,12 @@ pub use experiments::{
 pub use groundtruth::{GroundTruth, GroundTruthAccess, GroundTruthStats, SimilarityKind};
 pub use hyper::{HyperParams, HyperSpace};
 pub use objective::ProbeGoal;
-pub use pipetune_cluster::{FaultKind, FaultPlan, FaultReport, RetryPolicy};
+pub use pipetune_cluster::{FaultKind, FaultPlan, FaultReport};
 pub use related::{related_systems, RelatedSystem};
 pub use runner::SlotSchedule;
 pub use scheduler_choice::SchedulerKind;
 pub use sharing::{simulate_fifo, simulate_processor_sharing, SharedCompletion, SharedJob};
-pub use trial::{EpochPhase, EpochRecord, SystemTuner, TrialExecution};
+pub use trial::{EpochPhase, EpochRecord, SystemTuner, TrialExecution, EPOCH_ATTEMPTS};
 pub use tuner::{ConvergencePoint, PipeTune, TunerOptions, TuningOutcome};
 pub use workload::{EpochOutcome, EpochWorkload, JobType, WorkloadInstance, WorkloadSpec};
 
@@ -96,7 +96,7 @@ pub mod prelude {
     pub use crate::scheduler_choice::SchedulerKind;
     pub use crate::tuner::{PipeTune, TunerOptions, TuningOutcome};
     pub use crate::workload::{JobType, WorkloadSpec};
-    pub use pipetune_cluster::{FaultPlan, RetryPolicy, SystemConfig};
+    pub use pipetune_cluster::{FaultPlan, SystemConfig};
     pub use pipetune_monitor::{MonitorConfig, MonitorHandle};
     pub use pipetune_telemetry::TelemetryHandle;
 }

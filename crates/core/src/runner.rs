@@ -587,7 +587,7 @@ where
             PipeTuneError::InvalidConfig {
                 reason: format!(
                     "every trial was abandoned under the fault plan \
-                     ({} abandoned); relax the plan or raise the retry budget",
+                     ({} abandoned); relax the plan",
                     fault_report.abandoned
                 ),
             }

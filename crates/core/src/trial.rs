@@ -24,6 +24,17 @@ use crate::observe;
 use crate::workload::EpochWorkload;
 use crate::{ExperimentEnv, PipeTuneError, WorkloadInstance};
 
+/// Attempts one epoch gets against node crashes, the first included; a
+/// trial whose epoch crashes this many times is abandoned
+/// ([`PipeTuneError::RetriesExhausted`]).
+pub const EPOCH_ATTEMPTS: u32 = 3;
+
+/// Simulated seconds a trial waits before retrying failed attempt `attempt`
+/// (0-based): 5 s, doubling per further retry.
+fn epoch_backoff_secs(attempt: u32) -> f64 {
+    5.0 * 2.0f64.powi(attempt as i32)
+}
+
 /// Which phase of Algorithm 1 an epoch executed in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EpochPhase {
@@ -581,8 +592,7 @@ impl TrialExecution {
     /// * **node crash** — the attempt really runs against an epoch-boundary
     ///   snapshot and is rolled back (mid-epoch crash semantics:
     ///   partial work wasted, model/RNG state restored), then retried after
-    ///   exponential backoff in simulated time, up to
-    ///   [`pipetune_cluster::RetryPolicy::max_attempts`];
+    ///   exponential backoff in simulated time, up to [`EPOCH_ATTEMPTS`];
     /// * **straggler** — the epoch completes at `slowdown ×` its nominal
     ///   duration; training output is untouched;
     /// * **counter read** — training proceeds but the epoch's profile/probe
@@ -636,7 +646,7 @@ impl TrialExecution {
                     let attempt_energy = self.total_energy_j - ckpt.energy_j;
                     self.restore(ckpt, rng);
                     let wasted = attempt_secs * wasted_fraction;
-                    let backoff = env.retry.backoff_secs(attempt);
+                    let backoff = epoch_backoff_secs(attempt);
                     self.total_secs += wasted + backoff;
                     self.total_energy_j += attempt_energy * wasted_fraction;
                     self.faults.wasted_epoch_secs += wasted;
@@ -653,7 +663,7 @@ impl TrialExecution {
                         attrs
                     });
                     attempt += 1;
-                    if attempt >= env.retry.max_attempts.max(1) {
+                    if attempt >= EPOCH_ATTEMPTS {
                         self.faults.abandoned += 1;
                         self.event(EventKind::Retry, None, || {
                             vec![("epoch", epoch_idx.into()), ("abandoned", true.into())]
@@ -1181,16 +1191,17 @@ mod tests {
         match err {
             PipeTuneError::RetriesExhausted { trial_id, attempts } => {
                 assert_eq!(trial_id, 4);
-                assert_eq!(attempts, e.retry.max_attempts);
+                assert_eq!(attempts, EPOCH_ATTEMPTS);
             }
             other => panic!("expected RetriesExhausted, got {other}"),
         }
         let report = t.fault_report();
         assert_eq!(report.abandoned, 1);
-        assert_eq!(report.crashes, u64::from(e.retry.max_attempts));
-        assert_eq!(report.retried, u64::from(e.retry.max_attempts) - 1);
+        assert_eq!(report.crashes, u64::from(EPOCH_ATTEMPTS));
+        assert_eq!(report.retried, u64::from(EPOCH_ATTEMPTS) - 1);
         assert!(report.wasted_epoch_secs > 0.0);
-        assert!(report.recovery_overhead_secs > 0.0);
+        // 5 s, 10 s and 20 s of backoff, one per failed attempt.
+        assert_eq!(report.recovery_overhead_secs, 35.0);
         // No epoch ever committed.
         assert!(t.records().is_empty());
     }

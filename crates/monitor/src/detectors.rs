@@ -5,8 +5,8 @@
 //! Every detector is a pure stream processor over the deterministic
 //! telemetry stream (the [`crate::engine::Detector`] contract), so its firings
 //! are byte-identical across executor worker counts and scan
-//! granularities. Window parameters are plain public structs — tuning
-//! them only changes *which* alerts fire, never their canonical order.
+//! granularities. Window parameters are private constants; the alert
+//! evidence carries the ones a firing was judged against.
 
 use pipetune_telemetry::{
     attr_bool, attr_f64, attr_u64, Event, EventKind, MetricsRegistry, Span, SpanKind,
@@ -31,22 +31,12 @@ pub(crate) const QUEUE_GROWTH: &str = "queue_growth";
 // Stall / straggler watchdog
 // ---------------------------------------------------------------------------
 
-/// Window parameters of `stall`, the stall/straggler watchdog.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StallConfig {
-    /// Rolling window of committed epoch durations (ring-buffer size).
-    pub window: usize,
-    /// Fire when an epoch runs longer than `factor ×` the rolling mean.
-    pub factor: f64,
-    /// Minimum samples in the window before the watchdog arms.
-    pub min_samples: usize,
-}
-
-impl Default for StallConfig {
-    fn default() -> Self {
-        StallConfig { window: 32, factor: 3.0, min_samples: 8 }
-    }
-}
+/// Rolling window of committed epoch durations (ring-buffer size).
+const STALL_WINDOW: usize = 32;
+/// Fire when an epoch runs longer than `STALL_FACTOR ×` the rolling mean.
+const STALL_FACTOR: f64 = 3.0;
+/// Minimum samples in the window before the watchdog arms.
+const STALL_MIN_SAMPLES: usize = 8;
 
 /// Watches committed epoch durations against a rolling window and flags
 /// epochs that run far beyond the recent norm — the online face of the
@@ -58,15 +48,13 @@ impl Default for StallConfig {
 /// record order — scheduler request order, hence deterministic.
 #[derive(Debug)]
 pub(crate) struct StallDetector {
-    config: StallConfig,
     durations: RingWindow,
 }
 
 impl StallDetector {
-    /// A watchdog with the given window parameters.
-    pub(crate) fn new(config: StallConfig) -> Self {
-        let window = config.window.max(1);
-        StallDetector { config, durations: RingWindow::new(window) }
+    /// A watchdog with an empty window.
+    pub(crate) fn new() -> Self {
+        StallDetector { durations: RingWindow::new(STALL_WINDOW) }
     }
 }
 
@@ -76,10 +64,10 @@ impl Detector for StallDetector {
             return;
         }
         let duration = span.end_secs - span.start_secs;
-        if self.durations.len() >= self.config.min_samples.max(1) {
+        if self.durations.len() >= STALL_MIN_SAMPLES {
             let mean = self.durations.mean();
-            if duration > self.config.factor * mean {
-                let severity = if duration > 2.0 * self.config.factor * mean {
+            if duration > STALL_FACTOR * mean {
+                let severity = if duration > 2.0 * STALL_FACTOR * mean {
                     Severity::Critical
                 } else {
                     Severity::Warning
@@ -97,7 +85,7 @@ impl Detector for StallDetector {
                         ("duration_secs", duration.into()),
                         ("window_mean_secs", mean.into()),
                         ("window_len", self.durations.len().into()),
-                        ("factor", self.config.factor.into()),
+                        ("factor", STALL_FACTOR.into()),
                     ],
                 });
             }
@@ -110,21 +98,11 @@ impl Detector for StallDetector {
 // Crash loop
 // ---------------------------------------------------------------------------
 
-/// Window parameters of `crash_loop`, the crash-loop detector.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CrashLoopConfig {
-    /// Sliding horizon, simulated seconds on the source's clock.
-    pub window_secs: f64,
-    /// Fire at the `burst`-th fault/retry on one source within the
-    /// window.
-    pub burst: usize,
-}
-
-impl Default for CrashLoopConfig {
-    fn default() -> Self {
-        CrashLoopConfig { window_secs: 20_000.0, burst: 3 }
-    }
-}
+/// Sliding horizon, simulated seconds on the source's clock.
+const CRASH_WINDOW_SECS: f64 = 20_000.0;
+/// Fire at the `CRASH_BURST`-th fault/retry on one source within the
+/// window.
+const CRASH_BURST: usize = 3;
 
 /// Flags sources caught in a crash/retry spiral: `fault` and `retry`
 /// events bucketed per `(job, trial)` source — the nearest `job` or
@@ -134,15 +112,14 @@ impl Default for CrashLoopConfig {
 /// after building a fresh burst.
 #[derive(Debug)]
 pub(crate) struct CrashLoopDetector {
-    config: CrashLoopConfig,
     /// Per-source event-time windows, keyed by source span index.
     windows: std::collections::BTreeMap<u32, TimeWindow>,
 }
 
 impl CrashLoopDetector {
-    /// A detector with the given burst parameters.
-    pub(crate) fn new(config: CrashLoopConfig) -> Self {
-        CrashLoopDetector { config, windows: std::collections::BTreeMap::new() }
+    /// A detector that has seen no source yet.
+    pub(crate) fn new() -> Self {
+        CrashLoopDetector { windows: std::collections::BTreeMap::new() }
     }
 }
 
@@ -161,9 +138,9 @@ impl Detector for CrashLoopDetector {
             .or_else(|| ctx.ancestor_of_kind(span, SpanKind::Trial))
             .unwrap_or(span);
         let window =
-            self.windows.entry(source).or_insert_with(|| TimeWindow::new(self.config.window_secs));
+            self.windows.entry(source).or_insert_with(|| TimeWindow::new(CRASH_WINDOW_SECS));
         window.push(event.at_secs);
-        if window.len() >= self.config.burst.max(1) {
+        if window.len() >= CRASH_BURST {
             let count = window.len();
             window.clear();
             out.push(Alert {
@@ -172,14 +149,11 @@ impl Detector for CrashLoopDetector {
                 source: ctx.path(source),
                 span: Some(source),
                 at_secs: event.at_secs,
-                message: format!(
-                    "{count} fault/retry events within {:.0}s",
-                    self.config.window_secs
-                ),
+                message: format!("{count} fault/retry events within {CRASH_WINDOW_SECS:.0}s"),
                 evidence: vec![
                     ("events_in_window", count.into()),
-                    ("window_secs", self.config.window_secs.into()),
-                    ("burst", self.config.burst.into()),
+                    ("window_secs", CRASH_WINDOW_SECS.into()),
+                    ("burst", CRASH_BURST.into()),
                 ],
             });
         }
@@ -190,31 +164,16 @@ impl Detector for CrashLoopDetector {
 // SLO burn rate
 // ---------------------------------------------------------------------------
 
-/// Window parameters of `slo_burn`, the SLO burn-rate detector.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SloBurnConfig {
-    /// The slow window, simulated seconds on the service clock.
-    pub slow_window_secs: f64,
-    /// The fast window (a fraction of the slow one, SRE-style).
-    pub fast_window_secs: f64,
-    /// Error budget: the shed fraction the SLO tolerates (e.g. `0.1` =
-    /// one job in ten may miss its deadline).
-    pub budget: f64,
-    /// Fire when **both** windows burn at or above this multiple of the
-    /// budget.
-    pub burn_threshold: f64,
-}
-
-impl Default for SloBurnConfig {
-    fn default() -> Self {
-        SloBurnConfig {
-            slow_window_secs: 40_000.0,
-            fast_window_secs: 8_000.0,
-            budget: 0.1,
-            burn_threshold: 1.0,
-        }
-    }
-}
+/// The slow window, simulated seconds on the service clock.
+const SLO_SLOW_WINDOW_SECS: f64 = 40_000.0;
+/// The fast window (a fraction of the slow one, SRE-style).
+const SLO_FAST_WINDOW_SECS: f64 = 8_000.0;
+/// Error budget: the shed fraction the SLO tolerates (one job in ten may
+/// miss its deadline).
+const SLO_BUDGET: f64 = 0.1;
+/// Fire when **both** windows burn at or above this multiple of the
+/// budget.
+const SLO_BURN_THRESHOLD: f64 = 1.0;
 
 /// Multi-window SLO burn-rate alerts for `ServiceConfig::with_deadline`
 /// jobs, SRE-style: the *burn rate* is the deadline-miss fraction over a
@@ -235,7 +194,6 @@ impl Default for SloBurnConfig {
 /// is what keeps live scans and offline replay byte-identical.
 #[derive(Debug)]
 pub(crate) struct SloBurnDetector {
-    config: SloBurnConfig,
     /// Arrival times of every job, record order (non-decreasing).
     arrivals: Vec<f64>,
     /// Shed times, record order (non-decreasing).
@@ -243,9 +201,9 @@ pub(crate) struct SloBurnDetector {
 }
 
 impl SloBurnDetector {
-    /// A detector with the given window pair.
-    pub(crate) fn new(config: SloBurnConfig) -> Self {
-        SloBurnDetector { config, arrivals: Vec::new(), sheds: Vec::new() }
+    /// A detector that has seen no job yet.
+    pub(crate) fn new() -> Self {
+        SloBurnDetector { arrivals: Vec::new(), sheds: Vec::new() }
     }
 
     /// Burn rate over the window `(now - horizon, now]`: sheds in the
@@ -259,7 +217,7 @@ impl SloBurnDetector {
             return (0.0, 0, shed);
         }
         let rate = shed as f64 / due as f64;
-        (rate / self.config.budget.max(f64::MIN_POSITIVE), due, shed)
+        (rate / SLO_BUDGET, due, shed)
     }
 }
 
@@ -277,10 +235,10 @@ impl Detector for SloBurnDetector {
         self.sheds.push(event.at_secs);
         let deadline = attr_f64(&event.attrs, "deadline_secs").unwrap_or(0.0);
         let (fast_burn, fast_jobs, fast_sheds) =
-            self.burn(event.at_secs, self.config.fast_window_secs, deadline);
+            self.burn(event.at_secs, SLO_FAST_WINDOW_SECS, deadline);
         let (slow_burn, slow_jobs, slow_sheds) =
-            self.burn(event.at_secs, self.config.slow_window_secs, deadline);
-        if fast_burn >= self.config.burn_threshold && slow_burn >= self.config.burn_threshold {
+            self.burn(event.at_secs, SLO_SLOW_WINDOW_SECS, deadline);
+        if fast_burn >= SLO_BURN_THRESHOLD && slow_burn >= SLO_BURN_THRESHOLD {
             let source = event.span.map(|s| ctx.path(s)).unwrap_or_default();
             out.push(Alert {
                 detector: SLO_BURN,
@@ -294,13 +252,13 @@ impl Detector for SloBurnDetector {
                 evidence: vec![
                     ("fast_burn", fast_burn.into()),
                     ("slow_burn", slow_burn.into()),
-                    ("fast_window_secs", self.config.fast_window_secs.into()),
-                    ("slow_window_secs", self.config.slow_window_secs.into()),
+                    ("fast_window_secs", SLO_FAST_WINDOW_SECS.into()),
+                    ("slow_window_secs", SLO_SLOW_WINDOW_SECS.into()),
                     ("fast_jobs", fast_jobs.into()),
                     ("fast_sheds", fast_sheds.into()),
                     ("slow_jobs", slow_jobs.into()),
                     ("slow_sheds", slow_sheds.into()),
-                    ("budget", self.config.budget.into()),
+                    ("budget", SLO_BUDGET.into()),
                 ],
             });
         }
@@ -311,30 +269,15 @@ impl Detector for SloBurnDetector {
 // Cache thrash
 // ---------------------------------------------------------------------------
 
-/// Window parameters of `cache_thrash`, the cache-thrash detector.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CacheThrashConfig {
-    /// Rolling window of `cache_lookup` outcomes (ring-buffer size).
-    pub window: usize,
-    /// Fire when the windowed hit rate drops below this floor.
-    pub min_hit_rate: f64,
-    /// Minimum lookups in the window before the detector arms.
-    pub min_samples: usize,
-    /// End-of-run churn alert when `cache.evict / cache.insert` exceeds
-    /// this ratio.
-    pub max_evict_per_insert: f64,
-}
-
-impl Default for CacheThrashConfig {
-    fn default() -> Self {
-        CacheThrashConfig {
-            window: 16,
-            min_hit_rate: 0.2,
-            min_samples: 8,
-            max_evict_per_insert: 0.5,
-        }
-    }
-}
+/// Rolling window of `cache_lookup` outcomes (ring-buffer size).
+const CACHE_WINDOW: usize = 16;
+/// Fire when the windowed hit rate drops below this floor.
+const CACHE_MIN_HIT_RATE: f64 = 0.2;
+/// Minimum lookups in the window before the detector arms.
+const CACHE_MIN_SAMPLES: usize = 8;
+/// End-of-run churn alert when `cache.evict / cache.insert` exceeds this
+/// ratio.
+const CACHE_MAX_EVICT_PER_INSERT: f64 = 0.5;
 
 /// Flags epoch-reuse cache collapse: a rolling window over
 /// `cache_lookup` events fires when the hit rate falls below the floor
@@ -344,16 +287,14 @@ impl Default for CacheThrashConfig {
 /// cannot see. After a hit-rate firing the window resets (cool-down).
 #[derive(Debug)]
 pub(crate) struct CacheThrashDetector {
-    config: CacheThrashConfig,
     /// 1.0 per hit, 0.0 per miss.
     lookups: RingWindow,
 }
 
 impl CacheThrashDetector {
-    /// A detector with the given window parameters.
-    pub(crate) fn new(config: CacheThrashConfig) -> Self {
-        let window = config.window.max(1);
-        CacheThrashDetector { config, lookups: RingWindow::new(window) }
+    /// A detector with an empty window.
+    pub(crate) fn new() -> Self {
+        CacheThrashDetector { lookups: RingWindow::new(CACHE_WINDOW) }
     }
 }
 
@@ -364,9 +305,9 @@ impl Detector for CacheThrashDetector {
         }
         let hit = attr_bool(&event.attrs, "hit").unwrap_or(false);
         self.lookups.push(if hit { 1.0 } else { 0.0 });
-        if self.lookups.len() >= self.config.min_samples.max(1) {
+        if self.lookups.len() >= CACHE_MIN_SAMPLES {
             let hit_rate = self.lookups.mean();
-            if hit_rate < self.config.min_hit_rate {
+            if hit_rate < CACHE_MIN_HIT_RATE {
                 let window_len = self.lookups.len();
                 self.lookups.clear();
                 let source = event.span.map(|s| ctx.path(s)).unwrap_or_default();
@@ -382,7 +323,7 @@ impl Detector for CacheThrashDetector {
                     evidence: vec![
                         ("hit_rate", hit_rate.into()),
                         ("window_len", window_len.into()),
-                        ("min_hit_rate", self.config.min_hit_rate.into()),
+                        ("min_hit_rate", CACHE_MIN_HIT_RATE.into()),
                     ],
                 });
             }
@@ -394,7 +335,7 @@ impl Detector for CacheThrashDetector {
         let inserts = metrics.counter("cache.insert");
         if inserts > 0 {
             let ratio = evictions as f64 / inserts as f64;
-            if ratio > self.config.max_evict_per_insert {
+            if ratio > CACHE_MAX_EVICT_PER_INSERT {
                 out.push(Alert {
                     detector: CACHE_THRASH,
                     severity: Severity::Warning,
@@ -408,7 +349,7 @@ impl Detector for CacheThrashDetector {
                         ("evictions", evictions.into()),
                         ("inserts", inserts.into()),
                         ("evict_per_insert", ratio.into()),
-                        ("max_evict_per_insert", self.config.max_evict_per_insert.into()),
+                        ("max_evict_per_insert", CACHE_MAX_EVICT_PER_INSERT.into()),
                     ],
                 });
             }
@@ -420,24 +361,14 @@ impl Detector for CacheThrashDetector {
 // Admission / queue growth
 // ---------------------------------------------------------------------------
 
-/// Window parameters of `queue_growth`, the admission/queue-growth detector.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueueGrowthConfig {
-    /// Fire when a job arrives to a backlog at or beyond this depth
-    /// (queued + running jobs ahead of it).
-    pub depth_threshold: u64,
-    /// Sliding horizon for admission rejections, service-clock seconds.
-    pub window_secs: f64,
-    /// Fire at the `rejected_burst`-th admission rejection within the
-    /// window.
-    pub rejected_burst: usize,
-}
-
-impl Default for QueueGrowthConfig {
-    fn default() -> Self {
-        QueueGrowthConfig { depth_threshold: 4, window_secs: 20_000.0, rejected_burst: 2 }
-    }
-}
+/// Fire when a job arrives to a backlog at or beyond this depth (queued +
+/// running jobs ahead of it).
+const QUEUE_DEPTH_THRESHOLD: u64 = 4;
+/// Sliding horizon for admission rejections, service-clock seconds.
+const QUEUE_WINDOW_SECS: f64 = 20_000.0;
+/// Fire at the `QUEUE_REJECTED_BURST`-th admission rejection within the
+/// window.
+const QUEUE_REJECTED_BURST: usize = 2;
 
 /// Flags a service falling behind its arrival stream: a job arriving to
 /// a deep backlog (the `queue_depth` attribute the service stamps on
@@ -446,15 +377,13 @@ impl Default for QueueGrowthConfig {
 /// detector sees them the instant the service records the arrival.
 #[derive(Debug)]
 pub(crate) struct QueueGrowthDetector {
-    config: QueueGrowthConfig,
     rejections: TimeWindow,
 }
 
 impl QueueGrowthDetector {
-    /// A detector with the given thresholds.
-    pub(crate) fn new(config: QueueGrowthConfig) -> Self {
-        let window = TimeWindow::new(config.window_secs);
-        QueueGrowthDetector { config, rejections: window }
+    /// A detector that has seen no rejection yet.
+    pub(crate) fn new() -> Self {
+        QueueGrowthDetector { rejections: TimeWindow::new(QUEUE_WINDOW_SECS) }
     }
 }
 
@@ -465,7 +394,7 @@ impl Detector for QueueGrowthDetector {
         }
         if attr_bool(&span.attrs, "admitted") == Some(false) {
             self.rejections.push(span.start_secs);
-            if self.rejections.len() >= self.config.rejected_burst.max(1) {
+            if self.rejections.len() >= QUEUE_REJECTED_BURST {
                 let count = self.rejections.len();
                 self.rejections.clear();
                 out.push(Alert {
@@ -474,21 +403,18 @@ impl Detector for QueueGrowthDetector {
                     source: ctx.path(idx),
                     span: Some(idx),
                     at_secs: span.start_secs,
-                    message: format!(
-                        "{count} admission rejections within {:.0}s",
-                        self.config.window_secs
-                    ),
+                    message: format!("{count} admission rejections within {QUEUE_WINDOW_SECS:.0}s"),
                     evidence: vec![
                         ("rejections_in_window", count.into()),
-                        ("window_secs", self.config.window_secs.into()),
-                        ("rejected_burst", self.config.rejected_burst.into()),
+                        ("window_secs", QUEUE_WINDOW_SECS.into()),
+                        ("rejected_burst", QUEUE_REJECTED_BURST.into()),
                     ],
                 });
             }
             return;
         }
         if let Some(depth) = attr_u64(&span.attrs, "queue_depth") {
-            if depth >= self.config.depth_threshold.max(1) {
+            if depth >= QUEUE_DEPTH_THRESHOLD {
                 out.push(Alert {
                     detector: QUEUE_GROWTH,
                     severity: Severity::Warning,
@@ -498,7 +424,7 @@ impl Detector for QueueGrowthDetector {
                     message: format!("job arrived to a backlog of {depth}"),
                     evidence: vec![
                         ("queue_depth", depth.into()),
-                        ("depth_threshold", self.config.depth_threshold.into()),
+                        ("depth_threshold", QUEUE_DEPTH_THRESHOLD.into()),
                     ],
                 });
             }
@@ -527,12 +453,8 @@ mod tests {
         }
     }
 
-    fn run_detectors(
-        config: &MonitorConfig,
-        spans: Vec<Span>,
-        events: Vec<Event>,
-    ) -> crate::IncidentTimeline {
-        let mut engine = MonitorEngine::new(config);
+    fn run_detectors(spans: Vec<Span>, events: Vec<Event>) -> crate::IncidentTimeline {
+        let mut engine = MonitorEngine::new(&MonitorConfig::standard());
         let snap = TelemetrySnapshot { spans, events, metrics: MetricsRegistry::new() };
         engine.observe_snapshot(&snap);
         engine.finish(&snap.metrics)
@@ -540,77 +462,62 @@ mod tests {
 
     #[test]
     fn stall_watchdog_flags_outlier_epochs() {
-        let config = MonitorConfig {
-            stall: Some(StallConfig { window: 8, factor: 3.0, min_samples: 4 }),
-            ..MonitorConfig::none()
+        // `normal` 10 s epochs, then one of 100 s: 10× the rolling mean.
+        let trial = |normal: usize| {
+            let mut spans = vec![span(SpanKind::Trial, "trial 0", None, 0.0, 1000.0)];
+            let mut t = 0.0;
+            for _ in 0..normal {
+                spans.push(epoch(0, t, t + 10.0));
+                t += 10.0;
+            }
+            spans.push(epoch(0, t, t + 100.0));
+            spans
         };
-        let mut spans = vec![span(SpanKind::Trial, "trial 0", None, 0.0, 200.0)];
-        let mut t = 0.0;
-        for _ in 0..6 {
-            spans.push(epoch(0, t, t + 10.0));
-            t += 10.0;
-        }
-        spans.push(epoch(0, t, t + 100.0)); // 10× the rolling mean
-        let timeline = run_detectors(&config, spans.clone(), vec![]);
+        let timeline = run_detectors(trial(10), vec![]);
         assert_eq!(timeline.len(), 1);
+        assert_eq!(timeline.count_for(STALL), 1);
         let alert = &timeline.alerts[0];
-        assert_eq!(alert.detector, STALL);
         assert_eq!(alert.severity, Severity::Critical);
-        assert_eq!(alert.span, Some(7));
+        assert_eq!(alert.span, Some(11));
         assert!(alert.source.starts_with("trial 0 > "), "{}", alert.source);
-        // Below the arming threshold nothing fires.
-        let quiet = run_detectors(&config, spans[..4].to_vec(), vec![]);
-        assert!(quiet.is_empty());
+        // Below the arming threshold (8 samples) nothing fires.
+        assert!(run_detectors(trial(STALL_MIN_SAMPLES - 1), vec![]).is_empty());
     }
 
     #[test]
     fn crash_loop_fires_on_bursts_and_cools_down() {
-        let config = MonitorConfig {
-            crash_loop: Some(CrashLoopConfig { window_secs: 100.0, burst: 3 }),
-            ..MonitorConfig::none()
-        };
         let spans = vec![
-            span(SpanKind::Service, "svc", None, 0.0, 1000.0),
-            span(SpanKind::Job, "job 0", Some(0), 0.0, 900.0),
+            span(SpanKind::Service, "svc", None, 0.0, 200_000.0),
+            span(SpanKind::Job, "job 0", Some(0), 0.0, 180_000.0),
         ];
         let fault =
             |at: f64| Event { kind: EventKind::Fault, span: Some(1), at_secs: at, attrs: vec![] };
         let retry =
             |at: f64| Event { kind: EventKind::Retry, span: Some(1), at_secs: at, attrs: vec![] };
-        // Burst of three inside the window → one alert; the cool-down
-        // resets the window so the fourth event alone stays quiet.
+        // Burst of three inside the 20 000 s window → one alert; the
+        // cool-down resets the window so the fourth event alone stays quiet.
         let timeline = run_detectors(
-            &config,
             spans.clone(),
-            vec![fault(10.0), retry(20.0), fault(30.0), retry(90.0)],
+            vec![fault(2_000.0), retry(4_000.0), fault(6_000.0), retry(18_000.0)],
         );
         assert_eq!(timeline.len(), 1);
-        assert_eq!(timeline.alerts[0].detector, CRASH_LOOP);
-        assert_eq!(timeline.alerts[0].at_secs, 30.0);
+        assert_eq!(timeline.count_for(CRASH_LOOP), 1);
+        assert_eq!(timeline.alerts[0].at_secs, 6_000.0);
         assert_eq!(timeline.alerts[0].span, Some(1), "bucketed by the job ancestor");
         // Spread beyond the window → never fires.
         let quiet = run_detectors(
-            &config,
             spans,
-            vec![fault(10.0), retry(200.0), fault(400.0), retry(600.0)],
+            vec![fault(2_000.0), retry(40_000.0), fault(80_000.0), retry(120_000.0)],
         );
         assert!(quiet.is_empty());
     }
 
     #[test]
     fn slo_burn_needs_both_windows() {
-        let config = MonitorConfig {
-            slo_burn: Some(SloBurnConfig {
-                slow_window_secs: 1000.0,
-                fast_window_secs: 100.0,
-                budget: 0.1,
-                burn_threshold: 1.0,
-            }),
-            ..MonitorConfig::none()
-        };
-        let mut spans = vec![span(SpanKind::Service, "svc", None, 0.0, 2000.0)];
+        let mut spans = vec![span(SpanKind::Service, "svc", None, 0.0, 200_000.0)];
         for i in 0..10 {
-            spans.push(span(SpanKind::Job, &format!("job {i}"), Some(0), i as f64 * 50.0, 1500.0));
+            let arrival = f64::from(i) * 4_000.0;
+            spans.push(span(SpanKind::Job, &format!("job {i}"), Some(0), arrival, 150_000.0));
         }
         let shed = |at: f64, job: u32| Event {
             kind: EventKind::Shed,
@@ -618,60 +525,50 @@ mod tests {
             at_secs: at,
             attrs: vec![],
         };
-        // A shed right after arrivals: fast window (one arrival, one
-        // shed) and slow window (10 arrivals, 1 shed = budget exactly)
-        // both burn ≥ 1×.
-        let timeline = run_detectors(&config, spans.clone(), vec![shed(480.0, 9)]);
+        // A shed right after arrivals: the 8 000 s fast window (two
+        // arrivals, one shed) and the 40 000 s slow window (10 arrivals,
+        // 1 shed = budget exactly) both burn ≥ 1×.
+        let timeline = run_detectors(spans.clone(), vec![shed(38_400.0, 9)]);
         assert_eq!(timeline.len(), 1);
-        let alert = &timeline.alerts[0];
-        assert_eq!(alert.detector, SLO_BURN);
-        assert_eq!(alert.severity, Severity::Critical);
+        assert_eq!(timeline.count_for(SLO_BURN), 1);
+        assert_eq!(timeline.alerts[0].severity, Severity::Critical);
         // A shed long after the last arrival: the fast window holds no
         // arrivals, so the fast burn is 0 and nothing fires.
-        let quiet = run_detectors(&config, spans.clone(), vec![shed(1400.0, 9)]);
+        let quiet = run_detectors(spans.clone(), vec![shed(112_000.0, 9)]);
         assert!(quiet.is_empty());
         // With a `deadline_secs` attr, the denominator shifts to jobs
-        // *due* in the window: a shed at arrival + 1000 would miss every
-        // arrival in the raw fast window, but two jobs (arrivals 400 and
-        // 450) fall due inside it — so the detector still fires.
+        // *due* in the window: a shed at arrival + 80 000 would miss every
+        // arrival in the raw fast window, but two jobs (arrivals 32 000
+        // and 36 000) fall due inside it — so the detector still fires.
         let late = Event {
             kind: EventKind::Shed,
             span: Some(10),
-            at_secs: 1480.0,
-            attrs: vec![("deadline_secs", 1000.0.into())],
+            at_secs: 118_400.0,
+            attrs: vec![("deadline_secs", 80_000.0.into())],
         };
-        let shifted = run_detectors(&config, spans, vec![late]);
+        let shifted = run_detectors(spans, vec![late]);
         assert_eq!(shifted.len(), 1);
-        assert_eq!(shifted.alerts[0].detector, SLO_BURN);
+        assert_eq!(shifted.count_for(SLO_BURN), 1);
     }
 
     #[test]
     fn cache_thrash_flags_hit_rate_collapse_and_eviction_churn() {
-        let config = MonitorConfig {
-            cache_thrash: Some(CacheThrashConfig {
-                window: 8,
-                min_hit_rate: 0.3,
-                min_samples: 4,
-                max_evict_per_insert: 0.5,
-            }),
-            ..MonitorConfig::none()
-        };
-        let spans = vec![span(SpanKind::Trial, "trial 0", None, 0.0, 100.0)];
+        let spans = vec![span(SpanKind::Trial, "trial 0", None, 0.0, 1000.0)];
         let lookup = |at: f64, hit: bool| Event {
             kind: EventKind::CacheLookup,
             span: Some(0),
             at_secs: at,
             attrs: vec![("hit", hit.into())],
         };
-        let misses: Vec<Event> = (0..4).map(|i| lookup(f64::from(i) * 10.0, false)).collect();
-        let timeline = run_detectors(&config, spans.clone(), misses);
+        let misses: Vec<Event> = (0..8).map(|i| lookup(f64::from(i) * 10.0, false)).collect();
+        let timeline = run_detectors(spans.clone(), misses);
         assert_eq!(timeline.len(), 1);
-        assert_eq!(timeline.alerts[0].detector, CACHE_THRASH);
+        assert_eq!(timeline.count_for(CACHE_THRASH), 1);
         // All hits → quiet.
-        let hits: Vec<Event> = (0..8).map(|i| lookup(f64::from(i) * 10.0, true)).collect();
-        assert!(run_detectors(&config, spans.clone(), hits).is_empty());
+        let hits: Vec<Event> = (0..16).map(|i| lookup(f64::from(i) * 10.0, true)).collect();
+        assert!(run_detectors(spans.clone(), hits).is_empty());
         // Eviction churn from the final counters, via the finish hook.
-        let mut engine = MonitorEngine::new(&config);
+        let mut engine = MonitorEngine::new(&MonitorConfig::standard());
         let mut metrics = MetricsRegistry::new();
         metrics.counter_add("cache.insert", 10);
         metrics.counter_add("cache.evict", 8);
@@ -679,19 +576,12 @@ mod tests {
         engine.observe_snapshot(&snap);
         let timeline = engine.finish(&snap.metrics);
         assert_eq!(timeline.len(), 1);
+        assert_eq!(timeline.count_for(CACHE_THRASH), 1);
         assert!(timeline.alerts[0].message.contains("eviction churn"));
     }
 
     #[test]
     fn queue_growth_flags_deep_backlogs_and_rejection_bursts() {
-        let config = MonitorConfig {
-            queue_growth: Some(QueueGrowthConfig {
-                depth_threshold: 3,
-                window_secs: 100.0,
-                rejected_burst: 2,
-            }),
-            ..MonitorConfig::none()
-        };
         let job = |label: &str, start: f64, attrs: pipetune_telemetry::Attrs| Span {
             kind: SpanKind::Job,
             label: label.into(),
@@ -702,18 +592,19 @@ mod tests {
         };
         let spans = vec![
             span(SpanKind::Service, "svc", None, 0.0, f64::NAN),
-            job("job 0", 10.0, vec![("admitted", true.into()), ("queue_depth", 1u64.into())]),
-            job("job 1", 20.0, vec![("admitted", true.into()), ("queue_depth", 5u64.into())]),
-            job("job 2", 30.0, vec![("admitted", false.into())]),
-            job("job 3", 40.0, vec![("admitted", false.into())]),
+            job("job 0", 2_000.0, vec![("admitted", true.into()), ("queue_depth", 1u64.into())]),
+            job("job 1", 4_000.0, vec![("admitted", true.into()), ("queue_depth", 5u64.into())]),
+            job("job 2", 6_000.0, vec![("admitted", false.into())]),
+            job("job 3", 8_000.0, vec![("admitted", false.into())]),
         ];
-        let timeline = run_detectors(&config, spans, vec![]);
+        let timeline = run_detectors(spans, vec![]);
         assert_eq!(timeline.len(), 2);
-        // Canonical order: the depth alert (t=20) precedes the rejection
-        // burst (t=40).
-        assert_eq!(timeline.alerts[0].at_secs, 20.0);
+        assert_eq!(timeline.count_for(QUEUE_GROWTH), 2);
+        // Canonical order: the depth alert (t=4 000) precedes the
+        // rejection burst (t=8 000).
+        assert_eq!(timeline.alerts[0].at_secs, 4_000.0);
         assert_eq!(timeline.alerts[0].severity, Severity::Warning);
-        assert_eq!(timeline.alerts[1].at_secs, 40.0);
+        assert_eq!(timeline.alerts[1].at_secs, 8_000.0);
         assert_eq!(timeline.alerts[1].severity, Severity::Critical);
     }
 }

@@ -6,8 +6,7 @@ use pipetune_telemetry::{Event, MetricsRegistry, Span, SpanKind, TelemetrySnapsh
 
 use crate::alert::{Alert, IncidentTimeline};
 use crate::detectors::{
-    CacheThrashConfig, CacheThrashDetector, CrashLoopConfig, CrashLoopDetector, QueueGrowthConfig,
-    QueueGrowthDetector, SloBurnConfig, SloBurnDetector, StallConfig, StallDetector,
+    CacheThrashDetector, CrashLoopDetector, QueueGrowthDetector, SloBurnDetector, StallDetector,
 };
 
 /// Structural view of the trace delivered so far — span kinds, labels and
@@ -35,7 +34,7 @@ impl<'a> TraceIndex<'a> {
             if span.kind == kind {
                 return Some(i);
             }
-            cursor = span.parent;
+            cursor = earlier_parent(i, span);
         }
         None
     }
@@ -45,13 +44,22 @@ impl<'a> TraceIndex<'a> {
     pub(crate) fn path(&self, idx: u32) -> String {
         let mut labels = Vec::new();
         let mut cursor = Some(idx);
-        while let Some(span) = cursor.and_then(|i| self.spans.get(i as usize)) {
+        while let Some(i) = cursor {
+            let Some(span) = self.spans.get(i as usize) else { break };
             labels.push(span.label.as_str());
-            cursor = span.parent;
+            cursor = earlier_parent(i, span);
         }
         labels.reverse();
         labels.join(" > ")
     }
+}
+
+/// The parent of span `idx` when it was recorded before `idx` — the
+/// recording contract, and `TelemetrySnapshot::validate`'s `OrphanParent`
+/// rule. An unvalidated trace can link a span to itself or to a later
+/// span; stopping there keeps every walk finite.
+fn earlier_parent(idx: u32, span: &Span) -> Option<u32> {
+    span.parent.filter(|&p| p < idx)
 }
 
 /// A streaming detector: a pure function of the observation stream.
@@ -89,66 +97,22 @@ pub(crate) trait Detector: Send {
     fn finish(&mut self, _metrics: &MetricsRegistry, _out: &mut Vec<Alert>) {}
 }
 
-/// Which detectors run, with their window parameters. The default is the
-/// empty set: an engine with no detectors never fires, injects nothing,
-/// and leaves every artefact bit-identical to a build without the
-/// monitor.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MonitorConfig {
-    /// Stall/straggler watchdog, when enabled.
-    pub stall: Option<StallConfig>,
-    /// Crash-loop detector, when enabled.
-    pub crash_loop: Option<CrashLoopConfig>,
-    /// Multi-window SLO burn-rate detector, when enabled.
-    pub slo_burn: Option<SloBurnConfig>,
-    /// Cache-thrash detector, when enabled.
-    pub cache_thrash: Option<CacheThrashConfig>,
-    /// Admission/queue-growth detector, when enabled.
-    pub queue_growth: Option<QueueGrowthConfig>,
-}
+/// The detector set a monitor runs: always all five, at the window
+/// constants listed in `docs/monitoring.md`. A monitor that watches nothing
+/// is `MonitorHandle::disabled()`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MonitorConfig(());
 
 impl MonitorConfig {
-    /// No detectors (the default): scanning is a cursor advance and
-    /// nothing else.
-    pub fn none() -> Self {
-        MonitorConfig::default()
-    }
-
-    /// Every detector at its default window parameters — what
-    /// `pipetune-bench headline --chaos` and `pipetune-bench trace watch` run.
+    /// The five detectors — what `pipetune-bench headline --chaos` and
+    /// `pipetune-bench trace watch` run.
     pub fn standard() -> Self {
-        MonitorConfig {
-            stall: Some(StallConfig::default()),
-            crash_loop: Some(CrashLoopConfig::default()),
-            slo_burn: Some(SloBurnConfig::default()),
-            cache_thrash: Some(CacheThrashConfig::default()),
-            queue_growth: Some(QueueGrowthConfig::default()),
-        }
-    }
-
-    fn build(&self) -> Vec<Box<dyn Detector>> {
-        let mut detectors: Vec<Box<dyn Detector>> = Vec::new();
-        if let Some(cfg) = &self.stall {
-            detectors.push(Box::new(StallDetector::new(cfg.clone())));
-        }
-        if let Some(cfg) = &self.crash_loop {
-            detectors.push(Box::new(CrashLoopDetector::new(cfg.clone())));
-        }
-        if let Some(cfg) = &self.slo_burn {
-            detectors.push(Box::new(SloBurnDetector::new(cfg.clone())));
-        }
-        if let Some(cfg) = &self.cache_thrash {
-            detectors.push(Box::new(CacheThrashDetector::new(cfg.clone())));
-        }
-        if let Some(cfg) = &self.queue_growth {
-            detectors.push(Box::new(QueueGrowthDetector::new(cfg.clone())));
-        }
-        detectors
+        MonitorConfig(())
     }
 }
 
-/// The streaming engine: feeds the telemetry stream through the
-/// configured detectors and accumulates their firings.
+/// The streaming engine: feeds the telemetry stream through the five
+/// detectors and accumulates their firings.
 ///
 /// Scans are **cursor-based and incremental** — each
 /// [`MonitorEngine::observe`] call processes only the spans and events
@@ -165,21 +129,25 @@ pub struct MonitorEngine {
 }
 
 impl MonitorEngine {
-    /// An engine running `config`'s detectors.
-    pub fn new(config: &MonitorConfig) -> Self {
+    /// An engine running the five detectors.
+    pub fn new(_config: &MonitorConfig) -> Self {
+        MonitorEngine::with_detectors(vec![
+            Box::new(StallDetector::new()),
+            Box::new(CrashLoopDetector::new()),
+            Box::new(SloBurnDetector::new()),
+            Box::new(CacheThrashDetector::new()),
+            Box::new(QueueGrowthDetector::new()),
+        ])
+    }
+
+    fn with_detectors(detectors: Vec<Box<dyn Detector>>) -> Self {
         MonitorEngine {
-            detectors: config.build(),
+            detectors,
             span_cursor: 0,
             event_cursor: 0,
             fired: Vec::new(),
             finished: None,
         }
-    }
-
-    /// Whether any detector is configured (an empty engine only advances
-    /// cursors).
-    pub(crate) fn has_detectors(&self) -> bool {
-        !self.detectors.is_empty()
     }
 
     /// Processes everything recorded since the previous scan: new spans
@@ -243,7 +211,7 @@ impl std::fmt::Debug for MonitorEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipetune_telemetry::{AttrValue, EventKind};
+    use pipetune_telemetry::EventKind;
 
     fn span(kind: SpanKind, label: &str, parent: Option<u32>, start: f64, end: f64) -> Span {
         Span { kind, label: label.into(), parent, start_secs: start, end_secs: end, attrs: vec![] }
@@ -261,6 +229,16 @@ mod tests {
         assert_eq!(idx.ancestor_of_kind(2, SpanKind::Job), Some(1));
         assert_eq!(idx.ancestor_of_kind(2, SpanKind::TuningRun), Some(2));
         assert_eq!(idx.ancestor_of_kind(1, SpanKind::Epoch), None);
+        // A parent that is not an earlier span ends the walk.
+        let looped = [
+            span(SpanKind::Rung, "round 0", Some(1), 0.0, 10.0),
+            span(SpanKind::Trial, "trial 0", Some(1), 0.0, 8.0),
+        ];
+        let idx = TraceIndex::over(&looped);
+        assert_eq!(idx.path(1), "trial 0");
+        assert_eq!(idx.path(0), "round 0");
+        assert_eq!(idx.ancestor_of_kind(1, SpanKind::Job), None);
+        assert_eq!(idx.ancestor_of_kind(0, SpanKind::Trial), None);
     }
 
     /// A detector that alerts on every observation — enough to pin the
@@ -310,16 +288,14 @@ mod tests {
         ];
         let metrics = MetricsRegistry::new();
 
-        let mut live = MonitorEngine::new(&MonitorConfig::none());
-        live.detectors.push(Box::new(EveryObservation));
+        let mut live = MonitorEngine::with_detectors(vec![Box::new(EveryObservation)]);
         // Three scans of growing prefixes (span/event arrival interleaved).
         live.observe(&spans[..1], &events[..0]);
         live.observe(&spans[..2], &events[..1]);
         live.observe(&spans, &events);
         let live_timeline = live.finish(&metrics);
 
-        let mut offline = MonitorEngine::new(&MonitorConfig::none());
-        offline.detectors.push(Box::new(EveryObservation));
+        let mut offline = MonitorEngine::with_detectors(vec![Box::new(EveryObservation)]);
         offline.observe(&spans, &events);
         let offline_timeline = offline.finish(&metrics);
 
@@ -331,18 +307,28 @@ mod tests {
     }
 
     #[test]
-    fn empty_config_never_fires() {
-        let mut engine = MonitorEngine::new(&MonitorConfig::none());
-        assert!(!engine.has_detectors());
-        engine.observe(
-            &[span(SpanKind::TuningRun, "run", None, 0.0, 1.0)],
-            &[Event {
-                kind: EventKind::Fault,
-                span: Some(0),
-                at_secs: 0.5,
-                attrs: vec![("fault", AttrValue::Str("node_crash".into()))],
-            }],
-        );
-        assert!(engine.finish(&MetricsRegistry::new()).is_empty());
+    fn parent_loops_end_the_walk() {
+        // An unvalidated trace (any `TelemetrySnapshot::from_json_str`
+        // result) may link a span to itself: here a self-parented trial
+        // whose three faults make the crash-loop detector walk up from it
+        // looking for a job. The engine runs on a worker thread so a walk
+        // that never ends fails the test instead of hanging it.
+        let spans = vec![span(SpanKind::Trial, "trial 0", Some(0), 0.0, 100.0)];
+        let fault =
+            |at: f64| Event { kind: EventKind::Fault, span: Some(0), at_secs: at, attrs: vec![] };
+        let events = vec![fault(1.0), fault(2.0), fault(3.0)];
+        let (done, result) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let mut engine = MonitorEngine::new(&MonitorConfig::standard());
+            engine.observe(&spans, &events);
+            done.send(engine.finish(&MetricsRegistry::new())).expect("the test is waiting");
+        });
+        let timeline = result
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the monitor returns on a trace whose parent links loop");
+        worker.join().expect("the engine thread ran to completion");
+        assert_eq!(timeline.len(), 1);
+        assert_eq!(timeline.count_for("crash_loop"), 1);
+        assert_eq!(timeline.alerts[0].source, "trial 0", "bucketed by the trial itself");
     }
 }

@@ -7,19 +7,18 @@
 //! clocks, point events, metrics — merged in scheduler request order so
 //! the stream is the same for 1 worker or 64. This crate closes the
 //! loop *online*: a [`MonitorEngine`] consumes that stream as it is
-//! recorded and runs the detectors a [`MonitorConfig`] switches on, each
-//! over sliding windows backed by ring buffers:
+//! recorded and runs five detectors, each over sliding windows backed by
+//! ring buffers, at fixed window constants (`docs/monitoring.md`):
 //!
-//! * `stall` ([`StallConfig`]) — stall/straggler watchdog (epoch
-//!   duration vs. a rolling window).
-//! * `crash_loop` ([`CrashLoopConfig`]) — retry bursts per
-//!   `(job, trial)` source within a sliding window.
-//! * `slo_burn` ([`SloBurnConfig`]) — multi-window (fast/slow,
-//!   SRE-style) deadline burn-rate alerts for `with_deadline` services.
-//! * `cache_thrash` ([`CacheThrashConfig`]) — epoch-cache hit-rate
-//!   collapse and eviction churn.
-//! * `queue_growth` ([`QueueGrowthConfig`]) — admission rejections and
-//!   backlog depth in the multi-job service.
+//! * `stall` — stall/straggler watchdog (epoch duration vs. a rolling
+//!   window).
+//! * `crash_loop` — retry bursts per `(job, trial)` source within a
+//!   sliding window.
+//! * `slo_burn` — multi-window (fast/slow, SRE-style) deadline burn-rate
+//!   alerts for `with_deadline` services.
+//! * `cache_thrash` — epoch-cache hit-rate collapse and eviction churn.
+//! * `queue_growth` — admission rejections and backlog depth in the
+//!   multi-job service.
 //!
 //! Firings become typed [`Alert`] records collected into a
 //! deterministic, sorted [`IncidentTimeline`] — exportable as
@@ -40,8 +39,8 @@
 //! * one timeline for workers 1, 4 and 64;
 //! * live per-round scans ≡ one-shot offline replay of the exported
 //!   trace;
-//! * an engine with **no detectors** leaves every artefact bit-identical
-//!   to a build without the monitor.
+//! * a live monitor only reads: the trace and metrics it watches are
+//!   bit-identical to a run without it.
 //!
 //! # Example
 //!
@@ -77,9 +76,6 @@ pub mod observe;
 mod window;
 
 pub use alert::{Alert, IncidentTimeline, Severity};
-pub use detectors::{
-    CacheThrashConfig, CrashLoopConfig, QueueGrowthConfig, SloBurnConfig, StallConfig,
-};
 pub use engine::{MonitorConfig, MonitorEngine};
 
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -92,8 +88,7 @@ use pipetune_telemetry::TelemetryHandle;
 /// share one mutex-guarded [`MonitorEngine`].
 ///
 /// The runner scans it after every scheduler round and the service after
-/// every dispatch step — both no-ops unless the handle is enabled *and*
-/// has detectors configured.
+/// every dispatch step — both no-ops unless the handle is enabled.
 ///
 /// ```
 /// use pipetune_monitor::{MonitorConfig, MonitorHandle};
@@ -119,13 +114,13 @@ impl MonitorHandle {
         MonitorHandle { engine: None }
     }
 
-    /// A live handle running the standard detector suite
-    /// ([`MonitorConfig::standard`]).
+    /// A live handle running the five detectors.
     pub fn enabled() -> Self {
         MonitorHandle::with_config(&MonitorConfig::standard())
     }
 
-    /// A live handle running `config`'s detectors.
+    /// A live handle running the five detectors (the same as
+    /// [`MonitorHandle::enabled`]).
     pub fn with_config(config: &MonitorConfig) -> Self {
         MonitorHandle { engine: Some(Arc::new(Mutex::new(MonitorEngine::new(config)))) }
     }
@@ -147,9 +142,7 @@ impl MonitorHandle {
     /// when either handle is disabled.
     pub fn scan(&self, telemetry: &TelemetryHandle) {
         if let Some(mut engine) = self.lock() {
-            if engine.has_detectors() {
-                telemetry.visit(|spans, events| engine.observe(spans, events));
-            }
+            telemetry.visit(|spans, events| engine.observe(spans, events));
         }
     }
 
@@ -158,9 +151,7 @@ impl MonitorHandle {
     /// `None` when this handle is disabled. Idempotent.
     pub fn finish(&self, telemetry: &TelemetryHandle) -> Option<IncidentTimeline> {
         let mut engine = self.lock()?;
-        if engine.has_detectors() {
-            telemetry.visit(|spans, events| engine.observe(spans, events));
-        }
+        telemetry.visit(|spans, events| engine.observe(spans, events));
         let mut timeline = None;
         telemetry.with_metrics(|metrics| timeline = Some(engine.finish(metrics)));
         // A disabled telemetry handle never ran with_metrics; finish

@@ -145,14 +145,6 @@ impl PolicyEngine {
         }
     }
 
-    /// Replaces the server count (clamped to at least 1) — the elastic
-    /// repartition hook for node churn. Takes effect at the next advance:
-    /// FIFO/shortest-remaining serve a differently sized head set,
-    /// processor sharing's rate cap shifts.
-    pub(crate) fn set_servers(&mut self, servers: usize) {
-        self.servers = servers.max(1);
-    }
-
     /// Removes `job` from the system without completing it (crash or
     /// shed), returning its progress state. `None` when the job is not
     /// active.
@@ -574,26 +566,6 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].job, 0);
         assert_eq!(done[0].at_secs, 13.25, "peer remaining must be untouched by the removal");
-    }
-
-    #[test]
-    fn set_servers_rescales_concurrency_mid_run() {
-        let mut engine = PolicyEngine::new(SchedulingPolicy::Fifo, 2);
-        engine.insert(0, 10.0);
-        engine.insert(1, 10.0);
-        assert_eq!(engine.in_service().0.len(), 2);
-        engine.advance_to(2.0);
-        // A node left: down to one server. Only the FIFO head serves.
-        engine.set_servers(1);
-        assert_eq!(engine.servers, 1);
-        assert_eq!(engine.in_service().0, vec![0]);
-        let done = engine.drain();
-        // Job 0: 8 left at t=2, dedicated → finishes at 10. Job 1: starts
-        // its remaining 8 only then → finishes at 18.
-        assert_eq!(done[0].at_secs, 10.0);
-        assert_eq!(done[1].at_secs, 18.0);
-        engine.set_servers(0);
-        assert_eq!(engine.servers, 1, "server counts clamp to at least 1");
     }
 
     #[test]

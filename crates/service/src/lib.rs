@@ -63,4 +63,7 @@ mod service;
 pub use engine::{Completion, EngineEvent, PolicyEngine, Trip};
 pub use job::{JobOutcome, JobRecord, JobSubmission};
 pub use policy::{AdmissionControl, SchedulingPolicy};
-pub use service::{job_seed, ServiceConfig, ServiceOutcome, SlotSample, TuningService};
+pub use service::{
+    job_seed, resubmit_backoff_secs, ServiceConfig, ServiceOutcome, SlotSample, TuningService,
+    RESUBMIT_ATTEMPTS,
+};

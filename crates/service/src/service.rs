@@ -15,16 +15,16 @@
 //! (`ExperimentEnv::fault_plan`), the driver injects *service-level*
 //! faults from a [`ServiceFaultPlan`]:
 //!
-//! * **Node churn** — at deterministic churn ticks, nodes leave or rejoin
-//!   the shared [`SlotPool`]; the pool is resized and the lease layout
-//!   elastically repartitioned under every policy (never rounding a live
-//!   job's slice to zero slots).
+//! * **Node churn** — every 4 000 simulated seconds a one-slot node may
+//!   leave or rejoin the shared [`SlotPool`] (never below one slot); the
+//!   pool is resized and its lease re-granted at the new capacity under
+//!   every policy.
 //! * **Job crashes** — a crashing job is removed mid-service at a drawn
 //!   point, rolled back to its tuning run's last checkpoint mark
 //!   (`TuningOutcome::checkpoint_marks`, i.e. the executor's
-//!   trial-snapshot cadence) and resubmitted after bounded exponential
-//!   backoff in simulated time; exhaustion yields
-//!   [`JobOutcome::Abandoned`].
+//!   trial-snapshot cadence) and resubmitted after exponential backoff in
+//!   simulated time, [`RESUBMIT_ATTEMPTS`] attempts in all; exhaustion
+//!   yields [`JobOutcome::Abandoned`].
 //! * **Deadlines** — a job exceeding [`ServiceConfig::deadline_secs`]
 //!   drains cleanly into [`JobOutcome::Shed`] without poisoning the rest
 //!   of the stream.
@@ -47,8 +47,6 @@
 //! at any arrival and each job's crash/resume chain are additionally
 //! *policy-invariant*, so survivors tune identically under every policy.
 
-use std::collections::BTreeMap;
-
 use pipetune::{ExperimentEnv, PipeTune, PipeTuneError, TunerOptions};
 use pipetune_cluster::{
     ChurnKind, FaultReport, ServiceFaultPlan, ServiceFaultReport, SlotPool, SlotPoolError,
@@ -67,6 +65,27 @@ use crate::policy::{AdmissionControl, SchedulingPolicy};
 /// carries one capacity-wide lease rather than per-job slices).
 const ENSEMBLE: usize = usize::MAX;
 
+/// Spacing of churn ticks on the service clock, simulated seconds: tick
+/// `k ≥ 1` happens at `k × CHURN_INTERVAL_SECS` and draws at most one
+/// churn event. Tuning-job service times run to thousands of seconds.
+const CHURN_INTERVAL_SECS: f64 = 4000.0;
+
+/// Parallel trial slots one churned node carries.
+const NODE_SLOTS: usize = 1;
+
+/// Pool floor: leaves never shrink capacity below this many slots.
+const MIN_SLOTS: usize = 1;
+
+/// Service attempts a crashing job gets, the first included, before it is
+/// abandoned.
+pub const RESUBMIT_ATTEMPTS: u32 = 3;
+
+/// Simulated seconds a crashed job waits before resubmission after failed
+/// attempt `attempt` (0-based): 600 s, doubling per further attempt.
+pub fn resubmit_backoff_secs(attempt: u32) -> f64 {
+    600.0 * 2.0f64.powi(attempt as i32)
+}
+
 /// How the service schedules, admits, bounds and fault-tests jobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceConfig {
@@ -74,12 +93,6 @@ pub struct ServiceConfig {
     pub policy: SchedulingPolicy,
     /// Admission control applied to each arrival.
     pub admission: AdmissionControl,
-    /// Concurrent dedicated partitions (FIFO / shortest-remaining) or the
-    /// processor-sharing capacity multiplier. Must be at least 1
-    /// (validated at run time); capped to the pool capacity, and under
-    /// node churn re-capped as the capacity moves. Each partition gets
-    /// `capacity / servers` trial slots, floored at one.
-    pub servers: usize,
     /// Per-job relative deadline (SLO), seconds after arrival: a job
     /// still unfinished then is shed ([`JobOutcome::Shed`]). `None`
     /// disables deadline enforcement.
@@ -94,7 +107,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             policy: SchedulingPolicy::Fifo,
             admission: AdmissionControl::unbounded(),
-            servers: 1,
             deadline_secs: None,
             faults: ServiceFaultPlan::none(),
         }
@@ -113,13 +125,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn with_admission(mut self, admission: AdmissionControl) -> Self {
         self.admission = admission;
-        self
-    }
-
-    /// Replaces the server count (validated at run time: must be ≥ 1).
-    #[must_use]
-    pub fn with_servers(mut self, servers: usize) -> Self {
-        self.servers = servers;
         self
     }
 
@@ -143,9 +148,6 @@ impl ServiceConfig {
     /// are listed under [`TuningService::run`]'s errors.
     pub(crate) fn validate(&self) -> Result<(), PipeTuneError> {
         let bad = |reason: String| Err(PipeTuneError::InvalidConfig { reason });
-        if self.servers == 0 {
-            return bad("service servers must be at least 1".into());
-        }
         if let Some(d) = self.deadline_secs {
             if !d.is_finite() || d <= 0.0 {
                 return bad(format!("service deadline must be finite and positive, got {d}"));
@@ -159,34 +161,6 @@ impl ServiceConfig {
         ] {
             if !(0.0..=1.0).contains(&p) {
                 return bad(format!("service fault {name} must lie in [0, 1], got {p}"));
-            }
-        }
-        if f.has_churn() {
-            if !f.churn_interval_secs.is_finite() || f.churn_interval_secs <= 0.0 {
-                return bad(format!(
-                    "churn interval must be finite and positive, got {}",
-                    f.churn_interval_secs
-                ));
-            }
-            if f.node_slots == 0 {
-                return bad("a churned node must carry at least one slot".into());
-            }
-            if f.min_slots == 0 {
-                return bad("the churn pool floor must be at least one slot".into());
-            }
-        }
-        if f.crash_prob > 0.0 {
-            if f.resubmit.max_attempts == 0 {
-                return bad("job crash resubmission needs at least one attempt".into());
-            }
-            if !f.resubmit.base_backoff_secs.is_finite() || f.resubmit.base_backoff_secs < 0.0 {
-                return bad(format!(
-                    "resubmission backoff must be finite and non-negative, got {}",
-                    f.resubmit.base_backoff_secs
-                ));
-            }
-            if !f.resubmit.backoff_factor.is_finite() {
-                return bad("resubmission backoff factor must be finite".into());
             }
         }
         Ok(())
@@ -216,15 +190,11 @@ pub struct SlotSample {
 pub struct ServiceOutcome {
     /// Scheduling discipline the run used.
     pub policy: SchedulingPolicy,
-    /// Effective server count after capping to the initial slot capacity.
-    pub servers: usize,
     /// The shared pool's initial parallel trial slots
     /// (`env.parallel_slots`); churn moves the live capacity around this.
+    /// A job is given the whole live capacity at its arrival
+    /// ([`JobRecord::slots`]).
     pub slot_capacity: usize,
-    /// Slots each job admitted at the initial capacity was given (jobs
-    /// admitted after churn see the capacity current at their arrival;
-    /// per-job values are in [`JobRecord::slots`]).
-    pub slots_per_job: usize,
     /// Per-job records, in submission order (one per submission — every
     /// submission resolves to exactly one typed [`JobOutcome`]).
     pub jobs: Vec<JobRecord>,
@@ -279,15 +249,15 @@ struct Pending {
 /// rather than 12-argument functions.
 struct Driver {
     policy: SchedulingPolicy,
-    servers_cfg: usize,
     faults: ServiceFaultPlan,
     deadline_secs: Option<f64>,
     telemetry: TelemetryHandle,
     service_span: SpanId,
     engine: PolicyEngine,
     pool: SlotPool,
-    /// Outstanding leases: desired-map key → (lease id, slots covered).
-    leases: BTreeMap<usize, (u64, usize)>,
+    /// The outstanding lease, if any: (holder key, lease id, slots
+    /// covered). One server serves at most one lease.
+    lease: Option<(usize, u64, usize)>,
     /// Live pool capacity (moves under churn).
     capacity: usize,
     /// Nodes currently away (bounds joins).
@@ -314,53 +284,36 @@ struct Driver {
 }
 
 impl Driver {
-    /// Server count effective at the live capacity.
-    fn eff_servers(&self) -> usize {
-        self.servers_cfg.min(self.capacity).max(1)
-    }
-
-    /// Slots a partition gets at the live capacity — floored at one, so a
-    /// single-slot pool still serves (the 1-slot regression case).
-    fn slice(&self) -> usize {
-        (self.capacity / self.eff_servers()).max(1)
-    }
-
     /// Reconciles the slot pool with the engine's in-service set after a
-    /// scheduling event at `at_secs`, then samples occupancy. Stale or
-    /// resized leases release before the pool is resized and new leases
-    /// are granted, so the pool can never oversubscribe even transiently.
+    /// scheduling event at `at_secs`, then samples occupancy. A stale or
+    /// resized lease releases before the pool is resized and the new lease
+    /// is granted, so the pool can never oversubscribe even transiently.
     /// Returns how many lease operations were needed (0 ⇒ the layout was
     /// already current).
     fn sync(&mut self, at_secs: f64) -> Result<usize, PipeTuneError> {
         let (served, _) = self.engine.in_service();
-        let slice = self.slice();
-        let desired: BTreeMap<usize, usize> = match self.policy {
-            SchedulingPolicy::ProcessorSharing if !served.is_empty() => {
-                [(ENSEMBLE, self.capacity)].into()
-            }
-            SchedulingPolicy::ProcessorSharing => BTreeMap::new(),
-            _ => served.iter().map(|&j| (j, slice)).collect(),
+        // The one server's lease covers the whole live capacity: held by
+        // the served job under FIFO and shortest-remaining, by the
+        // ensemble under processor sharing.
+        let desired = match (self.policy, served.first()) {
+            (_, None) => None,
+            (SchedulingPolicy::ProcessorSharing, Some(_)) => Some((ENSEMBLE, self.capacity)),
+            (_, Some(&job)) => Some((job, self.capacity)),
         };
         let mut ops = 0usize;
-        let stale: Vec<usize> = self
-            .leases
-            .iter()
-            .filter(|(key, (_, slots))| desired.get(key) != Some(slots))
-            .map(|(key, _)| *key)
-            .collect();
-        for key in stale {
-            let (lease, _) = self.leases.remove(&key).expect("stale key is outstanding");
-            self.pool.release(lease).map_err(slot_bug)?;
-            ops += 1;
+        if let Some((key, lease, slots)) = self.lease {
+            if desired != Some((key, slots)) {
+                self.lease = None;
+                self.pool.release(lease).map_err(slot_bug)?;
+                ops += 1;
+            }
         }
         if self.pool.capacity() != self.capacity {
             self.pool.resize(self.capacity).map_err(slot_bug)?;
         }
-        for (&key, &slots) in &desired {
-            if let std::collections::btree_map::Entry::Vacant(e) = self.leases.entry(key) {
-                e.insert((self.pool.lease(slots).map_err(slot_bug)?, slots));
-                ops += 1;
-            }
+        if let (None, Some((key, slots))) = (self.lease, desired) {
+            self.lease = Some((key, self.pool.lease(slots).map_err(slot_bug)?, slots));
+            ops += 1;
         }
         self.timeline.push(SlotSample {
             at_secs,
@@ -410,7 +363,7 @@ impl Driver {
         let attempts = self.attempts[job];
         let rec = self.records[job].as_mut().expect("crashed job has a record");
         rec.lost_service_secs += lost;
-        if attempts >= self.faults.resubmit.max_attempts.max(1) {
+        if attempts >= RESUBMIT_ATTEMPTS {
             rec.status = JobOutcome::Abandoned;
             rec.attempts = attempts;
             rec.drained_secs = t.at_secs;
@@ -434,7 +387,7 @@ impl Driver {
             );
             self.telemetry.close_span(self.spans[job], t.at_secs);
         } else {
-            let backoff = self.faults.resubmit.backoff_secs(attempts - 1);
+            let backoff = resubmit_backoff_secs(attempts - 1);
             rec.backoff_secs += backoff;
             self.service_report.backoff_secs += backoff;
             self.telemetry.event(
@@ -513,19 +466,16 @@ impl Driver {
     /// rejoins, constrained by the pool floor and by how many nodes are
     /// away. Draws that cannot apply are skipped without trace.
     fn churn(&mut self, tick: u64, at_secs: f64) -> Result<(), PipeTuneError> {
-        let node_slots = self.faults.node_slots;
         match self.faults.churn_at(tick) {
-            Some(ChurnKind::Leave)
-                if self.capacity >= node_slots + self.faults.min_slots.max(1) =>
-            {
-                self.capacity -= node_slots;
+            Some(ChurnKind::Leave) if self.capacity >= NODE_SLOTS + MIN_SLOTS => {
+                self.capacity -= NODE_SLOTS;
                 self.nodes_away += 1;
                 self.service_report.node_leaves += 1;
                 self.telemetry.counter_add(observe::NODE_LEAVES, 1);
                 self.apply_churn(ChurnKind::Leave, at_secs)
             }
             Some(ChurnKind::Join) if self.nodes_away > 0 => {
-                self.capacity += node_slots;
+                self.capacity += NODE_SLOTS;
                 self.nodes_away -= 1;
                 self.service_report.node_joins += 1;
                 self.telemetry.counter_add(observe::NODE_JOINS, 1);
@@ -535,18 +485,16 @@ impl Driver {
         }
     }
 
-    /// Propagates an applied churn event: rescales the engine's server
-    /// count, records the trace event, and elastically repartitions the
-    /// lease layout.
+    /// Propagates an applied churn event: records the trace event and
+    /// re-grants the lease at the new capacity.
     fn apply_churn(&mut self, kind: ChurnKind, at_secs: f64) -> Result<(), PipeTuneError> {
-        self.engine.set_servers(self.eff_servers());
         self.telemetry.event(
             self.service_span,
             EventKind::Churn,
             at_secs,
             vec![
                 ("churn", kind.name().into()),
-                ("node_slots", self.faults.node_slots.into()),
+                ("node_slots", NODE_SLOTS.into()),
                 ("capacity_slots", self.capacity.into()),
             ],
         );
@@ -577,11 +525,10 @@ impl TuningService {
     ///
     /// # Errors
     ///
-    /// [`PipeTuneError::InvalidConfig`] for an invalid configuration
-    /// (zero servers, a non-finite or non-positive deadline, out-of-range
-    /// fault probabilities, a degenerate churn interval or node size, an
-    /// unusable resubmission policy) or non-finite/negative arrival
-    /// times; substrate errors propagate from the jobs' tuning runs.
+    /// [`PipeTuneError::InvalidConfig`] for an invalid configuration (a
+    /// non-finite or non-positive deadline, out-of-range fault
+    /// probabilities) or non-finite/negative arrival times; substrate
+    /// errors propagate from the jobs' tuning runs.
     pub fn run(
         &self,
         env: &ExperimentEnv,
@@ -597,8 +544,6 @@ impl TuningService {
             }
         }
         let capacity = env.parallel_slots.max(1);
-        let servers = self.config.servers.min(capacity);
-        let slots_per_job = (capacity / servers).max(1);
         let policy = self.config.policy;
         let faults = self.config.faults;
         let deadline = self.config.deadline_secs;
@@ -609,11 +554,13 @@ impl TuningService {
             SpanKind::Service,
             format!("service {}", policy.name()),
             0.0,
+            // One server, so a job is given the whole pool; the trace format
+            // keeps both attributes.
             vec![
                 ("policy", policy.name().into()),
-                ("servers", servers.into()),
+                ("servers", 1usize.into()),
                 ("slot_capacity", capacity.into()),
-                ("slots_per_job", slots_per_job.into()),
+                ("slots_per_job", capacity.into()),
             ],
         );
 
@@ -629,14 +576,13 @@ impl TuningService {
         let n = submissions.len();
         let mut d = Driver {
             policy,
-            servers_cfg: self.config.servers,
             faults,
             deadline_secs: deadline,
             telemetry: telemetry.clone(),
             service_span,
-            engine: PolicyEngine::new(policy, servers),
+            engine: PolicyEngine::new(policy, 1),
             pool: SlotPool::new(capacity),
-            leases: BTreeMap::new(),
+            lease: None,
             capacity,
             nodes_away: 0,
             records: (0..n).map(|_| None).collect(),
@@ -675,7 +621,7 @@ impl TuningService {
             let work_pending =
                 arr_pos < order.len() || !d.pending.is_empty() || d.engine.active() > 0;
             let t_churn = if faults.has_churn() && work_pending {
-                next_tick as f64 * faults.churn_interval_secs
+                next_tick as f64 * CHURN_INTERVAL_SECS
             } else {
                 f64::INFINITY
             };
@@ -771,7 +717,7 @@ impl TuningService {
                 continue;
             }
             telemetry.counter_add(observe::JOBS_ADMITTED, 1);
-            let slots = d.slice();
+            let slots = d.capacity;
             let job_env = ExperimentEnv {
                 seed: job_seed(env, job),
                 parallel_slots: slots,
@@ -839,9 +785,7 @@ impl TuningService {
         };
         Ok(ServiceOutcome {
             policy,
-            servers,
             slot_capacity: capacity,
-            slots_per_job,
             jobs,
             makespan_secs,
             mean_response_secs,

@@ -130,7 +130,7 @@ fn crash_every_epoch_abandons_the_trial_after_the_retry_budget() {
     match err {
         PipeTuneError::RetriesExhausted { trial_id, attempts } => {
             assert_eq!(trial_id, 7);
-            assert_eq!(attempts, env.retry.max_attempts);
+            assert_eq!(attempts, pipetune::EPOCH_ATTEMPTS);
         }
         other => panic!("expected RetriesExhausted, got {other}"),
     }

@@ -7,21 +7,15 @@
 //! 2. **live scans ≡ offline replay** — re-running the detector set over
 //!    the exported trace (`pipetune-bench trace watch`) reproduces the live
 //!    run's timeline byte for byte;
-//! 3. an engine with **no detectors** (and an injected empty timeline)
-//!    leaves every artefact bit-identical to a monitor-less build;
-//! 4. a proptest sweep over detector window parameters pins the
-//!    timeline's total order: alerts never reorder, whatever fires.
+//! 3. a live monitor only **reads**: the trace and metrics it watches are
+//!    bit-identical to a monitor-less run's, and injecting an empty
+//!    timeline is a no-op.
 
 use pipetune::{ExperimentEnvBuilder, PipeTune, TunerOptions, WorkloadSpec};
 use pipetune_cluster::{FaultPlan, PoissonArrivals, ServiceFaultPlan};
-use pipetune_monitor::{
-    CrashLoopConfig, IncidentTimeline, MonitorConfig, MonitorEngine, MonitorHandle, SloBurnConfig,
-    StallConfig,
-};
+use pipetune_monitor::{IncidentTimeline, MonitorConfig, MonitorEngine, MonitorHandle};
 use pipetune_service::{JobSubmission, SchedulingPolicy, ServiceConfig, TuningService};
 use pipetune_telemetry::{TelemetryHandle, TelemetrySnapshot};
-use proptest::prelude::*;
-use std::sync::OnceLock;
 
 const SEED: u64 = 41;
 const WORKER_COUNTS: [usize; 3] = [1, 4, 64];
@@ -44,13 +38,9 @@ fn submissions(jobs: usize) -> Vec<JobSubmission> {
 
 /// Runs one service stream under a live monitor and returns the timeline
 /// plus the exported trace.
-fn run_service(
-    workers: usize,
-    chaos: bool,
-    config: &MonitorConfig,
-) -> (IncidentTimeline, TelemetrySnapshot) {
+fn run_service(workers: usize, chaos: bool) -> (IncidentTimeline, TelemetrySnapshot) {
     let telemetry = TelemetryHandle::enabled();
-    let monitor = MonitorHandle::with_config(config);
+    let monitor = MonitorHandle::with_config(&MonitorConfig::standard());
     let mut service_config = ServiceConfig::default().with_policy(SchedulingPolicy::ALL[0]);
     if chaos {
         service_config = service_config
@@ -74,10 +64,10 @@ fn run_service(
 #[test]
 fn timelines_byte_identical_across_worker_counts() {
     for chaos in [false, true] {
-        let (base, _) = run_service(WORKER_COUNTS[0], chaos, &MonitorConfig::standard());
+        let (base, _) = run_service(WORKER_COUNTS[0], chaos);
         let base_json = base.to_json_string();
         for &workers in &WORKER_COUNTS[1..] {
-            let (timeline, _) = run_service(workers, chaos, &MonitorConfig::standard());
+            let (timeline, _) = run_service(workers, chaos);
             assert_eq!(
                 timeline.to_json_string(),
                 base_json,
@@ -122,7 +112,7 @@ fn tuner_runs_monitor_identically_across_worker_counts() {
 
 #[test]
 fn offline_replay_equals_live_scans() {
-    let (live, snap) = run_service(4, true, &MonitorConfig::standard());
+    let (live, snap) = run_service(4, true);
 
     // Round-trip the trace through its JSON export — exactly what
     // `pipetune-bench trace watch` consumes — then replay the detectors.
@@ -136,9 +126,9 @@ fn offline_replay_equals_live_scans() {
 }
 
 #[test]
-fn empty_detector_set_is_bit_identical_to_a_monitorless_run() {
-    let (timeline, with_monitor) = run_service(4, true, &MonitorConfig::none());
-    assert!(timeline.is_empty(), "no detectors, no alerts");
+fn a_live_standard_monitor_is_read_only() {
+    let (timeline, with_monitor) = run_service(4, true);
+    assert!(!timeline.is_empty(), "the chaos stream fires alerts");
 
     // The same stream with the monitor disabled entirely.
     let telemetry = TelemetryHandle::enabled();
@@ -159,59 +149,10 @@ fn empty_detector_set_is_bit_identical_to_a_monitorless_run() {
     assert_eq!(with_monitor.to_json_string(), without_monitor.to_json_string());
     assert_eq!(with_monitor.metrics_json_string(), without_monitor.metrics_json_string());
 
-    // Injecting the empty timeline is a strict no-op on the trace too.
+    // Injecting an empty timeline is a strict no-op on the trace too.
     let mut injected = without_monitor;
     let before = injected.to_json_string();
-    timeline.inject_into(&mut injected);
+    IncidentTimeline::from_alerts(Vec::new()).inject_into(&mut injected);
     assert_eq!(injected.to_json_string(), before);
     assert_eq!(injected.metrics_json_string(), with_monitor.metrics_json_string());
-}
-
-/// One chaos trace, computed once, shared by every proptest case.
-fn chaos_snapshot() -> &'static TelemetrySnapshot {
-    static SNAP: OnceLock<TelemetrySnapshot> = OnceLock::new();
-    SNAP.get_or_init(|| run_service(2, true, &MonitorConfig::none()).1)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Whatever the window parameters, the timeline comes out in its
-    /// canonical total order: re-sorting it is the identity, and every
-    /// alert carries a finite timestamp.
-    #[test]
-    fn alerts_never_reorder(
-        window in 2usize..48,
-        factor in 1.25f64..4.0,
-        min_samples in 2usize..12,
-        burst in 1usize..5,
-        crash_window in 1_000.0f64..50_000.0,
-        fast in 1_000.0f64..20_000.0,
-        slow_mult in 2.0f64..8.0,
-        budget in 0.01f64..0.5,
-    ) {
-        let config = MonitorConfig {
-            stall: Some(StallConfig { window, factor, min_samples }),
-            crash_loop: Some(CrashLoopConfig { window_secs: crash_window, burst }),
-            slo_burn: Some(SloBurnConfig {
-                slow_window_secs: fast * slow_mult,
-                fast_window_secs: fast,
-                budget,
-                burn_threshold: 1.0,
-            }),
-            ..MonitorConfig::none()
-        };
-        let snap = chaos_snapshot();
-        let mut engine = MonitorEngine::new(&config);
-        engine.observe_snapshot(snap);
-        let timeline = engine.finish(&snap.metrics);
-
-        prop_assert!(timeline.alerts.iter().all(|a| a.at_secs.is_finite()));
-        let resorted = IncidentTimeline::from_alerts(timeline.alerts.clone());
-        prop_assert_eq!(&resorted, &timeline, "timeline not in canonical order");
-        // And replay is deterministic: a second engine reproduces it.
-        let mut again = MonitorEngine::new(&config);
-        again.observe_snapshot(snap);
-        prop_assert_eq!(again.finish(&snap.metrics), timeline);
-    }
 }

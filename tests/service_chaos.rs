@@ -29,8 +29,8 @@ use std::collections::BTreeMap;
 use pipetune::{ExperimentEnv, ExperimentEnvBuilder, TunerOptions, WorkloadSpec};
 use pipetune_cluster::{ChurnKind, PoissonArrivals, ServiceFaultPlan, ServiceFaultReport};
 use pipetune_service::{
-    JobOutcome, JobRecord, JobSubmission, SchedulingPolicy, ServiceConfig, ServiceOutcome,
-    TuningService,
+    resubmit_backoff_secs, JobOutcome, JobRecord, JobSubmission, SchedulingPolicy, ServiceConfig,
+    ServiceOutcome, TuningService, RESUBMIT_ATTEMPTS,
 };
 use pipetune_telemetry::{TelemetryHandle, TelemetrySnapshot};
 use proptest::prelude::*;
@@ -262,13 +262,13 @@ fn certain_crashes_exhaust_the_resubmission_budget_into_abandonment() {
     let config = ServiceConfig::default().with_service_faults(plan);
     let (outcome, _) = run_chaos(SchedulingPolicy::Fifo, 2, config);
     assert_chaos_invariants(&outcome);
-    let max = plan.resubmit.max_attempts;
+    let max = RESUBMIT_ATTEMPTS;
     for r in &outcome.jobs {
         assert_eq!(r.status, JobOutcome::Abandoned, "{r:?}");
         assert_eq!(r.attempts, max);
         assert!(r.lost_service_secs > 0.0, "every crash loses at least the last partial epoch");
-        // Backoff accrues for every resubmission, exactly per the policy.
-        let expected: f64 = (0..max - 1).map(|a| plan.resubmit.backoff_secs(a)).sum();
+        // Backoff accrues for every resubmission, exactly per the schedule.
+        let expected: f64 = (0..max - 1).map(resubmit_backoff_secs).sum();
         assert_eq!(r.backoff_secs.to_bits(), expected.to_bits());
     }
     let report = &outcome.service_fault_report;
@@ -331,13 +331,9 @@ fn a_deadline_shorter_than_any_run_sheds_every_job() {
 
 #[test]
 fn churn_to_a_single_slot_never_zeroes_a_live_jobs_slice() {
-    // Deterministic shrink: every tick a node leaves (leave_prob 1 is
-    // drawn before the join), down to the one-slot floor.
-    let mut plan = ServiceFaultPlan::churn(5, 1.0);
-    plan.churn_interval_secs = 500.0;
-    plan.node_slots = 1;
-    plan.min_slots = 1;
-    let config = ServiceConfig::default().with_servers(2).with_service_faults(plan);
+    // Deterministic shrink: every 4 000 s tick a one-slot node leaves
+    // (leave_prob 1 is drawn before the join), down to the one-slot floor.
+    let config = ServiceConfig::default().with_service_faults(ServiceFaultPlan::churn(5, 1.0));
     let telemetry = TelemetryHandle::enabled();
     let env = ExperimentEnvBuilder::distributed(SEED)
         .workers(2)
@@ -359,11 +355,10 @@ fn churn_to_a_single_slot_never_zeroes_a_live_jobs_slice() {
 }
 
 #[test]
-fn zero_servers_and_degenerate_deadlines_are_typed_errors() {
+fn degenerate_deadlines_and_fault_probabilities_are_typed_errors() {
     let env = ExperimentEnv::distributed(SEED);
     let subs = submissions(SEED, 1);
     for config in [
-        ServiceConfig::default().with_servers(0),
         ServiceConfig::default().with_deadline(0.0),
         ServiceConfig::default().with_deadline(f64::NAN),
         ServiceConfig::default().with_service_faults({
@@ -371,16 +366,6 @@ fn zero_servers_and_degenerate_deadlines_are_typed_errors() {
             // come from direct field edits, and validate must catch them.
             let mut p = ServiceFaultPlan::none();
             p.crash_prob = 2.0;
-            p
-        }),
-        ServiceConfig::default().with_service_faults({
-            let mut p = ServiceFaultPlan::churn(1, 0.5);
-            p.node_slots = 0;
-            p
-        }),
-        ServiceConfig::default().with_service_faults({
-            let mut p = ServiceFaultPlan::job_crashes(1, 0.5);
-            p.resubmit.max_attempts = 0;
             p
         }),
     ] {

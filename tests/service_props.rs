@@ -77,7 +77,7 @@ fn real_service_reproduces_analytic_models_and_conserves_work() {
         .iter()
         .map(|r| SharedJob { arrival_secs: r.arrival_secs, service_secs: r.service_secs })
         .collect();
-    let analytic_fifo = simulate_fifo(&stream, fifo.servers).unwrap();
+    let analytic_fifo = simulate_fifo(&stream, 1).unwrap();
     for c in &analytic_fifo {
         let rec = &fifo.jobs[c.job];
         assert!(
@@ -117,8 +117,8 @@ fn real_service_reproduces_analytic_models_and_conserves_work() {
     assert_eq!(completion_order, arrival_order, "FIFO must complete in arrival order");
 
     // No slot-pool oversubscription at any event time, under any policy —
-    // and whenever work is in service the pool is fully busy (the slot
-    // side of work conservation).
+    // and whenever work is in service the one server holds the whole pool
+    // (the slot side of work conservation).
     for outcome in [&fifo, &ps, &srs] {
         assert!(!outcome.timeline.is_empty());
         for sample in &outcome.timeline {
@@ -132,8 +132,7 @@ fn real_service_reproduces_analytic_models_and_conserves_work() {
             assert!(sample.in_service_jobs <= sample.active_jobs);
             if sample.in_service_jobs > 0 {
                 assert_eq!(
-                    sample.slots_in_use,
-                    outcome.slot_capacity.min(sample.in_service_jobs * outcome.slots_per_job),
+                    sample.slots_in_use, outcome.slot_capacity,
                     "{:?} leaves leased slots unaccounted",
                     outcome.policy
                 );
@@ -159,7 +158,7 @@ fn single_job_stream_degenerates_to_a_dedicated_run() {
     // slot pool must agree byte for byte.
     let dedicated_env = ExperimentEnvBuilder::from_env(env.clone())
         .seed(job_seed(&env, 0))
-        .parallel_slots(outcome.slots_per_job)
+        .parallel_slots(rec.slots)
         .build()
         .unwrap();
     let dedicated = PipeTune::new(TunerOptions::fast())
@@ -167,7 +166,7 @@ fn single_job_stream_degenerates_to_a_dedicated_run() {
         .unwrap();
     let job = rec.outcome.as_ref().expect("admitted job has an outcome");
     assert_job_outcomes_identical(job, &dedicated);
-    assert_eq!(outcome.slots_per_job, env.parallel_slots, "lone job gets the whole pool");
+    assert_eq!(rec.slots, env.parallel_slots, "lone job gets the whole pool");
 
     // And the queueing picture is trivial: starts on arrival, no queueing,
     // response = dedicated tuning time.
