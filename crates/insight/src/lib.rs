@@ -66,6 +66,4 @@ pub use headline::{
     best_accuracy, cache_speedup_metrics, headline_metrics, total_energy_j, tuning_secs,
 };
 pub use multitenant::{multitenant_metrics, response_stats, service_fault_metrics, ResponseStats};
-pub use report::{
-    DurationStats, IncidentSummary, PhaseBreakdown, RunReport, RungReport, Straggler, TraceReport,
-};
+pub use report::{DurationStats, PhaseBreakdown, RunReport, RungReport, Straggler, TraceReport};

@@ -1,23 +1,23 @@
 //! Multi-tenant response-time analytics.
 //!
 //! A `pipetune-service` run yields one response time (completion −
-//! arrival) per admitted job. These helpers turn that population into the
+//! arrival) per completed job. These helpers turn that population into the
 //! per-policy summary the benchmark harness persists in a
 //! [`crate::BenchReport`]: mean, nearest-rank percentiles (the embedded
 //! [`pipetune_tsdb`] store's selectors, as the critical-path report uses
-//! them) and the maximum. Rejected jobs carry `NaN` response times
-//! and are excluded, so the caller can pass a service outcome's records
-//! straight through.
+//! them) and the maximum. Shed and abandoned jobs carry `NaN` response
+//! times and are excluded, so the caller can pass a service outcome's
+//! records straight through.
 
 use std::collections::BTreeMap;
 
 use pipetune_cluster::ServiceFaultReport;
 use pipetune_tsdb::Aggregate;
 
-/// Response-time summary over one service run's admitted jobs.
+/// Response-time summary over one service run's completed jobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResponseStats {
-    /// Jobs with a finite response time (admitted and completed).
+    /// Jobs with a finite response time (the completed ones).
     pub jobs: usize,
     /// Mean response time, seconds.
     pub mean_secs: f64,
@@ -32,7 +32,7 @@ pub struct ResponseStats {
 }
 
 /// Summarises a population of per-job response times. Non-finite entries
-/// (rejected jobs) are dropped; `None` when nothing finite remains.
+/// (shed and abandoned jobs) are dropped; `None` when nothing finite remains.
 ///
 /// # Example
 ///
@@ -160,7 +160,7 @@ mod tests {
     }
 
     #[test]
-    fn rejected_jobs_nan_responses_are_excluded() {
+    fn unfinished_jobs_nan_responses_are_excluded() {
         let stats = response_stats(&[f64::NAN, 4.0, f64::NAN, 8.0]).unwrap();
         assert_eq!(stats.jobs, 2);
         assert_eq!(stats.mean_secs, 6.0);

@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use pipetune_telemetry::{
-    attr_bool, attr_f64, attr_str, Event, EventKind, Span, SpanKind, TelemetrySnapshot, TraceError,
+    attr_bool, attr_f64, attr_str, EventKind, Span, SpanKind, TelemetrySnapshot, TraceError,
 };
 use pipetune_tsdb::Aggregate;
 
@@ -151,48 +151,11 @@ pub struct RunReport {
 /// Straggler ranking length.
 const MAX_STRAGGLERS: usize = 5;
 
-/// Summary of the online monitor's `alert` events in a trace (the
-/// "Incidents" section; see `docs/monitoring.md`).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct IncidentSummary {
-    /// Total alert events in the trace.
-    pub total: usize,
-    /// Alert counts per detector name, sorted.
-    pub by_detector: BTreeMap<String, u64>,
-    /// Alert counts per severity name, sorted.
-    pub by_severity: BTreeMap<String, u64>,
-    /// Severity/detector/message of the first five alerts in trace order.
-    pub samples: Vec<String>,
-}
-
-impl IncidentSummary {
-    /// How many alert lines the summary quotes verbatim.
-    const MAX_SAMPLES: usize = 5;
-
-    /// Counts one `alert` event in.
-    fn record(&mut self, event: &Event) {
-        self.total += 1;
-        let detector = attr_str(&event.attrs, "detector").unwrap_or("?");
-        let severity = attr_str(&event.attrs, "severity").unwrap_or("?");
-        *entry(&mut self.by_detector, detector) += 1;
-        *entry(&mut self.by_severity, severity) += 1;
-        if self.samples.len() < Self::MAX_SAMPLES {
-            let message = attr_str(&event.attrs, "message").unwrap_or("?");
-            self.samples
-                .push(format!("[{severity}] {detector} @ {:.3}s: {message}", event.at_secs));
-        }
-    }
-}
-
 /// The full critical-path report over a trace (one entry per tuning run).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceReport {
     /// Per-run analyses, in root-span order.
     pub runs: Vec<RunReport>,
-    /// Monitor incidents found in the trace; `None` when the trace holds
-    /// no `alert` events, so reports over monitor-less traces render
-    /// exactly as they did before the monitor existed.
-    pub incidents: Option<IncidentSummary>,
 }
 
 /// What the walk has gathered about one scheduler round.
@@ -370,12 +333,8 @@ impl TraceReport {
         }
 
         // Retry overhead and cache counters from each run's events (crash
-        // recovery never emits epoch spans); the trace's alerts.
-        let mut incidents = IncidentSummary::default();
+        // recovery never emits epoch spans).
         for event in &snapshot.events {
-            if event.kind == EventKind::Alert {
-                incidents.record(event);
-            }
             let owner = event.span.map_or(NONE, |span| run_of[span as usize]);
             let Some(scan) = runs.get_mut(owner as usize) else { continue };
             match event.kind {
@@ -397,10 +356,7 @@ impl TraceReport {
             }
         }
 
-        Ok(TraceReport {
-            runs: runs.into_iter().map(|scan| scan.finish(spans)).collect(),
-            incidents: (incidents.total > 0).then_some(incidents),
-        })
+        Ok(TraceReport { runs: runs.into_iter().map(|scan| scan.finish(spans)).collect() })
     }
 
     /// Parses a JSON trace and analyses it in one step.
@@ -418,7 +374,6 @@ impl TraceReport {
         let mut out = String::new();
         if self.runs.is_empty() {
             out.push_str("trace contains no tuning runs\n");
-            self.render_incidents(&mut out);
             return out;
         }
         for run in &self.runs {
@@ -502,31 +457,7 @@ impl TraceReport {
                 );
             }
         }
-        self.render_incidents(&mut out);
         out
-    }
-
-    /// Appends the "Incidents" section when the trace carried alerts;
-    /// alert-free traces render byte-identically to pre-monitor reports.
-    fn render_incidents(&self, out: &mut String) {
-        let Some(incidents) = &self.incidents else { return };
-        let _ = writeln!(out, "incidents: {} alert(s)", incidents.total);
-        let by_detector: Vec<String> =
-            incidents.by_detector.iter().map(|(detector, n)| format!("{detector} {n}")).collect();
-        let _ = writeln!(out, "  by detector: {}", by_detector.join(", "));
-        let by_severity: Vec<String> =
-            incidents.by_severity.iter().map(|(severity, n)| format!("{severity} {n}")).collect();
-        let _ = writeln!(out, "  by severity: {}", by_severity.join(", "));
-        for sample in &incidents.samples {
-            let _ = writeln!(out, "    {sample}");
-        }
-        if incidents.total > incidents.samples.len() {
-            let _ = writeln!(
-                out,
-                "    ... and {} more (see the incident timeline export)",
-                incidents.total - incidents.samples.len()
-            );
-        }
     }
 }
 
@@ -687,42 +618,6 @@ mod tests {
             assert_eq!(run.wall_secs, 3.0);
             assert_eq!(run.critical_path_secs, 3.0);
         }
-    }
-
-    #[test]
-    fn incidents_section_appears_only_with_alert_events() {
-        // Alert-free trace: no incidents, render byte-identical to the
-        // pre-monitor report format.
-        let clean = TraceReport::from_snapshot(&sample()).unwrap();
-        assert!(clean.incidents.is_none());
-        assert!(!clean.render().contains("incidents:"));
-
-        // The same trace with injected alerts grows an Incidents section.
-        let mut snap = sample();
-        for (at, detector, severity) in
-            [(4.0, "stall", "warning"), (5.0, "stall", "critical"), (6.0, "crash_loop", "critical")]
-        {
-            snap.events.push(pipetune_telemetry::Event {
-                kind: EventKind::Alert,
-                span: None,
-                at_secs: at,
-                attrs: vec![
-                    ("detector", detector.into()),
-                    ("severity", severity.into()),
-                    ("message", format!("{detector} fired").into()),
-                ],
-            });
-        }
-        let report = TraceReport::from_snapshot(&snap).unwrap();
-        let incidents = report.incidents.as_ref().unwrap();
-        assert_eq!(incidents.total, 3);
-        assert_eq!(incidents.by_detector["stall"], 2);
-        assert_eq!(incidents.by_severity["critical"], 2);
-        assert_eq!(incidents.samples.len(), 3);
-        let text = report.render();
-        assert!(text.contains("incidents: 3 alert(s)"), "{text}");
-        assert!(text.contains("by detector: crash_loop 1, stall 2"), "{text}");
-        assert!(text.contains("[critical] crash_loop @ 6.000s"), "{text}");
     }
 
     #[test]

@@ -4,15 +4,14 @@
 //! run, per-epoch points in a `Database` to read three percentiles back,
 //! two whole JSON documents formatted for one `==`, a `String` per record
 //! counted. Kept verbatim (methods made free functions, `Self` spelt out,
-//! the two length constants — private now — restated; `between` leaves the
+//! the length constant — private now — restated; `between` leaves the
 //! field it never had, `first_difference`, `None`) as the oracle for every
 //! number and byte of a report and a diff.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use pipetune_insight::{
-    DurationStats, IncidentSummary, PhaseBreakdown, RunReport, RungReport, Straggler, TraceDiff,
-    TraceReport,
+    DurationStats, PhaseBreakdown, RunReport, RungReport, Straggler, TraceDiff, TraceReport,
 };
 use pipetune_telemetry::{
     AttrValue, Attrs, EventKind, Span, SpanKind, TelemetrySnapshot, TraceError,
@@ -21,8 +20,6 @@ use pipetune_tsdb::{Aggregate, Database, Point, Query};
 
 /// Straggler ranking length.
 const MAX_STRAGGLERS: usize = 5;
-/// How many alert lines the summary quotes verbatim.
-const MAX_SAMPLES: usize = 5;
 
 /// Looks up an attribute by key (first occurrence wins).
 fn attr<'a>(attrs: &'a Attrs, key: &str) -> Option<&'a AttrValue> {
@@ -51,27 +48,6 @@ fn attr_bool(attrs: &Attrs, key: &str) -> Option<bool> {
 fn duration(span: &Span) -> Option<f64> {
     (span.start_secs.is_finite() && span.end_secs.is_finite())
         .then_some(span.end_secs - span.start_secs)
-}
-
-fn incidents_from_snapshot(snapshot: &TelemetrySnapshot) -> Option<IncidentSummary> {
-    let mut summary = IncidentSummary::default();
-    for event in &snapshot.events {
-        if event.kind != EventKind::Alert {
-            continue;
-        }
-        summary.total += 1;
-        let detector = attr_str(&event.attrs, "detector").unwrap_or("?");
-        let severity = attr_str(&event.attrs, "severity").unwrap_or("?");
-        *summary.by_detector.entry(detector.to_string()).or_insert(0) += 1;
-        *summary.by_severity.entry(severity.to_string()).or_insert(0) += 1;
-        if summary.samples.len() < MAX_SAMPLES {
-            let message = attr_str(&event.attrs, "message").unwrap_or("?");
-            summary
-                .samples
-                .push(format!("[{severity}] {detector} @ {:.3}s: {message}", event.at_secs));
-        }
-    }
-    (summary.total > 0).then_some(summary)
 }
 
 pub fn from_snapshot(snapshot: &TelemetrySnapshot) -> Result<TraceReport, TraceError> {
@@ -252,7 +228,7 @@ pub fn from_snapshot(snapshot: &TelemetrySnapshot) -> Result<TraceReport, TraceE
             epoch_stats: duration_stats(&db, "epoch_secs"),
         });
     }
-    Ok(TraceReport { runs, incidents: incidents_from_snapshot(snapshot) })
+    Ok(TraceReport { runs })
 }
 
 fn duration_stats(db: &Database, measurement: &str) -> Option<DurationStats> {

@@ -1,10 +1,10 @@
 //! [`TraceReport::from_snapshot`] and [`TraceDiff::between`] against the
 //! code they replaced (`frozen/`, verbatim): on recorded traces — tuning
 //! runs of all three tuners, clean and under faults, with and without an
-//! epoch cache; service streams of 1, 10 and 60 jobs, clean and under chaos
-//! with the monitor's alerts folded in — and on edited ones, the new
-//! single-walk report is `Debug`-equal to the old scan-per-run one and
-//! renders the same bytes, and the diff agrees field for field.
+//! epoch cache; service streams of 1, 10 and 60 jobs, clean and under
+//! chaos — and on edited ones, the new single-walk report is `Debug`-equal
+//! to the old scan-per-run one and renders the same bytes, and the diff
+//! agrees field for field.
 
 mod frozen;
 
@@ -14,7 +14,6 @@ use pipetune::{
 };
 use pipetune_cluster::{FaultPlan, PoissonArrivals, ServiceFaultPlan};
 use pipetune_insight::{TraceDiff, TraceReport};
-use pipetune_monitor::{MonitorConfig, MonitorHandle};
 use pipetune_service::{JobSubmission, ServiceConfig, TuningService};
 use pipetune_telemetry::{EventKind, SpanId, SpanKind, TelemetryHandle, TelemetrySnapshot};
 
@@ -64,15 +63,12 @@ fn tuning_trace(tuner: &str, plan: FaultPlan, cached: bool) -> TelemetrySnapshot
 }
 
 /// A FIFO stream of `jobs` kernel jobs — the wall-clock benchmark's trace
-/// shape — clean, or under `ServiceFaultPlan::mixed` with a deadline and the
-/// monitor's alerts folded into the trace.
+/// shape — clean, or under `ServiceFaultPlan::mixed` with a deadline.
 fn stream_trace(seed: u64, jobs: usize, chaos: bool) -> TelemetrySnapshot {
     let telemetry = TelemetryHandle::enabled();
-    let monitor = MonitorHandle::with_config(&MonitorConfig::standard());
     let env = ExperimentEnvBuilder::distributed(seed)
         .workers(1)
         .telemetry(telemetry.clone())
-        .monitor(monitor.clone())
         .build()
         .unwrap();
     let specs = [WorkloadSpec::jacobi(), WorkloadSpec::hotspot()];
@@ -86,10 +82,7 @@ fn stream_trace(seed: u64, jobs: usize, chaos: bool) -> TelemetrySnapshot {
     }
     let options = TunerOptions { scale: 0.2, ..TunerOptions::paper() };
     TuningService::new(config).run(&env, &submissions, &options).unwrap();
-    let timeline = monitor.finish(&telemetry).unwrap();
-    let mut snapshot = telemetry.snapshot().unwrap();
-    timeline.inject_into(&mut snapshot);
-    snapshot
+    telemetry.snapshot().unwrap()
 }
 
 /// `snapshot` as it reads back from its own export.
@@ -135,9 +128,6 @@ fn service_stream_reports_match_the_frozen_scan() {
             let runs = snapshot.spans.iter().filter(|s| s.kind == SpanKind::TuningRun).count();
             assert_eq!(report.runs.len(), runs, "{what}");
             assert!(runs >= 1 && (chaos || runs == jobs), "{what}: {runs} runs");
-            let alerts = snapshot.events.iter().filter(|e| e.kind == EventKind::Alert).count();
-            assert_eq!(report.incidents.as_ref().map_or(0, |i| i.total), alerts, "{what}");
-            assert!(alerts > 0 || !chaos || jobs < 60, "{what}: a long chaos stream raises alerts");
             assert_diff_matches(&what, &snapshot, &reimported(&snapshot));
             streams.push(snapshot);
         }
@@ -163,16 +153,9 @@ fn edited_traces_report_like_the_frozen_scan() {
     telemetry.event(job, EventKind::Shed, 2.0, vec![("deadline_secs", 1.0f64.into())]);
     telemetry.close_span(job, 2.0);
     telemetry.close_span(service, 2.0);
-    let mut no_runs = telemetry.snapshot().unwrap();
-    no_runs.events.extend(stream.events.iter().filter(|e| e.kind == EventKind::Alert).take(7).map(
-        |alert| {
-            let mut alert = alert.clone();
-            alert.span = None;
-            alert
-        },
-    ));
+    let no_runs = telemetry.snapshot().unwrap();
     let report = assert_report_matches("no runs", &no_runs).unwrap();
-    assert!(report.runs.is_empty() && report.incidents.is_some());
+    assert!(report.runs.is_empty());
     assert_diff_matches("no runs", &recorded, &no_runs);
 
     for (what, base) in [("tuning", &recorded), ("stream", &stream)] {

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use pipetune_telemetry::{Attrs, Event, EventKind, TelemetrySnapshot};
+use pipetune_telemetry::Attrs;
 use serde_json::Value;
 
 /// How bad a detector firing is.
@@ -47,7 +47,7 @@ pub struct Alert {
     /// One-line description of the firing.
     pub message: String,
     /// Windowed evidence (window sizes, rates, counts) — exported with
-    /// the alert and injected into the trace as event attributes.
+    /// the alert.
     pub evidence: Attrs,
 }
 
@@ -146,35 +146,6 @@ impl IncidentTimeline {
         serde_json::to_string_pretty(&self.to_json())
             .expect("incident timeline serialises infallibly")
     }
-
-    /// Folds the timeline back into a trace: one `alert` point event per
-    /// alert (attributes `detector`, `severity`, `message` plus the
-    /// evidence) and the `monitor.*` counters. An empty timeline is a
-    /// strict no-op — the bit-identity contract for runs with no
-    /// detectors configured.
-    pub fn inject_into(&self, snapshot: &mut TelemetrySnapshot) {
-        if self.alerts.is_empty() {
-            return;
-        }
-        for alert in &self.alerts {
-            let mut attrs: Attrs = vec![
-                ("detector", alert.detector.into()),
-                ("severity", alert.severity.name().into()),
-                ("message", alert.message.clone().into()),
-            ];
-            attrs.extend(alert.evidence.iter().cloned());
-            snapshot.events.push(Event {
-                kind: EventKind::Alert,
-                span: alert.span,
-                at_secs: alert.at_secs,
-                attrs,
-            });
-        }
-        snapshot.metrics.counter_add(crate::observe::ALERTS_TOTAL, self.alerts.len() as u64);
-        for (detector, n) in self.counts_by_detector() {
-            snapshot.metrics.counter_add(crate::observe::detector_counter(detector), n);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -229,29 +200,5 @@ mod tests {
         let at = text.find("\"at_secs\"").unwrap();
         let sev = text.find("\"severity\"").unwrap();
         assert!(at < sev);
-    }
-
-    #[test]
-    fn injecting_an_empty_timeline_is_identity() {
-        let mut snap = TelemetrySnapshot::default();
-        snap.metrics.counter_add("epochs.total", 3);
-        let before = snap.to_json_string();
-        IncidentTimeline::default().inject_into(&mut snap);
-        assert_eq!(snap.to_json_string(), before);
-    }
-
-    #[test]
-    fn injection_adds_alert_events_and_counters() {
-        let mut snap = TelemetrySnapshot::default();
-        let t = IncidentTimeline::from_alerts(vec![
-            alert("stall", 2.0, None),
-            alert("slo_burn", 3.0, None),
-        ]);
-        t.inject_into(&mut snap);
-        assert_eq!(snap.events.len(), 2);
-        assert_eq!(snap.events[0].kind, EventKind::Alert);
-        assert_eq!(snap.metrics.counter(crate::observe::ALERTS_TOTAL), 2);
-        assert_eq!(snap.metrics.counter(crate::observe::ALERTS_STALL), 1);
-        assert_eq!(snap.metrics.counter(crate::observe::ALERTS_SLO_BURN), 1);
     }
 }

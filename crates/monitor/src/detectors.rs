@@ -1,5 +1,5 @@
 //! The detector catalog: stall watchdog, crash-loop, SLO burn-rate,
-//! cache-thrash and admission/queue-growth (see `docs/monitoring.md` for
+//! cache-thrash and queue-growth (see `docs/monitoring.md` for
 //! the window semantics and the burn-rate math).
 //!
 //! Every detector is a pure stream processor over the deterministic
@@ -24,7 +24,7 @@ pub(crate) const CRASH_LOOP: &str = "crash_loop";
 pub(crate) const SLO_BURN: &str = "slo_burn";
 /// Canonical name of the cache-thrash detector.
 pub(crate) const CACHE_THRASH: &str = "cache_thrash";
-/// Canonical name of the admission/queue-growth detector.
+/// Canonical name of the queue-growth detector.
 pub(crate) const QUEUE_GROWTH: &str = "queue_growth";
 
 // ---------------------------------------------------------------------------
@@ -358,59 +358,23 @@ impl Detector for CacheThrashDetector {
 }
 
 // ---------------------------------------------------------------------------
-// Admission / queue growth
+// Queue growth
 // ---------------------------------------------------------------------------
 
 /// Fire when a job arrives to a backlog at or beyond this depth (queued +
 /// running jobs ahead of it).
 const QUEUE_DEPTH_THRESHOLD: u64 = 4;
-/// Sliding horizon for admission rejections, service-clock seconds.
-const QUEUE_WINDOW_SECS: f64 = 20_000.0;
-/// Fire at the `QUEUE_REJECTED_BURST`-th admission rejection within the
-/// window.
-const QUEUE_REJECTED_BURST: usize = 2;
 
 /// Flags a service falling behind its arrival stream: a job arriving to
 /// a deep backlog (the `queue_depth` attribute the service stamps on
-/// every job span at arrival) or a burst of admission rejections within
-/// the sliding window. Both signals live entirely on job spans, so the
-/// detector sees them the instant the service records the arrival.
+/// every job span at arrival). The signal lives entirely on job spans, so
+/// the detector sees it the instant the service records the arrival.
 #[derive(Debug)]
-pub(crate) struct QueueGrowthDetector {
-    rejections: TimeWindow,
-}
-
-impl QueueGrowthDetector {
-    /// A detector that has seen no rejection yet.
-    pub(crate) fn new() -> Self {
-        QueueGrowthDetector { rejections: TimeWindow::new(QUEUE_WINDOW_SECS) }
-    }
-}
+pub(crate) struct QueueGrowthDetector;
 
 impl Detector for QueueGrowthDetector {
     fn on_span(&mut self, ctx: &TraceIndex<'_>, idx: u32, span: &Span, out: &mut Vec<Alert>) {
         if span.kind != SpanKind::Job {
-            return;
-        }
-        if attr_bool(&span.attrs, "admitted") == Some(false) {
-            self.rejections.push(span.start_secs);
-            if self.rejections.len() >= QUEUE_REJECTED_BURST {
-                let count = self.rejections.len();
-                self.rejections.clear();
-                out.push(Alert {
-                    detector: QUEUE_GROWTH,
-                    severity: Severity::Critical,
-                    source: ctx.path(idx),
-                    span: Some(idx),
-                    at_secs: span.start_secs,
-                    message: format!("{count} admission rejections within {QUEUE_WINDOW_SECS:.0}s"),
-                    evidence: vec![
-                        ("rejections_in_window", count.into()),
-                        ("window_secs", QUEUE_WINDOW_SECS.into()),
-                        ("rejected_burst", QUEUE_REJECTED_BURST.into()),
-                    ],
-                });
-            }
             return;
         }
         if let Some(depth) = attr_u64(&span.attrs, "queue_depth") {
@@ -581,30 +545,29 @@ mod tests {
     }
 
     #[test]
-    fn queue_growth_flags_deep_backlogs_and_rejection_bursts() {
-        let job = |label: &str, start: f64, attrs: pipetune_telemetry::Attrs| Span {
+    fn queue_growth_flags_deep_backlogs() {
+        let job = |label: &str, start: f64, depth: u64| Span {
             kind: SpanKind::Job,
             label: label.into(),
             parent: Some(0),
             start_secs: start,
             end_secs: f64::NAN,
-            attrs,
+            attrs: vec![("queue_depth", depth.into())],
         };
         let spans = vec![
             span(SpanKind::Service, "svc", None, 0.0, f64::NAN),
-            job("job 0", 2_000.0, vec![("admitted", true.into()), ("queue_depth", 1u64.into())]),
-            job("job 1", 4_000.0, vec![("admitted", true.into()), ("queue_depth", 5u64.into())]),
-            job("job 2", 6_000.0, vec![("admitted", false.into())]),
-            job("job 3", 8_000.0, vec![("admitted", false.into())]),
+            job("job 0", 2_000.0, 1),
+            job("job 1", 4_000.0, 5),
+            job("job 2", 6_000.0, QUEUE_DEPTH_THRESHOLD - 1),
+            job("job 3", 8_000.0, QUEUE_DEPTH_THRESHOLD),
         ];
         let timeline = run_detectors(spans, vec![]);
         assert_eq!(timeline.len(), 2);
         assert_eq!(timeline.count_for(QUEUE_GROWTH), 2);
-        // Canonical order: the depth alert (t=4 000) precedes the
-        // rejection burst (t=8 000).
+        // One warning per arrival at or beyond the threshold, in time order.
         assert_eq!(timeline.alerts[0].at_secs, 4_000.0);
         assert_eq!(timeline.alerts[0].severity, Severity::Warning);
         assert_eq!(timeline.alerts[1].at_secs, 8_000.0);
-        assert_eq!(timeline.alerts[1].severity, Severity::Critical);
+        assert_eq!(timeline.alerts[1].severity, Severity::Warning);
     }
 }

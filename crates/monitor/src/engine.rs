@@ -136,7 +136,7 @@ impl MonitorEngine {
             Box::new(CrashLoopDetector::new()),
             Box::new(SloBurnDetector::new()),
             Box::new(CacheThrashDetector::new()),
-            Box::new(QueueGrowthDetector::new()),
+            Box::new(QueueGrowthDetector),
         ])
     }
 

@@ -17,14 +17,14 @@
 //! * `slo_burn` — multi-window (fast/slow, SRE-style) deadline burn-rate
 //!   alerts for `with_deadline` services.
 //! * `cache_thrash` — epoch-cache hit-rate collapse and eviction churn.
-//! * `queue_growth` — admission rejections and backlog depth in the
-//!   multi-job service.
+//! * `queue_growth` — backlog depth at each arrival in the multi-job
+//!   service.
 //!
 //! Firings become typed [`Alert`] records collected into a
 //! deterministic, sorted [`IncidentTimeline`] — exportable as
-//! sorted-key JSON, injectable back into the trace as `alert` point
-//! events plus `monitor.*` counters, and replayable offline
-//! (`pipetune-bench trace watch`) with byte-identical results.
+//! sorted-key JSON and replayable offline (`pipetune-bench trace watch`)
+//! with byte-identical results. The timeline stays beside the trace: the
+//! monitor never writes into the stream it watches.
 //!
 //! # Determinism contract
 //!
@@ -72,7 +72,6 @@
 mod alert;
 mod detectors;
 mod engine;
-pub mod observe;
 mod window;
 
 pub use alert::{Alert, IncidentTimeline, Severity};

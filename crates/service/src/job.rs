@@ -28,8 +28,6 @@ impl JobSubmission {
 pub enum JobOutcome {
     /// The job ran to completion.
     Completed,
-    /// Admission control turned the job away at arrival; it never ran.
-    Rejected,
     /// The job exceeded its deadline and was drained from the system
     /// (SLO-driven shedding).
     Shed,
@@ -42,7 +40,6 @@ impl JobOutcome {
     pub fn name(self) -> &'static str {
         match self {
             JobOutcome::Completed => "completed",
-            JobOutcome::Rejected => "rejected",
             JobOutcome::Shed => "shed",
             JobOutcome::Abandoned => "abandoned",
         }
@@ -51,10 +48,8 @@ impl JobOutcome {
 
 /// What happened to one submitted job, in submission order.
 ///
-/// Rejected jobs (`admitted = false`) never ran: their `service_secs`,
-/// `start_secs`, `completion_secs`, `response_secs` and `queue_secs` are
-/// `NaN`, `slots` is 0 and `outcome` is `None`. Shed and abandoned jobs
-/// were admitted (their run's `outcome` is kept) but never completed:
+/// Every job runs: `slots` and `attempts` are at least 1 and `outcome`
+/// holds its tuning run. Shed and abandoned jobs never completed:
 /// `completion_secs` and `response_secs` are `NaN` and `drained_secs`
 /// holds the instant they left the system.
 #[derive(Debug, Clone)]
@@ -65,12 +60,10 @@ pub struct JobRecord {
     pub workload: &'static str,
     /// Arrival time on the service clock, seconds.
     pub arrival_secs: f64,
-    /// Whether admission control let the job in.
-    pub admitted: bool,
     /// How the job left the system.
     pub status: JobOutcome,
     /// Service attempts started (1 for a crash-free run, more after
-    /// resubmissions, 0 when rejected).
+    /// resubmissions).
     pub attempts: u32,
     /// Parallel trial slots the job's tuning run was scheduled onto.
     pub slots: usize,
@@ -95,28 +88,4 @@ pub struct JobRecord {
     pub backoff_secs: f64,
     /// The full tuning outcome of the job's PipeTune run.
     pub outcome: Option<TuningOutcome>,
-}
-
-impl JobRecord {
-    /// A record for a job that admission control turned away.
-    pub(crate) fn rejected(job: usize, workload: &'static str, arrival_secs: f64) -> Self {
-        JobRecord {
-            job,
-            workload,
-            arrival_secs,
-            admitted: false,
-            status: JobOutcome::Rejected,
-            attempts: 0,
-            slots: 0,
-            service_secs: f64::NAN,
-            start_secs: f64::NAN,
-            completion_secs: f64::NAN,
-            response_secs: f64::NAN,
-            queue_secs: f64::NAN,
-            drained_secs: f64::NAN,
-            lost_service_secs: 0.0,
-            backoff_secs: 0.0,
-            outcome: None,
-        }
-    }
 }

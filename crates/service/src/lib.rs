@@ -5,11 +5,11 @@
 //! queueing models over measured tuning times. This crate closes the loop:
 //! a deterministic, event-driven service that accepts a stream of
 //! tuning-job submissions (e.g. from
-//! [`pipetune_cluster::PoissonArrivals`]), applies [`AdmissionControl`],
+//! [`pipetune_cluster::PoissonArrivals`]) and admits every one of them,
 //! schedules the shared cluster under a pluggable [`SchedulingPolicy`]
 //! (FIFO, processor sharing, shortest-remaining-service), partitions the
-//! cluster's parallel-slot pool across admitted jobs via
-//! [`pipetune_cluster::SlotPool`], and runs every admitted job as a full
+//! cluster's parallel-slot pool across the jobs via
+//! [`pipetune_cluster::SlotPool`], and runs every job as a full
 //! PipeTune tuning run on the real multi-threaded trial executor.
 //!
 //! On top of the clean scheduling path the service injects
@@ -62,7 +62,7 @@ mod service;
 
 pub use engine::{Completion, EngineEvent, PolicyEngine, Trip};
 pub use job::{JobOutcome, JobRecord, JobSubmission};
-pub use policy::{AdmissionControl, SchedulingPolicy};
+pub use policy::SchedulingPolicy;
 pub use service::{
     job_seed, resubmit_backoff_secs, ServiceConfig, ServiceOutcome, SlotSample, TuningService,
     RESUBMIT_ATTEMPTS,

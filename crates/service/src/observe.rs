@@ -11,17 +11,10 @@
 //! per-run detail.
 
 pipetune_telemetry::metric_names! {
-    /// Counter: jobs submitted to the service (admitted or not).
+    /// Counter: jobs submitted to the service.
     pub(crate) const JOBS_SUBMITTED = "service.jobs_submitted";
 
-    /// Counter: jobs admission control let into the system.
-    pub(crate) const JOBS_ADMITTED = "service.jobs_admitted";
-
-    /// Counter: jobs admission control turned away (each one also resolves
-    /// to a typed `JobOutcome::Rejected` record).
-    pub(crate) const ADMISSION_REJECTED = "service.admission.rejected";
-
-    /// Counter: admitted jobs that ran to completion.
+    /// Counter: jobs that ran to completion.
     pub(crate) const JOBS_COMPLETED = "service.jobs_completed";
 
     /// Counter: jobs shed for exceeding their deadline.

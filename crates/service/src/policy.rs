@@ -1,8 +1,8 @@
-//! Scheduling policies and admission control for the tuning service.
+//! Scheduling policies for the tuning service.
 
-/// How the service divides the shared cluster among concurrently admitted
+/// How the service divides the shared cluster among concurrently submitted
 /// jobs. All three policies are work-conserving: whenever at least one
-/// admitted job is unfinished, the full configured capacity is busy, so
+/// submitted job is unfinished, the full configured capacity is busy, so
 /// the last completion time of a job stream is policy-independent (pinned
 /// by the property suite).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -12,7 +12,7 @@ pub enum SchedulingPolicy {
     /// one server this is the paper's §5.1 regime and reproduces
     /// `pipetune::simulate_fifo` exactly.
     Fifo,
-    /// Egalitarian processor sharing: every admitted job is always
+    /// Egalitarian processor sharing: every unfinished job is always
     /// running, each at rate `servers / active` (capped at 1). With one
     /// server this is Fig. 5's co-location regime and reproduces
     /// `pipetune::simulate_processor_sharing` exactly.
@@ -41,35 +41,6 @@ impl SchedulingPolicy {
     }
 }
 
-/// Admission control applied to each arrival before it enters the system.
-///
-/// The default admits everything; a bounded controller rejects arrivals
-/// that would push the number of unfinished jobs (queued + in service)
-/// past the bound. Rejected jobs never run — their records carry
-/// `admitted = false` and `NaN` times.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AdmissionControl {
-    /// Maximum unfinished jobs in the system; `None` admits everything.
-    pub max_in_system: Option<usize>,
-}
-
-impl AdmissionControl {
-    /// Admit every arrival (the default).
-    pub(crate) fn unbounded() -> Self {
-        AdmissionControl { max_in_system: None }
-    }
-
-    /// Reject arrivals while `max_in_system` jobs are unfinished.
-    pub fn bounded(max_in_system: usize) -> Self {
-        AdmissionControl { max_in_system: Some(max_in_system) }
-    }
-
-    /// Whether an arrival is admitted when `in_system` jobs are unfinished.
-    pub(crate) fn admits(&self, in_system: usize) -> bool {
-        self.max_in_system.is_none_or(|cap| in_system < cap)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,14 +51,5 @@ mod tests {
         assert_eq!(SchedulingPolicy::ProcessorSharing.name(), "processor_sharing");
         assert_eq!(SchedulingPolicy::ShortestRemainingService.name(), "shortest_remaining");
         assert_eq!(SchedulingPolicy::ALL.len(), 3);
-    }
-
-    #[test]
-    fn admission_bounds_the_system() {
-        let open = AdmissionControl::unbounded();
-        assert!(open.admits(0) && open.admits(1_000_000));
-        let tight = AdmissionControl::bounded(2);
-        assert!(tight.admits(0) && tight.admits(1));
-        assert!(!tight.admits(2) && !tight.admits(3));
     }
 }

@@ -1,7 +1,7 @@
 //! The tuning service driver: arrivals in, scheduled PipeTune runs out.
 //!
 //! [`TuningService::run`] processes a submission stream in arrival order.
-//! Each admitted job is executed as a *real* tuning run (the full
+//! Each job is executed as a *real* tuning run (the full
 //! multi-threaded trial executor) against a derived environment — its own
 //! sub-seed, its slice of the cluster's parallel-slot pool, and a
 //! telemetry handle scoped under its `job` span — and the run's wall-clock
@@ -58,7 +58,7 @@ use pipetune_telemetry::{
 use crate::engine::{Completion, EngineEvent, PolicyEngine, Trip};
 use crate::job::{JobOutcome, JobRecord, JobSubmission};
 use crate::observe;
-use crate::policy::{AdmissionControl, SchedulingPolicy};
+use crate::policy::SchedulingPolicy;
 
 /// Key under which processor sharing's single ensemble lease is tracked
 /// (PS co-locates every active job on the whole pool, so slot accounting
@@ -86,13 +86,11 @@ pub fn resubmit_backoff_secs(attempt: u32) -> f64 {
     600.0 * 2.0f64.powi(attempt as i32)
 }
 
-/// How the service schedules, admits, bounds and fault-tests jobs.
+/// How the service schedules, bounds and fault-tests jobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceConfig {
     /// Cluster-sharing discipline.
     pub policy: SchedulingPolicy,
-    /// Admission control applied to each arrival.
-    pub admission: AdmissionControl,
     /// Per-job relative deadline (SLO), seconds after arrival: a job
     /// still unfinished then is shed ([`JobOutcome::Shed`]). `None`
     /// disables deadline enforcement.
@@ -106,7 +104,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             policy: SchedulingPolicy::Fifo,
-            admission: AdmissionControl::unbounded(),
             deadline_secs: None,
             faults: ServiceFaultPlan::none(),
         }
@@ -118,13 +115,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn with_policy(mut self, policy: SchedulingPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Replaces the admission controller.
-    #[must_use]
-    pub fn with_admission(mut self, admission: AdmissionControl) -> Self {
-        self.admission = admission;
         self
     }
 
@@ -172,7 +162,7 @@ impl ServiceConfig {
 pub struct SlotSample {
     /// Event instant, service clock seconds.
     pub at_secs: f64,
-    /// Unfinished admitted jobs (queued, in service or awaiting
+    /// Unfinished jobs (queued, in service or awaiting
     /// resubmission).
     pub active_jobs: usize,
     /// Jobs holding capacity at this instant.
@@ -223,7 +213,7 @@ pub struct TuningService {
     config: ServiceConfig,
 }
 
-/// The master seed an admitted job's environment is re-seeded with:
+/// The master seed a job's environment is re-seeded with:
 /// derived from the service environment's seed and the submission index
 /// only, so a job's tuning outcome is independent of scheduling policy,
 /// arrival times and its neighbours. Public so tests can reconstruct a
@@ -276,10 +266,10 @@ struct Driver {
     attempts: Vec<u32>,
     /// Checkpointed progress before the current attempt, per job.
     done_before: Vec<f64>,
-    /// Checkpoint marks of each admitted job's run (empty when crashes
+    /// Checkpoint marks of each job's run (empty when crashes
     /// are disabled).
     marks: Vec<Vec<f64>>,
-    /// Full service demand per admitted job.
+    /// Full service demand per job.
     service_total: Vec<f64>,
 }
 
@@ -554,14 +544,7 @@ impl TuningService {
             SpanKind::Service,
             format!("service {}", policy.name()),
             0.0,
-            // One server, so a job is given the whole pool; the trace format
-            // keeps both attributes.
-            vec![
-                ("policy", policy.name().into()),
-                ("servers", 1usize.into()),
-                ("slot_capacity", capacity.into()),
-                ("slots_per_job", capacity.into()),
-            ],
+            vec![("policy", policy.name().into()), ("slot_capacity", capacity.into())],
         );
 
         let mut order: Vec<usize> = (0..submissions.len()).collect();
@@ -689,14 +672,12 @@ impl TuningService {
             let sub = &submissions[job];
             telemetry.counter_add(observe::JOBS_SUBMITTED, 1);
             let backlog = d.engine.active() + d.pending.len();
-            let admitted = self.config.admission.admits(backlog);
             // `queue_depth` is the backlog ahead of this job at its arrival
             // instant — the signal the monitor's queue-growth detector
             // watches (see `docs/monitoring.md`).
             let mut attrs = vec![
                 ("job", job.into()),
                 ("workload", sub.spec.name().into()),
-                ("admitted", admitted.into()),
                 ("queue_depth", backlog.into()),
             ];
             if let Some(dl) = deadline {
@@ -710,13 +691,6 @@ impl TuningService {
                 attrs,
             );
             d.spans[job] = span;
-            if !admitted {
-                telemetry.counter_add(observe::ADMISSION_REJECTED, 1);
-                telemetry.close_span(span, sub.arrival_secs);
-                d.records[job] = Some(JobRecord::rejected(job, sub.spec.name(), sub.arrival_secs));
-                continue;
-            }
-            telemetry.counter_add(observe::JOBS_ADMITTED, 1);
             let slots = d.capacity;
             let job_env = ExperimentEnv {
                 seed: job_seed(env, job),
@@ -735,7 +709,6 @@ impl TuningService {
                 job,
                 workload: sub.spec.name(),
                 arrival_secs: sub.arrival_secs,
-                admitted: true,
                 status: JobOutcome::Completed,
                 attempts: 1,
                 slots,
@@ -769,15 +742,13 @@ impl TuningService {
         // the event loop dropped a job.
         for rec in &jobs {
             assert!(
-                rec.status != JobOutcome::Completed
-                    || !rec.admitted
-                    || rec.completion_secs.is_finite(),
+                rec.status != JobOutcome::Completed || rec.completion_secs.is_finite(),
                 "job {} lost by the service event loop",
                 rec.job
             );
         }
         let completed: Vec<&JobRecord> =
-            jobs.iter().filter(|r| r.admitted && r.status == JobOutcome::Completed).collect();
+            jobs.iter().filter(|r| r.status == JobOutcome::Completed).collect();
         let mean_response_secs = if completed.is_empty() {
             0.0
         } else {

@@ -701,7 +701,6 @@ impl TelemetrySnapshot {
                 crate::EventKind::Churn,
                 crate::EventKind::Shed,
                 crate::EventKind::CacheLookup,
-                crate::EventKind::Alert,
             ] {
                 let n = self.events.iter().filter(|e| e.kind == kind).count();
                 if n > 0 {
@@ -911,7 +910,6 @@ mod tests {
                 EventKind::Churn,
                 EventKind::Shed,
                 EventKind::CacheLookup,
-                EventKind::Alert,
             ];
             let n_spans = rng.gen_range(0..12usize);
             let spans: Vec<Span> = (0..n_spans)

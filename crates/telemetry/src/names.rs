@@ -5,9 +5,8 @@
 //! documented `const` items **plus** an `ALL_METRIC_NAMES` slice
 //! listing them. A registry check ([`unregistered`]) then asserts that a
 //! recorded snapshot only contains registered names — the guard that kills
-//! typo drift like `service.admission.rejected` vs
-//! `service.admissions.rejected` before it reaches dashboards or the
-//! regression gate.
+//! typo drift like `service.jobs_shed` vs `service.job_shed` before it
+//! reaches dashboards or the regression gate.
 //!
 //! The macro keeps each `observe` module the single source of truth for
 //! its own names (no central file to forget to update); the slice it

@@ -101,11 +101,6 @@ pub enum EventKind {
     /// `epochs` carries the adopted depth and `saved_secs` the simulated
     /// epoch time the reuse avoided).
     CacheLookup,
-    /// An online monitor detector fired (attributes `detector`,
-    /// `severity` and `message` plus the detector's windowed evidence;
-    /// injected by `pipetune-monitor` when an incident timeline is folded
-    /// back into the trace — see `docs/monitoring.md`).
-    Alert,
 }
 
 impl EventKind {
@@ -121,7 +116,6 @@ impl EventKind {
             EventKind::Churn => "churn",
             EventKind::Shed => "shed",
             EventKind::CacheLookup => "cache_lookup",
-            EventKind::Alert => "alert",
         }
     }
 
@@ -137,7 +131,6 @@ impl EventKind {
             "churn" => Some(EventKind::Churn),
             "shed" => Some(EventKind::Shed),
             "cache_lookup" => Some(EventKind::CacheLookup),
-            "alert" => Some(EventKind::Alert),
             _ => None,
         }
     }
@@ -326,8 +319,7 @@ mod tests {
         assert_eq!(EventKind::from_name("shed"), Some(EventKind::Shed));
         assert_eq!(EventKind::CacheLookup.name(), "cache_lookup");
         assert_eq!(EventKind::from_name("cache_lookup"), Some(EventKind::CacheLookup));
-        assert_eq!(EventKind::Alert.name(), "alert");
-        assert_eq!(EventKind::from_name("alert"), Some(EventKind::Alert));
+        assert_eq!(EventKind::from_name("alert"), None);
     }
 
     #[test]

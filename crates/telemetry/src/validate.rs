@@ -68,8 +68,8 @@ pub enum TraceError {
     /// An event's timestamp falls outside its owning span's interval.
     /// Events share their owning span's clock domain (see
     /// [`crate::Event::at_secs`]), so containment is checked for every
-    /// event kind — including the `alert` and `cache_lookup` points the
-    /// monitor and epoch-reuse cache record. An open owning span only
+    /// event kind — including the `shed` and `cache_lookup` points the
+    /// service and epoch-reuse cache record. An open owning span only
     /// bounds the event from below.
     EventOutsideSpan {
         /// Index of the offending event.
@@ -206,7 +206,7 @@ impl TelemetrySnapshot {
                     return Err(TraceError::OrphanEventSpan { event: i, span: s });
                 }
                 // Events are timestamped on their owning span's clock
-                // (`Event::at_secs`), so every kind — `alert` and
+                // (`Event::at_secs`), so every kind — `shed` and
                 // `cache_lookup` included — must fall inside the span's
                 // interval; an open span only bounds from below.
                 let owner = &self.spans[s as usize];
@@ -398,9 +398,9 @@ mod tests {
             );
             assert_eq!(snap.validate(), Ok(()), "at_secs {at} should be contained");
         }
-        // Outside, before or after — `alert` and `cache_lookup` points are
+        // Outside, before or after — `shed` and `cache_lookup` points are
         // clock-checked like every other kind.
-        for (kind, at) in [(EventKind::Alert, 899.0), (EventKind::CacheLookup, 961.0)] {
+        for (kind, at) in [(EventKind::Shed, 899.0), (EventKind::CacheLookup, 961.0)] {
             let snap = snapshot(
                 spans.clone(),
                 vec![Event { kind, span: Some(0), at_secs: at, attrs: vec![] }],
@@ -415,12 +415,12 @@ mod tests {
         let open = vec![span(SpanKind::Trial, None, 900.0, f64::NAN)];
         let snap = snapshot(
             open.clone(),
-            vec![Event { kind: EventKind::Alert, span: Some(0), at_secs: 5000.0, attrs: vec![] }],
+            vec![Event { kind: EventKind::Shed, span: Some(0), at_secs: 5000.0, attrs: vec![] }],
         );
         assert_eq!(snap.validate(), Ok(()));
         let snap = snapshot(
             open,
-            vec![Event { kind: EventKind::Alert, span: Some(0), at_secs: 1.0, attrs: vec![] }],
+            vec![Event { kind: EventKind::Shed, span: Some(0), at_secs: 1.0, attrs: vec![] }],
         );
         assert_eq!(snap.validate(), Err(TraceError::EventOutsideSpan { event: 0, span: 0 }));
     }

@@ -434,7 +434,7 @@ const SPAN_KINDS: [SpanKind; 7] = [
     SpanKind::Epoch,
 ];
 
-const EVENT_KINDS: [EventKind; 10] = [
+const EVENT_KINDS: [EventKind; 9] = [
     EventKind::Probe,
     EventKind::GtLookup,
     EventKind::Checkpoint,
@@ -444,7 +444,6 @@ const EVENT_KINDS: [EventKind; 10] = [
     EventKind::Churn,
     EventKind::Shed,
     EventKind::CacheLookup,
-    EventKind::Alert,
 ];
 
 /// Attribute keys: unsorted, some needing JSON or line-protocol escapes,

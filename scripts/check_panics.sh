@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Ratchet on the library crates' panic sites.
 #
-# Counts `.unwrap()`, `.expect(`, `panic!`, `unreachable!` and `todo!` in
-# every crates/*/src file, in the lines above the file's first
-# `#[cfg(test)]` (in-file tests may panic) and outside `//` comments (doc
-# examples are not library code), and writes `<file> <count>` per file,
-# sorted, to PANICS.lock. A file with no site is listed with 0, so a new
+# Counts `.unwrap()`, `.expect(`, `panic!`, `unreachable!`, `todo!` and
+# `assert!` / `assert_eq!` / `assert_ne!` (not their `debug_assert*`
+# forms, which release builds compile out) in every crates/*/src file, in
+# the lines above the file's first `#[cfg(test)]` (in-file tests may
+# panic) and outside `//` comments (doc examples are not library code),
+# and writes `<file> <count>` per file, sorted, to PANICS.lock. A file with no site is listed with 0, so a new
 # file shows up in review like a new site does.
 #
 # Usage:
@@ -25,6 +26,7 @@ counts() {
       /^[ \t]*#\[cfg\(test\)\]/ { exit }
       /^[ \t]*\/\// { next }
       { n += gsub(/\.unwrap\(\)|\.expect\(|panic!|unreachable!|todo!/, "&") }
+      { n += gsub(/(^|[^_[:alnum:]])assert(_eq|_ne)?!/, "&") }
       END { print file, n + 0 }
     ' "$f"
   done

@@ -4,10 +4,9 @@
 //! `metric_names!`, which also emits an enumerable `ALL_METRIC_NAMES`
 //! slice. This suite runs the noisiest pipelines we have — a faulty
 //! standalone tuning run with the epoch cache, and a chaos service
-//! stream with the full monitor detector set injected back into the
-//! trace — and asserts that **every name they record is registered** in
-//! some subsystem's slice. A typo'd emission site
-//! (`service.admissions.rejected` vs `service.admission.rejected`)
+//! stream watched by the full monitor detector set — and asserts that
+//! **every name they record is registered** in some subsystem's slice. A
+//! typo'd emission site (`service.job_shed` vs `service.jobs_shed`)
 //! fails here before it can silently split a dashboard series. It also
 //! holds the hand-kept tables of `docs/telemetry.md` to the same union, in
 //! both directions.
@@ -26,7 +25,6 @@ const REGISTRIES: &[&[&str]] = &[
     pipetune::observe::ALL_METRIC_NAMES,
     pipetune_cluster::observe::ALL_METRIC_NAMES,
     pipetune_energy::observe::ALL_METRIC_NAMES,
-    pipetune_monitor::observe::ALL_METRIC_NAMES,
     pipetune_perfmon::observe::ALL_METRIC_NAMES,
     pipetune_service::observe::ALL_METRIC_NAMES,
 ];
@@ -125,10 +123,7 @@ fn chaos_service_stream_with_monitor_emits_only_registered_names() {
         .expect("service runs");
 
     let timeline = monitor.finish(&telemetry).expect("live monitor");
-    let mut snap = telemetry.snapshot().expect("enabled handle");
-    // Folding the timeline back into the trace adds the `monitor.*`
-    // counters — those must be registered like everything else.
-    timeline.inject_into(&mut snap);
+    let snap = telemetry.snapshot().expect("enabled handle");
     assert!(!timeline.is_empty(), "chaos stream should fire at least one detector");
     assert_all_registered(&snap, "chaos service stream with live monitor");
 }

@@ -8,8 +8,7 @@
 //!    the exported trace (`pipetune-bench trace watch`) reproduces the live
 //!    run's timeline byte for byte;
 //! 3. a live monitor only **reads**: the trace and metrics it watches are
-//!    bit-identical to a monitor-less run's, and injecting an empty
-//!    timeline is a no-op.
+//!    bit-identical to a monitor-less run's.
 
 use pipetune::{ExperimentEnvBuilder, PipeTune, TunerOptions, WorkloadSpec};
 use pipetune_cluster::{FaultPlan, PoissonArrivals, ServiceFaultPlan};
@@ -148,11 +147,4 @@ fn a_live_standard_monitor_is_read_only() {
 
     assert_eq!(with_monitor.to_json_string(), without_monitor.to_json_string());
     assert_eq!(with_monitor.metrics_json_string(), without_monitor.metrics_json_string());
-
-    // Injecting an empty timeline is a strict no-op on the trace too.
-    let mut injected = without_monitor;
-    let before = injected.to_json_string();
-    IncidentTimeline::from_alerts(Vec::new()).inject_into(&mut injected);
-    assert_eq!(injected.to_json_string(), before);
-    assert_eq!(injected.metrics_json_string(), with_monitor.metrics_json_string());
 }

@@ -12,7 +12,7 @@
 //!   exactly one typed [`JobOutcome`], and the service fault report's
 //!   counters match the per-record tallies;
 //! * **policy-invariant survivors** — churn draws key on the tick index
-//!   and crash draws on `(job, attempt)`, so admitted jobs see the same
+//!   and crash draws on `(job, attempt)`, so jobs see the same
 //!   capacity, tune to the same `TuningOutcome` and crash at the same
 //!   points under every [`SchedulingPolicy`];
 //! * **byte-identical everything across worker counts** — outcomes,
@@ -32,7 +32,7 @@ use pipetune_service::{
     resubmit_backoff_secs, JobOutcome, JobRecord, JobSubmission, SchedulingPolicy, ServiceConfig,
     ServiceOutcome, TuningService, RESUBMIT_ATTEMPTS,
 };
-use pipetune_telemetry::{TelemetryHandle, TelemetrySnapshot};
+use pipetune_telemetry::{EventKind, SpanKind, TelemetryHandle, TelemetrySnapshot, TraceError};
 use proptest::prelude::*;
 
 const JOBS: usize = 3;
@@ -75,7 +75,6 @@ fn mixed_config() -> ServiceConfig {
 
 fn assert_records_identical(a: &JobRecord, b: &JobRecord) {
     assert_eq!(a.job, b.job);
-    assert_eq!(a.admitted, b.admitted);
     assert_eq!(a.status, b.status);
     assert_eq!(a.attempts, b.attempts);
     assert_eq!(a.slots, b.slots);
@@ -134,19 +133,15 @@ fn assert_chaos_invariants(outcome: &ServiceOutcome) {
     for r in &outcome.jobs {
         assert!(!std::mem::replace(&mut seen[r.job], true), "job {} duplicated", r.job);
         match r.status {
-            JobOutcome::Completed => {
-                assert!(r.admitted && r.completion_secs.is_finite(), "{r:?}");
-                assert!(r.attempts >= 1);
-            }
-            JobOutcome::Rejected => {
-                assert!(!r.admitted && r.outcome.is_none() && r.attempts == 0, "{r:?}");
-            }
+            JobOutcome::Completed => assert!(r.completion_secs.is_finite(), "{r:?}"),
             JobOutcome::Shed | JobOutcome::Abandoned => {
-                assert!(r.admitted && r.drained_secs.is_finite(), "{r:?}");
+                assert!(r.drained_secs.is_finite(), "{r:?}");
                 assert!(r.completion_secs.is_nan() && r.response_secs.is_nan(), "{r:?}");
             }
         }
-        assert!(r.slots >= 1 || !r.admitted, "an admitted job was sliced to zero slots");
+        // Every submission runs: at least one attempt on at least one slot.
+        assert!(r.attempts >= 1 && r.outcome.is_some(), "{r:?}");
+        assert!(r.slots >= 1, "a job was sliced to zero slots");
         assert!(r.lost_service_secs >= 0.0 && r.backoff_secs >= 0.0);
     }
     assert!(seen.iter().all(|&s| s), "a submission produced no record");
@@ -216,6 +211,42 @@ fn chaos_invariants_hold_under_every_policy_and_the_report_is_persisted() {
     std::fs::write("target/service_chaos_report.json", format!("{json}\n")).unwrap();
 }
 
+/// A chaos trace carries what the service records and nothing else: job
+/// spans name the job, its workload, the backlog it met and its deadline;
+/// the service span its policy and pool size. An `alert` event is no kind
+/// a run writes, so the importer refuses one.
+#[test]
+fn chaos_traces_carry_only_the_recorded_vocabulary() {
+    let (outcome, snap) = run_chaos(SchedulingPolicy::Fifo, 2, mixed_config());
+    assert!(!outcome.service_fault_report.is_clean(), "the stream must fault");
+    let keys = |kind: SpanKind| -> Vec<Vec<&str>> {
+        let spans = snap.spans.iter().filter(|s| s.kind == kind);
+        spans.map(|s| s.attrs.iter().map(|(key, _)| *key).collect()).collect()
+    };
+    let jobs = keys(SpanKind::Job);
+    assert_eq!(jobs.len(), JOBS);
+    for job in &jobs {
+        assert_eq!(job, &["job", "workload", "queue_depth", "deadline_secs"]);
+    }
+    assert_eq!(keys(SpanKind::Service), [["policy", "slot_capacity"]]);
+    let metrics = snap.metrics_json_string();
+    assert!(metrics.contains("\"service.jobs_submitted\""), "{metrics}");
+    assert!(!metrics.contains("service.jobs_admitted"), "{metrics}");
+
+    // The first recorded event, renamed to `alert`.
+    let trace = snap.to_json_string();
+    let events = trace.find("\"events\": [").expect("the trace has an events array");
+    let key = "\"kind\": \"";
+    let kind = events + trace[events..].find(key).expect("an event") + key.len();
+    let end = kind + trace[kind..].find('"').unwrap();
+    assert!(EventKind::from_name(&trace[kind..end]).is_some(), "{}", &trace[kind..end]);
+    let alert = format!("{}alert{}", &trace[..kind], &trace[end..]);
+    assert!(matches!(
+        TelemetrySnapshot::from_json_str(&alert),
+        Err(TraceError::Parse { reason }) if reason.contains("unknown kind")
+    ));
+}
+
 #[test]
 fn admitted_jobs_and_their_crash_chains_are_policy_invariant() {
     let runs: Vec<ServiceOutcome> =
@@ -223,10 +254,9 @@ fn admitted_jobs_and_their_crash_chains_are_policy_invariant() {
     let base = &runs[0];
     for other in &runs[1..] {
         for (x, y) in base.jobs.iter().zip(&other.jobs) {
-            // Admission and the tuning work are policy-invariant: churn
-            // draws key on tick indices, so every policy sees the same
-            // capacity at each arrival.
-            assert_eq!(x.admitted, y.admitted);
+            // The tuning work is policy-invariant: churn draws key on tick
+            // indices, so every policy sees the same capacity at each
+            // arrival.
             assert_eq!(x.slots, y.slots);
             assert_eq!(x.service_secs.to_bits(), y.service_secs.to_bits());
             if let (Some(ox), Some(oy)) = (&x.outcome, &y.outcome) {

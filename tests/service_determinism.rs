@@ -101,7 +101,6 @@ fn assert_service_outcomes_identical(a: &ServiceOutcome, b: &ServiceOutcome) {
     for (x, y) in a.jobs.iter().zip(&b.jobs) {
         assert_eq!(x.job, y.job);
         assert_eq!(x.workload, y.workload);
-        assert_eq!(x.admitted, y.admitted);
         assert_eq!(x.status, y.status);
         assert_eq!(x.attempts, y.attempts);
         assert_eq!(x.slots, y.slots);
@@ -195,14 +194,14 @@ fn service_traces_follow_the_service_job_run_taxonomy() {
     let (outcome, snap) = run_service(43, SchedulingPolicy::Fifo, 2, FaultPlan::none());
 
     // One service root, one job span per submission, one nested tuning
-    // run per admitted job.
+    // run per job.
     let roots: Vec<_> = snap.spans.iter().filter(|s| s.parent.is_none()).collect();
     assert_eq!(roots.len(), 1);
     assert_eq!(roots[0].kind, SpanKind::Service);
     let jobs: Vec<_> = snap.spans.iter().filter(|s| s.kind == SpanKind::Job).collect();
     assert_eq!(jobs.len(), outcome.jobs.len());
     let runs = snap.spans.iter().filter(|s| s.kind == SpanKind::TuningRun).count();
-    assert_eq!(runs, outcome.jobs.iter().filter(|r| r.admitted).count());
+    assert_eq!(runs, outcome.jobs.len());
     for (i, span) in snap.spans.iter().enumerate() {
         match span.kind {
             SpanKind::Service => assert!(span.parent.is_none()),

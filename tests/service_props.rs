@@ -7,8 +7,8 @@
 //!    processor sharing reproduce `simulate_fifo` /
 //!    `simulate_processor_sharing` within 1e-9 s), work conservation
 //!    (policy-invariant makespan), slot-pool bounds at every event time,
-//!    FIFO ordering, admission control and the single-job degeneration to
-//!    a dedicated-cluster run.
+//!    FIFO ordering and the single-job degeneration to a dedicated-cluster
+//!    run.
 //! 2. **A proptest sweep over the scheduling engine** — arbitrary job
 //!    streams (simultaneous arrivals, zero-service jobs, empty streams
 //!    included) re-checked against the analytic models, with no tuning
@@ -20,8 +20,8 @@ use pipetune::{
 };
 use pipetune_cluster::PoissonArrivals;
 use pipetune_service::{
-    job_seed, AdmissionControl, JobSubmission, PolicyEngine, SchedulingPolicy, ServiceConfig,
-    ServiceOutcome, TuningService,
+    job_seed, JobSubmission, PolicyEngine, SchedulingPolicy, ServiceConfig, ServiceOutcome,
+    TuningService,
 };
 use proptest::prelude::*;
 
@@ -164,7 +164,7 @@ fn single_job_stream_degenerates_to_a_dedicated_run() {
     let dedicated = PipeTune::new(TunerOptions::fast())
         .run(&dedicated_env, &WorkloadSpec::lenet_mnist())
         .unwrap();
-    let job = rec.outcome.as_ref().expect("admitted job has an outcome");
+    let job = rec.outcome.as_ref().expect("every job has an outcome");
     assert_job_outcomes_identical(job, &dedicated);
     assert_eq!(rec.slots, env.parallel_slots, "lone job gets the whole pool");
 
@@ -176,38 +176,6 @@ fn single_job_stream_degenerates_to_a_dedicated_run() {
     assert_eq!(rec.completion_secs.to_bits(), (5.0 + dedicated.tuning_secs).to_bits());
     assert_eq!(outcome.makespan_secs.to_bits(), rec.completion_secs.to_bits());
     assert_eq!(outcome.mean_response_secs.to_bits(), rec.response_secs.to_bits());
-}
-
-#[test]
-fn admission_control_rejects_overflow_and_rejected_jobs_never_run() {
-    let env = ExperimentEnvBuilder::distributed(13).workers(2).build().unwrap();
-    // Two arrivals one (simulated) second apart; tuning runs last orders
-    // of magnitude longer, so the second arrival always finds the single
-    // admission slot occupied.
-    let subs = [
-        JobSubmission::new(0.0, WorkloadSpec::lenet_mnist()),
-        JobSubmission::new(1.0, WorkloadSpec::lenet_mnist()),
-    ];
-    let service =
-        TuningService::new(ServiceConfig::default().with_admission(AdmissionControl::bounded(1)));
-    let outcome = service.run(&env, &subs, &TunerOptions::fast()).unwrap();
-    assert!(outcome.jobs[0].admitted);
-    let rejected = &outcome.jobs[1];
-    assert!(!rejected.admitted);
-    assert!(rejected.outcome.is_none(), "rejected jobs must not run");
-    assert_eq!(rejected.slots, 0);
-    for t in [
-        rejected.service_secs,
-        rejected.start_secs,
-        rejected.completion_secs,
-        rejected.response_secs,
-        rejected.queue_secs,
-    ] {
-        assert!(t.is_nan(), "rejected job times must be NaN: {rejected:?}");
-    }
-    // The admitted job is unaffected by the rejected visitor.
-    assert_eq!(outcome.makespan_secs.to_bits(), outcome.jobs[0].completion_secs.to_bits());
-    assert_eq!(outcome.mean_response_secs.to_bits(), outcome.jobs[0].response_secs.to_bits());
 }
 
 // ---- proptest sweep over the scheduling engine (no tuning runs) ----
