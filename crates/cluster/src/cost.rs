@@ -8,12 +8,10 @@
 //! slow down on more cores while large batches speed up. This is Fig. 3b's
 //! crossover and the reason system parameters are worth tuning per trial.
 
-use serde::{Deserialize, Serialize};
-
 use crate::SystemConfig;
 
 /// The work one epoch performs, in system-independent units.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkUnits {
     /// Floating-point operations per epoch.
     pub flops: f64,
@@ -63,7 +61,7 @@ impl WorkUnits {
 /// // Small batch (many iterations): more cores are *slower* (Fig. 3b).
 /// assert!(slow > fast);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Per-core peak throughput in flops/s.
     pub core_flops_per_sec: f64,

@@ -19,10 +19,10 @@
 //! middleware crate; [`FaultReport`] is defined here so the simulator, the
 //! runner and the benchmark harness agree on the vocabulary.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One injected fault, with its deterministically drawn severity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// The node executing the trial dies mid-epoch: the epoch's work is
     /// lost (`wasted_fraction` of it had already run) and the trial must
@@ -78,7 +78,7 @@ const CRASH_FRACTION: (f64, f64) = (0.15, 0.85);
 /// // The empty plan never injects anything.
 /// assert_eq!(FaultPlan::none().at_epoch(3, 1, 0), None);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed decorrelating this plan from every other stochastic component.
     pub seed: u64,
@@ -227,7 +227,7 @@ fn lerp(lo: f64, hi: f64, u: f64) -> f64 {
 }
 
 /// Node churn decided at one churn tick of a [`ServiceFaultPlan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChurnKind {
     /// A node leaves the shared pool, taking its slots with it.
     Leave,
@@ -274,7 +274,7 @@ impl ChurnKind {
 /// assert_eq!(ServiceFaultPlan::none().churn_at(3), None);
 /// assert_eq!(ServiceFaultPlan::none().crash_at(1, 0), None);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceFaultPlan {
     /// Seed decorrelating this plan from every other stochastic component.
     pub seed: u64,
@@ -375,7 +375,7 @@ impl ServiceFaultPlan {
 /// Kept separate from the per-trial [`FaultReport`] so the invariant
 /// "the service's trial-level report is exactly the merge of its jobs'
 /// reports" survives service-level injection.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct ServiceFaultReport {
     /// Nodes that left the pool.
     pub node_leaves: u64,
@@ -425,7 +425,7 @@ impl ServiceFaultReport {
 /// Counters add across trials (see [`FaultReport::merge`]); the runner
 /// aggregates per-trial deltas in scheduler-request order so the merged
 /// report is byte-identical for every worker count.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultReport {
     /// Faults injected, all classes.
     pub injected: u64,

@@ -59,7 +59,7 @@ impl std::fmt::Display for SystemConfig {
 ///
 /// The paper's cluster allows cores ∈ {4, 8, 16} and memory ∈ {4, 8, 16, 32}
 /// GiB (§7.2); probing walks this grid one epoch per configuration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemSpace {
     /// Candidate core counts.
     pub cores: Vec<u32>,
@@ -67,12 +67,7 @@ pub struct SystemSpace {
     pub memory_gb: Vec<u32>,
     /// Candidate CPU frequencies in MHz (a single nominal entry disables
     /// DVFS tuning, the paper's configuration).
-    #[serde(default = "nominal_freq_space")]
     pub freq_mhz: Vec<u32>,
-}
-
-fn nominal_freq_space() -> Vec<u32> {
-    vec![SystemConfig::NOMINAL_FREQ_MHZ]
 }
 
 impl Default for SystemSpace {
@@ -80,7 +75,7 @@ impl Default for SystemSpace {
         SystemSpace {
             cores: vec![4, 8, 16],
             memory_gb: vec![4, 8, 16, 32],
-            freq_mhz: nominal_freq_space(),
+            freq_mhz: vec![SystemConfig::NOMINAL_FREQ_MHZ],
         }
     }
 }

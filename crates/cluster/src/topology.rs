@@ -1,9 +1,7 @@
 //! Cluster topology: the node inventory.
 
-use serde::{Deserialize, Serialize};
-
 /// One physical node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Node {
     /// Cores available on the node.
     pub cores: u32,
@@ -12,7 +10,7 @@ pub struct Node {
 }
 
 /// The cluster inventory.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterSpec {
     /// Node inventory.
     pub nodes: Vec<Node>,

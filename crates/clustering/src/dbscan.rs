@@ -5,8 +5,6 @@
 //! easily used as alternative similarity functions", naming DBSCAN among
 //! them (§5.4). This is that alternative, from scratch.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ClusteringError;
 
 fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
@@ -14,7 +12,7 @@ fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Point classification produced by [`Dbscan::fit`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DbscanLabel {
     /// Member of the given cluster (0-based).
     Cluster(usize),
@@ -34,7 +32,7 @@ impl DbscanLabel {
 }
 
 /// DBSCAN configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Dbscan {
     /// Neighbourhood radius (Euclidean).
     pub eps: f64,
@@ -113,7 +111,7 @@ impl Dbscan {
 }
 
 /// A fitted DBSCAN model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DbscanModel {
     points: Vec<Vec<f64>>,
     labels: Vec<DbscanLabel>,

@@ -5,7 +5,6 @@ use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Error type for clustering operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,7 +41,7 @@ fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// k-means fitting configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KMeans {
     /// Number of clusters (the paper uses k = 2: one per workload family).
     pub k: usize,
@@ -182,7 +181,7 @@ impl KMeans {
 }
 
 /// A fitted k-means model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KMeansModel {
     centroids: Vec<Vec<f64>>,
     labels: Vec<usize>,
@@ -329,14 +328,5 @@ mod tests {
         let data = vec![vec![1.0, 1.0]; 10];
         let model = KMeans::new(2).fit(&data, 5).unwrap();
         assert!(model.inertia() < 1e-12);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let data = two_blob_data();
-        let model = KMeans::new(2).fit(&data, 1).unwrap();
-        let json = serde_json::to_string(&model).unwrap();
-        let back: KMeansModel = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, model);
     }
 }

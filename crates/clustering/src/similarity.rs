@@ -1,11 +1,9 @@
 //! Pluggable similarity functions (the ground-truth decision of §5.6).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{DbscanLabel, DbscanModel, KMeansModel};
 
 /// Outcome of a similarity check for a new job profile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimilarityVerdict {
     /// Cluster the profile is nearest to.
     pub cluster: usize,
@@ -34,7 +32,7 @@ pub trait Similarity: std::fmt::Debug {
 /// A new profile is *confident* when its squared distance to the nearest
 /// centroid is at most `threshold_factor ×` the model's mean per-point
 /// inertia — i.e. the new point looks like a typical member of the cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KMeansSimilarity {
     model: KMeansModel,
     threshold_factor: f64,
@@ -65,7 +63,7 @@ impl Similarity for KMeansSimilarity {
 /// A new profile is confident exactly when DBSCAN would classify it into a
 /// cluster (it lies within `eps` of a core point); density noise is a miss.
 /// One of the scikit-learn alternatives §5.4 says can replace k-means.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DbscanSimilarity {
     model: DbscanModel,
 }

@@ -2,7 +2,7 @@
 //! multi-tenancy (Figs. 13 & 14).
 
 use pipetune_cluster::PoissonArrivals;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::baselines::{TuneV1, TuneV2};
 use crate::tuner::{PipeTune, TunerOptions, TuningOutcome};
@@ -26,7 +26,7 @@ fn approaches(options: &TunerOptions, mut pipetune: PipeTune) -> [(&'static str,
 }
 
 /// One row of the single-tenancy comparison (one workload × one approach).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SingleTenancyRow {
     /// Workload name (`lenet/mnist`, …).
     pub workload: String,
@@ -145,7 +145,7 @@ pub fn single_tenancy(
 }
 
 /// Multi-tenancy trace parameters (§7.4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiTenancyOptions {
     /// Number of HPT jobs in the trace.
     pub jobs: usize,
@@ -162,7 +162,7 @@ impl Default for MultiTenancyOptions {
 }
 
 /// Per-approach response-time summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiTenancyOutcome {
     /// `TuneV1`, `TuneV2` or `PipeTune`.
     pub approach: &'static str,

@@ -8,13 +8,12 @@ use pipetune_clustering::{
     Dbscan, DbscanSimilarity, KMeans, KMeansSimilarity, Similarity, SimilarityVerdict,
 };
 use pipetune_tsdb::{Database, Point, Query, TsdbError};
-use serde::{Deserialize, Serialize};
 
 use crate::PipeTuneError;
 
 /// Which similarity function the ground truth fits (§5.4: "our design
 /// allows the similarity function to be pluggable").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SimilarityKind {
     /// k-means with `k` clusters and a variance-based confidence threshold
     /// (the paper's default, k = 2).

@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// The paper's problem statement allows two goals: maximum accuracy
 /// (Tune V1, PipeTune's hyper half) or maximum accuracy with minimum
 /// training time (Tune V2 folds both into one scalar ratio).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum Objective {
     /// Maximise model accuracy; duration is not part of the score.
     #[default]

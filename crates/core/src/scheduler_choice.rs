@@ -9,10 +9,9 @@
 use pipetune_search::{
     Asha, Genetic, GridSearch, HyperBand, RandomSearch, SearchSpace, Tpe, TrialScheduler,
 };
-use serde::{Deserialize, Serialize};
 
 /// Which search algorithm drives the trials.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum SchedulerKind {
     /// HyperBand with the configured `r_max`/`eta` (the paper's choice).
     #[default]

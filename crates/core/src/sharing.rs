@@ -9,12 +9,11 @@
 //! for that fluid model.
 
 use pipetune_cluster::{EventQueue, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::PipeTuneError;
 
 /// One tenant job: arrival time and the service it needs when alone.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SharedJob {
     /// Arrival, simulated seconds.
     pub arrival_secs: f64,
@@ -23,7 +22,7 @@ pub struct SharedJob {
 }
 
 /// Completion record produced by [`simulate_processor_sharing`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SharedCompletion {
     /// Index into the input job list.
     pub job: usize,

@@ -1,7 +1,7 @@
 //! The PipeTune tuner: HyperBand over hyperparameters, pipelined system
 //! tuning inside every trial, ground truth shared across jobs.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::objective::{Objective, ProbeGoal};
 use crate::runner::{run_job, Job};
@@ -13,7 +13,7 @@ use crate::{
 
 /// One point on the convergence trajectory (Figs. 9 & 10): a trial finished
 /// at `wall_secs` with the given accuracy and cumulative trial time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ConvergencePoint {
     /// Simulated wall-clock seconds since the HPT job started.
     pub wall_secs: f64,
@@ -24,7 +24,7 @@ pub struct ConvergencePoint {
 }
 
 /// Tuning knobs shared by PipeTune and the baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TunerOptions {
     /// HyperBand maximum per-trial epochs (`R`).
     pub r_max: u32,

@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 use crate::{HyperParams, PipeTuneError};
 
 /// The paper's workload taxonomy (§5.1, Table 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobType {
     /// Same model, different datasets (LeNet on MNIST / Fashion-MNIST).
     TypeI,

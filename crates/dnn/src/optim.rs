@@ -1,13 +1,11 @@
 //! SGD-with-momentum optimizer and the per-trial training configuration.
 
-use serde::{Deserialize, Serialize};
-
 use crate::param::Param;
 use crate::DnnError;
 
 /// Training configuration for one trial: the system-independent knobs a
 /// hyperparameter tuner controls.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Mini-batch size (paper range 32–1024).
     pub batch_size: usize,

@@ -1,13 +1,11 @@
 //! Node power model.
 
-use serde::{Deserialize, Serialize};
-
 /// Linear CPU power model: `P = idle + per_core × cores × load^γ`.
 ///
 /// Calibrated loosely to an Intel E3-class node: ~45 W idle, ~8 W per busy
 /// core. The exponent captures that partially-loaded cores draw
 /// disproportionate power (clock gating is imperfect).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Idle node power, watts.
     pub idle_watts: f64,

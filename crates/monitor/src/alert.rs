@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use pipetune_telemetry::Attrs;
+use pipetune_telemetry::{AttrValue, Attrs};
 use serde_json::Value;
 
 /// How bad a detector firing is.
@@ -71,7 +71,7 @@ impl Alert {
         obj.insert("detector".into(), Value::String(self.detector.into()));
         let mut evidence = serde_json::Map::new();
         for (key, value) in &self.evidence {
-            evidence.insert((*key).to_string(), value.to_json());
+            evidence.insert((*key).to_string(), attr_json(value));
         }
         obj.insert("evidence".into(), Value::Object(evidence));
         obj.insert("message".into(), Value::String(self.message.clone()));
@@ -82,13 +82,25 @@ impl Alert {
     }
 }
 
+/// One evidence value as JSON.
+fn attr_json(value: &AttrValue) -> Value {
+    match value {
+        AttrValue::U64(v) => Value::U64(*v),
+        AttrValue::I64(v) => Value::I64(*v),
+        AttrValue::F64(v) => Value::F64(*v),
+        AttrValue::Str(s) => Value::String(s.to_string()),
+        AttrValue::Bool(b) => Value::Bool(*b),
+    }
+}
+
 /// The sorted, deterministic record of every detector firing in a run.
 ///
 /// Alerts are ordered by `(at_secs, detector, span, message)` — a total
 /// order independent of detector registration order and window
-/// configuration, which is what the "alerts never reorder" property test
-/// pins. The JSON export uses sorted keys throughout, so byte-identical
-/// runs produce byte-identical timelines.
+/// configuration, which `monitor_determinism`'s
+/// `timelines_byte_identical_across_worker_counts` and
+/// `offline_replay_equals_live_scans` pin. The JSON export uses sorted keys
+/// throughout, so byte-identical runs produce byte-identical timelines.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct IncidentTimeline {
     /// All alerts, in the canonical order.
@@ -151,7 +163,6 @@ impl IncidentTimeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipetune_telemetry::AttrValue;
 
     fn alert(detector: &'static str, at: f64, span: Option<u32>) -> Alert {
         Alert {
@@ -190,15 +201,41 @@ mod tests {
 
     #[test]
     fn json_export_is_sorted_and_stable() {
-        let t = IncidentTimeline::from_alerts(vec![alert("stall", 2.0, Some(0))]);
-        let text = t.to_json_string();
-        assert_eq!(text, t.to_json_string());
-        assert!(text.contains("\"version\": 1"));
-        assert!(text.contains("\"detector\": \"stall\""));
-        assert!(text.contains("\"window\": 8"));
-        // Keys arrive sorted within each alert object.
-        let at = text.find("\"at_secs\"").unwrap();
-        let sev = text.find("\"severity\"").unwrap();
-        assert!(at < sev);
+        let mut a = alert("stall", 2.0, Some(0));
+        a.evidence = vec![
+            ("u", AttrValue::U64(7)),
+            ("i", AttrValue::I64(-3)),
+            ("f", AttrValue::F64(0.25)),
+            ("s", AttrValue::from("slow")),
+            ("b", AttrValue::Bool(true)),
+            ("nan", AttrValue::F64(f64::NAN)),
+        ];
+        let text = IncidentTimeline::from_alerts(vec![a]).to_json_string();
+        // Keys sort; the NaN exports as null.
+        let expected = r#"{
+  "alerts": [
+    {
+      "at_secs": 2.0,
+      "detector": "stall",
+      "evidence": {
+        "b": true,
+        "f": 0.25,
+        "i": -3,
+        "nan": null,
+        "s": "slow",
+        "u": 7
+      },
+      "message": "stall fired",
+      "severity": "warning",
+      "source": "run > trial",
+      "span": 0
+    }
+  ],
+  "counts": {
+    "stall": 1
+  },
+  "version": 1
+}"#;
+        assert_eq!(text, expected);
     }
 }

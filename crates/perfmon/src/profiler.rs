@@ -1,14 +1,13 @@
 //! Event-rate model and counter multiplexing.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::events::{position, NUM_EVENTS};
 
 /// Numeric characterisation of one epoch of work, from which every event
 /// count is derived. Produced from `pipetune_dnn::ModelSignature` /
 /// `pipetune_kernels::KernelSignature` by the middleware crate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadSignature {
     /// Floating-point operations per epoch.
     pub flops_per_epoch: f64,
@@ -22,7 +21,7 @@ pub struct WorkloadSignature {
 
 /// One epoch's averaged event counts (the paper stores per-epoch averages to
 /// smooth multiplexing error, §5.3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochProfile {
     counts: Vec<f64>,
 }
@@ -93,7 +92,7 @@ impl EpochProfile {
 /// kernel time-multiplexes the generic ones and scales the counts
 /// (`final = raw × enabled/running`), which this model reproduces including
 /// the resulting estimation noise and occasional blind spots (§5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Profiler {
     /// Generic (multiplexed) hardware counters available.
     pub generic_counters: usize,

@@ -8,13 +8,12 @@
 //! itself can be inspected, tested and ablated (blind spots included).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::events::NUM_EVENTS;
 use crate::{EpochProfile, Profiler, WorkloadSignature};
 
 /// Which events a counter window measured.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SampleWindow {
     /// Event indices measured during this window (fixed counters plus the
     /// generic counters' current round-robin slice).
@@ -24,7 +23,7 @@ pub struct SampleWindow {
 }
 
 /// A full epoch's 1 Hz sample trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SampleTrace {
     windows: Vec<SampleWindow>,
 }

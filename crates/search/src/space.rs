@@ -4,10 +4,9 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A sampled parameter value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ParamValue {
     /// Integer-valued parameter (batch size, epochs, cores…).
     Int(i64),
@@ -43,7 +42,7 @@ impl fmt::Display for ParamValue {
 }
 
 /// One parameter's domain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum Domain {
     /// Continuous range; `log` scales sampling logarithmically (learning
     /// rates).
@@ -69,7 +68,7 @@ enum Domain {
 }
 
 /// A named parameter with a domain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParamSpec {
     name: String,
     domain: Domain,
@@ -177,7 +176,7 @@ impl ParamSpec {
 pub type Config = BTreeMap<String, ParamValue>;
 
 /// A set of parameters to optimise over.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchSpace {
     params: Vec<ParamSpec>,
 }

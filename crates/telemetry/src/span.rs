@@ -10,8 +10,6 @@
 
 use std::borrow::Cow;
 
-use serde_json::Value;
-
 /// The levels of the span hierarchy.
 ///
 /// Spans at [`SpanKind::Service`] and [`SpanKind::Job`] level carry
@@ -157,17 +155,6 @@ pub enum AttrValue {
 }
 
 impl AttrValue {
-    /// The value as JSON.
-    pub fn to_json(&self) -> Value {
-        match self {
-            AttrValue::U64(v) => Value::U64(*v),
-            AttrValue::I64(v) => Value::I64(*v),
-            AttrValue::F64(v) => Value::F64(*v),
-            AttrValue::Str(s) => Value::String(s.to_string()),
-            AttrValue::Bool(b) => Value::Bool(*b),
-        }
-    }
-
     /// The value as an `f64` field, if numeric (tsdb export).
     pub fn as_field(&self) -> Option<f64> {
         match self {
@@ -320,15 +307,6 @@ mod tests {
         assert_eq!(EventKind::CacheLookup.name(), "cache_lookup");
         assert_eq!(EventKind::from_name("cache_lookup"), Some(EventKind::CacheLookup));
         assert_eq!(EventKind::from_name("alert"), None);
-    }
-
-    #[test]
-    fn attr_conversions_round_trip_through_json() {
-        assert_eq!(AttrValue::from(3u32).to_json(), Value::U64(3));
-        assert_eq!(AttrValue::from(-2i64).to_json(), Value::I64(-2));
-        assert_eq!(AttrValue::from(0.5f64).to_json(), Value::F64(0.5));
-        assert_eq!(AttrValue::from(true).to_json(), Value::Bool(true));
-        assert_eq!(AttrValue::from("x").to_json(), Value::String("x".into()));
     }
 
     #[test]

@@ -38,7 +38,14 @@ mod reference {
     fn attrs_json(attrs: &Attrs) -> Value {
         let mut obj = serde_json::Map::new();
         for (key, value) in attrs {
-            obj.insert((*key).to_string(), value.to_json());
+            let value = match value {
+                AttrValue::U64(v) => Value::U64(*v),
+                AttrValue::I64(v) => Value::I64(*v),
+                AttrValue::F64(v) => Value::F64(*v),
+                AttrValue::Str(s) => Value::String(s.to_string()),
+                AttrValue::Bool(b) => Value::Bool(*b),
+            };
+            obj.insert((*key).to_string(), value);
         }
         Value::Object(obj)
     }
