@@ -21,6 +21,7 @@ use std::fmt::Write as _;
 
 use pipetune_tsdb::Point;
 
+use crate::decimal;
 use crate::handle::TelemetrySnapshot;
 use crate::json::{
     optional, require, required, shape, JsonReader, JsonSink, JsonWriter, Number, Read, ReadError,
@@ -589,10 +590,12 @@ impl TelemetrySnapshot {
                 out.push(separator);
                 separator = ',';
                 push_escaped(&mut out, key);
-                // Writing into a `String` cannot fail.
-                let _ = write!(out, "={value}");
+                out.push('=');
+                decimal::push_display(&mut out, *value);
             }
-            let _ = writeln!(out, " {timestamp_us}");
+            out.push(' ');
+            decimal::push_u64(&mut out, timestamp_us);
+            out.push('\n');
         });
         out
     }
@@ -625,16 +628,17 @@ impl TelemetrySnapshot {
         }
         // Prometheus spells float samples like Rust's shortest-round-trip
         // `Display`, except the infinities.
-        fn sample(v: f64) -> String {
+        fn sample(block: &mut String, v: f64) {
             if v == f64::INFINITY {
-                "+Inf".into()
+                block.push_str("+Inf");
             } else if v == f64::NEG_INFINITY {
-                "-Inf".into()
+                block.push_str("-Inf");
             } else {
-                format!("{v}")
+                decimal::push_display(block, v);
             }
         }
         let mut families: Vec<(String, String)> = Vec::new();
+        // Writing into a `String` cannot fail.
         for (name, value) in self.metrics.counters() {
             let p = exposed(name);
             let block =
@@ -643,10 +647,9 @@ impl TelemetrySnapshot {
         }
         for (name, value) in self.metrics.gauges() {
             let p = exposed(name);
-            let block = format!(
-                "# HELP {p} canonical name {name}\n# TYPE {p} gauge\n{p} {}\n",
-                sample(value)
-            );
+            let mut block = format!("# HELP {p} canonical name {name}\n# TYPE {p} gauge\n{p} ");
+            sample(&mut block, value);
+            block.push('\n');
             families.push((p, block));
         }
         for (name, hist) in self.metrics.histograms() {
@@ -655,11 +658,15 @@ impl TelemetrySnapshot {
             let mut cumulative = 0u64;
             for (bound, count) in hist.bounds().iter().zip(hist.counts()) {
                 cumulative += count;
-                block.push_str(&format!("{p}_bucket{{le=\"{}\"}} {cumulative}\n", sample(*bound)));
+                let _ = write!(block, "{p}_bucket{{le=\"");
+                sample(&mut block, *bound);
+                let _ = writeln!(block, "\"}} {cumulative}");
             }
-            block.push_str(&format!("{p}_bucket{{le=\"+Inf\"}} {}\n", hist.count()));
-            block.push_str(&format!("{p}_sum {}\n", sample(hist.sum())));
-            block.push_str(&format!("{p}_count {}\n", hist.count()));
+            let _ = writeln!(block, "{p}_bucket{{le=\"+Inf\"}} {}", hist.count());
+            let _ = write!(block, "{p}_sum ");
+            sample(&mut block, hist.sum());
+            block.push('\n');
+            let _ = writeln!(block, "{p}_count {}", hist.count());
             families.push((p, block));
         }
         // Stable sort: same-named families (possible only when distinct

@@ -20,6 +20,8 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::decimal;
+
 /// Deepest container nesting the reader accepts (the vendored JSON crate's
 /// limit, which is its upstream's).
 const MAX_DEPTH: usize = 128;
@@ -207,12 +209,11 @@ impl JsonSink<'_> for JsonWriter {
             Token::Null => self.out.push_str("null"),
             Token::Bool(v) => self.out.push_str(if v { "true" } else { "false" }),
             Token::Str(s) => self.quoted(s),
-            // Writing into a `String` cannot fail.
-            Token::U64(v) => drop(write!(self.out, "{v}")),
-            Token::I64(v) => drop(write!(self.out, "{v}")),
+            Token::U64(v) => decimal::push_u64(&mut self.out, v),
+            Token::I64(v) => decimal::push_i64(&mut self.out, v),
             // Shortest representation that round-trips (always with a `.0`
             // or an exponent).
-            Token::F64(bits) => drop(write!(self.out, "{:?}", f64::from_bits(bits))),
+            Token::F64(bits) => decimal::push_debug(&mut self.out, f64::from_bits(bits)),
         }
     }
 }

@@ -53,6 +53,7 @@
 #![warn(missing_docs)]
 
 mod collector;
+mod decimal;
 mod export;
 mod handle;
 mod json;

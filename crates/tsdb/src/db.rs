@@ -5,6 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
 
+use crate::line_protocol::LineReader;
 use crate::{Aggregate, Point, Query, TsdbError};
 
 /// In-memory, thread-safe time-series store with JSON persistence.
@@ -123,13 +124,13 @@ impl Database {
     /// Returns [`TsdbError::Corrupt`] for the first malformed line; nothing
     /// is imported.
     pub fn import_line_protocol(&self, text: &str) -> Result<usize, TsdbError> {
-        let mut parsed = Vec::new();
+        let (mut parsed, mut reader) = (Vec::new(), LineReader::default());
         for line in text.lines() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            parsed.push(storable(Point::from_line_protocol(line)?)?);
+            parsed.push(storable(reader.read(line)?)?);
         }
         let imported = parsed.len();
         self.points.write().append(&mut parsed);

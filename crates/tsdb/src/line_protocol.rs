@@ -9,9 +9,14 @@
 //! ```
 //!
 //! Both directions are one pass over their input. The encoder appends
-//! escaped tokens and numbers to a caller-supplied buffer; the decoder
-//! scans `&str` slices of the line for unescaped separators and unescapes
-//! each token straight into the one buffer the [`Point`] keeps.
+//! escaped tokens and numbers to a caller-supplied buffer. The decoder
+//! ([`LineReader`]) scans a line once, front to back: as it goes it marks
+//! off the measurement, each tag's key and value, each field's key and
+//! value and the timestamp at the unescaped separators, parses each number
+//! where it stands, and notes whether a token held a backslash. Then it
+//! builds the [`Point`] with room for exactly what it found, copying each
+//! token into the point's one buffer — unescaping only the tokens that held
+//! a backslash.
 
 use std::fmt::Write as _;
 
@@ -47,42 +52,213 @@ fn push_unescaped(out: &mut String, s: &str) {
     out.push_str(rest);
 }
 
-/// The slices of `s` between unescaped `sep` bytes: a backslash keeps the
-/// character after it (separator or not) inside the current slice, and the
-/// slices keep their escapes. Always yields at least one slice.
-fn split_unescaped(s: &str, sep: u8) -> impl Iterator<Item = &str> {
-    let bytes = s.as_bytes();
-    let mut start = 0;
-    let mut done = false;
-    std::iter::from_fn(move || {
-        if done {
-            return None;
-        }
-        let mut i = start;
-        while i < bytes.len() {
-            match bytes[i] {
-                // Skipping one byte is enough: the continuation bytes of a
-                // multi-byte character are neither `\` nor a separator.
-                b'\\' => i += 2,
-                b if b == sep => {
-                    let part = &s[start..i];
-                    start = i + 1;
-                    return Some(part);
-                }
-                _ => i += 1,
-            }
-        }
-        done = true;
-        Some(&s[start..])
-    })
+/// A token of a line, escapes still in: where it is and whether it holds a
+/// backslash.
+#[derive(Clone, Copy)]
+struct Token {
+    start: usize,
+    end: usize,
+    escaped: bool,
 }
 
-/// Splits `s` at its single unescaped `=`.
-fn key_value(s: &str) -> Option<(&str, &str)> {
-    let mut parts = split_unescaped(s, b'=');
-    match (parts.next(), parts.next(), parts.next()) {
-        (Some(key), Some(value), None) => Some((key, value)),
-        _ => None,
+impl Token {
+    fn len(self) -> usize {
+        self.end - self.start
+    }
+
+    /// Appends the token unescaped.
+    fn push_to(self, line: &str, out: &mut String) {
+        let raw = &line[self.start..self.end];
+        if self.escaped {
+            push_unescaped(out, raw);
+        } else {
+            out.push_str(raw);
+        }
+    }
+}
+
+/// What [`scan`] read: a token and what ended it.
+struct Scanned {
+    token: Token,
+    /// The separator after the token, `None` at the end of the line.
+    stop: Option<u8>,
+    /// How many unescaped `=` the token holds; for one, the token's two
+    /// sides of it.
+    equals: usize,
+    key: Token,
+    value: Token,
+}
+
+/// The bytes [`scan`] stops at: a backslash, a space, a comma, an `=`.
+static STOPS: [bool; 256] = {
+    let mut stops = [false; 256];
+    stops[b'\\' as usize] = true;
+    stops[b' ' as usize] = true;
+    stops[b',' as usize] = true;
+    stops[b'=' as usize] = true;
+    stops
+};
+
+/// Reads from `start` to the next unescaped space (or comma, when `commas`
+/// separate) or to the end of the line. A backslash keeps the byte after it
+/// — separator or not — inside the token; skipping that one byte is enough,
+/// since the continuation bytes of a multi-byte character are neither a
+/// backslash nor a separator.
+fn scan(bytes: &[u8], start: usize, commas: bool) -> Scanned {
+    let mut i = start;
+    let (mut equals, mut split) = (0, start);
+    // Backslashes before the first `=` (or in a token without one), after it.
+    let (mut before, mut after) = (false, false);
+    let stop = loop {
+        while bytes.get(i).is_some_and(|&b| !STOPS[usize::from(b)]) {
+            i += 1;
+        }
+        let Some(&b) = bytes.get(i) else { break None };
+        match b {
+            b'\\' => {
+                if equals == 0 {
+                    before = true;
+                } else {
+                    after = true;
+                }
+                i += 2;
+                continue;
+            }
+            b' ' => break Some(b),
+            b',' if commas => break Some(b),
+            b'=' => {
+                if equals == 0 {
+                    split = i;
+                }
+                equals += 1;
+            }
+            _ => {}
+        }
+        i += 1;
+    };
+    let end = i.min(bytes.len());
+    Scanned {
+        token: Token { start, end, escaped: before || after },
+        stop,
+        equals,
+        key: Token { start, end: split, escaped: before },
+        value: Token { start: split + 1, end, escaped: after },
+    }
+}
+
+/// A tag or a field, as the scan marks them off.
+enum Entry {
+    Tag(Token, Token),
+    Field(Token, f64),
+}
+
+/// Decodes lines of line protocol, keeping the storage of its scan of one
+/// line for the next.
+///
+/// A line may be wrong in several ways at once; the complaint is the one
+/// the decoder has always made: about the segment count first, then about
+/// the timestamp, then about the first bad token in line order.
+#[derive(Default)]
+pub(crate) struct LineReader {
+    /// The tags and fields of the line read last, in line order.
+    entries: Vec<Entry>,
+}
+
+impl LineReader {
+    /// [`Point::from_line_protocol`], with this reader's storage.
+    pub(crate) fn read(&mut self, line: &str) -> Result<Point, TsdbError> {
+        let corrupt = |reason: &str| TsdbError::Corrupt { reason: reason.to_string() };
+        // A point's buffer is indexed by `u32`.
+        if u32::try_from(line.len()).is_err() {
+            return Err(corrupt("line longer than 4 GiB"));
+        }
+        let segments = || corrupt("expected 'measurement[,tags] fields [timestamp]'");
+        let line = line.trim();
+        let bytes = line.as_bytes();
+        self.entries.clear();
+        // The first bad token, and the bytes the point's buffer will hold.
+        let mut complaint = None;
+        let (mut tags, mut text_len) = (0, 0);
+
+        // The measurement and the tags, up to the first unescaped space.
+        let measurement = scan(bytes, 0, true);
+        if measurement.token.end == 0 {
+            complaint = complaint.or(Some("empty measurement"));
+        }
+        text_len += measurement.token.len();
+        let mut last = measurement.stop;
+        let mut at = measurement.token.end + 1;
+        while last == Some(b',') {
+            let tag = scan(bytes, at, true);
+            if tag.equals == 1 {
+                self.entries.push(Entry::Tag(tag.key, tag.value));
+                text_len += tag.token.len() - 1;
+                tags += 1;
+            } else {
+                complaint = complaint.or(Some("malformed tag"));
+            }
+            (last, at) = (tag.stop, tag.token.end + 1);
+        }
+        if last.is_none() {
+            return Err(segments());
+        }
+
+        // The fields, up to the next unescaped space.
+        if bytes.get(at).is_none_or(|&b| b == b' ') {
+            complaint = complaint.or(Some("no fields"));
+            (last, at) = (bytes.get(at).copied(), at + 1);
+        } else {
+            loop {
+                let field = scan(bytes, at, true);
+                (last, at) = (field.stop, field.token.end + 1);
+                if field.equals == 1 {
+                    // Accept Influx's integer suffix `i` as well as plain floats.
+                    let raw = &line[field.value.start..field.value.end];
+                    match raw.strip_suffix('i').unwrap_or(raw).parse::<f64>() {
+                        Ok(value) => {
+                            self.entries.push(Entry::Field(field.key, value));
+                            text_len += field.key.len();
+                        }
+                        Err(_) => complaint = complaint.or(Some("non-numeric field value")),
+                    }
+                } else {
+                    complaint = complaint.or(Some("malformed field"));
+                }
+                if last != Some(b',') {
+                    break;
+                }
+            }
+        }
+
+        // The timestamp, the rest of the line.
+        let timestamp = match last {
+            None => 0,
+            Some(_) => {
+                let stamp = scan(bytes, at, false);
+                if stamp.stop.is_some() {
+                    return Err(segments());
+                }
+                let digits = &line[stamp.token.start..stamp.token.end];
+                digits.parse::<u64>().map_err(|_| corrupt("bad timestamp"))?
+            }
+        };
+        if let Some(reason) = complaint {
+            return Err(corrupt(reason));
+        }
+
+        let mut text = String::with_capacity(text_len);
+        measurement.token.push_to(line, &mut text);
+        let fields = self.entries.len() - tags;
+        let mut point = Point::with_capacity(text, timestamp, tags, fields);
+        for entry in &self.entries {
+            match *entry {
+                Entry::Tag(key, value) => {
+                    point.tag_with(|out| key.push_to(line, out), |out| value.push_to(line, out))
+                }
+                Entry::Field(key, value) => point.field_with(|out| key.push_to(line, out), value),
+            }
+        }
+        Ok(point)
     }
 }
 
@@ -123,46 +299,7 @@ impl Point {
     /// Returns [`TsdbError::Corrupt`] on malformed input (missing fields,
     /// bad numbers, bad timestamp).
     pub fn from_line_protocol(line: &str) -> Result<Point, TsdbError> {
-        let corrupt = |reason: &str| TsdbError::Corrupt { reason: reason.to_string() };
-        // A point's buffer is indexed by `u32`.
-        if u32::try_from(line.len()).is_err() {
-            return Err(corrupt("line longer than 4 GiB"));
-        }
-        let mut segments = split_unescaped(line.trim(), b' ');
-        let (head, field_seg, ts_seg) =
-            match (segments.next(), segments.next(), segments.next(), segments.next()) {
-                (Some(head), Some(fields), ts, None) => (head, fields, ts),
-                _ => return Err(corrupt("expected 'measurement[,tags] fields [timestamp]'")),
-            };
-        let timestamp = match ts_seg {
-            Some(t) => t.parse::<u64>().map_err(|_| corrupt("bad timestamp"))?,
-            None => 0,
-        };
-        let mut head_parts = split_unescaped(head, b',');
-        // Unescaping only ever drops bytes, and every tag or field but the
-        // first follows a comma: room for all of them, allocated once.
-        let mut text = String::with_capacity(head.len() + field_seg.len());
-        push_unescaped(&mut text, head_parts.next().unwrap_or_default());
-        if text.is_empty() {
-            return Err(corrupt("empty measurement"));
-        }
-        let commas = |s: &str| s.bytes().filter(|&b| b == b',').count();
-        let mut point = Point::with_capacity(text, timestamp, commas(head), 1 + commas(field_seg));
-        for tag in head_parts {
-            let (key, value) = key_value(tag).ok_or_else(|| corrupt("malformed tag"))?;
-            point.tag_with(|out| push_unescaped(out, key), |out| push_unescaped(out, value));
-        }
-        if field_seg.is_empty() {
-            return Err(corrupt("no fields"));
-        }
-        for field in split_unescaped(field_seg, b',') {
-            let (key, value) = key_value(field).ok_or_else(|| corrupt("malformed field"))?;
-            // Accept Influx's integer suffix `i` as well as plain floats.
-            let raw = value.strip_suffix('i').unwrap_or(value);
-            let value: f64 = raw.parse().map_err(|_| corrupt("non-numeric field value"))?;
-            point.field_with(|out| push_unescaped(out, key), value);
-        }
-        Ok(point)
+        LineReader::default().read(line)
     }
 }
 

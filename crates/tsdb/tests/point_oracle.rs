@@ -186,3 +186,91 @@ fn documents_the_derive_read_differently_from_a_plain_map_read_alike() {
         assert_document_reads_alike(document);
     }
 }
+
+/// Lines that take the one-scan decoder down each of its paths — escapes
+/// where a trace puts them and where it never does, numbers in every
+/// spelling it reads, repeated keys, whitespace at either end, no
+/// timestamp, lines wrong in several ways at once — and every line
+/// `line_protocol.rs`'s own tests reject: the same contents, or the same
+/// complaint.
+#[test]
+fn fixed_lines_decode_like_the_frozen_point() {
+    for line in [
+        // Escaped spaces, as in every epoch label of a trace.
+        r"pipetune_span,kind=epoch,label=epoch\ 6\ (probe) duration_secs=0.5,end_secs=12.5 120",
+        r"m\ x,k\ 1=v\ 2,k\,2=v\=3 f\ 1=1,f\=2=2 5",
+        // A backslash before what needs no escape, before a multi-byte
+        // character, doubled, and alone at the end of the line.
+        r"m\a,k\b=v\c f\d=1 5",
+        r"m\é,\é=\é \é=1 5",
+        r"m\\,k\\=v\\ f\\=1 5",
+        r"m f=1 5\",
+        r"m f=1\",
+        r"m f\",
+        r"m,k=v\",
+        r"m\",
+        // Numbers: the `i` suffix, 17 digits, the ends of the range, and the
+        // spellings `str::parse` takes or refuses.
+        "m f=5i,g=-3i 1",
+        "m f=1ii 1",
+        "m f=i 1",
+        "m f=infi,g=NaN,h=-inf 1",
+        "m duration_secs=0.30000000000000004,x=12345.678901234567,y=0.8999999761581421 1",
+        "m f=1.7976931348623157e308,g=5e-324,h=1e400,k=-0 1",
+        "m f=+1,g=.5,h=5.,k=1E5 1",
+        "m f=1_0 1",
+        "m f=0x10 1",
+        "m f=1 18446744073709551615",
+        "m f=1 18446744073709551616",
+        "m f=1 +5",
+        "m f=1 -5",
+        "m f=1 1,2",
+        // Repeated keys: the last one wins, in any order.
+        "m,k=1,k=2 f=1,f=2 5",
+        "m,b=1,a=2,b=3 z=1,a=2,z=3 5",
+        "m ev_10=1,ev_2=2,ev_1=3,ev_2=4 5",
+        // Whitespace and carriage returns at either end, and inside.
+        " m f=1 5",
+        "m f=1 5 ",
+        "\tm f=1 5\r",
+        "m f=1 5\r\n",
+        "\r m f=1\t",
+        "m f=1\r 5",
+        "m\u{a0}f=1 5",
+        "\u{a0}m f=1 5\u{3000}",
+        // No timestamp.
+        "m f=1",
+        "m,k=v f=1,g=2",
+        // `line_protocol.rs`'s `rejects_malformed_lines`.
+        "",
+        "m",
+        "m ",
+        "m f",
+        "m f=x",
+        "m f=1 notanumber",
+        "m,k f=1",
+        // Wrong in several ways: the segment count, then the timestamp,
+        // then the first bad token.
+        "m,k f=x bad",
+        "m,k f=x 1 2",
+        ",k f=1 x",
+        ",k f=1",
+        "m  5",
+        "m  f=1",
+        "m  5 6",
+        "m f=1  5",
+        "m f=1,, 5",
+        "m f=1, 5",
+        "m ,f=1 5",
+        "m, f=1",
+        "m,=v f=1",
+        "m,k= f=1",
+        "m =1 5",
+        "m f==1 5",
+        "m,k=v=w f=1",
+        "=m f=1",
+        "m,k=v,=,k f=x,=1 5",
+    ] {
+        assert_line_decodes_alike(line);
+    }
+}

@@ -34,6 +34,7 @@ pipetune-search         issue_sequence         dev      -
 -                       failure_injection      dev      1
 -                       fault_replay           dev      1
 -                       telemetry_determinism  dev      1
+pipetune-telemetry      --lib=decimal::tests   release  -
 pipetune-telemetry      trace_codec            dev      -
 pipetune-telemetry      registry_equivalence   dev      -
 -                       insight_determinism    dev      1

@@ -47,6 +47,16 @@
 //! with them, 1 107 → 1 096 allocations per job: the ground truth builds
 //! `Point`s.)
 //!
+//! The same test counts the two text exports of that trace, which write
+//! every number in place: `to_json_string` makes 3 allocations for its
+//! 1.9 MB (budget 8: its buffer is sized up front), `to_line_protocol` 34
+//! for its 1.3 MB (budget: one per doubling of its buffer, 21, plus 24 for
+//! its bucket keys and scratch vectors). A writer that formatted a number
+//! into a `String` of its own would add one per number, tens of thousands.
+//! The one-scan line-protocol reader keeps its scratch across the lines of
+//! an import: 16 963 allocations where the split-based one made 16 960 —
+//! the scratch grows three times — and 3.00 per point either way.
+//!
 //! Its own test binary, so the counting `#[global_allocator]` touches
 //! nothing else. Run it optimised and alone:
 //! `cargo test -q --release --offline --test alloc_budget -- --test-threads=1`.
@@ -265,8 +275,24 @@ fn the_read_side_stays_within_its_allocation_budget() {
         parsed.events.len()
     );
 
+    // telemetry: an export allocates as its output buffer grows, and for a
+    // few scratch vectors — not per number it writes.
+    let (json, json_allocations, _) = counted(|| parsed.to_json_string());
+    let (lines, lines_allocations, _) = counted(|| parsed.to_line_protocol());
+    let doublings = |bytes: usize| u64::from(usize::BITS - bytes.leading_zeros());
+    println!(
+        "allocations: to_json_string {json_allocations} for {} bytes, to_line_protocol \
+         {lines_allocations} for {} bytes",
+        json.len(),
+        lines.len()
+    );
+    assert!(json_allocations <= 8, "{json_allocations} allocations to export JSON");
+    assert!(
+        lines_allocations <= doublings(lines.len()) + 24,
+        "{lines_allocations} allocations to export line protocol"
+    );
+
     // tsdb: a point is its buffer, its offsets and its values.
-    let lines = parsed.to_line_protocol();
     let db = Database::new();
     let (points, import_allocations, _) = counted(|| db.import_line_protocol(&lines).unwrap());
     let per_point = import_allocations as f64 / points as f64;
