@@ -423,10 +423,15 @@ impl Embedding {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::IndexOutOfBounds`] for unknown token ids.
+    /// Returns [`TensorError::ShapeMismatch`] (`[seq_len]` against the
+    /// row's length) when a row is not as long as the first, before any
+    /// lookup, and [`TensorError::IndexOutOfBounds`] for unknown token ids.
     pub fn forward(&mut self, batch: &[Vec<u32>], train: bool) -> Result<Tensor, TensorError> {
         let b = batch.len();
         let t = batch.first().map_or(0, Vec::len);
+        if let Some(seq) = batch.iter().find(|seq| seq.len() != t) {
+            return Err(TensorError::ShapeMismatch { expected: vec![t], actual: vec![seq.len()] });
+        }
         let mut out = Vec::with_capacity(b * t * self.dim);
         let mut flat = Vec::with_capacity(b * t);
         for seq in batch {
@@ -648,6 +653,25 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut emb = Embedding::new(5, 3, &mut rng);
         assert!(emb.forward(&[vec![7u32]], false).is_err());
+    }
+
+    #[test]
+    fn embedding_refuses_a_ragged_batch_before_any_lookup() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut emb = Embedding::new(5, 3, &mut rng);
+        // Six tokens, as many as a [3, 2] batch: the total alone passes.
+        let ragged = vec![vec![1u32, 4], vec![0], vec![2, 3, 1]];
+        assert_eq!(
+            emb.forward(&ragged, true).unwrap_err(),
+            TensorError::ShapeMismatch { expected: vec![2], actual: vec![1] }
+        );
+        assert_eq!(emb.backward(&Tensor::ones(&[3, 2, 3])).unwrap_err(), TensorError::Empty);
+        // The length is checked first: an unknown token in a short row
+        // does not decide the error.
+        assert_eq!(
+            emb.forward(&[vec![1, 2], vec![7]], false).unwrap_err(),
+            TensorError::ShapeMismatch { expected: vec![2], actual: vec![1] }
+        );
     }
 
     #[test]

@@ -44,6 +44,7 @@ mod dataset;
 mod error;
 #[cfg(test)]
 mod gradcheck;
+mod lanes;
 mod layers;
 mod loss;
 mod lstm;

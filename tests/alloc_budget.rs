@@ -57,6 +57,22 @@
 //! an import: 16 963 allocations where the split-based one made 16 960 —
 //! the scratch grows three times — and 3.00 per point either way.
 //!
+//! The third test counts one `LstmClassifier::train_epoch` (embedding 32,
+//! 16 hidden units, 12 steps) over a 160-example `news20_like` set, after a
+//! warm-up epoch. Measured by that test at the commit before the LSTM cell
+//! kept its training cache as flat buffers per step and ran its gates in
+//! place, and after:
+//!
+//! | | parent | budget | with the change |
+//! |---|---|---|---|
+//! | allocations, batch 32 (5 batches) | 2 791 | ≤ 786 | 786 |
+//! | allocations, batch 160 (1 batch) | 687 | ≤ 286 | 286 |
+//!
+//! (5.24 MB and 4.32 MB at the parent, 2.40 MB and 2.04 MB with the
+//! change.) A step's cache is five buffers; past them the cell allocates
+//! per call, not per step, so a temporary per gate or per product would
+//! add twelve a batch.
+//!
 //! Its own test binary, so the counting `#[global_allocator]` touches
 //! nothing else. Run it optimised and alone:
 //! `cargo test -q --release --offline --test alloc_budget -- --test-threads=1`.
@@ -67,11 +83,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use pipetune::{ExperimentEnvBuilder, TunerOptions, WorkloadSpec};
 use pipetune_cluster::{PoissonArrivals, ServiceFaultPlan};
+use pipetune_data::{news20_like, TextSpec};
+use pipetune_dnn::{LstmClassifier, Model, TrainConfig};
 use pipetune_insight::{TraceDiff, TraceReport};
 use pipetune_monitor::{MonitorConfig, MonitorHandle};
 use pipetune_service::{JobSubmission, SchedulingPolicy, ServiceConfig, TuningService};
 use pipetune_telemetry::{SpanKind, TelemetryHandle, TelemetrySnapshot};
 use pipetune_tsdb::{Database, Query};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Counts the calls and bytes of the thread that switched [`COUNTING`] on,
 /// and forwards everything to the system allocator.
@@ -329,4 +349,33 @@ fn the_read_side_stays_within_its_allocation_budget() {
     let again = Database::new();
     assert_eq!(counted(|| again.import_line_protocol(&lines).unwrap()).1, import_allocations);
     assert_eq!(counted(|| TraceDiff::between(&snapshot, &parsed).unwrap()).1, diff_allocations);
+}
+
+/// Allocations of one `LstmClassifier::train_epoch` over the 160 examples
+/// of a `news20_like` set, after a warm-up epoch.
+fn lstm_epoch_allocations(batch: usize) -> (u64, u64) {
+    let spec = TextSpec { train: 160, test: 16, seq_len: 12, ..TextSpec::default() };
+    let (train, _) = news20_like(&spec, SEED).expect("valid spec");
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let mut model =
+        LstmClassifier::new(spec.vocab, spec.seq_len, 32, 16, spec.classes, 0.25, &mut rng)
+            .expect("valid model");
+    let cfg = TrainConfig { batch_size: batch, learning_rate: 0.05, ..TrainConfig::default() };
+    model.train_epoch(&train, &cfg, &mut rng).expect("warm-up epoch");
+    let (_, allocations, bytes) = counted(|| model.train_epoch(&train, &cfg, &mut rng));
+    (allocations, bytes)
+}
+
+#[test]
+fn an_lstm_epoch_allocates_for_its_outputs_not_per_gate() {
+    let _turn = my_turn();
+    for (batch, budget) in [(32, 786), (160, 286)] {
+        let (allocations, bytes) = lstm_epoch_allocations(batch);
+        println!(
+            "LSTM epoch at batch {batch}: {allocations} allocations, {:.2} MB",
+            bytes as f64 / 1e6
+        );
+        assert!(allocations <= budget, "{allocations} allocations at batch {batch}");
+        assert_eq!(lstm_epoch_allocations(batch).0, allocations, "counts repeat");
+    }
 }
