@@ -174,9 +174,6 @@ pub(crate) fn ablation_scheduler(ctx: &Ctx) -> Result<Outcome> {
         SchedulerKind::HyperBand,
         SchedulerKind::Random { trials: 12 },
         SchedulerKind::Grid { per_param: 2 },
-        SchedulerKind::Tpe { trials: 12 },
-        SchedulerKind::Genetic { population: 6, generations: 3 },
-        SchedulerKind::Asha { trials: 12 },
     ];
     let campaign = (440, WorkloadSpec::lenet_mnist(), Start::Warm);
     let runs = sweep(ctx, campaign, kinds, |kind, options, _| options.scheduler = *kind)?;

@@ -46,7 +46,7 @@
 
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 use pipetune_tsdb::TsdbError;
 use rand::rngs::StdRng;
@@ -595,7 +595,12 @@ impl Deserialize for CurrentFormat {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EpochCacheHandle {
-    inner: Option<Arc<parking_lot::RwLock<EpochCache>>>,
+    inner: Option<Arc<RwLock<EpochCache>>>,
+}
+
+/// The read lock on a shared store; a panicked holder leaves it readable.
+fn read(cache: &RwLock<EpochCache>) -> RwLockReadGuard<'_, EpochCache> {
+    cache.read().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl EpochCacheHandle {
@@ -617,14 +622,12 @@ impl EpochCacheHandle {
     /// Panics on a zero `capacity`: it would evict every insert at once, so
     /// the check is enforced at every construction site.
     pub fn with_config(config: EpochCacheConfig) -> Self {
-        EpochCacheHandle {
-            inner: Some(Arc::new(parking_lot::RwLock::new(EpochCache::new(config)))),
-        }
+        EpochCacheHandle { inner: Some(Arc::new(RwLock::new(EpochCache::new(config)))) }
     }
 
     /// Wraps an existing store (e.g. one rebuilt by [`EpochCache::load`]).
     fn from_cache(cache: EpochCache) -> Self {
-        EpochCacheHandle { inner: Some(Arc::new(parking_lot::RwLock::new(cache))) }
+        EpochCacheHandle { inner: Some(Arc::new(RwLock::new(cache))) }
     }
 
     /// Whether lookups and inserts do anything.
@@ -634,12 +637,12 @@ impl EpochCacheHandle {
 
     /// Behaviour counters; `None` when disabled.
     pub fn stats(&self) -> Option<CacheStats> {
-        self.inner.as_ref().map(|c| c.read().stats())
+        self.inner.as_ref().map(|c| read(c).stats())
     }
 
     /// Number of cached prefixes; `None` when disabled.
     pub fn len(&self) -> Option<usize> {
-        self.inner.as_ref().map(|c| c.read().len())
+        self.inner.as_ref().map(|c| read(c).len())
     }
 
     /// Returns `true` when disabled or empty.
@@ -655,7 +658,7 @@ impl EpochCacheHandle {
         fingerprint: u64,
         max_epochs: u32,
     ) -> Option<(CacheKey, TrialSnapshot, (f64, f64))> {
-        self.inner.as_ref()?.read().peek(fingerprint, max_epochs)
+        read(self.inner.as_ref()?).peek(fingerprint, max_epochs)
     }
 
     /// Applies a batch's journalled events in the order given at simulated
@@ -663,7 +666,7 @@ impl EpochCacheHandle {
     /// disabled).
     pub(crate) fn commit(&self, events: impl IntoIterator<Item = CacheEvent>, clock: f64) {
         if let Some(cache) = self.inner.as_ref() {
-            cache.write().commit(events, clock);
+            cache.write().unwrap_or_else(PoisonError::into_inner).commit(events, clock);
         }
     }
 
@@ -688,7 +691,7 @@ impl EpochCacheHandle {
     /// Returns [`PipeTuneError::Tsdb`] on filesystem failures.
     pub fn save(&self, path: &Path) -> Result<(), PipeTuneError> {
         match self.inner.as_ref() {
-            Some(cache) => cache.read().save(path),
+            Some(cache) => read(cache).save(path),
             None => Ok(()),
         }
     }

@@ -2,7 +2,7 @@
 //! simulated parallel slots.
 //!
 //! Each scheduler batch is fanned out to [`ExperimentEnv::workers`] OS
-//! threads pulling work items off a shared cursor. The results —
+//! threads claiming work items off one queue. The results —
 //! accuracies, simulated clocks, ground-truth and cache contents, stats,
 //! traces — are byte-identical for every worker count, because every trial
 //! draws from its own RNG seeded from `(env.seed, trial id)`, workers only
@@ -12,9 +12,8 @@
 //! statement of that contract.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
-use parking_lot::Mutex;
 use pipetune_cluster::{observe as cluster_observe, FaultReport};
 use pipetune_search::{Config, SearchSpace, TrialId, TrialReport, TrialRequest};
 use pipetune_telemetry::{EventKind, Span, SpanId, SpanKind, COUNT_BUCKETS, RATIO_BUCKETS};
@@ -291,8 +290,8 @@ fn execute_item(
     })
 }
 
-/// Executes a batch on `env.workers` threads pulling items off a shared
-/// cursor; results come back in request order whatever the finish order.
+/// Executes a batch on `env.workers` threads claiming items off one
+/// queue; results come back in request order whatever the finish order.
 fn execute_batch(
     env: &ExperimentEnv,
     spec: &WorkloadSpec,
@@ -301,35 +300,28 @@ fn execute_batch(
     ground_truth: Option<&GroundTruth>,
     items: Vec<WorkItem>,
 ) -> Vec<Result<ItemResult, PipeTuneError>> {
-    let n = items.len();
-    let items: Vec<Mutex<Option<WorkItem>>> =
-        items.into_iter().map(|item| Mutex::new(Some(item))).collect();
-    let results: Vec<Mutex<Option<Result<ItemResult, PipeTuneError>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    let run = |i: usize| {
-        let item = items[i].lock().take().expect("item claimed once");
-        *results[i].lock() =
-            Some(execute_item(env, spec, objective, contention, ground_truth, item));
-    };
-    let workers = env.workers.max(1).min(n);
+    let run = |item| execute_item(env, spec, objective, contention, ground_truth, item);
+    let workers = env.workers.max(1).min(items.len());
     if workers <= 1 {
-        (0..n).for_each(run);
-    } else {
-        let cursor = AtomicUsize::new(0);
-        crossbeam::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|_| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    run(i);
-                });
-            }
-        })
-        .expect("executor scope");
+        return items.into_iter().map(run).collect();
     }
-    results.into_iter().map(|cell| cell.into_inner().expect("every item executed")).collect()
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let claim = || queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+    let mut done: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    std::iter::from_fn(claim).map(|(i, item)| (i, run(item))).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 /// Commits a batch's journals — the one place a batch's effects reach the
@@ -656,6 +648,7 @@ mod tests {
     use crate::{EpochCacheHandle, ExperimentEnvBuilder, GroundTruthStats, ProbeGoal};
     use pipetune_cluster::FaultPlan;
     use pipetune_telemetry::TelemetryHandle;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
 
     /// The order a batch's work items finish in; commit order is always
@@ -711,12 +704,12 @@ mod tests {
                         scope.spawn(move || {
                             let result = run(item);
                             after.recv().unwrap();
-                            published.lock().push((i, result));
+                            published.lock().unwrap().push((i, result));
                             open.send(()).unwrap();
                         });
                     }
                 });
-                published.into_inner()
+                published.into_inner().unwrap()
             }
         };
         if !matches!(finish, Finish::InOrder) {

@@ -3,12 +3,12 @@
 //! The paper's architecture (Fig. 7) lists grid search, random search,
 //! genetic optimisation, Bayesian optimisation and HyperBand as
 //! interchangeable under the hyperparameter-tuning box, with HyperBand as
-//! the evaluation's choice (§6). This module makes that a configuration
-//! knob: every tuner (PipeTune and the baselines) can run on any of them.
+//! the evaluation's choice (§6). The reproduction implements the three its
+//! evaluation uses — HyperBand, grid (Fig. 1) and random — and this module
+//! makes the choice a configuration knob: every tuner (PipeTune and the
+//! baselines) can run on any of them.
 
-use pipetune_search::{
-    Asha, Genetic, GridSearch, HyperBand, RandomSearch, SearchSpace, Tpe, TrialScheduler,
-};
+use pipetune_search::{GridSearch, HyperBand, RandomSearch, SearchSpace, TrialScheduler};
 
 /// Which search algorithm drives the trials.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -27,23 +27,6 @@ pub enum SchedulerKind {
         /// Grid resolution per parameter.
         per_param: usize,
     },
-    /// TPE-style sequential Bayesian optimisation.
-    Tpe {
-        /// Number of sequential trials.
-        trials: usize,
-    },
-    /// Generational genetic search.
-    Genetic {
-        /// Individuals per generation.
-        population: usize,
-        /// Number of generations.
-        generations: usize,
-    },
-    /// Asynchronous successive halving (barrier-free HyperBand; extension).
-    Asha {
-        /// Configurations to sample.
-        trials: usize,
-    },
 }
 
 impl SchedulerKind {
@@ -53,9 +36,6 @@ impl SchedulerKind {
             SchedulerKind::HyperBand => "hyperband",
             SchedulerKind::Random { .. } => "random",
             SchedulerKind::Grid { .. } => "grid",
-            SchedulerKind::Tpe { .. } => "tpe",
-            SchedulerKind::Genetic { .. } => "genetic",
-            SchedulerKind::Asha { .. } => "asha",
         }
     }
 
@@ -73,16 +53,7 @@ impl SchedulerKind {
             SchedulerKind::Random { trials } => {
                 Box::new(RandomSearch::new(space, trials.max(1), r_max, seed))
             }
-            SchedulerKind::Grid { per_param } => {
-                Box::new(GridSearch::new(space, per_param.max(1), r_max))
-            }
-            SchedulerKind::Tpe { trials } => Box::new(Tpe::new(space, trials.max(1), r_max, seed)),
-            SchedulerKind::Genetic { population, generations } => {
-                Box::new(Genetic::new(space, population.max(2), generations.max(1), r_max, seed))
-            }
-            SchedulerKind::Asha { trials } => {
-                Box::new(Asha::new(space, r_max, eta.max(2), trials.max(1), seed))
-            }
+            SchedulerKind::Grid { per_param } => Box::new(GridSearch::new(space, per_param, r_max)),
         }
     }
 }
@@ -102,9 +73,6 @@ mod tests {
             SchedulerKind::HyperBand,
             SchedulerKind::Random { trials: 4 },
             SchedulerKind::Grid { per_param: 3 },
-            SchedulerKind::Tpe { trials: 4 },
-            SchedulerKind::Genetic { population: 4, generations: 2 },
-            SchedulerKind::Asha { trials: 6 },
         ] {
             let mut sched = kind.build(space(), 3, 3, 7);
             let mut guard = 0;
@@ -123,11 +91,16 @@ mod tests {
 
     #[test]
     fn degenerate_parameters_are_clamped() {
-        let mut sched =
-            SchedulerKind::Genetic { population: 0, generations: 0 }.build(space(), 1, 3, 1);
-        assert!(!sched.is_finished());
-        let batch = sched.next_trials();
-        assert!(!batch.is_empty());
+        let mut random = SchedulerKind::Random { trials: 0 }.build(space(), 1, 3, 1);
+        assert!(!random.is_finished());
+        assert_eq!(random.next_trials().len(), 1);
+        // The grid clamps in `ParamSpec::grid_values`: zero points per
+        // parameter plans the same one-point grid as one.
+        let mut zero = SchedulerKind::Grid { per_param: 0 }.build(space(), 1, 3, 1);
+        let mut one = SchedulerKind::Grid { per_param: 1 }.build(space(), 1, 3, 1);
+        let batch = zero.next_trials();
+        assert_eq!(batch.len(), 1);
+        assert_eq!(batch, one.next_trials());
     }
 
     #[test]

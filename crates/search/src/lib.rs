@@ -8,8 +8,13 @@
 //!   domains (ranges or choices) with seeded sampling and grid enumeration;
 //! * [`TrialScheduler`] — the scheduler interface (request trials, report
 //!   scores, resume from checkpoints);
-//! * implementations: [`GridSearch`], [`RandomSearch`], [`HyperBand`]
-//!   (the paper's choice), [`Tpe`] (Bayesian-style), [`Genetic`].
+//! * implementations: [`HyperBand`] (the paper's choice), [`GridSearch`]
+//!   (Fig. 1's exhaustive baseline) and [`RandomSearch`].
+//!
+//! The paper's architecture (Fig. 7) also lists genetic and Bayesian
+//! search under the tuning box; the reproduction implements the three
+//! schedulers its evaluation uses, and any other plugs in behind
+//! [`TrialScheduler`].
 //!
 //! Scores are "higher is better" throughout; objectives such as
 //! accuracy/duration ratios are composed by the middleware crate.
@@ -28,20 +33,14 @@
 //! assert_eq!(batch.len(), 4);
 //! ```
 
-mod asha;
-mod genetic;
 mod grid;
 mod hyperband;
 mod random;
 mod scheduler;
 mod space;
-mod tpe;
 
-pub use asha::Asha;
-pub use genetic::Genetic;
 pub use grid::GridSearch;
 pub use hyperband::HyperBand;
 pub use random::RandomSearch;
 pub use scheduler::{TrialId, TrialReport, TrialRequest, TrialScheduler};
 pub use space::{Config, ParamSpec, ParamValue, SearchSpace};
-pub use tpe::Tpe;

@@ -95,11 +95,6 @@ impl ParamSpec {
         ParamSpec { name: name.into(), domain: Domain::FloatChoice(values.to_vec()) }
     }
 
-    /// The parameter name.
-    pub(crate) fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Whether the domain holds at least one value.
     fn is_valid(&self) -> bool {
         match &self.domain {
@@ -195,14 +190,9 @@ impl SearchSpace {
         SearchSpace { params }
     }
 
-    /// The parameter specs.
-    pub(crate) fn params(&self) -> &[ParamSpec] {
-        &self.params
-    }
-
     /// Samples one full configuration.
     pub fn sample<R: Rng>(&self, rng: &mut R) -> Config {
-        self.params.iter().map(|p| (p.name().to_string(), p.sample(rng))).collect()
+        self.params.iter().map(|p| (p.name.clone(), p.sample(rng))).collect()
     }
 
     /// Full Cartesian grid with `per_param` points per ranged parameter.
@@ -217,7 +207,7 @@ impl SearchSpace {
             for c in &configs {
                 for v in &values {
                     let mut c2 = c.clone();
-                    c2.insert(p.name().to_string(), v.clone());
+                    c2.insert(p.name.clone(), v.clone());
                     next.push(c2);
                 }
             }
@@ -293,7 +283,7 @@ mod tests {
         let a = space();
         let b = SearchSpace::new(vec![ParamSpec::int_choice("cores", &[4, 8, 16])]);
         let u = a.union(&b);
-        assert_eq!(u.params().len(), 4);
+        assert_eq!(u.params.len(), 4);
         let mut rng = StdRng::seed_from_u64(3);
         assert!(u.sample(&mut rng).contains_key("cores"));
     }

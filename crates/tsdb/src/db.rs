@@ -2,8 +2,7 @@
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::RwLock;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::line_protocol::LineReader;
 use crate::{Aggregate, Point, Query, TsdbError};
@@ -56,6 +55,16 @@ impl Database {
         Database::default()
     }
 
+    /// The stored points, shared; a panicked writer leaves them readable.
+    fn points(&self) -> RwLockReadGuard<'_, Vec<Point>> {
+        self.points.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The stored points, exclusively.
+    fn points_mut(&self) -> RwLockWriteGuard<'_, Vec<Point>> {
+        self.points.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Stores one point.
     ///
     /// # Errors
@@ -63,7 +72,7 @@ impl Database {
     /// Returns [`TsdbError::InvalidPoint`] for points without a measurement
     /// name or without fields.
     pub fn write(&self, point: Point) -> Result<(), TsdbError> {
-        self.points.write().push(storable(point)?);
+        self.points_mut().push(storable(point)?);
         Ok(())
     }
 
@@ -74,7 +83,7 @@ impl Database {
     /// Currently infallible; the `Result` reserves room for storage-backend
     /// errors.
     pub fn query(&self, query: &Query) -> Result<Vec<Point>, TsdbError> {
-        Ok(self.points.read().iter().filter(|p| query.matches(p)).cloned().collect())
+        Ok(self.points().iter().filter(|p| query.matches(p)).cloned().collect())
     }
 
     /// Aggregates `field` over the points matching `query`.
@@ -92,8 +101,7 @@ impl Database {
         agg: Aggregate,
     ) -> Result<Option<f64>, TsdbError> {
         let values: Vec<f64> = self
-            .points
-            .read()
+            .points()
             .iter()
             .filter(|p| query.matches(p))
             .filter_map(|p| p.field_value(field))
@@ -104,7 +112,7 @@ impl Database {
     /// Exports every stored point as Influx line protocol, one per line.
     pub fn to_line_protocol(&self) -> String {
         let mut out = String::new();
-        for (i, point) in self.points.read().iter().enumerate() {
+        for (i, point) in self.points().iter().enumerate() {
             if i > 0 {
                 out.push('\n');
             }
@@ -133,18 +141,18 @@ impl Database {
             parsed.push(storable(reader.read(line)?)?);
         }
         let imported = parsed.len();
-        self.points.write().append(&mut parsed);
+        self.points_mut().append(&mut parsed);
         Ok(imported)
     }
 
     /// Total number of stored points.
     pub fn len(&self) -> usize {
-        self.points.read().len()
+        self.points().len()
     }
 
     /// Returns `true` when no points are stored.
     pub fn is_empty(&self) -> bool {
-        self.points.read().is_empty()
+        self.points().is_empty()
     }
 
     /// Serialises the whole store to a JSON file.
@@ -157,7 +165,7 @@ impl Database {
     ///
     /// Returns [`TsdbError::Io`] on filesystem failures.
     pub fn save(&self, path: &Path) -> Result<(), TsdbError> {
-        let guard = self.points.read();
+        let guard = self.points();
         let json = serde_json::to_string(&*guard)
             .map_err(|e| TsdbError::Corrupt { reason: e.to_string() })?;
         drop(guard);

@@ -11,8 +11,9 @@
 #
 # Usage:
 #   scripts/check_panics.sh          # regenerate PANICS.lock
-#   scripts/check_panics.sh --check  # exit 1 if a file has more sites than
-#                                    # PANICS.lock allows or is not listed
+#   scripts/check_panics.sh --check  # exit 1 unless PANICS.lock equals a
+#                                    # regenerated count: a file gained or
+#                                    # lost sites, is new, or is gone
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -34,26 +35,17 @@ counts() {
 
 case "${1:-}" in
   --check)
-    status=0
-    while read -r file n; do
-      allowed=$(awk -v f="$file" '$1 == f { print $2 }' "$LOCK")
-      if [ -z "$allowed" ]; then
-        echo "error: $file ($n panic sites) is not listed in $LOCK" >&2
-        status=1
-      elif [ "$n" -gt "$allowed" ]; then
-        echo "error: $file has $n panic sites, $LOCK allows $allowed" >&2
-        status=1
-      elif [ "$n" -lt "$allowed" ]; then
-        echo "note: $file is down to $n panic sites from $allowed; regenerate $LOCK to keep the gain"
-      fi
-    done < <(counts)
-    if [ "$status" -ne 0 ]; then
+    if ! drift=$(diff -u --label "$LOCK" --label counted "$LOCK" <(counts)); then
+      echo "error: panic sites differ from $LOCK:" >&2
+      echo "$drift" >&2
       echo >&2
-      echo "Return an error instead of panicking; if a new file or site is intended," >&2
-      echo "regenerate with scripts/check_panics.sh and commit $LOCK alongside it." >&2
+      echo "A file that gained sites or is new: return an error instead of panicking or," >&2
+      echo "if the site is intended, regenerate. A file that lost sites or is gone:" >&2
+      echo "regenerate to keep the gain. Regenerate with scripts/check_panics.sh and" >&2
+      echo "commit $LOCK alongside the change." >&2
       exit 1
     fi
-    echo "panic sites within $LOCK ($(awk '{ n += $2 } END { print n + 0 }' "$LOCK") allowed)"
+    echo "panic sites match $LOCK ($(awk '{ n += $2 } END { print n + 0 }' "$LOCK") sites)"
     ;;
   "")
     counts > "$LOCK"

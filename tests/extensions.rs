@@ -45,21 +45,13 @@ fn dbscan_ground_truth_drives_a_full_tuning_run() {
 
 #[test]
 fn every_alternative_scheduler_completes_a_pipetune_job() {
-    for kind in [
-        SchedulerKind::Random { trials: 4 },
-        SchedulerKind::Tpe { trials: 4 },
-        SchedulerKind::Genetic { population: 4, generations: 2 },
-        SchedulerKind::Asha { trials: 5 },
-    ] {
-        let env = ExperimentEnv::distributed(3003);
-        let opts = TunerOptions { scheduler: kind, ..options() };
-        let out = PipeTune::new(opts)
-            .run(&env, &WorkloadSpec::cnn_news20())
-            .unwrap_or_else(|e| panic!("{} failed: {e}", kind.name()));
-        assert!(out.tuning_secs > 0.0, "{}", kind.name());
-        assert!((0.0..=1.0).contains(&out.best_accuracy), "{}", kind.name());
-        assert!(out.epochs_total > 0, "{}", kind.name());
-    }
+    // Grid, the other alternative, runs end to end in `ablation_scheduler`.
+    let env = ExperimentEnv::distributed(3003);
+    let opts = TunerOptions { scheduler: SchedulerKind::Random { trials: 4 }, ..options() };
+    let out = PipeTune::new(opts).run(&env, &WorkloadSpec::cnn_news20()).expect("random job runs");
+    assert!(out.tuning_secs > 0.0);
+    assert!((0.0..=1.0).contains(&out.best_accuracy));
+    assert!(out.epochs_total > 0);
 }
 
 #[test]

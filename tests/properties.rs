@@ -129,38 +129,6 @@ proptest! {
     }
 
     #[test]
-    fn asha_budgets_and_accounting_hold(
-        r_max in 1u32..28,
-        max_trials in 1usize..20,
-        seed in 0u64..300,
-    ) {
-        use pipetune_search::Asha;
-        let space = SearchSpace::new(vec![ParamSpec::float_range("x", 0.0, 1.0, false)]);
-        let mut asha = Asha::new(space, r_max, 3, max_trials, seed);
-        let mut per_trial: std::collections::HashMap<u64, u64> = Default::default();
-        let mut guard = 0;
-        while !asha.is_finished() {
-            for r in asha.next_trials() {
-                *per_trial.entry(r.id.0).or_default() += u64::from(r.epochs);
-                asha.report(TrialReport {
-                    id: r.id,
-                    score: r.config["x"].as_f64(),
-                    epochs_run: r.epochs,
-                });
-            }
-            guard += 1;
-            prop_assert!(guard < 10_000, "non-terminating");
-        }
-        prop_assert_eq!(per_trial.len(), max_trials, "every sampled trial ran");
-        for (&id, &epochs) in &per_trial {
-            prop_assert!(epochs <= u64::from(r_max), "trial {} over budget: {}", id, epochs);
-        }
-        let issued: u64 = per_trial.values().sum();
-        prop_assert_eq!(issued, asha.epochs_issued());
-        prop_assert!(asha.best().is_some());
-    }
-
-    #[test]
     fn tsdb_count_aggregate_matches_query_length(
         n in 0usize..50,
         threshold in 0u64..50,
