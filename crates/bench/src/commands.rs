@@ -259,7 +259,7 @@ pub(crate) fn headline(args: &[String]) -> ExitCode {
     let mut baseline = None;
     if let Some(path) = check_path {
         let text = std::fs::read_to_string(path).map_err(|e| e.to_string());
-        match text.and_then(|text| BenchReport::from_json_str(&text)) {
+        match text.and_then(|text| BenchReport::from_json_str(&text).map_err(|e| e.to_string())) {
             Ok(report) => baseline = Some((path, report)),
             Err(e) => return fail(format!("cannot load baseline {path}: {e}")),
         }

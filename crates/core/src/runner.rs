@@ -24,7 +24,7 @@ use crate::cache::{self, CacheEvent, CacheKey};
 use crate::groundtruth::{BatchView, GroundTruthAccess, GtEvent};
 use crate::objective::Objective;
 use crate::observe;
-use crate::trial::{numbered_label, SystemTuner, TrialExecution};
+use crate::trial::{numbered_label, record_epoch_metrics, SystemTuner, TrialExecution};
 use crate::tuner::{ConvergencePoint, TunerOptions, TuningOutcome};
 use crate::workload::EpochWorkload;
 use crate::{ExperimentEnv, GroundTruth, HyperParams, PipeTuneError, WorkloadSpec};
@@ -367,6 +367,7 @@ fn commit_batch(
                 attrs,
             };
             let buffer = exec.telemetry_mut();
+            buffer.fold_epochs(|rows, m| record_epoch_metrics(env, rows, m));
             buffer.with_metrics(|m| cluster_observe::record_fault_report(&faults, m));
             telemetry.merge_trial(batch_span, trial_span, buffer);
         }

@@ -14,7 +14,9 @@
 //! and neither reaches into the other's state.
 
 use pipetune_cluster::{FaultKind, FaultReport, SystemConfig, SystemSpace};
-use pipetune_telemetry::{Attrs, EventKind, SpanKind, TelemetryBuffer, DURATION_BUCKETS_SECS};
+use pipetune_telemetry::{
+    Attrs, EpochRow, EventKind, MetricsRegistry, TelemetryBuffer, DURATION_BUCKETS_SECS,
+};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
@@ -77,14 +79,13 @@ fn phase_counter(phase: EpochPhase) -> &'static str {
         EpochPhase::Tuned | EpochPhase::Reused => observe::EPOCHS_TUNED,
         EpochPhase::Fixed => observe::EPOCHS_FIXED,
         // Cached epochs never execute, so they never reach the per-epoch
-        // recording path; they are counted in EPOCHS_CACHED at adoption.
+        // metrics; they are counted in EPOCHS_CACHED at adoption.
         EpochPhase::Cached => observe::EPOCHS_CACHED,
     }
 }
 
 /// A span label `<prefix><n><suffix…>`, written without the `fmt` machinery:
-/// one is built per recorded epoch and trial-round, and a microsecond epoch
-/// notices.
+/// one is built per recorded trial-round, and a microsecond epoch notices.
 pub(crate) fn numbered_label(prefix: &str, n: u64, suffix: &[&str]) -> String {
     let mut digits = [0u8; 20];
     let mut first = digits.len();
@@ -105,32 +106,60 @@ pub(crate) fn numbered_label(prefix: &str, n: u64, suffix: &[&str]) -> String {
     label
 }
 
-/// The epoch span label, `epoch <n> (<phase>)`.
-fn epoch_label(epoch: u32, phase: EpochPhase) -> String {
-    numbered_label("epoch ", epoch.into(), &[" (", phase.name(), ")"])
-}
-
 /// Records the span of epoch `r`, which ended at `end_secs` on the
 /// trial-cumulative simulated clock; the executor re-bases nothing —
 /// trial/epoch spans are documented to use trial time, rung/batch spans
 /// wall-clock time.
 fn push_epoch_span(telemetry: &mut TelemetryBuffer, r: &EpochRecord, end_secs: f64) -> u32 {
-    telemetry.push_span(
-        SpanKind::Epoch,
-        epoch_label(r.epoch, r.phase),
-        None,
-        end_secs - r.duration_secs,
+    telemetry.push_epoch(EpochRow {
+        epoch: r.epoch,
+        phase: r.phase.name(),
+        cores: r.system.cores,
+        memory_gb: r.system.memory_gb,
+        freq_mhz: r.system.freq_mhz,
+        energy_j: r.energy_j,
+        train_score: r.train_score,
+        duration_secs: r.duration_secs,
         end_secs,
-        vec![
-            ("epoch", r.epoch.into()),
-            ("phase", r.phase.name().into()),
-            ("cores", r.system.cores.into()),
-            ("memory_gb", r.system.memory_gb.into()),
-            ("freq_mhz", r.system.freq_mhz.into()),
-            ("energy_j", r.energy_j.into()),
-            ("train_score", r.train_score.into()),
-        ],
-    )
+    })
+}
+
+/// What the executed epochs among `rows` — a trial-round's epoch spans, in
+/// epoch order — add to the metrics, folded in at the trial-round merge:
+/// the epoch-duration and energy histograms one observation each, the
+/// epoch counters one add each, and the power gauge the last epoch's draw
+/// (a gauge keeps its last write). Adopted (cached) epochs did not execute
+/// and add nothing.
+pub(crate) fn record_epoch_metrics(
+    env: &ExperimentEnv,
+    rows: &[EpochRow],
+    m: &mut MetricsRegistry,
+) {
+    const EXECUTED: [EpochPhase; 5] = [
+        EpochPhase::Profile,
+        EpochPhase::Reused,
+        EpochPhase::Probe,
+        EpochPhase::Tuned,
+        EpochPhase::Fixed,
+    ];
+    let executed = |row: &EpochRow| EXECUTED.iter().position(|p| p.name() == row.phase);
+    let Some(last) = rows.iter().rev().find(|row| executed(row).is_some()) else { return };
+    let system =
+        SystemConfig { cores: last.cores, memory_gb: last.memory_gb, freq_mhz: last.freq_mhz };
+    let watts = env.trial_power(&system);
+    let mut counts = [0u64; EXECUTED.len()];
+    for row in rows {
+        let Some(at) = executed(row) else { continue };
+        counts[at] += 1;
+        m.observe(observe::EPOCH_SECS, DURATION_BUCKETS_SECS, row.duration_secs);
+        pipetune_energy::observe::record_epoch_energy(watts, row.energy_j, m);
+    }
+    m.counter_add(observe::EPOCHS_TOTAL, counts.iter().sum());
+    for (phase, count) in EXECUTED.into_iter().zip(counts) {
+        if count > 0 {
+            m.counter_add(phase_counter(phase), count);
+        }
+    }
 }
 
 /// One executed epoch.
@@ -785,18 +814,10 @@ impl TrialExecution {
             phase,
         };
         self.records.push(record);
-        let epoch_span = if self.telemetry.is_active() {
-            let span = push_epoch_span(&mut self.telemetry, &record, self.total_secs);
-            self.telemetry.with_metrics(|m| {
-                m.observe(observe::EPOCH_SECS, DURATION_BUCKETS_SECS, duration);
-                m.counter_add(observe::EPOCHS_TOTAL, 1);
-                m.counter_add(phase_counter(phase), 1);
-                pipetune_energy::observe::record_epoch_energy(watts, energy, m);
-            });
-            Some(span)
-        } else {
-            None
-        };
+        let epoch_span = self
+            .telemetry
+            .is_active()
+            .then(|| push_epoch_span(&mut self.telemetry, &record, self.total_secs));
         // What the epoch measured goes to the tuner, the tuner's verdict to
         // the ground truth and the trace.
         self.measured(env, ground_truth, rng, &record, counter_fault, epoch_span)
@@ -895,15 +916,63 @@ mod tests {
         TrialExecution::new(w, tuner)
     }
 
+    /// The merge-time fold leaves the registry the per-epoch updates it
+    /// replaced would have: observations in epoch order, counters summed,
+    /// the gauge at the last executed epoch's draw, nothing for an adopted
+    /// epoch.
+    #[test]
+    fn folding_epoch_rows_equals_updating_per_epoch() {
+        let e = env();
+        let phases = [
+            EpochPhase::Cached,
+            EpochPhase::Profile,
+            EpochPhase::Probe,
+            EpochPhase::Probe,
+            EpochPhase::Reused,
+            EpochPhase::Tuned,
+            EpochPhase::Fixed,
+            EpochPhase::Cached,
+        ];
+        let rows: Vec<EpochRow> = phases
+            .iter()
+            .enumerate()
+            .map(|(i, phase)| EpochRow {
+                epoch: i as u32 + 1,
+                phase: phase.name(),
+                cores: [4, 8, 16][i % 3],
+                memory_gb: 16,
+                freq_mhz: [3500, 2600][i % 2],
+                energy_j: 1000.0 / (i as f64 + 3.0),
+                train_score: 0.5,
+                duration_secs: 10.0 / (i as f64 + 7.0),
+                end_secs: i as f64,
+            })
+            .collect();
+        let mut per_epoch = MetricsRegistry::new();
+        for (row, &phase) in rows.iter().zip(&phases).filter(|(_, p)| **p != EpochPhase::Cached) {
+            let system =
+                SystemConfig { cores: row.cores, memory_gb: row.memory_gb, freq_mhz: row.freq_mhz };
+            per_epoch.observe(observe::EPOCH_SECS, DURATION_BUCKETS_SECS, row.duration_secs);
+            per_epoch.counter_add(observe::EPOCHS_TOTAL, 1);
+            per_epoch.counter_add(phase_counter(phase), 1);
+            pipetune_energy::observe::record_epoch_energy(
+                e.trial_power(&system),
+                row.energy_j,
+                &mut per_epoch,
+            );
+        }
+        let mut folded = MetricsRegistry::new();
+        record_epoch_metrics(&e, &rows, &mut folded);
+        assert_eq!(folded, per_epoch);
+        let mut none = MetricsRegistry::new();
+        record_epoch_metrics(&e, &rows[..1], &mut none);
+        assert!(none.is_empty(), "an adopted epoch adds nothing");
+    }
+
     #[test]
     fn labels_read_as_format_would_write_them() {
         for n in [0, 1, 9, 10, 99, 100, 12_345, u64::from(u32::MAX), u64::MAX] {
             assert_eq!(numbered_label("trial ", n, &[]), format!("trial {n}"));
-        }
-        for phase in [EpochPhase::Profile, EpochPhase::Tuned, EpochPhase::Cached] {
-            for epoch in [1, 27, 81, 1000, u32::MAX] {
-                assert_eq!(epoch_label(epoch, phase), format!("epoch {epoch} ({})", phase.name()));
-            }
         }
     }
 

@@ -181,43 +181,93 @@ impl BenchReport {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first problem (bad JSON, wrong schema
-    /// version, non-numeric metric, or a metric such as `1e999` that is
-    /// not finite: `to_json_string` could not have written it, and [`check`]
-    /// would judge any comparison with it `Ok`).
-    pub fn from_json_str(text: &str) -> Result<Self, String> {
-        let value: Value = serde_json::from_str(text).map_err(|e| format!("bench report: {e}"))?;
+    /// The first problem, as a [`BenchReportError`]: bad JSON, a missing
+    /// field, a wrong schema version, a non-numeric metric, or a metric
+    /// such as `1e999` that is not finite (`to_json_string` could not have
+    /// written it, and [`check`] would judge any comparison with it `Ok`).
+    pub fn from_json_str(text: &str) -> Result<Self, BenchReportError> {
+        let value: Value = serde_json::from_str(text)
+            .map_err(|e| BenchReportError::Json { reason: e.to_string() })?;
         let schema = value
             .get("schema")
             .and_then(Value::as_u64)
-            .ok_or("bench report: missing schema version")?;
+            .ok_or(BenchReportError::Missing { field: "schema version" })?;
         if schema != BENCH_SCHEMA_VERSION {
-            return Err(format!(
-                "bench report: schema {schema} unsupported (expected {BENCH_SCHEMA_VERSION})"
-            ));
+            return Err(BenchReportError::Schema { found: schema });
         }
         let label = value
             .get("label")
             .and_then(Value::as_str)
-            .ok_or("bench report: missing label")?
+            .ok_or(BenchReportError::Missing { field: "label" })?
             .to_string();
         let mut metrics = BTreeMap::new();
         let object = value
             .get("metrics")
             .and_then(Value::as_object)
-            .ok_or("bench report: missing metrics object")?;
+            .ok_or(BenchReportError::Missing { field: "metrics object" })?;
         for (name, metric) in object {
             let v = metric
                 .as_f64()
-                .ok_or_else(|| format!("bench report: metric {name} is not a number"))?;
+                .ok_or_else(|| BenchReportError::NotANumber { metric: name.clone() })?;
             if !v.is_finite() {
-                return Err(format!("bench report: metric {name} is not finite"));
+                return Err(BenchReportError::NotFinite { metric: name.clone() });
             }
             metrics.insert(name.clone(), v);
         }
         Ok(BenchReport { label, metrics })
     }
 }
+
+/// Why [`BenchReport::from_json_str`] refused a text.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BenchReportError {
+    /// The text is not JSON.
+    Json {
+        /// The parser's diagnostic.
+        reason: String,
+    },
+    /// A field every report has is absent or of the wrong type.
+    Missing {
+        /// Which: `schema version`, `label` or `metrics object`.
+        field: &'static str,
+    },
+    /// The report is of a schema version this build does not read.
+    Schema {
+        /// The version the text declares.
+        found: u64,
+    },
+    /// A metric's value is not a number.
+    NotANumber {
+        /// The metric's name.
+        metric: String,
+    },
+    /// A metric's value is a number but not finite.
+    NotFinite {
+        /// The metric's name.
+        metric: String,
+    },
+}
+
+impl std::fmt::Display for BenchReportError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BenchReportError::Json { reason } => write!(f, "bench report: {reason}"),
+            BenchReportError::Missing { field } => write!(f, "bench report: missing {field}"),
+            BenchReportError::Schema { found } => write!(
+                f,
+                "bench report: schema {found} unsupported (expected {BENCH_SCHEMA_VERSION})"
+            ),
+            BenchReportError::NotANumber { metric } => {
+                write!(f, "bench report: metric {metric} is not a number")
+            }
+            BenchReportError::NotFinite { metric } => {
+                write!(f, "bench report: metric {metric} is not finite")
+            }
+        }
+    }
+}
+
+impl std::error::Error for BenchReportError {}
 
 /// One metric's verdict in a gate check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -377,15 +427,30 @@ mod tests {
     }
 
     #[test]
-    fn from_json_rejects_bad_schema_and_values() {
-        assert!(BenchReport::from_json_str("nope").is_err());
-        assert!(
-            BenchReport::from_json_str(r#"{"schema": 9, "label": "x", "metrics": {}}"#).is_err()
+    fn bad_json_is_a_json_error() {
+        let err = BenchReport::from_json_str("nope").unwrap_err();
+        assert!(matches!(err, BenchReportError::Json { .. }), "{err:?}");
+        assert!(err.to_string().starts_with("bench report: "), "{err}");
+    }
+
+    #[test]
+    fn a_wrong_schema_is_a_schema_error() {
+        let err = BenchReport::from_json_str(r#"{"schema": 9, "label": "x", "metrics": {}}"#);
+        assert_eq!(err, Err(BenchReportError::Schema { found: 9 }));
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            format!("bench report: schema 9 unsupported (expected {BENCH_SCHEMA_VERSION})")
         );
-        assert!(BenchReport::from_json_str(
-            r#"{"schema": 1, "label": "x", "metrics": {"m": "high"}}"#
-        )
-        .is_err());
+        let err = BenchReport::from_json_str(r#"{"label": "x", "metrics": {}}"#);
+        assert_eq!(err, Err(BenchReportError::Missing { field: "schema version" }));
+    }
+
+    #[test]
+    fn a_non_numeric_metric_is_refused_by_name() {
+        let err =
+            BenchReport::from_json_str(r#"{"schema": 1, "label": "x", "metrics": {"m": "high"}}"#);
+        assert_eq!(err, Err(BenchReportError::NotANumber { metric: "m".into() }));
+        assert_eq!(err.unwrap_err().to_string(), "bench report: metric m is not a number");
     }
 
     #[test]
@@ -394,10 +459,11 @@ mod tests {
             let text = format!(
                 r#"{{"schema": 1, "label": "x", "metrics": {{"a.speedup_vs_v1": {value}}}}}"#
             );
-            assert_eq!(
-                BenchReport::from_json_str(&text),
-                Err("bench report: metric a.speedup_vs_v1 is not finite".to_string())
-            );
+            let err = BenchReport::from_json_str(&text).unwrap_err();
+            assert_eq!(err, BenchReportError::NotFinite { metric: "a.speedup_vs_v1".into() });
+            assert_eq!(err.to_string(), "bench report: metric a.speedup_vs_v1 is not finite");
+            let source: &dyn std::error::Error = &err;
+            assert!(source.source().is_none());
         }
     }
 

@@ -60,7 +60,8 @@ mod report;
 
 pub use diff::TraceDiff;
 pub use gate::{
-    check, BenchReport, Direction, GateConfig, GateOutcome, MetricCheck, Tolerance, Verdict,
+    check, BenchReport, BenchReportError, Direction, GateConfig, GateOutcome, MetricCheck,
+    Tolerance, Verdict,
 };
 pub use headline::{
     best_accuracy, cache_speedup_metrics, headline_metrics, total_energy_j, tuning_secs,

@@ -39,6 +39,9 @@ pub struct Hotspot {
     /// (which writes every cell of it).
     next: Vec<f32>,
     power: Vec<f32>,
+    /// One row of temperature changes: computed row-wide, then squared in
+    /// `f64` and added serially, cell by cell in row-major order.
+    scratch: Vec<f32>,
     epochs: usize,
     initial_delta: f32,
     last_delta: f32,
@@ -50,9 +53,10 @@ impl Hotspot {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.grid` is zero.
+    /// Panics if `cfg.grid` is below 3: the hot blocks' sides are drawn
+    /// from `grid / 8 .. grid / 3`, which is empty on a smaller grid.
     pub fn new(cfg: &HotspotConfig, seed: u64) -> Self {
-        assert!(cfg.grid > 0, "grid must be positive");
+        assert!(cfg.grid >= 3, "grid must be at least 3");
         let n = cfg.grid;
         let mut rng = StdRng::seed_from_u64(seed);
         let mut power = vec![0.0f32; n * n];
@@ -74,6 +78,7 @@ impl Hotspot {
             temp: vec![0.0; n * n],
             next: vec![0.0; n * n],
             power,
+            scratch: vec![0.0; n],
             epochs: 0,
             initial_delta: 0.0,
             last_delta: 0.0,
@@ -86,28 +91,48 @@ impl Hotspot {
     }
 
     /// One explicit diffusion step; returns the RMS temperature change.
+    ///
+    /// Row by row: the two edge cells (whose outer neighbour is the cell
+    /// itself — the Neumann boundary) apart, the interior row-wide, the
+    /// changes summed serially in row-major order.
     fn step_delta(&mut self) -> f32 {
         let n = self.cfg.grid;
         let dt = self.cfg.dt;
+        // Diffusion + local power − leakage to ambient, neighbours in the
+        // order up, down, left, right.
+        let delta = |c: f32, up: f32, down: f32, left: f32, right: f32, power: f32| {
+            let lap = up + down + left + right - 4.0 * c;
+            dt * (lap + power - 0.1 * c)
+        };
         let mut sum_sq = 0.0f64;
         for y in 0..n {
-            for x in 0..n {
-                let at = |yy: isize, xx: isize| -> f32 {
-                    // Neumann boundary: clamp to the edge.
-                    let yy = yy.clamp(0, n as isize - 1) as usize;
-                    let xx = xx.clamp(0, n as isize - 1) as usize;
-                    self.temp[yy * n + xx]
-                };
-                let c = self.temp[y * n + x];
-                let lap = at(y as isize - 1, x as isize)
-                    + at(y as isize + 1, x as isize)
-                    + at(y as isize, x as isize - 1)
-                    + at(y as isize, x as isize + 1)
-                    - 4.0 * c;
-                // Diffusion + local power − leakage to ambient.
-                let delta = dt * (lap + self.power[y * n + x] - 0.1 * c);
-                self.next[y * n + x] = c + delta;
-                sum_sq += f64::from(delta) * f64::from(delta);
+            let row = &self.temp[y * n..(y + 1) * n];
+            let up = &self.temp[y.saturating_sub(1) * n..][..n];
+            let down = &self.temp[(y + 1).min(n - 1) * n..][..n];
+            let power = &self.power[y * n..(y + 1) * n];
+            let changes = &mut self.scratch[..];
+            changes[0] = delta(row[0], up[0], down[0], row[0], row[1], power[0]);
+            for (out, ((((&c, &u), &d), (&l, &r)), &p)) in changes[1..n - 1].iter_mut().zip(
+                row[1..n - 1]
+                    .iter()
+                    .zip(&up[1..n - 1])
+                    .zip(&down[1..n - 1])
+                    .zip(row[..n - 2].iter().zip(&row[2..]))
+                    .zip(&power[1..n - 1]),
+            ) {
+                let lap = u + d + l + r - 4.0 * c;
+                *out = dt * (lap + p - 0.1 * c);
+            }
+            let last = n - 1;
+            changes[last] =
+                delta(row[last], up[last], down[last], row[last - 1], row[last], power[last]);
+            for ((next, &c), &change) in
+                self.next[y * n..(y + 1) * n].iter_mut().zip(row).zip(changes.iter())
+            {
+                *next = c + change;
+            }
+            for &change in changes.iter() {
+                sum_sq += f64::from(change) * f64::from(change);
             }
         }
         std::mem::swap(&mut self.temp, &mut self.next);
@@ -194,6 +219,12 @@ mod tests {
         a.step();
         b.step();
         assert_eq!(a.temp, b.temp);
+    }
+
+    #[test]
+    #[should_panic(expected = "grid must be at least 3")]
+    fn grids_below_three_are_refused() {
+        Hotspot::new(&HotspotConfig { grid: 2, dt: 0.15 }, 1);
     }
 
     #[test]

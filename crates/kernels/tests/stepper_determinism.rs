@@ -11,6 +11,11 @@
 //! range) to 40 — the short-epoch stream's grids among them — × 60 steps,
 //! and again from a `Clone` taken mid-run: a cloned solver carries its own
 //! scratch buffer, neither sharing the original's nor losing its own.
+//!
+//! The steppers now compute each row over slices, at the CPU's vector width
+//! in an optimised build (which is the profile CI runs this suite in). The
+//! last test adds the grids the 1–40 range skips — 41, the default 48, the
+//! vector-width edges 63–65, 100 and 128 — over fewer seeds and steps.
 
 use pipetune_kernels::{
     Hotspot, HotspotConfig, IterativeKernel, Jacobi, JacobiConfig, KernelMetrics,
@@ -325,6 +330,42 @@ fn hotspot_double_buffered_matches_clone_per_step() {
                 frozen::Hotspot::new(&cfg, seed),
                 &format!("hotspot grid {grid} dt {dt} seed {seed}"),
             );
+        }
+    }
+}
+
+/// Grids beyond [`MAX_GRID`]: odd and even, the `Default` 48, and one either
+/// side of 64 so every row length leaves a different vector tail.
+const WIDE_GRIDS: [usize; 7] = [41, 48, 63, 64, 65, 100, 128];
+
+#[test]
+fn wide_grids_match_the_frozen_steppers() {
+    const WIDE_SEEDS: u64 = 5;
+    const WIDE_STEPS: usize = 20;
+    const WIDE_CLONE_AT: usize = 9;
+    fn run<K, F>(mut solver: K, mut oracle: F, what: &str)
+    where
+        K: IterativeKernel + Clone,
+        F: IterativeKernel + Clone,
+    {
+        assert_eq!(solver.score().to_bits(), oracle.score().to_bits(), "{what}, before any step");
+        assert_in_step(&mut solver, &mut oracle, WIDE_CLONE_AT, what);
+        let (mut cloned, mut cloned_oracle) = (solver.clone(), oracle.clone());
+        let rest = WIDE_STEPS - WIDE_CLONE_AT;
+        assert_in_step(&mut cloned, &mut cloned_oracle, rest, &format!("{what}, clone"));
+        assert_in_step(&mut solver, &mut oracle, rest, &format!("{what}, original"));
+        assert_eq!(solver.score().to_bits(), cloned.score().to_bits(), "{what}: clone diverged");
+    }
+    for seed in 0..WIDE_SEEDS {
+        for (i, &grid) in WIDE_GRIDS.iter().enumerate() {
+            let omega = [0.05, 0.6, 0.9, 1.0][(seed as usize + i) % 4];
+            let cfg = JacobiConfig { grid, omega };
+            let what = format!("jacobi grid {grid} omega {omega} seed {seed}");
+            run(Jacobi::new(&cfg, seed), frozen::Jacobi::new(&cfg, seed), &what);
+            let dt = [0.01, 0.15, 0.3, 0.6][(seed as usize + i) % 4];
+            let cfg = HotspotConfig { grid, dt };
+            let what = format!("hotspot grid {grid} dt {dt} seed {seed}");
+            run(Hotspot::new(&cfg, seed), frozen::Hotspot::new(&cfg, seed), &what);
         }
     }
 }

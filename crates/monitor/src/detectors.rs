@@ -9,7 +9,7 @@
 //! evidence carries the ones a firing was judged against.
 
 use pipetune_telemetry::{
-    attr_bool, attr_f64, attr_u64, Event, EventKind, MetricsRegistry, Span, SpanKind,
+    attr_bool, attr_f64, attr_u64, Event, EventKind, MetricsRegistry, SpanKind, SpanView,
 };
 
 use crate::alert::{Alert, Severity};
@@ -59,11 +59,18 @@ impl StallDetector {
 }
 
 impl Detector for StallDetector {
-    fn on_span(&mut self, ctx: &TraceIndex<'_>, idx: u32, span: &Span, out: &mut Vec<Alert>) {
-        if span.kind != SpanKind::Epoch || !span.end_secs.is_finite() {
+    fn on_span(
+        &mut self,
+        ctx: &TraceIndex<'_>,
+        idx: u32,
+        span: &dyn SpanView,
+        out: &mut Vec<Alert>,
+    ) {
+        let end_secs = span.end_secs();
+        if span.kind() != SpanKind::Epoch || !end_secs.is_finite() {
             return;
         }
-        let duration = span.end_secs - span.start_secs;
+        let duration = end_secs - span.start_secs();
         if self.durations.len() >= STALL_MIN_SAMPLES {
             let mean = self.durations.mean();
             if duration > STALL_FACTOR * mean {
@@ -77,7 +84,7 @@ impl Detector for StallDetector {
                     severity,
                     source: ctx.path(idx),
                     span: Some(idx),
-                    at_secs: span.end_secs,
+                    at_secs: end_secs,
                     message: format!(
                         "epoch ran {duration:.1}s against a rolling mean of {mean:.1}s"
                     ),
@@ -222,9 +229,15 @@ impl SloBurnDetector {
 }
 
 impl Detector for SloBurnDetector {
-    fn on_span(&mut self, _ctx: &TraceIndex<'_>, _idx: u32, span: &Span, _out: &mut Vec<Alert>) {
-        if span.kind == SpanKind::Job {
-            self.arrivals.push(span.start_secs);
+    fn on_span(
+        &mut self,
+        _ctx: &TraceIndex<'_>,
+        _idx: u32,
+        span: &dyn SpanView,
+        _out: &mut Vec<Alert>,
+    ) {
+        if span.kind() == SpanKind::Job {
+            self.arrivals.push(span.start_secs());
         }
     }
 
@@ -373,18 +386,24 @@ const QUEUE_DEPTH_THRESHOLD: u64 = 4;
 pub(crate) struct QueueGrowthDetector;
 
 impl Detector for QueueGrowthDetector {
-    fn on_span(&mut self, ctx: &TraceIndex<'_>, idx: u32, span: &Span, out: &mut Vec<Alert>) {
-        if span.kind != SpanKind::Job {
+    fn on_span(
+        &mut self,
+        ctx: &TraceIndex<'_>,
+        idx: u32,
+        span: &dyn SpanView,
+        out: &mut Vec<Alert>,
+    ) {
+        if span.kind() != SpanKind::Job {
             return;
         }
-        if let Some(depth) = attr_u64(&span.attrs, "queue_depth") {
+        if let Some(depth) = attr_u64(&span.attrs(), "queue_depth") {
             if depth >= QUEUE_DEPTH_THRESHOLD {
                 out.push(Alert {
                     detector: QUEUE_GROWTH,
                     severity: Severity::Warning,
                     source: ctx.path(idx),
                     span: Some(idx),
-                    at_secs: span.start_secs,
+                    at_secs: span.start_secs(),
                     message: format!("job arrived to a backlog of {depth}"),
                     evidence: vec![
                         ("queue_depth", depth.into()),
@@ -400,7 +419,7 @@ impl Detector for QueueGrowthDetector {
 mod tests {
     use super::*;
     use crate::engine::{MonitorConfig, MonitorEngine};
-    use pipetune_telemetry::TelemetrySnapshot;
+    use pipetune_telemetry::{Span, TelemetrySnapshot};
 
     fn span(kind: SpanKind, label: &str, parent: Option<u32>, start: f64, end: f64) -> Span {
         Span { kind, label: label.into(), parent, start_secs: start, end_secs: end, attrs: vec![] }

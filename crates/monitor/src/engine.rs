@@ -2,27 +2,43 @@
 //! the telemetry stream, the [`Detector`] contract, and the
 //! [`IncidentTimeline`] the firings collect into.
 
-use pipetune_telemetry::{Event, MetricsRegistry, Span, SpanKind, TelemetrySnapshot};
+use pipetune_telemetry::{Event, MetricsRegistry, SpanKind, SpanView, TelemetrySnapshot};
 
 use crate::alert::{Alert, IncidentTimeline};
 use crate::detectors::{
     CacheThrashDetector, CrashLoopDetector, QueueGrowthDetector, SloBurnDetector, StallDetector,
 };
 
+/// A trace's spans, whichever way they are held — a snapshot's `Span`s or
+/// a live sink's `SpanRecord`s — one by one through [`SpanView`].
+trait Spans {
+    fn at(&self, i: usize) -> Option<&dyn SpanView>;
+}
+
+impl<S: SpanView> Spans for &[S] {
+    fn at(&self, i: usize) -> Option<&dyn SpanView> {
+        self.get(i).map(|span| span as &dyn SpanView)
+    }
+}
+
 /// Structural view of the trace delivered so far — span kinds, labels and
 /// parent links, read in place from the stream the engine is handed — so
 /// detectors can resolve source paths and ancestors without a copy of
 /// their own.
-#[derive(Debug)]
 pub(crate) struct TraceIndex<'a> {
-    spans: &'a [Span],
+    spans: &'a dyn Spans,
+    /// Spans visible to the observation being delivered.
+    len: usize,
 }
 
 impl<'a> TraceIndex<'a> {
-    /// A view over `spans`, the trace's span vector up to and including
-    /// the observation being delivered.
-    pub(crate) fn over(spans: &'a [Span]) -> Self {
-        TraceIndex { spans }
+    fn get(&self, i: u32) -> Option<&dyn SpanView> {
+        let i = i as usize;
+        if i < self.len {
+            self.spans.at(i)
+        } else {
+            None
+        }
     }
 
     /// The nearest ancestor of `idx` (including `idx` itself) with the
@@ -30,8 +46,8 @@ impl<'a> TraceIndex<'a> {
     pub(crate) fn ancestor_of_kind(&self, idx: u32, kind: SpanKind) -> Option<u32> {
         let mut cursor = Some(idx);
         while let Some(i) = cursor {
-            let span = self.spans.get(i as usize)?;
-            if span.kind == kind {
+            let span = self.get(i)?;
+            if span.kind() == kind {
                 return Some(i);
             }
             cursor = earlier_parent(i, span);
@@ -45,8 +61,8 @@ impl<'a> TraceIndex<'a> {
         let mut labels = Vec::new();
         let mut cursor = Some(idx);
         while let Some(i) = cursor {
-            let Some(span) = self.spans.get(i as usize) else { break };
-            labels.push(span.label.as_str());
+            let Some(span) = self.get(i) else { break };
+            labels.push(span.label());
             cursor = earlier_parent(i, span);
         }
         labels.reverse();
@@ -58,8 +74,8 @@ impl<'a> TraceIndex<'a> {
 /// recording contract, and `TelemetrySnapshot::validate`'s `OrphanParent`
 /// rule. An unvalidated trace can link a span to itself or to a later
 /// span; stopping there keeps every walk finite.
-fn earlier_parent(idx: u32, span: &Span) -> Option<u32> {
-    span.parent.filter(|&p| p < idx)
+fn earlier_parent(idx: u32, span: &dyn SpanView) -> Option<u32> {
+    span.parent().filter(|&p| p < idx)
 }
 
 /// A streaming detector: a pure function of the observation stream.
@@ -80,7 +96,14 @@ fn earlier_parent(idx: u32, span: &Span) -> Option<u32> {
 ///   arrivals exist in an offline replay but not live.
 pub(crate) trait Detector: Send {
     /// Called once per span, at record time.
-    fn on_span(&mut self, _ctx: &TraceIndex<'_>, _idx: u32, _span: &Span, _out: &mut Vec<Alert>) {}
+    fn on_span(
+        &mut self,
+        _ctx: &TraceIndex<'_>,
+        _idx: u32,
+        _span: &dyn SpanView,
+        _out: &mut Vec<Alert>,
+    ) {
+    }
 
     /// Called once per event, in record order.
     fn on_event(
@@ -154,17 +177,18 @@ impl MonitorEngine {
     /// first (each sees the trace up to and including itself), then new
     /// events (which see every span). `spans` and `events` must be the
     /// same growing vectors every time — i.e. one engine watches one
-    /// telemetry sink.
-    pub fn observe(&mut self, spans: &[Span], events: &[Event]) {
+    /// telemetry sink (live, its `SpanRecord`s; replayed, a snapshot's
+    /// `Span`s).
+    pub fn observe<S: SpanView>(&mut self, spans: &[S], events: &[Event]) {
         debug_assert!(self.finished.is_none(), "observe after finish is ignored evidence");
         for (i, span) in spans.iter().enumerate().skip(self.span_cursor) {
-            let index = TraceIndex::over(&spans[..=i]);
+            let index = TraceIndex { spans: &spans, len: i + 1 };
             for detector in &mut self.detectors {
                 detector.on_span(&index, i as u32, span, &mut self.fired);
             }
         }
         self.span_cursor = spans.len();
-        let index = TraceIndex::over(spans);
+        let index = TraceIndex { spans: &spans, len: spans.len() };
         for (i, event) in events.iter().enumerate().skip(self.event_cursor) {
             for detector in &mut self.detectors {
                 detector.on_event(&index, i, event, &mut self.fired);
@@ -211,7 +235,13 @@ impl std::fmt::Debug for MonitorEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipetune_telemetry::EventKind;
+    use pipetune_telemetry::{EventKind, Span};
+
+    impl<'a> TraceIndex<'a> {
+        fn over<S: SpanView>(spans: &'a &'a [S]) -> Self {
+            TraceIndex { spans, len: spans.len() }
+        }
+    }
 
     fn span(kind: SpanKind, label: &str, parent: Option<u32>, start: f64, end: f64) -> Span {
         Span { kind, label: label.into(), parent, start_secs: start, end_secs: end, attrs: vec![] }
@@ -224,6 +254,7 @@ mod tests {
             span(SpanKind::Job, "job 0", Some(0), 0.0, 8.0),
             span(SpanKind::TuningRun, "run", Some(1), 0.0, 8.0),
         ];
+        let spans = &spans[..];
         let idx = TraceIndex::over(&spans);
         assert_eq!(idx.path(2), "svc > job 0 > run");
         assert_eq!(idx.ancestor_of_kind(2, SpanKind::Job), Some(1));
@@ -234,6 +265,7 @@ mod tests {
             span(SpanKind::Rung, "round 0", Some(1), 0.0, 10.0),
             span(SpanKind::Trial, "trial 0", Some(1), 0.0, 8.0),
         ];
+        let looped = &looped[..];
         let idx = TraceIndex::over(&looped);
         assert_eq!(idx.path(1), "trial 0");
         assert_eq!(idx.path(0), "round 0");
@@ -245,13 +277,19 @@ mod tests {
     /// scan-granularity invariance of the engine itself.
     struct EveryObservation;
     impl Detector for EveryObservation {
-        fn on_span(&mut self, ctx: &TraceIndex<'_>, idx: u32, span: &Span, out: &mut Vec<Alert>) {
+        fn on_span(
+            &mut self,
+            ctx: &TraceIndex<'_>,
+            idx: u32,
+            span: &dyn SpanView,
+            out: &mut Vec<Alert>,
+        ) {
             out.push(Alert {
                 detector: "stall",
                 severity: crate::Severity::Info,
                 source: ctx.path(idx),
                 span: Some(idx),
-                at_secs: span.start_secs,
+                at_secs: span.start_secs(),
                 message: format!("span {idx}"),
                 evidence: vec![],
             });

@@ -8,7 +8,7 @@
 //! the run, byte-identical for 1 and N executor workers.
 
 use crate::metrics::MetricsRegistry;
-use crate::span::{Attrs, Event, EventKind, Span, SpanKind};
+use crate::span::{Attrs, EpochRow, Event, EventKind, SpanRecord};
 
 /// A worker-local telemetry buffer.
 ///
@@ -22,7 +22,9 @@ use crate::span::{Attrs, Event, EventKind, Span, SpanKind};
 pub struct TelemetryBuffer {
     enabled: bool,
     suppressed: bool,
-    spans: Vec<Span>,
+    /// The trial's epoch spans, as rows: the merge writes each into the
+    /// sink as its span.
+    epochs: Vec<EpochRow>,
     events: Vec<Event>,
     metrics: MetricsRegistry,
 }
@@ -69,23 +71,25 @@ impl TelemetryBuffer {
         }
     }
 
-    /// Convenience: records a completed span with the given fields.
-    /// Returns the local index (0 when inactive — callers treat indices as
-    /// opaque).
-    #[allow(clippy::too_many_arguments)]
-    pub fn push_span(
-        &mut self,
-        kind: SpanKind,
-        label: impl Into<String>,
-        parent: Option<u32>,
-        start_secs: f64,
-        end_secs: f64,
-        attrs: Attrs,
-    ) -> u32 {
+    /// Records a committed epoch's span as a typed row and returns its
+    /// local index, usable as an event's span (0 when inactive — callers
+    /// treat indices as opaque). The merge places it under the trial.
+    pub fn push_epoch(&mut self, row: EpochRow) -> u32 {
         if !self.is_active() {
             return 0;
         }
-        self.span(Span { kind, label: label.into(), parent, start_secs, end_secs, attrs })
+        let idx = self.epochs.len() as u32;
+        self.epochs.push(row);
+        idx
+    }
+
+    /// Runs `f` over the epoch rows buffered since the last merge and the
+    /// buffered metrics, iff the buffer is active: the hook that folds
+    /// what every epoch adds to the metrics into the trial-round merge.
+    pub fn fold_epochs<F: FnOnce(&[EpochRow], &mut MetricsRegistry)>(&mut self, f: F) {
+        if self.is_active() {
+            f(&self.epochs, &mut self.metrics);
+        }
     }
 
     /// Convenience: records an event with the given fields.
@@ -98,23 +102,19 @@ impl TelemetryBuffer {
 
     /// Moves everything buffered to the end of a sink's `spans`, `events`
     /// and `metrics`, leaving the buffer empty (still enabled, capacity
-    /// kept). Local span indices are offset by the sink's length; root
-    /// spans and span-less events land under `parent`. The handle calls
-    /// this under the sink lock, on the coordinator thread, in request
-    /// order.
+    /// kept): each epoch row becomes its span under `parent`, local span
+    /// indices are offset by the sink's length and span-less events land
+    /// under `parent`. The handle calls this under the sink lock, on the
+    /// coordinator thread, in request order.
     pub(crate) fn drain_into(
         &mut self,
         parent: Option<u32>,
-        spans: &mut Vec<Span>,
+        spans: &mut Vec<SpanRecord>,
         events: &mut Vec<Event>,
         metrics: &mut MetricsRegistry,
     ) {
         let offset = spans.len() as u32;
-        spans.extend(
-            self.spans
-                .drain(..)
-                .map(|span| Span { parent: span.parent.map(|p| p + offset).or(parent), ..span }),
-        );
+        spans.extend(self.epochs.drain(..).map(|row| SpanRecord::epoch(parent, row)));
         events.extend(
             self.events
                 .drain(..)
@@ -122,17 +122,6 @@ impl TelemetryBuffer {
         );
         metrics.merge(&self.metrics);
         self.metrics.clear();
-    }
-
-    /// Records a complete span; returns its local index for use as a
-    /// parent (remapped when the buffer is merged into a sink).
-    pub(crate) fn span(&mut self, span: Span) -> u32 {
-        if !self.is_active() {
-            return 0;
-        }
-        let idx = self.spans.len() as u32;
-        self.spans.push(span);
-        idx
     }
 
     /// Records a point event.
@@ -168,26 +157,32 @@ impl TelemetryBuffer {
 mod tests {
     use super::*;
     use crate::metrics::COUNT_BUCKETS;
+    use crate::span::SpanView;
 
-    fn span(kind: SpanKind, label: &str, parent: Option<u32>) -> Span {
-        Span {
-            kind,
-            label: label.into(),
-            parent,
-            start_secs: 0.0,
-            end_secs: 1.0,
-            attrs: Vec::new(),
+    fn row(epoch: u32) -> EpochRow {
+        EpochRow {
+            epoch,
+            phase: "fixed",
+            cores: 8,
+            memory_gb: 32,
+            freq_mhz: 3500,
+            energy_j: 10.0,
+            train_score: 0.5,
+            duration_secs: 1.0,
+            end_secs: f64::from(epoch),
         }
     }
 
     #[test]
     fn disabled_buffer_records_nothing() {
         let mut buf = TelemetryBuffer::disabled();
-        buf.span(span(SpanKind::Epoch, "e", None));
+        buf.push_epoch(row(1));
         buf.event(Event { kind: EventKind::Probe, span: None, at_secs: 0.0, attrs: vec![] });
         buf.counter_add("c", 1);
         buf.observe("h", COUNT_BUCKETS, 1.0);
-        assert!(buf.spans.is_empty());
+        let mut folded = false;
+        buf.fold_epochs(|_, _| folded = true);
+        assert!(buf.epochs.is_empty() && !folded);
         assert!(buf.events.is_empty());
         assert!(buf.metrics().is_empty());
     }
@@ -195,38 +190,41 @@ mod tests {
     #[test]
     fn suppression_hides_a_window_without_dropping_history() {
         let mut buf = TelemetryBuffer::enabled();
-        buf.span(span(SpanKind::Epoch, "kept", None));
+        buf.push_epoch(row(1));
         buf.set_suppressed(true);
-        buf.span(span(SpanKind::Epoch, "doomed", None));
+        buf.push_epoch(row(2));
         buf.counter_add("c", 7);
         buf.set_suppressed(false);
-        buf.span(span(SpanKind::Epoch, "kept2", None));
-        let labels: Vec<&str> = buf.spans.iter().map(|s| s.label.as_str()).collect();
-        assert_eq!(labels, ["kept", "kept2"]);
+        buf.push_epoch(row(3));
+        let epochs: Vec<u32> = buf.epochs.iter().map(|r| r.epoch).collect();
+        assert_eq!(epochs, [1, 3]);
         assert_eq!(buf.metrics().counter("c"), 0);
     }
 
     #[test]
-    fn span_indices_are_sequential_and_usable_as_parents() {
+    fn epoch_indices_are_sequential() {
         let mut buf = TelemetryBuffer::enabled();
-        let a = buf.span(span(SpanKind::Trial, "t", None));
-        let b = buf.span(span(SpanKind::Epoch, "e", Some(a)));
-        assert_eq!((a, b), (0, 1));
-        assert_eq!(buf.spans[1].parent, Some(0));
+        assert_eq!((buf.push_epoch(row(1)), buf.push_epoch(row(2))), (0, 1));
     }
 
     #[test]
     fn drain_resets_but_keeps_enabled() {
         let mut buf = TelemetryBuffer::enabled();
         buf.counter_add("c", 2);
-        buf.span(span(SpanKind::Epoch, "e", None));
-        let capacity = buf.spans.capacity();
+        buf.push_epoch(row(4));
+        buf.fold_epochs(|rows, m| m.counter_add("rows", rows.len() as u64));
+        let capacity = buf.epochs.capacity();
         let (mut spans, mut events, mut metrics) = (vec![], vec![], MetricsRegistry::new());
-        buf.drain_into(None, &mut spans, &mut events, &mut metrics);
+        buf.drain_into(Some(7), &mut spans, &mut events, &mut metrics);
         assert_eq!(spans.len(), 1);
-        assert_eq!(metrics.counter("c"), 2);
-        assert!(buf.spans.is_empty() && buf.metrics().is_empty());
+        assert_eq!(
+            (spans[0].parent(), spans[0].start_secs(), spans[0].end_secs()),
+            (Some(7), 3.0, 4.0)
+        );
+        assert_eq!(spans[0].label(), "epoch 4 (fixed)");
+        assert_eq!((metrics.counter("c"), metrics.counter("rows")), (2, 1));
+        assert!(buf.epochs.is_empty() && buf.metrics().is_empty());
         assert!(buf.is_active());
-        assert_eq!(buf.spans.capacity(), capacity, "the next rung records into the same storage");
+        assert_eq!(buf.epochs.capacity(), capacity, "the next rung records into the same storage");
     }
 }

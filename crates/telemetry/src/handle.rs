@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::collector::TelemetryBuffer;
 use crate::metrics::MetricsRegistry;
-use crate::span::{Attrs, Event, EventKind, Span, SpanKind};
+use crate::span::{Attrs, Event, EventKind, Span, SpanKind, SpanRecord};
 
 /// Identifier of a span recorded through a [`TelemetryHandle`].
 ///
@@ -38,7 +38,7 @@ impl SpanId {
 
 #[derive(Debug, Default)]
 struct Sink {
-    spans: Vec<Span>,
+    spans: Vec<SpanRecord>,
     events: Vec<Event>,
     metrics: MetricsRegistry,
 }
@@ -160,14 +160,15 @@ impl TelemetryHandle {
             None => SpanId::NONE,
             Some(mut sink) => {
                 let idx = sink.spans.len() as u32;
-                sink.spans.push(Span {
+                let span = Span {
                     kind,
                     label: label.into(),
-                    parent: self.resolve(parent).to_parent(),
+                    parent: None,
                     start_secs,
                     end_secs: f64::NAN,
                     attrs,
-                });
+                };
+                sink.spans.push(SpanRecord::open(span, self.resolve(parent).to_parent()));
                 SpanId(idx)
             }
         }
@@ -180,7 +181,7 @@ impl TelemetryHandle {
         }
         if let Some(mut sink) = self.lock() {
             if let Some(span) = sink.spans.get_mut(id.0 as usize) {
-                span.end_secs = end_secs;
+                span.close(end_secs);
             }
         }
     }
@@ -227,8 +228,8 @@ impl TelemetryHandle {
     /// Runs `f` against the recorded spans and events under the sink lock,
     /// without cloning — the hook streaming consumers (the
     /// `pipetune-monitor` engine's incremental scans) read the trace
-    /// through. `None` when disabled.
-    pub fn visit<R>(&self, f: impl FnOnce(&[Span], &[Event]) -> R) -> Option<R> {
+    /// through, each span by [`crate::SpanView`]. `None` when disabled.
+    pub fn visit<R>(&self, f: impl FnOnce(&[SpanRecord], &[Event]) -> R) -> Option<R> {
         self.lock().map(|sink| f(&sink.spans, &sink.events))
     }
 
@@ -244,7 +245,7 @@ impl TelemetryHandle {
         let Some(mut sink) = self.lock() else { return };
         let Sink { spans, events, metrics } = &mut *sink;
         let trial_idx = spans.len() as u32;
-        spans.push(Span { parent, ..trial });
+        spans.push(SpanRecord::open(trial, parent));
         buf.drain_into(Some(trial_idx), spans, events, metrics);
     }
 
@@ -252,7 +253,7 @@ impl TelemetryHandle {
     /// disabled.
     pub fn snapshot(&self) -> Option<TelemetrySnapshot> {
         self.lock().map(|sink| TelemetrySnapshot {
-            spans: sink.spans.clone(),
+            spans: sink.spans.iter().map(SpanRecord::to_span).collect(),
             events: sink.events.clone(),
             metrics: sink.metrics.clone(),
         })
@@ -263,6 +264,7 @@ impl TelemetryHandle {
 mod tests {
     use super::*;
     use crate::metrics::COUNT_BUCKETS;
+    use crate::span::EpochRow;
 
     fn trial(label: &str) -> Span {
         Span {
@@ -272,6 +274,20 @@ mod tests {
             start_secs: 0.0,
             end_secs: 1.0,
             attrs: vec![],
+        }
+    }
+
+    fn epoch(n: u32) -> EpochRow {
+        EpochRow {
+            epoch: n,
+            phase: "probe",
+            cores: 4,
+            memory_gb: 16,
+            freq_mhz: 3500,
+            energy_j: 2.5,
+            train_score: 0.25,
+            duration_secs: 1.0,
+            end_secs: f64::from(n),
         }
     }
 
@@ -322,7 +338,7 @@ mod tests {
         let rung = scoped.open_span(run, SpanKind::Rung, "rung 0", 0.0, vec![]);
         // Trials merged at top level through the scoped handle re-root too.
         let mut buf = TelemetryBuffer::enabled();
-        buf.push_span(SpanKind::Epoch, "buffered", None, 0.0, 1.0, vec![]);
+        buf.push_epoch(epoch(1));
         scoped.merge_trial(SpanId::NONE, trial("t0"), &mut buf);
         let snap = h.snapshot().unwrap();
         assert_eq!(snap.spans[2].parent, Some(1), "run nests under job");
@@ -346,9 +362,9 @@ mod tests {
         let run = h.open_span(SpanId::NONE, SpanKind::TuningRun, "r", 0.0, vec![]);
 
         let mut buf = TelemetryBuffer::enabled();
-        let local = buf.push_span(SpanKind::Epoch, "e1", None, 0.0, 1.0, vec![]);
-        buf.push_span(SpanKind::Epoch, "e2", Some(local), 1.0, 2.0, vec![]);
-        buf.push_event(EventKind::Probe, Some(local), 0.5, vec![]);
+        buf.push_epoch(epoch(1));
+        let local = buf.push_epoch(epoch(2));
+        buf.push_event(EventKind::Probe, Some(local), 1.5, vec![]);
         buf.push_event(EventKind::GtLookup, None, 0.1, vec![]);
         buf.counter_add("c", 4);
 
@@ -356,13 +372,32 @@ mod tests {
         let snap = h.snapshot().unwrap();
         // Spans: run (0), trial (1), e1 (2), e2 (3).
         assert_eq!(snap.spans[1].parent, Some(0), "the trial's own parent is the one given");
-        assert_eq!(snap.spans[2].parent, Some(1), "rootless buffer span re-parents to trial");
-        assert_eq!(snap.spans[3].parent, Some(2), "local index offsets by sink length");
-        assert_eq!(snap.events[0].span, Some(2));
+        assert_eq!(snap.spans[2].parent, Some(1), "buffered epochs nest under the trial");
+        assert_eq!(snap.spans[3].parent, Some(1));
+        assert_eq!(snap.spans[3].label, "epoch 2 (probe)");
+        assert_eq!(snap.events[0].span, Some(3), "local index offsets by sink length");
         assert_eq!(snap.events[1].span, Some(1));
         assert_eq!(snap.metrics.counter("c"), 4);
         // Buffer drained in place (`drain_into`'s own test covers the rest).
         assert!(buf.metrics().is_empty());
+    }
+
+    #[test]
+    fn a_parsed_epoch_span_equals_the_recorded_one() {
+        let h = TelemetryHandle::enabled();
+        let run = h.open_span(SpanId::NONE, SpanKind::TuningRun, "r", 0.0, vec![]);
+        let mut buf = TelemetryBuffer::enabled();
+        for n in 1..=3 {
+            buf.push_epoch(EpochRow { energy_j: 0.1 * f64::from(n), ..epoch(n) });
+        }
+        h.merge_trial(run, trial("t0"), &mut buf);
+        h.close_span(run, 3.0);
+        let snap = h.snapshot().unwrap();
+        let parsed = TelemetrySnapshot::from_json_str(&snap.to_json_string()).unwrap();
+        for i in 2..5 {
+            assert_eq!(snap.spans[i].kind, SpanKind::Epoch);
+            assert_eq!(parsed.spans[i], snap.spans[i], "span {i}");
+        }
     }
 
     #[test]

@@ -69,6 +69,7 @@ pub use metrics::{
     RATIO_BUCKETS,
 };
 pub use span::{
-    attr_bool, attr_f64, attr_str, attr_u64, AttrValue, Attrs, Event, EventKind, Span, SpanKind,
+    attr_bool, attr_f64, attr_str, attr_u64, AttrValue, Attrs, EpochRow, Event, EventKind, Span,
+    SpanKind, SpanRecord, SpanView,
 };
 pub use validate::TraceError;

@@ -273,6 +273,184 @@ pub struct Span {
     pub attrs: Attrs,
 }
 
+/// An epoch span's fixed keys as a typed row: what a trial records for
+/// every epoch it commits, with no label and no attribute list of its own.
+///
+/// The span's label, `epoch <epoch> (<phase>)`, and its seven attributes
+/// are derived only where a reader asks for them ([`SpanView`]) — when a
+/// snapshot is taken, or when a monitor names the span in an alert. Its
+/// start is `end_secs − duration_secs`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EpochRow {
+    /// 1-based epoch index within the trial.
+    pub epoch: u32,
+    /// The pipeline phase's name (`profile`, `probe`, `cached`, ...).
+    pub phase: &'static str,
+    /// CPU cores the epoch ran with.
+    pub cores: u32,
+    /// Memory the epoch ran with, GiB.
+    pub memory_gb: u32,
+    /// CPU frequency the epoch ran at, MHz.
+    pub freq_mhz: u32,
+    /// Energy attributed to the trial, joules.
+    pub energy_j: f64,
+    /// Training score after the epoch.
+    pub train_score: f32,
+    /// Simulated seconds the epoch took.
+    pub duration_secs: f64,
+    /// When the epoch ended, on the trial-cumulative clock.
+    pub end_secs: f64,
+}
+
+impl EpochRow {
+    /// The span's label, `epoch <n> (<phase>)`.
+    fn label(&self) -> String {
+        let mut label = String::with_capacity(16 + self.phase.len());
+        label.push_str("epoch ");
+        crate::decimal::push_u64(&mut label, self.epoch.into());
+        label.push_str(" (");
+        label.push_str(self.phase);
+        label.push(')');
+        label
+    }
+
+    /// The span's attributes, keys in the order an export writes them.
+    fn attrs(&self) -> Attrs {
+        vec![
+            ("cores", self.cores.into()),
+            ("energy_j", self.energy_j.into()),
+            ("epoch", self.epoch.into()),
+            ("freq_mhz", self.freq_mhz.into()),
+            ("memory_gb", self.memory_gb.into()),
+            ("phase", self.phase.into()),
+            ("train_score", self.train_score.into()),
+        ]
+    }
+}
+
+/// A span as a live trace holds it (what [`crate::TelemetryHandle::visit`]
+/// hands out): its kind and parent, and either the label, interval and
+/// attribute list it was opened with or an epoch's [`EpochRow`]. Read it
+/// through [`SpanView`]; a snapshot turns each into a [`Span`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct SpanRecord {
+    /// Hierarchy level.
+    pub kind: SpanKind,
+    parent: Option<u32>,
+    body: Body,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+enum Body {
+    Open { label: String, start_secs: f64, end_secs: f64, attrs: Attrs },
+    Epoch(EpochRow),
+}
+
+impl SpanRecord {
+    /// An epoch span under `parent`.
+    pub(crate) fn epoch(parent: Option<u32>, row: EpochRow) -> Self {
+        SpanRecord { kind: SpanKind::Epoch, parent, body: Body::Epoch(row) }
+    }
+
+    /// `span` as a record, under `parent`.
+    pub(crate) fn open(span: Span, parent: Option<u32>) -> Self {
+        let Span { kind, label, start_secs, end_secs, attrs, .. } = span;
+        SpanRecord { kind, parent, body: Body::Open { label, start_secs, end_secs, attrs } }
+    }
+
+    /// Closes the span at `end_secs` (an epoch row is recorded closed).
+    pub(crate) fn close(&mut self, at: f64) {
+        if let Body::Open { end_secs, .. } = &mut self.body {
+            *end_secs = at;
+        }
+    }
+
+    /// The span as a snapshot holds it.
+    pub(crate) fn to_span(&self) -> Span {
+        Span {
+            kind: self.kind,
+            label: self.label().into_owned(),
+            parent: self.parent,
+            start_secs: self.start_secs(),
+            end_secs: self.end_secs(),
+            attrs: self.attrs().into_owned(),
+        }
+    }
+}
+
+/// Reads a span whichever way it is held — a [`Span`] from a snapshot or an
+/// import, a [`SpanRecord`] from a live sink — so one reader serves a live
+/// scan and an offline replay alike.
+pub trait SpanView {
+    /// Hierarchy level.
+    fn kind(&self) -> SpanKind;
+    /// Index of the parent span within the same trace, if any.
+    fn parent(&self) -> Option<u32>;
+    /// Start timestamp, simulated seconds.
+    fn start_secs(&self) -> f64;
+    /// End timestamp, simulated seconds; `NaN` while the span is open.
+    fn end_secs(&self) -> f64;
+    /// Human label; an epoch row's is built on the call.
+    fn label(&self) -> Cow<'_, str>;
+    /// Key/value attributes; an epoch row's are built on the call, keys
+    /// sorted.
+    fn attrs(&self) -> Cow<'_, [(&'static str, AttrValue)]>;
+}
+
+impl SpanView for Span {
+    fn kind(&self) -> SpanKind {
+        self.kind
+    }
+    fn parent(&self) -> Option<u32> {
+        self.parent
+    }
+    fn start_secs(&self) -> f64 {
+        self.start_secs
+    }
+    fn end_secs(&self) -> f64 {
+        self.end_secs
+    }
+    fn label(&self) -> Cow<'_, str> {
+        Cow::Borrowed(&self.label)
+    }
+    fn attrs(&self) -> Cow<'_, [(&'static str, AttrValue)]> {
+        Cow::Borrowed(&self.attrs)
+    }
+}
+
+impl SpanView for SpanRecord {
+    fn kind(&self) -> SpanKind {
+        self.kind
+    }
+    fn parent(&self) -> Option<u32> {
+        self.parent
+    }
+    fn start_secs(&self) -> f64 {
+        match &self.body {
+            Body::Open { start_secs, .. } => *start_secs,
+            Body::Epoch(row) => row.end_secs - row.duration_secs,
+        }
+    }
+    fn end_secs(&self) -> f64 {
+        match &self.body {
+            Body::Open { end_secs, .. } => *end_secs,
+            Body::Epoch(row) => row.end_secs,
+        }
+    }
+    fn label(&self) -> Cow<'_, str> {
+        match &self.body {
+            Body::Open { label, .. } => Cow::Borrowed(label),
+            Body::Epoch(row) => Cow::Owned(row.label()),
+        }
+    }
+    fn attrs(&self) -> Cow<'_, [(&'static str, AttrValue)]> {
+        match &self.body {
+            Body::Open { attrs, .. } => Cow::Borrowed(attrs),
+            Body::Epoch(row) => Cow::Owned(row.attrs()),
+        }
+    }
+}
+
 /// A point event in a trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
@@ -314,6 +492,69 @@ mod tests {
         assert_eq!(AttrValue::from(2u64).as_field(), Some(2.0));
         assert_eq!(AttrValue::from(false).as_field(), Some(0.0));
         assert_eq!(AttrValue::from("tag").as_field(), None);
+    }
+
+    fn row(epoch: u32, phase: &'static str) -> EpochRow {
+        EpochRow {
+            epoch,
+            phase,
+            cores: 16,
+            memory_gb: 32,
+            freq_mhz: 2600,
+            energy_j: 1234.5,
+            train_score: 0.75,
+            duration_secs: 0.3,
+            end_secs: 10.1,
+        }
+    }
+
+    #[test]
+    fn an_epoch_row_reads_as_the_span_it_replaced() {
+        for phase in ["profile", "tuned", "cached"] {
+            for epoch in [0, 1, 27, 81, 1000, u32::MAX] {
+                let record = SpanRecord::epoch(Some(3), row(epoch, phase));
+                assert_eq!(record.label(), format!("epoch {epoch} ({phase})"));
+                let recorded: Attrs = vec![
+                    ("epoch", epoch.into()),
+                    ("phase", phase.into()),
+                    ("cores", 16u32.into()),
+                    ("memory_gb", 32u32.into()),
+                    ("freq_mhz", 2600u32.into()),
+                    ("energy_j", 1234.5f64.into()),
+                    ("train_score", 0.75f32.into()),
+                ];
+                let mut sorted = recorded.clone();
+                sorted.sort_by_key(|(key, _)| *key);
+                assert_eq!(record.attrs(), sorted, "the export's key order");
+                let span = record.to_span();
+                assert_eq!((span.kind, span.parent), (SpanKind::Epoch, Some(3)));
+                assert_eq!((span.start_secs, span.end_secs), (10.1 - 0.3, 10.1));
+                assert_eq!(attr_f64(&span.attrs, "train_score"), Some(f64::from(0.75f32)));
+            }
+        }
+    }
+
+    #[test]
+    fn both_forms_read_alike_through_span_view() {
+        let open = Span {
+            kind: SpanKind::Trial,
+            label: "trial 4".into(),
+            parent: None,
+            start_secs: 1.0,
+            end_secs: f64::NAN,
+            attrs: vec![("trial", 4u64.into())],
+        };
+        let mut record = SpanRecord::open(open.clone(), Some(2));
+        assert_eq!(
+            (record.parent(), record.label(), record.attrs()),
+            (Some(2), open.label(), open.attrs())
+        );
+        assert!(record.end_secs().is_nan());
+        record.close(5.0);
+        assert_eq!((record.start_secs(), record.end_secs()), (1.0, 5.0));
+        let mut epoch = SpanRecord::epoch(None, row(2, "probe"));
+        epoch.close(99.0);
+        assert_eq!(epoch.end_secs(), 10.1, "an epoch row is recorded closed");
     }
 
     #[test]

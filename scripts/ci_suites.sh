@@ -28,7 +28,7 @@ pipetune                --lib=runner::tests    dev      1
 pipetune-tensor         kernel_determinism     release  1
 pipetune-dnn            lstm_determinism       release  1
 pipetune-dnn            --lib=lanes::tests     release  -
-pipetune-kernels        stepper_determinism    dev      -
+pipetune-kernels        stepper_determinism    release  -
 pipetune-perfmon        profile_determinism    dev      -
 pipetune-search         issue_sequence         dev      -
 -                       alloc_budget           release  1
